@@ -12,7 +12,8 @@ from .circuit import (Circuit, CircuitElement, PRESET_NAMES, braced, compile,
                       preset_fig2, preset_fig3, serialize)
 from .errors import (CircuitError, CircuitParseError, DegenerateStateError,
                      DimensionMismatchError, InvalidCoefficientsError,
-                     MissingPhaseError, NonUnitaryError, SectorError,
+                     MissingPhaseError, NonFiniteAmplitudeError,
+                     NonUnitaryError, PhotonCountError, SectorError,
                      UnclassifiableScanError, UnknownDetectorError)
 from .fock import (FockState, basis_state, embed, inner_product, normalize,
                    vacuum)
@@ -35,7 +36,8 @@ __all__ = [
     "CircuitError", "CircuitParseError", "DegenerateStateError",
     "DensityMatrix", "DetectionPattern", "DimensionMismatchError",
     "FockState", "FringeScan", "InvalidCoefficientsError",
-    "MissingPhaseError", "NonUnitaryError", "PRESET_NAMES", "ScenarioReport",
+    "MissingPhaseError", "NonFiniteAmplitudeError", "NonUnitaryError",
+    "PRESET_NAMES", "PhotonCountError", "ScenarioReport",
     "SectorError", "UnclassifiableScanError", "UnknownDetectorError",
     "basis_state", "braced", "bs_unitary", "classify_table1",
     "coincidence_from_density", "compile", "delayed_choice_variant",

@@ -13,18 +13,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .circuit import PRESET_NAMES, Circuit, compile, parse_circuit, preset
 from .errors import (CircuitError, CircuitParseError, MissingPhaseError,
-                     UnclassifiableScanError, UnknownDetectorError)
+                     PhotonCountError, UnclassifiableScanError,
+                     UnknownDetectorError)
 from .fock import FockState, basis_state, embed
 from .measurement import DetectionPattern, pattern_probability
 from .optics import evolve
-from .scenarios import _fit_samples, engineered_input, noon_target
+from .scenarios import (_fit_samples, _probabilities, _scan_values,
+                        engineered_input, noon_target)
+
+#: Most samples one --sweep may ask for.
+MAX_SWEEP_SAMPLES = 100_000
 
 
 @dataclass
@@ -39,7 +46,6 @@ class RunConfig:
     phases: dict[str, float]
     sweep: tuple[str, float, float, int] | None
     output_format: str
-    seed: int | None = None
 
 
 class _UsageError(Exception):
@@ -74,9 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("csv", "json"), help="output format")
     parser.add_argument("--verify", action="store_true",
                         help="run the built-in golden-check suite and exit")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="determinism hook; the simulation is exact, so "
-                             "this currently has no effect")
     return parser
 
 
@@ -110,6 +113,8 @@ def _parse_phases(text: str) -> dict[str, float]:
             phases[name] = float(value)
         except ValueError:
             raise _UsageError(f"bad phase value in {item!r}") from None
+        if not math.isfinite(phases[name]):
+            raise _UsageError(f"phase value in {item!r} is not finite")
     return phases
 
 
@@ -125,8 +130,11 @@ def _parse_sweep(text: str, circuit: Circuit) -> tuple[str, float, float, int]:
         start, end, n = float(start), float(end), int(n)
     except ValueError:
         raise _UsageError(f"bad sweep bounds in {text!r}") from None
-    if n < 2:
-        raise _UsageError("sweep needs at least 2 samples")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise _UsageError(f"sweep bounds in {text!r} are not finite")
+    if not 2 <= n <= MAX_SWEEP_SAMPLES:
+        raise _UsageError(
+            f"sweep needs 2 to {MAX_SWEEP_SAMPLES} samples, got {n}")
     return name, start, end, n
 
 
@@ -143,7 +151,7 @@ def _load_input(spec: str, circuit: Circuit) -> FockState:
         state = engineered_input(noon_target(n))
     else:
         try:
-            text = open(spec).read()
+            text = Path(spec).read_text()
         except OSError as exc:
             raise _UsageError(f"cannot read input state {spec!r}: {exc}")
         try:
@@ -168,7 +176,7 @@ def _load_circuit(args) -> tuple[Circuit, str]:
                               + ", ".join(PRESET_NAMES))
         return preset(args.preset), args.preset
     try:
-        text = open(args.circuit).read()
+        text = Path(args.circuit).read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read {args.circuit!r}: {exc}")
     return parse_circuit(text), args.circuit
@@ -198,8 +206,7 @@ def _resolve(args) -> RunConfig:
     return RunConfig(circuit=circuit, source=source,
                      input_state=_load_input(args.input, circuit),
                      toggles=toggles, pattern=pattern, phases=phases,
-                     sweep=sweep, output_format=args.output_format,
-                     seed=args.seed)
+                     sweep=sweep, output_format=args.output_format)
 
 
 def _probability(config: RunConfig, phases: dict[str, float]) -> float:
@@ -211,18 +218,17 @@ def _probability(config: RunConfig, phases: dict[str, float]) -> float:
 def _run_sweep(config: RunConfig, out) -> int:
     name, start, end, n = config.sweep
     phis = np.linspace(start, end, n, endpoint=False)
-    vals = np.empty(n)
-    for i, phi in enumerate(phis):
-        phases = dict(config.phases)
-        phases[name] = float(phi)
-        vals[i] = _probability(config, phases)
+    (harmonics,) = _scan_values(config.circuit, config.toggles,
+                                config.input_state, [config.pattern], name,
+                                config.phases)
+    vals = _probabilities(harmonics, phis)
     if config.output_format == "csv":
         out.write("phase,probability\n")
         for phi, v in zip(phis, vals):
             out.write(f"{float(phi)!r},{float(v)!r}\n")
         return 0
     try:
-        fit = _fit_samples(name, phis, vals).to_json()["fit"]
+        fit = _fit_samples(name, phis, harmonics).to_json()["fit"]
     except UnclassifiableScanError:
         fit = None
     doc = {"circuit": config.source, "parameter": name,
@@ -284,7 +290,8 @@ def main(argv=None) -> int:
         if config.sweep:
             return _run_sweep(config, out)
         return _run_point(config, out)
-    except (MissingPhaseError, CircuitError, UnknownDetectorError) as exc:
+    except (MissingPhaseError, CircuitError, UnknownDetectorError,
+            PhotonCountError) as exc:
         print(f"mzsim: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,14 @@ class DegenerateStateError(ValueError):
     """A zero (or fully pruned) state cannot be normalized."""
 
 
+class NonFiniteAmplitudeError(ValueError):
+    """A state amplitude is NaN or infinite."""
+
+
+class PhotonCountError(ValueError):
+    """A state carries more photons than the evolution's factorial table."""
+
+
 class InvalidCoefficientsError(ValueError):
     """Beam splitter coefficients violate the unitarity constraints."""
 
@@ -42,4 +50,4 @@ class UnknownDetectorError(ValueError):
 
 
 class UnclassifiableScanError(ValueError):
-    """A scan fit none of the candidate fringe models within tolerance."""
+    """A scan has more than one nonzero harmonic, so no single cosine fits."""

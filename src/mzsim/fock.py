@@ -17,12 +17,15 @@ import json
 import math
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DegenerateStateError, DimensionMismatchError, SectorError
+from .errors import (DegenerateStateError, DimensionMismatchError,
+                     NonFiniteAmplitudeError, SectorError)
 
 Occupation = tuple[int, ...]
 
 #: Amplitudes below this magnitude are dropped when states are built.
 PRUNE_THRESHOLD = 1e-14
+
+_INF = math.inf
 
 
 def _check_occupation(occ: Occupation, mode_count: int) -> Occupation:
@@ -59,8 +62,12 @@ class FockState:
         for occ, a in items:
             occ = _check_occupation(occ, mode_count)
             a = complex(a)
-            if abs(a) <= prune:
+            magnitude = abs(a)
+            if magnitude <= prune:
                 continue
+            if not magnitude < _INF:
+                raise NonFiniteAmplitudeError(
+                    f"amplitude {a} at {occ} is not finite")
             n = sum(occ)
             if total is None:
                 total = n

@@ -59,25 +59,39 @@ class DetectionPattern:
         return body + ("" if self.exclusive else " (non-exclusive)")
 
 
+def pattern_mask(pattern: DetectionPattern, detectors: Mapping[str, int],
+                 occupations: np.ndarray, photons: int) -> np.ndarray:
+    """Which rows of a (kets x modes) occupation array the pattern selects.
+
+    A ket is selected when every listed detector shows its count and, for an
+    exclusive pattern, every unlisted detector shows zero.  A pattern that
+    asks for more than the ``photons`` the kets carry selects nothing, with
+    a warning, since its probability is identically zero.
+    """
+    by_mode = pattern.resolve(detectors)
+    if pattern.total > photons:
+        warnings.warn(
+            f"pattern wants {pattern.total} photons, state carries "
+            f"{photons}; probability is identically zero",
+            RuntimeWarning, stacklevel=3)
+        return np.zeros(len(occupations), dtype=bool)
+    mask = np.all(occupations[:, list(by_mode)] == list(by_mode.values()),
+                  axis=1)
+    if pattern.exclusive:
+        others = [m for m in detectors.values() if m not in by_mode]
+        mask &= ~np.any(occupations[:, others], axis=1)
+    return mask
+
+
 def pattern_probability(state: FockState, pattern: DetectionPattern,
                         detectors: Mapping[str, int]) -> float:
     """Probability that the listed detectors show exactly these counts."""
-    by_mode = pattern.resolve(detectors)
-    if pattern.exclusive and pattern.total > state.total_photons:
-        warnings.warn(
-            f"pattern wants {pattern.total} photons, state carries "
-            f"{state.total_photons}; probability is identically zero",
-            RuntimeWarning, stacklevel=2)
-        return 0.0
-    other_modes = [m for m in detectors.values() if m not in by_mode]
-    prob = 0.0
-    for occ, amp in state.items():
-        if any(occ[m] != c for m, c in by_mode.items()):
-            continue
-        if pattern.exclusive and any(occ[m] != 0 for m in other_modes):
-            continue
-        prob += abs(amp) ** 2
-    return prob
+    items = state.items()
+    occupations = np.array([occ for occ, _ in items],
+                           dtype=int).reshape(len(items), state.mode_count)
+    weights = np.array([abs(a) ** 2 for _, a in items])
+    mask = pattern_mask(pattern, detectors, occupations, state.total_photons)
+    return float(weights[mask].sum())
 
 
 def projected_probability(state: FockState, projector: FockState) -> float:

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidCoefficientsError,
-                     NonUnitaryError, SectorError)
+                     NonUnitaryError, PhotonCountError, SectorError)
 from .fock import PRUNE_THRESHOLD, FockState, Occupation
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -37,7 +37,12 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: files; canonical constructors are exact to machine precision.
 COEFF_TOL = 1e-6
 
-_FACT = np.array([math.factorial(k) for k in range(21)], dtype=float)
+#: Largest photon number evolve handles: the top of its factorial table, since
+#: any one output mode may end up holding every photon.
+MAX_PHOTONS = 20
+
+_FACT = np.array([math.factorial(k) for k in range(MAX_PHOTONS + 1)],
+                 dtype=float)
 _SQRT_FACT = np.sqrt(_FACT)
 
 
@@ -121,22 +126,6 @@ def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= tol)
 
 
-def matrix_to_json(u: np.ndarray) -> str:
-    """Row-major [re, im] pair list, for golden files."""
-    import json
-    m = int(u.shape[0])
-    flat = [[float(z.real), float(z.imag)] for z in np.asarray(u).ravel()]
-    return json.dumps({"mode_count": m, "entries": flat})
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    import json
-    d = json.loads(text)
-    m = d["mode_count"]
-    flat = np.array([complex(re, im) for re, im in d["entries"]])
-    return flat.reshape(m, m)
-
-
 # ---------------------------------------------------------------------------
 # polynomial-expansion evolution
 
@@ -190,6 +179,10 @@ def evolve(state: FockState, unitary: np.ndarray, *,
             f"unitary is {u.shape}, state has {m} modes")
     if check_unitary and not is_unitary(u, tol=1e-8):
         raise NonUnitaryError("matrix is not unitary within 1e-8")
+    if state.total_photons > MAX_PHOTONS:
+        raise PhotonCountError(
+            f"state carries {state.total_photons} photons; evolve supports "
+            f"at most {MAX_PHOTONS}")
 
     occ_blocks: list[np.ndarray] = []
     amp_blocks: list[np.ndarray] = []

@@ -1,10 +1,24 @@
 """Executable experiments: fringe scans, engineered inputs, classification.
 
-A scan sweeps one delay parameter over [0, 4*pi), long enough to show two
-periods even at half frequency, and fits the resulting probabilities to
-a + b cos(f phi + c) with f drawn from a small candidate set.  The fitted
-visibility b/a then classifies the configuration as showing fringes or not,
-which is the qualitative content of the multi-stage scenario table.
+A scan sweeps one delay parameter phi over [0, 4*pi).  Every entry of the
+compiled unitary is a polynomial in e^{i phi} of degree at most c, the number
+of enabled phase elements carrying the parameter, so every output amplitude
+of an N-photon input has degree at most N*c.  The scan engine therefore
+evolves at K = N*c + 1 equally spaced phases and takes a K-point DFT, which
+gives psi(phi) = sum_j e^{i j phi} psi_j exactly.  The probability of a
+readout (a detection pattern or a projector overlap) is then the finite
+Fourier series
+
+    P(phi) = h_0 + 2 Re sum_{f > 0} h_f e^{i f phi},
+    h_f = sum_{l - j = f} <psi_j| Pi |psi_l>,
+
+and samples at any phases are evaluated from its harmonics h_f.  The fit
+a + b cos(f phi + c) is read off the harmonics exactly: a = h_0, f is the
+one nonzero harmonic, b = 2 |h_f| and c = arg h_f.  A scan with no nonzero
+harmonic is flat and reports spatial frequency 0; a scan with more than one
+fits no single cosine and raises :class:`UnclassifiableScanError`.  The
+fitted visibility b/a then classifies the configuration as showing fringes
+or not, which is the qualitative content of the multi-stage scenario table.
 """
 
 from __future__ import annotations
@@ -18,14 +32,16 @@ import numpy as np
 from .circuit import Circuit, braced, compile
 from .errors import (CircuitError, DegenerateStateError,
                      DimensionMismatchError, UnclassifiableScanError)
-from .fock import FockState, basis_state, embed
-from .measurement import DetectionPattern, pattern_probability
+from .fock import FockState, Occupation, basis_state, embed
+from .measurement import DetectionPattern, pattern_mask, pattern_probability
 from .optics import BALANCED, bs_unitary, evolve
 
-FREQUENCY_CANDIDATES = (0.5, 1.0, 2.0, 3.0)
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
+#: A harmonic whose cosine has an rms above this is nonzero; the rms left
+#: after the fitted harmonic must stay below it.
 RESIDUAL_LIMIT = 1e-6
+MIN_SCAN_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -88,76 +104,115 @@ class ScenarioReport:
         return json.dumps(self.to_json(), indent=2)
 
 
+def _scan_values(circuit: Circuit, toggles, input_state: FockState,
+                 readouts, swept: str, fixed) -> list[np.ndarray]:
+    """Exact probability harmonics h_0 .. h_{K-1} of each readout.
+
+    ``readouts`` holds detection patterns and projector states.  One evolve
+    per grid phase; each output is streamed into ket-index and amplitude
+    arrays and dropped, so only the (kets x K) coefficients are kept.
+    """
+    if swept not in circuit.parameters:
+        raise CircuitError(f"cannot sweep unknown parameter {swept!r}")
+    enabled = set(toggles)
+    crossings = sum(1 for e in circuit.elements
+                    if e.kind == "phase" and e.param == swept
+                    and (e.name not in circuit.toggles or e.name in enabled))
+    k = input_state.total_photons * crossings + 1
+    index: dict[Occupation, int] = {}
+    grid = []
+    for step in range(k):
+        phases = dict(fixed)
+        phases[swept] = 2 * math.pi * step / k
+        items = evolve(input_state, compile(circuit, phases, toggles)).items()
+        grid.append((np.array([index.setdefault(occ, len(index))
+                               for occ, _ in items], dtype=np.intp),
+                     np.array([a for _, a in items], dtype=complex)))
+    values = np.zeros((len(index), k), dtype=complex)
+    for step, (rows, amps) in enumerate(grid):
+        values[rows, step] = amps
+    steps = np.arange(k)
+    coeffs = values @ (np.exp(-2j * math.pi * np.outer(steps, steps) / k) / k)
+    occupations = np.array(list(index), dtype=int).reshape(
+        len(index), circuit.mode_count)
+
+    harmonics = []
+    for readout in readouts:
+        if isinstance(readout, FockState):
+            if readout.mode_count != circuit.mode_count:
+                raise DimensionMismatchError(
+                    "projector and circuit have different mode counts")
+            series = np.zeros((1, k), dtype=complex)
+            for occ, a in readout.items():
+                if occ in index:
+                    series[0] += a.conjugate() * coeffs[index[occ]]
+        else:
+            series = coeffs[pattern_mask(readout, circuit.detectors,
+                                         occupations,
+                                         input_state.total_photons)]
+        gram = series.conj().T @ series
+        harmonics.append(np.array([np.trace(gram, offset=f)
+                                   for f in range(k)]))
+    return harmonics
+
+
+def _probabilities(harmonics: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """P(phi) = h_0 + 2 Re sum_{f>0} h_f e^{i f phi} at the given phases."""
+    freqs = np.arange(1, len(harmonics))
+    ripple = np.exp(1j * np.outer(phis, freqs)) @ harmonics[1:]
+    return np.maximum(harmonics[0].real + 2 * ripple.real, 0.0)
+
+
 def _fit_samples(parameter: str, phis: np.ndarray,
-                 vals: np.ndarray) -> FringeScan:
-    best = None
-    for f in FREQUENCY_CANDIDATES:
-        design = np.stack([np.ones_like(phis),
-                           np.cos(f * phis), np.sin(f * phis)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-        resid = float(np.sqrt(np.mean((design @ coef - vals) ** 2)))
-        if best is None or resid < best[0]:
-            best = (resid, f, coef)
-    resid, f, (a, bc, bs) = best
-    if resid > RESIDUAL_LIMIT:
+                 harmonics: np.ndarray) -> FringeScan:
+    """Sample the scan at ``phis`` and read its cosine off the harmonics."""
+    mean = float(harmonics[0].real)
+    rms = math.sqrt(2) * np.abs(harmonics[1:])
+    f = int(np.argmax(rms)) + 1 if rms.size else 0
+    if f and rms[f - 1] > RESIDUAL_LIMIT:
+        amplitude = 2 * abs(harmonics[f])
+        phase_offset = float(np.angle(harmonics[f]))
+        rest = np.delete(rms, f - 1)
+    else:
+        f, amplitude, phase_offset, rest = 0, 0.0, 0.0, rms
+    residual = float(np.sqrt(np.sum(rest ** 2)))
+    if residual > RESIDUAL_LIMIT:
         raise UnclassifiableScanError(
-            f"scan of {parameter} does not fit any candidate frequency "
-            f"{FREQUENCY_CANDIDATES}; rms residual {resid:.3e}")
-    amplitude = math.hypot(bc, bs)
-    visibility = amplitude / a if a > 1e-12 else 0.0
+            f"scan of {parameter} has more than one nonzero harmonic; "
+            f"rms left after the strongest is {residual:.3e}")
+    visibility = amplitude / mean if mean > 1e-12 else 0.0
+    vals = _probabilities(harmonics, phis)
     return FringeScan(parameter=parameter,
                       samples=tuple((float(p), float(v))
                                     for p, v in zip(phis, vals)),
-                      mean=float(a), amplitude=float(amplitude),
-                      spatial_frequency=float(f),
-                      phase_offset=float(math.atan2(-bs, bc)),
-                      visibility=float(visibility), residual=resid)
+                      mean=mean, amplitude=float(amplitude),
+                      spatial_frequency=float(f), phase_offset=phase_offset,
+                      visibility=float(visibility), residual=residual)
 
 
-def _scan_values(circuit: Circuit, toggles, input_state: FockState,
-                 patterns, swept: str, fixed, n_samples: int):
-    """Evolve once per sample and read every pattern off the same output."""
-    if n_samples < 64:
-        raise ValueError("a scan needs at least 64 samples")
-    if swept not in circuit.parameters:
-        raise CircuitError(f"cannot sweep unknown parameter {swept!r}")
-    phis = np.linspace(0.0, 4 * math.pi, n_samples, endpoint=False)
-    rows = [np.empty(n_samples) for _ in patterns]
-    for i, phi in enumerate(phis):
-        phases = dict(fixed)
-        phases[swept] = float(phi)
-        out = evolve(input_state, compile(circuit, phases, toggles))
-        for row, pattern in zip(rows, patterns):
-            row[i] = pattern_probability(out, pattern, circuit.detectors)
-    return phis, rows
+def _scan_phases(n_samples: int) -> np.ndarray:
+    if n_samples < MIN_SCAN_SAMPLES:
+        raise ValueError(
+            f"a scan needs at least {MIN_SCAN_SAMPLES} samples")
+    return np.linspace(0.0, 4 * math.pi, n_samples, endpoint=False)
 
 
 def run_scan(circuit: Circuit, toggles, input_state: FockState,
              pattern: DetectionPattern, swept: str, fixed,
              n_samples: int = 256) -> FringeScan:
-    """Sweep one delay, collect the pattern probability, fit the fringe."""
-    phis, rows = _scan_values(circuit, toggles, input_state, [pattern],
-                              swept, fixed, n_samples)
-    return _fit_samples(swept, phis, rows[0])
+    """Scan one delay, read the pattern probability, fit the fringe."""
+    phis = _scan_phases(n_samples)
+    (harmonics,) = _scan_values(circuit, toggles, input_state, [pattern],
+                                swept, fixed)
+    return _fit_samples(swept, phis, harmonics)
 
 
 def run_projection_scan(circuit: Circuit, toggles, input_state: FockState,
                         projector: FockState, swept: str, fixed,
                         n_samples: int = 256) -> FringeScan:
     """Like run_scan but against |<projector|psi>|^2 for a superposition."""
-    from .fock import inner_product
-    if n_samples < 64:
-        raise ValueError("a scan needs at least 64 samples")
-    if swept not in circuit.parameters:
-        raise CircuitError(f"cannot sweep unknown parameter {swept!r}")
-    phis = np.linspace(0.0, 4 * math.pi, n_samples, endpoint=False)
-    vals = np.empty(n_samples)
-    for i, phi in enumerate(phis):
-        phases = dict(fixed)
-        phases[swept] = float(phi)
-        out = evolve(input_state, compile(circuit, phases, toggles))
-        vals[i] = abs(inner_product(projector, out)) ** 2
-    return _fit_samples(swept, phis, vals)
+    return run_scan(circuit, toggles, input_state, projector, swept, fixed,
+                    n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +296,7 @@ def classify_table1(n: int) -> list[ScenarioReport]:
     all_on = tuple(sorted(circuit.toggles))
     inner_off = tuple(t for t in all_on if t != "BS2")
     fixed = {p: 0.0 for p in circuit.parameters}
+    phis = _scan_phases(MIN_SCAN_SAMPLES)
 
     configs = (("all-erased", all_on, tap_detectors, False),
                ("innermost-distinguishing", inner_off, tap_detectors, True),
@@ -255,10 +311,10 @@ def classify_table1(n: int) -> list[ScenarioReport]:
         patterns.append(DetectionPattern(
             {d: 1 for d in dets} | {"D10": n - len(dets)}))
         orders.append(n)
-        phis, rows = _scan_values(circuit, toggles, state, patterns,
-                                  "phi_B", fixed, 64)
-        for pattern, vals, order in zip(patterns, rows, orders):
-            scan = _fit_samples("phi_B", phis, vals)
+        harmonics = _scan_values(circuit, toggles, state, patterns,
+                                 "phi_B", fixed)
+        for pattern, series, order in zip(patterns, harmonics, orders):
+            scan = _fit_samples("phi_B", phis, series)
             reports.append(ScenarioReport(
                 scenario=f"photons-{n}/{config_id}/order-{order}",
                 toggles=tuple(toggles), pattern=pattern, scan=scan,

@@ -164,10 +164,10 @@ def test_criterion_06_engineered_inputs_round_trip_and_defeat_every_scan():
         {"D7": 1, "D10": 1}, {"D7": 1, "D11": 1})]
     for swept in c.parameters:
         fixed = {p: 0.3 for p in c.parameters if p != swept}
-        phis, rows = _scan_values(c, ("BS2",), state, patterns, swept,
-                                  fixed, 64)
-        for vals in rows:
-            scan = _fit_samples(swept, phis, vals)
+        phis = np.linspace(0.0, 4 * math.pi, 64, endpoint=False)
+        for harmonics in _scan_values(c, ("BS2",), state, patterns, swept,
+                                      fixed):
+            scan = _fit_samples(swept, phis, harmonics)
             assert scan.visibility < 1e-6
 
 

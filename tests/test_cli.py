@@ -12,7 +12,7 @@ import subprocess
 import pytest
 
 from mzsim import FockState, preset, serialize
-from mzsim.cli import main
+from mzsim.cli import MAX_SWEEP_SAMPLES, main
 
 BALANCED_BS = "T=0.7071067811865475 R=0.7071067811865475i"
 
@@ -154,6 +154,18 @@ def test_sweep_json_reports_null_fit_when_nothing_matches(capsys, tmp_path):
     assert len(doc["samples"]) == 64
 
 
+def test_flat_sweep_fits_frequency_zero(capsys):
+    code, out, _ = run_cli(capsys, "--preset", "fig1", "--format", "json",
+                           "--pattern", "D6:1,D10:1",
+                           "--sweep", "phi_B:0:12.566370614359172:64",
+                           "--phases", "phi_C=0.9")
+    assert code == 0
+    fit = json.loads(out)["fit"]
+    assert fit["spatial_frequency"] == 0.0
+    assert fit["visibility"] == 0.0
+    assert abs(fit["mean"] - 0.125) < 1e-12
+
+
 def test_sweep_leaves_other_phases_fixed(capsys):
     code, out, _ = run_cli(capsys, "--preset", "fig2",
                            "--toggles", "BS2",
@@ -201,11 +213,37 @@ def test_verify_runs_all_checks(capsys):
      "--pattern", "D10:1,D11:1", "--phases", "phi_C=0,phi_B=0"),
     ("--preset", "fig1", "--input", "/nonexistent/state.json",
      "--pattern", "D10:1,D11:1", "--phases", "phi_C=0,phi_B=0"),
+    ("--preset", "fig1", "--pattern", "D10:1,D11:1",
+     "--phases", "phi_C=nan,phi_B=0"),                           # NaN phase
+    ("--preset", "fig1", "--pattern", "D10:1,D11:1",
+     "--phases", "phi_C=inf,phi_B=0"),                           # inf phase
+    ("--preset", "fig1", "--pattern", "D10:1,D11:1",
+     "--phases", "phi_C=0", "--sweep", "phi_B:0:nan:64"),        # NaN bound
+    ("--preset", "fig1", "--pattern", "D10:1,D11:1", "--phases", "phi_C=0",
+     "--sweep", f"phi_B:0:1:{MAX_SWEEP_SAMPLES + 1}"),           # huge sweep
+    ("--preset", "fig1", "--input", "engineered-noon:30",
+     "--pattern", "D10:1,D11:1", "--phases", "phi_C=0,phi_B=0"), # 30 photons
+    ("--preset", "fig1", "--pattern", "D10:1,D11:1",
+     "--phases", "phi_C=0,phi_B=0", "--seed", "1"),              # removed flag
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "mzsim:" in err
+
+
+@pytest.mark.parametrize("content,message", [
+    ('[{"occupation": [1, 1], "re": NaN, "im": 0.0}]', "not finite"),
+    (FockState({(21, 0): 1.0}).to_json(), "at most 20"),
+])
+def test_unusable_state_files_exit_2(capsys, tmp_path, content, message):
+    path = tmp_path / "state.json"
+    path.write_text(content)
+    code, _, err = run_cli(capsys, "--preset", "fig1", "--input", str(path),
+                           "--pattern", "D10:1,D11:1",
+                           "--phases", "phi_C=0,phi_B=0")
+    assert code == 2
+    assert message in err
 
 
 def test_parse_errors_exit_3(capsys, tmp_path):

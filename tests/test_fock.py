@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mzsim import (DegenerateStateError, DimensionMismatchError, FockState,
-                   SectorError, basis_state, embed, inner_product, normalize,
-                   vacuum)
+                   NonFiniteAmplitudeError, SectorError, basis_state, embed,
+                   inner_product, normalize, vacuum)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -53,6 +53,18 @@ def test_wrong_occupation_length_rejected():
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         FockState({(1, -1): 1.0}, 2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                 complex(0.0, float("nan")),
+                                 complex(float("-inf"), 1.0)])
+def test_non_finite_amplitudes_rejected(bad):
+    with pytest.raises(NonFiniteAmplitudeError):
+        FockState({(1, 0): bad})
+    with pytest.raises(NonFiniteAmplitudeError):
+        FockState({(1, 0): 1.0, (0, 1): bad}, 2, prune=0.0)
+    with pytest.raises(NonFiniteAmplitudeError):
+        basis_state((1, 0)) * bad
 
 
 def test_empty_state_needs_explicit_mode_count():

@@ -11,6 +11,7 @@ from mzsim import (BALANCED, DetectionPattern, FockState,
                    coincidence_from_density, density_from_pure, evolve,
                    mean_photon_number, partial_trace, pattern_probability,
                    projected_probability)
+from mzsim.measurement import pattern_mask
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -77,10 +78,24 @@ def test_unlisted_modes_outside_detectors_are_ignored():
 
 def test_overfull_pattern_warns_and_returns_zero():
     state = basis_state((1, 0, 0))
-    with pytest.warns(RuntimeWarning):
-        value = pattern_probability(state, DetectionPattern({"Da": 1, "Db": 1}),
-                                    DETECTORS)
-    assert value == 0.0
+    for exclusive in (True, False):
+        pattern = DetectionPattern({"Da": 1, "Db": 1}, exclusive=exclusive)
+        with pytest.warns(RuntimeWarning, match="identically zero"):
+            value = pattern_probability(state, pattern, DETECTORS)
+        assert value == 0.0
+
+
+def test_pattern_mask_is_the_selection_rule():
+    kets = np.array([(1, 1, 0), (1, 0, 1), (0, 0, 2), (1, 1, 0)])
+    loose = DetectionPattern({"Da": 1}, exclusive=False)
+    strict = DetectionPattern({"Da": 1, "Db": 1})
+    assert pattern_mask(loose, DETECTORS, kets, 2).tolist() == \
+        [True, True, False, True]
+    assert pattern_mask(strict, DETECTORS, kets, 2).tolist() == \
+        [True, False, False, True]
+    # a mode without a detector is unconstrained even for exclusive patterns
+    assert pattern_mask(strict, {"Da": 0, "Db": 1}, kets[:2], 2).tolist() == \
+        [True, False]
 
 
 def test_exclusive_patterns_partition_probability(seed=37):

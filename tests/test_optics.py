@@ -14,7 +14,7 @@ import pytest
 
 from mzsim import (BALANCED, BeamSplitterCoeffs, DimensionMismatchError,
                    FockState, InvalidCoefficientsError, NonUnitaryError,
-                   SectorError, basis_state, bs_unitary, evolve, is_unitary,
+                   PhotonCountError, SectorError, basis_state, bs_unitary, evolve, is_unitary,
                    permanent, phase_unitary, swap_unitary,
                    transition_amplitude, vacuum)
 
@@ -182,6 +182,12 @@ def test_evolve_rejects_bad_matrices():
     scaled = evolve(state, np.array([[1.0, 0.0], [0.0, 2.0]]),
                     check_unitary=False)
     assert scaled[(1, 0)] == 1.0
+
+
+def test_evolve_rejects_photon_counts_beyond_its_factorial_table():
+    assert evolve(basis_state((20, 0)), np.eye(2))[(20, 0)] == 1.0
+    with pytest.raises(PhotonCountError):
+        evolve(basis_state((21, 0)), bs_unitary(BALANCED, 0, 1, 2))
 
 
 def test_swap_relabels_occupations():

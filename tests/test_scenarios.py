@@ -3,17 +3,23 @@
 import json
 import math
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mzsim import (BALANCED, CircuitError, DegenerateStateError,
-                   DetectionPattern, DimensionMismatchError, FockState,
-                   FringeScan, UnclassifiableScanError, basis_state,
-                   bs_unitary, classify_table1, compile, delayed_choice_variant,
-                   engineered_input, evolve, noon_target,
+from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
+                   CircuitError, DegenerateStateError, DetectionPattern,
+                   DimensionMismatchError, FockState, FringeScan,
+                   UnclassifiableScanError, basis_state, bs_unitary,
+                   classify_table1, compile, delayed_choice_variant,
+                   engineered_input, evolve, inner_product, noon_target,
                    one_photon_each_input, pattern_probability, preset,
                    run_projection_scan, run_scan, run_triple)
-from mzsim.scenarios import _fit_samples
+from mzsim import scenarios
+from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -30,24 +36,46 @@ def eraser_projector():
 # ---------------------------------------------------------------------------
 # fitting
 
+PHIS = np.linspace(0, 4 * math.pi, 128, endpoint=False)
+
+
+def cosine_harmonics(mean, *terms, k=6):
+    """Harmonics h_0 .. h_{k-1} of mean + sum of amplitude cos(f phi + offset)."""
+    harmonics = np.zeros(k, dtype=complex)
+    harmonics[0] = mean
+    for amplitude, f, offset in terms:
+        harmonics[f] += 0.5 * amplitude * np.exp(1j * offset)
+    return harmonics
+
 
 def test_fit_recovers_a_known_cosine():
-    phis = np.linspace(0, 4 * math.pi, 128, endpoint=False)
-    vals = 0.5 + 0.25 * np.cos(2 * phis + 0.3)
-    scan = _fit_samples("phi", phis, vals)
+    scan = _fit_samples("phi", PHIS, cosine_harmonics(0.5, (0.25, 2, 0.3)))
     assert abs(scan.mean - 0.5) < 1e-12
     assert abs(scan.amplitude - 0.25) < 1e-12
     assert scan.spatial_frequency == 2.0
     assert abs(scan.phase_offset - 0.3) < 1e-12
     assert abs(scan.visibility - 0.5) < 1e-12
     assert scan.residual < 1e-12
+    values = np.array([v for _, v in scan.samples])
+    assert np.allclose(values, 0.5 + 0.25 * np.cos(2 * PHIS + 0.3),
+                       rtol=0, atol=1e-12)
 
 
-def test_fit_rejects_frequencies_outside_the_candidate_set():
-    phis = np.linspace(0, 4 * math.pi, 128, endpoint=False)
-    vals = 0.5 + 0.3 * np.cos(4 * phis)
+def test_fit_takes_any_single_harmonic_and_rejects_two():
+    # a pure fourth harmonic is what a four-photon NOON fringe looks like
+    scan = _fit_samples("phi", PHIS, cosine_harmonics(0.5, (0.3, 4, 0.0)))
+    assert scan.spatial_frequency == 4.0
+    assert abs(scan.amplitude - 0.3) < 1e-12
     with pytest.raises(UnclassifiableScanError):
-        _fit_samples("phi", phis, vals)
+        _fit_samples("phi", PHIS,
+                     cosine_harmonics(0.5, (0.3, 2, 0.0), (0.1, 4, 1.0)))
+
+
+def test_flat_scan_reports_frequency_zero():
+    scan = _fit_samples("phi", PHIS, cosine_harmonics(0.125, (1e-9, 3, 0.5)))
+    assert scan.spatial_frequency == 0.0
+    assert scan.amplitude == 0.0 and scan.visibility == 0.0
+    assert scan.classify() == "flat"
 
 
 def test_classification_thresholds():
@@ -60,7 +88,7 @@ def test_classification_thresholds():
 
 def test_scan_serialization():
     phis = np.linspace(0, 4 * math.pi, 64, endpoint=False)
-    scan = _fit_samples("phi_B", phis, 0.25 + 0.25 * np.cos(phis))
+    scan = _fit_samples("phi_B", phis, cosine_harmonics(0.25, (0.25, 1, 0.0)))
     doc = scan.to_json()
     assert doc["parameter"] == "phi_B"
     assert len(doc["samples"]) == 64
@@ -131,6 +159,106 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         run_projection_scan(c, (), state, eraser_projector(), "phi_B",
                             {"phi_C": 0.0}, n_samples=10)
+
+
+# ---------------------------------------------------------------------------
+# the exact scan engine
+
+
+def test_a_scan_evolves_once_per_harmonic(monkeypatch):
+    # phi_C is crossed once and the input has two photons: K = 2 * 1 + 1
+    calls = []
+
+    def counting_evolve(state, unitary):
+        calls.append(1)
+        return evolve(state, unitary)
+
+    monkeypatch.setattr(scenarios, "evolve", counting_evolve)
+    c = preset("fig2")
+    scan = run_scan(c, ("BS2",), one_photon_each_input(c),
+                    DetectionPattern({"D6": 1, "D10": 1}), "phi_C",
+                    {"phi_B": 0.4, "phi_S": 1.1})
+    assert len(calls) == 3
+    assert len(scan.samples) == 256
+
+
+@st.composite
+def occupations(draw, modes, photons):
+    """One occupation vector of ``photons`` photons over ``modes`` modes."""
+    counts = Counter(draw(st.lists(st.integers(0, modes - 1),
+                                   min_size=photons, max_size=photons)))
+    return tuple(counts[m] for m in range(modes))
+
+
+@st.composite
+def superpositions(draw, modes, photons):
+    kets = draw(st.lists(occupations(modes, photons), min_size=1, max_size=3,
+                         unique=True))
+    parts = st.floats(-1, 1)
+    amps = {occ: complex(draw(parts), draw(parts)) for occ in kets}
+    if sum(abs(a) ** 2 for a in amps.values()) < 1e-3:
+        amps[kets[0]] = 1.0
+    return FockState(amps, modes).normalized()
+
+
+@st.composite
+def swept_circuits(draw):
+    """A random circuit with the swept delay "phi" on 1-3 elements.
+
+    Splitters, swaps and a second delay "psi" are mixed in; the first "phi"
+    element may be toggleable and disabled.
+    """
+    m = draw(st.integers(2, 4))
+    crossings = draw(st.integers(1, 3))
+    others = draw(st.lists(st.sampled_from(("bs", "bs", "psi", "swap")),
+                           min_size=2, max_size=6))
+    kinds = draw(st.permutations(["phi"] * crossings + others))
+    elements = []
+    for i, kind in enumerate(kinds):
+        a, b = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2,
+                             unique=True))
+        if kind == "bs":
+            coeffs = BeamSplitterCoeffs.from_angle(
+                draw(st.floats(0.1, 1.5)), draw(st.floats(0, 2 * math.pi)),
+                draw(st.sampled_from((1, -1))))
+            elements.append(CircuitElement("bs", f"B{i}", (a, b), coeffs))
+        elif kind == "swap":
+            elements.append(CircuitElement("swap", f"S{i}", (a, b)))
+        else:
+            elements.append(CircuitElement("phase", f"P{i}", (a,), param=kind))
+    first_phi = next(e.name for e in elements if e.param == "phi")
+    toggles = frozenset([first_phi]) if draw(st.booleans()) else frozenset()
+    enabled = tuple(toggles) if draw(st.booleans()) else ()
+    detectors = {f"D{k}": k for k in range(m)}
+    return Circuit(m, tuple(elements), detectors, toggles), enabled
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_engine_samples_match_per_phase_evolution(data):
+    circuit, enabled = data.draw(swept_circuits())
+    m = circuit.mode_count
+    photons = data.draw(st.integers(1, 3))
+    state = data.draw(superpositions(m, photons))
+    projector = data.draw(superpositions(m, photons))
+    listed = data.draw(occupations(m, data.draw(st.integers(1, photons))))
+    pattern = DetectionPattern({f"D{k}": c for k, c in enumerate(listed)
+                                if c or data.draw(st.booleans())},
+                               exclusive=data.draw(st.booleans()))
+    psi = data.draw(st.floats(0, 2 * math.pi))
+    phis = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=1,
+                                       max_size=4)))
+
+    by_pattern, by_projector = _scan_values(
+        circuit, enabled, state, [pattern, projector], "phi", {"psi": psi})
+    got_pattern = _probabilities(by_pattern, phis)
+    got_projector = _probabilities(by_projector, phis)
+    for phi, p, q in zip(phis, got_pattern, got_projector):
+        out = evolve(state, compile(circuit, {"phi": float(phi), "psi": psi},
+                                    enabled))
+        assert abs(p - pattern_probability(out, pattern,
+                                           circuit.detectors)) < 1e-12
+        assert abs(q - abs(inner_product(projector, out)) ** 2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
