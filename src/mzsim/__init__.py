@@ -15,8 +15,7 @@ from .errors import (CircuitError, CircuitParseError, DegenerateStateError,
                      MissingPhaseError, NonFiniteAmplitudeError,
                      NonUnitaryError, PhotonCountError, SectorError,
                      UnclassifiableScanError, UnknownDetectorError)
-from .fock import (FockState, basis_state, embed, inner_product, normalize,
-                   vacuum)
+from .fock import FockState, basis_state, embed, inner_product, vacuum
 from .measurement import (DensityMatrix, DetectionPattern,
                           coincidence_from_density, density_from_pure,
                           mean_photon_number, partial_trace,
@@ -43,7 +42,7 @@ __all__ = [
     "coincidence_from_density", "compile", "delayed_choice_variant",
     "density_from_pure", "embed", "engineered_input", "evolve",
     "inner_product", "is_unitary", "load_preset_file", "mean_photon_number",
-    "noon_target", "normalize", "one_photon_each_input", "parse_circuit",
+    "noon_target", "one_photon_each_input", "parse_circuit",
     "partial_trace", "pattern_probability", "permanent", "phase_unitary",
     "preset", "preset_fig1", "preset_fig2", "preset_fig3",
     "projected_probability", "run_projection_scan", "run_scan", "run_triple",

@@ -18,7 +18,7 @@ class NonFiniteAmplitudeError(ValueError):
 
 
 class PhotonCountError(ValueError):
-    """A state carries more photons than the evolution's factorial table."""
+    """More photons than a state or a routine's factorial table can hold."""
 
 
 class InvalidCoefficientsError(ValueError):

@@ -1,10 +1,22 @@
-"""Sparse multimode Fock states.
+"""Sparse multimode Fock states stored as two aligned arrays.
 
-A state is a map from occupation vectors (one photon count per mode) to
-complex amplitudes.  Only kets with nonzero amplitude are stored, which keeps
-few-photon states over many modes cheap: the dimension of the N-photon sector
-of M modes is C(N+M-1, N), but the states produced by passive interferometers
-touch only a small corner of it.
+A state holds only the kets with nonzero amplitude, which keeps few-photon
+states over many modes cheap: the dimension of the N-photon sector of M
+modes is C(N+M-1, N), but the states produced by passive interferometers
+touch only a small corner of it.  The kets are stored as a (kets x modes)
+``uint8`` occupation array whose rows are unique and in lexicographic order,
+next to a ``complex128`` vector of their amplitudes.  On top sits a mapping
+API (``items``, ``state[occ]``, ``occ in state``, iteration) that yields
+occupation tuples in that same order.
+
+A photon count fits in one byte, so each row read as one fixed-width byte
+string is a key whose byte order is the lexicographic order of the
+occupations, whatever the mode count.  :func:`_merge` sorts and sums rows on
+those keys, :func:`_union` and :func:`_common_rows` match rows across
+arrays, and :func:`_trusted_state` builds a state from rows that are
+already sorted, unique and in one photon sector, checking only that the
+amplitudes are finite.  The public constructor ``FockState(mapping)``
+validates every ket.
 
 All occupation vectors in one state must have the same length (the mode
 count) and the same total photon number, since passive linear optics never
@@ -17,13 +29,19 @@ import json
 import math
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import (DegenerateStateError, DimensionMismatchError,
-                     NonFiniteAmplitudeError, SectorError)
+                     NonFiniteAmplitudeError, PhotonCountError, SectorError)
 
 Occupation = tuple[int, ...]
 
 #: Amplitudes below this magnitude are dropped when states are built.
 PRUNE_THRESHOLD = 1e-14
+
+#: Largest photon count one mode of a stored state can hold (one byte).
+MAX_MODE_PHOTONS = 255
+_COUNTS = range(MAX_MODE_PHOTONS + 1)
 
 _INF = math.inf
 
@@ -35,7 +53,64 @@ def _check_occupation(occ: Occupation, mode_count: int) -> Occupation:
             f"occupation {occ} has {len(occ)} modes, expected {mode_count}")
     if any(n < 0 for n in occ):
         raise ValueError(f"negative photon count in occupation {occ}")
+    if any(n > MAX_MODE_PHOTONS for n in occ):
+        raise PhotonCountError(
+            f"occupation {occ} holds more than {MAX_MODE_PHOTONS} photons "
+            f"in one mode")
     return occ
+
+
+def _keys(occupations: np.ndarray) -> np.ndarray:
+    """One fixed-width byte-string key per row of a uint8 occupation array."""
+    rows = np.ascontiguousarray(occupations, dtype=np.uint8)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _union(occupations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order, and where each input row went."""
+    keys, inverse = np.unique(_keys(occupations), return_inverse=True)
+    return keys.view(np.uint8).reshape(len(keys), occupations.shape[1]), inverse
+
+
+def _merge(occupations: np.ndarray,
+           amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort rows lexicographically and sum the amplitudes of equal rows."""
+    rows, inverse = _union(occupations)
+    summed = np.empty(len(rows), dtype=complex)
+    summed.real = np.bincount(inverse, amplitudes.real, len(rows))
+    summed.imag = np.bincount(inverse, amplitudes.imag, len(rows))
+    return rows, summed
+
+
+def _common_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into two unique occupation arrays of the rows they share."""
+    _, ia, ib = np.intersect1d(_keys(a), _keys(b), assume_unique=True,
+                               return_indices=True)
+    return ia, ib
+
+
+def _trusted_state(occupations: np.ndarray, amplitudes: np.ndarray,
+                   mode_count: int, *,
+                   prune: float = PRUNE_THRESHOLD) -> "FockState":
+    """A state from uint8 rows already sorted, unique and in one sector.
+
+    Only the amplitudes are checked: a NaN or infinite one raises
+    :class:`NonFiniteAmplitudeError`, and those at or below ``prune`` in
+    magnitude are dropped.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    finite = np.isfinite(amplitudes)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonFiniteAmplitudeError(
+            f"amplitude {amplitudes[bad]} at "
+            f"{tuple(occupations[bad].tolist())} is not finite")
+    keep = np.abs(amplitudes) > prune
+    if not keep.all():
+        occupations, amplitudes = occupations[keep], amplitudes[keep]
+    state = object.__new__(FockState)
+    state._store(occupations, amplitudes, mode_count)
+    return state
 
 
 class FockState:
@@ -48,7 +123,7 @@ class FockState:
     True
     """
 
-    __slots__ = ("_amp", "mode_count", "total_photons")
+    __slots__ = ("_occ", "_amp", "mode_count", "total_photons")
 
     def __init__(self, amplitudes: Mapping[Occupation, complex],
                  mode_count: int | None = None, *, prune: float = PRUNE_THRESHOLD):
@@ -57,6 +132,8 @@ class FockState:
             if not items:
                 raise ValueError("cannot infer mode count of an empty state")
             mode_count = len(items[0][0])
+        if mode_count < 1:
+            raise ValueError("a state needs at least one mode")
         amp: dict[Occupation, complex] = {}
         total: int | None = None
         for occ, a in items:
@@ -75,56 +152,93 @@ class FockState:
                 raise SectorError(
                     f"mixed photon numbers {total} and {n} in one state")
             amp[occ] = amp.get(occ, 0j) + a
-        self._amp = amp
+        kets = sorted(amp)
+        self._store(np.array(kets, dtype=np.uint8).reshape(len(kets), mode_count),
+                    np.array([amp[k] for k in kets], dtype=complex), mode_count)
+
+    def _store(self, occupations: np.ndarray, amplitudes: np.ndarray,
+               mode_count: int) -> None:
+        occupations.flags.writeable = False
+        amplitudes.flags.writeable = False
+        self._occ = occupations
+        self._amp = amplitudes
         self.mode_count = mode_count
-        self.total_photons = total if total is not None else 0
+        self.total_photons = int(occupations[0].sum()) if len(occupations) else 0
+
+    # -- array access -------------------------------------------------------
+
+    @property
+    def occupation_array(self) -> np.ndarray:
+        """Read-only (kets x modes) uint8 occupations, rows in lexicographic order."""
+        return self._occ
+
+    @property
+    def amplitude_array(self) -> np.ndarray:
+        """Read-only complex amplitudes aligned with :attr:`occupation_array`."""
+        return self._amp
+
+    def _find(self, occ: Iterable[int]) -> int:
+        """Row index of ``occ``, or -1 when the state does not hold it."""
+        occ = tuple(occ)
+        if len(occ) != self.mode_count or not all(n in _COUNTS for n in occ):
+            return -1
+        row = np.array(occ, dtype=np.uint8)
+        i = int(np.searchsorted(_keys(self._occ), _keys(row[None, :])[0]))
+        if i < len(self._occ) and np.array_equal(self._occ[i], row):
+            return i
+        return -1
 
     # -- mapping-ish access -------------------------------------------------
 
     def __getitem__(self, occ: Iterable[int]) -> complex:
-        return self._amp.get(tuple(occ), 0j)
+        i = self._find(occ)
+        return complex(self._amp[i]) if i >= 0 else 0j
 
     def __contains__(self, occ: Iterable[int]) -> bool:
-        return tuple(occ) in self._amp
+        return self._find(occ) >= 0
 
     def __len__(self) -> int:
         return len(self._amp)
 
     def __iter__(self) -> Iterator[Occupation]:
-        return iter(sorted(self._amp))
+        return iter(self.occupations())
 
     def items(self) -> list[tuple[Occupation, complex]]:
         """Amplitudes in lexicographic occupation order."""
-        return sorted(self._amp.items())
+        return list(zip(self.occupations(), self._amp.tolist()))
 
     def occupations(self) -> list[Occupation]:
-        return sorted(self._amp)
+        return list(map(tuple, self._occ.tolist()))
 
     # -- algebra ------------------------------------------------------------
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self._amp.values()))
+        return float(np.linalg.norm(self._amp))
 
     def normalized(self) -> "FockState":
         n = self.norm()
         if n == 0.0:
             raise DegenerateStateError("cannot normalize a zero state")
-        return FockState({occ: a / n for occ, a in self._amp.items()},
-                         self.mode_count, prune=0.0)
+        return _trusted_state(self._occ, self._amp / n, self.mode_count,
+                              prune=0.0)
 
     def __mul__(self, scalar: complex) -> "FockState":
-        return FockState({occ: a * scalar for occ, a in self._amp.items()},
-                         self.mode_count, prune=0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            amplitudes = self._amp * scalar
+        return _trusted_state(self._occ, amplitudes, self.mode_count, prune=0.0)
 
     __rmul__ = __mul__
 
     def __add__(self, other: "FockState") -> "FockState":
         if other.mode_count != self.mode_count:
             raise DimensionMismatchError("cannot add states on different mode counts")
-        out = dict(self._amp)
-        for occ, a in other._amp.items():
-            out[occ] = out.get(occ, 0j) + a
-        return FockState(out, self.mode_count)
+        if len(self) and len(other) and other.total_photons != self.total_photons:
+            raise SectorError(
+                f"mixed photon numbers {self.total_photons} and "
+                f"{other.total_photons} in one state")
+        occ, amp = _merge(np.concatenate([self._occ, other._occ]),
+                          np.concatenate([self._amp, other._amp]))
+        return _trusted_state(occ, amp, self.mode_count)
 
     def __sub__(self, other: "FockState") -> "FockState":
         return self + (other * -1.0)
@@ -132,13 +246,16 @@ class FockState:
     def allclose(self, other: "FockState", tol: float = 1e-12) -> bool:
         if other.mode_count != self.mode_count:
             return False
-        keys = set(self._amp) | set(other._amp)
-        return all(abs(self[k] - other[k]) <= tol for k in keys)
+        _, diff = _merge(np.concatenate([self._occ, other._occ]),
+                         np.concatenate([self._amp, -other._amp]))
+        return bool(np.all(np.abs(diff) <= tol))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockState):
             return NotImplemented
-        return self.mode_count == other.mode_count and self._amp == other._amp
+        return (self.mode_count == other.mode_count
+                and np.array_equal(self._occ, other._occ)
+                and np.array_equal(self._amp, other._amp))
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{occ}: {a:.6g}" for occ, a in self.items())
@@ -163,15 +280,8 @@ def inner_product(a: FockState, b: FockState) -> complex:
     """<a|b> with the conjugate on the first argument."""
     if a.mode_count != b.mode_count:
         raise DimensionMismatchError("inner product of states on different mode counts")
-    small = a if len(a) <= len(b) else b
-    acc = 0j
-    for occ in small.occupations():
-        acc += a[occ].conjugate() * b[occ]
-    return acc
-
-
-def normalize(state: FockState) -> FockState:
-    return state.normalized()
+    ia, ib = _common_rows(a._occ, b._occ)
+    return complex(np.vdot(a._amp[ia], b._amp[ib]))
 
 
 def basis_state(occ: Iterable[int]) -> FockState:

@@ -86,12 +86,9 @@ def pattern_mask(pattern: DetectionPattern, detectors: Mapping[str, int],
 def pattern_probability(state: FockState, pattern: DetectionPattern,
                         detectors: Mapping[str, int]) -> float:
     """Probability that the listed detectors show exactly these counts."""
-    items = state.items()
-    occupations = np.array([occ for occ, _ in items],
-                           dtype=int).reshape(len(items), state.mode_count)
-    weights = np.array([abs(a) ** 2 for _, a in items])
-    mask = pattern_mask(pattern, detectors, occupations, state.total_photons)
-    return float(weights[mask].sum())
+    mask = pattern_mask(pattern, detectors, state.occupation_array,
+                        state.total_photons)
+    return float(np.sum(np.abs(state.amplitude_array[mask]) ** 2))
 
 
 def projected_probability(state: FockState, projector: FockState) -> float:

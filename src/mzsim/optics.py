@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidCoefficientsError,
                      NonUnitaryError, PhotonCountError, SectorError)
-from .fock import PRUNE_THRESHOLD, FockState, Occupation
+from .fock import (PRUNE_THRESHOLD, FockState, Occupation, _merge,
+                   _trusted_state)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -37,8 +38,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: files; canonical constructors are exact to machine precision.
 COEFF_TOL = 1e-6
 
-#: Largest photon number evolve handles: the top of its factorial table, since
-#: any one output mode may end up holding every photon.
+#: Largest photon number evolve and transition_amplitude handle: the top of
+#: their factorial table, since any one output mode may end up holding every
+#: photon.
 MAX_PHOTONS = 20
 
 _FACT = np.array([math.factorial(k) for k in range(MAX_PHOTONS + 1)],
@@ -134,7 +136,7 @@ def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
 def _compositions(total: int, slots: int) -> np.ndarray:
     """All weak compositions of `total` into `slots` parts, as an int array."""
     if slots == 0:
-        return np.zeros((1 if total == 0 else 0, 0), dtype=np.int16)
+        return np.zeros((1 if total == 0 else 0, 0), dtype=np.uint8)
     combos = itertools.combinations(range(total + slots - 1), slots - 1)
     rows = []
     for dividers in combos:
@@ -144,7 +146,7 @@ def _compositions(total: int, slots: int) -> np.ndarray:
             row.append(d - prev - 1)
             prev = d
         rows.append(row)
-    return np.array(rows, dtype=np.int16)
+    return np.array(rows, dtype=np.uint8)
 
 
 def _row_expansion(row: np.ndarray, count: int, cutoff: float):
@@ -168,15 +170,19 @@ def evolve(state: FockState, unitary: np.ndarray, *,
     """Apply a mode unitary to a Fock state.
 
     Each ket's creation-operator product is substituted row-wise and expanded
-    with multinomial coefficients.  Entries of a row smaller than
-    ``row_cutoff`` are treated as exact zeros; they could only shift output
-    amplitudes by ~N * row_cutoff, far below the working tolerances.
+    with multinomial coefficients; equal output kets are then merged on their
+    byte keys.  Entries of a row smaller than ``row_cutoff`` are treated as
+    exact zeros; they could only shift output amplitudes by ~N * row_cutoff,
+    far below the working tolerances.  A matrix with a NaN or infinite entry
+    is rejected even when ``check_unitary`` is off.
     """
     u = np.asarray(unitary, dtype=complex)
     m = state.mode_count
     if u.shape != (m, m):
         raise DimensionMismatchError(
             f"unitary is {u.shape}, state has {m} modes")
+    if not np.isfinite(u).all():
+        raise NonUnitaryError("matrix has a NaN or infinite entry")
     if check_unitary and not is_unitary(u, tol=1e-8):
         raise NonUnitaryError("matrix is not unitary within 1e-8")
     if state.total_photons > MAX_PHOTONS:
@@ -184,10 +190,11 @@ def evolve(state: FockState, unitary: np.ndarray, *,
             f"state carries {state.total_photons} photons; evolve supports "
             f"at most {MAX_PHOTONS}")
 
-    occ_blocks: list[np.ndarray] = []
-    amp_blocks: list[np.ndarray] = []
-    for occ, amp in state.items():
-        block_occ = np.zeros((1, m), dtype=np.int16)
+    occ_blocks = [np.zeros((0, m), dtype=np.uint8)]
+    amp_blocks = [np.zeros(0, dtype=complex)]
+    for occ, amp in zip(state.occupation_array.tolist(),
+                        state.amplitude_array.tolist()):
+        block_occ = np.zeros((1, m), dtype=np.uint8)
         block_amp = np.array([amp], dtype=complex)
         dead = False
         for mode, count in enumerate(occ):
@@ -199,7 +206,7 @@ def evolve(state: FockState, unitary: np.ndarray, *,
                 dead = True
                 break
             cols, comps, coeffs = expansion
-            added = np.zeros((comps.shape[0], m), dtype=np.int16)
+            added = np.zeros((comps.shape[0], m), dtype=np.uint8)
             added[:, cols] = comps
             block_occ = (block_occ[:, None, :] + added[None, :, :]).reshape(-1, m)
             block_amp = (block_amp[:, None] * coeffs[None, :]).ravel()
@@ -207,21 +214,10 @@ def evolve(state: FockState, unitary: np.ndarray, *,
             occ_blocks.append(block_occ)
             amp_blocks.append(block_amp)
 
-    if not occ_blocks:
-        return FockState({}, m)
-
-    all_occ = np.concatenate(occ_blocks, axis=0)
-    all_amp = np.concatenate(amp_blocks)
-    uniq, inverse = np.unique(all_occ, axis=0, return_inverse=True)
-    summed = np.zeros(uniq.shape[0], dtype=complex)
-    np.add.at(summed, inverse, all_amp)
-    summed *= np.prod(_SQRT_FACT[uniq], axis=1)
-
-    out = {}
-    for row, amp in zip(uniq, summed):
-        if abs(amp) > prune:
-            out[tuple(int(n) for n in row)] = complex(amp)
-    return FockState(out, m, prune=0.0)
+    occupations, amplitudes = _merge(np.concatenate(occ_blocks, axis=0),
+                                     np.concatenate(amp_blocks))
+    amplitudes *= np.prod(_SQRT_FACT[occupations], axis=1)
+    return _trusted_state(occupations, amplitudes, m, prune=prune)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +270,10 @@ def transition_amplitude(unitary: np.ndarray, n_in: Occupation,
         raise DimensionMismatchError("occupation length does not match the matrix")
     if sum(n_in) != sum(n_out):
         raise SectorError("input and output photon numbers differ")
+    if sum(n_in) > MAX_PHOTONS:
+        raise PhotonCountError(
+            f"{sum(n_in)} photons; transition_amplitude supports at most "
+            f"{MAX_PHOTONS}")
     rows = _repeat_indices(n_in)
     cols = _repeat_indices(n_out)
     if not rows:

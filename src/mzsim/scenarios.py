@@ -32,7 +32,7 @@ import numpy as np
 from .circuit import Circuit, braced, compile
 from .errors import (CircuitError, DegenerateStateError,
                      DimensionMismatchError, UnclassifiableScanError)
-from .fock import FockState, Occupation, basis_state, embed
+from .fock import FockState, _common_rows, _union, basis_state, embed
 from .measurement import DetectionPattern, pattern_mask, pattern_probability
 from .optics import BALANCED, bs_unitary, evolve
 
@@ -109,8 +109,8 @@ def _scan_values(circuit: Circuit, toggles, input_state: FockState,
     """Exact probability harmonics h_0 .. h_{K-1} of each readout.
 
     ``readouts`` holds detection patterns and projector states.  One evolve
-    per grid phase; each output is streamed into ket-index and amplitude
-    arrays and dropped, so only the (kets x K) coefficients are kept.
+    per grid phase; the union of the K outputs' kets is taken with one sort
+    of their byte keys, and projector kets are looked up in that union.
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}")
@@ -119,22 +119,18 @@ def _scan_values(circuit: Circuit, toggles, input_state: FockState,
                     if e.kind == "phase" and e.param == swept
                     and (e.name not in circuit.toggles or e.name in enabled))
     k = input_state.total_photons * crossings + 1
-    index: dict[Occupation, int] = {}
-    grid = []
+    outputs = []
     for step in range(k):
         phases = dict(fixed)
         phases[swept] = 2 * math.pi * step / k
-        items = evolve(input_state, compile(circuit, phases, toggles)).items()
-        grid.append((np.array([index.setdefault(occ, len(index))
-                               for occ, _ in items], dtype=np.intp),
-                     np.array([a for _, a in items], dtype=complex)))
-    values = np.zeros((len(index), k), dtype=complex)
-    for step, (rows, amps) in enumerate(grid):
-        values[rows, step] = amps
+        outputs.append(evolve(input_state, compile(circuit, phases, toggles)))
+    occupations, inverse = _union(np.concatenate(
+        [out.occupation_array for out in outputs]))
     steps = np.arange(k)
+    values = np.zeros((len(occupations), k), dtype=complex)
+    values[inverse, np.repeat(steps, [len(out) for out in outputs])] = \
+        np.concatenate([out.amplitude_array for out in outputs])
     coeffs = values @ (np.exp(-2j * math.pi * np.outer(steps, steps) / k) / k)
-    occupations = np.array(list(index), dtype=int).reshape(
-        len(index), circuit.mode_count)
 
     harmonics = []
     for readout in readouts:
@@ -142,10 +138,8 @@ def _scan_values(circuit: Circuit, toggles, input_state: FockState,
             if readout.mode_count != circuit.mode_count:
                 raise DimensionMismatchError(
                     "projector and circuit have different mode counts")
-            series = np.zeros((1, k), dtype=complex)
-            for occ, a in readout.items():
-                if occ in index:
-                    series[0] += a.conjugate() * coeffs[index[occ]]
+            kets, rows = _common_rows(readout.occupation_array, occupations)
+            series = readout.amplitude_array[kets].conj()[None, :] @ coeffs[rows]
         else:
             series = coeffs[pattern_mask(readout, circuit.detectors,
                                          occupations,

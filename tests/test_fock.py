@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mzsim import (DegenerateStateError, DimensionMismatchError, FockState,
-                   NonFiniteAmplitudeError, SectorError, basis_state, embed,
-                   inner_product, normalize, vacuum)
+                   NonFiniteAmplitudeError, PhotonCountError, SectorError,
+                   basis_state, embed, inner_product, vacuum)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -67,6 +67,46 @@ def test_non_finite_amplitudes_rejected(bad):
         basis_state((1, 0)) * bad
 
 
+def test_counts_beyond_one_byte_and_modeless_states_rejected():
+    assert basis_state((255, 0))[(255, 0)] == 1.0
+    with pytest.raises(PhotonCountError):
+        basis_state((256, 0))
+    with pytest.raises(ValueError):
+        FockState({(): 1.0})
+
+
+def test_array_storage_is_sorted_aligned_and_read_only():
+    s = FockState({(0, 2): 1.0, (2, 0): 2.0, (1, 1): 3j})
+    occ, amp = s.occupation_array, s.amplitude_array
+    assert occ.dtype == np.uint8 and amp.dtype == np.complex128
+    assert occ.tolist() == [[0, 2], [1, 1], [2, 0]]
+    assert amp.tolist() == [1.0, 3j, 2.0]
+    with pytest.raises(ValueError):
+        occ[0, 0] = 5
+    with pytest.raises(ValueError):
+        amp[0] = 5.0
+    assert all(type(n) is int for occ, _ in s.items() for n in occ)
+    assert all(type(a) is complex for _, a in s.items())
+
+
+def test_lookups_of_foreign_occupations_read_zero():
+    s = FockState({(0, 2): 1.0, (1, 1): 1.0})
+    for occ in [(2, 0), (1, 0), (1, 1, 0), (1,), (-1, 3), (300, 0), (1.5, 1)]:
+        assert occ not in s
+        assert s[occ] == 0j
+    assert (1, 1) in s and s[[1, 1]] == 1.0 and s[(1.0, np.int64(1))] == 1.0
+    assert FockState({}, 2)[(1, 0)] == 0j
+
+
+def test_addition_checks_sectors_and_keeps_empty_states_neutral():
+    with pytest.raises(SectorError):
+        basis_state((1, 0)) + basis_state((2, 0))
+    s = basis_state((2, 0))
+    assert s + FockState({}, 2) == s
+    assert (s - s).norm() == 0.0 and len(s - s) == 0
+    assert not s.allclose(s * (1 + 1e-15), tol=0.0)
+
+
 def test_empty_state_needs_explicit_mode_count():
     with pytest.raises(ValueError):
         FockState({})
@@ -82,7 +122,7 @@ def test_norm_and_normalized():
     n = s.normalized()
     assert abs(n.norm() - 1.0) < 1e-15
     assert abs(n[(2, 0)] - 0.6) < 1e-15
-    assert normalize(s).allclose(n)
+    assert s.normalized().allclose(n)
     with pytest.raises(DegenerateStateError):
         FockState({}, 2).normalized()
 

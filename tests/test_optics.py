@@ -8,15 +8,21 @@ permutation sum for the permanent.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mzsim import (BALANCED, BeamSplitterCoeffs, DimensionMismatchError,
-                   FockState, InvalidCoefficientsError, NonUnitaryError,
-                   PhotonCountError, SectorError, basis_state, bs_unitary, evolve, is_unitary,
+from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
+                   DimensionMismatchError, FockState,
+                   InvalidCoefficientsError, NonUnitaryError,
+                   PhotonCountError, SectorError, basis_state, bs_unitary,
+                   compile, evolve, is_unitary, pattern_probability,
                    permanent, phase_unitary, swap_unitary,
                    transition_amplitude, vacuum)
+from strategies import superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -182,12 +188,38 @@ def test_evolve_rejects_bad_matrices():
     scaled = evolve(state, np.array([[1.0, 0.0], [0.0, 2.0]]),
                     check_unitary=False)
     assert scaled[(1, 0)] == 1.0
+    for bad in (math.inf, math.nan):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        for check in (True, False):
+            with pytest.raises(NonUnitaryError):
+                evolve(state, u, check_unitary=check)
 
 
 def test_evolve_rejects_photon_counts_beyond_its_factorial_table():
     assert evolve(basis_state((20, 0)), np.eye(2))[(20, 0)] == 1.0
     with pytest.raises(PhotonCountError):
         evolve(basis_state((21, 0)), bs_unitary(BALANCED, 0, 1, 2))
+
+
+def test_twenty_photons_on_a_wide_register_split_binomially():
+    """|20, 0, ...> on a balanced splitter gives sqrt(C(20, k)) t^k r^(20-k).
+
+    The register is wide enough that neither an (N+1)^M mixed-radix key nor
+    a C(N+M-1, N) combinatorial rank of the kets fits in 64 bits.
+    """
+    m, n = 68, 20
+    assert (n + 1) ** m > 2 ** 64 and math.comb(n + m - 1, n) > 2 ** 64
+    u = bs_unitary(BALANCED, 0, 1, m)
+    n_in = (n,) + (0,) * (m - 1)
+    out = evolve(basis_state(n_in), u)
+    assert len(out) == n + 1
+    for k in range(n + 1):
+        occ = (k, n - k) + (0,) * (m - 2)
+        want = math.sqrt(math.comb(n, k)) * BALANCED.t ** k * BALANCED.r ** (n - k)
+        assert abs(out[occ] - want) < 1e-12
+    middle = (10, 10) + (0,) * (m - 2)
+    assert abs(out[middle] - transition_amplitude(u, n_in, middle)) < 1e-9
 
 
 def test_swap_relabels_occupations():
@@ -245,6 +277,10 @@ def test_transition_amplitude_validates_inputs():
     with pytest.raises(SectorError):
         transition_amplitude(u, (1, 0, 0), (1, 1, 0))
     assert transition_amplitude(u, (0, 0, 0), (0, 0, 0)) == 1.0
+    with pytest.raises(PhotonCountError):
+        transition_amplitude(np.eye(2), (21, 0), (21, 0))
+    with pytest.raises(PhotonCountError):
+        transition_amplitude(np.eye(2), (11, 10), (0, 21))
 
 
 def test_transition_amplitude_agrees_with_evolution(seed=17):
@@ -277,3 +313,74 @@ def test_balanced_splitter_amplitude_from_permanent():
     u = bs_unitary(BALANCED, 0, 1, 2)
     assert abs(transition_amplitude(u, (1, 1), (2, 0)) - 1j * INV_SQRT2) < 1e-14
     assert abs(transition_amplitude(u, (1, 1), (1, 1))) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# randomized properties of the evolution engine
+
+
+def sector(modes, photons):
+    """Every occupation vector of ``photons`` photons over ``modes`` modes."""
+    return sorted(tuple(Counter(c)[m] for m in range(modes)) for c in
+                  itertools.combinations_with_replacement(range(modes), photons))
+
+
+@st.composite
+def unitary_cases(draw):
+    """A normalized state of 1-3 photons and a random unitary on 2-4 modes."""
+    m = draw(st.integers(2, 4))
+    state = draw(superpositions(m, draw(st.integers(1, 3))))
+    u = random_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 32))), m)
+    return state, u
+
+
+@settings(max_examples=80, deadline=None)
+@given(unitary_cases())
+def test_evolve_matches_the_permanent_on_every_ket(case):
+    state, u = case
+    out = evolve(state, u)
+    for n_out in sector(state.mode_count, state.total_photons):
+        want = sum(a * transition_amplitude(u, n_in, n_out)
+                   for n_in, a in state.items())
+        assert abs(out[n_out] - want) < 1e-10
+        if n_out not in out:
+            assert out[n_out] == 0j
+    other_sector = (state.total_photons + 1,) + (0,) * (state.mode_count - 1)
+    assert other_sector not in out and out[other_sector] == 0j
+    assert out[(0,) * (state.mode_count + 1)] == 0j
+
+
+@settings(max_examples=80, deadline=None)
+@given(unitary_cases())
+def test_evolve_preserves_the_norm(case):
+    state, u = case
+    assert abs(evolve(state, u).norm() - 1.0) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(unitary_cases())
+def test_evolve_output_is_sorted_and_round_trips_through_json(case):
+    state, u = case
+    out = evolve(state, u)
+    kets = out.occupations()
+    assert all(a < b for a, b in zip(kets, kets[1:]))
+    assert list(out) == kets
+    assert out.occupation_array.dtype == np.uint8
+    assert out.occupation_array.tolist() == [list(k) for k in kets]
+    assert list(out.amplitude_array) == [a for _, a in out.items()]
+    assert FockState.from_json(out.to_json(), out.mode_count) == out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exclusive_patterns_sum_to_one_on_random_circuits(data):
+    circuit, enabled = data.draw(swept_circuits())
+    m = circuit.mode_count
+    state = data.draw(superpositions(m, data.draw(st.integers(1, 3))))
+    phases = {p: data.draw(st.floats(0, 2 * math.pi))
+              for p in circuit.parameters}
+    out = evolve(state, compile(circuit, phases, enabled))
+    total = sum(pattern_probability(
+        out, DetectionPattern({f"D{k}": c for k, c in enumerate(occ) if c}),
+        circuit.detectors) for occ in sector(m, state.total_photons))
+    assert abs(total - 1.0) < 1e-12

@@ -3,16 +3,14 @@
 import json
 import math
 
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
-                   CircuitError, DegenerateStateError, DetectionPattern,
-                   DimensionMismatchError, FockState, FringeScan,
+from mzsim import (BALANCED, CircuitError, DegenerateStateError,
+                   DetectionPattern, DimensionMismatchError, FockState,
+                   FringeScan,
                    UnclassifiableScanError, basis_state, bs_unitary,
                    classify_table1, compile, delayed_choice_variant,
                    engineered_input, evolve, inner_product, noon_target,
@@ -20,6 +18,7 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
                    run_projection_scan, run_scan, run_triple)
 from mzsim import scenarios
 from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
+from strategies import occupations, superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -180,57 +179,6 @@ def test_a_scan_evolves_once_per_harmonic(monkeypatch):
                     {"phi_B": 0.4, "phi_S": 1.1})
     assert len(calls) == 3
     assert len(scan.samples) == 256
-
-
-@st.composite
-def occupations(draw, modes, photons):
-    """One occupation vector of ``photons`` photons over ``modes`` modes."""
-    counts = Counter(draw(st.lists(st.integers(0, modes - 1),
-                                   min_size=photons, max_size=photons)))
-    return tuple(counts[m] for m in range(modes))
-
-
-@st.composite
-def superpositions(draw, modes, photons):
-    kets = draw(st.lists(occupations(modes, photons), min_size=1, max_size=3,
-                         unique=True))
-    parts = st.floats(-1, 1)
-    amps = {occ: complex(draw(parts), draw(parts)) for occ in kets}
-    if sum(abs(a) ** 2 for a in amps.values()) < 1e-3:
-        amps[kets[0]] = 1.0
-    return FockState(amps, modes).normalized()
-
-
-@st.composite
-def swept_circuits(draw):
-    """A random circuit with the swept delay "phi" on 1-3 elements.
-
-    Splitters, swaps and a second delay "psi" are mixed in; the first "phi"
-    element may be toggleable and disabled.
-    """
-    m = draw(st.integers(2, 4))
-    crossings = draw(st.integers(1, 3))
-    others = draw(st.lists(st.sampled_from(("bs", "bs", "psi", "swap")),
-                           min_size=2, max_size=6))
-    kinds = draw(st.permutations(["phi"] * crossings + others))
-    elements = []
-    for i, kind in enumerate(kinds):
-        a, b = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2,
-                             unique=True))
-        if kind == "bs":
-            coeffs = BeamSplitterCoeffs.from_angle(
-                draw(st.floats(0.1, 1.5)), draw(st.floats(0, 2 * math.pi)),
-                draw(st.sampled_from((1, -1))))
-            elements.append(CircuitElement("bs", f"B{i}", (a, b), coeffs))
-        elif kind == "swap":
-            elements.append(CircuitElement("swap", f"S{i}", (a, b)))
-        else:
-            elements.append(CircuitElement("phase", f"P{i}", (a,), param=kind))
-    first_phi = next(e.name for e in elements if e.param == "phi")
-    toggles = frozenset([first_phi]) if draw(st.booleans()) else frozenset()
-    enabled = tuple(toggles) if draw(st.booleans()) else ()
-    detectors = {f"D{k}": k for k in range(m)}
-    return Circuit(m, tuple(elements), detectors, toggles), enabled
 
 
 @settings(max_examples=60, deadline=None)
