@@ -49,9 +49,24 @@ from .optics import (BALANCED, BeamSplitterCoeffs, bs_unitary, phase_unitary,
                      swap_unitary)
 
 
+#: One .mzc token: non-empty text without whitespace (``str.isspace``) or #.
+_TOKEN = re.compile(r"[^\s#]+")
+
+
+def _check_name(what: str, name) -> None:
+    if not isinstance(name, str) or not _TOKEN.fullmatch(name):
+        raise CircuitError(
+            f"{what} name {name!r} must be non-empty text without "
+            f"whitespace or '#'")
+
+
 @dataclass(frozen=True)
 class CircuitElement:
-    """One optical element; ``kind`` is "bs", "phase" or "swap"."""
+    """One optical element; ``kind`` is "bs", "phase" or "swap".
+
+    Beam splitters carry valid ``coeffs`` and phases a ``param``; no other
+    element carries either, so every element has one .mzc line.
+    """
 
     kind: str
     name: str
@@ -60,17 +75,24 @@ class CircuitElement:
     param: str | None = None
 
     def __post_init__(self):
+        _check_name("element", self.name)
         if self.kind == "bs":
             if len(self.modes) != 2 or self.coeffs is None:
                 raise CircuitError(f"bs element {self.name} needs two modes and coefficients")
+            self.coeffs.validate()
         elif self.kind == "phase":
             if len(self.modes) != 1 or not self.param:
                 raise CircuitError(f"phase element {self.name} needs one mode and a parameter")
+            _check_name("phase parameter", self.param)
         elif self.kind == "swap":
             if len(self.modes) != 2:
                 raise CircuitError(f"swap element {self.name} needs two modes")
         else:
             raise CircuitError(f"unknown element kind {self.kind!r}")
+        if self.kind != "bs" and self.coeffs is not None:
+            raise CircuitError(f"{self.kind} element {self.name} takes no coefficients")
+        if self.kind != "phase" and self.param is not None:
+            raise CircuitError(f"{self.kind} element {self.name} takes no parameter")
 
 
 @dataclass(frozen=True)
@@ -92,6 +114,7 @@ class Circuit:
             if len(set(e.modes)) != len(e.modes):
                 raise CircuitError(f"element {e.name} repeats a mode")
         for det, mode in self.detectors.items():
+            _check_name("detector", det)
             if not 0 <= mode < self.mode_count:
                 raise CircuitError(f"detector {det} mode {mode} out of range")
         if len(set(self.detectors.values())) != len(self.detectors):
@@ -306,13 +329,13 @@ def serialize(circuit: Circuit) -> str:
         if e.kind == "bs":
             line = (f"bs {e.name} {e.modes[0]} {e.modes[1]} "
                     f"T={format_complex(e.coeffs.t)} R={format_complex(e.coeffs.r)}")
-            if e.name in circuit.toggles:
-                line += " toggle"
-            lines.append(line)
         elif e.kind == "phase":
-            lines.append(f"phase {e.name} {e.modes[0]} {e.param}")
+            line = f"phase {e.name} {e.modes[0]} {e.param}"
         else:
-            lines.append(f"swap {e.name} {e.modes[0]} {e.modes[1]}")
+            line = f"swap {e.name} {e.modes[0]} {e.modes[1]}"
+        if e.name in circuit.toggles:
+            line += " toggle"
+        lines.append(line)
     for det, mode in circuit.detectors.items():
         lines.append(f"detect {det} {mode}")
     return "\n".join(lines) + "\n"
@@ -321,9 +344,10 @@ def serialize(circuit: Circuit) -> str:
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format.
 
-    Directives: ``modes M`` (optional, else inferred), ``bs NAME A B T=c R=c
-    [toggle]``, ``phase NAME MODE PARAM``, ``swap NAME A B``, ``detect NAME
-    MODE``.  ``#`` starts a comment.  Errors carry the 1-based line number.
+    Directives: ``modes M`` (optional, else inferred), ``bs NAME A B T=c R=c``,
+    ``phase NAME MODE PARAM``, ``swap NAME A B``, ``detect NAME MODE``.  An
+    element line may end in ``toggle`` to make the element removable.  ``#``
+    starts a comment.  Errors carry the 1-based line number.
     """
     mode_count: int | None = None
     elements: list[CircuitElement] = []
@@ -342,6 +366,20 @@ def parse_circuit(text: str) -> Circuit:
         if value < 0:
             err(line_no, f"negative mode index {value}")
         return value
+
+    def element_name(tokens: list[str], count: int, usage: str,
+                     line_no: int) -> str:
+        # an element line has ``count`` tokens, or one more: "toggle"
+        if len(tokens) not in (count, count + 1):
+            err(line_no, f"usage: {usage} [toggle]")
+        if len(tokens) > count:
+            if tokens[count] != "toggle":
+                err(line_no, f"unexpected token {tokens[count]!r}")
+            toggles.add(tokens[1])
+        if tokens[1] in names:
+            err(line_no, f"duplicate element name {tokens[1]!r}")
+        names.add(tokens[1])
+        return tokens[1]
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -363,11 +401,7 @@ def parse_circuit(text: str) -> Circuit:
             if mode_count <= 0:
                 err(line_no, "mode count must be positive")
         elif directive == "bs":
-            if len(tokens) not in (6, 7):
-                err(line_no, "usage: bs NAME A B T=c R=c [toggle]")
-            name = tokens[1]
-            if name in names:
-                err(line_no, f"duplicate element name {name!r}")
+            name = element_name(tokens, 6, "bs NAME A B T=c R=c", line_no)
             a = parse_mode(tokens[2], line_no)
             b = parse_mode(tokens[3], line_no)
             kv = {}
@@ -383,30 +417,15 @@ def parse_circuit(text: str) -> Circuit:
                                             parse_complex(kv["R"])).validate()
             except ValueError as exc:
                 err(line_no, str(exc))
-            if len(tokens) == 7:
-                if tokens[6] != "toggle":
-                    err(line_no, f"unexpected token {tokens[6]!r}")
-                toggles.add(name)
-            names.add(name)
             elements.append(CircuitElement("bs", name, (a, b), coeffs))
         elif directive == "phase":
-            if len(tokens) != 4:
-                err(line_no, "usage: phase NAME MODE PARAM")
-            name = tokens[1]
-            if name in names:
-                err(line_no, f"duplicate element name {name!r}")
+            name = element_name(tokens, 4, "phase NAME MODE PARAM", line_no)
             mode = parse_mode(tokens[2], line_no)
-            names.add(name)
             elements.append(CircuitElement("phase", name, (mode,), param=tokens[3]))
         elif directive == "swap":
-            if len(tokens) != 4:
-                err(line_no, "usage: swap NAME A B")
-            name = tokens[1]
-            if name in names:
-                err(line_no, f"duplicate element name {name!r}")
+            name = element_name(tokens, 4, "swap NAME A B", line_no)
             a = parse_mode(tokens[2], line_no)
             b = parse_mode(tokens[3], line_no)
-            names.add(name)
             elements.append(CircuitElement("swap", name, (a, b)))
         elif directive == "detect":
             if len(tokens) != 3:

@@ -13,10 +13,11 @@ A photon count fits in one byte, so each row read as one fixed-width byte
 string is a key whose byte order is the lexicographic order of the
 occupations, whatever the mode count.  :func:`_merge` sorts and sums rows on
 those keys, :func:`_union` and :func:`_common_rows` match rows across
-arrays, and :func:`_trusted_state` builds a state from rows that are
-already sorted, unique and in one photon sector, checking only that the
-amplitudes are finite.  The public constructor ``FockState(mapping)``
-validates every ket.
+arrays, :func:`_find_row` looks one occupation up, and
+:func:`_trusted_state` builds a state from rows that are already sorted,
+unique and in one photon sector, checking only that the amplitudes are
+finite.  The public constructor ``FockState(mapping)`` validates every ket.
+``measurement.DensityMatrix`` stores its basis the same way.
 
 All occupation vectors in one state must have the same length (the mode
 count) and the same total photon number, since passive linear optics never
@@ -51,12 +52,9 @@ def _check_occupation(occ: Occupation, mode_count: int) -> Occupation:
     if len(occ) != mode_count:
         raise DimensionMismatchError(
             f"occupation {occ} has {len(occ)} modes, expected {mode_count}")
-    if any(n < 0 for n in occ):
-        raise ValueError(f"negative photon count in occupation {occ}")
-    if any(n > MAX_MODE_PHOTONS for n in occ):
+    if not all(n in _COUNTS for n in occ):
         raise PhotonCountError(
-            f"occupation {occ} holds more than {MAX_MODE_PHOTONS} photons "
-            f"in one mode")
+            f"occupation {occ} has a photon count outside 0..{MAX_MODE_PHOTONS}")
     return occ
 
 
@@ -80,6 +78,16 @@ def _merge(occupations: np.ndarray,
     summed.real = np.bincount(inverse, amplitudes.real, len(rows))
     summed.imag = np.bincount(inverse, amplitudes.imag, len(rows))
     return rows, summed
+
+
+def _find_row(keys: np.ndarray, occ: Iterable[int]) -> int:
+    """Index of ``occ`` among the sorted :func:`_keys` of unique rows, or -1."""
+    occ = tuple(occ)
+    if len(occ) != keys.dtype.itemsize or not all(n in _COUNTS for n in occ):
+        return -1
+    key = np.void(bytes(map(int, occ)))
+    i = int(keys.searchsorted(key))
+    return i if i < len(keys) and keys[i] == key else -1
 
 
 def _common_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,25 +185,14 @@ class FockState:
         """Read-only complex amplitudes aligned with :attr:`occupation_array`."""
         return self._amp
 
-    def _find(self, occ: Iterable[int]) -> int:
-        """Row index of ``occ``, or -1 when the state does not hold it."""
-        occ = tuple(occ)
-        if len(occ) != self.mode_count or not all(n in _COUNTS for n in occ):
-            return -1
-        row = np.array(occ, dtype=np.uint8)
-        i = int(np.searchsorted(_keys(self._occ), _keys(row[None, :])[0]))
-        if i < len(self._occ) and np.array_equal(self._occ[i], row):
-            return i
-        return -1
-
     # -- mapping-ish access -------------------------------------------------
 
     def __getitem__(self, occ: Iterable[int]) -> complex:
-        i = self._find(occ)
+        i = _find_row(_keys(self._occ), occ)
         return complex(self._amp[i]) if i >= 0 else 0j
 
     def __contains__(self, occ: Iterable[int]) -> bool:
-        return self._find(occ) >= 0
+        return _find_row(_keys(self._occ), occ) >= 0
 
     def __len__(self) -> int:
         return len(self._amp)

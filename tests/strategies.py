@@ -1,12 +1,21 @@
 """Hypothesis strategies shared by the test modules: occupations,
-normalized superpositions and random circuits with a swept delay."""
+normalized superpositions and random circuits with a swept delay, plus the
+random unitaries some of them are evolved through."""
 
 import math
 from collections import Counter
 
+import numpy as np
 from hypothesis import strategies as st
 
 from mzsim import BeamSplitterCoeffs, Circuit, CircuitElement, FockState
+
+
+def random_unitary(rng, m):
+    """Haar-ish unitary from the QR decomposition of a complex Gaussian."""
+    z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 @st.composite

@@ -1,16 +1,21 @@
 """Tests for circuit construction, presets, compilation, and the .mzc format."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
-                   CircuitError, CircuitParseError, MissingPhaseError,
-                   PRESET_NAMES, braced, compile, evolve, is_unitary,
-                   load_preset_file, parse_circuit, preset, preset_fig1,
-                   preset_fig2, preset_fig3, serialize, basis_state, embed)
+                   CircuitError, CircuitParseError, InvalidCoefficientsError,
+                   MissingPhaseError, PRESET_NAMES, braced, compile, evolve,
+                   is_unitary, load_preset_file, parse_circuit, preset,
+                   preset_fig1, preset_fig2, preset_fig3, serialize,
+                   basis_state, embed)
 from mzsim.circuit import format_complex, parse_complex
+from strategies import swept_circuits
 
 
 def random_phases(rng, circuit):
@@ -32,6 +37,22 @@ def test_element_kind_validation():
         CircuitElement("swap", "S", (0,))
     with pytest.raises(CircuitError):
         CircuitElement("mirror", "M", (0, 1))
+    with pytest.raises(CircuitError):
+        CircuitElement("swap", "S", (0, 1), BALANCED)       # stray coeffs
+    with pytest.raises(CircuitError):
+        CircuitElement("bs", "B", (0, 1), BALANCED, "phi")  # stray param
+    with pytest.raises(InvalidCoefficientsError):
+        CircuitElement("bs", "B", (0, 1), BeamSplitterCoeffs(0.9, 0.1j))
+
+
+@pytest.mark.parametrize("name", ["a#b", "a b", "a\tb", "a\u2028b", "", 7])
+def test_names_that_cannot_be_one_mzc_token_are_rejected(name):
+    with pytest.raises(CircuitError):
+        CircuitElement("bs", name, (0, 1), BALANCED)
+    with pytest.raises(CircuitError):
+        CircuitElement("phase", "P", (0,), param=name)
+    with pytest.raises(CircuitError):
+        Circuit(2, (), {name: 0})
 
 
 def test_circuit_validation():
@@ -224,6 +245,43 @@ def test_serialize_parse_round_trip_for_presets():
         assert parse_circuit(serialize(c)) == c
 
 
+mzc_names = st.text(st.characters(exclude_categories=("Cs",),
+                                   exclude_characters="#"),
+                    min_size=1, max_size=6).filter(
+    lambda text: not any(c.isspace() for c in text))
+
+
+@st.composite
+def named_circuits(draw):
+    """A random swept circuit with random element, phase-parameter,
+    detector and toggle names."""
+    circuit, _ = draw(swept_circuits())
+    count = len(circuit.elements)
+    labels = draw(st.lists(mzc_names, min_size=count, max_size=count,
+                           unique=True))
+    params = dict(zip(("phi", "psi"), draw(st.lists(
+        mzc_names, min_size=2, max_size=2, unique=True))))
+    elements = tuple(
+        dataclasses.replace(e, name=label, param=params.get(e.param))
+        for e, label in zip(circuit.elements, labels))
+    toggles = draw(st.sets(st.sampled_from(labels)))
+    m = circuit.mode_count
+    detected = draw(st.permutations(range(m)))[:draw(st.integers(0, m))]
+    detector_names = draw(st.lists(mzc_names, min_size=len(detected),
+                                   max_size=len(detected), unique=True))
+    return Circuit(m, elements, dict(zip(detector_names, detected)),
+                   frozenset(toggles))
+
+
+@settings(max_examples=150, deadline=None)
+@given(named_circuits())
+def test_serialize_round_trips_random_circuits(circuit):
+    text = serialize(circuit)
+    back = parse_circuit(text)
+    assert back == circuit
+    assert serialize(back) == text
+
+
 def test_shipped_circuit_files_match_presets():
     for name in ("fig1", "fig2", "fig3"):
         assert load_preset_file(name) == preset(name)
@@ -253,6 +311,10 @@ def test_parse_toggle_flag():
             "detect D 0\n")
     c = parse_circuit(text)
     assert c.toggles == frozenset({"B"})
+    c = parse_circuit("phase P 0 toggle toggle\nswap S 0 1 toggle\n"
+                      "phase Q 1 toggle\n")
+    assert c.toggles == frozenset({"P", "S"})
+    assert c.element("Q").param == "toggle"
 
 
 @pytest.mark.parametrize("bad_line,line_no", [
@@ -263,6 +325,8 @@ def test_parse_toggle_flag():
     ("bs B 0 1 T=0.9 R=0.1i", 1),          # fails unitarity check
     ("bs B 0 1 T=1 R=0 extra", 1),
     ("phase P 0", 1),
+    ("phase P 0 phi on", 1),
+    ("swap S 0 1 on", 1),
     ("swap S 0", 1),
     ("detect D", 1),
     ("teleport T 0 1", 1),

@@ -1,17 +1,22 @@
 """Tests for detection patterns, projections, and reduced density matrices."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mzsim import (BALANCED, DetectionPattern, FockState,
-                   UnknownDetectorError, basis_state, bs_unitary,
-                   coincidence_from_density, density_from_pure, evolve,
-                   mean_photon_number, partial_trace, pattern_probability,
-                   projected_probability)
+from mzsim import (BALANCED, DensityMatrix, DetectionPattern,
+                   DimensionMismatchError, FockState, NonFiniteAmplitudeError,
+                   PhotonCountError, UnknownDetectorError, basis_state,
+                   bs_unitary, coincidence_from_density, density_from_pure,
+                   evolve, mean_photon_number, partial_trace,
+                   pattern_probability, projected_probability)
 from mzsim.measurement import pattern_mask
+from strategies import random_unitary, superpositions
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -271,3 +276,144 @@ def test_density_allclose():
     b = density_from_pure(three_mode_state())
     assert a.allclose(b)
     assert not a.allclose(partial_trace(b, [2]))
+
+
+def test_density_matrix_from_a_plain_mapping():
+    rho = density_from_pure(three_mode_state())
+    copy = DensityMatrix(dict(rho.entries), [0, 1, 2])
+    assert copy.modes == (0, 1, 2)
+    assert copy.items() == rho.items()
+    assert np.array_equal(copy.basis_array, rho.basis_array)
+    assert np.array_equal(copy.matrix_array, rho.matrix_array)
+    # a zero entry given to the constructor is not stored
+    zeroed = dataclasses.replace(
+        rho, entries={**rho.entries, ((1, 1, 0), (0, 0, 2)): 0})
+    assert len(zeroed.entries) == 3
+    assert ((1, 1, 0), (0, 0, 2)) not in zeroed.entries
+    assert zeroed.entry((1, 1, 0), (0, 0, 2)) == 0j
+    # a ket that only ever carries zeros leaves the basis
+    lone = DensityMatrix({((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 0.0}, (0, 1))
+    assert lone.to_dense()[0] == [(1, 0)]
+
+
+def test_density_entries_is_a_read_only_view_of_the_arrays():
+    rho = density_from_pure(three_mode_state())
+    assert len(rho.entries) == 4
+    assert list(rho.entries) == sorted(rho.entries)
+    assert abs(rho.entries[((1, 1, 0), (1, 1, 0))] - 1 / 3) < 1e-15
+    for missing in (((1, 1, 0), (2, 0, 0)), ((1, 1), (1, 1)), (1, 2), "x"):
+        assert missing not in rho.entries
+        with pytest.raises(KeyError):
+            rho.entries[missing]
+    assert rho.basis_array.dtype == np.uint8
+    assert rho.basis_array.tolist() == [[0, 0, 2], [1, 1, 0]]
+    with pytest.raises(ValueError):
+        rho.matrix_array[0, 0] = 0
+    with pytest.raises(ValueError):
+        rho.basis_array[0, 0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.entries = {}
+
+
+@pytest.mark.parametrize("entries,error", [
+    ({((1, 0, 0), (1, 0)): 1.0}, DimensionMismatchError),
+    ({((1, 0), (1,)): 1.0}, DimensionMismatchError),
+    ({((256, 0), (256, 0)): 1.0}, PhotonCountError),
+    ({((0, 0), (-1, 0)): 1.0}, PhotonCountError),
+    ({((1, 0), (1, 0)): math.nan}, NonFiniteAmplitudeError),
+    ({((1, 0), (0, 1)): complex(0.5, math.inf)}, NonFiniteAmplitudeError),
+])
+def test_density_matrix_rejects_bad_entries(entries, error):
+    with pytest.raises(error):
+        DensityMatrix(entries, (0, 1))
+
+
+def test_density_matrix_needs_a_mode():
+    with pytest.raises(ValueError):
+        DensityMatrix({}, ())
+
+
+# ---------------------------------------------------------------------------
+# the grouped partial trace against a brute-force regroup of the pure state
+
+
+@st.composite
+def traced_cases(draw):
+    """A normalized state on 2-5 modes and two disjoint sets of modes to
+    trace that together leave at least one mode.
+
+    Half the states are spread over their whole photon sector by a random
+    unitary, so that the traced occupations group many kets together.
+    """
+    m = draw(st.integers(2, 5))
+    state = draw(superpositions(m, draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        state = evolve(state, random_unitary(rng, m))
+    order = draw(st.permutations(range(m)))
+    first = draw(st.integers(0, m - 1))
+    second = draw(st.integers(0, m - 1 - first))
+    return state, set(order[:first]), set(order[first:first + second])
+
+
+def regrouped(state, traced):
+    """Reduced entries summed pair by pair over the pure state's kets."""
+    keep = [m for m in range(state.mode_count) if m not in traced]
+    out = {}
+    for a, x in state.items():
+        for b, y in state.items():
+            if all(a[m] == b[m] for m in traced):
+                key = (tuple(a[m] for m in keep), tuple(b[m] for m in keep))
+                out[key] = out.get(key, 0j) + x * y.conjugate()
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(traced_cases())
+def test_partial_trace_is_the_regrouped_pure_state(case):
+    state, first, second = case
+    traced = first | second
+    reduced = partial_trace(density_from_pure(state), traced)
+    assert reduced.modes == tuple(m for m in range(state.mode_count)
+                                  if m not in traced)
+    want = regrouped(state, traced)
+    for key in set(reduced.entries) | set(want):
+        assert abs(reduced.entries.get(key, 0j) - want.get(key, 0j)) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(traced_cases())
+def test_tracing_in_two_steps_equals_tracing_at_once(case):
+    state, first, second = case
+    rho = density_from_pure(state)
+    assert partial_trace(partial_trace(rho, first), second).allclose(
+        partial_trace(rho, first | second), 1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(traced_cases())
+def test_reduced_matrix_is_a_state(case):
+    state, first, second = case
+    reduced = partial_trace(density_from_pure(state), first | second)
+    assert abs(reduced.trace() - 1.0) < 1e-12
+    assert reduced.is_hermitian()
+    _, dense = reduced.to_dense()
+    assert np.linalg.eigvalsh(dense).min() > -1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(traced_cases(), st.data())
+def test_reduced_readouts_are_sums_over_the_pure_state(case, data):
+    state, first, second = case
+    reduced = partial_trace(density_from_pure(state), first | second)
+    detectors = {f"D{m}": m for m in range(state.mode_count)}
+    counts = {m: data.draw(st.integers(0, 3)) for m in reduced.modes}
+    pattern = DetectionPattern({f"D{m}": c for m, c in counts.items()})
+    weights = [(occ, abs(a) ** 2) for occ, a in state.items()]
+    want = sum(w * math.prod(occ[m] ** c for m, c in counts.items())
+               for occ, w in weights)
+    assert abs(coincidence_from_density(reduced, pattern, detectors)
+               - want) < 1e-12
+    for m in reduced.modes:
+        want = sum(w * occ[m] for occ, w in weights)
+        assert abs(mean_photon_number(reduced, m) - want) < 1e-12

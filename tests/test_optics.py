@@ -22,16 +22,9 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
                    compile, evolve, is_unitary, pattern_probability,
                    permanent, phase_unitary, swap_unitary,
                    transition_amplitude, vacuum)
-from strategies import superpositions, swept_circuits
+from strategies import random_unitary, superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def random_unitary(rng, m):
-    """Haar-ish unitary from the QR decomposition of a complex Gaussian."""
-    z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_occupation(rng, m, n):
