@@ -7,6 +7,11 @@ relabelings).  Detectors name the modes that are read out.  Elements listed
 in ``toggles`` may be removed at compile time: a disabled toggle compiles to
 the identity, which models physically taking the splitter out of the beam.
 
+Compiling walks the elements once and updates the columns of the product in
+place: a splitter mixes two columns, a delay scales one, a swap exchanges
+two.  One pass can compile a circuit at K phase sets at once, as a
+(K x M x M) stack; a scan uses that for its grid of phases.
+
 Preset layouts
 --------------
 
@@ -45,8 +50,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (CircuitError, CircuitParseError, MissingPhaseError)
-from .optics import (BALANCED, BeamSplitterCoeffs, bs_unitary, phase_unitary,
-                     swap_unitary)
+from .optics import BALANCED, BeamSplitterCoeffs
 
 
 #: One .mzc token: non-empty text without whitespace (``str.isspace``) or #.
@@ -140,7 +144,27 @@ class Circuit:
 
 def compile(circuit: Circuit, phases: Mapping[str, float],
             enabled_toggles: Iterable[str] = ()) -> np.ndarray:
-    """Total mode unitary, first element acting first (leftmost factor)."""
+    """Total mode unitary, first element acting first (leftmost factor).
+
+    It equals the ordered product of the elements' ``bs_unitary``,
+    ``phase_unitary`` and ``swap_unitary`` matrices; it is built by column
+    updates, as the one-phase case of :func:`_compile_grid`.
+    """
+    return _compile_grid(circuit, phases, enabled_toggles)[0]
+
+
+def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
+                  enabled_toggles: Iterable[str] = ()) -> np.ndarray:
+    """Mode unitaries at K phase sets at once, as a (K x M x M) stack.
+
+    A phase value is a float or a length-K array; slice k of the result is
+    :func:`compile` at the k-th entry of every array.  Starting from K
+    identities, the elements are applied once each, in order, by column
+    updates: a splitter mixes its two columns, a delay scales its column by
+    e^{i phi} (by K factors when its parameter is an array), and a swap
+    exchanges two columns, which is done by relabeling where each column is
+    stored.  A disabled toggle is skipped.
+    """
     enabled = set(enabled_toggles)
     unknown = enabled - circuit.toggles
     if unknown:
@@ -148,19 +172,34 @@ def compile(circuit: Circuit, phases: Mapping[str, float],
     missing = [p for p in circuit.parameters if p not in phases]
     if missing:
         raise MissingPhaseError(f"missing phase parameters {missing}")
+    factors = {}
+    for p in circuit.parameters:
+        values = np.asarray(phases[p], dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError(f"phase {p} is not finite")
+        factors[p] = np.exp(1j * values)[..., None]
     m = circuit.mode_count
-    total = np.eye(m, dtype=complex)
+    # cols[:, stored[j]] is column j of the product so far, kept as a row
+    cols = np.zeros((max((f.size for f in factors.values()), default=1), m, m),
+                    dtype=complex)
+    cols[:, range(m), range(m)] = 1.0
+    stored = list(range(m))
     for e in circuit.elements:
         if e.name in circuit.toggles and e.name not in enabled:
             continue
         if e.kind == "bs":
-            u = bs_unitary(e.coeffs, e.modes[0], e.modes[1], m)
+            t, r = e.coeffs.t, e.coeffs.r
+            col_a, col_b = cols[:, stored[e.modes[0]]], cols[:, stored[e.modes[1]]]
+            mixed = t * col_a + r * col_b
+            col_b *= t
+            col_b += r * col_a
+            col_a[...] = mixed
         elif e.kind == "phase":
-            u = phase_unitary(e.modes[0], float(phases[e.param]), m)
+            cols[:, stored[e.modes[0]]] *= factors[e.param]
         else:
-            u = swap_unitary(e.modes[0], e.modes[1], m)
-        total = total @ u
-    return total
+            a, b = e.modes
+            stored[a], stored[b] = stored[b], stored[a]
+    return np.ascontiguousarray(cols[:, stored].transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,8 @@ def _parse_pattern(text: str, exclusive: bool,
         name, sep, value = item.partition(":")
         if not sep:
             raise _UsageError(f"bad pattern item {item!r}, want NAME:COUNT")
+        if name in counts:
+            raise _UsageError(f"detector {name!r} is given twice")
         try:
             counts[name] = int(value)
         except ValueError:
@@ -109,6 +111,8 @@ def _parse_phases(text: str) -> dict[str, float]:
         name, sep, value = item.partition("=")
         if not sep:
             raise _UsageError(f"bad phase assignment {item!r}, want NAME=VALUE")
+        if name in phases:
+            raise _UsageError(f"phase {name!r} is given twice")
         try:
             phases[name] = float(value)
         except ValueError:

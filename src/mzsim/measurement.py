@@ -20,14 +20,15 @@ so number operators can still be addressed by circuit mode after tracing.
 from __future__ import annotations
 
 import warnings
-from collections.abc import ItemsView, Iterable, Iterator, Mapping
+from collections.abc import (ItemsView, Iterable, Iterator, Mapping,
+                             ValuesView)
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteAmplitudeError, UnknownDetectorError
 from .fock import (PRUNE_THRESHOLD, FockState, Occupation, _check_occupation,
-                   _find_row, _keys, _union, inner_product)
+                   _union, inner_product)
 
 
 @dataclass(frozen=True)
@@ -112,21 +113,26 @@ class DensityEntries(Mapping):
     """Read-only ``(ket, bra) -> entry`` view of a density matrix's arrays.
 
     Only nonzero entries are present; iteration yields them in lexicographic
-    ``(ket, bra)`` order, with occupation tuples as keys.
+    ``(ket, bra)`` order, with occupation tuples as keys.  ``items()`` and
+    ``values()`` read the arrays in one pass; a lookup goes through a
+    ket -> row dict built on first use.
     """
 
-    __slots__ = ("basis", "matrix", "_row_keys")
+    __slots__ = ("basis", "matrix", "_rows")
 
     def __init__(self, basis: np.ndarray, matrix: np.ndarray):
         basis.flags.writeable = False
         matrix.flags.writeable = False
         self.basis = basis
         self.matrix = matrix
-        self._row_keys = _keys(basis)
+        self._rows = None
 
     def _index(self, ket: Iterable[int], bra: Iterable[int]) -> tuple[int, int]:
         """Row and column of an entry, -1 where the basis lacks the ket."""
-        return _find_row(self._row_keys, ket), _find_row(self._row_keys, bra)
+        if self._rows is None:
+            self._rows = {occ: i for i, occ in
+                          enumerate(map(tuple, self.basis.tolist()))}
+        return self._rows.get(tuple(ket), -1), self._rows.get(tuple(bra), -1)
 
     def __getitem__(self, key) -> complex:
         try:
@@ -146,6 +152,9 @@ class DensityEntries(Mapping):
     def items(self) -> ItemsView:
         return _EntryItems(self)
 
+    def values(self) -> ValuesView:
+        return _EntryValues(self)
+
     def _pairs(self) -> Iterator[tuple[tuple[Occupation, Occupation], complex]]:
         rows, cols = np.nonzero(self.matrix)
         kets = list(map(tuple, self.basis.tolist()))
@@ -162,6 +171,14 @@ class _EntryItems(ItemsView):
 
     def __iter__(self):
         return self._mapping._pairs()
+
+
+class _EntryValues(ValuesView):
+    """Values read off the arrays in one pass, in the order of the keys."""
+
+    def __iter__(self):
+        matrix = self._mapping.matrix
+        return iter(matrix[matrix != 0].tolist())
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ so sequential application of U1 then U2 composes to the single matrix
 
 * :func:`evolve` expands the substituted operator polynomial with exact
   multinomial bookkeeping (this mirrors the textbook derivation of output
-  states and works on whole superpositions at once);
+  states and works on whole superpositions at once).  The same expansion
+  runs over a stack of K unitaries at once (``_evolve_grid``): each input
+  ket is expanded once with a K-column coefficient block, which is how a
+  scan evolves through all of its grid phases in one pass;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix (Ryser's algorithm).
 
@@ -27,9 +30,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (DimensionMismatchError, InvalidCoefficientsError,
-                     NonUnitaryError, PhotonCountError, SectorError)
-from .fock import (PRUNE_THRESHOLD, FockState, Occupation, _merge,
-                   _trusted_state)
+                     NonFiniteAmplitudeError, NonUnitaryError,
+                     PhotonCountError, SectorError)
+from .fock import (PRUNE_THRESHOLD, FockState, Occupation, _trusted_state,
+                   _union)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -133,10 +137,13 @@ def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _compositions(total: int, slots: int) -> np.ndarray:
-    """All weak compositions of `total` into `slots` parts, as an int array."""
-    if slots == 0:
-        return np.zeros((1 if total == 0 else 0, 0), dtype=np.uint8)
+def _compositions(total: int, slots: int):
+    """Weak compositions of `total` into `slots` parts, with their lookups.
+
+    Returns the compositions as a (terms x slots) uint8 array and, aligned
+    with it, the multinomial coefficients total! / prod k_j! and the flat
+    index of each part k_j in a (slots x (total + 1)) table of powers.
+    """
     combos = itertools.combinations(range(total + slots - 1), slots - 1)
     rows = []
     for dividers in combos:
@@ -146,22 +153,28 @@ def _compositions(total: int, slots: int) -> np.ndarray:
             row.append(d - prev - 1)
             prev = d
         rows.append(row)
-    return np.array(rows, dtype=np.uint8)
+    comps = np.array(rows, dtype=np.uint8).reshape(len(rows), slots)
+    comps.flags.writeable = False
+    weights = _FACT[total] / np.prod(_FACT[comps], axis=1)
+    picks = comps + (total + 1) * np.arange(slots)
+    for array in (weights, picks):
+        array.flags.writeable = False
+    return comps, weights, picks
 
 
-def _row_expansion(row: np.ndarray, count: int, cutoff: float):
-    """Occupations and coefficients of (sum_j row[j] a_j^dag)^count.
+def _row_expansion(rows: np.ndarray, cols: np.ndarray, count: int):
+    """Occupations and coefficients of (sum_j row[j] a_j^dag)^count per row.
 
-    Coefficients are relative to monomials prod (a_j^dag)^k_j, i.e. without
-    the sqrt(k!) ket normalization (applied once at the end).
+    ``rows`` holds one row of the mode unitary per grid phase, (K x modes),
+    and only the columns ``cols`` are expanded; the coefficients come back
+    as a (K x terms) block.  They are relative to monomials
+    prod (a_j^dag)^k_j, i.e. without the sqrt(k!) ket normalization (applied
+    once at the end).
     """
-    cols = np.flatnonzero(np.abs(row) > cutoff)
-    if cols.size == 0:
-        return None
-    comps = _compositions(count, int(cols.size))
-    weights = _FACT[count] / np.prod(_FACT[comps], axis=1)
-    coeffs = weights * np.prod(row[cols][None, :] ** comps, axis=1)
-    return cols, comps, coeffs
+    comps, weights, picks = _compositions(count, len(cols))
+    powers = rows[:, cols, None] ** np.arange(count + 1)
+    return comps, weights * np.prod(powers.reshape(len(rows), -1)[:, picks],
+                                    axis=2)
 
 
 def evolve(state: FockState, unitary: np.ndarray, *,
@@ -174,50 +187,100 @@ def evolve(state: FockState, unitary: np.ndarray, *,
     byte keys.  Entries of a row smaller than ``row_cutoff`` are treated as
     exact zeros; they could only shift output amplitudes by ~N * row_cutoff,
     far below the working tolerances.  A matrix with a NaN or infinite entry
-    is rejected even when ``check_unitary`` is off.
+    is rejected even when ``check_unitary`` is off.  This is the one-matrix
+    case of :func:`_evolve_grid`.
     """
     u = np.asarray(unitary, dtype=complex)
     m = state.mode_count
     if u.shape != (m, m):
         raise DimensionMismatchError(
             f"unitary is {u.shape}, state has {m} modes")
+    occupations, amplitudes = _evolve_grid(
+        state, u[None], prune, check_unitary=check_unitary,
+        row_cutoff=row_cutoff)
+    return _trusted_state(occupations, amplitudes[0], m, prune=prune)
+
+
+def _evolve_grid(state: FockState, unitaries: np.ndarray,
+                 prune: float = PRUNE_THRESHOLD, *, check_unitary: bool = True,
+                 row_cutoff: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
+    """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
+
+    Every input ket is expanded once, over the columns that some matrix of
+    the stack needs, with a (K x terms) coefficient block; the terms of all
+    kets are merged with one sort of their byte keys.  Returns the output
+    occupations, unique and in lexicographic order, and a (K x kets)
+    amplitude block whose row k is the state evolved by ``unitaries[k]``.
+    A ket is dropped only when it is at or below ``prune`` at every k.
+    Every matrix of the stack gets the checks :func:`evolve` makes.
+    """
+    u = np.asarray(unitaries, dtype=complex)
+    m = state.mode_count
+    if u.ndim != 3 or not len(u) or u.shape[1:] != (m, m):
+        raise DimensionMismatchError(
+            f"unitary stack is {u.shape}, state has {m} modes")
     if not np.isfinite(u).all():
         raise NonUnitaryError("matrix has a NaN or infinite entry")
-    if check_unitary and not is_unitary(u, tol=1e-8):
+    if check_unitary and np.max(np.abs(
+            u @ u.conj().transpose(0, 2, 1) - np.eye(m))) > 1e-8:
         raise NonUnitaryError("matrix is not unitary within 1e-8")
     if state.total_photons > MAX_PHOTONS:
         raise PhotonCountError(
             f"state carries {state.total_photons} photons; evolve supports "
             f"at most {MAX_PHOTONS}")
 
+    k = len(u)
+    # the columns of each row that some matrix of the stack needs
+    live = (np.abs(u) > row_cutoff).any(axis=0)
     occ_blocks = [np.zeros((0, m), dtype=np.uint8)]
-    amp_blocks = [np.zeros(0, dtype=complex)]
+    amp_blocks = []
     for occ, amp in zip(state.occupation_array.tolist(),
                         state.amplitude_array.tolist()):
         block_occ = np.zeros((1, m), dtype=np.uint8)
-        block_amp = np.array([amp], dtype=complex)
-        dead = False
+        block_amp = np.full((k, 1), amp, dtype=complex)
         for mode, count in enumerate(occ):
             if count == 0:
                 continue
-            block_amp = block_amp / math.sqrt(_FACT[count])
-            expansion = _row_expansion(u[mode], count, row_cutoff)
-            if expansion is None:
-                dead = True
+            cols = np.flatnonzero(live[mode])
+            if not len(cols):
                 break
-            cols, comps, coeffs = expansion
-            added = np.zeros((comps.shape[0], m), dtype=np.uint8)
+            block_amp = block_amp / _SQRT_FACT[count]
+            comps, coeffs = _row_expansion(u[:, mode], cols, count)
+            added = np.zeros((len(comps), m), dtype=np.uint8)
             added[:, cols] = comps
             block_occ = (block_occ[:, None, :] + added[None, :, :]).reshape(-1, m)
-            block_amp = (block_amp[:, None] * coeffs[None, :]).ravel()
-        if not dead:
+            block_amp = (block_amp[:, :, None]
+                         * coeffs[:, None, :]).reshape(k, -1)
+        else:                           # every row had a needed column
             occ_blocks.append(block_occ)
             amp_blocks.append(block_amp)
 
-    occupations, amplitudes = _merge(np.concatenate(occ_blocks, axis=0),
-                                     np.concatenate(amp_blocks))
+    # one key sort for all terms; each ket's block is summed per grid phase
+    # and released, so no (K x terms) array spans every input ket at once
+    occupations, inverse = _union(np.concatenate(occ_blocks))
+    del occ_blocks
+    n = len(occupations)
+    amplitudes = np.zeros((k, n), dtype=complex)
+    start = 0
+    for i, block in enumerate(amp_blocks):
+        index = inverse[start:start + block.shape[1]]
+        start += block.shape[1]
+        for row, out in zip(block, amplitudes):
+            out.real += np.bincount(index, row.real, n)
+            out.imag += np.bincount(index, row.imag, n)
+        amp_blocks[i] = None
     amplitudes *= np.prod(_SQRT_FACT[occupations], axis=1)
-    return _trusted_state(occupations, amplitudes, m, prune=prune)
+
+    finite = np.isfinite(amplitudes)
+    if not finite.all():
+        step, bad = np.argwhere(~finite)[0]
+        raise NonFiniteAmplitudeError(
+            f"amplitude {amplitudes[step, bad]} at "
+            f"{tuple(occupations[bad].tolist())} is not finite")
+    keep = (np.abs(amplitudes) > prune).any(axis=0)
+    if not keep.all():
+        occupations, amplitudes = occupations[keep], amplitudes[:, keep]
+    return occupations, amplitudes
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ A scan sweeps one delay parameter phi over [0, 4*pi).  Every entry of the
 compiled unitary is a polynomial in e^{i phi} of degree at most c, the number
 of enabled phase elements carrying the parameter, so every output amplitude
 of an N-photon input has degree at most N*c.  The scan engine therefore
-evolves at K = N*c + 1 equally spaced phases and takes a K-point DFT, which
-gives psi(phi) = sum_j e^{i j phi} psi_j exactly.  The probability of a
+compiles the circuit at K = N*c + 1 equally spaced phases in one pass,
+evolves the input through all K unitaries in one batched expansion and
+takes a K-point DFT, which gives psi(phi) = sum_j e^{i j phi} psi_j exactly.  The probability of a
 readout (a detection pattern or a projector overlap) is then the finite
 Fourier series
 
@@ -29,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, braced, compile
+from .circuit import Circuit, _compile_grid, braced, compile
 from .errors import (CircuitError, DegenerateStateError,
                      DimensionMismatchError, UnclassifiableScanError)
-from .fock import FockState, _common_rows, _union, basis_state, embed
+from .fock import FockState, _common_rows, basis_state, embed
 from .measurement import DetectionPattern, pattern_mask, pattern_probability
-from .optics import BALANCED, bs_unitary, evolve
+from .optics import BALANCED, _evolve_grid, bs_unitary, evolve
 
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
@@ -108,9 +109,10 @@ def _scan_values(circuit: Circuit, toggles, input_state: FockState,
                  readouts, swept: str, fixed) -> list[np.ndarray]:
     """Exact probability harmonics h_0 .. h_{K-1} of each readout.
 
-    ``readouts`` holds detection patterns and projector states.  One evolve
-    per grid phase; the union of the K outputs' kets is taken with one sort
-    of their byte keys, and projector kets are looked up in that union.
+    ``readouts`` holds detection patterns and projector states.  The circuit
+    is compiled at all K grid phases in one pass and the input is evolved
+    through the K unitaries in one expansion; projector kets are looked up
+    among the output kets.
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}")
@@ -119,18 +121,12 @@ def _scan_values(circuit: Circuit, toggles, input_state: FockState,
                     if e.kind == "phase" and e.param == swept
                     and (e.name not in circuit.toggles or e.name in enabled))
     k = input_state.total_photons * crossings + 1
-    outputs = []
-    for step in range(k):
-        phases = dict(fixed)
-        phases[swept] = 2 * math.pi * step / k
-        outputs.append(evolve(input_state, compile(circuit, phases, toggles)))
-    occupations, inverse = _union(np.concatenate(
-        [out.occupation_array for out in outputs]))
     steps = np.arange(k)
-    values = np.zeros((len(occupations), k), dtype=complex)
-    values[inverse, np.repeat(steps, [len(out) for out in outputs])] = \
-        np.concatenate([out.amplitude_array for out in outputs])
-    coeffs = values @ (np.exp(-2j * math.pi * np.outer(steps, steps) / k) / k)
+    phases = dict(fixed)
+    phases[swept] = 2 * math.pi * steps / k
+    occupations, values = _evolve_grid(
+        input_state, _compile_grid(circuit, phases, toggles))
+    coeffs = values.T @ (np.exp(-2j * math.pi * np.outer(steps, steps) / k) / k)
 
     harmonics = []
     for readout in readouts:
@@ -153,7 +149,8 @@ def _scan_values(circuit: Circuit, toggles, input_state: FockState,
 def _probabilities(harmonics: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """P(phi) = h_0 + 2 Re sum_{f>0} h_f e^{i f phi} at the given phases."""
     freqs = np.arange(1, len(harmonics))
-    ripple = np.exp(1j * np.outer(phis, freqs)) @ harmonics[1:]
+    # the series is 2*pi-periodic; reducing first keeps f * phi finite
+    ripple = np.exp(1j * np.outer(np.mod(phis, 2 * math.pi), freqs)) @ harmonics[1:]
     return np.maximum(harmonics[0].real + 2 * ripple.real, 0.0)
 
 

@@ -13,8 +13,9 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
                    MissingPhaseError, PRESET_NAMES, braced, compile, evolve,
                    is_unitary, load_preset_file, parse_circuit, preset,
                    preset_fig1, preset_fig2, preset_fig3, serialize,
-                   basis_state, embed)
-from mzsim.circuit import format_complex, parse_complex
+                   basis_state, bs_unitary, embed, phase_unitary,
+                   swap_unitary)
+from mzsim.circuit import _compile_grid, format_complex, parse_complex
 from strategies import swept_circuits
 
 
@@ -201,6 +202,40 @@ def test_compile_rejects_unknown_toggles_and_missing_phases():
         compile(c, {"phi_C": 0, "phi_S": 0, "phi_B": 0}, ("BS9",))
     with pytest.raises(MissingPhaseError):
         compile(c, {"phi_C": 0.0})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compile_is_the_ordered_product_of_element_matrices(data):
+    # compile works by column updates; the element matrices multiplied in
+    # propagation order are the reference, and slice k of the grid compile
+    # is compile at the k-th phase set
+    circuit, enabled = data.draw(swept_circuits())
+    m = circuit.mode_count
+    k = data.draw(st.integers(1, 4))
+    angle = st.floats(-10, 10)
+    # the swept "phi" takes k values; "psi", when present, may be one float
+    grid = {p: (np.array(data.draw(st.lists(angle, min_size=k, max_size=k)))
+                if p == "phi" or data.draw(st.booleans()) else data.draw(angle))
+            for p in circuit.parameters}
+    stack = _compile_grid(circuit, grid, enabled)
+    assert stack.shape == (k, m, m)
+    for step in range(k):
+        phases = {p: float(np.broadcast_to(v, k)[step]) for p, v in grid.items()}
+        product = np.eye(m, dtype=complex)
+        for e in circuit.elements:
+            if e.name in circuit.toggles and e.name not in enabled:
+                continue
+            if e.kind == "bs":
+                factor = bs_unitary(e.coeffs, *e.modes, m)
+            elif e.kind == "phase":
+                factor = phase_unitary(e.modes[0], phases[e.param], m)
+            else:
+                factor = swap_unitary(*e.modes, m)
+            product = product @ factor
+        u = compile(circuit, phases, enabled)
+        assert np.max(np.abs(u - product)) < 1e-14
+        assert np.max(np.abs(stack[step] - u)) < 1e-15
 
 
 def test_compiled_network_conserves_photons(seed=23):

@@ -11,7 +11,9 @@ import subprocess
 
 import pytest
 
-from mzsim import FockState, preset, serialize
+from mzsim import (DetectionPattern, FockState, compile, evolve,
+                   one_photon_each_input, pattern_probability, preset,
+                   serialize)
 from mzsim.cli import MAX_SWEEP_SAMPLES, main
 
 BALANCED_BS = "T=0.7071067811865475 R=0.7071067811865475i"
@@ -178,6 +180,30 @@ def test_sweep_leaves_other_phases_fixed(capsys):
         assert abs(value - 0.25 * math.cos(phi - 0.5) ** 2) < 1e-12
 
 
+def test_sweep_samples_stay_finite_for_huge_bounds(capsys):
+    # f * phi overflows for phi near 1e308; the samples are read at phi
+    # reduced mod 2 pi, where the fringe has the same value
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    code, out, _ = run_cli(capsys, "--preset", "fig2", "--format", "json",
+                           "--pattern", "D6:1,D10:1",
+                           "--sweep", "phi_B:0:1e308:64",
+                           "--phases", "phi_C=0,phi_S=0")
+    assert code == 0
+    samples = json.loads(out, parse_constant=reject)["samples"]
+    assert len(samples) == 64
+    c = preset("fig2")
+    state = one_photon_each_input(c)
+    pattern = DetectionPattern({"D6": 1, "D10": 1})
+    for phi, value in samples:
+        assert 0.0 <= value <= 1.0
+        out = evolve(state, compile(c, {"phi_B": math.fmod(phi, 2 * math.pi),
+                                        "phi_C": 0.0, "phi_S": 0.0}))
+        assert abs(value - pattern_probability(out, pattern,
+                                               c.detectors)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # verification and errors
 
@@ -225,6 +251,10 @@ def test_verify_runs_all_checks(capsys):
      "--pattern", "D10:1,D11:1", "--phases", "phi_C=0,phi_B=0"), # 30 photons
     ("--preset", "fig1", "--pattern", "D10:1,D11:1",
      "--phases", "phi_C=0,phi_B=0", "--seed", "1"),              # removed flag
+    ("--preset", "fig1", "--pattern", "D10:1,D10:2",
+     "--phases", "phi_C=0,phi_B=0"),                             # detector twice
+    ("--preset", "fig1", "--pattern", "D10:1,D11:1",
+     "--phases", "phi_C=0,phi_C=2,phi_B=0"),                     # phase twice
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

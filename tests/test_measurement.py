@@ -13,7 +13,7 @@ from mzsim import (BALANCED, DensityMatrix, DetectionPattern,
                    DimensionMismatchError, FockState, NonFiniteAmplitudeError,
                    PhotonCountError, UnknownDetectorError, basis_state,
                    bs_unitary, coincidence_from_density, density_from_pure,
-                   evolve, mean_photon_number, partial_trace,
+                   embed, evolve, mean_photon_number, partial_trace,
                    pattern_probability, projected_probability)
 from mzsim.measurement import pattern_mask
 from strategies import random_unitary, superpositions
@@ -313,6 +313,20 @@ def test_density_entries_is_a_read_only_view_of_the_arrays():
         rho.basis_array[0, 0] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         rho.entries = {}
+
+
+def test_entry_reads_agree_in_order_and_value(seed=47):
+    # a spread-out state with a traced mode, so the matrix holds zeros too
+    rng = np.random.default_rng(seed)
+    state = embed(basis_state((2, 1)), 4, (0, 1))
+    rho = partial_trace(density_from_pure(evolve(state, random_unitary(rng, 4))),
+                        [3])
+    items = rho.entries.items()
+    assert 0 < len(items) == len(rho.entries) < rho.matrix_array.size
+    assert list(dict(rho.entries).items()) == list(items)
+    assert list(rho.entries.values()) == [v for _, v in items]
+    assert all(rho.entries[key] == value for key, value in items)
+    assert all(rho.entry(*key) == value for key, value in items)
 
 
 @pytest.mark.parametrize("entries,error", [

@@ -22,6 +22,8 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
                    compile, evolve, is_unitary, pattern_probability,
                    permanent, phase_unitary, swap_unitary,
                    transition_amplitude, vacuum)
+from mzsim.fock import PRUNE_THRESHOLD
+from mzsim.optics import _evolve_grid
 from strategies import random_unitary, superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -219,6 +221,39 @@ def test_swap_relabels_occupations():
     state = FockState({(2, 0, 1): 1.0})
     out = evolve(state, swap_unitary(0, 2, 3))
     assert out[(1, 0, 2)] == 1.0
+
+
+def test_the_grid_drops_a_ket_only_when_every_phase_prunes_it():
+    # at the first grid phase the reflected ket sits below the prune
+    # threshold, at the second it is bright: it stays, with both amplitudes
+    state = basis_state((1, 0))
+    faint = bs_unitary(BeamSplitterCoeffs.from_angle(1e-15), 0, 1, 2)
+    bright = bs_unitary(BeamSplitterCoeffs.from_angle(0.5), 0, 1, 2)
+    kets, amplitudes = _evolve_grid(state, np.stack([faint, bright]))
+    assert kets.tolist() == [[0, 1], [1, 0]]
+    assert 0 < abs(amplitudes[0, 0]) <= PRUNE_THRESHOLD
+    assert len(evolve(state, faint)) == 1
+    out = evolve(state, bright)
+    assert np.allclose(amplitudes[1], [out[(0, 1)], out[(1, 0)]],
+                       rtol=0, atol=1e-15)
+    # below the threshold at every grid phase: dropped
+    dim = [bs_unitary(BeamSplitterCoeffs.from_angle(a), 0, 1, 2)
+           for a in (1e-12, 2e-12)]
+    kets, amplitudes = _evolve_grid(state, np.stack(dim), prune=1e-10)
+    assert kets.tolist() == [[1, 0]]
+    assert amplitudes.shape == (2, 1)
+
+
+def test_the_grid_checks_every_matrix_of_its_stack():
+    state = basis_state((1, 0))
+    good = bs_unitary(BALANCED, 0, 1, 2)
+    for bad in (np.diag([1.0, 2.0]), np.diag([1.0, math.nan])):
+        with pytest.raises(NonUnitaryError):
+            _evolve_grid(state, np.stack([good, bad]))
+    with pytest.raises(DimensionMismatchError):
+        _evolve_grid(state, good)
+    with pytest.raises(PhotonCountError):
+        _evolve_grid(basis_state((21, 0)), np.stack([good, good]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,11 @@ from mzsim import (BALANCED, CircuitError, DegenerateStateError,
                    classify_table1, compile, delayed_choice_variant,
                    engineered_input, evolve, inner_product, noon_target,
                    one_photon_each_input, pattern_probability, preset,
-                   run_projection_scan, run_scan, run_triple)
+                   run_projection_scan, run_scan, run_triple,
+                   transition_amplitude)
 from mzsim import scenarios
+from mzsim.circuit import _compile_grid
+from mzsim.optics import _evolve_grid
 from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
 from strategies import occupations, superpositions, swept_circuits
 
@@ -165,19 +168,26 @@ def test_scan_validation():
 
 
 def test_a_scan_evolves_once_per_harmonic(monkeypatch):
-    # phi_C is crossed once and the input has two photons: K = 2 * 1 + 1
-    calls = []
+    # phi_C is crossed once and the input has two photons: one batched evolve
+    # over K = 2 * 1 + 1 grid phases, and no evolve per phase
+    stacks, calls = [], []
+
+    def counting_evolve_grid(state, unitaries, *args, **kwargs):
+        stacks.append(np.shape(unitaries))
+        return _evolve_grid(state, unitaries, *args, **kwargs)
 
     def counting_evolve(state, unitary):
         calls.append(1)
         return evolve(state, unitary)
 
+    monkeypatch.setattr(scenarios, "_evolve_grid", counting_evolve_grid)
     monkeypatch.setattr(scenarios, "evolve", counting_evolve)
     c = preset("fig2")
     scan = run_scan(c, ("BS2",), one_photon_each_input(c),
                     DetectionPattern({"D6": 1, "D10": 1}), "phi_C",
                     {"phi_B": 0.4, "phi_S": 1.1})
-    assert len(calls) == 3
+    assert stacks == [(3, 12, 12)]
+    assert not calls
     assert len(scan.samples) == 256
 
 
@@ -207,6 +217,21 @@ def test_engine_samples_match_per_phase_evolution(data):
         assert abs(p - pattern_probability(out, pattern,
                                            circuit.detectors)) < 1e-12
         assert abs(q - abs(inner_product(projector, out)) ** 2) < 1e-12
+
+    # the batched expansion at one grid phase against the permanent oracle
+    crossings = sum(1 for e in circuit.elements if e.param == "phi"
+                    and (e.name not in circuit.toggles or e.name in enabled))
+    k = photons * crossings + 1
+    grid = 2 * math.pi * np.arange(k) / k
+    kets, amplitudes = _evolve_grid(
+        state, _compile_grid(circuit, {"phi": grid, "psi": psi}, enabled))
+    step = data.draw(st.integers(0, k - 1))
+    u = compile(circuit, {"phi": float(grid[step]), "psi": psi}, enabled)
+    for ket, amplitude in zip(kets.tolist(), amplitudes[step]):
+        expected = sum(a * transition_amplitude(u, occ, ket)
+                       for occ, a in state.items())
+        assert abs(amplitude - expected) < 1e-12
+    assert abs(np.linalg.norm(amplitudes[step]) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
