@@ -189,6 +189,9 @@ def _load_circuit(args) -> tuple[Circuit, str]:
 def _resolve(args) -> RunConfig:
     circuit, source = _load_circuit(args)
     toggles = tuple(filter(None, (s.strip() for s in args.toggles.split(","))))
+    repeated = [t for i, t in enumerate(toggles) if t in toggles[:i]]
+    if repeated:
+        raise _UsageError(f"toggle {repeated[0]!r} is given twice")
     unknown = set(toggles) - set(circuit.toggles)
     if unknown:
         raise _UsageError(f"unknown toggles {sorted(unknown)}; this circuit "
@@ -204,6 +207,8 @@ def _resolve(args) -> RunConfig:
                           f"{list(circuit.parameters)}")
     needed = set(circuit.parameters) - set(phases)
     if sweep:
+        if sweep[0] in phases:
+            raise _UsageError(f"phase {sweep[0]!r} is both swept and fixed")
         needed -= {sweep[0]}
     if needed:
         raise _UsageError("missing phase values for " + ", ".join(sorted(needed)))
@@ -222,9 +227,9 @@ def _probability(config: RunConfig, phases: dict[str, float]) -> float:
 def _run_sweep(config: RunConfig, out) -> int:
     name, start, end, n = config.sweep
     phis = np.linspace(start, end, n, endpoint=False)
-    (harmonics,) = _scan_values(config.circuit, config.toggles,
-                                config.input_state, [config.pattern], name,
-                                config.phases)
+    ((harmonics,),) = _scan_values(config.circuit, config.input_state, name,
+                                   config.phases,
+                                   [(config.toggles, [config.pattern])])
     vals = _probabilities(harmonics, phis)
     if config.output_format == "csv":
         out.write("phase,probability\n")

@@ -11,9 +11,13 @@ so sequential application of U1 then U2 composes to the single matrix
 * :func:`evolve` expands the substituted operator polynomial with exact
   multinomial bookkeeping (this mirrors the textbook derivation of output
   states and works on whole superpositions at once).  The same expansion
-  runs over a stack of K unitaries at once (``_evolve_grid``): each input
-  ket is expanded once with a K-column coefficient block, which is how a
-  scan evolves through all of its grid phases in one pass;
+  runs over a stack of K unitaries at once (``_evolve_grid``, and
+  ``_evolve_each`` for one state per matrix): each input ket is expanded
+  once with a K-column coefficient block, which is how a scan evolves
+  through all of its grid phases in one pass.  It runs in two passes: the
+  first merges the output occupations of every ket's terms, the second
+  adds each ket's coefficient block into the merged kets and releases it,
+  so memory holds one ket's block at a time;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix (Ryser's algorithm).
 
@@ -162,19 +166,19 @@ def _compositions(total: int, slots: int):
     return comps, weights, picks
 
 
-def _row_expansion(rows: np.ndarray, cols: np.ndarray, count: int):
-    """Occupations and coefficients of (sum_j row[j] a_j^dag)^count per row.
+def _row_coefficients(rows: np.ndarray, cols: np.ndarray,
+                      count: int) -> np.ndarray:
+    """Coefficients of (sum_j row[j] a_j^dag)^count per row.
 
     ``rows`` holds one row of the mode unitary per grid phase, (K x modes),
     and only the columns ``cols`` are expanded; the coefficients come back
-    as a (K x terms) block.  They are relative to monomials
-    prod (a_j^dag)^k_j, i.e. without the sqrt(k!) ket normalization (applied
-    once at the end).
+    as a (K x terms) block aligned with ``_compositions(count, len(cols))``.
+    They are relative to monomials prod (a_j^dag)^k_j, i.e. without the
+    sqrt(k!) ket normalization (applied once at the end).
     """
-    comps, weights, picks = _compositions(count, len(cols))
+    _, weights, picks = _compositions(count, len(cols))
     powers = rows[:, cols, None] ** np.arange(count + 1)
-    return comps, weights * np.prod(powers.reshape(len(rows), -1)[:, picks],
-                                    axis=2)
+    return weights * np.prod(powers.reshape(len(rows), -1)[:, picks], axis=2)
 
 
 def evolve(state: FockState, unitary: np.ndarray, *,
@@ -188,17 +192,32 @@ def evolve(state: FockState, unitary: np.ndarray, *,
     exact zeros; they could only shift output amplitudes by ~N * row_cutoff,
     far below the working tolerances.  A matrix with a NaN or infinite entry
     is rejected even when ``check_unitary`` is off.  This is the one-matrix
-    case of :func:`_evolve_grid`.
+    case of :func:`_evolve_each`.
     """
     u = np.asarray(unitary, dtype=complex)
     m = state.mode_count
     if u.shape != (m, m):
         raise DimensionMismatchError(
             f"unitary is {u.shape}, state has {m} modes")
+    (out,) = _evolve_each(state, u[None], prune=prune,
+                          check_unitary=check_unitary, row_cutoff=row_cutoff)
+    return out
+
+
+def _evolve_each(state: FockState, unitaries: np.ndarray, *,
+                 prune: float = PRUNE_THRESHOLD, check_unitary: bool = True,
+                 row_cutoff: float = 1e-13) -> list[FockState]:
+    """The state evolved by each matrix of a (K x M x M) stack, as K states.
+
+    One :func:`_evolve_grid` expansion serves the whole stack; each slice
+    then drops its own kets at or below ``prune``, so state k holds the kets
+    ``evolve(state, unitaries[k])`` keeps.
+    """
     occupations, amplitudes = _evolve_grid(
-        state, u[None], prune, check_unitary=check_unitary,
+        state, unitaries, prune, check_unitary=check_unitary,
         row_cutoff=row_cutoff)
-    return _trusted_state(occupations, amplitudes[0], m, prune=prune)
+    return [_trusted_state(occupations, row, state.mode_count, prune=prune)
+            for row in amplitudes]
 
 
 def _evolve_grid(state: FockState, unitaries: np.ndarray,
@@ -207,12 +226,15 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
     """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
 
     Every input ket is expanded once, over the columns that some matrix of
-    the stack needs, with a (K x terms) coefficient block; the terms of all
-    kets are merged with one sort of their byte keys.  Returns the output
-    occupations, unique and in lexicographic order, and a (K x kets)
-    amplitude block whose row k is the state evolved by ``unitaries[k]``.
-    A ket is dropped only when it is at or below ``prune`` at every k.
-    Every matrix of the stack gets the checks :func:`evolve` makes.
+    the stack needs, in two passes.  The first builds only the uint8
+    occupations of every ket's terms and merges them with one sort of their
+    byte keys; the second builds each ket's (K x terms) coefficient block in
+    turn, adds it into the output and releases it, so at most one ket's
+    block is alive at a time.  Returns the output occupations, unique and in
+    lexicographic order, and a (K x kets) amplitude block whose row k is the
+    state evolved by ``unitaries[k]``.  A ket is dropped only when it is at
+    or below ``prune`` at every k.  Every matrix of the stack gets the
+    checks :func:`evolve` makes.
     """
     u = np.asarray(unitaries, dtype=complex)
     m = state.mode_count
@@ -231,44 +253,49 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
 
     k = len(u)
     # the columns of each row that some matrix of the stack needs
-    live = (np.abs(u) > row_cutoff).any(axis=0)
+    needed = (np.abs(u) > row_cutoff).any(axis=0)
+
+    # pass one: the occupations of every ket's terms, merged below with one
+    # sort of their byte keys; no amplitude is built yet
     occ_blocks = [np.zeros((0, m), dtype=np.uint8)]
-    amp_blocks = []
+    kets = []
     for occ, amp in zip(state.occupation_array.tolist(),
                         state.amplitude_array.tolist()):
         block_occ = np.zeros((1, m), dtype=np.uint8)
-        block_amp = np.full((k, 1), amp, dtype=complex)
+        rows = []
         for mode, count in enumerate(occ):
             if count == 0:
                 continue
-            cols = np.flatnonzero(live[mode])
+            cols = np.flatnonzero(needed[mode])
             if not len(cols):
                 break
-            block_amp = block_amp / _SQRT_FACT[count]
-            comps, coeffs = _row_expansion(u[:, mode], cols, count)
+            comps = _compositions(count, len(cols))[0]
             added = np.zeros((len(comps), m), dtype=np.uint8)
             added[:, cols] = comps
             block_occ = (block_occ[:, None, :] + added[None, :, :]).reshape(-1, m)
-            block_amp = (block_amp[:, :, None]
-                         * coeffs[:, None, :]).reshape(k, -1)
+            rows.append((mode, count, cols))
         else:                           # every row had a needed column
             occ_blocks.append(block_occ)
-            amp_blocks.append(block_amp)
-
-    # one key sort for all terms; each ket's block is summed per grid phase
-    # and released, so no (K x terms) array spans every input ket at once
+            kets.append((amp, rows, len(block_occ)))
     occupations, inverse = _union(np.concatenate(occ_blocks))
     del occ_blocks
+
+    # pass two: each ket's coefficient block, summed per grid phase on the
+    # merged keys and released before the next ket's is built
     n = len(occupations)
     amplitudes = np.zeros((k, n), dtype=complex)
     start = 0
-    for i, block in enumerate(amp_blocks):
-        index = inverse[start:start + block.shape[1]]
-        start += block.shape[1]
+    for amp, rows, terms in kets:
+        block = np.full((k, 1), amp, dtype=complex)
+        for mode, count, cols in rows:
+            coeffs = _row_coefficients(u[:, mode], cols, count)
+            block = block / _SQRT_FACT[count]
+            block = (block[:, :, None] * coeffs[:, None, :]).reshape(k, -1)
+        index = inverse[start:start + terms]
+        start += terms
         for row, out in zip(block, amplitudes):
             out.real += np.bincount(index, row.real, n)
             out.imag += np.bincount(index, row.imag, n)
-        amp_blocks[i] = None
     amplitudes *= np.prod(_SQRT_FACT[occupations], axis=1)
 
     finite = np.isfinite(amplitudes)

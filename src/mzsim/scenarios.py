@@ -6,9 +6,12 @@ of enabled phase elements carrying the parameter, so every output amplitude
 of an N-photon input has degree at most N*c.  The scan engine therefore
 compiles the circuit at K = N*c + 1 equally spaced phases in one pass,
 evolves the input through all K unitaries in one batched expansion and
-takes a K-point DFT, which gives psi(phi) = sum_j e^{i j phi} psi_j exactly.  The probability of a
-readout (a detection pattern or a projector overlap) is then the finite
-Fourier series
+takes a K-point DFT, which gives psi(phi) = sum_j e^{i j phi} psi_j exactly.
+Scans of one circuit and input that differ only in their toggles stack
+their grids into that one expansion, each with its own K and DFT, so
+:func:`classify_table1` evolves its input once for all of its
+configurations.  The probability of a readout (a detection pattern or a
+projector overlap) is then the finite Fourier series
 
     P(phi) = h_0 + 2 Re sum_{f > 0} h_f e^{i f phi},
     h_f = sum_{l - j = f} <psi_j| Pi |psi_l>,
@@ -30,12 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _compile_grid, braced, compile
+from .circuit import Circuit, _compile_grid, braced
 from .errors import (CircuitError, DegenerateStateError,
                      DimensionMismatchError, UnclassifiableScanError)
 from .fock import FockState, _common_rows, basis_state, embed
 from .measurement import DetectionPattern, pattern_mask, pattern_probability
-from .optics import BALANCED, _evolve_grid, bs_unitary, evolve
+from .optics import BALANCED, _evolve_each, _evolve_grid, bs_unitary, evolve
 
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
@@ -105,45 +108,59 @@ class ScenarioReport:
         return json.dumps(self.to_json(), indent=2)
 
 
-def _scan_values(circuit: Circuit, toggles, input_state: FockState,
-                 readouts, swept: str, fixed) -> list[np.ndarray]:
-    """Exact probability harmonics h_0 .. h_{K-1} of each readout.
+def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
+                 scans) -> list[list[np.ndarray]]:
+    """Exact probability harmonics h_0 .. h_{K-1} of each scan's readouts.
 
-    ``readouts`` holds detection patterns and projector states.  The circuit
-    is compiled at all K grid phases in one pass and the input is evolved
-    through the K unitaries in one expansion; projector kets are looked up
-    among the output kets.
+    ``scans`` holds ``(toggles, readouts)`` pairs of one circuit and input;
+    a readout is a detection pattern or a projector state.  Each distinct
+    toggle set is compiled at its own K grid phases (a disabled delay
+    changes K), the stacks are concatenated and the input is evolved through
+    all of them in one expansion; each block then gets its own K-point DFT.
+    Projector kets are looked up among the output kets.
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}")
-    enabled = set(toggles)
-    crossings = sum(1 for e in circuit.elements
-                    if e.kind == "phase" and e.param == swept
-                    and (e.name not in circuit.toggles or e.name in enabled))
-    k = input_state.total_photons * crossings + 1
-    steps = np.arange(k)
-    phases = dict(fixed)
-    phases[swept] = 2 * math.pi * steps / k
-    occupations, values = _evolve_grid(
-        input_state, _compile_grid(circuit, phases, toggles))
-    coeffs = values.T @ (np.exp(-2j * math.pi * np.outer(steps, steps) / k) / k)
+    blocks, stacks, offset = {}, [], 0
+    for toggles, _ in scans:
+        enabled = frozenset(toggles)
+        if enabled in blocks:
+            continue
+        crossings = sum(1 for e in circuit.elements
+                        if e.kind == "phase" and e.param == swept
+                        and (e.name not in circuit.toggles or e.name in enabled))
+        k = input_state.total_photons * crossings + 1
+        phases = dict(fixed)
+        phases[swept] = 2 * math.pi * np.arange(k) / k
+        stacks.append(_compile_grid(circuit, phases, toggles))
+        blocks[enabled] = slice(offset, offset + k)
+        offset += k
+    occupations, values = _evolve_grid(input_state, np.concatenate(stacks))
 
-    harmonics = []
-    for readout in readouts:
-        if isinstance(readout, FockState):
-            if readout.mode_count != circuit.mode_count:
-                raise DimensionMismatchError(
-                    "projector and circuit have different mode counts")
-            kets, rows = _common_rows(readout.occupation_array, occupations)
-            series = readout.amplitude_array[kets].conj()[None, :] @ coeffs[rows]
-        else:
-            series = coeffs[pattern_mask(readout, circuit.detectors,
-                                         occupations,
-                                         input_state.total_photons)]
-        gram = series.conj().T @ series
-        harmonics.append(np.array([np.trace(gram, offset=f)
-                                   for f in range(k)]))
-    return harmonics
+    results = []
+    for toggles, readouts in scans:
+        block = values[blocks[frozenset(toggles)]]
+        k = len(block)
+        steps = np.arange(k)
+        coeffs = block.T @ (np.exp(-2j * math.pi * np.outer(steps, steps) / k) / k)
+        harmonics = []
+        for readout in readouts:
+            if isinstance(readout, FockState):
+                if readout.mode_count != circuit.mode_count:
+                    raise DimensionMismatchError(
+                        "projector and circuit have different mode counts")
+                kets, rows = _common_rows(readout.occupation_array, occupations)
+                series = (readout.amplitude_array[kets].conj()[None, :]
+                          @ coeffs[rows])
+            else:
+                series = coeffs[pattern_mask(readout, circuit.detectors,
+                                             occupations,
+                                             input_state.total_photons)]
+            gram = series.conj().T @ series
+            harmonics.append(np.array([np.trace(gram, offset=f)
+                                       for f in range(k)]))
+        results.append(harmonics)
+    return results
 
 
 def _probabilities(harmonics: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -193,8 +210,8 @@ def run_scan(circuit: Circuit, toggles, input_state: FockState,
              n_samples: int = 256) -> FringeScan:
     """Scan one delay, read the pattern probability, fit the fringe."""
     phis = _scan_phases(n_samples)
-    (harmonics,) = _scan_values(circuit, toggles, input_state, [pattern],
-                                swept, fixed)
+    ((harmonics,),) = _scan_values(circuit, input_state, swept, fixed,
+                                   [(toggles, [pattern])])
     return _fit_samples(swept, phis, harmonics)
 
 
@@ -243,16 +260,23 @@ def one_photon_each_input(circuit: Circuit) -> FockState:
 # headline scenarios
 
 
-def run_triple(circuit: Circuit, toggles, phases) -> float:
+def run_triple(circuit: Circuit, toggles, phases):
     """Three-photon coincidence: outermost tap, inner tap, first outer port.
 
     The input is the engineered three-photon state that the first splitter
-    maps onto (|3,0> + |0,3>)/sqrt(2) on the arms.
+    maps onto (|3,0> + |0,3>)/sqrt(2) on the arms.  As in
+    :func:`~mzsim.circuit._compile_grid`, a phase value is a float or a
+    length-K array; the result is one probability for float phases and an
+    array of K probabilities otherwise, from one batched evolve.
     """
     state = embed(engineered_input(noon_target(3)), circuit.mode_count, (0, 1))
-    out = evolve(state, compile(circuit, phases, toggles))
     pattern = DetectionPattern({"D6p": 1, "D6": 1, "D10": 1})
-    return pattern_probability(out, pattern, circuit.detectors)
+    probs = np.array([pattern_probability(out, pattern, circuit.detectors)
+                      for out in _evolve_each(
+                          state, _compile_grid(circuit, phases, toggles))])
+    if all(np.ndim(v) == 0 for v in phases.values()):
+        return float(probs[0])
+    return probs
 
 
 def delayed_choice_variant(circuit: Circuit, element_name: str) -> Circuit:
@@ -276,7 +300,8 @@ def classify_table1(n: int) -> list[ScenarioReport]:
     the innermost stage distinguishing, and the outer stages cooperating
     while the innermost stage stays distinguishing and unobserved.  Each is
     scanned at every coincidence order against the outer-arm delay, whose
-    effect survives only in full-order exclusive coincidences.
+    effect survives only in full-order exclusive coincidences; all the
+    scans come from one evolve of the input.
     """
     if not 3 <= n <= 5:
         raise ValueError("supported photon numbers are 3 to 5")
@@ -292,18 +317,19 @@ def classify_table1(n: int) -> list[ScenarioReport]:
     configs = (("all-erased", all_on, tap_detectors, False),
                ("innermost-distinguishing", inner_off, tap_detectors, True),
                ("cooperating-outer-stages", inner_off, tap_detectors[:-1], True))
-    reports = []
-    for config_id, toggles, dets, which_path in configs:
-        patterns, orders = [], []
-        for k in range(1, len(dets) + 1):
-            patterns.append(DetectionPattern({d: 1 for d in dets[:k]},
-                                             exclusive=False))
-            orders.append(k)
+    scans = []
+    for _, toggles, dets, _ in configs:
+        patterns = [DetectionPattern({d: 1 for d in dets[:k]}, exclusive=False)
+                    for k in range(1, len(dets) + 1)]
         patterns.append(DetectionPattern(
             {d: 1 for d in dets} | {"D10": n - len(dets)}))
-        orders.append(n)
-        harmonics = _scan_values(circuit, toggles, state, patterns,
-                                 "phi_B", fixed)
+        scans.append((toggles, patterns))
+    # the two inner_off scans share one compiled and evolved block
+    results = _scan_values(circuit, state, "phi_B", fixed, scans)
+    reports = []
+    for (config_id, toggles, dets, which_path), (_, patterns), harmonics in zip(
+            configs, scans, results):
+        orders = [*range(1, len(dets) + 1), n]
         for pattern, series, order in zip(patterns, harmonics, orders):
             scan = _fit_samples("phi_B", phis, series)
             reports.append(ScenarioReport(

@@ -2,8 +2,11 @@
 
 Each check recomputes a closed-form result through the full pipeline
 (compile, evolve, measure) and compares against the independent expressions
-in :mod:`mzsim.reference`.  The command line exposes this through
-``mzsim --verify``; tests reuse individual checks as well.
+in :mod:`mzsim.reference`.  A check that draws random phases for a fixed
+circuit compiles all of its draws in one batched pass and evolves its input
+through them in one expansion, then asserts draw by draw.  The command line
+exposes this through ``mzsim --verify``; tests reuse individual checks as
+well.
 """
 
 from __future__ import annotations
@@ -13,15 +16,16 @@ import math
 import numpy as np
 
 from . import reference as ref
-from .circuit import (PRESET_NAMES, compile, load_preset_file, parse_circuit,
-                      preset, preset_fig1, preset_fig2, preset_fig3, serialize)
+from .circuit import (PRESET_NAMES, _compile_grid, compile, load_preset_file,
+                      parse_circuit, preset, preset_fig1, preset_fig2,
+                      preset_fig3, serialize)
 from .fock import basis_state, embed
 from .measurement import (DetectionPattern, coincidence_from_density,
                           density_from_pure, mean_photon_number, partial_trace,
                           pattern_probability, projected_probability,
                           DensityMatrix)
-from .optics import (BALANCED, BeamSplitterCoeffs, bs_unitary, evolve,
-                     is_unitary, transition_amplitude)
+from .optics import (BALANCED, BeamSplitterCoeffs, _evolve_each, bs_unitary,
+                     evolve, is_unitary, transition_amplitude)
 from .scenarios import (classify_table1, engineered_input, noon_target,
                         one_photon_each_input, run_projection_scan, run_scan,
                         run_triple)
@@ -92,10 +96,10 @@ def check_toggle_removal_equivalence():
 
 def check_pair_output_states():
     rng = _rng()
+    inp = embed(basis_state((1, 1)), 12, (0, 1))
     for _ in range(20):
         tap = _random_tap(rng)
         pc, pb, ps = rng.uniform(0, 2 * math.pi, 3)
-        inp = embed(basis_state((1, 1)), 12, (0, 1))
         out1 = evolve(inp, compile(preset_fig1(tap=tap),
                                    {"phi_C": pc, "phi_B": pb}))
         _require(out1.allclose(ref.pair_output_monitored(tap.t, tap.r, pc, pb),
@@ -114,10 +118,12 @@ def check_coincidence_values():
     both_outer = DetectionPattern({"D10": 1, "D11": 1})
     cross = DetectionPattern({"D6": 1, "D10": 1})
     both_inner = DetectionPattern({"D6": 1, "D7": 1})
-    for _ in range(20):
-        pc, pb, ps = rng.uniform(0, 2 * math.pi, 3)
-        out1 = evolve(inp, compile(fig1, {"phi_C": pc, "phi_B": pb}))
-        t1 = r1 = 1 / math.sqrt(2)
+    t1 = r1 = 1 / math.sqrt(2)
+    pcs, pbs, pss = rng.uniform(0, 2 * math.pi, (20, 3)).T
+    outs1 = _evolve_each(inp, _compile_grid(fig1, {"phi_C": pcs, "phi_B": pbs}))
+    outs2 = _evolve_each(inp, _compile_grid(
+        fig2, {"phi_C": pcs, "phi_B": pbs, "phi_S": pss}, ("BS2",)))
+    for pc, pb, ps, out1, out2 in zip(pcs, pbs, pss, outs1, outs2):
         _close(pattern_probability(out1, both_outer, fig1.detectors),
                ref.outer_coincidence(t1, pc, pb), 1e-10, "outer coincidence")
         _close(pattern_probability(out1, cross, fig1.detectors),
@@ -125,8 +131,6 @@ def check_coincidence_values():
                "cross coincidence with monitored taps")
         _close(pattern_probability(out1, both_inner, fig1.detectors),
                0.0, 1e-12, "inner coincidence (antibunching)")
-        out2 = evolve(inp, compile(
-            fig2, {"phi_C": pc, "phi_B": pb, "phi_S": ps}, ("BS2",)))
         _close(pattern_probability(out2, both_inner, fig2.detectors),
                ref.inner_coincidence_erased(r1, pc, ps), 1e-10,
                "inner coincidence with erased taps")
@@ -143,9 +147,9 @@ def check_eraser_projection():
     fig1 = preset_fig1()
     inp = one_photon_each_input(fig1)
     t1 = r1 = 1 / math.sqrt(2)
-    for _ in range(20):
-        pc, pb = rng.uniform(0, 2 * math.pi, 2)
-        out = evolve(inp, compile(fig1, {"phi_C": pc, "phi_B": pb}))
+    pcs, pbs = rng.uniform(0, 2 * math.pi, (20, 2)).T
+    outs = _evolve_each(inp, _compile_grid(fig1, {"phi_C": pcs, "phi_B": pbs}))
+    for pc, pb, out in zip(pcs, pbs, outs):
         _close(projected_probability(out, ref.eraser_projector()),
                ref.eraser_projection(t1, r1, pc, pb), 1e-10,
                "eraser projection probability")
@@ -226,20 +230,17 @@ def check_triple_coincidence():
     rng = _rng()
     fig3 = preset_fig3()
     t1 = r1 = t1p = r1p = 1 / math.sqrt(2)
-    for _ in range(20):
-        pc, pb, ps, psp = rng.uniform(0, 2 * math.pi, 4)
-        got = run_triple(fig3, ("BS2", "BS2p"),
-                         {"phi_C": pc, "phi_B": pb, "phi_S": ps,
-                          "phi_Sp": psp})
-        _close(got, ref.triple_coincidence(t1, r1, t1p, r1p, pc, pb, ps, psp),
+    draws = rng.uniform(0, 2 * math.pi, (20, 4))
+    # the 20 draws, then the crest and the node of the fringe
+    pc, pb, ps, psp = np.vstack([draws, [[math.pi / 6, 0.0, 0.0, 0.0],
+                                         [-math.pi / 6, 0.0, 0.0, 0.0]]]).T
+    *got, peak, node = run_triple(fig3, ("BS2", "BS2p"),
+                                  {"phi_C": pc, "phi_B": pb, "phi_S": ps,
+                                   "phi_Sp": psp})
+    for value, phases in zip(got, draws):
+        _close(value, ref.triple_coincidence(t1, r1, t1p, r1p, *phases),
                1e-10, "triple coincidence")
-    peak = run_triple(fig3, ("BS2", "BS2p"),
-                      {"phi_C": math.pi / 6, "phi_B": 0.0, "phi_S": 0.0,
-                       "phi_Sp": 0.0})
     _close(peak, 3 / 64, 1e-12, "triple coincidence at the crest")
-    node = run_triple(fig3, ("BS2", "BS2p"),
-                      {"phi_C": -math.pi / 6, "phi_B": 0.0, "phi_S": 0.0,
-                       "phi_Sp": 0.0})
     _close(node, 0.0, 1e-12, "triple coincidence at the node")
 
 
@@ -259,11 +260,11 @@ def check_reduced_state_blindness():
     inp = one_photon_each_input(fig1)
     t1 = r1 = 1 / math.sqrt(2)
     traced = [m for m in range(12) if m not in (10, 11)]
-    for _ in range(20):
-        pc, pb, ps = rng.uniform(0, 2 * math.pi, 3)
-        out1 = evolve(inp, compile(fig1, {"phi_C": pc, "phi_B": pb}))
-        out2 = evolve(inp, compile(
-            fig2, {"phi_C": pc, "phi_B": pb, "phi_S": ps}, ("BS2",)))
+    pcs, pbs, pss = rng.uniform(0, 2 * math.pi, (20, 3)).T
+    outs1 = _evolve_each(inp, _compile_grid(fig1, {"phi_C": pcs, "phi_B": pbs}))
+    outs2 = _evolve_each(inp, _compile_grid(
+        fig2, {"phi_C": pcs, "phi_B": pbs, "phi_S": pss}, ("BS2",)))
+    for pc, pb, out1, out2 in zip(pcs, pbs, outs1, outs2):
         rho1 = partial_trace(density_from_pure(out1), traced)
         rho2 = partial_trace(density_from_pure(out2), traced)
         _require(rho1.allclose(rho2, 1e-10),

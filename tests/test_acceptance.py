@@ -165,8 +165,9 @@ def test_criterion_06_engineered_inputs_round_trip_and_defeat_every_scan():
     for swept in c.parameters:
         fixed = {p: 0.3 for p in c.parameters if p != swept}
         phis = np.linspace(0.0, 4 * math.pi, 64, endpoint=False)
-        for harmonics in _scan_values(c, ("BS2",), state, patterns, swept,
-                                      fixed):
+        (by_pattern,) = _scan_values(c, state, swept, fixed,
+                                     [(("BS2",), patterns)])
+        for harmonics in by_pattern:
             scan = _fit_samples(swept, phis, harmonics)
             assert scan.visibility < 1e-6
 

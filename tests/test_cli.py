@@ -255,11 +255,26 @@ def test_verify_runs_all_checks(capsys):
      "--phases", "phi_C=0,phi_B=0"),                             # detector twice
     ("--preset", "fig1", "--pattern", "D10:1,D11:1",
      "--phases", "phi_C=0,phi_C=2,phi_B=0"),                     # phase twice
+    ("--preset", "fig2", "--pattern", "D6:1,D10:1", "--toggles", "BS2,BS2",
+     "--phases", "phi_C=0,phi_B=0,phi_S=0"),                     # toggle twice
+    ("--preset", "fig2", "--pattern", "D6:1,D10:1", "--sweep", "phi_B:0:1:2",
+     "--phases", "phi_C=0,phi_B=1,phi_S=0"),                     # swept and fixed
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "mzsim:" in err
+
+
+def test_a_repeated_toggle_or_a_fixed_swept_phase_is_named(capsys):
+    _, _, err = run_cli(capsys, "--preset", "fig2", "--pattern", "D6:1,D10:1",
+                        "--toggles", "BS2,BS2",
+                        "--phases", "phi_C=0,phi_B=0,phi_S=0")
+    assert "'BS2' is given twice" in err
+    _, _, err = run_cli(capsys, "--preset", "fig2", "--pattern", "D6:1,D10:1",
+                        "--sweep", "phi_B:0:1:2",
+                        "--phases", "phi_C=0,phi_B=1,phi_S=0")
+    assert "'phi_B' is both swept and fixed" in err
 
 
 @pytest.mark.parametrize("content,message", [

@@ -23,7 +23,7 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
                    permanent, phase_unitary, swap_unitary,
                    transition_amplitude, vacuum)
 from mzsim.fock import PRUNE_THRESHOLD
-from mzsim.optics import _evolve_grid
+from mzsim.optics import _evolve_each, _evolve_grid
 from strategies import random_unitary, superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -242,6 +242,51 @@ def test_the_grid_drops_a_ket_only_when_every_phase_prunes_it():
     kets, amplitudes = _evolve_grid(state, np.stack(dim), prune=1e-10)
     assert kets.tolist() == [[1, 0]]
     assert amplitudes.shape == (2, 1)
+
+
+def test_each_slice_is_pruned_on_its_own():
+    # the faint reflected ket survives the stack (bright at the second
+    # matrix) but not its own slice, exactly as evolve drops it
+    state = basis_state((1, 0))
+    faint = bs_unitary(BeamSplitterCoeffs.from_angle(1e-15), 0, 1, 2)
+    bright = bs_unitary(BeamSplitterCoeffs.from_angle(0.5), 0, 1, 2)
+    dim, lit = _evolve_each(state, np.stack([faint, bright]))
+    assert dim == evolve(state, faint) and len(dim) == 1
+    assert lit == evolve(state, bright) and len(lit) == 2
+
+
+@st.composite
+def unitary_stacks(draw):
+    """A state and a stack of random unitaries and phased permutations.
+
+    A permutation sends each ket to a single ket, so its slice keeps far
+    fewer kets than a random unitary's.
+    """
+    m = draw(st.integers(2, 4))
+    state = draw(superpositions(m, draw(st.integers(1, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    stack = []
+    for kind in draw(st.lists(st.sampled_from(("random", "permutation")),
+                              min_size=1, max_size=4)):
+        if kind == "random":
+            stack.append(random_unitary(rng, m))
+        else:
+            phases = np.exp(1j * rng.uniform(0, 2 * math.pi, m))
+            stack.append(np.eye(m)[rng.permutation(m)] * phases)
+    return state, np.stack(stack)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unitary_stacks())
+def test_each_slice_of_a_stack_equals_evolve(case):
+    state, stack = case
+    outs = _evolve_each(state, stack)
+    assert len(outs) == len(stack)
+    for out, u in zip(outs, stack):
+        want = evolve(state, u)
+        assert out.occupations() == want.occupations()
+        assert np.max(np.abs(out.amplitude_array - want.amplitude_array)) < 1e-13
+        assert out.mode_count == want.mode_count
 
 
 def test_the_grid_checks_every_matrix_of_its_stack():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzsim import (BALANCED, CircuitError, DegenerateStateError,
+from mzsim import (BALANCED, Circuit, CircuitError, DegenerateStateError,
                    DetectionPattern, DimensionMismatchError, FockState,
                    FringeScan,
                    UnclassifiableScanError, basis_state, bs_unitary,
@@ -191,6 +191,56 @@ def test_a_scan_evolves_once_per_harmonic(monkeypatch):
     assert len(scan.samples) == 256
 
 
+def test_classify_table1_evolves_its_input_once(monkeypatch):
+    # three configurations over two distinct toggle sets: one compile per
+    # set, and one batched evolve over both stacks
+    compiled, stacks = [], []
+
+    def counting_compile_grid(circuit, phases, toggles=()):
+        compiled.append((frozenset(toggles), len(phases["phi_B"])))
+        return _compile_grid(circuit, phases, toggles)
+
+    def counting_evolve_grid(state, unitaries, *args, **kwargs):
+        stacks.append(np.shape(unitaries))
+        return _evolve_grid(state, unitaries, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "_compile_grid", counting_compile_grid)
+    monkeypatch.setattr(scenarios, "_evolve_grid", counting_evolve_grid)
+    reports = classify_table1(3)
+    toggles = {frozenset(r.toggles) for r in reports}
+    assert len(toggles) == 2
+    assert len(compiled) == 2 and {t for t, _ in compiled} == toggles
+    assert stacks == [(sum(k for _, k in compiled), 18, 18)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stacked_scans_match_one_scan_per_toggle_set(data):
+    # enabling the toggled delay adds one crossing, so the two toggle sets
+    # have different K; the set () is passed twice and evolved once
+    circuit, _ = data.draw(swept_circuits())
+    first_phi = next(e.name for e in circuit.elements if e.param == "phi")
+    circuit = Circuit(circuit.mode_count, circuit.elements, circuit.detectors,
+                      frozenset([first_phi]))
+    m = circuit.mode_count
+    photons = data.draw(st.integers(1, 3))
+    state = data.draw(superpositions(m, photons))
+    projector = data.draw(superpositions(m, photons))
+    listed = data.draw(occupations(m, photons))
+    pattern = DetectionPattern({f"D{k}": c for k, c in enumerate(listed) if c})
+    fixed = {"psi": data.draw(st.floats(0, 2 * math.pi))}
+    scans = [((), [pattern]), ((first_phi,), [projector, pattern]),
+             ((), [projector])]
+    stacked = _scan_values(circuit, state, "phi", fixed, scans)
+    assert [len(got) for got in stacked] == [1, 2, 1]
+    for scan, got in zip(scans, stacked):
+        (alone,) = _scan_values(circuit, state, "phi", fixed, [scan])
+        for g, want in zip(got, alone):
+            assert g.shape == want.shape
+            assert np.max(np.abs(g - want)) < 1e-12
+    assert len(stacked[0][0]) != len(stacked[1][0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_engine_samples_match_per_phase_evolution(data):
@@ -207,8 +257,8 @@ def test_engine_samples_match_per_phase_evolution(data):
     phis = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=1,
                                        max_size=4)))
 
-    by_pattern, by_projector = _scan_values(
-        circuit, enabled, state, [pattern, projector], "phi", {"psi": psi})
+    ((by_pattern, by_projector),) = _scan_values(
+        circuit, state, "phi", {"psi": psi}, [(enabled, [pattern, projector])])
     got_pattern = _probabilities(by_pattern, phis)
     got_projector = _probabilities(by_projector, phis)
     for phi, p, q in zip(phis, got_pattern, got_projector):
@@ -270,6 +320,21 @@ def test_one_photon_each_input():
     occ = [0] * 18
     occ[0] = occ[1] = 1
     assert state[tuple(occ)] == 1.0
+
+
+def test_triple_coincidence_over_arrays_matches_one_call_per_phase_set():
+    rng = np.random.default_rng(71)
+    c = preset("fig3")
+    toggles = ("BS2", "BS2p")
+    phases = {p: rng.uniform(0, 2 * math.pi, 5) for p in c.parameters}
+    phases["phi_Sp"] = 0.4                      # a float mixes with arrays
+    got = run_triple(c, toggles, phases)
+    assert got.shape == (5,)
+    for k, value in enumerate(got):
+        one = run_triple(c, toggles, {p: v if np.ndim(v) == 0 else float(v[k])
+                                      for p, v in phases.items()})
+        assert isinstance(one, float)
+        assert abs(value - one) < 1e-14
 
 
 def test_triple_coincidence_at_the_crest():
