@@ -25,8 +25,7 @@ import math
 import numpy as np
 
 from mzsim import (DetectionPattern, FockState, compile, delayed_choice_variant,
-                   one_photon_each_input, preset, run_projection_scan,
-                   run_scan)
+                   one_photon_each_input, preset, run_scan)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -47,8 +46,8 @@ def main():
 
     direct = run_scan(fig1, (), state, DetectionPattern({"D10": 1, "D11": 1}),
                       "phi_B", {"phi_C": 0.0}, n_samples=128)
-    projected = run_projection_scan(fig1, (), state, eraser_projector(),
-                                    "phi_B", {"phi_C": 0.0}, n_samples=128)
+    projected = run_scan(fig1, (), state, eraser_projector(),
+                         "phi_B", {"phi_C": 0.0}, n_samples=128)
     print("fig1, sweeping phi_B:")
     print(f"  direct D10 & D11 fringes:   frequency {direct.spatial_frequency}"
           f"  visibility {direct.visibility:.4f}")

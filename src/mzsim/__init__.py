@@ -25,8 +25,7 @@ from .optics import (BALANCED, BeamSplitterCoeffs, bs_unitary, evolve,
                      transition_amplitude)
 from .scenarios import (FringeScan, ScenarioReport, classify_table1,
                         delayed_choice_variant, engineered_input, noon_target,
-                        one_photon_each_input, run_projection_scan, run_scan,
-                        run_triple)
+                        one_photon_each_input, run_scan, run_triple)
 
 __version__ = "0.1.0"
 
@@ -45,6 +44,6 @@ __all__ = [
     "noon_target", "one_photon_each_input", "parse_circuit",
     "partial_trace", "pattern_probability", "permanent", "phase_unitary",
     "preset", "preset_fig1", "preset_fig2", "preset_fig3",
-    "projected_probability", "run_projection_scan", "run_scan", "run_triple",
+    "projected_probability", "run_scan", "run_triple",
     "serialize", "swap_unitary", "transition_amplitude", "vacuum",
 ]

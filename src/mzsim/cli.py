@@ -63,10 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="built-in circuit to run")
     source.add_argument("--circuit", metavar="FILE",
                         help="path to a .mzc circuit file")
-    parser.add_argument("--input", default="one-one", metavar="SPEC",
+    # run options default to None so that --verify can tell which were given
+    parser.add_argument("--input", metavar="SPEC",
                         help="one-one | engineered-noon:N | path to a state "
                              "JSON file (default: one-one)")
-    parser.add_argument("--toggles", default="", metavar="A,B",
+    parser.add_argument("--toggles", metavar="A,B",
                         help="comma-separated toggleable elements to enable")
     parser.add_argument("--pattern", metavar="D10:1,D11:1",
                         help="required detector counts")
@@ -74,12 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="leave unlisted detectors unconstrained")
     parser.add_argument("--sweep", metavar="PARAM:START:END:N",
                         help="sweep one phase over [START, END), N samples")
-    parser.add_argument("--phases", default="", metavar="P=V,...",
+    parser.add_argument("--phases", metavar="P=V,...",
                         help="fixed phase values in radians")
-    parser.add_argument("--format", dest="output_format", default="csv",
-                        choices=("csv", "json"), help="output format")
+    parser.add_argument("--format", choices=("csv", "json"),
+                        help="output format (default: csv)")
     parser.add_argument("--verify", action="store_true",
-                        help="run the built-in golden-check suite and exit")
+                        help="run the built-in golden-check suite and exit; "
+                             "takes no other option")
     return parser
 
 
@@ -188,7 +190,8 @@ def _load_circuit(args) -> tuple[Circuit, str]:
 
 def _resolve(args) -> RunConfig:
     circuit, source = _load_circuit(args)
-    toggles = tuple(filter(None, (s.strip() for s in args.toggles.split(","))))
+    toggles = tuple(filter(None, (s.strip()
+                                  for s in (args.toggles or "").split(","))))
     repeated = [t for i, t in enumerate(toggles) if t in toggles[:i]]
     if repeated:
         raise _UsageError(f"toggle {repeated[0]!r} is given twice")
@@ -199,7 +202,7 @@ def _resolve(args) -> RunConfig:
     if not args.pattern:
         raise _UsageError("--pattern is required unless --verify is given")
     pattern = _parse_pattern(args.pattern, not args.non_exclusive, circuit)
-    phases = _parse_phases(args.phases)
+    phases = _parse_phases(args.phases or "")
     sweep = _parse_sweep(args.sweep, circuit) if args.sweep else None
     unknown = set(phases) - set(circuit.parameters)
     if unknown:
@@ -213,9 +216,9 @@ def _resolve(args) -> RunConfig:
     if needed:
         raise _UsageError("missing phase values for " + ", ".join(sorted(needed)))
     return RunConfig(circuit=circuit, source=source,
-                     input_state=_load_input(args.input, circuit),
+                     input_state=_load_input(args.input or "one-one", circuit),
                      toggles=toggles, pattern=pattern, phases=phases,
-                     sweep=sweep, output_format=args.output_format)
+                     sweep=sweep, output_format=args.format or "csv")
 
 
 def _probability(config: RunConfig, phases: dict[str, float]) -> float:
@@ -286,6 +289,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     out = sys.stdout
     if args.verify:
+        given = ["--" + name.replace("_", "-")
+                 for name, value in vars(args).items()
+                 if name != "verify" and value not in (None, False)]
+        if given:
+            print(f"mzsim: --verify takes no other option, got "
+                  f"{' '.join(given)}", file=sys.stderr)
+            return 2
         return _run_verify(out)
     try:
         config = _resolve(args)

@@ -51,6 +51,9 @@ COEFF_TOL = 1e-6
 #: photon.
 MAX_PHOTONS = 20
 
+#: Entries of a unitary row at or below this magnitude are not expanded.
+ROW_CUTOFF = 1e-13
+
 _FACT = np.array([math.factorial(k) for k in range(MAX_PHOTONS + 1)],
                  dtype=float)
 _SQRT_FACT = np.sqrt(_FACT)
@@ -181,48 +184,40 @@ def _row_coefficients(rows: np.ndarray, cols: np.ndarray,
     return weights * np.prod(powers.reshape(len(rows), -1)[:, picks], axis=2)
 
 
-def evolve(state: FockState, unitary: np.ndarray, *,
-           prune: float = PRUNE_THRESHOLD, check_unitary: bool = True,
-           row_cutoff: float = 1e-13) -> FockState:
+def evolve(state: FockState, unitary: np.ndarray) -> FockState:
     """Apply a mode unitary to a Fock state.
 
     Each ket's creation-operator product is substituted row-wise and expanded
     with multinomial coefficients; equal output kets are then merged on their
-    byte keys.  Entries of a row smaller than ``row_cutoff`` are treated as
-    exact zeros; they could only shift output amplitudes by ~N * row_cutoff,
-    far below the working tolerances.  A matrix with a NaN or infinite entry
-    is rejected even when ``check_unitary`` is off.  This is the one-matrix
-    case of :func:`_evolve_each`.
+    byte keys.  Entries of a row at or below ``ROW_CUTOFF`` are treated as
+    exact zeros; they could only shift output amplitudes by ~N * ROW_CUTOFF,
+    far below the working tolerances.  A matrix with a NaN or infinite entry,
+    or one that is not unitary within 1e-8, is rejected.  This is the
+    one-matrix case of :func:`_evolve_each`.
     """
     u = np.asarray(unitary, dtype=complex)
     m = state.mode_count
     if u.shape != (m, m):
         raise DimensionMismatchError(
             f"unitary is {u.shape}, state has {m} modes")
-    (out,) = _evolve_each(state, u[None], prune=prune,
-                          check_unitary=check_unitary, row_cutoff=row_cutoff)
+    (out,) = _evolve_each(state, u[None])
     return out
 
 
-def _evolve_each(state: FockState, unitaries: np.ndarray, *,
-                 prune: float = PRUNE_THRESHOLD, check_unitary: bool = True,
-                 row_cutoff: float = 1e-13) -> list[FockState]:
+def _evolve_each(state: FockState, unitaries: np.ndarray) -> list[FockState]:
     """The state evolved by each matrix of a (K x M x M) stack, as K states.
 
     One :func:`_evolve_grid` expansion serves the whole stack; each slice
-    then drops its own kets at or below ``prune``, so state k holds the kets
-    ``evolve(state, unitaries[k])`` keeps.
+    then drops its own kets at or below ``PRUNE_THRESHOLD``, so state k holds
+    the kets ``evolve(state, unitaries[k])`` keeps.
     """
-    occupations, amplitudes = _evolve_grid(
-        state, unitaries, prune, check_unitary=check_unitary,
-        row_cutoff=row_cutoff)
-    return [_trusted_state(occupations, row, state.mode_count, prune=prune)
+    occupations, amplitudes = _evolve_grid(state, unitaries)
+    return [_trusted_state(occupations, row, state.mode_count)
             for row in amplitudes]
 
 
-def _evolve_grid(state: FockState, unitaries: np.ndarray,
-                 prune: float = PRUNE_THRESHOLD, *, check_unitary: bool = True,
-                 row_cutoff: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
+def _evolve_grid(state: FockState,
+                 unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
 
     Every input ket is expanded once, over the columns that some matrix of
@@ -233,8 +228,8 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
     block is alive at a time.  Returns the output occupations, unique and in
     lexicographic order, and a (K x kets) amplitude block whose row k is the
     state evolved by ``unitaries[k]``.  A ket is dropped only when it is at
-    or below ``prune`` at every k.  Every matrix of the stack gets the
-    checks :func:`evolve` makes.
+    or below ``PRUNE_THRESHOLD`` at every k.  Every matrix of the stack gets
+    the checks :func:`evolve` makes.
     """
     u = np.asarray(unitaries, dtype=complex)
     m = state.mode_count
@@ -243,8 +238,7 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
             f"unitary stack is {u.shape}, state has {m} modes")
     if not np.isfinite(u).all():
         raise NonUnitaryError("matrix has a NaN or infinite entry")
-    if check_unitary and np.max(np.abs(
-            u @ u.conj().transpose(0, 2, 1) - np.eye(m))) > 1e-8:
+    if np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(m))) > 1e-8:
         raise NonUnitaryError("matrix is not unitary within 1e-8")
     if state.total_photons > MAX_PHOTONS:
         raise PhotonCountError(
@@ -253,7 +247,7 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
 
     k = len(u)
     # the columns of each row that some matrix of the stack needs
-    needed = (np.abs(u) > row_cutoff).any(axis=0)
+    needed = (np.abs(u) > ROW_CUTOFF).any(axis=0)
 
     # pass one: the occupations of every ket's terms, merged below with one
     # sort of their byte keys; no amplitude is built yet
@@ -304,7 +298,7 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
         raise NonFiniteAmplitudeError(
             f"amplitude {amplitudes[step, bad]} at "
             f"{tuple(occupations[bad].tolist())} is not finite")
-    keep = (np.abs(amplitudes) > prune).any(axis=0)
+    keep = (np.abs(amplitudes) > PRUNE_THRESHOLD).any(axis=0)
     if not keep.all():
         occupations, amplitudes = occupations[keep], amplitudes[:, keep]
     return occupations, amplitudes

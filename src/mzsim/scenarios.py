@@ -206,21 +206,16 @@ def _scan_phases(n_samples: int) -> np.ndarray:
 
 
 def run_scan(circuit: Circuit, toggles, input_state: FockState,
-             pattern: DetectionPattern, swept: str, fixed,
+             pattern: DetectionPattern | FockState, swept: str, fixed,
              n_samples: int = 256) -> FringeScan:
-    """Scan one delay, read the pattern probability, fit the fringe."""
+    """Scan one delay, read the pattern probability, fit the fringe.
+
+    ``pattern`` may also be a projector state, read as |<projector|psi>|^2.
+    """
     phis = _scan_phases(n_samples)
     ((harmonics,),) = _scan_values(circuit, input_state, swept, fixed,
                                    [(toggles, [pattern])])
     return _fit_samples(swept, phis, harmonics)
-
-
-def run_projection_scan(circuit: Circuit, toggles, input_state: FockState,
-                        projector: FockState, swept: str, fixed,
-                        n_samples: int = 256) -> FringeScan:
-    """Like run_scan but against |<projector|psi>|^2 for a superposition."""
-    return run_scan(circuit, toggles, input_state, projector, swept, fixed,
-                    n_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,36 +1,51 @@
-"""Built-in verification suite.
+"""Built-in verification suite: the one copy of the golden checks.
 
 Each check recomputes a closed-form result through the full pipeline
 (compile, evolve, measure) and compares against the independent expressions
-in :mod:`mzsim.reference`.  A check that draws random phases for a fixed
-circuit compiles all of its draws in one batched pass and evolves its input
-through them in one expansion, then asserts draw by draw.  The command line
-exposes this through ``mzsim --verify``; tests reuse individual checks as
-well.
+in :mod:`mzsim.reference`; no other code in the repository makes those
+comparisons.  ``mzsim --verify`` runs :data:`CHECKS` at the fixed seed
+``_SEED``, and the tier-1 tests run every check under that seed and two
+others, so the random taps and phases are drawn three times over.
+
+The five checks on randomly tapped layouts read one shared draw: 20 random
+taps with random phases, each built and compiled once as the monitored and
+the erased layout, and each layout family evolved in one batched expansion.
+The draw is memoised by seed and rebuilt by every :func:`run_all`.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
+from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
 from . import reference as ref
-from .circuit import (PRESET_NAMES, _compile_grid, compile, load_preset_file,
-                      parse_circuit, preset, preset_fig1, preset_fig2,
-                      preset_fig3, serialize)
-from .fock import basis_state, embed
+from .circuit import (PRESET_NAMES, compile, load_preset_file, parse_circuit,
+                      preset, preset_fig1, preset_fig2, preset_fig3,
+                      serialize)
+from .fock import FockState, basis_state, embed
 from .measurement import (DetectionPattern, coincidence_from_density,
                           density_from_pure, mean_photon_number, partial_trace,
                           pattern_probability, projected_probability,
                           DensityMatrix)
 from .optics import (BALANCED, BeamSplitterCoeffs, _evolve_each, bs_unitary,
                      evolve, is_unitary, transition_amplitude)
-from .scenarios import (classify_table1, engineered_input, noon_target,
-                        one_photon_each_input, run_projection_scan, run_scan,
+from .scenarios import (MIN_SCAN_SAMPLES, _fit_samples, _scan_phases,
+                        _scan_values, classify_table1, engineered_input,
+                        noon_target, one_photon_each_input, run_scan,
                         run_triple)
 
 _SEED = 20260823
+
+#: Random taps (with their phases) in the shared draw.
+_TAP_DRAWS = 20
+
+#: A flat scan leaves at most this rms in its harmonics.
+_FLAT_RESIDUAL = 1e-10
 
 
 def _rng():
@@ -52,6 +67,69 @@ def _close(a, b, tol, what: str):
     _require(err <= tol, f"{what}: |{a} - {b}| = {err:.3e} > {tol:g}")
 
 
+def _require_flat(scan, max_visibility: float, what: str):
+    """Flat to 1e-10 rms.  A fit reports visibility 0 whenever no harmonic
+    exceeds ``RESIDUAL_LIMIT`` (1e-6 rms); its residual bounds them all."""
+    _require(scan.visibility < max_visibility
+             and scan.residual < _FLAT_RESIDUAL,
+             f"{what} should be flat, got vis={scan.visibility:.2e} "
+             f"residual={scan.residual:.2e}")
+
+
+class _Draw(NamedTuple):
+    """One random tap and phase set through the monitored (1) and erased (2)
+    layouts: compiled unitaries and the output of one photon per input."""
+
+    tap: BeamSplitterCoeffs
+    phi_c: float
+    phi_b: float
+    phi_s: float
+    u1: np.ndarray
+    u2: np.ndarray
+    out1: FockState
+    out2: FockState
+
+
+def _draw_taps(rng) -> list[_Draw]:
+    """Draw the taps and phases, build and compile both layouts per draw,
+    and evolve each layout family in one expansion over its stack."""
+    params, u1, u2 = [], [], []
+    for _ in range(_TAP_DRAWS):
+        tap = _random_tap(rng)
+        pc, pb, ps = rng.uniform(0, 2 * math.pi, 3)
+        params.append((tap, pc, pb, ps))
+        u1.append(compile(preset_fig1(tap=tap), {"phi_C": pc, "phi_B": pb}))
+        u2.append(compile(preset_fig2(tap=tap),
+                          {"phi_C": pc, "phi_B": pb, "phi_S": ps}, ("BS2",)))
+    inp = embed(basis_state((1, 1)), 12, (0, 1))
+    u1, u2 = np.stack(u1), np.stack(u2)
+    return [_Draw(*p, *rest) for p, *rest in zip(
+        params, u1, u2, _evolve_each(inp, u1), _evolve_each(inp, u2))]
+
+
+_MEMO: dict[int, list[_Draw]] = {}
+
+
+def _tapped_draws() -> list[_Draw]:
+    """The shared draw of the current seed, built on first use."""
+    if _SEED not in _MEMO:
+        _MEMO[_SEED] = _draw_taps(_rng())
+    return _MEMO[_SEED]
+
+
+def expected_classification(scenario: str) -> str:
+    """What the scenario table predicts for ``photons-n/<config>/order-k``.
+
+    Only the full-order coincidence (k = n) shows fringes, and only while the
+    innermost stage erases its marks.
+    """
+    photons, config, order = scenario.split("/")
+    full = order.removeprefix("order-") == photons.removeprefix("photons-")
+    if full and config != "innermost-distinguishing":
+        return "fringes"
+    return "flat"
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -64,23 +142,17 @@ def check_bunching_at_balanced_splitter():
 
 
 def check_row_coefficients():
-    rng = _rng()
-    for _ in range(20):
-        tap = _random_tap(rng)
-        pc, pb, ps = rng.uniform(0, 2 * math.pi, 3)
-        u1 = compile(preset_fig1(tap=tap), {"phi_C": pc, "phi_B": pb})
-        r0, r1 = ref.rows_monitored_taps(tap.t, tap.r, pc, pb)
-        for row, expected in ((0, r0), (1, r1)):
-            for mode, coeff in expected.items():
-                _close(u1[row, mode], coeff, 1e-12,
-                       f"monitored row {row} -> mode {mode}")
-        u2 = compile(preset_fig2(tap=tap),
-                     {"phi_C": pc, "phi_B": pb, "phi_S": ps}, ("BS2",))
-        r0, r1 = ref.rows_erased_taps(tap.t, tap.r, pc, pb, ps)
-        for row, expected in ((0, r0), (1, r1)):
-            for mode, coeff in expected.items():
-                _close(u2[row, mode], coeff, 1e-12,
-                       f"erased row {row} -> mode {mode}")
+    for d in _tapped_draws():
+        t, r = d.tap.t, d.tap.r
+        for layout, u, rows in (
+                ("monitored", d.u1,
+                 ref.rows_monitored_taps(t, r, d.phi_c, d.phi_b)),
+                ("erased", d.u2,
+                 ref.rows_erased_taps(t, r, d.phi_c, d.phi_b, d.phi_s))):
+            for row, expected in enumerate(rows):
+                for mode, coeff in expected.items():
+                    _close(u[row, mode], coeff, 1e-12,
+                           f"{layout} row {row} -> mode {mode}")
 
 
 def check_toggle_removal_equivalence():
@@ -95,64 +167,52 @@ def check_toggle_removal_equivalence():
 
 
 def check_pair_output_states():
-    rng = _rng()
-    inp = embed(basis_state((1, 1)), 12, (0, 1))
-    for _ in range(20):
-        tap = _random_tap(rng)
-        pc, pb, ps = rng.uniform(0, 2 * math.pi, 3)
-        out1 = evolve(inp, compile(preset_fig1(tap=tap),
-                                   {"phi_C": pc, "phi_B": pb}))
-        _require(out1.allclose(ref.pair_output_monitored(tap.t, tap.r, pc, pb),
-                               1e-10), "monitored-tap pair state mismatch")
-        out2 = evolve(inp, compile(preset_fig2(tap=tap),
-                                   {"phi_C": pc, "phi_B": pb, "phi_S": ps},
-                                   ("BS2",)))
-        _require(out2.allclose(ref.pair_output_erased(tap.t, tap.r, pc, pb, ps),
-                               1e-10), "erased-tap pair state mismatch")
+    for d in _tapped_draws():
+        t, r = d.tap.t, d.tap.r
+        _require(d.out1.allclose(
+                     ref.pair_output_monitored(t, r, d.phi_c, d.phi_b), 1e-10),
+                 "monitored-tap pair state mismatch")
+        _require(d.out2.allclose(
+                     ref.pair_output_erased(t, r, d.phi_c, d.phi_b, d.phi_s),
+                     1e-10),
+                 "erased-tap pair state mismatch")
 
 
 def check_coincidence_values():
-    rng = _rng()
-    fig1, fig2 = preset_fig1(), preset_fig2()
-    inp = one_photon_each_input(fig1)
+    fig1 = preset_fig1()
+    detectors = fig1.detectors
     both_outer = DetectionPattern({"D10": 1, "D11": 1})
     cross = DetectionPattern({"D6": 1, "D10": 1})
     both_inner = DetectionPattern({"D6": 1, "D7": 1})
-    t1 = r1 = 1 / math.sqrt(2)
-    pcs, pbs, pss = rng.uniform(0, 2 * math.pi, (20, 3)).T
-    outs1 = _evolve_each(inp, _compile_grid(fig1, {"phi_C": pcs, "phi_B": pbs}))
-    outs2 = _evolve_each(inp, _compile_grid(
-        fig2, {"phi_C": pcs, "phi_B": pbs, "phi_S": pss}, ("BS2",)))
-    for pc, pb, ps, out1, out2 in zip(pcs, pbs, pss, outs1, outs2):
-        _close(pattern_probability(out1, both_outer, fig1.detectors),
-               ref.outer_coincidence(t1, pc, pb), 1e-10, "outer coincidence")
-        _close(pattern_probability(out1, cross, fig1.detectors),
-               ref.cross_coincidence_monitored(t1, r1), 1e-10,
+    for d in _tapped_draws():
+        t, r, pc, pb, ps = d.tap.t, d.tap.r, d.phi_c, d.phi_b, d.phi_s
+        _close(pattern_probability(d.out1, both_outer, detectors),
+               ref.outer_coincidence(t, pc, pb), 1e-10, "outer coincidence")
+        _close(pattern_probability(d.out1, cross, detectors),
+               ref.cross_coincidence_monitored(t, r), 1e-10,
                "cross coincidence with monitored taps")
-        _close(pattern_probability(out1, both_inner, fig1.detectors),
+        _close(pattern_probability(d.out1, both_inner, detectors),
                0.0, 1e-12, "inner coincidence (antibunching)")
-        _close(pattern_probability(out2, both_inner, fig2.detectors),
-               ref.inner_coincidence_erased(r1, pc, ps), 1e-10,
+        _close(pattern_probability(d.out2, both_inner, detectors),
+               ref.inner_coincidence_erased(r, pc, ps), 1e-10,
                "inner coincidence with erased taps")
-        _close(pattern_probability(out2, cross, fig2.detectors),
-               ref.cross_coincidence_erased(t1, r1, pc, pb, ps), 1e-10,
+        _close(pattern_probability(d.out2, cross, detectors),
+               ref.cross_coincidence_erased(t, r, pc, pb, ps), 1e-10,
                "cross coincidence with erased taps")
-    out1 = evolve(inp, compile(fig1, {"phi_C": 0.7, "phi_B": 0.7}))
-    _close(pattern_probability(out1, both_outer, fig1.detectors), 0.25,
-           1e-12, "outer coincidence at zero arm imbalance")
+    out = evolve(one_photon_each_input(fig1),
+                 compile(fig1, {"phi_C": 0.7, "phi_B": 0.7}))
+    _close(pattern_probability(out, both_outer, detectors), 0.25, 1e-12,
+           "outer coincidence at zero arm imbalance")
+    _close(pattern_probability(out, cross, detectors), 0.125, 1e-12,
+           "cross coincidence with balanced monitored taps")
 
 
 def check_eraser_projection():
-    rng = _rng()
-    fig1 = preset_fig1()
-    inp = one_photon_each_input(fig1)
-    t1 = r1 = 1 / math.sqrt(2)
-    pcs, pbs = rng.uniform(0, 2 * math.pi, (20, 2)).T
-    outs = _evolve_each(inp, _compile_grid(fig1, {"phi_C": pcs, "phi_B": pbs}))
-    for pc, pb, out in zip(pcs, pbs, outs):
-        _close(projected_probability(out, ref.eraser_projector()),
-               ref.eraser_projection(t1, r1, pc, pb), 1e-10,
-               "eraser projection probability")
+    projector = ref.eraser_projector()
+    for d in _tapped_draws():
+        _close(projected_probability(d.out1, projector),
+               ref.eraser_projection(d.tap.t, d.tap.r, d.phi_c, d.phi_b),
+               1e-10, "eraser projection probability")
 
 
 def check_frequency_halving():
@@ -163,34 +223,47 @@ def check_frequency_halving():
     _require(outer.spatial_frequency == 2.0 and outer.visibility > 0.999,
              f"outer coincidence should fit f=2, vis 1, got "
              f"f={outer.spatial_frequency} vis={outer.visibility:.4f}")
+    _close(outer.mean, 0.125, 1e-10, "outer coincidence mean")
     erased = run_scan(fig2, ("BS2",), inp, DetectionPattern({"D6": 1, "D10": 1}),
                       "phi_B", {"phi_C": 0.4, "phi_S": 0.2}, 128)
     _require(erased.spatial_frequency == 1.0 and erased.visibility > 0.999,
              f"erased cross coincidence should fit f=1, got "
              f"f={erased.spatial_frequency} vis={erased.visibility:.4f}")
-    projected = run_projection_scan(fig1, (), inp, ref.eraser_projector(),
-                                    "phi_B", {"phi_C": 0.4}, 128)
+    projected = run_scan(fig1, (), inp, ref.eraser_projector(),
+                         "phi_B", {"phi_C": 0.4}, 128)
     _require(projected.spatial_frequency == 1.0 and projected.visibility > 0.999,
              "projection-based erasure should halve the fitted frequency")
+    _close(projected.mean, 0.125, 1e-10, "eraser projection mean")
 
 
 def check_common_delay_sees_both_photons():
+    pb, ps = _rng().uniform(0, 2 * math.pi, 2)
     fig2 = preset_fig2()
     scan = run_scan(fig2, ("BS2",), one_photon_each_input(fig2),
                     DetectionPattern({"D6": 1, "D10": 1}),
-                    "phi_C", {"phi_B": 0.0, "phi_S": 0.0}, 128)
+                    "phi_C", {"phi_B": pb, "phi_S": ps}, 128)
     _require(scan.spatial_frequency == 2.0 and scan.visibility > 0.999,
              "common-arm delay must fit f=2: both photons cross it")
+    # the fringe goes as 1 + cos(2 phi_C - phi_B - phi_S)
+    _close(cmath.exp(1j * scan.phase_offset), cmath.exp(-1j * (pb + ps)),
+           1e-9, "common-delay fringe phase")
 
 
 def check_monitored_cross_is_flat():
-    fig1 = preset_fig1()
-    scan = run_scan(fig1, (), one_photon_each_input(fig1),
-                    DetectionPattern({"D6": 1, "D10": 1}),
-                    "phi_B", {"phi_C": 0.9}, 128)
-    _require(scan.visibility < 1e-10 and abs(scan.mean - 0.125) < 1e-10,
-             f"monitored cross coincidence should be flat at 1/8, got "
-             f"vis={scan.visibility:.2e} mean={scan.mean:.6f}")
+    rng = _rng()
+    tap = _random_tap(rng)
+    pc = rng.uniform(0, 2 * math.pi)
+    cross = DetectionPattern({"D6": 1, "D10": 1})
+    for circuit, fixed, expected in (
+            (preset_fig1(), {"phi_C": 0.9}, 0.125),
+            (preset_fig1(tap=tap), {"phi_C": pc},
+             ref.cross_coincidence_monitored(tap.t, tap.r))):
+        scan = run_scan(circuit, (), one_photon_each_input(circuit), cross,
+                        "phi_B", fixed, 256)
+        _require_flat(scan, 1e-10, "monitored cross coincidence")
+        _close(scan.mean, expected, 1e-10, "monitored cross coincidence mean")
+        worst = max(abs(value - expected) for _, value in scan.samples)
+        _close(worst, 0.0, 1e-10, "monitored cross coincidence sample")
 
 
 def check_engineered_pair():
@@ -201,20 +274,23 @@ def check_engineered_pair():
     _require(forward.allclose(basis_state((2, 0)), 1e-12),
              "engineered pair must exit entirely on the upper arm")
     fig2 = preset_fig2()
-    out = evolve(embed(eng, 12, (0, 1)),
-                 compile(fig2, {"phi_C": 0.0, "phi_B": 0.0, "phi_S": 0.0},
-                         ("BS2",)))
+    state = embed(eng, 12, (0, 1))
+    out = evolve(state, compile(fig2, {p: 0.0 for p in fig2.parameters},
+                                ("BS2",)))
     _require(out.allclose(ref.engineered_pair_output(BALANCED.t, BALANCED.r),
-                          1e-10),
+                          1e-12),
              "engineered pair output amplitudes")
-    for swept, fixed in (("phi_B", {"phi_C": 0.3, "phi_S": 0.1}),
-                         ("phi_C", {"phi_B": 0.3, "phi_S": 0.1}),
-                         ("phi_S", {"phi_B": 0.3, "phi_C": 0.1})):
-        scan = run_scan(fig2, ("BS2",), embed(eng, 12, (0, 1)),
-                        DetectionPattern({"D6": 1, "D10": 1}), swept, fixed, 96)
-        _require(scan.visibility < 1e-6,
-                 f"engineered pair scans must stay flat, {swept} gave "
-                 f"vis={scan.visibility:.2e}")
+    patterns = [DetectionPattern(Counter(pair)) for pair in
+                itertools.combinations_with_replacement(fig2.detectors, 2)]
+    phis = _scan_phases(MIN_SCAN_SAMPLES)
+    for swept in fig2.parameters:
+        fixed = {p: 0.3 for p in fig2.parameters if p != swept}
+        (by_pattern,) = _scan_values(fig2, state, swept, fixed,
+                                     [(("BS2",), patterns)])
+        for pattern, harmonics in zip(patterns, by_pattern):
+            _require_flat(_fit_samples(swept, phis, harmonics), 1e-6,
+                          f"engineered pair {pattern.describe()} against "
+                          f"{swept}")
 
 
 def check_engineered_noon3():
@@ -222,7 +298,7 @@ def check_engineered_noon3():
     _require(eng.allclose(ref.engineered_noon3_input(), 1e-12),
              "engineered three-photon input amplitudes")
     forward = evolve(eng, bs_unitary(BALANCED, 0, 1, 2))
-    _require(forward.allclose(noon_target(3), 1e-12),
+    _require(forward.allclose(ref.noon3_target(), 1e-12),
              "three-photon input must become the all-or-nothing superposition")
 
 
@@ -247,41 +323,37 @@ def check_triple_coincidence():
 def check_triple_needs_both_erasers():
     fig3 = preset_fig3()
     state = embed(engineered_input(noon_target(3)), fig3.mode_count, (0, 1))
-    scan = run_scan(fig3, ("BS2",), state,
-                    DetectionPattern({"D6p": 1, "D6": 1, "D10": 1}),
-                    "phi_C", {"phi_B": 0.0, "phi_S": 0.0, "phi_Sp": 0.0}, 96)
-    _require(scan.visibility < 1e-10,
-             "with the outermost eraser removed the triple count must be flat")
+    pattern = DetectionPattern({"D6p": 1, "D6": 1, "D10": 1})
+    for swept in fig3.parameters:
+        fixed = {p: 0.0 for p in fig3.parameters if p != swept}
+        scan = run_scan(fig3, ("BS2",), state, pattern, swept, fixed, 96)
+        _require_flat(scan, 1e-10, "with the outermost eraser removed the "
+                                   f"triple count against {swept}")
 
 
 def check_reduced_state_blindness():
-    rng = _rng()
-    fig1, fig2 = preset_fig1(), preset_fig2()
-    inp = one_photon_each_input(fig1)
-    t1 = r1 = 1 / math.sqrt(2)
-    traced = [m for m in range(12) if m not in (10, 11)]
-    pcs, pbs, pss = rng.uniform(0, 2 * math.pi, (20, 3)).T
-    outs1 = _evolve_each(inp, _compile_grid(fig1, {"phi_C": pcs, "phi_B": pbs}))
-    outs2 = _evolve_each(inp, _compile_grid(
-        fig2, {"phi_C": pcs, "phi_B": pbs, "phi_S": pss}, ("BS2",)))
-    for pc, pb, out1, out2 in zip(pcs, pbs, outs1, outs2):
-        rho1 = partial_trace(density_from_pure(out1), traced)
-        rho2 = partial_trace(density_from_pure(out2), traced)
+    detectors = preset_fig1().detectors
+    traced = list(range(10))
+    for d in _tapped_draws():
+        t, r, pc, pb = d.tap.t, d.tap.r, d.phi_c, d.phi_b
+        rho1 = partial_trace(density_from_pure(d.out1), traced)
+        rho2 = partial_trace(density_from_pure(d.out2), traced)
+        _require(rho1.modes == (10, 11),
+                 f"reduced state kept modes {rho1.modes}, not (10, 11)")
         _require(rho1.allclose(rho2, 1e-10),
                  "reduced outer state must not reveal the tap wiring")
-        expected = DensityMatrix(ref.reduced_outer_entries(t1, r1, pc, pb),
+        expected = DensityMatrix(ref.reduced_outer_entries(t, r, pc, pb),
                                  (10, 11))
         _require(rho1.allclose(expected, 1e-10),
                  "reduced outer state entries mismatch")
-        for ket, weight in ref.reduced_outer_diagonal(t1, r1, pc, pb).items():
+        for ket, weight in ref.reduced_outer_diagonal(t, r, pc, pb).items():
             _close(rho1.entry(ket, ket).real, weight, 1e-10,
                    f"reduced diagonal weight at {ket}")
         _close(coincidence_from_density(
-                   rho1, DetectionPattern({"D10": 1, "D11": 1}),
-                   fig1.detectors),
-               ref.outer_coincidence(t1, pc, pb), 1e-10,
+                   rho1, DetectionPattern({"D10": 1, "D11": 1}), detectors),
+               ref.outer_coincidence(t, pc, pb), 1e-10,
                "coincidence from the reduced state")
-        _close(mean_photon_number(rho1, 10), ref.outer_singles_rate(t1, r1),
+        _close(mean_photon_number(rho1, 10), ref.outer_singles_rate(t, r),
                1e-10, "singles rate from the reduced state")
 
 
@@ -341,10 +413,7 @@ def check_compiled_unitarity():
 
 def check_classification_matrix():
     for report in classify_table1(3):
-        order = int(report.scenario.rsplit("-", 1)[1])
-        wants_fringes = (order == 3 and
-                         "distinguishing" not in report.scenario)
-        expected = "fringes" if wants_fringes else "flat"
+        expected = expected_classification(report.scenario)
         _require(report.classification == expected,
                  f"{report.scenario}: expected {expected}, "
                  f"got {report.classification}")
@@ -374,7 +443,11 @@ CHECKS = (
 
 
 def run_all() -> tuple[int, list[tuple[str, str | None]]]:
-    """Run every check; returns (failure count, [(name, error or None)])."""
+    """Run every check; returns (failure count, [(name, error or None)]).
+
+    The shared draw is rebuilt first, so every run does all of its work.
+    """
+    _MEMO.clear()
     results = []
     failures = 0
     for name, fn in CHECKS:

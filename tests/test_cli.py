@@ -259,6 +259,12 @@ def test_verify_runs_all_checks(capsys):
      "--phases", "phi_C=0,phi_B=0,phi_S=0"),                     # toggle twice
     ("--preset", "fig2", "--pattern", "D6:1,D10:1", "--sweep", "phi_B:0:1:2",
      "--phases", "phi_C=0,phi_B=1,phi_S=0"),                     # swept and fixed
+    ("--verify", "--preset", "nope", "--pattern", "zz",
+     "--format", "json"),                                        # verify and a run
+    ("--verify", "--format", "csv"),                             # verify and a format
+    ("--verify", "--input", "one-one"),                          # verify and an input
+    ("--verify", "--toggles", ""),                               # verify and toggles
+    ("--verify", "--non-exclusive"),                             # verify and a flag
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

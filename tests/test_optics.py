@@ -23,7 +23,7 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
                    permanent, phase_unitary, swap_unitary,
                    transition_amplitude, vacuum)
 from mzsim.fock import PRUNE_THRESHOLD
-from mzsim.optics import _evolve_each, _evolve_grid
+from mzsim.optics import ROW_CUTOFF, _evolve_each, _evolve_grid
 from strategies import random_unitary, superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -180,15 +180,11 @@ def test_evolve_rejects_bad_matrices():
         evolve(state, np.eye(3))
     with pytest.raises(NonUnitaryError):
         evolve(state, np.array([[1.0, 0.0], [0.0, 2.0]]))
-    scaled = evolve(state, np.array([[1.0, 0.0], [0.0, 2.0]]),
-                    check_unitary=False)
-    assert scaled[(1, 0)] == 1.0
     for bad in (math.inf, math.nan):
         u = np.eye(2, dtype=complex)
         u[0, 1] = bad
-        for check in (True, False):
-            with pytest.raises(NonUnitaryError):
-                evolve(state, u, check_unitary=check)
+        with pytest.raises(NonUnitaryError):
+            evolve(state, u)
 
 
 def test_evolve_rejects_photon_counts_beyond_its_factorial_table():
@@ -236,12 +232,15 @@ def test_the_grid_drops_a_ket_only_when_every_phase_prunes_it():
     out = evolve(state, bright)
     assert np.allclose(amplitudes[1], [out[(0, 1)], out[(1, 0)]],
                        rtol=0, atol=1e-15)
-    # below the threshold at every grid phase: dropped
+    # below the threshold at every grid phase: dropped.  Both photons
+    # reflecting gives r^2 <= 4e-16, although each row entry r is expanded
+    pair = basis_state((2, 0))
     dim = [bs_unitary(BeamSplitterCoeffs.from_angle(a), 0, 1, 2)
-           for a in (1e-12, 2e-12)]
-    kets, amplitudes = _evolve_grid(state, np.stack(dim), prune=1e-10)
-    assert kets.tolist() == [[1, 0]]
-    assert amplitudes.shape == (2, 1)
+           for a in (1e-8, 2e-8)]
+    assert 1e-8 > ROW_CUTOFF and (2e-8) ** 2 < PRUNE_THRESHOLD
+    kets, amplitudes = _evolve_grid(pair, np.stack(dim))
+    assert kets.tolist() == [[1, 1], [2, 0]]
+    assert amplitudes.shape == (2, 2)
 
 
 def test_each_slice_is_pruned_on_its_own():

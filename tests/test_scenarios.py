@@ -15,8 +15,7 @@ from mzsim import (BALANCED, Circuit, CircuitError, DegenerateStateError,
                    classify_table1, compile, delayed_choice_variant,
                    engineered_input, evolve, inner_product, noon_target,
                    one_photon_each_input, pattern_probability, preset,
-                   run_projection_scan, run_scan, run_triple,
-                   transition_amplitude)
+                   run_scan, run_triple, transition_amplitude)
 from mzsim import scenarios
 from mzsim.circuit import _compile_grid
 from mzsim.optics import _evolve_grid
@@ -105,48 +104,6 @@ def test_scan_serialization():
 # scans of the preset layouts
 
 
-def test_outer_coincidence_shows_unit_visibility_fringes():
-    c = preset("fig1")
-    scan = run_scan(c, (), one_photon_each_input(c),
-                    DetectionPattern({"D10": 1, "D11": 1}), "phi_B",
-                    {"phi_C": 0.35}, n_samples=128)
-    assert scan.classify() == "fringes"
-    assert scan.spatial_frequency == 2.0           # cos^2 oscillates twice per turn
-    assert scan.visibility > 0.999
-    assert abs(scan.mean - 0.125) < 1e-10          # |t1|^4 / 2 for balanced taps
-
-
-def test_marked_cross_coincidence_is_flat():
-    c = preset("fig1")
-    scan = run_scan(c, (), one_photon_each_input(c),
-                    DetectionPattern({"D6": 1, "D10": 1}), "phi_B",
-                    {"phi_C": 0.35}, n_samples=64)
-    assert scan.classify() == "flat"
-    assert abs(scan.mean - 0.125) < 1e-10          # |t1 r1|^2 / 2
-
-
-def test_eraser_projection_halves_the_fringe_frequency():
-    c = preset("fig1")
-    direct = run_scan(c, (), one_photon_each_input(c),
-                      DetectionPattern({"D10": 1, "D11": 1}), "phi_B",
-                      {"phi_C": 0.0}, n_samples=128)
-    erased = run_projection_scan(c, (), one_photon_each_input(c),
-                                 eraser_projector(), "phi_B",
-                                 {"phi_C": 0.0}, n_samples=128)
-    assert erased.visibility > 0.999
-    assert direct.spatial_frequency == 2.0
-    assert erased.spatial_frequency == 0.5 * direct.spatial_frequency
-
-
-def test_closed_inner_interferometer_doubles_the_common_delay_frequency():
-    c = preset("fig2")
-    scan = run_scan(c, ("BS2",), one_photon_each_input(c),
-                    DetectionPattern({"D6": 1, "D10": 1}), "phi_C",
-                    {"phi_B": 0.4, "phi_S": 1.1}, n_samples=128)
-    assert scan.spatial_frequency == 2.0
-    assert scan.visibility > 0.999
-
-
 def test_scan_validation():
     c = preset("fig1")
     state = one_photon_each_input(c)
@@ -156,11 +113,10 @@ def test_scan_validation():
     with pytest.raises(CircuitError):
         run_scan(c, (), state, pattern, "phi_Q", {"phi_C": 0.0})
     with pytest.raises(CircuitError):
-        run_projection_scan(c, (), state, eraser_projector(), "phi_Q",
-                            {"phi_C": 0.0})
+        run_scan(c, (), state, eraser_projector(), "phi_Q", {"phi_C": 0.0})
     with pytest.raises(ValueError):
-        run_projection_scan(c, (), state, eraser_projector(), "phi_B",
-                            {"phi_C": 0.0}, n_samples=10)
+        run_scan(c, (), state, eraser_projector(), "phi_B", {"phi_C": 0.0},
+                 n_samples=10)
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +291,6 @@ def test_triple_coincidence_over_arrays_matches_one_call_per_phase_set():
                                       for p, v in phases.items()})
         assert isinstance(one, float)
         assert abs(value - one) < 1e-14
-
-
-def test_triple_coincidence_at_the_crest():
-    c = preset("fig3")
-    toggles = ("BS2", "BS2p")
-    crest = {"phi_C": math.pi / 6, "phi_B": 0.0, "phi_S": 0.0, "phi_Sp": 0.0}
-    assert abs(run_triple(c, toggles, crest) - 3 / 64) < 1e-12
-    trough = {"phi_C": -math.pi / 6, "phi_B": 0.0, "phi_S": 0.0, "phi_Sp": 0.0}
-    assert run_triple(c, toggles, trough) < 1e-12
 
 
 # ---------------------------------------------------------------------------
