@@ -104,6 +104,29 @@ def test_scan_serialization():
 # scans of the preset layouts
 
 
+def test_outer_coincidence_shows_unit_visibility_fringes():
+    c = preset("fig1")
+    scan = run_scan(c, (), one_photon_each_input(c),
+                    DetectionPattern({"D10": 1, "D11": 1}), "phi_B",
+                    {"phi_C": 0.35}, n_samples=128)
+    assert scan.classify() == "fringes"
+    assert scan.spatial_frequency == 2.0           # cos^2 oscillates twice per turn
+    assert scan.visibility > 0.999
+    assert abs(scan.mean - 0.125) < 1e-10          # |t1|^4 / 2 for balanced taps
+
+
+def test_eraser_projection_halves_the_fringe_frequency():
+    c = preset("fig1")
+    direct = run_scan(c, (), one_photon_each_input(c),
+                      DetectionPattern({"D10": 1, "D11": 1}), "phi_B",
+                      {"phi_C": 0.0}, n_samples=128)
+    erased = run_scan(c, (), one_photon_each_input(c), eraser_projector(),
+                      "phi_B", {"phi_C": 0.0}, n_samples=128)
+    assert erased.visibility > 0.999
+    assert direct.spatial_frequency == 2.0
+    assert erased.spatial_frequency == 0.5 * direct.spatial_frequency
+
+
 def test_scan_validation():
     c = preset("fig1")
     state = one_photon_each_input(c)
@@ -291,6 +314,15 @@ def test_triple_coincidence_over_arrays_matches_one_call_per_phase_set():
                                       for p, v in phases.items()})
         assert isinstance(one, float)
         assert abs(value - one) < 1e-14
+
+
+def test_triple_coincidence_at_the_crest():
+    c = preset("fig3")
+    toggles = ("BS2", "BS2p")
+    crest = {"phi_C": math.pi / 6, "phi_B": 0.0, "phi_S": 0.0, "phi_Sp": 0.0}
+    assert abs(run_triple(c, toggles, crest) - 3 / 64) < 1e-12
+    trough = {"phi_C": -math.pi / 6, "phi_B": 0.0, "phi_S": 0.0, "phi_Sp": 0.0}
+    assert run_triple(c, toggles, trough) < 1e-12
 
 
 # ---------------------------------------------------------------------------
