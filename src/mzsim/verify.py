@@ -324,11 +324,14 @@ def check_triple_needs_both_erasers():
     fig3 = preset_fig3()
     state = embed(engineered_input(noon_target(3)), fig3.mode_count, (0, 1))
     pattern = DetectionPattern({"D6p": 1, "D6": 1, "D10": 1})
-    for swept in fig3.parameters:
-        fixed = {p: 0.0 for p in fig3.parameters if p != swept}
+    # the other phases at zero and at a generic value, where no sin term of
+    # a fixed phase vanishes
+    for swept, value in itertools.product(fig3.parameters, (0.0, 0.4)):
+        fixed = {p: value for p in fig3.parameters if p != swept}
         scan = run_scan(fig3, ("BS2",), state, pattern, swept, fixed, 96)
         _require_flat(scan, 1e-10, "with the outermost eraser removed the "
-                                   f"triple count against {swept}")
+                                   f"triple count against {swept} "
+                                   f"(others at {value})")
 
 
 def check_reduced_state_blindness():
