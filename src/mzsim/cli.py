@@ -22,8 +22,8 @@ import numpy as np
 
 from .circuit import PRESET_NAMES, Circuit, compile, parse_circuit, preset
 from .errors import (CircuitError, CircuitParseError, MissingPhaseError,
-                     PhotonCountError, UnclassifiableScanError,
-                     UnknownDetectorError)
+                     NonUnitaryError, PhotonCountError,
+                     UnclassifiableScanError, UnknownDetectorError)
 from .fock import FockState, basis_state, embed
 from .measurement import DetectionPattern, pattern_probability
 from .optics import evolve
@@ -227,29 +227,32 @@ def _probability(config: RunConfig, phases: dict[str, float]) -> float:
     return pattern_probability(out, config.pattern, config.circuit.detectors)
 
 
+def _write_json(doc: dict, out) -> None:
+    # one dumps call: json.dump and any indent fall back to the pure-Python
+    # encoder, which costs more than the whole sweep's physics
+    out.write(json.dumps(doc) + "\n")
+
+
 def _run_sweep(config: RunConfig, out) -> int:
     name, start, end, n = config.sweep
     phis = np.linspace(start, end, n, endpoint=False)
     ((harmonics,),) = _scan_values(config.circuit, config.input_state, name,
                                    config.phases,
                                    [(config.toggles, [config.pattern])])
-    vals = _probabilities(harmonics, phis)
+    samples = np.column_stack((phis, _probabilities(harmonics, phis))).tolist()
     if config.output_format == "csv":
-        out.write("phase,probability\n")
-        for phi, v in zip(phis, vals):
-            out.write(f"{float(phi)!r},{float(v)!r}\n")
+        out.write("phase,probability\n"
+                  + "".join(f"{p!r},{v!r}\n" for p, v in samples))
         return 0
     try:
-        fit = _fit_samples(name, phis, harmonics).to_json()["fit"]
+        # no phases: only the fit, without sampling the scan a second time
+        fit = _fit_samples(name, phis[:0], harmonics).to_json()["fit"]
     except UnclassifiableScanError:
         fit = None
-    doc = {"circuit": config.source, "parameter": name,
-           "pattern": config.pattern.describe(),
-           "toggles": list(config.toggles),
-           "samples": [[float(p), float(v)] for p, v in zip(phis, vals)],
-           "fit": fit}
-    json.dump(doc, out, indent=2)
-    out.write("\n")
+    _write_json({"circuit": config.source, "parameter": name,
+                 "pattern": config.pattern.describe(),
+                 "toggles": list(config.toggles),
+                 "samples": samples, "fit": fit}, out)
     return 0
 
 
@@ -259,13 +262,11 @@ def _run_point(config: RunConfig, out) -> int:
         out.write("pattern,probability\n")
         out.write(f"{config.pattern.describe()},{value!r}\n")
     else:
-        doc = {"circuit": config.source,
-               "pattern": config.pattern.describe(),
-               "toggles": list(config.toggles),
-               "phases": config.phases,
-               "probability": value}
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        _write_json({"circuit": config.source,
+                     "pattern": config.pattern.describe(),
+                     "toggles": list(config.toggles),
+                     "phases": config.phases,
+                     "probability": value}, out)
     return 0
 
 
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
             return _run_sweep(config, out)
         return _run_point(config, out)
     except (MissingPhaseError, CircuitError, UnknownDetectorError,
-            PhotonCountError) as exc:
+            PhotonCountError, NonUnitaryError) as exc:
         print(f"mzsim: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,8 @@
 Every comparison against the closed forms of mzsim.reference lives in
 mzsim.verify.CHECKS, which ``mzsim --verify`` runs at one fixed seed.  Here
 each check is its own test under that seed and two others, so the random
-taps and phases of the suite are drawn three times over.  Criteria 02, 03,
-04 and 07 name the checks that carry each headline behavior and run them
-under the same three seeds.  The remaining tests are sweeps that need no closed form and are too large for the
+taps and phases of the suite are drawn three times over.  The remaining
+tests are sweeps that need no closed form and are too large for the
 command-line suite: the permanent oracle against the evolution engine, the
 scenario classification for four and five photons, and the completeness of
 the exclusive detection patterns.
@@ -35,35 +34,6 @@ SEEDS = (verify._SEED, 202601, 99991)
 def test_golden_check(monkeypatch, check, seed):
     monkeypatch.setattr(verify, "_SEED", seed)
     check()
-
-
-def run_checks(monkeypatch, *names):
-    """Run the named checks of verify.CHECKS under each seed."""
-    checks = dict(verify.CHECKS)
-    for seed in SEEDS:
-        monkeypatch.setattr(verify, "_SEED", seed)
-        for name in names:
-            checks[name]()
-
-
-def test_criterion_02_marked_paths_keep_outer_fringes_and_flatten_the_cross(
-        monkeypatch):
-    run_checks(monkeypatch, "coincidence-values", "monitored-cross-is-flat")
-
-
-def test_criterion_03_eraser_projection_revives_fringes_at_half_frequency(
-        monkeypatch):
-    run_checks(monkeypatch, "frequency-halving", "eraser-projection")
-
-
-def test_criterion_04_closed_inner_interferometer_coincidences(monkeypatch):
-    run_checks(monkeypatch, "coincidence-values",
-               "common-delay-sees-both-photons")
-
-
-def test_criterion_07_triple_coincidence_follows_the_three_photon_closed_form(
-        monkeypatch):
-    run_checks(monkeypatch, "triple-coincidence", "triple-needs-both-erasers")
 
 
 def test_each_run_builds_the_shared_draw_once(monkeypatch):

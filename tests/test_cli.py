@@ -9,12 +9,14 @@ import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from mzsim import (DetectionPattern, FockState, compile, evolve,
                    one_photon_each_input, pattern_probability, preset,
                    serialize)
 from mzsim.cli import MAX_SWEEP_SAMPLES, main
+from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
 
 BALANCED_BS = "T=0.7071067811865475 R=0.7071067811865475i"
 
@@ -168,6 +170,33 @@ def test_flat_sweep_fits_frequency_zero(capsys):
     assert abs(fit["mean"] - 0.125) < 1e-12
 
 
+def test_json_output_is_one_line_with_the_engine_values(capsys):
+    # the README's fig2 sweep
+    code, out, _ = run_cli(capsys, "--preset", "fig2", "--toggles", "BS2",
+                           "--pattern", "D6:1,D10:1",
+                           "--sweep", "phi_C:0:12.566:256",
+                           "--phases", "phi_B=0.4,phi_S=1.1",
+                           "--format", "json")
+    assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+    doc = json.loads(out)
+    c = preset("fig2")
+    pattern = DetectionPattern({"D6": 1, "D10": 1})
+    ((harmonics,),) = _scan_values(c, one_photon_each_input(c), "phi_C",
+                                   {"phi_B": 0.4, "phi_S": 1.1},
+                                   [(("BS2",), [pattern])])
+    phis = np.linspace(0.0, 12.566, 256, endpoint=False)
+    assert doc["samples"] == [[p, v] for p, v in zip(
+        phis.tolist(), _probabilities(harmonics, phis).tolist())]
+    assert doc["fit"] == _fit_samples("phi_C", phis, harmonics).to_json()["fit"]
+
+    code, out, _ = run_cli(capsys, "--preset", "fig1", "--format", "json",
+                           "--pattern", "D10:1,D11:1",
+                           "--phases", "phi_C=0,phi_B=0")
+    assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+
+
 def test_sweep_leaves_other_phases_fixed(capsys):
     code, out, _ = run_cli(capsys, "--preset", "fig2",
                            "--toggles", "BS2",
@@ -304,6 +333,21 @@ def test_parse_errors_exit_3(capsys, tmp_path):
                            "--pattern", "Da:1", "--phases", "")
     assert code == 3
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("run", [
+    ("--phases", "phi_C=0,phi_B=0"),
+    ("--sweep", "phi_C:0:6.283185307179586:16", "--phases", "phi_B=0")])
+def test_a_parsed_circuit_that_is_not_unitary_exits_2(capsys, tmp_path, run):
+    # 0.7071068 passes the splitter's 1e-6 coefficient check but leaves the
+    # compiled matrix about 5e-8 from unitary, past the evolve tolerance
+    path = tmp_path / "fig1.mzc"
+    path.write_text(serialize(preset("fig1")).replace("0.7071067811865475",
+                                                      "0.7071068"))
+    code, out, err = run_cli(capsys, "--circuit", str(path),
+                             "--pattern", "D10:1,D11:1", *run)
+    assert code == 2 and out == ""
+    assert err.startswith("mzsim: ") and "unitary" in err
 
 
 def test_mutually_exclusive_sources(capsys, tmp_path):
