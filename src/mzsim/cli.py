@@ -282,6 +282,25 @@ def _run_verify(out) -> int:
     return 0 if failures == 0 else 4
 
 
+def _worst_splitter(config: RunConfig) -> str:
+    """Name the compiled splitter farthest from |t|^2 + |r|^2 = 1.
+
+    Each splitter passes its own ``COEFF_TOL`` check, but their errors add up
+    in the compiled matrix; this points at the coefficients to write out in
+    full.
+    """
+    circuit = config.circuit
+    splitters = [e for e in circuit.elements if e.kind == "bs"
+                 and (e.name not in circuit.toggles or e.name in config.toggles)]
+    if not splitters:
+        return ""
+    excess = {e.name: abs(e.coeffs.t) ** 2 + abs(e.coeffs.r) ** 2 - 1
+              for e in splitters}
+    name = max(excess, key=lambda n: abs(excess[n]))
+    return (f"; splitter {name} has the largest |t|^2+|r|^2-1, "
+            f"{excess[name]:.2g}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -310,8 +329,11 @@ def main(argv=None) -> int:
         if config.sweep:
             return _run_sweep(config, out)
         return _run_point(config, out)
+    except NonUnitaryError as exc:
+        print(f"mzsim: {exc}{_worst_splitter(config)}", file=sys.stderr)
+        return 2
     except (MissingPhaseError, CircuitError, UnknownDetectorError,
-            PhotonCountError, NonUnitaryError) as exc:
+            PhotonCountError) as exc:
         print(f"mzsim: {exc}", file=sys.stderr)
         return 2
 

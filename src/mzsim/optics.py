@@ -15,9 +15,10 @@ so sequential application of U1 then U2 composes to the single matrix
   ``_evolve_each`` for one state per matrix): each input ket is expanded
   once with a K-column coefficient block, which is how a scan evolves
   through all of its grid phases in one pass.  It runs in two passes: the
-  first merges the output occupations of every ket's terms, the second
-  adds each ket's coefficient block into the merged kets and releases it,
-  so memory holds one ket's block at a time;
+  first keys every ket's terms by their output occupation, packed as an
+  integer over the live output columns, and merges them with one integer
+  sort; the second adds each ket's coefficient block into the merged kets
+  and releases it, so memory holds one ket's block at a time;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix (Ryser's algorithm).
 
@@ -36,14 +37,17 @@ import numpy as np
 from .errors import (DimensionMismatchError, InvalidCoefficientsError,
                      NonFiniteAmplitudeError, NonUnitaryError,
                      PhotonCountError, SectorError)
-from .fock import (PRUNE_THRESHOLD, FockState, Occupation, _trusted_state,
-                   _union)
+from .fock import PRUNE_THRESHOLD, FockState, Occupation, _trusted_state
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-#: Validation tolerance for beam splitter coefficient constraints.  Loose
-#: enough to accept coefficients written with 8 significant digits in circuit
-#: files; canonical constructors are exact to machine precision.
+#: Validation tolerance for beam splitter coefficient constraints.  One
+#: splitter passes with 1/sqrt2 rounded to 6 significant digits, but a circuit
+#: must also compile to a matrix unitary within 1e-8 to evolve: 0.70710678 is
+#: off by 3.4e-9 in |t|^2+|r|^2, and fig2 with its five splitters written so
+#: compiles 1.0e-8 from unitary and fails.  So circuit files need coefficients
+#: at full double precision, as ``serialize`` writes them; canonical
+#: constructors are exact to machine precision.
 COEFF_TOL = 1e-6
 
 #: Largest photon number evolve and transition_amplitude handle: the top of
@@ -148,25 +152,22 @@ def _compositions(total: int, slots: int):
     """Weak compositions of `total` into `slots` parts, with their lookups.
 
     Returns the compositions as a (terms x slots) uint8 array and, aligned
-    with it, the multinomial coefficients total! / prod k_j! and the flat
-    index of each part k_j in a (slots x (total + 1)) table of powers.
+    with it, the multinomial coefficients total! / prod k_j! and the
+    (terms x total) factor slots of each composition: the slot indices in
+    ascending order, slot j written k_j times, so that the monomial
+    prod x_j^k_j is the product of the entries x at those slots.
     """
-    combos = itertools.combinations(range(total + slots - 1), slots - 1)
-    rows = []
-    for dividers in combos:
-        prev = -1
-        row = []
-        for d in (*dividers, total + slots - 1):
-            row.append(d - prev - 1)
-            prev = d
-        rows.append(row)
-    comps = np.array(rows, dtype=np.uint8).reshape(len(rows), slots)
-    comps.flags.writeable = False
+    combos = list(itertools.combinations_with_replacement(range(slots), total))
+    factors = np.array(combos, dtype=np.intp).reshape(len(combos), total)
+    # count each slot per composition: one bincount over offset slot indices
+    offsets = slots * np.arange(len(combos))[:, None]
+    counts = np.bincount((factors + offsets).ravel(),
+                         minlength=len(combos) * slots)
+    comps = counts.astype(np.uint8).reshape(len(combos), slots)
     weights = _FACT[total] / np.prod(_FACT[comps], axis=1)
-    picks = comps + (total + 1) * np.arange(slots)
-    for array in (weights, picks):
+    for array in (comps, weights, factors):
         array.flags.writeable = False
-    return comps, weights, picks
+    return comps, weights, factors
 
 
 def _row_coefficients(rows: np.ndarray, cols: np.ndarray,
@@ -175,25 +176,87 @@ def _row_coefficients(rows: np.ndarray, cols: np.ndarray,
 
     ``rows`` holds one row of the mode unitary per grid phase, (K x modes),
     and only the columns ``cols`` are expanded; the coefficients come back
-    as a (K x terms) block aligned with ``_compositions(count, len(cols))``.
+    as a (K x terms) block aligned with ``_compositions(count, len(cols))``:
+    each is its weight times the ``count`` row entries at its factor slots.
     They are relative to monomials prod (a_j^dag)^k_j, i.e. without the
     sqrt(k!) ket normalization (applied once at the end).
     """
-    _, weights, picks = _compositions(count, len(cols))
-    powers = rows[:, cols, None] ** np.arange(count + 1)
-    return weights * np.prod(powers.reshape(len(rows), -1)[:, picks], axis=2)
+    _, weights, factors = _compositions(count, len(cols))
+    entries = rows[:, cols]
+    coeffs = weights * entries[:, factors[:, 0]]
+    for slot in factors.T[1:]:
+        coeffs *= entries[:, slot]
+    return coeffs
+
+
+class _LiveKeys:
+    """Integer keys for the output kets of an expansion.
+
+    Only the live columns, those some occupied input row needs, can be
+    occupied in an output ket; every other column is zero in every term.
+    A ket is keyed by its live digits as a base-(N+1) number, the first live
+    column most significant, so integer order is lexicographic row order.
+    Where (N+1)^live does not fit one int64 word, the digits are split over
+    several words, ``place`` holding each column's place value in its word
+    (a (modes x words) matrix, zero off the live columns).  A term's key is
+    then its occupation times ``place``, so the keys of a product of row
+    expansions are outer sums of the rows' ``compositions @ place[cols]``.
+
+    ``fock._union`` merges on void byte keys instead: on the few hundred
+    rows that density matrices, partial traces and ``verify`` merge, packing
+    costs more than it saves; it pays on the thousands of terms an expansion
+    merges.
+    """
+
+    def __init__(self, live: np.ndarray, mode_count: int, photons: int):
+        self.live = live
+        self.base = photons + 1
+        # digits per word: base ** width - 1, the largest word, fits an int64
+        width = 1
+        while width < len(live) and self.base ** (width + 1) <= 2 ** 63:
+            width += 1
+        self.word_of, digit = np.divmod(np.arange(len(live)), width)
+        self.places = np.power(self.base, width - 1 - digit, dtype=np.int64)
+        self.place = np.zeros((mode_count, -(-len(live) // width) or 1),
+                              dtype=np.int64)
+        self.place[live, self.word_of] = self.places
+
+    def merge(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct kets of (terms x words) keys in lexicographic order, as a
+        (kets x modes) uint8 array, and the ket index of each term.
+
+        Each word is ranked with one integer sort; every further word is
+        folded in as ``rank * n_word + dense_word`` and ranked again, which
+        keeps ranks below terms^2 and in word-by-word order.  Only the
+        merged kets are decoded back to digits.
+        """
+        for w, word in enumerate(keys.T):
+            values, dense = np.unique(word, return_inverse=True)
+            if w:
+                values, rank = np.unique(rank * len(values) + dense,
+                                         return_inverse=True)
+            else:
+                rank = dense
+        # one term per merged ket; its key words decode to the ket
+        first = np.empty(len(values), dtype=np.intp)
+        first[rank] = np.arange(len(rank))
+        occupations = np.zeros((len(first), len(self.place)), dtype=np.uint8)
+        occupations[:, self.live] = (keys[first[:, None], self.word_of]
+                                     // self.places % self.base)
+        return occupations, rank
 
 
 def evolve(state: FockState, unitary: np.ndarray) -> FockState:
     """Apply a mode unitary to a Fock state.
 
     Each ket's creation-operator product is substituted row-wise and expanded
-    with multinomial coefficients; equal output kets are then merged on their
-    byte keys.  Entries of a row at or below ``ROW_CUTOFF`` are treated as
-    exact zeros; they could only shift output amplitudes by ~N * ROW_CUTOFF,
-    far below the working tolerances.  A matrix with a NaN or infinite entry,
-    or one that is not unitary within 1e-8, is rejected.  This is the
-    one-matrix case of :func:`_evolve_each`.
+    with multinomial coefficients; equal output kets are then merged on
+    integer keys over the output columns the rows reach.  Entries of a row
+    at or below ``ROW_CUTOFF`` are treated as exact zeros; they could only
+    shift output amplitudes by ~N * ROW_CUTOFF, far below the working
+    tolerances.  A matrix with a NaN or infinite entry, or one that is not
+    unitary within 1e-8, is rejected.  This is the one-matrix case of
+    :func:`_evolve_each`.
     """
     u = np.asarray(unitary, dtype=complex)
     m = state.mode_count
@@ -221,15 +284,19 @@ def _evolve_grid(state: FockState,
     """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
 
     Every input ket is expanded once, over the columns that some matrix of
-    the stack needs, in two passes.  The first builds only the uint8
-    occupations of every ket's terms and merges them with one sort of their
-    byte keys; the second builds each ket's (K x terms) coefficient block in
-    turn, adds it into the output and releases it, so at most one ket's
-    block is alive at a time.  Returns the output occupations, unique and in
-    lexicographic order, and a (K x kets) amplitude block whose row k is the
-    state evolved by ``unitaries[k]``.  A ket is dropped only when it is at
-    or below ``PRUNE_THRESHOLD`` at every k.  Every matrix of the stack gets
-    the checks :func:`evolve` makes.
+    the stack needs, in two passes.  The first builds only the integer keys
+    of every ket's terms (:class:`_LiveKeys`: the output occupation as a
+    base-(N+1) number over the live columns) as outer sums of per-row key
+    vectors, merges them with one integer sort per key word, and decodes
+    only the merged kets to uint8 rows; the second builds each ket's
+    (K x terms) coefficient block in turn, adds it into the output and
+    releases it, so at most one ket's block is alive at a time.  No
+    (terms x modes) occupation array is built.  Returns the output
+    occupations, unique and in lexicographic order, and a (K x kets)
+    amplitude block whose row k is the state evolved by ``unitaries[k]``.
+    A ket is dropped only when it is at or below ``PRUNE_THRESHOLD`` at
+    every k.  Every matrix of the stack gets the checks :func:`evolve`
+    makes.
     """
     u = np.asarray(unitaries, dtype=complex)
     m = state.mode_count
@@ -248,14 +315,18 @@ def _evolve_grid(state: FockState,
     k = len(u)
     # the columns of each row that some matrix of the stack needs
     needed = (np.abs(u) > ROW_CUTOFF).any(axis=0)
+    # the live columns: those some occupied row needs (a boolean matmul)
+    live = np.flatnonzero(state.occupation_array.any(axis=0) @ needed)
+    packing = _LiveKeys(live, m, state.total_photons)
+    words = packing.place.shape[1]
 
-    # pass one: the occupations of every ket's terms, merged below with one
-    # sort of their byte keys; no amplitude is built yet
-    occ_blocks = [np.zeros((0, m), dtype=np.uint8)]
+    # pass one: the integer keys of every ket's terms, merged below with one
+    # integer sort per key word; no amplitude is built yet
+    key_blocks = [np.zeros((0, words), dtype=np.int64)]
     kets = []
     for occ, amp in zip(state.occupation_array.tolist(),
                         state.amplitude_array.tolist()):
-        block_occ = np.zeros((1, m), dtype=np.uint8)
+        block_keys = np.zeros((1, words), dtype=np.int64)
         rows = []
         for mode, count in enumerate(occ):
             if count == 0:
@@ -263,16 +334,15 @@ def _evolve_grid(state: FockState,
             cols = np.flatnonzero(needed[mode])
             if not len(cols):
                 break
-            comps = _compositions(count, len(cols))[0]
-            added = np.zeros((len(comps), m), dtype=np.uint8)
-            added[:, cols] = comps
-            block_occ = (block_occ[:, None, :] + added[None, :, :]).reshape(-1, m)
+            added = _compositions(count, len(cols))[0] @ packing.place[cols]
+            block_keys = (block_keys[:, None, :]
+                          + added[None, :, :]).reshape(-1, words)
             rows.append((mode, count, cols))
         else:                           # every row had a needed column
-            occ_blocks.append(block_occ)
-            kets.append((amp, rows, len(block_occ)))
-    occupations, inverse = _union(np.concatenate(occ_blocks))
-    del occ_blocks
+            key_blocks.append(block_keys)
+            kets.append((amp, rows, len(block_keys)))
+    occupations, inverse = packing.merge(np.concatenate(key_blocks))
+    del key_blocks
 
     # pass two: each ket's coefficient block, summed per grid phase on the
     # merged keys and released before the next ket's is built
@@ -290,7 +360,7 @@ def _evolve_grid(state: FockState,
         for row, out in zip(block, amplitudes):
             out.real += np.bincount(index, row.real, n)
             out.imag += np.bincount(index, row.imag, n)
-    amplitudes *= np.prod(_SQRT_FACT[occupations], axis=1)
+    amplitudes *= np.prod(_SQRT_FACT[occupations[:, packing.live]], axis=1)
 
     finite = np.isfinite(amplitudes)
     if not finite.all():

@@ -64,16 +64,18 @@ def _require(ok: bool, detail: str):
 
 def _close(a, b, tol, what: str):
     err = abs(a - b)
-    _require(err <= tol, f"{what}: |{a} - {b}| = {err:.3e} > {tol:g}")
+    if not err <= tol:                  # the message is built on failure only
+        raise AssertionError(f"{what}: |{a} - {b}| = {err:.3e} > {tol:g}")
 
 
 def _require_flat(scan, max_visibility: float, what: str):
     """Flat to 1e-10 rms.  A fit reports visibility 0 whenever no harmonic
     exceeds ``RESIDUAL_LIMIT`` (1e-6 rms); its residual bounds them all."""
-    _require(scan.visibility < max_visibility
-             and scan.residual < _FLAT_RESIDUAL,
-             f"{what} should be flat, got vis={scan.visibility:.2e} "
-             f"residual={scan.residual:.2e}")
+    if not (scan.visibility < max_visibility
+            and scan.residual < _FLAT_RESIDUAL):
+        raise AssertionError(f"{what} should be flat, got "
+                             f"vis={scan.visibility:.2e} "
+                             f"residual={scan.residual:.2e}")
 
 
 class _Draw(NamedTuple):

@@ -350,6 +350,21 @@ def test_a_parsed_circuit_that_is_not_unitary_exits_2(capsys, tmp_path, run):
     assert err.startswith("mzsim: ") and "unitary" in err
 
 
+def test_a_non_unitary_circuit_names_its_worst_splitter(capsys, tmp_path):
+    # 0.70710678 passes each splitter's coefficient check, yet the five of
+    # fig2 compile about 1e-8 from unitary; the message points at a splitter
+    path = tmp_path / "fig2_8digits.mzc"
+    path.write_text(serialize(preset("fig2")).replace("0.7071067811865475",
+                                                      "0.70710678"))
+    code, out, err = run_cli(capsys, "--circuit", str(path), "--toggles", "BS2",
+                             "--pattern", "D6:1,D10:1",
+                             "--phases", "phi_C=0.1,phi_B=0.2,phi_S=0.3")
+    assert code == 2 and out == ""
+    assert err.startswith("mzsim: ") and "not unitary" in err
+    assert "splitter BS1 " in err and "-3.4e-09" in err
+    assert "Traceback" not in err
+
+
 def test_mutually_exclusive_sources(capsys, tmp_path):
     path = tmp_path / "own.mzc"
     path.write_text(serialize(preset("fig1")))

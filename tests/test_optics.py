@@ -23,7 +23,8 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
                    permanent, phase_unitary, swap_unitary,
                    transition_amplitude, vacuum)
 from mzsim.fock import PRUNE_THRESHOLD
-from mzsim.optics import ROW_CUTOFF, _evolve_each, _evolve_grid
+from mzsim.optics import (ROW_CUTOFF, _compositions, _evolve_each,
+                          _evolve_grid, _LiveKeys)
 from strategies import random_unitary, superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -196,8 +197,11 @@ def test_evolve_rejects_photon_counts_beyond_its_factorial_table():
 def test_twenty_photons_on_a_wide_register_split_binomially():
     """|20, 0, ...> on a balanced splitter gives sqrt(C(20, k)) t^k r^(20-k).
 
-    The register is wide enough that neither an (N+1)^M mixed-radix key nor
-    a C(N+M-1, N) combinatorial rank of the kets fits in 64 bits.
+    Over the whole register neither an (N+1)^M mixed-radix key nor a
+    C(N+M-1, N) combinatorial rank of the kets fits in 64 bits.  Evolve keys
+    kets over the live columns only, the two the occupied row reaches, so
+    one word holds them here; the several-word keys are exercised by
+    ``test_two_photons_through_a_dense_64_mode_unitary_need_two_key_words``.
     """
     m, n = 68, 20
     assert (n + 1) ** m > 2 ** 64 and math.comb(n + m - 1, n) > 2 ** 64
@@ -211,6 +215,38 @@ def test_twenty_photons_on_a_wide_register_split_binomially():
         assert abs(out[occ] - want) < 1e-12
     middle = (10, 10) + (0,) * (m - 2)
     assert abs(out[middle] - transition_amplitude(u, n_in, middle)) < 1e-9
+
+
+def test_two_photons_through_a_dense_64_mode_unitary_need_two_key_words():
+    # every column is live and 3^64 > 2^63, so the base-3 keys of the output
+    # kets take two int64 words, folded into one rank
+    m = 64
+    assert 3 ** m > 2 ** 63
+    assert _LiveKeys(np.arange(m), m, 2).place.shape[1] == 2
+    u = random_unitary(np.random.default_rng(64), m)
+    n_in = (1, 1) + (0,) * (m - 2)
+    out = evolve(basis_state(n_in), u)
+    kets = out.occupations()
+    assert kets == sector(m, 2) and len(kets) == 2080
+    assert all(a < b for a, b in zip(kets, kets[1:]))
+    for n_out, amp in out.items():
+        assert abs(amp - transition_amplitude(u, n_in, n_out)) < 1e-12
+    assert abs(out.norm() - 1.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7))
+def test_composition_factor_slots_count_back_to_their_composition(total, slots):
+    comps, weights, factors = _compositions(total, slots)
+    assert len(comps) == len(weights) == len(factors) == math.comb(
+        total + slots - 1, total)
+    assert len({tuple(c) for c in comps.tolist()}) == len(comps)
+    assert factors.shape == (len(comps), total)
+    for comp, weight, row in zip(comps.tolist(), weights, factors):
+        assert np.bincount(row, minlength=slots).tolist() == comp
+        assert list(row) == sorted(row)
+        assert weight == math.factorial(total) / math.prod(
+            math.factorial(k) for k in comp)
 
 
 def test_swap_relabels_occupations():
