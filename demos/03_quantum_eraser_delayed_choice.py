@@ -20,23 +20,11 @@ interferometer changes nothing; this is the delayed-choice version of the
 experiment.
 """
 
-import math
-
 import numpy as np
 
-from mzsim import (DetectionPattern, FockState, compile, delayed_choice_variant,
+from mzsim import (DetectionPattern, compile, delayed_choice_variant,
                    one_photon_each_input, preset, run_scan)
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def eraser_projector():
-    """(|1 at D6, 1 at D10> - i |1 at D7, 1 at D10>) / sqrt2 on 12 modes."""
-    occ_a = [0] * 12
-    occ_a[6] = occ_a[10] = 1
-    occ_b = [0] * 12
-    occ_b[7] = occ_b[10] = 1
-    return FockState({tuple(occ_a): INV_SQRT2, tuple(occ_b): -1j * INV_SQRT2}, 12)
+from mzsim.reference import eraser_projector
 
 
 def main():

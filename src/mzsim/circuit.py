@@ -141,6 +141,19 @@ class Circuit:
                 return e
         raise KeyError(name)
 
+    def enabled(self, toggles: Iterable[str] = ()) -> tuple[CircuitElement, ...]:
+        """Elements in beam order; a toggle stays only when it is named.
+
+        Naming an element that is not a toggle raises :class:`CircuitError`.
+        """
+        chosen = set(toggles)
+        unknown = chosen - self.toggles
+        if unknown:
+            raise CircuitError(f"unknown toggles {sorted(unknown)}; toggles "
+                               f"are {sorted(self.toggles)}")
+        return tuple(e for e in self.elements
+                     if e.name not in self.toggles or e.name in chosen)
+
 
 def compile(circuit: Circuit, phases: Mapping[str, float],
             enabled_toggles: Iterable[str] = ()) -> np.ndarray:
@@ -163,12 +176,9 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
     updates: a splitter mixes its two columns, a delay scales its column by
     e^{i phi} (by K factors when its parameter is an array), and a swap
     exchanges two columns, which is done by relabeling where each column is
-    stored.  A disabled toggle is skipped.
+    stored.  The elements are those :meth:`Circuit.enabled` keeps.
     """
-    enabled = set(enabled_toggles)
-    unknown = enabled - circuit.toggles
-    if unknown:
-        raise CircuitError(f"unknown toggles {sorted(unknown)}")
+    elements = circuit.enabled(enabled_toggles)
     missing = [p for p in circuit.parameters if p not in phases]
     if missing:
         raise MissingPhaseError(f"missing phase parameters {missing}")
@@ -184,9 +194,7 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
                     dtype=complex)
     cols[:, range(m), range(m)] = 1.0
     stored = list(range(m))
-    for e in circuit.elements:
-        if e.name in circuit.toggles and e.name not in enabled:
-            continue
+    for e in elements:
         if e.kind == "bs":
             t, r = e.coeffs.t, e.coeffs.r
             col_a, col_b = cols[:, stored[e.modes[0]]], cols[:, stored[e.modes[1]]]
@@ -241,6 +249,7 @@ def braced(n: int, taps: Sequence[BeamSplitterCoeffs] | None = None) -> Circuit:
                 "up_out": nxt["up_in"], "lo_out": nxt["lo_in"]}
 
     elements: list[CircuitElement] = []
+    # detector listing: innermost stage first, outputs last
     detectors: dict[str, int] = {}
     toggles: set[str] = set()
     first = block(primed)
@@ -283,17 +292,7 @@ def braced(n: int, taps: Sequence[BeamSplitterCoeffs] | None = None) -> Circuit:
     elements.append(CircuitElement("swap", "BS3b", (9, 11)))
     detectors["D10"] = 10
     detectors["D11"] = 11
-
-    # detector listing: innermost stage first, outputs last
-    ordered = {}
-    for q in range(primed, -1, -1):
-        p = _primes(q)
-        ordered[f"D6{p}"] = detectors[f"D6{p}"]
-        ordered[f"D7{p}"] = detectors[f"D7{p}"]
-    ordered["D10"] = detectors["D10"]
-    ordered["D11"] = detectors["D11"]
-
-    return Circuit(mode_count, tuple(elements), ordered, frozenset(toggles))
+    return Circuit(mode_count, tuple(elements), detectors, frozenset(toggles))
 
 
 def preset_fig1(tap: BeamSplitterCoeffs = BALANCED) -> Circuit:

@@ -21,13 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import PRESET_NAMES, Circuit, compile, parse_circuit, preset
-from .errors import (CircuitError, CircuitParseError, MissingPhaseError,
-                     NonUnitaryError, PhotonCountError,
-                     UnclassifiableScanError, UnknownDetectorError)
+from .errors import (CircuitParseError, NonUnitaryError,
+                     UnclassifiableScanError)
 from .fock import FockState, basis_state, embed
 from .measurement import DetectionPattern, pattern_probability
 from .optics import evolve
-from .scenarios import (_fit_samples, _probabilities, _scan_values,
+from .scenarios import (NORM_TOL, _fit_samples, _probabilities, _scan_values,
                         engineered_input, noon_target)
 
 #: Most samples one --sweep may ask for.
@@ -48,7 +47,7 @@ class RunConfig:
     output_format: str
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -85,53 +84,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_pattern(text: str, exclusive: bool,
-                   circuit: Circuit) -> DetectionPattern:
-    counts = {}
+def _split_list(text: str, what: str, sep: str = "") -> dict[str, str]:
+    """Name -> value of each item of a comma list; no name may come twice.
+
+    With ``sep`` every item is NAME<sep>VALUE; without, an item is a bare
+    name and its value is empty.
+    """
+    items = {}
     for item in filter(None, (s.strip() for s in text.split(","))):
-        name, sep, value = item.partition(":")
-        if not sep:
-            raise _UsageError(f"bad pattern item {item!r}, want NAME:COUNT")
-        if name in counts:
-            raise _UsageError(f"detector {name!r} is given twice")
+        name, found, value = item.partition(sep) if sep else (item, "", "")
+        if sep and not found:
+            raise _UsageError(f"bad {what} item {item!r}, want NAME{sep}VALUE")
+        if name in items:
+            raise _UsageError(f"{what} {name!r} is given twice")
+        items[name] = value
+    return items
+
+
+def _parse_pattern(text: str, exclusive: bool) -> DetectionPattern:
+    counts = {}
+    for name, value in _split_list(text, "detector", ":").items():
         try:
             counts[name] = int(value)
         except ValueError:
-            raise _UsageError(f"bad pattern count in {item!r}") from None
+            raise _UsageError(
+                f"bad count {value!r} for detector {name!r}") from None
     if not counts:
         raise _UsageError("empty pattern")
-    unknown = set(counts) - set(circuit.detectors)
-    if unknown:
-        raise _UsageError(f"unknown detectors {sorted(unknown)}; this circuit "
-                          f"has {sorted(circuit.detectors)}")
     return DetectionPattern(counts, exclusive=exclusive)
 
 
 def _parse_phases(text: str) -> dict[str, float]:
     phases = {}
-    for item in filter(None, (s.strip() for s in text.split(","))):
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise _UsageError(f"bad phase assignment {item!r}, want NAME=VALUE")
-        if name in phases:
-            raise _UsageError(f"phase {name!r} is given twice")
+    for name, value in _split_list(text, "phase", "=").items():
         try:
             phases[name] = float(value)
         except ValueError:
-            raise _UsageError(f"bad phase value in {item!r}") from None
+            raise _UsageError(
+                f"bad value {value!r} for phase {name!r}") from None
         if not math.isfinite(phases[name]):
-            raise _UsageError(f"phase value in {item!r} is not finite")
+            raise _UsageError(f"phase {name!r} value {value!r} is not finite")
     return phases
 
 
-def _parse_sweep(text: str, circuit: Circuit) -> tuple[str, float, float, int]:
+def _parse_sweep(text: str) -> tuple[str, float, float, int]:
     parts = text.split(":")
     if len(parts) != 4:
         raise _UsageError("sweep wants PARAM:START:END:N")
     name, start, end, n = parts
-    if name not in circuit.parameters:
-        raise _UsageError(f"cannot sweep {name!r}; parameters are "
-                          f"{list(circuit.parameters)}")
     try:
         start, end, n = float(start), float(end), int(n)
     except ValueError:
@@ -162,8 +162,11 @@ def _load_input(spec: str, circuit: Circuit) -> FockState:
             raise _UsageError(f"cannot read input state {spec!r}: {exc}")
         try:
             state = FockState.from_json(text)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise _UsageError(f"bad state file {spec!r}: {exc}")
+        if abs(state.norm() - 1.0) > NORM_TOL:
+            raise _UsageError(f"state in {spec!r} has norm {state.norm():.6g}, "
+                              f"not 1")
     if state.mode_count == circuit.mode_count:
         return state
     if state.mode_count == 2:
@@ -190,31 +193,20 @@ def _load_circuit(args) -> tuple[Circuit, str]:
 
 def _resolve(args) -> RunConfig:
     circuit, source = _load_circuit(args)
-    toggles = tuple(filter(None, (s.strip()
-                                  for s in (args.toggles or "").split(","))))
-    repeated = [t for i, t in enumerate(toggles) if t in toggles[:i]]
-    if repeated:
-        raise _UsageError(f"toggle {repeated[0]!r} is given twice")
-    unknown = set(toggles) - set(circuit.toggles)
-    if unknown:
-        raise _UsageError(f"unknown toggles {sorted(unknown)}; this circuit "
-                          f"has {sorted(circuit.toggles)}")
+    toggles = tuple(_split_list(args.toggles or "", "toggle"))
     if not args.pattern:
         raise _UsageError("--pattern is required unless --verify is given")
-    pattern = _parse_pattern(args.pattern, not args.non_exclusive, circuit)
+    pattern = _parse_pattern(args.pattern, not args.non_exclusive)
     phases = _parse_phases(args.phases or "")
-    sweep = _parse_sweep(args.sweep, circuit) if args.sweep else None
+    sweep = _parse_sweep(args.sweep) if args.sweep else None
+    # compile ignores a phase it has no element for, and a scan overrides a
+    # fixed value of its swept phase; on the command line both are mistakes
     unknown = set(phases) - set(circuit.parameters)
     if unknown:
         raise _UsageError(f"unknown phases {sorted(unknown)}; parameters are "
                           f"{list(circuit.parameters)}")
-    needed = set(circuit.parameters) - set(phases)
-    if sweep:
-        if sweep[0] in phases:
-            raise _UsageError(f"phase {sweep[0]!r} is both swept and fixed")
-        needed -= {sweep[0]}
-    if needed:
-        raise _UsageError("missing phase values for " + ", ".join(sorted(needed)))
+    if sweep and sweep[0] in phases:
+        raise _UsageError(f"phase {sweep[0]!r} is both swept and fixed")
     return RunConfig(circuit=circuit, source=source,
                      input_state=_load_input(args.input or "one-one", circuit),
                      toggles=toggles, pattern=pattern, phases=phases,
@@ -270,7 +262,12 @@ def _run_point(config: RunConfig, out) -> int:
     return 0
 
 
-def _run_verify(out) -> int:
+def _run_verify(args, out) -> int:
+    given = ["--" + name.replace("_", "-") for name, value in vars(args).items()
+             if name != "verify" and value not in (None, False)]
+    if given:
+        raise _UsageError(
+            f"--verify takes no other option, got {' '.join(given)}")
     from . import verify
     failures, results = verify.run_all()
     width = max(len(name) for name, _ in results)
@@ -289,9 +286,8 @@ def _worst_splitter(config: RunConfig) -> str:
     in the compiled matrix; this points at the coefficients to write out in
     full.
     """
-    circuit = config.circuit
-    splitters = [e for e in circuit.elements if e.kind == "bs"
-                 and (e.name not in circuit.toggles or e.name in config.toggles)]
+    splitters = [e for e in config.circuit.enabled(config.toggles)
+                 if e.kind == "bs"]
     if not splitters:
         return ""
     excess = {e.name: abs(e.coeffs.t) ** 2 + abs(e.coeffs.r) ** 2 - 1
@@ -308,32 +304,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     out = sys.stdout
-    if args.verify:
-        given = ["--" + name.replace("_", "-")
-                 for name, value in vars(args).items()
-                 if name != "verify" and value not in (None, False)]
-        if given:
-            print(f"mzsim: --verify takes no other option, got "
-                  f"{' '.join(given)}", file=sys.stderr)
-            return 2
-        return _run_verify(out)
+    config = None
     try:
+        if args.verify:
+            return _run_verify(args, out)
         config = _resolve(args)
-    except CircuitParseError as exc:
-        print(f"mzsim: parse error: {exc}", file=sys.stderr)
-        return 3
-    except (_UsageError, CircuitError, UnknownDetectorError, ValueError) as exc:
-        print(f"mzsim: {exc}", file=sys.stderr)
-        return 2
-    try:
         if config.sweep:
             return _run_sweep(config, out)
         return _run_point(config, out)
+    except CircuitParseError as exc:
+        print(f"mzsim: parse error: {exc}", file=sys.stderr)
+        return 3
     except NonUnitaryError as exc:
-        print(f"mzsim: {exc}{_worst_splitter(config)}", file=sys.stderr)
+        hint = _worst_splitter(config) if config else ""
+        print(f"mzsim: {exc}{hint}", file=sys.stderr)
         return 2
-    except (MissingPhaseError, CircuitError, UnknownDetectorError,
-            PhotonCountError) as exc:
+    except ValueError as exc:
         print(f"mzsim: {exc}", file=sys.stderr)
         return 2
 

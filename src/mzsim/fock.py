@@ -48,14 +48,17 @@ _INF = math.inf
 
 
 def _check_occupation(occ: Occupation, mode_count: int) -> Occupation:
-    occ = tuple(int(n) for n in occ)
+    occ = tuple(occ)
     if len(occ) != mode_count:
         raise DimensionMismatchError(
             f"occupation {occ} has {len(occ)} modes, expected {mode_count}")
+    # ``in`` a range compares by equality: 1.0 is a count, 1.5, "1" and inf
+    # are not
     if not all(n in _COUNTS for n in occ):
         raise PhotonCountError(
-            f"occupation {occ} has a photon count outside 0..{MAX_MODE_PHOTONS}")
-    return occ
+            f"occupation {occ} has a photon count that is not a whole number "
+            f"in 0..{MAX_MODE_PHOTONS}")
+    return tuple(map(int, occ))
 
 
 def _keys(occupations: np.ndarray) -> np.ndarray:

@@ -310,15 +310,15 @@ def _pairs_within_groups(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, order[np.repeat(start, size) + offset]
 
 
-def partial_trace(rho: DensityMatrix, traced_modes: Iterable[int],
-                  prune: float = PRUNE_THRESHOLD) -> DensityMatrix:
+def partial_trace(rho: DensityMatrix,
+                  traced_modes: Iterable[int]) -> DensityMatrix:
     """Trace out the given modes, keeping the remaining original labels.
 
     The basis kets are grouped by their occupation of the traced modes.
     Only entries between two kets of one group survive the trace; each is
     summed into the entry between the two kets' kept occupations, and the
-    other entries are never read.  Sums at or below ``prune`` in magnitude
-    are dropped.
+    other entries are never read.  Sums at or below ``PRUNE_THRESHOLD`` in
+    magnitude are dropped.
     """
     traced = set(traced_modes)
     unknown = traced - set(rho.modes)
@@ -339,7 +339,7 @@ def partial_trace(rho: DensityMatrix, traced_modes: Iterable[int],
     out = np.empty(size, dtype=complex)
     out.real = np.bincount(flat, values.real, size)
     out.imag = np.bincount(flat, values.imag, size)
-    out[np.abs(out) <= prune] = 0
+    out[np.abs(out) <= PRUNE_THRESHOLD] = 0
     return _trusted_density(*_support(kept, out.reshape(len(kept), len(kept))),
                             tuple(m for m in rho.modes if m not in traced))
 

@@ -46,6 +46,8 @@ FLAT_VISIBILITY = 0.01
 #: after the fitted harmonic must stay below it.
 RESIDUAL_LIMIT = 1e-6
 MIN_SCAN_SAMPLES = 64
+#: A state whose norm is farther than this from 1 is not normalised.
+NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -120,15 +122,15 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     Projector kets are looked up among the output kets.
     """
     if swept not in circuit.parameters:
-        raise CircuitError(f"cannot sweep unknown parameter {swept!r}")
+        raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
+                           f"parameters are {list(circuit.parameters)}")
     blocks, stacks, offset = {}, [], 0
     for toggles, _ in scans:
         enabled = frozenset(toggles)
         if enabled in blocks:
             continue
-        crossings = sum(1 for e in circuit.elements
-                        if e.kind == "phase" and e.param == swept
-                        and (e.name not in circuit.toggles or e.name in enabled))
+        crossings = sum(1 for e in circuit.enabled(toggles)
+                        if e.kind == "phase" and e.param == swept)
         k = input_state.total_photons * crossings + 1
         phases = dict(fixed)
         phases[swept] = 2 * math.pi * np.arange(k) / k
@@ -232,7 +234,7 @@ def engineered_input(target_after_bs1: FockState) -> FockState:
         raise DimensionMismatchError(
             "target must live on the two arm modes right after the "
             f"input splitter, got {target_after_bs1.mode_count} modes")
-    if abs(target_after_bs1.norm() - 1.0) > 1e-6:
+    if abs(target_after_bs1.norm() - 1.0) > NORM_TOL:
         raise DegenerateStateError("target state must be normalized")
     inverse = bs_unitary(BALANCED, 0, 1, 2).conj().T
     return evolve(target_after_bs1, inverse)

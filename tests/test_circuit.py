@@ -187,6 +187,8 @@ def test_open_closing_splitter_reduces_to_the_untapped_layout():
     # fig2 with BS2 disabled differs from fig1 only by the phi_S delay, and
     # that delay commutes with everything downstream of it
     c = preset("fig2")
+    assert c.enabled(()) == tuple(e for e in c.elements if e.name != "BS2")
+    assert c.enabled(("BS2",)) == c.elements
     phases = {"phi_C": 0.2, "phi_S": 0.4, "phi_B": 0.6}
     without = compile(c, phases)
     baseline = compile(preset("fig1"), {"phi_C": 0.2, "phi_B": 0.6})
@@ -198,7 +200,7 @@ def test_open_closing_splitter_reduces_to_the_untapped_layout():
 
 def test_compile_rejects_unknown_toggles_and_missing_phases():
     c = preset("fig2")
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match=r"toggles are \['BS2'\]"):
         compile(c, {"phi_C": 0, "phi_S": 0, "phi_B": 0}, ("BS9",))
     with pytest.raises(MissingPhaseError):
         compile(c, {"phi_C": 0.0})

@@ -315,6 +315,9 @@ def test_a_repeated_toggle_or_a_fixed_swept_phase_is_named(capsys):
 @pytest.mark.parametrize("content,message", [
     ('[{"occupation": [1, 1], "re": NaN, "im": 0.0}]', "not finite"),
     (FockState({(21, 0): 1.0}).to_json(), "at most 20"),
+    ('[{"occupation": [1e999, 0], "re": 1.0, "im": 0.0}]', "whole number"),
+    (FockState({(1, 1): 1.0, (2, 0): 1.0}).to_json(), "norm 1.41421"),
+    pytest.param("[" * 100_000, "bad state file", id="nested-past-the-stack"),
 ])
 def test_unusable_state_files_exit_2(capsys, tmp_path, content, message):
     path = tmp_path / "state.json"

@@ -71,6 +71,10 @@ def test_counts_beyond_one_byte_and_modeless_states_rejected():
     assert basis_state((255, 0))[(255, 0)] == 1.0
     with pytest.raises(PhotonCountError):
         basis_state((256, 0))
+    # a count must equal its int: no truncation, no parsing, no overflow
+    for occ in [(1.5, 0.5), ("1", 0), (math.inf, 0)]:
+        with pytest.raises(PhotonCountError):
+            FockState({occ: 1.0})
     with pytest.raises(ValueError):
         FockState({(): 1.0})
 

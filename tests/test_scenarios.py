@@ -133,7 +133,8 @@ def test_scan_validation():
     pattern = DetectionPattern({"D10": 1, "D11": 1})
     with pytest.raises(ValueError):
         run_scan(c, (), state, pattern, "phi_B", {"phi_C": 0.0}, n_samples=32)
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError,
+                       match=r"parameters are \['phi_C', 'phi_B'\]"):
         run_scan(c, (), state, pattern, "phi_Q", {"phi_C": 0.0})
     with pytest.raises(CircuitError):
         run_scan(c, (), state, eraser_projector(), "phi_Q", {"phi_C": 0.0})
