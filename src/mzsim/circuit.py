@@ -311,21 +311,21 @@ def preset_fig3(tap: BeamSplitterCoeffs = BALANCED,
     return braced(3, [tap, tap_prime])
 
 
+PRESET_NAMES = ("fig1", "fig2", "fig3", "braced_3", "braced_4", "braced_5")
+
+
 def preset(name: str) -> Circuit:
-    """Preset by name: fig1, fig2, fig3, braced_3 .. braced_5."""
+    """Preset by name, exactly one of :data:`PRESET_NAMES`."""
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; choose from "
+                         + ", ".join(PRESET_NAMES))
     if name == "fig1":
         return preset_fig1()
     if name == "fig2":
         return preset_fig2()
     if name == "fig3":
         return preset_fig3()
-    match = re.fullmatch(r"braced_(\d+)", name)
-    if match:
-        return braced(int(match.group(1)))
-    raise ValueError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = ("fig1", "fig2", "fig3", "braced_3", "braced_4", "braced_5")
+    return braced(int(name.removeprefix("braced_")))
 
 
 # ---------------------------------------------------------------------------

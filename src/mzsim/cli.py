@@ -180,9 +180,6 @@ def _load_circuit(args) -> tuple[Circuit, str]:
     if bool(args.preset) == bool(args.circuit):
         raise _UsageError("exactly one of --preset/--circuit is required")
     if args.preset:
-        if args.preset not in PRESET_NAMES:
-            raise _UsageError(f"unknown preset {args.preset!r}; choose from "
-                              + ", ".join(PRESET_NAMES))
         return preset(args.preset), args.preset
     try:
         text = Path(args.circuit).read_text()

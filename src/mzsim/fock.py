@@ -212,15 +212,28 @@ class FockState:
 
     # -- algebra ------------------------------------------------------------
 
+    def _scaled(self) -> tuple[float, np.ndarray]:
+        """The largest |re| or |im| and the amplitudes divided by it.
+
+        Summing the squares of the scaled amplitudes cannot overflow, and a
+        square that underflows is negligible against the largest, which is 1.
+        """
+        scale = max(float(np.abs(part).max(initial=0.0))
+                    for part in (self._amp.real, self._amp.imag))
+        # a zero scale means no nonzero amplitude: nothing to divide
+        return scale, (self._amp / scale if scale else self._amp)
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self._amp))
+        """Euclidean norm; ``inf`` only if it exceeds the largest float."""
+        scale, scaled = self._scaled()
+        return scale * float(np.linalg.norm(scaled))
 
     def normalized(self) -> "FockState":
-        n = self.norm()
-        if n == 0.0:
+        scale, scaled = self._scaled()
+        if scale == 0.0:
             raise DegenerateStateError("cannot normalize a zero state")
-        return _trusted_state(self._occ, self._amp / n, self.mode_count,
-                              prune=0.0)
+        return _trusted_state(self._occ, scaled / np.linalg.norm(scaled),
+                              self.mode_count, prune=0.0)
 
     def __mul__(self, scalar: complex) -> "FockState":
         with np.errstate(invalid="ignore", over="ignore"):

@@ -5,16 +5,21 @@ circuit's detector map.  ``exclusive`` patterns additionally require every
 unlisted detector to register nothing, which for a pattern using all N
 photons pins a single basis ket.
 
-A density matrix is a dense ``complex128`` matrix over a basis of kets,
-stored like a state's kets as a (kets x modes) ``uint8`` array with unique
-rows in lexicographic order; ``entries`` presents its nonzero entries as a
-read-only map (ket occupation, bra occupation) -> entry.  A pure state's
-matrix is the outer product of its amplitude vector over its own kets.  A
-partial trace groups the basis kets by their occupation of the traced
-modes and sums only the entries between two kets of one group into the
-entry between their kept occupations with ``np.bincount``.  Matrices
-retain the identity of the original mode indices through partial traces,
-so number operators can still be addressed by circuit mode after tracing.
+A density matrix is kept over a basis of kets, stored like a state's kets
+as a (kets x modes) ``uint8`` array with unique rows in lexicographic
+order, as a pair of ``complex128`` factors with rho = left @ right^dagger.
+A pure state's factors are both its amplitude column, so |psi><psi| costs
+nothing of size kets x kets; a matrix given as a mapping has factors
+(matrix, identity).  A partial trace groups the basis kets by their
+occupation of the traced modes, scatters each group's factor rows into
+columns of its own beside the others, and forms the reduced matrix with
+one matmul; the result keeps those regrouped factors.  ``entries``
+presents the nonzero entries as a read-only map (ket occupation, bra
+occupation) -> entry over a dense matrix built on first use.  The trace
+is read off the factors, and so is the diagonal that the number-operator
+readouts use, unless the dense matrix is already built.  Matrices retain
+the identity of the original mode indices through partial traces, so
+number operators can still be addressed by circuit mode after tracing.
 """
 
 from __future__ import annotations
@@ -112,20 +117,35 @@ def projected_probability(state: FockState, projector: FockState) -> float:
 class DensityEntries(Mapping):
     """Read-only ``(ket, bra) -> entry`` view of a density matrix's arrays.
 
-    Only nonzero entries are present; iteration yields them in lexicographic
+    It holds the basis and the factor pair ``left``, ``right`` with
+    rho = left @ right^dagger.  ``matrix`` is that product, built on first
+    use unless it was given, and kept read-only.  Only nonzero entries of
+    ``matrix`` are present; iteration yields them in lexicographic
     ``(ket, bra)`` order, with occupation tuples as keys.  ``items()`` and
     ``values()`` read the arrays in one pass; a lookup goes through a
     ket -> row dict built on first use.
     """
 
-    __slots__ = ("basis", "matrix", "_rows")
+    __slots__ = ("basis", "left", "right", "_matrix", "_rows")
 
-    def __init__(self, basis: np.ndarray, matrix: np.ndarray):
-        basis.flags.writeable = False
-        matrix.flags.writeable = False
+    def __init__(self, basis: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 matrix: np.ndarray | None = None):
+        for array in (basis, left, right, matrix):
+            if array is not None:
+                array.flags.writeable = False
         self.basis = basis
-        self.matrix = matrix
+        self.left = left
+        self.right = right
+        self._matrix = matrix
         self._rows = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            matrix = self.left @ self.right.conj().T
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
 
     def _index(self, ket: Iterable[int], bra: Iterable[int]) -> tuple[int, int]:
         """Row and column of an entry, -1 where the basis lacks the ket."""
@@ -185,14 +205,16 @@ class _EntryValues(ValuesView):
 class DensityMatrix:
     """Hermitian operator on a subset of the original modes.
 
-    It is stored as a dense ``complex128`` matrix over a basis of kets: a
-    (kets x modes) ``uint8`` array whose rows are unique, in lexicographic
-    order, and each carry some nonzero entry in their row or column.
-    ``entries`` is a read-only mapping view of the nonzero entries keyed
-    ``(ket, bra)``.  A plain mapping given as ``entries`` is validated and
-    converted into the arrays once; the fields cannot be reassigned after.  ``modes`` lists the original mode
-    indices the occupations refer to, in order; a freshly built matrix has
-    modes (0, .., M-1).
+    It is stored over a basis of kets, a (kets x modes) ``uint8`` array
+    whose rows are unique, in lexicographic order, and each carry some
+    nonzero entry in their row or column, as a pair of ``complex128``
+    factors (left, right) with rho = left @ right^dagger.  ``entries`` is a
+    read-only mapping view of the nonzero entries keyed ``(ket, bra)``.  A
+    plain mapping given as ``entries`` is validated and converted into the
+    arrays once, with factors (matrix, identity); the fields cannot be
+    reassigned after.  ``modes`` lists the original mode indices the
+    occupations refer to, in order; a freshly built matrix has modes
+    (0, .., M-1).
     """
 
     entries: Mapping[tuple[Occupation, Occupation], complex]
@@ -216,8 +238,11 @@ class DensityMatrix:
         basis, index = _union(rows)
         matrix = np.zeros((len(basis), len(basis)), dtype=complex)
         matrix[index[:len(items)], index[len(items):]] = values
-        object.__setattr__(self, "entries",
-                           DensityEntries(*_support(basis, matrix)))
+        live = _live(matrix)
+        if not live.all():
+            basis, matrix = basis[live], matrix[np.ix_(live, live)]
+        object.__setattr__(self, "entries", DensityEntries(
+            basis, matrix, np.eye(len(basis), dtype=complex), matrix))
 
     @property
     def basis_array(self) -> np.ndarray:
@@ -226,7 +251,7 @@ class DensityMatrix:
 
     @property
     def matrix_array(self) -> np.ndarray:
-        """Read-only complex matrix over :attr:`basis_array`."""
+        """Read-only complex matrix over :attr:`basis_array`, built on first use."""
         return self.entries.matrix
 
     def entry(self, ket: Iterable[int], bra: Iterable[int]) -> complex:
@@ -238,7 +263,7 @@ class DensityMatrix:
         return list(self.entries.items())
 
     def trace(self) -> complex:
-        return complex(np.trace(self.matrix_array))
+        return complex(np.vdot(self.entries.right, self.entries.left))
 
     def diagonal(self) -> dict[Occupation, float]:
         """Real diagonal weight of each ket whose diagonal entry is nonzero."""
@@ -273,52 +298,55 @@ class DensityMatrix:
             raise ValueError(f"mode {mode} was traced out or never present") from None
 
 
-def _support(basis: np.ndarray,
-             matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the basis kets whose row and column hold only zeros."""
+def _live(matrix: np.ndarray) -> np.ndarray:
+    """Which basis kets hold a nonzero entry in their row or column."""
     nonzero = matrix != 0
-    live = nonzero.any(axis=0) | nonzero.any(axis=1)
-    if live.all():
-        return basis, matrix
-    return basis[live], matrix[np.ix_(live, live)]
+    return nonzero.any(axis=0) | nonzero.any(axis=1)
 
 
-def _trusted_density(basis: np.ndarray, matrix: np.ndarray,
-                     modes: tuple[int, ...]) -> DensityMatrix:
-    """A matrix over a unique, sorted basis with finite entries, unchecked."""
+def _diagonal(rho: DensityMatrix) -> np.ndarray:
+    """Real diagonal of ``rho``: off the dense matrix once it is built, as a
+    partial trace builds it, and otherwise off the factors."""
+    entries = rho.entries
+    if entries._matrix is not None:
+        return np.diagonal(entries._matrix).real
+    return np.einsum("ij,ij->i", entries.left, entries.right.conj()).real
+
+
+def _trusted_density(basis: np.ndarray, left: np.ndarray, right: np.ndarray,
+                     modes: tuple[int, ...],
+                     matrix: np.ndarray | None = None) -> DensityMatrix:
+    """A matrix over a unique, sorted basis with finite factors, unchecked."""
     rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "entries", DensityEntries(basis, matrix))
+    object.__setattr__(rho, "entries", DensityEntries(basis, left, right, matrix))
     object.__setattr__(rho, "modes", modes)
     return rho
 
 
 def density_from_pure(state: FockState) -> DensityMatrix:
-    """|psi><psi| of a normalized pure state, over the state's kets."""
-    a = state.amplitude_array
-    return _trusted_density(state.occupation_array, np.outer(a, a.conj()),
+    """|psi><psi| of a normalized pure state, over the state's kets.
+
+    Both factors are the amplitude column itself, so nothing of size
+    kets x kets is built until a dense view is asked for.
+    """
+    psi = state.amplitude_array[:, None]
+    return _trusted_density(state.occupation_array, psi, psi,
                             tuple(range(state.mode_count)))
-
-
-def _pairs_within_groups(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered index pair (i, j) with ``group[i] == group[j]``."""
-    order = np.argsort(group, kind="stable")
-    counts = np.bincount(group)
-    size = counts[group[order]]
-    start = (np.cumsum(counts) - counts)[group[order]]
-    rows = np.repeat(order, size)
-    offset = np.arange(len(rows)) - np.repeat(np.cumsum(size) - size, size)
-    return rows, order[np.repeat(start, size) + offset]
 
 
 def partial_trace(rho: DensityMatrix,
                   traced_modes: Iterable[int]) -> DensityMatrix:
     """Trace out the given modes, keeping the remaining original labels.
 
-    The basis kets are grouped by their occupation of the traced modes.
-    Only entries between two kets of one group survive the trace; each is
-    summed into the entry between the two kets' kept occupations, and the
-    other entries are never read.  Sums at or below ``PRUNE_THRESHOLD`` in
-    magnitude are dropped.
+    With rho = L R^dagger, the trace is sum_g L_g R_g^dagger over the
+    groups g of basis kets that share one occupation of the traced modes,
+    where L_g holds the group's rows of L at their kept occupations.  One
+    scatter lays every group's columns side by side, each row becoming a
+    kept ket and each column a (group, old column) pair at which R has a
+    nonzero entry, and one matmul forms the reduced matrix.  Sums at or
+    below ``PRUNE_THRESHOLD`` in magnitude are dropped from it, and kept
+    kets left with only zero entries leave the basis.  The result keeps the
+    regrouped factors, so a second trace takes the same path.
     """
     traced = set(traced_modes)
     unknown = traced - set(rho.modes)
@@ -328,26 +356,49 @@ def partial_trace(rho: DensityMatrix,
     drop_pos = [i for i, m in enumerate(rho.modes) if m in traced]
     if not keep_pos:
         raise ValueError("tracing every mode leaves a scalar, not a matrix")
-    basis = rho.basis_array
+    basis, left, right = rho.entries.basis, rho.entries.left, rho.entries.right
     kept, kept_of = _union(basis[:, keep_pos])
-    group = (_union(basis[:, drop_pos])[1] if drop_pos
-             else np.zeros(len(basis), dtype=np.intp))
-    rows, cols = _pairs_within_groups(group)
-    values = rho.matrix_array[rows, cols]
-    flat = kept_of[rows] * len(kept) + kept_of[cols]
-    size = len(kept) ** 2
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(flat, values.real, size)
-    out.imag = np.bincount(flat, values.imag, size)
-    out[np.abs(out) <= PRUNE_THRESHOLD] = 0
-    return _trusted_density(*_support(kept, out.reshape(len(kept), len(kept))),
-                            tuple(m for m in rho.modes if m not in traced))
+    if drop_pos:
+        groups, group = _union(basis[:, drop_pos])
+        size = len(groups)
+    else:
+        group, size = np.zeros(len(basis), dtype=np.intp), 1
+    width = left.shape[1]
+    # each factor entry's (group, old column) pair; only pairs at which the
+    # right factor has a nonzero entry add to the product, so only they
+    # become columns: an identity right factor then gives one column per
+    # ket, not one per ket and group
+    pair = group[:, None] * width + np.arange(width)
+    used = np.zeros(size * width, dtype=bool)
+    used[pair[right != 0]] = True
+    hit = used[pair]
+    rows = np.broadcast_to(kept_of[:, None], pair.shape)[hit]
+    columns = np.cumsum(used)[pair[hit]] - 1
+
+    def regroup(factor: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(kept), int(used.sum())), dtype=complex)
+        out[rows, columns] = factor[hit]
+        return out
+
+    new_left = regroup(left)
+    new_right = new_left if right is left else regroup(right)
+    matrix = new_left @ new_right.conj().T
+    matrix[np.abs(matrix) <= PRUNE_THRESHOLD] = 0
+    live = _live(matrix)
+    if not live.all():
+        shared = new_right is new_left
+        kept, matrix = kept[live], matrix[np.ix_(live, live)]
+        new_left = new_left[live]
+        new_right = new_left if shared else new_right[live]
+    return _trusted_density(kept, new_left, new_right,
+                            tuple(m for m in rho.modes if m not in traced),
+                            matrix)
 
 
 def mean_photon_number(rho: DensityMatrix, mode: int) -> float:
     """Tr{n_mode rho}; diagonal sum, since number operators are diagonal."""
     counts = rho.basis_array[:, rho._position(mode)]
-    return float(counts @ np.diagonal(rho.matrix_array).real)
+    return float(counts @ _diagonal(rho))
 
 
 def coincidence_from_density(rho: DensityMatrix, pattern: DetectionPattern,
@@ -363,4 +414,4 @@ def coincidence_from_density(rho: DensityMatrix, pattern: DetectionPattern,
     columns = [rho._position(m) for m in by_mode]
     counts = rho.basis_array[:, columns].astype(float)
     weight = np.prod(counts ** list(by_mode.values()), axis=1)
-    return float(weight @ np.diagonal(rho.matrix_array).real)
+    return float(weight @ _diagonal(rho))

@@ -93,8 +93,11 @@ def test_preset_names_cover_all_presets():
     for name in PRESET_NAMES:
         c = preset(name)
         assert isinstance(c, Circuit)
-    with pytest.raises(ValueError):
-        preset("fig9")
+    # names that parse as a braced stack are still not presets
+    for name in ("fig9", "braced_03", "braced_2", "braced_6", " fig1"):
+        with pytest.raises(ValueError, match="choose from fig1, fig2, fig3, "
+                                             "braced_3, braced_4, braced_5"):
+            preset(name)
 
 
 def test_preset_shapes():

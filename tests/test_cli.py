@@ -329,6 +329,27 @@ def test_unusable_state_files_exit_2(capsys, tmp_path, content, message):
     assert message in err
 
 
+def test_an_unknown_preset_exits_2_and_names_the_presets(capsys):
+    code, _, err = run_cli(capsys, "--preset", "braced_03",
+                           "--pattern", "D10:1,D11:1",
+                           "--phases", "phi_C=0,phi_B=0")
+    assert code == 2
+    assert err == ("mzsim: unknown preset 'braced_03'; choose from fig1, "
+                   "fig2, fig3, braced_3, braced_4, braced_5\n")
+
+
+def test_a_state_file_whose_norm_overflows_exits_2_with_one_message(
+        capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(FockState({(1, 0): 1.5e308, (0, 1): 1.5e308}).to_json())
+    code, _, err = run_cli(capsys, "--preset", "fig1", "--input", str(path),
+                           "--pattern", "D10:1,D11:1",
+                           "--phases", "phi_C=0,phi_B=0")
+    assert code == 2
+    assert err.startswith("mzsim: ") and err.count("\n") == 1
+    assert "has norm inf" in err
+
+
 def test_parse_errors_exit_3(capsys, tmp_path):
     path = tmp_path / "broken.mzc"
     path.write_text("modes 2\nteleport T 0 1\n")

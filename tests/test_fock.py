@@ -131,6 +131,24 @@ def test_norm_and_normalized():
         FockState({}, 2).normalized()
 
 
+@pytest.mark.parametrize("size", [1e-200, 1e200])
+def test_norm_and_normalized_do_not_overflow_or_underflow(size):
+    # squares of these amplitudes leave the float range; the pyproject
+    # filter turns any overflow warning into a failure
+    s = FockState({(1, 0): size, (0, 1): -1j * size}, prune=0.0)
+    assert s.norm() == pytest.approx(math.sqrt(2) * size, rel=1e-15)
+    n = s.normalized()
+    assert abs(n[(1, 0)] - 1 / math.sqrt(2)) < 1e-15
+    assert abs(n[(0, 1)] + 1j / math.sqrt(2)) < 1e-15
+    assert abs(n.norm() - 1.0) < 1e-15
+
+
+def test_a_norm_past_the_largest_float_reads_inf():
+    s = FockState({(1, 0): 1.5e308, (0, 1): 1.5e308})
+    assert s.norm() == math.inf
+    assert abs(s.normalized().norm() - 1.0) < 1e-15
+
+
 def test_linear_algebra_ops():
     a = FockState({(1, 0): 1.0})
     b = FockState({(0, 1): 1.0})
