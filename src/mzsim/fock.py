@@ -213,15 +213,20 @@ class FockState:
     # -- algebra ------------------------------------------------------------
 
     def _scaled(self) -> tuple[float, np.ndarray]:
-        """The largest |re| or |im| and the amplitudes divided by it.
+        """A power of two and the amplitudes divided by it.
 
-        Summing the squares of the scaled amplitudes cannot overflow, and a
-        square that underflows is negligible against the largest, which is 1.
+        The scale is the largest power of two not above the largest |re| or
+        |im|, so dividing by it is exact and the norm rounds as it would
+        unscaled.  Summing the squares of the scaled amplitudes cannot
+        overflow, and a square that underflows is negligible against the
+        largest, which is at least 1.
         """
-        scale = max(float(np.abs(part).max(initial=0.0))
-                    for part in (self._amp.real, self._amp.imag))
-        # a zero scale means no nonzero amplitude: nothing to divide
-        return scale, (self._amp / scale if scale else self._amp)
+        largest = max(float(np.abs(part).max(initial=0.0))
+                      for part in (self._amp.real, self._amp.imag))
+        if not largest:
+            return 0.0, self._amp
+        scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+        return scale, self._amp / scale
 
     def norm(self) -> float:
         """Euclidean norm; ``inf`` only if it exceeds the largest float."""

@@ -15,9 +15,9 @@ occupation of the traced modes, scatters each group's factor rows into
 columns of its own beside the others, and forms the reduced matrix with
 one matmul; the result keeps those regrouped factors.  ``entries``
 presents the nonzero entries as a read-only map (ket occupation, bra
-occupation) -> entry over a dense matrix built on first use.  The trace
-is read off the factors, and so is the diagonal that the number-operator
-readouts use, unless the dense matrix is already built.  Matrices retain
+occupation) -> entry over a dense matrix built on first use; every view,
+the trace and the number-operator readouts read that matrix, and only
+``partial_trace`` reads the factors.  Matrices retain
 the identity of the original mode indices through partial traces, so
 number operators can still be addressed by circuit mode after tracing.
 """
@@ -119,7 +119,10 @@ class DensityEntries(Mapping):
 
     It holds the basis and the factor pair ``left``, ``right`` with
     rho = left @ right^dagger.  ``matrix`` is that product, built on first
-    use unless it was given, and kept read-only.  Only nonzero entries of
+    use unless it was given, and kept read-only.  After a partial trace it
+    is given with its entries at or below ``PRUNE_THRESHOLD`` zeroed, while
+    the factors stay unpruned: a nested trace reads them, and every other
+    view reads ``matrix``.  Only nonzero entries of
     ``matrix`` are present; iteration yields them in lexicographic
     ``(ket, bra)`` order, with occupation tuples as keys.  ``items()`` and
     ``values()`` read the arrays in one pass; a lookup goes through a
@@ -238,9 +241,7 @@ class DensityMatrix:
         basis, index = _union(rows)
         matrix = np.zeros((len(basis), len(basis)), dtype=complex)
         matrix[index[:len(items)], index[len(items):]] = values
-        live = _live(matrix)
-        if not live.all():
-            basis, matrix = basis[live], matrix[np.ix_(live, live)]
+        basis, matrix, _ = _support(basis, matrix)
         object.__setattr__(self, "entries", DensityEntries(
             basis, matrix, np.eye(len(basis), dtype=complex), matrix))
 
@@ -263,7 +264,7 @@ class DensityMatrix:
         return list(self.entries.items())
 
     def trace(self) -> complex:
-        return complex(np.vdot(self.entries.right, self.entries.left))
+        return complex(np.trace(self.matrix_array))
 
     def diagonal(self) -> dict[Occupation, float]:
         """Real diagonal weight of each ket whose diagonal entry is nonzero."""
@@ -298,19 +299,17 @@ class DensityMatrix:
             raise ValueError(f"mode {mode} was traced out or never present") from None
 
 
-def _live(matrix: np.ndarray) -> np.ndarray:
-    """Which basis kets hold a nonzero entry in their row or column."""
+def _support(basis: np.ndarray, matrix: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Drop the basis kets whose row and column hold only zeros.
+
+    Also returns the mask of the kets kept, or None when all are.
+    """
     nonzero = matrix != 0
-    return nonzero.any(axis=0) | nonzero.any(axis=1)
-
-
-def _diagonal(rho: DensityMatrix) -> np.ndarray:
-    """Real diagonal of ``rho``: off the dense matrix once it is built, as a
-    partial trace builds it, and otherwise off the factors."""
-    entries = rho.entries
-    if entries._matrix is not None:
-        return np.diagonal(entries._matrix).real
-    return np.einsum("ij,ij->i", entries.left, entries.right.conj()).real
+    live = nonzero.any(axis=0) | nonzero.any(axis=1)
+    if live.all():
+        return basis, matrix, None
+    return basis[live], matrix[np.ix_(live, live)], live
 
 
 def _trusted_density(basis: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -346,7 +345,7 @@ def partial_trace(rho: DensityMatrix,
     nonzero entry, and one matmul forms the reduced matrix.  Sums at or
     below ``PRUNE_THRESHOLD`` in magnitude are dropped from it, and kept
     kets left with only zero entries leave the basis.  The result keeps the
-    regrouped factors, so a second trace takes the same path.
+    regrouped factors, unpruned, so a second trace takes the same path.
     """
     traced = set(traced_modes)
     unknown = traced - set(rho.modes)
@@ -384,10 +383,9 @@ def partial_trace(rho: DensityMatrix,
     new_right = new_left if right is left else regroup(right)
     matrix = new_left @ new_right.conj().T
     matrix[np.abs(matrix) <= PRUNE_THRESHOLD] = 0
-    live = _live(matrix)
-    if not live.all():
+    kept, matrix, live = _support(kept, matrix)
+    if live is not None:
         shared = new_right is new_left
-        kept, matrix = kept[live], matrix[np.ix_(live, live)]
         new_left = new_left[live]
         new_right = new_left if shared else new_right[live]
     return _trusted_density(kept, new_left, new_right,
@@ -398,7 +396,7 @@ def partial_trace(rho: DensityMatrix,
 def mean_photon_number(rho: DensityMatrix, mode: int) -> float:
     """Tr{n_mode rho}; diagonal sum, since number operators are diagonal."""
     counts = rho.basis_array[:, rho._position(mode)]
-    return float(counts @ _diagonal(rho))
+    return float(counts @ np.diagonal(rho.matrix_array).real)
 
 
 def coincidence_from_density(rho: DensityMatrix, pattern: DetectionPattern,
@@ -414,4 +412,4 @@ def coincidence_from_density(rho: DensityMatrix, pattern: DetectionPattern,
     columns = [rho._position(m) for m in by_mode]
     counts = rho.basis_array[:, columns].astype(float)
     weight = np.prod(counts ** list(by_mode.values()), axis=1)
-    return float(weight @ _diagonal(rho))
+    return float(weight @ np.diagonal(rho.matrix_array).real)

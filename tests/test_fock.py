@@ -143,6 +143,20 @@ def test_norm_and_normalized_do_not_overflow_or_underflow(size):
     assert abs(n.norm() - 1.0) < 1e-15
 
 
+def test_norm_and_normalized_round_as_if_unscaled(seed=7):
+    # the scale is a power of two, so for amplitudes whose squares stay in
+    # the float range the results match the plain computation bit for bit
+    rng = np.random.default_rng(seed)
+    keys = [(n, 4 - n) for n in range(5)]
+    for size in (1e-100, 3e-7, 1.0, 0.7, 12345.678, 1e100):
+        amps = size * (rng.normal(size=5) + 1j * rng.normal(size=5))
+        s = FockState(dict(zip(keys, amps)), prune=0.0)
+        plain = np.linalg.norm(s.amplitude_array)
+        assert s.norm() == float(plain)
+        assert np.array_equal(s.normalized().amplitude_array,
+                              s.amplitude_array / plain)
+
+
 def test_a_norm_past_the_largest_float_reads_inf():
     s = FockState({(1, 0): 1.5e308, (0, 1): 1.5e308})
     assert s.norm() == math.inf

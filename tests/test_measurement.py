@@ -179,6 +179,16 @@ def test_partial_trace_kills_coherence_with_traced_modes():
     assert abs(reduced.trace() - 1.0) < 1e-15
 
 
+def test_trace_reads_the_pruned_matrix_that_every_view_reads():
+    # the (0, 1) diagonal, 1e-14, is pruned from the reduced matrix while
+    # the unpruned factors still carry it; trace() must read the matrix
+    state = FockState({(1, 0, 0): 1.0, (0, 1, 0): 1e-7}, prune=0.0).normalized()
+    reduced = partial_trace(density_from_pure(state), [2])
+    assert reduced.entry((0, 1), (0, 1)) == 0j
+    assert reduced.trace() == complex(np.trace(reduced.matrix_array))
+    assert reduced.trace().real < 1.0 - 5e-15
+
+
 def test_partial_trace_keeps_original_mode_labels():
     state = FockState({(1, 0, 1): INV_SQRT2, (0, 1, 1): INV_SQRT2})
     rho = density_from_pure(state)
