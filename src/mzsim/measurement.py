@@ -31,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteAmplitudeError, UnknownDetectorError
-from .fock import (PRUNE_THRESHOLD, FockState, Occupation, _check_occupation,
-                   _union, inner_product)
+from .errors import (NonFiniteAmplitudeError, PhotonCountError,
+                     UnknownDetectorError)
+from .fock import (_COUNTS, MAX_MODE_PHOTONS, PRUNE_THRESHOLD, FockState,
+                   Occupation, _check_occupation, _union, inner_product)
 
 
 @dataclass(frozen=True)
@@ -42,17 +43,24 @@ class DetectionPattern:
 
     With ``exclusive`` (the default) every detector not listed must see zero
     photons; otherwise unlisted detectors are unconstrained and the pattern
-    describes a marginal count.
+    describes a marginal count.  Each count must be a whole number in
+    0..255, the counts a ket can hold; anything else raises
+    :class:`PhotonCountError`.
     """
 
     counts: Mapping[str, int]
     exclusive: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
-        for name, c in self.counts.items():
-            if int(c) < 0:
-                raise ValueError(f"negative count for {name}")
+        counts = dict(self.counts)
+        for name, c in counts.items():
+            # the rule occupations follow: 1.0 is a count, 1.5 and "1" are not
+            if c not in _COUNTS:
+                raise PhotonCountError(
+                    f"count {c!r} for detector {name!r} is not a whole "
+                    f"number in 0..{MAX_MODE_PHOTONS}")
+        object.__setattr__(self, "counts",
+                           {name: int(c) for name, c in counts.items()})
 
     @property
     def total(self) -> int:
@@ -65,7 +73,7 @@ class DetectionPattern:
             if name not in detectors:
                 raise UnknownDetectorError(
                     f"unknown detector {name!r}; have {sorted(detectors)}")
-            out[detectors[name]] = int(c)
+            out[detectors[name]] = c
         return out
 
     def describe(self) -> str:

@@ -18,7 +18,11 @@ so sequential application of U1 then U2 composes to the single matrix
   first keys every ket's terms by their output occupation, packed as an
   integer over the live output columns, and merges them with one integer
   sort; the second adds each ket's coefficient block into the merged kets
-  and releases it, so memory holds one ket's block at a time;
+  and releases it, so memory holds one ket's block at a time.  The first
+  pass depends on no phase, only on the input's occupations and on which
+  matrix entries are nonzero, so its plan is cached on those bytes
+  (``_expansion_plan``, the 32 most recent plans): a scan or a sweep that
+  sends one input through one circuit again and again plans it once;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix (Ryser's algorithm).
 
@@ -279,24 +283,81 @@ def _evolve_each(state: FockState, unitaries: np.ndarray) -> list[FockState]:
             for row in amplitudes]
 
 
+@lru_cache(maxsize=32)
+def _expansion_plan(occupation_bytes: bytes, mode_count: int,
+                    needed_bytes: bytes):
+    """The phase-free half of an expansion, kept for the next call.
+
+    The input's (kets x modes) uint8 occupations and the (modes x modes)
+    mask of unitary entries above ``ROW_CUTOFF``, both as raw bytes, fix
+    every output ket and which merged ket each term adds into; only the
+    coefficients depend on the matrices.  This keys every ket's terms on
+    :class:`_LiveKeys` (the output occupation as a base-(N+1) number over
+    the live columns), as outer sums of per-row key vectors, merges them
+    with one integer sort per key word and decodes only the merged kets.
+    No (terms x modes) occupation array is built.
+
+    Returns the merged output occupations in lexicographic order; per input
+    ket, its ``(mode, count, cols)`` rows with its first term's offset and
+    its term count, or None where some occupied row has no needed column;
+    the merged ket of every term; and each output ket's sqrt(prod k_j!)
+    scale.  Every array is read-only, since the cache hands it out again.
+    """
+    inputs = np.frombuffer(occupation_bytes, dtype=np.uint8).reshape(
+        -1, mode_count)
+    needed = np.frombuffer(needed_bytes, dtype=bool).reshape(
+        mode_count, mode_count)
+    photons = int(inputs[0].sum()) if len(inputs) else 0
+    # the live columns: those some occupied row needs (a boolean matmul)
+    live = np.flatnonzero(inputs.any(axis=0) @ needed)
+    packing = _LiveKeys(live, mode_count, photons)
+    words = packing.place.shape[1]
+
+    key_blocks = [np.zeros((0, words), dtype=np.int64)]
+    kets = []
+    start = 0
+    for occ in inputs.tolist():
+        block_keys = np.zeros((1, words), dtype=np.int64)
+        rows = []
+        for mode, count in enumerate(occ):
+            if count == 0:
+                continue
+            cols = np.flatnonzero(needed[mode])
+            if not len(cols):
+                kets.append(None)
+                break
+            cols.flags.writeable = False
+            added = _compositions(count, len(cols))[0] @ packing.place[cols]
+            block_keys = (block_keys[:, None, :]
+                          + added[None, :, :]).reshape(-1, words)
+            rows.append((mode, count, cols))
+        else:                           # every row had a needed column
+            key_blocks.append(block_keys)
+            kets.append((tuple(rows), start, len(block_keys)))
+            start += len(block_keys)
+    occupations, inverse = packing.merge(np.concatenate(key_blocks))
+    scale = np.prod(_SQRT_FACT[occupations[:, live]], axis=1)
+    for array in (occupations, inverse, scale):
+        array.flags.writeable = False
+    return occupations, tuple(kets), inverse, scale
+
+
 def _evolve_grid(state: FockState,
                  unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
 
     Every input ket is expanded once, over the columns that some matrix of
-    the stack needs, in two passes.  The first builds only the integer keys
-    of every ket's terms (:class:`_LiveKeys`: the output occupation as a
-    base-(N+1) number over the live columns) as outer sums of per-row key
-    vectors, merges them with one integer sort per key word, and decodes
-    only the merged kets to uint8 rows; the second builds each ket's
-    (K x terms) coefficient block in turn, adds it into the output and
-    releases it, so at most one ket's block is alive at a time.  No
-    (terms x modes) occupation array is built.  Returns the output
-    occupations, unique and in lexicographic order, and a (K x kets)
-    amplitude block whose row k is the state evolved by ``unitaries[k]``.
-    A ket is dropped only when it is at or below ``PRUNE_THRESHOLD`` at
-    every k.  Every matrix of the stack gets the checks :func:`evolve`
-    makes.
+    the stack needs, in two passes.  The first, :func:`_expansion_plan`,
+    depends only on the input's occupations and on which entries of the
+    stack are above ``ROW_CUTOFF``, so it is cached on those bytes and runs
+    once per input structure; the 32 most recent plans are kept.  The second
+    runs on every call: it builds each ket's (K x terms) coefficient block
+    in turn, adds it into the output and releases it, so at most one ket's
+    block is alive at a time.  Returns the output occupations, unique and in
+    lexicographic order (read-only), and a (K x kets) amplitude block whose
+    row k is the state evolved by ``unitaries[k]``.  A ket is dropped only
+    when it is at or below ``PRUNE_THRESHOLD`` at every k.  Every matrix of
+    the stack gets the checks :func:`evolve` makes, on every call.
     """
     u = np.asarray(unitaries, dtype=complex)
     m = state.mode_count
@@ -315,52 +376,27 @@ def _evolve_grid(state: FockState,
     k = len(u)
     # the columns of each row that some matrix of the stack needs
     needed = (np.abs(u) > ROW_CUTOFF).any(axis=0)
-    # the live columns: those some occupied row needs (a boolean matmul)
-    live = np.flatnonzero(state.occupation_array.any(axis=0) @ needed)
-    packing = _LiveKeys(live, m, state.total_photons)
-    words = packing.place.shape[1]
+    occupations, kets, inverse, scale = _expansion_plan(
+        state.occupation_array.tobytes(), m, needed.tobytes())
 
-    # pass one: the integer keys of every ket's terms, merged below with one
-    # integer sort per key word; no amplitude is built yet
-    key_blocks = [np.zeros((0, words), dtype=np.int64)]
-    kets = []
-    for occ, amp in zip(state.occupation_array.tolist(),
-                        state.amplitude_array.tolist()):
-        block_keys = np.zeros((1, words), dtype=np.int64)
-        rows = []
-        for mode, count in enumerate(occ):
-            if count == 0:
-                continue
-            cols = np.flatnonzero(needed[mode])
-            if not len(cols):
-                break
-            added = _compositions(count, len(cols))[0] @ packing.place[cols]
-            block_keys = (block_keys[:, None, :]
-                          + added[None, :, :]).reshape(-1, words)
-            rows.append((mode, count, cols))
-        else:                           # every row had a needed column
-            key_blocks.append(block_keys)
-            kets.append((amp, rows, len(block_keys)))
-    occupations, inverse = packing.merge(np.concatenate(key_blocks))
-    del key_blocks
-
-    # pass two: each ket's coefficient block, summed per grid phase on the
-    # merged keys and released before the next ket's is built
+    # each ket's coefficient block, summed per grid phase on the merged keys
+    # and released before the next ket's is built
     n = len(occupations)
     amplitudes = np.zeros((k, n), dtype=complex)
-    start = 0
-    for amp, rows, terms in kets:
+    for amp, ket in zip(state.amplitude_array.tolist(), kets):
+        if ket is None:
+            continue
+        rows, start, terms = ket
         block = np.full((k, 1), amp, dtype=complex)
         for mode, count, cols in rows:
             coeffs = _row_coefficients(u[:, mode], cols, count)
             block = block / _SQRT_FACT[count]
             block = (block[:, :, None] * coeffs[:, None, :]).reshape(k, -1)
         index = inverse[start:start + terms]
-        start += terms
         for row, out in zip(block, amplitudes):
             out.real += np.bincount(index, row.real, n)
             out.imag += np.bincount(index, row.imag, n)
-    amplitudes *= np.prod(_SQRT_FACT[occupations[:, packing.live]], axis=1)
+    amplitudes *= scale
 
     finite = np.isfinite(amplitudes)
     if not finite.all():

@@ -193,8 +193,7 @@ def _fit_samples(parameter: str, phis: np.ndarray,
     visibility = amplitude / mean if mean > 1e-12 else 0.0
     vals = _probabilities(harmonics, phis)
     return FringeScan(parameter=parameter,
-                      samples=tuple((float(p), float(v))
-                                    for p, v in zip(phis, vals)),
+                      samples=tuple(zip(phis.tolist(), vals.tolist())),
                       mean=mean, amplitude=float(amplitude),
                       spatial_frequency=float(f), phase_offset=phase_offset,
                       visibility=float(visibility), residual=residual)

@@ -301,6 +301,27 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "mzsim:" in err
 
 
+@pytest.mark.parametrize("count", ["1.5", "256", "-1"])
+def test_a_pattern_count_that_is_not_a_byte_exits_2(capsys, count):
+    code, out, err = run_cli(capsys, "--preset", "fig1",
+                             "--pattern", f"D10:{count}", "--non-exclusive",
+                             "--phases", "phi_C=0,phi_B=0")
+    assert code == 2 and out == ""
+    assert err.startswith("mzsim:") and "Traceback" not in err
+
+
+def test_one_process_runs_a_sweep_an_error_and_the_sweep_again(capsys):
+    sweep = ("--preset", "fig2", "--toggles", "BS2", "--pattern", "D6:1,D10:1",
+             "--sweep", "phi_C:0:12.566:64", "--phases", "phi_B=0.4,phi_S=1.1",
+             "--format", "json")
+    first = run_cli(capsys, *sweep)
+    code, out, err = run_cli(capsys, "--verify", "--format", "json")
+    assert code == 2 and out == "" and "mzsim:" in err
+    again = run_cli(capsys, *sweep)
+    assert first[0] == again[0] == 0
+    assert first[1] == again[1] and len(json.loads(first[1])["samples"]) == 64
+
+
 def test_a_repeated_toggle_or_a_fixed_swept_phase_is_named(capsys):
     _, _, err = run_cli(capsys, "--preset", "fig2", "--pattern", "D6:1,D10:1",
                         "--toggles", "BS2,BS2",

@@ -49,6 +49,21 @@ def test_pattern_rejects_negative_counts():
         DetectionPattern({"Da": -1})
 
 
+@pytest.mark.parametrize("count", [1.5, 1.9, -1, 256, "1", math.inf,
+                                   math.nan, None])
+def test_pattern_counts_must_be_whole_numbers_in_a_byte(count):
+    for exclusive in (True, False):
+        with pytest.raises(PhotonCountError, match="Da"):
+            DetectionPattern({"Da": count, "Db": 1}, exclusive=exclusive)
+
+
+def test_whole_number_counts_are_kept_as_ints():
+    p = DetectionPattern({"Da": 2.0, "Db": np.uint8(1), "Dc": True})
+    assert p.counts == {"Da": 2, "Db": 1, "Dc": 1}
+    assert all(type(c) is int for c in p.counts.values())
+    assert p.total == 4 and p.describe() == "Da:2,Db:1,Dc:1"
+
+
 def test_pattern_resolve_validates_names():
     p = DetectionPattern({"Dz": 1})
     with pytest.raises(UnknownDetectorError):

@@ -24,7 +24,7 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
                    transition_amplitude, vacuum)
 from mzsim.fock import PRUNE_THRESHOLD
 from mzsim.optics import (ROW_CUTOFF, _compositions, _evolve_each,
-                          _evolve_grid, _LiveKeys)
+                          _evolve_grid, _expansion_plan, _LiveKeys)
 from strategies import random_unitary, superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -334,6 +334,94 @@ def test_the_grid_checks_every_matrix_of_its_stack():
         _evolve_grid(state, good)
     with pytest.raises(PhotonCountError):
         _evolve_grid(basis_state((21, 0)), np.stack([good, good]))
+
+
+# ---------------------------------------------------------------------------
+# the cached expansion plan
+
+
+def permanent_route(state, u, n_out):
+    """<n_out|U|state> summed ket by ket from transition amplitudes."""
+    return sum(a * transition_amplitude(u, n_in, n_out)
+               for n_in, a in state.items())
+
+
+def assert_matches_the_permanent(out, state, u):
+    assert abs(out.norm() - 1.0) < 1e-12
+    for n_out in out.occupations():
+        assert abs(out[n_out] - permanent_route(state, u, n_out)) < 1e-12
+
+
+def test_states_sharing_occupations_share_a_plan_but_not_amplitudes(seed=41):
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 4)
+    first = FockState({(1, 1, 0, 0): 0.6, (0, 1, 1, 0): 0.8j})
+    second = FockState({(1, 1, 0, 0): -0.8j, (0, 1, 1, 0): 0.6})
+    _expansion_plan.cache_clear()
+    out_first, out_second = evolve(first, u), evolve(second, u)
+    info = _expansion_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert not out_first.allclose(out_second)
+    assert_matches_the_permanent(out_first, first, u)
+    assert_matches_the_permanent(out_second, second, u)
+
+
+def test_an_exact_zero_entry_gets_its_own_plan(seed=42):
+    rng = np.random.default_rng(seed)
+    state = FockState({(1, 1, 1): INV_SQRT2, (2, 0, 1): INV_SQRT2})
+    dense = random_unitary(rng, 3)
+    # mode 2 only picks up a phase: its row and column are zero elsewhere
+    sparse = bs_unitary(BALANCED, 0, 1, 3) @ phase_unitary(2, 0.3, 3)
+    _expansion_plan.cache_clear()
+    out_dense, out_sparse = evolve(state, dense), evolve(state, sparse)
+    assert _expansion_plan.cache_info().misses == 2
+    assert_matches_the_permanent(out_dense, state, dense)
+    assert_matches_the_permanent(out_sparse, state, sparse)
+    assert {occ[2] for occ in out_sparse.occupations()} == {1}
+    assert len(out_dense) > len(out_sparse)
+
+
+def test_a_cold_and_a_warm_plan_give_identical_outputs(seed=43):
+    rng = np.random.default_rng(seed)
+    state = FockState({(2, 1, 0, 0): 0.5, (0, 1, 1, 1): 0.5j,
+                       (1, 0, 0, 2): -math.sqrt(0.5)})
+    stack = np.stack([random_unitary(rng, 4) for _ in range(3)])
+    _expansion_plan.cache_clear()
+    cold_kets, cold_amps = _evolve_grid(state, stack)
+    warm_kets, warm_amps = _evolve_grid(state, stack)
+    assert _expansion_plan.cache_info().hits == 1
+    assert np.array_equal(cold_kets, warm_kets)
+    assert np.array_equal(cold_amps, warm_amps)
+
+
+def test_plan_arrays_are_read_only(seed=44):
+    rng = np.random.default_rng(seed)
+    state = FockState({(1, 1, 0): INV_SQRT2, (0, 0, 2): INV_SQRT2})
+    u = random_unitary(rng, 3)
+    out = evolve(state, u)
+    needed = np.abs(u) > ROW_CUTOFF
+    occupations, kets, inverse, scale = _expansion_plan(
+        state.occupation_array.tobytes(), 3, needed.tobytes())
+    assert np.array_equal(occupations, out.occupation_array)
+    arrays = [occupations, inverse, scale]
+    arrays += [cols for rows, _, _ in kets for _, _, cols in rows]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+def test_the_plan_cache_keeps_at_most_32_plans(seed=45):
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 6)
+    inputs = [occ for occ in itertools.product(range(4), repeat=6)
+              if sum(occ) == 3][:40]
+    assert len(inputs) == 40
+    _expansion_plan.cache_clear()
+    for occ in inputs:
+        evolve(basis_state(occ), u)
+    info = _expansion_plan.cache_info()
+    assert info.misses == 40 and info.currsize <= 32
 
 
 # ---------------------------------------------------------------------------
