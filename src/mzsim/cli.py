@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -52,9 +51,7 @@ class _UsageError(ValueError):
     pass
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mzsim",
         description="Fock-state simulation of tap-and-erase interferometer "

@@ -6,8 +6,10 @@ against third routes: dense single-photon matrix action and a brute-force
 permutation sum for the permanent.
 """
 
+import gc
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -401,7 +403,7 @@ def test_plan_arrays_are_read_only(seed=44):
     out = evolve(state, u)
     needed = np.abs(u) > ROW_CUTOFF
     occupations, kets, inverse, scale = _expansion_plan(
-        state.occupation_array.tobytes(), 3, needed.tobytes())
+        state.occupation_array, needed)
     assert np.array_equal(occupations, out.occupation_array)
     arrays = [occupations, inverse, scale]
     arrays += [cols for rows, _, _ in kets for _, _, cols in rows]
@@ -422,6 +424,76 @@ def test_the_plan_cache_keeps_at_most_32_plans(seed=45):
         evolve(basis_state(occ), u)
     info = _expansion_plan.cache_info()
     assert info.misses == 40 and info.currsize <= 32
+
+
+def uniform_superposition(photons, modes, skip=0):
+    """Every ket of `photons` in `modes` but the first `skip`, all equal."""
+    occs = [occ for occ in itertools.product(range(photons + 1), repeat=modes)
+            if sum(occ) == photons][skip:]
+    return FockState({occ: 1 / math.sqrt(len(occs)) for occ in occs})
+
+
+@pytest.mark.parametrize("occ, kets, dtype", [
+    ((1, 1, 0, 0), 10, np.uint8),
+    ((1, 1, 1) + (0,) * 8, 286, np.uint16)])
+def test_a_plan_keeps_its_merge_index_in_the_narrowest_type(occ, kets, dtype,
+                                                            seed=46):
+    state = basis_state(occ)
+    u = random_unitary(np.random.default_rng(seed), len(occ))
+    out = evolve(state, u)
+    occupations, _, inverse, _ = _expansion_plan(
+        state.occupation_array, np.abs(u) > ROW_CUTOFF)
+    assert len(occupations) == len(out) == kets
+    assert inverse.dtype == dtype and int(inverse.max()) == kets - 1
+    assert_matches_the_permanent(out, state, u)
+
+
+def retained_by_plans(states, u):
+    """Bytes the plan cache still holds after evolving `states` through `u`,
+    by tracemalloc, and its own count; every other cache warmed first."""
+    for state in states:
+        evolve(state, u)
+    _expansion_plan.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for state in states:
+            evolve(state, u)
+            held = _expansion_plan.cache_info().nbytes
+            assert held <= _expansion_plan.budget
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained, _expansion_plan.cache_info()
+
+
+def test_the_plan_cache_counts_the_bytes_its_plans_hold(monkeypatch, seed=47):
+    u = random_unitary(np.random.default_rng(seed), 7)
+    states = [uniform_superposition(3, 7, skip) for skip in range(3)]
+    monkeypatch.setattr(_expansion_plan, "budget", 2 ** 20)
+    retained, info = retained_by_plans(states, u)
+    assert (info.misses, info.currsize) == (3, 3)
+    assert 0.9 * retained < info.nbytes < 1.1 * retained
+
+
+def test_the_plan_cache_keeps_within_its_byte_budget(monkeypatch, seed=47):
+    u = random_unitary(np.random.default_rng(seed), 7)
+    states = [uniform_superposition(3, 7, skip) for skip in range(3)]
+    one_plan = retained_by_plans(states[:1], u)[1].nbytes
+    kept = evolve(states[0], u)
+    # room for two plans: the third evicts the first
+    monkeypatch.setattr(_expansion_plan, "budget", int(2.5 * one_plan))
+    retained, info = retained_by_plans(states, u)
+    assert info.currsize == 2 and retained < 2.5 * one_plan
+    # a plan larger than the whole budget is used once and not kept
+    monkeypatch.setattr(_expansion_plan, "budget", one_plan // 2)
+    retained, info = retained_by_plans(states[:1], u)
+    assert (info.currsize, info.nbytes) == (0, 0)
+    assert retained < 0.05 * one_plan
+    out = evolve(states[0], u)
+    assert np.array_equal(out.occupation_array, kept.occupation_array)
+    assert np.array_equal(out.amplitude_array, kept.amplitude_array)
 
 
 # ---------------------------------------------------------------------------
