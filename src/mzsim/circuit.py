@@ -64,6 +64,14 @@ def _check_name(what: str, name) -> None:
             f"whitespace or '#'")
 
 
+def _check_modes(what: str, name: str, modes: Iterable[int],
+                 mode_count: int) -> None:
+    for m in modes:
+        if not 0 <= m < mode_count:
+            raise CircuitError(
+                f"{what} {name} uses mode {m}, mode count is {mode_count}")
+
+
 @dataclass(frozen=True)
 class CircuitElement:
     """One optical element; ``kind`` is "bs", "phase" or "swap".
@@ -93,6 +101,8 @@ class CircuitElement:
                 raise CircuitError(f"swap element {self.name} needs two modes")
         else:
             raise CircuitError(f"unknown element kind {self.kind!r}")
+        if len(set(self.modes)) != len(self.modes):
+            raise CircuitError(f"element {self.name} repeats a mode")
         if self.kind != "bs" and self.coeffs is not None:
             raise CircuitError(f"{self.kind} element {self.name} takes no coefficients")
         if self.kind != "phase" and self.param is not None:
@@ -111,16 +121,10 @@ class Circuit:
         if len(set(names)) != len(names):
             raise CircuitError("duplicate element names")
         for e in self.elements:
-            if any(not 0 <= m < self.mode_count for m in e.modes):
-                raise CircuitError(
-                    f"element {e.name} uses modes {e.modes}, "
-                    f"mode count is {self.mode_count}")
-            if len(set(e.modes)) != len(e.modes):
-                raise CircuitError(f"element {e.name} repeats a mode")
+            _check_modes("element", e.name, e.modes, self.mode_count)
         for det, mode in self.detectors.items():
             _check_name("detector", det)
-            if not 0 <= mode < self.mode_count:
-                raise CircuitError(f"detector {det} mode {mode} out of range")
+            _check_modes("detector", det, (mode,), self.mode_count)
         if len(set(self.detectors.values())) != len(self.detectors):
             raise CircuitError("detector modes must be pairwise distinct")
         unknown = self.toggles - set(names)
@@ -419,6 +423,16 @@ def parse_circuit(text: str) -> Circuit:
         names.add(tokens[1])
         return tokens[1]
 
+    def add_element(line_no: int, *args, **kwargs):
+        # an element's faults, and modes past a declared count, are its line's
+        try:
+            e = CircuitElement(*args, **kwargs)
+            if mode_count is not None:
+                _check_modes("element", e.name, e.modes, mode_count)
+        except CircuitError as exc:
+            err(line_no, str(exc))
+        elements.append(e)
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -455,23 +469,31 @@ def parse_circuit(text: str) -> Circuit:
                                             parse_complex(kv["R"])).validate()
             except ValueError as exc:
                 err(line_no, str(exc))
-            elements.append(CircuitElement("bs", name, (a, b), coeffs))
+            add_element(line_no, "bs", name, (a, b), coeffs=coeffs)
         elif directive == "phase":
             name = element_name(tokens, 4, "phase NAME MODE PARAM", line_no)
             mode = parse_mode(tokens[2], line_no)
-            elements.append(CircuitElement("phase", name, (mode,), param=tokens[3]))
+            add_element(line_no, "phase", name, (mode,), param=tokens[3])
         elif directive == "swap":
             name = element_name(tokens, 4, "swap NAME A B", line_no)
             a = parse_mode(tokens[2], line_no)
             b = parse_mode(tokens[3], line_no)
-            elements.append(CircuitElement("swap", name, (a, b)))
+            add_element(line_no, "swap", name, (a, b))
         elif directive == "detect":
             if len(tokens) != 3:
                 err(line_no, "usage: detect NAME MODE")
             name = tokens[1]
             if name in detectors:
                 err(line_no, f"duplicate detector {name!r}")
-            detectors[name] = parse_mode(tokens[2], line_no)
+            mode = parse_mode(tokens[2], line_no)
+            try:
+                if mode_count is not None:
+                    _check_modes("detector", name, (mode,), mode_count)
+            except CircuitError as exc:
+                err(line_no, str(exc))
+            if mode in detectors.values():
+                err(line_no, "detector modes must be pairwise distinct")
+            detectors[name] = mode
         else:
             err(line_no, f"unknown directive {directive!r}")
 

@@ -26,11 +26,9 @@ from .errors import (CircuitParseError, NonUnitaryError,
 from .fock import FockState, basis_state, embed
 from .measurement import DetectionPattern, pattern_probability
 from .optics import evolve
-from .scenarios import (NORM_TOL, _fit_samples, _probabilities, _scan_values,
+from .scenarios import (MAX_SWEEP_SAMPLES, NORM_TOL, _fit_samples,
+                        _probabilities, _samples_csv, _scan_values,
                         engineered_input, noon_target)
-
-#: Most samples one --sweep may ask for.
-MAX_SWEEP_SAMPLES = 100_000
 
 
 @dataclass
@@ -230,8 +228,7 @@ def _run_sweep(config: RunConfig, out) -> int:
                                    [(config.toggles, [config.pattern])])
     samples = np.column_stack((phis, _probabilities(harmonics, phis))).tolist()
     if config.output_format == "csv":
-        out.write("phase,probability\n"
-                  + "".join(f"{p!r},{v!r}\n" for p, v in samples))
+        out.write(_samples_csv(samples))
         return 0
     try:
         # no phases: only the fit, without sampling the scan a second time

@@ -13,11 +13,11 @@ nothing of size kets x kets; a matrix given as a mapping has factors
 (matrix, identity).  A partial trace groups the basis kets by their
 occupation of the traced modes, scatters each group's factor rows into
 columns of its own beside the others, and forms the reduced matrix with
-one matmul; the result keeps those regrouped factors.  ``entries``
-presents the nonzero entries as a read-only map (ket occupation, bra
-occupation) -> entry over a dense matrix built on first use; every view,
-the trace and the number-operator readouts read that matrix, and only
-``partial_trace`` reads the factors.  Matrices retain
+one matmul; the result keeps those regrouped factors.  The dense matrix
+is built on first use; the trace and the number-operator readouts read
+it, and only ``partial_trace`` reads the factors.  ``entries`` presents
+the nonzero entries as a read-only map (ket occupation, bra occupation)
+-> entry, a dict read off the dense matrix on first read.  Matrices retain
 the identity of the original mode indices through partial traces, so
 number operators can still be addressed by circuit mode after tracing.
 """
@@ -25,8 +25,7 @@ number operators can still be addressed by circuit mode after tracing.
 from __future__ import annotations
 
 import warnings
-from collections.abc import (ItemsView, Iterable, Iterator, Mapping,
-                             ValuesView)
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,14 +129,14 @@ class DensityEntries(Mapping):
     use unless it was given, and kept read-only.  After a partial trace it
     is given with its entries at or below ``PRUNE_THRESHOLD`` zeroed, while
     the factors stay unpruned: a nested trace reads them, and every other
-    view reads ``matrix``.  Only nonzero entries of
-    ``matrix`` are present; iteration yields them in lexicographic
-    ``(ket, bra)`` order, with occupation tuples as keys.  ``items()`` and
-    ``values()`` read the arrays in one pass; a lookup goes through a
-    ket -> row dict built on first use.
+    view reads ``matrix``.  Lookups, iteration and ``repr`` read one dict of
+    the nonzero entries of ``matrix``, keyed by occupation tuples in
+    lexicographic ``(ket, bra)`` order and built on first read; ``len``
+    counts the nonzeros without building it.  A key is read as
+    ``(tuple(ket), tuple(bra))``, so list occupations find their entry too.
     """
 
-    __slots__ = ("basis", "left", "right", "_matrix", "_rows")
+    __slots__ = ("basis", "left", "right", "_matrix", "_dict")
 
     def __init__(self, basis: np.ndarray, left: np.ndarray, right: np.ndarray,
                  matrix: np.ndarray | None = None):
@@ -148,7 +147,7 @@ class DensityEntries(Mapping):
         self.left = left
         self.right = right
         self._matrix = matrix
-        self._rows = None
+        self._dict = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -158,58 +157,30 @@ class DensityEntries(Mapping):
             self._matrix = matrix
         return self._matrix
 
-    def _index(self, ket: Iterable[int], bra: Iterable[int]) -> tuple[int, int]:
-        """Row and column of an entry, -1 where the basis lacks the ket."""
-        if self._rows is None:
-            self._rows = {occ: i for i, occ in
-                          enumerate(map(tuple, self.basis.tolist()))}
-        return self._rows.get(tuple(ket), -1), self._rows.get(tuple(bra), -1)
+    @property
+    def _entries(self) -> dict[tuple[Occupation, Occupation], complex]:
+        if self._dict is None:
+            rows, cols = np.nonzero(self.matrix)
+            kets = list(map(tuple, self.basis.tolist()))
+            self._dict = {(kets[i], kets[j]): v for i, j, v in zip(
+                rows.tolist(), cols.tolist(), self.matrix[rows, cols].tolist())}
+        return self._dict
 
     def __getitem__(self, key) -> complex:
         try:
-            i, j = self._index(*key)
-        except TypeError:
+            ket, bra = key
+            return self._entries[tuple(ket), tuple(bra)]
+        except (KeyError, TypeError, ValueError):
             raise KeyError(key) from None
-        if i < 0 or j < 0 or self.matrix[i, j] == 0:
-            raise KeyError(key)
-        return complex(self.matrix[i, j])
 
     def __iter__(self) -> Iterator[tuple[Occupation, Occupation]]:
-        return (key for key, _ in self._pairs())
+        return iter(self._entries)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.matrix))
 
-    def items(self) -> ItemsView:
-        return _EntryItems(self)
-
-    def values(self) -> ValuesView:
-        return _EntryValues(self)
-
-    def _pairs(self) -> Iterator[tuple[tuple[Occupation, Occupation], complex]]:
-        rows, cols = np.nonzero(self.matrix)
-        kets = list(map(tuple, self.basis.tolist()))
-        values = self.matrix[rows, cols].tolist()
-        return (((kets[i], kets[j]), v)
-                for i, j, v in zip(rows.tolist(), cols.tolist(), values))
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self._pairs())!r})"
-
-
-class _EntryItems(ItemsView):
-    """Items read off the arrays in one pass instead of key by key."""
-
-    def __iter__(self):
-        return self._mapping._pairs()
-
-
-class _EntryValues(ValuesView):
-    """Values read off the arrays in one pass, in the order of the keys."""
-
-    def __iter__(self):
-        matrix = self._mapping.matrix
-        return iter(matrix[matrix != 0].tolist())
+        return f"{type(self).__name__}({self._entries!r})"
 
 
 @dataclass(frozen=True)
@@ -264,8 +235,7 @@ class DensityMatrix:
         return self.entries.matrix
 
     def entry(self, ket: Iterable[int], bra: Iterable[int]) -> complex:
-        i, j = self.entries._index(ket, bra)
-        return complex(self.matrix_array[i, j]) if i >= 0 and j >= 0 else 0j
+        return self.entries.get((tuple(ket), tuple(bra)), 0j)
 
     def items(self):
         """Nonzero entries in lexicographic (ket, bra) order."""

@@ -303,11 +303,11 @@ def _build_plan(inputs: np.ndarray, needed: np.ndarray):
     Returns the plan and the bytes it holds.  The plan is the merged output
     occupations in lexicographic order; per input ket, its
     ``(mode, count, cols)`` rows with its first term's offset and its term
-    count, or None where some occupied row has no needed column; the merged
-    ket of every term, in the narrowest unsigned type that holds the ket
-    count; and each output ket's sqrt(prod k_j!) scale.  Every array is
-    read-only, since :data:`_expansion_plan` hands it out again.  The bytes
-    count the arrays' data, the column slices and the per-ket tuples.
+    count; the merged ket of every term, in the narrowest unsigned type that
+    holds the ket count; and each output ket's sqrt(prod k_j!) scale.  Every
+    array is read-only, since :data:`_expansion_plan` hands it out again.
+    The bytes count the arrays' data, the column slices and the per-ket
+    tuples.
     """
     mode_count = needed.shape[0]
     occs = inputs.tolist()
@@ -332,20 +332,15 @@ def _build_plan(inputs: np.ndarray, needed: np.ndarray):
         block_keys = np.zeros((1, words), dtype=np.int64)
         rows = []
         for mode, count in enumerate(occ):
-            if count == 0:
-                continue
-            cols = cols_of[mode]
-            if not len(cols):
-                kets.append(None)
-                break
-            added = _compositions(count, len(cols))[0] @ packing.place[cols]
-            block_keys = (block_keys[:, None, :]
-                          + added[None, :, :]).reshape(-1, words)
-            rows.append((mode, count, cols))
-        else:                           # every row had a needed column
-            key_blocks.append(block_keys)
-            kets.append((tuple(rows), start, len(block_keys)))
-            start += len(block_keys)
+            if count:
+                cols = cols_of[mode]
+                added = _compositions(count, len(cols))[0] @ packing.place[cols]
+                block_keys = (block_keys[:, None, :]
+                              + added[None, :, :]).reshape(-1, words)
+                rows.append((mode, count, cols))
+        key_blocks.append(block_keys)
+        kets.append((tuple(rows), start, len(block_keys)))
+        start += len(block_keys)
     occupations, inverse = packing.merge(np.concatenate(key_blocks))
     inverse = inverse.astype(np.min_scalar_type(len(occupations)))
     scale = np.prod(_SQRT_FACT[occupations[:, live]], axis=1)
@@ -356,8 +351,7 @@ def _build_plan(inputs: np.ndarray, needed: np.ndarray):
             + needed_cols.nbytes + sys.getsizeof(kets)
             + sum(map(sys.getsizeof, cols_of.values())))
     for ket in kets:
-        if ket is not None:
-            size += sum(map(sys.getsizeof, (ket, *ket, *ket[0])))
+        size += sum(map(sys.getsizeof, (ket, *ket, *ket[0])))
     return (occupations, kets, inverse, scale), size
 
 
@@ -374,8 +368,7 @@ class _PlanCache:
     larger than the whole budget is returned and not kept.
     """
 
-    def __init__(self, build, maxsize: int, budget: int):
-        self._build = build
+    def __init__(self, maxsize: int, budget: int):
         self.maxsize = maxsize
         self.budget = budget
         self._plans = OrderedDict()
@@ -393,7 +386,7 @@ class _PlanCache:
                 self._hits += 1
                 return entry[0]
             self._misses += 1
-        plan, size = self._build(occupations, needed)
+        plan, size = _build_plan(occupations, needed)
         size += sys.getsizeof(key[1]) + sys.getsizeof(key[2])
         with self._lock:
             if key not in self._plans:
@@ -421,7 +414,7 @@ class _PlanCache:
 #: fit in a tenth of it; one plan of a 330-ket, 4-photon superposition
 #: through a dense 8-mode unitary holds 1.6 MiB.
 PLAN_CACHE_BYTES = 4 * 2 ** 20
-_expansion_plan = _PlanCache(_build_plan, maxsize=32, budget=PLAN_CACHE_BYTES)
+_expansion_plan = _PlanCache(maxsize=32, budget=PLAN_CACHE_BYTES)
 
 
 def _evolve_grid(state: FockState,
@@ -467,10 +460,7 @@ def _evolve_grid(state: FockState,
     # and released before the next ket's is built
     n = len(occupations)
     amplitudes = np.zeros((k, n), dtype=complex)
-    for amp, ket in zip(state.amplitude_array.tolist(), kets):
-        if ket is None:
-            continue
-        rows, start, terms = ket
+    for amp, (rows, start, terms) in zip(state.amplitude_array.tolist(), kets):
         block = np.full((k, 1), amp, dtype=complex)
         for mode, count, cols in rows:
             coeffs = _row_coefficients(u[:, mode], cols, count)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ FLAT_VISIBILITY = 0.01
 #: after the fitted harmonic must stay below it.
 RESIDUAL_LIMIT = 1e-6
 MIN_SCAN_SAMPLES = 64
+#: Most samples one scan or CLI sweep may ask for.
+MAX_SWEEP_SAMPLES = 100_000
 #: A state whose norm is farther than this from 1 is not normalised.
 NORM_TOL = 1e-6
 
@@ -81,9 +84,12 @@ class FringeScan:
                         "residual": self.residual}}
 
     def to_csv(self) -> str:
-        lines = ["phase,probability"]
-        lines += [f"{p!r},{v!r}" for p, v in self.samples]
-        return "\n".join(lines) + "\n"
+        return _samples_csv(self.samples)
+
+
+def _samples_csv(samples) -> str:
+    """``phase,probability`` CSV of (phase, probability) pairs, floats as repr."""
+    return "phase,probability\n" + "".join(f"{p!r},{v!r}\n" for p, v in samples)
 
 
 @dataclass(frozen=True)
@@ -200,9 +206,11 @@ def _fit_samples(parameter: str, phis: np.ndarray,
 
 
 def _scan_phases(n_samples: int) -> np.ndarray:
-    if n_samples < MIN_SCAN_SAMPLES:
+    if not (isinstance(n_samples, numbers.Integral)
+            and MIN_SCAN_SAMPLES <= n_samples <= MAX_SWEEP_SAMPLES):
         raise ValueError(
-            f"a scan needs at least {MIN_SCAN_SAMPLES} samples")
+            f"a scan needs a whole number of {MIN_SCAN_SAMPLES} to "
+            f"{MAX_SWEEP_SAMPLES} samples, got {n_samples!r}")
     return np.linspace(0.0, 4 * math.pi, n_samples, endpoint=False)
 
 

@@ -372,6 +372,14 @@ def test_parse_toggle_flag():
     ("teleport T 0 1", 1),
     ("swap S 0 x", 1),
     ("swap S -1 0", 1),
+    # faults of one element or detector, reported at its own line
+    ("modes 4\nbs X 1 1 T=0.7071067811865475 R=0.7071067811865475i\n"
+     "swap S 0 1\nswap Q 2 3", 2),                           # repeated mode
+    ("modes 4\nbs X 1 9 T=0.7071067811865475 R=0.7071067811865475i\n"
+     "swap S 0 1\nswap Q 2 3", 2),                           # past modes 4
+    ("modes 4\nswap S 0 1\ndetect D 7\nswap Q 2 3", 3),
+    ("modes 4\ndetect A 1\ndetect B 1\ndetect C 2", 3),     # shared mode
+    ("swap S 1 1\nswap Q 2 3", 1),
 ])
 def test_parse_errors_carry_line_numbers(bad_line, line_no):
     with pytest.raises(CircuitParseError) as exc:

@@ -373,11 +373,13 @@ def test_a_state_file_whose_norm_overflows_exits_2_with_one_message(
 
 def test_parse_errors_exit_3(capsys, tmp_path):
     path = tmp_path / "broken.mzc"
-    path.write_text("modes 2\nteleport T 0 1\n")
-    code, _, err = run_cli(capsys, "--circuit", str(path),
-                           "--pattern", "Da:1", "--phases", "")
-    assert code == 3
-    assert "line 2" in err
+    for text in ("modes 2\nteleport T 0 1\n",
+                 "modes 4\nswap X 1 1\nswap S 0 1\nswap Q 2 3\n"):
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "--circuit", str(path),
+                               "--pattern", "Da:1", "--phases", "")
+        assert code == 3
+        assert "line 2" in err
 
 
 @pytest.mark.parametrize("run", [

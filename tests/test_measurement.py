@@ -328,7 +328,12 @@ def test_density_entries_is_a_read_only_view_of_the_arrays():
     assert len(rho.entries) == 4
     assert list(rho.entries) == sorted(rho.entries)
     assert abs(rho.entries[((1, 1, 0), (1, 1, 0))] - 1 / 3) < 1e-15
-    for missing in (((1, 1, 0), (2, 0, 0)), ((1, 1), (1, 1)), (1, 2), "x"):
+    # a key is read as (tuple(ket), tuple(bra)), so lists find it too
+    listed = [[1, 1, 0], [1, 1, 0]]
+    assert rho.entries[listed] == rho.entries[((1, 1, 0), (1, 1, 0))]
+    assert listed in rho.entries and rho.entry(*listed) == rho.entries[listed]
+    for missing in (((1, 1, 0), (2, 0, 0)), ((1, 1), (1, 1)), (1, 2), "x",
+                    [[1, 1, 0]], [[1, 1, 0], [[1], 1, 0]]):
         assert missing not in rho.entries
         with pytest.raises(KeyError):
             rho.entries[missing]
@@ -343,17 +348,36 @@ def test_density_entries_is_a_read_only_view_of_the_arrays():
 
 
 def test_entry_reads_agree_in_order_and_value(seed=47):
-    # a spread-out state with a traced mode, so the matrix holds zeros too
+    # a spread-out state with a traced mode, so the matrix holds zeros too,
+    # and a mapping-built matrix whose entries are given out of order
     rng = np.random.default_rng(seed)
     state = embed(basis_state((2, 1)), 4, (0, 1))
     rho = partial_trace(density_from_pure(evolve(state, random_unitary(rng, 4))),
                         [3])
-    items = rho.entries.items()
-    assert 0 < len(items) == len(rho.entries) < rho.matrix_array.size
-    assert list(dict(rho.entries).items()) == list(items)
-    assert list(rho.entries.values()) == [v for _, v in items]
-    assert all(rho.entries[key] == value for key, value in items)
-    assert all(rho.entry(*key) == value for key, value in items)
+    shuffled = DensityMatrix(dict(reversed(list(rho.entries.items()))),
+                             rho.modes)
+    for density in (rho, shuffled):
+        items = density.entries.items()
+        assert 0 < len(items) == len(density.entries) < density.matrix_array.size
+        assert list(density.entries) == sorted(density.entries)
+        assert list(dict(density.entries).items()) == list(items)
+        assert list(density.entries.values()) == [v for _, v in items]
+        assert all(density.entries[key] == value for key, value in items)
+        assert all(density.entry(*key) == value for key, value in items)
+    assert list(shuffled.entries.items()) == list(rho.entries.items())
+
+
+def test_counting_entries_builds_no_map_of_them():
+    # all 220 kets of 3 photons over 10 modes: the dense matrix takes
+    # 220^2 * 16 B = 0.77 MB, a dict of its 48,400 entries several MB
+    rho = density_from_pure(full_sector_state(3, 10, seed=61))
+    tracemalloc.start()
+    try:
+        assert len(rho.entries) == 220 ** 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("entries,error", [

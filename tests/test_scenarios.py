@@ -141,6 +141,11 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         run_scan(c, (), state, eraser_projector(), "phi_B", {"phi_C": 0.0},
                  n_samples=10)
+    # the CLI's sweep cap holds here too, and a count must be whole
+    for n_samples in (scenarios.MAX_SWEEP_SAMPLES + 1, 64.5):
+        with pytest.raises(ValueError, match="whole number of 64 to 100000"):
+            run_scan(c, (), state, pattern, "phi_B", {"phi_C": 0.0},
+                     n_samples=n_samples)
 
 
 # ---------------------------------------------------------------------------
