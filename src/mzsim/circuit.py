@@ -10,7 +10,8 @@ the identity, which models physically taking the splitter out of the beam.
 Compiling walks the elements once and updates the columns of the product in
 place: a splitter mixes two columns, a delay scales one, a swap exchanges
 two.  One pass can compile a circuit at K phase sets at once, as a
-(K x M x M) stack; a scan uses that for its grid of phases.
+(K x M x M) stack; a scan uses that for its grid of phases.  Each column
+is then kept as one contiguous block over the grid.
 
 Preset layouts
 --------------
@@ -180,7 +181,9 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
     updates: a splitter mixes its two columns, a delay scales its column by
     e^{i phi} (by K factors when its parameter is an array), and a swap
     exchanges two columns, which is done by relabeling where each column is
-    stored.  The elements are those :meth:`Circuit.enabled` keeps.
+    stored.  Each column is one contiguous (K x M) block, so every update
+    walks memory in order.  The elements are those :meth:`Circuit.enabled`
+    keeps.
     """
     elements = circuit.enabled(enabled_toggles)
     missing = [p for p in circuit.parameters if p not in phases]
@@ -193,25 +196,25 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
             raise ValueError(f"phase {p} is not finite")
         factors[p] = np.exp(1j * values)[..., None]
     m = circuit.mode_count
-    # cols[:, stored[j]] is column j of the product so far, kept as a row
-    cols = np.zeros((max((f.size for f in factors.values()), default=1), m, m),
+    # cols[stored[j]] is column j of the product so far, one row per phase
+    cols = np.zeros((m, max((f.size for f in factors.values()), default=1), m),
                     dtype=complex)
-    cols[:, range(m), range(m)] = 1.0
+    cols[range(m), :, range(m)] = 1.0
     stored = list(range(m))
     for e in elements:
         if e.kind == "bs":
             t, r = e.coeffs.t, e.coeffs.r
-            col_a, col_b = cols[:, stored[e.modes[0]]], cols[:, stored[e.modes[1]]]
+            col_a, col_b = cols[stored[e.modes[0]]], cols[stored[e.modes[1]]]
             mixed = t * col_a + r * col_b
             col_b *= t
             col_b += r * col_a
             col_a[...] = mixed
         elif e.kind == "phase":
-            cols[:, stored[e.modes[0]]] *= factors[e.param]
+            cols[stored[e.modes[0]]] *= factors[e.param]
         else:
             a, b = e.modes
             stored[a], stored[b] = stored[b], stored[a]
-    return np.ascontiguousarray(cols[:, stored].transpose(0, 2, 1))
+    return np.ascontiguousarray(cols[stored].transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -223,16 +223,16 @@ def _write_json(doc: dict, out) -> None:
 def _run_sweep(config: RunConfig, out) -> int:
     name, start, end, n = config.sweep
     phis = np.linspace(start, end, n, endpoint=False)
-    ((harmonics,),) = _scan_values(config.circuit, config.input_state, name,
-                                   config.phases,
-                                   [(config.toggles, [config.pattern])])
-    samples = np.column_stack((phis, _probabilities(harmonics, phis))).tolist()
+    (harmonics,) = _scan_values(config.circuit, config.input_state, name,
+                                config.phases,
+                                [(config.toggles, [config.pattern])])
+    samples = np.column_stack((phis, _probabilities(harmonics, phis)[0])).tolist()
     if config.output_format == "csv":
         out.write(_samples_csv(samples))
         return 0
     try:
         # no phases: only the fit, without sampling the scan a second time
-        fit = _fit_samples(name, phis[:0], harmonics).to_json()["fit"]
+        fit = _fit_samples(name, phis[:0], harmonics)[0].to_json()["fit"]
     except UnclassifiableScanError:
         fit = None
     _write_json({"circuit": config.source, "parameter": name,

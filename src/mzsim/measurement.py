@@ -3,7 +3,8 @@
 Detection patterns are keyed by detector name and resolved against a
 circuit's detector map.  ``exclusive`` patterns additionally require every
 unlisted detector to register nothing, which for a pattern using all N
-photons pins a single basis ket.
+photons pins a single basis ket.  :func:`pattern_masks` reads the detector
+columns of a set of kets once for any number of patterns.
 
 A density matrix is kept over a basis of kets, stored like a state's kets
 as a (kets x modes) ``uint8`` array with unique rows in lexicographic
@@ -15,11 +16,13 @@ occupation of the traced modes, scatters each group's factor rows into
 columns of its own beside the others, and forms the reduced matrix with
 one matmul; the result keeps those regrouped factors.  The dense matrix
 is built on first use; the trace and the number-operator readouts read
-it, and only ``partial_trace`` reads the factors.  ``entries`` presents
-the nonzero entries as a read-only map (ket occupation, bra occupation)
--> entry, a dict read off the dense matrix on first read.  Matrices retain
-the identity of the original mode indices through partial traces, so
-number operators can still be addressed by circuit mode after tracing.
+it.  ``entries`` presents the nonzero entries as a read-only map (ket
+occupation, bra occupation) -> entry, a dict read off the dense matrix on
+first read.  ``entry`` reads one value without either: it finds the two
+basis rows in a ket -> row dict and reads the dense matrix if it exists,
+the two factor rows otherwise.  Matrices retain the identity of the
+original mode indices through partial traces, so number operators can
+still be addressed by circuit mode after tracing.
 """
 
 from __future__ import annotations
@@ -80,28 +83,43 @@ class DetectionPattern:
         return body + ("" if self.exclusive else " (non-exclusive)")
 
 
-def pattern_mask(pattern: DetectionPattern, detectors: Mapping[str, int],
-                 occupations: np.ndarray, photons: int) -> np.ndarray:
-    """Which rows of a (kets x modes) occupation array the pattern selects.
+def pattern_masks(patterns, detectors: Mapping[str, int],
+                  occupations: np.ndarray, photons: int) -> np.ndarray:
+    """Which rows of a (kets x modes) occupation array each pattern selects,
+    as one (patterns x kets) bool array.
 
     A ket is selected when every listed detector shows its count and, for an
     exclusive pattern, every unlisted detector shows zero.  A pattern that
     asks for more than the ``photons`` the kets carry selects nothing, with
     a warning, since its probability is identically zero.
     """
-    by_mode = pattern.resolve(detectors)
-    if pattern.total > photons:
-        warnings.warn(
-            f"pattern wants {pattern.total} photons, state carries "
-            f"{photons}; probability is identically zero",
-            RuntimeWarning, stacklevel=3)
-        return np.zeros(len(occupations), dtype=bool)
-    mask = np.all(occupations[:, list(by_mode)] == list(by_mode.values()),
-                  axis=1)
-    if pattern.exclusive:
-        others = [m for m in detectors.values() if m not in by_mode]
-        mask &= ~np.any(occupations[:, others], axis=1)
-    return mask
+    column = {mode: i for i, mode in enumerate(dict.fromkeys(detectors.values()))}
+    wanted = np.zeros((len(patterns), len(column)))
+    constrained = np.zeros_like(wanted)
+    for row, pattern in enumerate(patterns):
+        by_mode = pattern.resolve(detectors)
+        if pattern.total > photons:
+            warnings.warn(
+                f"pattern wants {pattern.total} photons, state carries "
+                f"{photons}; probability is identically zero",
+                RuntimeWarning, stacklevel=4)
+            wanted[row], constrained[row] = -1, 1     # a count no ket holds
+            continue
+        constrained[row] = pattern.exclusive
+        for mode, count in by_mode.items():
+            wanted[row, column[mode]], constrained[row, column[mode]] = count, 1
+    # a ket matches where its squared distance from the wanted counts, over
+    # the constrained detectors, is zero: whole numbers, exact in float64
+    counts = occupations[:, list(column)].T.astype(float)
+    distance = (constrained @ counts ** 2 - 2 * (constrained * wanted) @ counts
+                + (constrained * wanted ** 2).sum(axis=1)[:, None])
+    return distance == 0
+
+
+def pattern_mask(pattern: DetectionPattern, detectors: Mapping[str, int],
+                 occupations: np.ndarray, photons: int) -> np.ndarray:
+    """The one-pattern case of :func:`pattern_masks`."""
+    return pattern_masks([pattern], detectors, occupations, photons)[0]
 
 
 def pattern_probability(state: FockState, pattern: DetectionPattern,
@@ -132,11 +150,11 @@ class DensityEntries(Mapping):
     view reads ``matrix``.  Lookups, iteration and ``repr`` read one dict of
     the nonzero entries of ``matrix``, keyed by occupation tuples in
     lexicographic ``(ket, bra)`` order and built on first read; ``len``
-    counts the nonzeros without building it.  A key is read as
+    and :meth:`entry` do without it.  A key is read as
     ``(tuple(ket), tuple(bra))``, so list occupations find their entry too.
     """
 
-    __slots__ = ("basis", "left", "right", "_matrix", "_dict")
+    __slots__ = ("basis", "left", "right", "_matrix", "_dict", "_rows")
 
     def __init__(self, basis: np.ndarray, left: np.ndarray, right: np.ndarray,
                  matrix: np.ndarray | None = None):
@@ -147,7 +165,7 @@ class DensityEntries(Mapping):
         self.left = left
         self.right = right
         self._matrix = matrix
-        self._dict = None
+        self._dict = self._rows = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -175,6 +193,31 @@ class DensityEntries(Mapping):
 
     def __iter__(self) -> Iterator[tuple[Occupation, Occupation]]:
         return iter(self._entries)
+
+    def items(self):
+        return self._entries.items()
+
+    def values(self):
+        return self._entries.values()
+
+    def entry(self, ket: Iterable[int], bra: Iterable[int]) -> complex:
+        """One entry, 0 when either occupation is not in the basis.
+
+        The two rows are looked up in a ket -> row dict, built once and of
+        the basis's size; the value is read from the dense matrix when it
+        exists, and from the two factor rows otherwise, so nothing of size
+        kets x kets is built.
+        """
+        if self._rows is None:
+            self._rows = {occ: i for i, occ in
+                          enumerate(map(tuple, self.basis.tolist()))}
+        try:
+            i, j = self._rows[tuple(ket)], self._rows[tuple(bra)]
+        except (KeyError, TypeError):
+            return 0j
+        if self._matrix is not None:
+            return complex(self._matrix[i, j])
+        return complex(self.left[i] @ self.right[j].conj())
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.matrix))
@@ -235,7 +278,7 @@ class DensityMatrix:
         return self.entries.matrix
 
     def entry(self, ket: Iterable[int], bra: Iterable[int]) -> complex:
-        return self.entries.get((tuple(ket), tuple(bra)), 0j)
+        return self.entries.entry(ket, bra)
 
     def items(self):
         """Nonzero entries in lexicographic (ket, bra) order."""

@@ -17,8 +17,9 @@ so sequential application of U1 then U2 composes to the single matrix
   through all of its grid phases in one pass.  It runs in two passes: the
   first keys every ket's terms by their output occupation, packed as an
   integer over the live output columns, and merges them with one integer
-  sort; the second adds each ket's coefficient block into the merged kets
-  and releases it, so memory holds one ket's block at a time.  The first
+  sort; the second adds each ket's coefficient block into the merged kets,
+  real and imaginary parts in one ``bincount`` per grid phase, and releases
+  it, so memory holds one ket's block at a time.  The first
   pass depends on no phase, only on the input's occupations and on which
   matrix entries are nonzero, so its plan is cached on those bytes
   (``_expansion_plan``: at most 32 plans holding at most
@@ -191,10 +192,11 @@ def _row_coefficients(rows: np.ndarray, cols: np.ndarray,
     sqrt(k!) ket normalization (applied once at the end).
     """
     _, weights, factors = _compositions(count, len(cols))
-    entries = rows[:, cols]
-    coeffs = weights * entries[:, factors[:, 0]]
+    # take, not fancy indexing, so every block comes out in C order
+    entries = rows.take(cols, axis=1)
+    coeffs = weights * entries.take(factors[:, 0], axis=1)
     for slot in factors.T[1:]:
-        coeffs *= entries[:, slot]
+        coeffs *= entries.take(slot, axis=1)
     return coeffs
 
 
@@ -303,11 +305,13 @@ def _build_plan(inputs: np.ndarray, needed: np.ndarray):
     Returns the plan and the bytes it holds.  The plan is the merged output
     occupations in lexicographic order; per input ket, its
     ``(mode, count, cols)`` rows with its first term's offset and its term
-    count; the merged ket of every term, in the narrowest unsigned type that
-    holds the ket count; and each output ket's sqrt(prod k_j!) scale.  Every
-    array is read-only, since :data:`_expansion_plan` hands it out again.
-    The bytes count the arrays' data, the column slices and the per-ket
-    tuples.
+    count; the scatter index, which sends the real and imaginary parts of
+    term t (float64 entries 2t and 2t + 1 of a coefficient row) to entries
+    2q and 2q + 1 of an output row, q being the merged ket of term t, in the
+    narrowest unsigned type that holds twice the ket count; and each output
+    ket's sqrt(prod k_j!) scale.  Every array is read-only, since
+    :data:`_expansion_plan` hands it out again.  The bytes count the arrays'
+    data, the column slices and the per-ket tuples.
     """
     mode_count = needed.shape[0]
     occs = inputs.tolist()
@@ -342,17 +346,18 @@ def _build_plan(inputs: np.ndarray, needed: np.ndarray):
         kets.append((tuple(rows), start, len(block_keys)))
         start += len(block_keys)
     occupations, inverse = packing.merge(np.concatenate(key_blocks))
-    inverse = inverse.astype(np.min_scalar_type(len(occupations)))
+    scatter = (2 * inverse[:, None] + np.arange(2)).ravel().astype(
+        np.min_scalar_type(2 * len(occupations)))
     scale = np.prod(_SQRT_FACT[occupations[:, live]], axis=1)
-    for array in (occupations, inverse, scale):
+    for array in (occupations, scatter, scale):
         array.flags.writeable = False
     kets = tuple(kets)
-    size = (occupations.nbytes + inverse.nbytes + scale.nbytes
+    size = (occupations.nbytes + scatter.nbytes + scale.nbytes
             + needed_cols.nbytes + sys.getsizeof(kets)
             + sum(map(sys.getsizeof, cols_of.values())))
     for ket in kets:
         size += sum(map(sys.getsizeof, (ket, *ket, *ket[0])))
-    return (occupations, kets, inverse, scale), size
+    return (occupations, kets, scatter, scale), size
 
 
 _PlanCacheInfo = namedtuple("_PlanCacheInfo", "hits misses currsize nbytes")
@@ -412,7 +417,7 @@ class _PlanCache:
 #: Expansion plans kept for the next evolve of the same structure: at most
 #: 32 plans holding at most ``PLAN_CACHE_BYTES``.  Every workload's plans
 #: fit in a tenth of it; one plan of a 330-ket, 4-photon superposition
-#: through a dense 8-mode unitary holds 1.6 MiB.
+#: through a dense 8-mode unitary holds 3.1 MiB.
 PLAN_CACHE_BYTES = 4 * 2 ** 20
 _expansion_plan = _PlanCache(maxsize=32, budget=PLAN_CACHE_BYTES)
 
@@ -428,10 +433,11 @@ def _evolve_grid(state: FockState,
     those bytes (the most recent plans, up to 32 of them and
     ``PLAN_CACHE_BYTES``) and a later call on the same structure skips it.
     The second runs on every call: it builds each ket's (K x terms)
-    coefficient block in turn, adds it into the output and releases it, so
-    at most one ket's block is alive at a time.  Returns the output
-    occupations, unique and in lexicographic order (read-only), and a
-    (K x kets) amplitude block whose row k is the state evolved by
+    coefficient block in turn, in C order, adds it into the output and
+    releases it, so at most one ket's block is alive at a time; each grid
+    row goes in with one ``bincount`` of its float64 view.  Returns the
+    output occupations, unique and in lexicographic order (read-only), and
+    a (K x kets) amplitude block whose row k is the state evolved by
     ``unitaries[k]``.  A ket is dropped only when it is at or below
     ``PRUNE_THRESHOLD`` at every k.  Every matrix of the stack gets the
     checks :func:`evolve` makes, on every call.
@@ -453,7 +459,7 @@ def _evolve_grid(state: FockState,
     k = len(u)
     # the columns of each row that some matrix of the stack needs
     needed = (np.abs(u) > ROW_CUTOFF).any(axis=0)
-    occupations, kets, inverse, scale = _expansion_plan(
+    occupations, kets, scatter, scale = _expansion_plan(
         state.occupation_array, needed)
 
     # each ket's coefficient block, summed per grid phase on the merged keys
@@ -466,10 +472,9 @@ def _evolve_grid(state: FockState,
             coeffs = _row_coefficients(u[:, mode], cols, count)
             block = block / _SQRT_FACT[count]
             block = (block[:, :, None] * coeffs[:, None, :]).reshape(k, -1)
-        index = inverse[start:start + terms].astype(np.intp)
-        for row, out in zip(block, amplitudes):
-            out.real += np.bincount(index, row.real, n)
-            out.imag += np.bincount(index, row.imag, n)
+        index = scatter[2 * start:2 * (start + terms)].astype(np.intp)
+        for row, out in zip(block, amplitudes.view(float)):
+            out += np.bincount(index, row.view(float), 2 * n)
     amplitudes *= scale
 
     finite = np.isfinite(amplitudes)

@@ -16,13 +16,16 @@ projector overlap) is then the finite Fourier series
     P(phi) = h_0 + 2 Re sum_{f > 0} h_f e^{i f phi},
     h_f = sum_{l - j = f} <psi_j| Pi |psi_l>,
 
-and samples at any phases are evaluated from its harmonics h_f.  The fit
+and samples at any phases are evaluated from its harmonics h_f; all the
+readouts of a scan are read and sampled at once.  The fit
 a + b cos(f phi + c) is read off the harmonics exactly: a = h_0, f is the
-one nonzero harmonic, b = 2 |h_f| and c = arg h_f.  A scan with no nonzero
-harmonic is flat and reports spatial frequency 0; a scan with more than one
-fits no single cosine and raises :class:`UnclassifiableScanError`.  The
-fitted visibility b/a then classifies the configuration as showing fringes
-or not, which is the qualitative content of the multi-stage scenario table.
+one nonzero harmonic (nonzero relative to the scan's mean, so a weak
+fringe is still a fringe), b = 2 |h_f| and c = arg h_f.  A scan with no
+nonzero harmonic is flat and reports spatial frequency 0; a scan with more
+than one fits no single cosine and raises :class:`UnclassifiableScanError`.
+The fitted visibility b/a then classifies the configuration as showing
+fringes or not, which is the qualitative content of the multi-stage
+scenario table.
 """
 
 from __future__ import annotations
@@ -38,14 +41,19 @@ from .circuit import Circuit, _compile_grid, braced
 from .errors import (CircuitError, DegenerateStateError,
                      DimensionMismatchError, UnclassifiableScanError)
 from .fock import FockState, _common_rows, basis_state, embed
-from .measurement import DetectionPattern, pattern_mask, pattern_probability
+from .measurement import DetectionPattern, pattern_masks, pattern_probability
 from .optics import BALANCED, _evolve_each, _evolve_grid, bs_unitary, evolve
 
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
-#: A harmonic whose cosine has an rms above this is nonzero; the rms left
-#: after the fitted harmonic must stay below it.
-RESIDUAL_LIMIT = 1e-6
+#: A harmonic whose cosine has an rms above this fraction of the scan's
+#: mean is nonzero; the rms left after the fitted harmonic must stay below
+#: it.  Flat scans of the golden checks read at most 1.2e-15.
+RESIDUAL_LIMIT = 1e-8
+#: The bound for scans whose mean is too small for RESIDUAL_LIMIT to rise
+#: above rounding: a probability carries errors of order eps * sqrt(p),
+#: under 1e-21 wherever this floor binds (means below 1e-12).
+RESIDUAL_FLOOR = 1e-20
 MIN_SCAN_SAMPLES = 64
 #: Most samples one scan or CLI sweep may ask for.
 MAX_SWEEP_SAMPLES = 100_000
@@ -117,15 +125,19 @@ class ScenarioReport:
 
 
 def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
-                 scans) -> list[list[np.ndarray]]:
-    """Exact probability harmonics h_0 .. h_{K-1} of each scan's readouts.
+                 scans) -> list[np.ndarray]:
+    """Exact probability harmonics h_0 .. h_{K-1} of each scan's readouts,
+    as one (readouts x K) array per scan.
 
     ``scans`` holds ``(toggles, readouts)`` pairs of one circuit and input;
     a readout is a detection pattern or a projector state.  Each distinct
     toggle set is compiled at its own K grid phases (a disabled delay
     changes K), the stacks are concatenated and the input is evolved through
-    all of them in one expansion; each block then gets its own K-point DFT.
-    Projector kets are looked up among the output kets.
+    all of them in one expansion; each block then gets its own K-point DFT,
+    taken once however many scans share it.  A scan's pattern masks are
+    built together, and the K x K grams of all its readouts are summed over
+    their diagonals with one product against an indicator.  Projector kets
+    are looked up among the output kets.
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
@@ -145,13 +157,21 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
         offset += k
     occupations, values = _evolve_grid(input_state, np.concatenate(stacks))
 
-    results = []
-    for toggles, readouts in scans:
-        block = values[blocks[frozenset(toggles)]]
+    for enabled, span in blocks.items():
+        block = values[span]
         k = len(block)
         steps = np.arange(k)
         coeffs = block.T @ (np.exp(-2j * math.pi * np.outer(steps, steps) / k) / k)
-        harmonics = []
+        # entry j*K + l of a flattened gram adds to harmonic l - j, if any
+        diagonals = (steps - steps[:, None]).reshape(-1, 1) == steps
+        blocks[enabled] = coeffs, diagonals.astype(float)
+    results = []
+    for toggles, readouts in scans:
+        coeffs, diagonals = blocks[frozenset(toggles)]
+        masks = iter(pattern_masks(
+            [r for r in readouts if not isinstance(r, FockState)],
+            circuit.detectors, occupations, input_state.total_photons))
+        grams = []
         for readout in readouts:
             if isinstance(readout, FockState):
                 if readout.mode_count != circuit.mode_count:
@@ -161,48 +181,58 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
                 series = (readout.amplitude_array[kets].conj()[None, :]
                           @ coeffs[rows])
             else:
-                series = coeffs[pattern_mask(readout, circuit.detectors,
-                                             occupations,
-                                             input_state.total_photons)]
-            gram = series.conj().T @ series
-            harmonics.append(np.array([np.trace(gram, offset=f)
-                                       for f in range(k)]))
-        results.append(harmonics)
+                series = coeffs[next(masks)]
+            grams.append((series.conj().T @ series).ravel())
+        results.append(np.reshape(grams, (len(readouts), -1)) @ diagonals)
     return results
 
 
 def _probabilities(harmonics: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """P(phi) = h_0 + 2 Re sum_{f>0} h_f e^{i f phi} at the given phases."""
-    freqs = np.arange(1, len(harmonics))
+    """P(phi) = h_0 + 2 Re sum_{f>0} h_f e^{i f phi} of each row of an
+    (R x K) harmonics array at the given phases, as an (R x phases) array."""
+    freqs = np.arange(1, harmonics.shape[1])
     # the series is 2*pi-periodic; reducing first keeps f * phi finite
-    ripple = np.exp(1j * np.outer(np.mod(phis, 2 * math.pi), freqs)) @ harmonics[1:]
-    return np.maximum(harmonics[0].real + 2 * ripple.real, 0.0)
+    ripple = harmonics[:, 1:] @ np.exp(1j * np.outer(freqs, np.mod(phis, 2 * math.pi)))
+    return np.maximum(harmonics[:, :1].real + 2 * ripple.real, 0.0)
 
 
 def _fit_samples(parameter: str, phis: np.ndarray,
-                 harmonics: np.ndarray) -> FringeScan:
-    """Sample the scan at ``phis`` and read its cosine off the harmonics."""
-    mean = float(harmonics[0].real)
-    rms = math.sqrt(2) * np.abs(harmonics[1:])
-    f = int(np.argmax(rms)) + 1 if rms.size else 0
-    if f and rms[f - 1] > RESIDUAL_LIMIT:
-        amplitude = 2 * abs(harmonics[f])
-        phase_offset = float(np.angle(harmonics[f]))
-        rest = np.delete(rms, f - 1)
-    else:
-        f, amplitude, phase_offset, rest = 0, 0.0, 0.0, rms
-    residual = float(np.sqrt(np.sum(rest ** 2)))
-    if residual > RESIDUAL_LIMIT:
-        raise UnclassifiableScanError(
-            f"scan of {parameter} has more than one nonzero harmonic; "
-            f"rms left after the strongest is {residual:.3e}")
-    visibility = amplitude / mean if mean > 1e-12 else 0.0
-    vals = _probabilities(harmonics, phis)
-    return FringeScan(parameter=parameter,
-                      samples=tuple(zip(phis.tolist(), vals.tolist())),
-                      mean=mean, amplitude=float(amplitude),
-                      spatial_frequency=float(f), phase_offset=phase_offset,
-                      visibility=float(visibility), residual=residual)
+                 harmonics: np.ndarray) -> list[FringeScan]:
+    """Sample each scan of an (R x K) harmonics array at ``phis`` and read
+    its cosine off its harmonics, as R scans.
+
+    A harmonic is nonzero when its cosine's rms exceeds ``RESIDUAL_LIMIT``
+    times the scan's mean, or ``RESIDUAL_FLOOR`` when that is larger, and
+    the rms left after the strongest one must stay within the same bound;
+    the bound scales with the scan, so a weak fringe is still a fringe.
+    """
+    means = harmonics[:, 0].real
+    rms = math.sqrt(2) * np.abs(harmonics[:, 1:])
+    limits = np.maximum(RESIDUAL_LIMIT * means, RESIDUAL_FLOOR)
+    values = _probabilities(harmonics, phis)
+    phases = phis.tolist()
+    scans = []
+    for row, mean, limit, series, vals in zip(harmonics, means.tolist(),
+                                              limits.tolist(), rms, values):
+        f = int(np.argmax(series)) + 1 if series.size else 0
+        if f and series[f - 1] > limit:
+            amplitude = 2 * abs(row[f])
+            phase_offset = float(np.angle(row[f]))
+            rest = np.delete(series, f - 1)
+        else:
+            f, amplitude, phase_offset, rest = 0, 0.0, 0.0, series
+        residual = float(np.sqrt(np.sum(rest ** 2)))
+        if residual > limit:
+            raise UnclassifiableScanError(
+                f"scan of {parameter} has more than one nonzero harmonic; "
+                f"rms left after the strongest is {residual:.3e}")
+        scans.append(FringeScan(
+            parameter=parameter, samples=tuple(zip(phases, vals.tolist())),
+            mean=mean, amplitude=float(amplitude), spatial_frequency=float(f),
+            phase_offset=phase_offset,
+            visibility=float(amplitude / mean) if mean else 0.0,
+            residual=residual))
+    return scans
 
 
 def _scan_phases(n_samples: int) -> np.ndarray:
@@ -222,9 +252,10 @@ def run_scan(circuit: Circuit, toggles, input_state: FockState,
     ``pattern`` may also be a projector state, read as |<projector|psi>|^2.
     """
     phis = _scan_phases(n_samples)
-    ((harmonics,),) = _scan_values(circuit, input_state, swept, fixed,
-                                   [(toggles, [pattern])])
-    return _fit_samples(swept, phis, harmonics)
+    (harmonics,) = _scan_values(circuit, input_state, swept, fixed,
+                                [(toggles, [pattern])])
+    (scan,) = _fit_samples(swept, phis, harmonics)
+    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +365,8 @@ def classify_table1(n: int) -> list[ScenarioReport]:
     for (config_id, toggles, dets, which_path), (_, patterns), harmonics in zip(
             configs, scans, results):
         orders = [*range(1, len(dets) + 1), n]
-        for pattern, series, order in zip(patterns, harmonics, orders):
-            scan = _fit_samples("phi_B", phis, series)
+        for pattern, scan, order in zip(
+                patterns, _fit_samples("phi_B", phis, harmonics), orders):
             reports.append(ScenarioReport(
                 scenario=f"photons-{n}/{config_id}/order-{order}",
                 toggles=tuple(toggles), pattern=pattern, scan=scan,

@@ -70,7 +70,8 @@ def _close(a, b, tol, what: str):
 
 def _require_flat(scan, max_visibility: float, what: str):
     """Flat to 1e-10 rms.  A fit reports visibility 0 whenever no harmonic
-    exceeds ``RESIDUAL_LIMIT`` (1e-6 rms); its residual bounds them all."""
+    exceeds its bound (``RESIDUAL_LIMIT`` times the mean); its residual
+    bounds them all."""
     if not (scan.visibility < max_visibility
             and scan.residual < _FLAT_RESIDUAL):
         raise AssertionError(f"{what} should be flat, got "
@@ -289,10 +290,9 @@ def check_engineered_pair():
         fixed = {p: 0.3 for p in fig2.parameters if p != swept}
         (by_pattern,) = _scan_values(fig2, state, swept, fixed,
                                      [(("BS2",), patterns)])
-        for pattern, harmonics in zip(patterns, by_pattern):
-            _require_flat(_fit_samples(swept, phis, harmonics), 1e-6,
-                          f"engineered pair {pattern.describe()} against "
-                          f"{swept}")
+        for pattern, scan in zip(patterns, _fit_samples(swept, phis, by_pattern)):
+            _require_flat(scan, 1e-6, f"engineered pair "
+                          f"{pattern.describe()} against {swept}")
 
 
 def check_engineered_noon3():

@@ -182,13 +182,15 @@ def test_json_output_is_one_line_with_the_engine_values(capsys):
     doc = json.loads(out)
     c = preset("fig2")
     pattern = DetectionPattern({"D6": 1, "D10": 1})
-    ((harmonics,),) = _scan_values(c, one_photon_each_input(c), "phi_C",
-                                   {"phi_B": 0.4, "phi_S": 1.1},
-                                   [(("BS2",), [pattern])])
+    (harmonics,) = _scan_values(c, one_photon_each_input(c), "phi_C",
+                                {"phi_B": 0.4, "phi_S": 1.1},
+                                [(("BS2",), [pattern])])
     phis = np.linspace(0.0, 12.566, 256, endpoint=False)
-    assert doc["samples"] == [[p, v] for p, v in zip(
-        phis.tolist(), _probabilities(harmonics, phis).tolist())]
-    assert doc["fit"] == _fit_samples("phi_C", phis, harmonics).to_json()["fit"]
+    (values,) = _probabilities(harmonics, phis)
+    assert doc["samples"] == [[p, v] for p, v in zip(phis.tolist(),
+                                                     values.tolist())]
+    (scan,) = _fit_samples("phi_C", phis, harmonics)
+    assert doc["fit"] == scan.to_json()["fit"]
 
     code, out, _ = run_cli(capsys, "--preset", "fig1", "--format", "json",
                            "--pattern", "D10:1,D11:1",

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from mzsim import (BALANCED, DensityMatrix, DetectionPattern,
                    DimensionMismatchError, FockState, NonFiniteAmplitudeError,
-                   PhotonCountError, UnknownDetectorError, basis_state,
-                   bs_unitary, coincidence_from_density, density_from_pure,
-                   embed, evolve, mean_photon_number, partial_trace,
+                   PhotonCountError, UnknownDetectorError, basis_state, braced,
+                   bs_unitary, coincidence_from_density, compile,
+                   density_from_pure, embed, engineered_input, evolve,
+                   mean_photon_number, noon_target, partial_trace,
                    pattern_probability, projected_probability)
-from mzsim.measurement import pattern_mask
-from strategies import random_unitary, superpositions
+from mzsim.measurement import pattern_mask, pattern_masks
+from strategies import occupations, random_unitary, superpositions
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -118,6 +119,55 @@ def test_pattern_mask_is_the_selection_rule():
     # a mode without a detector is unconstrained even for exclusive patterns
     assert pattern_mask(strict, {"Da": 0, "Db": 1}, kets[:2], 2).tolist() == \
         [True, False]
+
+
+def selects(occ, pattern, detectors):
+    """The selection rule read off one ket, detector by detector."""
+    return all(occ[mode] == pattern.counts.get(name, 0)
+               for name, mode in detectors.items()
+               if name in pattern.counts or pattern.exclusive)
+
+
+@st.composite
+def pattern_cases(draw):
+    """Kets of one photon sector, a detector map over some of their modes
+    and patterns on it, one of them asking for a photon too many."""
+    modes = draw(st.integers(1, 5))
+    photons = draw(st.integers(0, 3))
+    kets = np.array(draw(st.lists(occupations(modes, photons), min_size=1,
+                                  max_size=8)), dtype=np.uint8)
+    watched = draw(st.lists(st.integers(0, modes - 1), min_size=1,
+                            unique=True))
+    detectors = {f"D{mode}": mode for mode in watched}
+    names = st.lists(st.sampled_from(sorted(detectors)), unique=True)
+    patterns = [DetectionPattern({name: draw(st.integers(0, photons))
+                                  for name in draw(names)},
+                                 exclusive=draw(st.booleans()))
+                for _ in range(draw(st.integers(0, 4)))]
+    over = DetectionPattern({next(iter(detectors)): photons + 1},
+                            exclusive=draw(st.booleans()))
+    patterns.insert(draw(st.integers(0, len(patterns))), over)
+    return kets, photons, detectors, patterns
+
+
+@settings(max_examples=100, deadline=None)
+@given(pattern_cases())
+def test_every_mask_row_is_the_rule_read_ket_by_ket(case):
+    kets, photons, detectors, patterns = case
+    with pytest.warns(RuntimeWarning, match="identically zero"):
+        masks = pattern_masks(patterns, detectors, kets, photons)
+    assert masks.shape == (len(patterns), len(kets)) and masks.dtype == bool
+    for pattern, row in zip(patterns, masks):
+        if pattern.total > photons:
+            assert not row.any()
+            continue
+        assert row.tolist() == [selects(occ, pattern, detectors)
+                                for occ in kets.tolist()]
+        assert np.array_equal(pattern_mask(pattern, detectors, kets, photons),
+                              row)
+    with pytest.raises(UnknownDetectorError):
+        pattern_masks([DetectionPattern({"nowhere": 1}), *patterns],
+                      detectors, kets, photons)
 
 
 def test_exclusive_patterns_partition_probability(seed=37):
@@ -365,6 +415,28 @@ def test_entry_reads_agree_in_order_and_value(seed=47):
         assert all(density.entries[key] == value for key, value in items)
         assert all(density.entry(*key) == value for key, value in items)
     assert list(shuffled.entries.items()) == list(rho.entries.items())
+
+
+def test_one_entry_of_a_pure_density_reads_two_factor_rows():
+    # the 330-ket output of the braced_4 workload: its dense matrix takes
+    # 1.7 MiB and a dict of its 108,900 entries about 15 MiB
+    circuit = braced(4)
+    state = embed(engineered_input(noon_target(4)), circuit.mode_count, (0, 1))
+    phases = {p: 0.3 * (k + 1) for k, p in enumerate(circuit.parameters)}
+    out = evolve(state, compile(circuit, phases, tuple(circuit.toggles)))
+    rho = density_from_pure(out)
+    kets = list(map(tuple, rho.basis_array.tolist()))
+    assert len(kets) == 330
+    tracemalloc.start()
+    try:
+        value = rho.entry(kets[5], kets[300])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # a rank-1 factor read is the one product the matmul makes too
+    assert value == rho.matrix_array[5, 300]
+    assert rho.entry(kets[5], (9,) * 24) == rho.entry((1,), kets[5]) == 0
 
 
 def test_counting_entries_builds_no_map_of_them():

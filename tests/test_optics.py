@@ -402,10 +402,10 @@ def test_plan_arrays_are_read_only(seed=44):
     u = random_unitary(rng, 3)
     out = evolve(state, u)
     needed = np.abs(u) > ROW_CUTOFF
-    occupations, kets, inverse, scale = _expansion_plan(
+    occupations, kets, scatter, scale = _expansion_plan(
         state.occupation_array, needed)
     assert np.array_equal(occupations, out.occupation_array)
-    arrays = [occupations, inverse, scale]
+    arrays = [occupations, scatter, scale]
     arrays += [cols for rows, _, _ in kets for _, _, cols in rows]
     for array in arrays:
         assert not array.flags.writeable
@@ -435,16 +435,21 @@ def uniform_superposition(photons, modes, skip=0):
 
 @pytest.mark.parametrize("occ, kets, dtype", [
     ((1, 1, 0, 0), 10, np.uint8),
-    ((1, 1, 1) + (0,) * 8, 286, np.uint16)])
+    ((1, 1, 1) + (0,) * 8, 286, np.uint16),
+    ((1, 1, 1) + (0,) * 6, 165, np.uint16)])
 def test_a_plan_keeps_its_merge_index_in_the_narrowest_type(occ, kets, dtype,
                                                             seed=46):
+    # the index interleaves real and imaginary parts, 2q and 2q + 1 for
+    # merged ket q, so it is narrowed on twice the ket count: 165 kets fit
+    # a uint8, their 330 float64 slots do not
     state = basis_state(occ)
     u = random_unitary(np.random.default_rng(seed), len(occ))
     out = evolve(state, u)
-    occupations, _, inverse, _ = _expansion_plan(
+    occupations, _, scatter, _ = _expansion_plan(
         state.occupation_array, np.abs(u) > ROW_CUTOFF)
     assert len(occupations) == len(out) == kets
-    assert inverse.dtype == dtype and int(inverse.max()) == kets - 1
+    assert scatter.dtype == dtype and int(scatter.max()) == 2 * kets - 1
+    assert np.array_equal(scatter[1::2], scatter[::2] + 1)
     assert_matches_the_permanent(out, state, u)
 
 

@@ -1,5 +1,6 @@
 """Tests for fringe scans, engineered inputs, and scenario classification."""
 
+import dataclasses
 import json
 import math
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzsim import (BALANCED, Circuit, CircuitError, DegenerateStateError,
-                   DetectionPattern, DimensionMismatchError, FockState,
+from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitError,
+                   DegenerateStateError, DetectionPattern, DimensionMismatchError, FockState,
                    FringeScan,
                    UnclassifiableScanError, basis_state, bs_unitary,
                    classify_table1, compile, delayed_choice_variant,
@@ -17,7 +18,7 @@ from mzsim import (BALANCED, Circuit, CircuitError, DegenerateStateError,
                    one_photon_each_input, pattern_probability, preset,
                    run_scan, run_triple, transition_amplitude)
 from mzsim import scenarios
-from mzsim.circuit import _compile_grid
+from mzsim.circuit import _compile_grid, preset_fig2
 from mzsim.optics import _evolve_grid
 from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
 from strategies import occupations, superpositions, swept_circuits
@@ -41,16 +42,17 @@ PHIS = np.linspace(0, 4 * math.pi, 128, endpoint=False)
 
 
 def cosine_harmonics(mean, *terms, k=6):
-    """Harmonics h_0 .. h_{k-1} of mean + sum of amplitude cos(f phi + offset)."""
-    harmonics = np.zeros(k, dtype=complex)
-    harmonics[0] = mean
+    """Harmonics h_0 .. h_{k-1} of mean + sum of amplitude cos(f phi + offset),
+    as the one-row (1 x k) array one scan's fit takes."""
+    harmonics = np.zeros((1, k), dtype=complex)
+    harmonics[0, 0] = mean
     for amplitude, f, offset in terms:
-        harmonics[f] += 0.5 * amplitude * np.exp(1j * offset)
+        harmonics[0, f] += 0.5 * amplitude * np.exp(1j * offset)
     return harmonics
 
 
 def test_fit_recovers_a_known_cosine():
-    scan = _fit_samples("phi", PHIS, cosine_harmonics(0.5, (0.25, 2, 0.3)))
+    (scan,) = _fit_samples("phi", PHIS, cosine_harmonics(0.5, (0.25, 2, 0.3)))
     assert abs(scan.mean - 0.5) < 1e-12
     assert abs(scan.amplitude - 0.25) < 1e-12
     assert scan.spatial_frequency == 2.0
@@ -64,19 +66,27 @@ def test_fit_recovers_a_known_cosine():
 
 def test_fit_takes_any_single_harmonic_and_rejects_two():
     # a pure fourth harmonic is what a four-photon NOON fringe looks like
-    scan = _fit_samples("phi", PHIS, cosine_harmonics(0.5, (0.3, 4, 0.0)))
+    (scan,) = _fit_samples("phi", PHIS, cosine_harmonics(0.5, (0.3, 4, 0.0)))
     assert scan.spatial_frequency == 4.0
     assert abs(scan.amplitude - 0.3) < 1e-12
     with pytest.raises(UnclassifiableScanError):
         _fit_samples("phi", PHIS,
                      cosine_harmonics(0.5, (0.3, 2, 0.0), (0.1, 4, 1.0)))
+    # the bounds scale with the scan's mean: a weak scan is read the same way
+    (weak,) = _fit_samples("phi", PHIS, cosine_harmonics(1e-8, (1e-8, 3, 0.5)))
+    assert weak.spatial_frequency == 3.0 and abs(weak.visibility - 1) < 1e-12
+    with pytest.raises(UnclassifiableScanError):
+        _fit_samples("phi", PHIS,
+                     cosine_harmonics(1e-8, (3e-9, 2, 0.0), (1e-9, 4, 1.0)))
 
 
 def test_flat_scan_reports_frequency_zero():
-    scan = _fit_samples("phi", PHIS, cosine_harmonics(0.125, (1e-9, 3, 0.5)))
+    (scan,) = _fit_samples("phi", PHIS, cosine_harmonics(0.125, (1e-9, 3, 0.5)))
     assert scan.spatial_frequency == 0.0
     assert scan.amplitude == 0.0 and scan.visibility == 0.0
     assert scan.classify() == "flat"
+    (dark,) = _fit_samples("phi", PHIS, cosine_harmonics(0.0))
+    assert dark.visibility == 0.0 and dark.spatial_frequency == 0.0
 
 
 def test_classification_thresholds():
@@ -87,9 +97,39 @@ def test_classification_thresholds():
     assert scan_with_visibility(0.5).classify() == "ambiguous"
 
 
+@pytest.mark.parametrize("reflectance", [1e-4, 1e-6, 1e-8])
+def test_a_weak_fringe_is_still_a_fringe(reflectance):
+    # the README's fig2 sweep with weak taps: the fringe shrinks with the
+    # tap's reflectance but keeps its frequency and unit visibility
+    tap = BeamSplitterCoeffs.from_angle(math.asin(math.sqrt(reflectance)))
+    c = preset_fig2(tap)
+    scan = run_scan(c, ("BS2",), one_photon_each_input(c),
+                    DetectionPattern({"D6": 1, "D10": 1}), "phi_C",
+                    {"phi_B": 0.4, "phi_S": 1.1})
+    assert abs(scan.mean / reflectance - 0.5) < 1e-3
+    assert scan.classify() == "fringes" and scan.spatial_frequency == 2.0
+    assert abs(scan.visibility - 1.0) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.01, 1), st.floats(0, 1),
+                          st.integers(1, 5), st.floats(-3, 3)),
+                min_size=1, max_size=5))
+def test_a_stack_of_scans_fits_as_each_scan_alone(scans):
+    stack = np.concatenate([cosine_harmonics(mean, (mean * v, f, offset))
+                            for mean, v, f, offset in scans])
+    fits = _fit_samples("phi", PHIS, stack)
+    assert len(fits) == len(scans)
+    for row, fit in zip(stack, fits):
+        (alone,) = _fit_samples("phi", PHIS, row[None])
+        # the fit is read row by row; the samples come from one matmul
+        assert dataclasses.replace(fit, samples=alone.samples) == alone
+        assert np.allclose(fit.samples, alone.samples, rtol=0, atol=1e-15)
+
+
 def test_scan_serialization():
     phis = np.linspace(0, 4 * math.pi, 64, endpoint=False)
-    scan = _fit_samples("phi_B", phis, cosine_harmonics(0.25, (0.25, 1, 0.0)))
+    (scan,) = _fit_samples("phi_B", phis, cosine_harmonics(0.25, (0.25, 1, 0.0)))
     doc = scan.to_json()
     assert doc["parameter"] == "phi_B"
     assert len(doc["samples"]) == 64
@@ -242,10 +282,9 @@ def test_engine_samples_match_per_phase_evolution(data):
     phis = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=1,
                                        max_size=4)))
 
-    ((by_pattern, by_projector),) = _scan_values(
+    (harmonics,) = _scan_values(
         circuit, state, "phi", {"psi": psi}, [(enabled, [pattern, projector])])
-    got_pattern = _probabilities(by_pattern, phis)
-    got_projector = _probabilities(by_projector, phis)
+    got_pattern, got_projector = _probabilities(harmonics, phis)
     for phi, p, q in zip(phis, got_pattern, got_projector):
         out = evolve(state, compile(circuit, {"phi": float(phi), "psi": psi},
                                     enabled))
