@@ -17,10 +17,11 @@ columns of its own beside the others, and forms the reduced matrix with
 one matmul; the result keeps those regrouped factors.  The dense matrix
 is built on first use; the trace and the number-operator readouts read
 it.  ``entries`` presents the nonzero entries as a read-only map (ket
-occupation, bra occupation) -> entry, a dict read off the dense matrix on
-first read.  ``entry`` reads one value without either: it finds the two
-basis rows in a ket -> row dict and reads the dense matrix if it exists,
-the two factor rows otherwise.  Matrices retain the identity of the
+occupation, bra occupation) -> entry; iterating it reads a dict built off
+the dense matrix on first use.  ``entry`` and a lookup in ``entries`` read
+one value without either: they find the two basis rows in a ket -> row
+dict and read the dense matrix if it exists, the two factor rows
+otherwise.  Matrices retain the identity of the
 original mode indices through partial traces, so number operators can
 still be addressed by circuit mode after tracing.
 """
@@ -89,31 +90,39 @@ def pattern_masks(patterns, detectors: Mapping[str, int],
     as one (patterns x kets) bool array.
 
     A ket is selected when every listed detector shows its count and, for an
-    exclusive pattern, every unlisted detector shows zero.  A pattern that
+    exclusive pattern, every unlisted detector shows zero: since counts are
+    never negative, that is when the detectors' total equals the listed
+    total.  Each (detector, count) column test is made once per call and
+    shared by the patterns that list it, and every pattern is one AND of
+    its tests: whole-number compares on the uint8 columns, with no float
+    copy of them and no temporary of the result's size.  A pattern that
     asks for more than the ``photons`` the kets carry selects nothing, with
     a warning, since its probability is identically zero.
     """
-    column = {mode: i for i, mode in enumerate(dict.fromkeys(detectors.values()))}
-    wanted = np.zeros((len(patterns), len(column)))
-    constrained = np.zeros_like(wanted)
-    for row, pattern in enumerate(patterns):
+    modes = list(dict.fromkeys(detectors.values()))
+    masks = np.empty((len(patterns), len(occupations)), dtype=bool)
+    tests, total = {}, None
+    for mask, pattern in zip(masks, patterns):
         by_mode = pattern.resolve(detectors)
         if pattern.total > photons:
             warnings.warn(
                 f"pattern wants {pattern.total} photons, state carries "
                 f"{photons}; probability is identically zero",
                 RuntimeWarning, stacklevel=4)
-            wanted[row], constrained[row] = -1, 1     # a count no ket holds
+            mask[:] = False
             continue
-        constrained[row] = pattern.exclusive
-        for mode, count in by_mode.items():
-            wanted[row, column[mode]], constrained[row, column[mode]] = count, 1
-    # a ket matches where its squared distance from the wanted counts, over
-    # the constrained detectors, is zero: whole numbers, exact in float64
-    counts = occupations[:, list(column)].T.astype(float)
-    distance = (constrained @ counts ** 2 - 2 * (constrained * wanted) @ counts
-                + (constrained * wanted ** 2).sum(axis=1)[:, None])
-    return distance == 0
+        if pattern.exclusive:
+            if total is None:
+                total = occupations[:, modes].sum(axis=1)
+            np.equal(total, sum(by_mode.values()), out=mask)
+        else:
+            mask[:] = True
+        for test in by_mode.items():
+            if test not in tests:
+                mode, count = test
+                tests[test] = occupations[:, mode] == count
+            mask &= tests[test]
+    return masks
 
 
 def pattern_mask(pattern: DetectionPattern, detectors: Mapping[str, int],
@@ -147,10 +156,12 @@ class DensityEntries(Mapping):
     use unless it was given, and kept read-only.  After a partial trace it
     is given with its entries at or below ``PRUNE_THRESHOLD`` zeroed, while
     the factors stay unpruned: a nested trace reads them, and every other
-    view reads ``matrix``.  Lookups, iteration and ``repr`` read one dict of
-    the nonzero entries of ``matrix``, keyed by occupation tuples in
-    lexicographic ``(ket, bra)`` order and built on first read; ``len``
-    and :meth:`entry` do without it.  A key is read as
+    view reads ``matrix``.  Iteration, ``items``, ``values`` and ``repr``
+    read one dict of the nonzero entries of ``matrix``, keyed by occupation
+    tuples in lexicographic ``(ket, bra)`` order and built on first read.
+    Lookups (``[key]``, ``get``, ``in``) read one value as :meth:`entry`
+    does, a zero entry reading as missing, and ``len`` counts the nonzero
+    entries; neither builds the dict.  A key is read as
     ``(tuple(ket), tuple(bra))``, so list occupations find their entry too.
     """
 
@@ -185,11 +196,15 @@ class DensityEntries(Mapping):
         return self._dict
 
     def __getitem__(self, key) -> complex:
+        # read through entry(): two row lookups, nothing of size kets x kets
         try:
             ket, bra = key
-            return self._entries[tuple(ket), tuple(bra)]
-        except (KeyError, TypeError, ValueError):
+        except (TypeError, ValueError):
             raise KeyError(key) from None
+        value = self.entry(ket, bra)
+        if not value:
+            raise KeyError(key)
+        return value
 
     def __iter__(self) -> Iterator[tuple[Occupation, Occupation]]:
         return iter(self._entries)

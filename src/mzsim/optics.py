@@ -22,12 +22,18 @@ so sequential application of U1 then U2 composes to the single matrix
   it, so memory holds one ket's block at a time.  The first
   pass depends on no phase, only on the input's occupations and on which
   matrix entries are nonzero, so its plan is cached on those bytes
-  (``_expansion_plan``: at most 32 plans holding at most
+  (``_expansion_plan``: at most 64 plans holding at most
   ``PLAN_CACHE_BYTES``).  A scan needs one expansion anyway; the cache
   pays where one input goes through one circuit in call after call, as in
-  a phase loop over :func:`evolve`;
+  a phase loop over :func:`evolve`.  A scan reads few of the output kets
+  (``classify_table1(5)`` reads 495 of 2,002), so it passes their mask as
+  a read set: the plan is restricted to the terms that add into those kets
+  (also phase-free, and cached with the full plans) and only they are
+  computed;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
-  permanent of a row/column-repeated submatrix (Ryser's algorithm).
+  permanent of a row/column-repeated submatrix, summed over the repeat
+  counts by Glynn's formula; :func:`permanent` is Ryser's algorithm for any
+  square matrix.
 
 The two share no code and are tested against each other.
 """
@@ -71,6 +77,10 @@ ROW_CUTOFF = 1e-13
 _FACT = np.array([math.factorial(k) for k in range(MAX_PHOTONS + 1)],
                  dtype=float)
 _SQRT_FACT = np.sqrt(_FACT)
+#: (-1)^k C(n, k) at [n, k], 0 for k > n.
+_SIGNED_BINOMIAL = np.array([[(-1) ** k * math.comb(n, k)
+                              for k in range(MAX_PHOTONS + 1)]
+                             for n in range(MAX_PHOTONS + 1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -180,18 +190,21 @@ def _compositions(total: int, slots: int):
     return comps, weights, factors
 
 
-def _row_coefficients(rows: np.ndarray, cols: np.ndarray,
-                      count: int) -> np.ndarray:
+def _row_coefficients(rows: np.ndarray, cols: np.ndarray, count: int,
+                      used: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of (sum_j row[j] a_j^dag)^count per row.
 
     ``rows`` holds one row of the mode unitary per grid phase, (K x modes),
     and only the columns ``cols`` are expanded; the coefficients come back
-    as a (K x terms) block aligned with ``_compositions(count, len(cols))``:
-    each is its weight times the ``count`` row entries at its factor slots.
-    They are relative to monomials prod (a_j^dag)^k_j, i.e. without the
-    sqrt(k!) ket normalization (applied once at the end).
+    as a (K x terms) block aligned with ``_compositions(count, len(cols))``,
+    or with its compositions ``used`` when given: each is its weight times
+    the ``count`` row entries at its factor slots.  They are relative to
+    monomials prod (a_j^dag)^k_j, i.e. without the sqrt(k!) ket
+    normalization (applied once at the end).
     """
     _, weights, factors = _compositions(count, len(cols))
+    if used is not None:
+        weights, factors = weights[used], factors[used]
     # take, not fancy indexing, so every block comes out in C order
     entries = rows.take(cols, axis=1)
     coeffs = weights * entries.take(factors[:, 0], axis=1)
@@ -302,16 +315,17 @@ def _build_plan(inputs: np.ndarray, needed: np.ndarray):
     per key word and decodes only the merged kets.  No (terms x modes)
     occupation array is built.
 
-    Returns the plan and the bytes it holds.  The plan is the merged output
-    occupations in lexicographic order; per input ket, its
-    ``(mode, count, cols)`` rows with its first term's offset and its term
-    count; the scatter index, which sends the real and imaginary parts of
-    term t (float64 entries 2t and 2t + 1 of a coefficient row) to entries
-    2q and 2q + 1 of an output row, q being the merged ket of term t, in the
-    narrowest unsigned type that holds twice the ket count; and each output
-    ket's sqrt(prod k_j!) scale.  Every array is read-only, since
-    :data:`_expansion_plan` hands it out again.  The bytes count the arrays'
-    data, the column slices and the per-ket tuples.
+    Returns the plan and the bytes it holds (:func:`_plan_bytes`).  The
+    plan is the merged output occupations in lexicographic order; per input
+    ket, its ``(mode, count, cols, used, local)`` rows, ``used`` and
+    ``local`` being None (every composition of the row, in outer-product
+    order; see :func:`_restrict_plan`), with its first term's offset and its
+    term count; the scatter index, which sends the real and imaginary parts
+    of term t (float64 entries 2t and 2t + 1 of a coefficient row) to
+    entries 2q and 2q + 1 of an output row, q being the merged ket of term
+    t, in the narrowest unsigned type that holds twice the ket count; and
+    each output ket's sqrt(prod k_j!) scale.  Every array is read-only,
+    since :data:`_expansion_plan` hands it out again.
     """
     mode_count = needed.shape[0]
     occs = inputs.tolist()
@@ -341,23 +355,87 @@ def _build_plan(inputs: np.ndarray, needed: np.ndarray):
                 added = _compositions(count, len(cols))[0] @ packing.place[cols]
                 block_keys = (block_keys[:, None, :]
                               + added[None, :, :]).reshape(-1, words)
-                rows.append((mode, count, cols))
+                rows.append((mode, count, cols, None, None))
         key_blocks.append(block_keys)
         kets.append((tuple(rows), start, len(block_keys)))
         start += len(block_keys)
     occupations, inverse = packing.merge(np.concatenate(key_blocks))
-    scatter = (2 * inverse[:, None] + np.arange(2)).ravel().astype(
-        np.min_scalar_type(2 * len(occupations)))
     scale = np.prod(_SQRT_FACT[occupations[:, live]], axis=1)
-    for array in (occupations, scatter, scale):
+    for array in (occupations, scale):
         array.flags.writeable = False
-    kets = tuple(kets)
-    size = (occupations.nbytes + scatter.nbytes + scale.nbytes
-            + needed_cols.nbytes + sys.getsizeof(kets)
-            + sum(map(sys.getsizeof, cols_of.values())))
+    plan = occupations, tuple(kets), _scatter(inverse, len(occupations)), scale
+    return plan, _plan_bytes(plan)
+
+
+def _scatter(ket_of: np.ndarray, kets: int) -> np.ndarray:
+    """The read-only scatter index of a plan whose term t adds into merged
+    ket ``ket_of[t]`` of ``kets``: entries 2q and 2q + 1 per term, in the
+    narrowest unsigned type that holds them."""
+    scatter = (2 * ket_of[:, None] + np.arange(2)).ravel().astype(
+        np.min_scalar_type(2 * kets))
+    scatter.flags.writeable = False
+    return scatter
+
+
+def _restrict_plan(plan, read: np.ndarray):
+    """The part of a plan that adds into the output kets ``read`` marks.
+
+    ``read`` is a bool mask over the plan's output kets.  Each input ket
+    keeps, in order, the terms whose merged ket is read, and each of its
+    rows keeps the compositions those terms use: ``used``, their indices
+    into ``_compositions(count, len(cols))``, and ``local``, each kept
+    term's index into ``used``; a ket with no read term keeps no rows and
+    a term count of 0.  The scatter index sends each kept term to its ket's
+    position among the read kets.  Evolving by the result gives exactly the
+    read kets' amplitudes of the full plan, with the same floating-point
+    operations in the same order.  It depends on no phase, so
+    :data:`_expansion_plan` caches it beside the full plan.  Returns the
+    plan and the bytes it holds.
+    """
+    occupations, kets, scatter, scale = plan
+    ket_of = scatter[::2].astype(np.intp) // 2
+    position = np.cumsum(read) - 1
+    picked, blocks, start = [], [], 0
+    for rows, first, terms in kets:
+        merged = ket_of[first:first + terms]
+        kept = np.flatnonzero(read[merged])
+        if not len(kept):
+            picked.append(((), start, 0))
+            continue
+        # a term's compositions, one per row, from its outer-product index
+        sizes = [len(_compositions(count, len(cols))[0])
+                 for _, count, cols, _, _ in rows]
+        parts = np.unravel_index(kept, sizes) if rows else ()
+        new_rows = []
+        for (mode, count, cols, _, _), part in zip(rows, parts):
+            used, local = np.unique(part, return_inverse=True)
+            used.flags.writeable = local.flags.writeable = False
+            new_rows.append((mode, count, cols, used, local))
+        blocks.append(position[merged[kept]])
+        picked.append((tuple(new_rows), start, len(kept)))
+        start += len(kept)
+    occupations, scale = occupations[read], scale[read]
+    for array in (occupations, scale):
+        array.flags.writeable = False
+    compact = np.concatenate([np.zeros(0, dtype=np.intp), *blocks])
+    plan = occupations, tuple(picked), _scatter(compact, len(occupations)), scale
+    return plan, _plan_bytes(plan)
+
+
+def _plan_bytes(plan) -> int:
+    """Bytes a plan holds: each of its arrays once, with the array its
+    column slices share, and its per-ket and per-row tuples."""
+    occupations, kets, scatter, scale = plan
+    arrays = {id(a): a for a in (occupations, scatter, scale)}
+    size = sys.getsizeof(kets)
     for ket in kets:
-        size += sum(map(sys.getsizeof, (ket, *ket, *ket[0])))
-    return (occupations, kets, scatter, scale), size
+        rows = ket[0]
+        size += sum(map(sys.getsizeof, (ket, *ket, *rows)))
+        for _, _, cols, used, local in rows:
+            for array in (cols, cols.base, used, local):
+                if array is not None:
+                    arrays[id(array)] = array
+    return size + sum(map(sys.getsizeof, arrays.values()))
 
 
 _PlanCacheInfo = namedtuple("_PlanCacheInfo", "hits misses currsize nbytes")
@@ -370,7 +448,8 @@ class _PlanCache:
     in size by orders of magnitude and a count bound alone bounds no memory.
     This keeps at most ``maxsize`` plans that, with their keys, hold at
     most ``budget`` bytes, dropping the least recently used first; a plan
-    larger than the whole budget is returned and not kept.
+    larger than the whole budget is returned and not kept.  Full plans and
+    the restrictions of them to a read set share the one bound.
     """
 
     def __init__(self, maxsize: int, budget: int):
@@ -380,10 +459,14 @@ class _PlanCache:
         self._lock = threading.Lock()
         self.cache_clear()
 
-    def __call__(self, occupations: np.ndarray, needed: np.ndarray):
+    def __call__(self, occupations: np.ndarray, needed: np.ndarray,
+                 read: np.ndarray | None = None):
         """The plan for (kets x modes) uint8 occupations and a (modes x
-        modes) bool mask, keyed on their shape and bytes."""
-        key = (occupations.shape, occupations.tobytes(), needed.tobytes())
+        modes) bool mask, keyed on their shape and bytes; with ``read``, a
+        bool mask over that plan's output kets, its restriction to them
+        (:func:`_restrict_plan`), keyed also on the mask's bytes."""
+        key = (occupations.shape, occupations.tobytes(), needed.tobytes(),
+               None if read is None else read.tobytes())
         with self._lock:
             entry = self._plans.get(key)
             if entry is not None:
@@ -391,8 +474,11 @@ class _PlanCache:
                 self._hits += 1
                 return entry[0]
             self._misses += 1
-        plan, size = _build_plan(occupations, needed)
-        size += sys.getsizeof(key[1]) + sys.getsizeof(key[2])
+        if read is None:
+            plan, size = _build_plan(occupations, needed)
+        else:
+            plan, size = _restrict_plan(self(occupations, needed), read)
+        size += sum(map(sys.getsizeof, key[1:]))
         with self._lock:
             if key not in self._plans:
                 self._plans[key] = (plan, size)
@@ -415,22 +501,52 @@ class _PlanCache:
 
 
 #: Expansion plans kept for the next evolve of the same structure: at most
-#: 32 plans holding at most ``PLAN_CACHE_BYTES``.  Every workload's plans
-#: fit in a tenth of it; one plan of a 330-ket, 4-photon superposition
-#: through a dense 8-mode unitary holds 3.1 MiB.
+#: 64 plans holding at most ``PLAN_CACHE_BYTES``, counting full plans and
+#: the restricted plans of scans (one per input structure and read set)
+#: alike.  A scan keeps two plans, so one ``verify.run_all()`` keeps 38
+#: (26 full, 12 restricted), which 32 would cycle through; every
+#: workload's plans fit in a tenth of the bytes, ``classify_table1(5)``'s
+#: holding 113 KiB (full) and 39 KiB (restricted).  One plan of a 330-ket,
+#: 4-photon superposition through a dense 8-mode unitary holds 3.1 MiB.
 PLAN_CACHE_BYTES = 4 * 2 ** 20
-_expansion_plan = _PlanCache(maxsize=32, budget=PLAN_CACHE_BYTES)
+_expansion_plan = _PlanCache(maxsize=64, budget=PLAN_CACHE_BYTES)
 
 
-def _evolve_grid(state: FockState,
-                 unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _structure(state: FockState,
+               unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (K x M x M) stack as a complex array, with its shape and the
+    state's photon number checked, and the (M x M) mask of the entries
+    above ``ROW_CUTOFF`` in some matrix of it: what fixes the plan."""
+    u = np.asarray(unitaries, dtype=complex)
+    m = state.mode_count
+    if u.ndim != 3 or not len(u) or u.shape[1:] != (m, m):
+        raise DimensionMismatchError(
+            f"unitary stack is {u.shape}, state has {m} modes")
+    if state.total_photons > MAX_PHOTONS:
+        raise PhotonCountError(
+            f"state carries {state.total_photons} photons; evolve supports "
+            f"at most {MAX_PHOTONS}")
+    return u, (np.abs(u) > ROW_CUTOFF).any(axis=0)
+
+
+def _output_kets(state: FockState, unitaries: np.ndarray) -> np.ndarray:
+    """Every ket the expansion of a state through a stack can reach, read-
+    only and in lexicographic order, before any pruning: the kets a read
+    set of :func:`_evolve_grid` is a mask over."""
+    _, needed = _structure(state, unitaries)
+    return _expansion_plan(state.occupation_array, needed)[0]
+
+
+def _evolve_grid(state: FockState, unitaries: np.ndarray,
+                 read: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
 
     Every input ket is expanded once, over the columns that some matrix of
     the stack needs, in two passes.  The first, :func:`_build_plan`,
     depends only on the input's occupations and on which entries of the
     stack are above ``ROW_CUTOFF``, so :data:`_expansion_plan` caches it on
-    those bytes (the most recent plans, up to 32 of them and
+    those bytes (the most recent plans, up to 64 of them and
     ``PLAN_CACHE_BYTES``) and a later call on the same structure skips it.
     The second runs on every call: it builds each ket's (K x terms)
     coefficient block in turn, in C order, adds it into the output and
@@ -441,37 +557,41 @@ def _evolve_grid(state: FockState,
     ``unitaries[k]``.  A ket is dropped only when it is at or below
     ``PRUNE_THRESHOLD`` at every k.  Every matrix of the stack gets the
     checks :func:`evolve` makes, on every call.
+
+    ``read``, a bool mask over :func:`_output_kets`, limits the work to the
+    kets it marks: the plan is restricted to the terms that add into them
+    (:func:`_restrict_plan`, cached like the full plan), only the
+    compositions those terms use are built, and each term's coefficient is
+    gathered from them rather than formed in an outer product.  The result
+    is exactly the read kets' rows of the full result, pruned alike.
     """
-    u = np.asarray(unitaries, dtype=complex)
-    m = state.mode_count
-    if u.ndim != 3 or not len(u) or u.shape[1:] != (m, m):
-        raise DimensionMismatchError(
-            f"unitary stack is {u.shape}, state has {m} modes")
+    u, needed = _structure(state, unitaries)
     if not np.isfinite(u).all():
         raise NonUnitaryError("matrix has a NaN or infinite entry")
-    if np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(m))) > 1e-8:
+    gram = u @ u.conj().transpose(0, 2, 1)
+    gram -= np.eye(state.mode_count)
+    if np.max(np.abs(gram)) > 1e-8:
         raise NonUnitaryError("matrix is not unitary within 1e-8")
-    if state.total_photons > MAX_PHOTONS:
-        raise PhotonCountError(
-            f"state carries {state.total_photons} photons; evolve supports "
-            f"at most {MAX_PHOTONS}")
 
     k = len(u)
-    # the columns of each row that some matrix of the stack needs
-    needed = (np.abs(u) > ROW_CUTOFF).any(axis=0)
     occupations, kets, scatter, scale = _expansion_plan(
-        state.occupation_array, needed)
+        state.occupation_array, needed, read)
 
     # each ket's coefficient block, summed per grid phase on the merged keys
     # and released before the next ket's is built
     n = len(occupations)
     amplitudes = np.zeros((k, n), dtype=complex)
     for amp, (rows, start, terms) in zip(state.amplitude_array.tolist(), kets):
+        if not terms:
+            continue
         block = np.full((k, 1), amp, dtype=complex)
-        for mode, count, cols in rows:
-            coeffs = _row_coefficients(u[:, mode], cols, count)
+        for mode, count, cols, used, local in rows:
+            coeffs = _row_coefficients(u[:, mode], cols, count, used)
             block = block / _SQRT_FACT[count]
-            block = (block[:, :, None] * coeffs[:, None, :]).reshape(k, -1)
+            if local is None:
+                block = (block[:, :, None] * coeffs[:, None, :]).reshape(k, -1)
+            else:
+                block = block * coeffs.take(local, axis=1)
         index = scatter[2 * start:2 * (start + terms)].astype(np.intp)
         for row, out in zip(block, amplitudes.view(float)):
             out += np.bincount(index, row.view(float), 2 * n)
@@ -486,6 +606,7 @@ def _evolve_grid(state: FockState,
     keep = (np.abs(amplitudes) > PRUNE_THRESHOLD).any(axis=0)
     if not keep.all():
         occupations, amplitudes = occupations[keep], amplitudes[:, keep]
+        occupations.flags.writeable = False
     return occupations, amplitudes
 
 
@@ -518,11 +639,46 @@ def permanent(matrix: np.ndarray) -> complex:
     return complex(total * (-1.0) ** n)
 
 
-def _repeat_indices(occ: Occupation) -> list[int]:
-    out: list[int] = []
-    for index, count in enumerate(occ):
-        out.extend([index] * count)
-    return out
+#: Terms of the permanent's sum evaluated in one vectorised block; 20
+#: photons in 20 modes take 2^19 terms, a block at a time.
+_PERMANENT_BLOCK = 4096
+
+
+def _repeated_permanent(matrix: np.ndarray, row_counts: list[int],
+                        col_counts: list[int]) -> complex:
+    """Permanent of ``matrix`` with row i written ``row_counts[i]`` times and
+    column j ``col_counts[j]`` times, all counts positive.
+
+    Glynn's formula over multiplicities.  Glynn sums over sign vectors
+    delta with delta_1 = +1; giving k_j of column j's copies the sign -1
+    can be done C(n_j, k_j) ways (C(n_1 - 1, k_1) for the first column, one
+    of whose copies is fixed), each giving row i the sum
+    s_i = sum_j (n_j - 2 k_j) a_ij, so with N photons
+
+        perm = 2^(1-N) sum_k prod_j (-1)^k_j C(n_j', k_j) prod_i s_i^m_i
+
+    over n_1 prod_{j>1} (n_j + 1) vectors k, instead of 2^N column subsets.
+    Ryser's formula over multiplicities has about twice as many terms, and
+    they cancel far more: over the 21 amplitudes of |20, 0> through a
+    balanced splitter, Ryser's sum is up to 4e-7 off summed over the input
+    side and 5e-9 over the output side, this one 1.4e-13.  A matrix and its transpose have one permanent, so the sum runs
+    over the side with fewer terms, in blocks of ``_PERMANENT_BLOCK`` terms.
+    """
+    if math.prod(c + 1 for c in row_counts) < math.prod(c + 1 for c in col_counts):
+        matrix, row_counts, col_counts = matrix.T, col_counts, row_counts
+    counts = np.array(col_counts)
+    free = [col_counts[0] - 1, *col_counts[1:]]
+    sizes = [c + 1 for c in free]
+    terms = math.prod(sizes)
+    total = 0j
+    for first in range(0, terms, _PERMANENT_BLOCK):
+        picks = np.stack(np.unravel_index(
+            np.arange(first, min(first + _PERMANENT_BLOCK, terms)), sizes),
+            axis=1)
+        weights = _SIGNED_BINOMIAL[free, picks].prod(axis=1)
+        sums = (counts - 2 * picks) @ matrix.T
+        total += weights @ (sums ** row_counts).prod(axis=1)
+    return complex(total) / 2 ** (sum(col_counts) - 1)
 
 
 def transition_amplitude(unitary: np.ndarray, n_in: Occupation,
@@ -531,6 +687,8 @@ def transition_amplitude(unitary: np.ndarray, n_in: Occupation,
 
     Rows of the submatrix repeat input modes by their counts, columns repeat
     output modes; the permanent is divided by sqrt(prod n_in! prod n_out!).
+    It is summed over the multiplicities (:func:`_repeated_permanent`), so
+    |20, 0> to |10, 10> takes 20 terms, not 2^20 steps of :func:`permanent`.
     """
     u = np.asarray(unitary, dtype=complex)
     n_in = tuple(int(x) for x in n_in)
@@ -543,10 +701,10 @@ def transition_amplitude(unitary: np.ndarray, n_in: Occupation,
         raise PhotonCountError(
             f"{sum(n_in)} photons; transition_amplitude supports at most "
             f"{MAX_PHOTONS}")
-    rows = _repeat_indices(n_in)
-    cols = _repeat_indices(n_out)
-    if not rows:
+    if not sum(n_in):
         return 1.0 + 0j
-    sub = u[np.ix_(rows, cols)]
-    norm = math.sqrt(float(np.prod(_FACT[list(n_in)]) * np.prod(_FACT[list(n_out)])))
-    return permanent(sub) / norm
+    rows = [i for i, c in enumerate(n_in) if c]
+    cols = [j for j, c in enumerate(n_out) if c]
+    norm = math.sqrt(math.prod(map(math.factorial, n_in + n_out)))
+    return _repeated_permanent(u[np.ix_(rows, cols)], [n_in[i] for i in rows],
+                               [n_out[j] for j in cols]) / norm

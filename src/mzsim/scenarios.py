@@ -10,8 +10,12 @@ takes a K-point DFT, which gives psi(phi) = sum_j e^{i j phi} psi_j exactly.
 Scans of one circuit and input that differ only in their toggles stack
 their grids into that one expansion, each with its own K and DFT, so
 :func:`classify_table1` evolves its input once for all of its
-configurations.  The probability of a readout (a detection pattern or a
-projector overlap) is then the finite Fourier series
+configurations.  A readout (a detection pattern or a projector overlap)
+reads only some output kets, so the scan selects them before it evolves,
+over every ket the expansion can reach, and the expansion computes only
+those: :func:`classify_table1` (5 photons) reads 495 of 2,002 kets, fed by
+1,820 of 8,568 terms.  The probability of a readout is then the finite
+Fourier series
 
     P(phi) = h_0 + 2 Re sum_{f > 0} h_f e^{i f phi},
     h_f = sum_{l - j = f} <psi_j| Pi |psi_l>,
@@ -42,7 +46,8 @@ from .errors import (CircuitError, DegenerateStateError,
                      DimensionMismatchError, UnclassifiableScanError)
 from .fock import FockState, _common_rows, basis_state, embed
 from .measurement import DetectionPattern, pattern_masks, pattern_probability
-from .optics import BALANCED, _evolve_each, _evolve_grid, bs_unitary, evolve
+from .optics import (BALANCED, _evolve_each, _evolve_grid, _output_kets,
+                     bs_unitary, evolve)
 
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
@@ -132,12 +137,15 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     ``scans`` holds ``(toggles, readouts)`` pairs of one circuit and input;
     a readout is a detection pattern or a projector state.  Each distinct
     toggle set is compiled at its own K grid phases (a disabled delay
-    changes K), the stacks are concatenated and the input is evolved through
-    all of them in one expansion; each block then gets its own K-point DFT,
-    taken once however many scans share it.  A scan's pattern masks are
-    built together, and the K x K grams of all its readouts are summed over
-    their diagonals with one product against an indicator.  Projector kets
-    are looked up among the output kets.
+    changes K) and the stacks are concatenated.  Before anything is
+    evolved, each scan's pattern masks are built together over every ket
+    the expansion can reach (:func:`~mzsim.optics._output_kets`, the cached
+    plan's kets), and projector kets are looked up among them; their union
+    is the read set, and the input is evolved through all the stacks in
+    one expansion that computes only the read kets.  Each block then gets
+    its own K-point DFT, taken once however many scans share it, and the
+    K x K grams of all of a scan's readouts are summed over their diagonals
+    with one product against an indicator.
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
@@ -155,7 +163,39 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
         stacks.append(_compile_grid(circuit, phases, toggles))
         blocks[enabled] = slice(offset, offset + k)
         offset += k
-    occupations, values = _evolve_grid(input_state, np.concatenate(stacks))
+    unitaries = np.concatenate(stacks)
+
+    # what each readout reads, as rows of every reachable ket: a pattern's
+    # mask, or a projector's conjugate amplitudes and their kets' rows
+    kets = _output_kets(input_state, unitaries)
+    read = np.zeros(len(kets), dtype=bool)
+    selections = []
+    for _, readouts in scans:
+        masks = iter(pattern_masks(
+            [r for r in readouts if not isinstance(r, FockState)],
+            circuit.detectors, kets, input_state.total_photons))
+        selected = []
+        for readout in readouts:
+            if isinstance(readout, FockState):
+                if readout.mode_count != circuit.mode_count:
+                    raise DimensionMismatchError(
+                        "projector and circuit have different mode counts")
+                found, rows = _common_rows(readout.occupation_array, kets)
+                selected.append((readout.amplitude_array[found].conj(), rows))
+                read[rows] = True
+            else:
+                mask = next(masks)
+                selected.append((None, mask))
+                read |= mask
+        selections.append(selected)
+    occupations, values = _evolve_grid(input_state, unitaries, read)
+    # each read ket's row in the output, or -1 where pruning dropped it
+    out_row = np.cumsum(read) - 1
+    if out_row[-1] >= len(occupations):
+        rows = np.flatnonzero(read)
+        rows = rows[_common_rows(kets[rows], occupations)[0]]
+        out_row = np.full(len(kets), -1)
+        out_row[rows] = np.arange(len(rows))
 
     for enabled, span in blocks.items():
         block = values[span]
@@ -166,22 +206,15 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
         diagonals = (steps - steps[:, None]).reshape(-1, 1) == steps
         blocks[enabled] = coeffs, diagonals.astype(float)
     results = []
-    for toggles, readouts in scans:
+    for (toggles, readouts), selected in zip(scans, selections):
         coeffs, diagonals = blocks[frozenset(toggles)]
-        masks = iter(pattern_masks(
-            [r for r in readouts if not isinstance(r, FockState)],
-            circuit.detectors, occupations, input_state.total_photons))
         grams = []
-        for readout in readouts:
-            if isinstance(readout, FockState):
-                if readout.mode_count != circuit.mode_count:
-                    raise DimensionMismatchError(
-                        "projector and circuit have different mode counts")
-                kets, rows = _common_rows(readout.occupation_array, occupations)
-                series = (readout.amplitude_array[kets].conj()[None, :]
-                          @ coeffs[rows])
-            else:
-                series = coeffs[next(masks)]
+        for amplitudes, picked in selected:
+            picked = out_row[picked]
+            present = picked >= 0
+            series = coeffs[picked[present]]
+            if amplitudes is not None:
+                series = amplitudes[present][None, :] @ series
             grams.append((series.conj().T @ series).ravel())
         results.append(np.reshape(grams, (len(readouts), -1)) @ diagonals)
     return results

@@ -439,6 +439,45 @@ def test_one_entry_of_a_pure_density_reads_two_factor_rows():
     assert rho.entry(kets[5], (9,) * 24) == rho.entry((1,), kets[5]) == 0
 
 
+def test_a_mapping_lookup_reads_one_entry_without_the_entry_map():
+    # entries[key], get and in on the 330-ket braced_4 output read two
+    # factor rows, as entry() does, not the 108,900-entry dict
+    circuit = braced(4)
+    state = embed(engineered_input(noon_target(4)), circuit.mode_count, (0, 1))
+    phases = {p: 0.3 * (k + 1) for k, p in enumerate(circuit.parameters)}
+    out = evolve(state, compile(circuit, phases, tuple(circuit.toggles)))
+    rho = density_from_pure(out)
+    kets = list(map(tuple, rho.basis_array.tolist()))
+    key = (kets[5], kets[300])
+    tracemalloc.start()
+    try:
+        value = rho.entries[key]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert value == rho.entry(*key) == rho.matrix_array[5, 300]
+    assert key in rho.entries and rho.entries.get(key) == value
+    assert rho.entries.get((kets[5], (9,) * 24)) is None
+
+
+def test_a_zero_entry_reads_as_missing(seed=48):
+    # a traced mode leaves zeros between kets of different traced counts
+    rng = np.random.default_rng(seed)
+    state = embed(basis_state((2, 1)), 4, (0, 1))
+    rho = partial_trace(density_from_pure(evolve(state, random_unitary(rng, 4))),
+                        [3])
+    kets = list(map(tuple, rho.basis_array.tolist()))
+    rows, cols = np.nonzero(rho.matrix_array == 0)
+    assert len(rows)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        key = (kets[i], kets[j])
+        assert key not in rho.entries and rho.entries.get(key) is None
+        with pytest.raises(KeyError):
+            rho.entries[key]
+        assert rho.entry(*key) == 0
+
+
 def test_counting_entries_builds_no_map_of_them():
     # all 220 kets of 3 photons over 10 modes: the dense matrix takes
     # 220^2 * 16 B = 0.77 MB, a dict of its 48,400 entries several MB

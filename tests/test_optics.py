@@ -216,7 +216,7 @@ def test_twenty_photons_on_a_wide_register_split_binomially():
         want = math.sqrt(math.comb(n, k)) * BALANCED.t ** k * BALANCED.r ** (n - k)
         assert abs(out[occ] - want) < 1e-12
     middle = (10, 10) + (0,) * (m - 2)
-    assert abs(out[middle] - transition_amplitude(u, n_in, middle)) < 1e-9
+    assert abs(out[middle] - transition_amplitude(u, n_in, middle)) < 1e-12
 
 
 def test_two_photons_through_a_dense_64_mode_unitary_need_two_key_words():
@@ -406,24 +406,31 @@ def test_plan_arrays_are_read_only(seed=44):
         state.occupation_array, needed)
     assert np.array_equal(occupations, out.occupation_array)
     arrays = [occupations, scatter, scale]
-    arrays += [cols for rows, _, _ in kets for _, _, cols in rows]
+    arrays += [cols for rows, _, _ in kets for _, _, cols, _, _ in rows]
+    # and those of its restriction to every other output ket
+    read = np.arange(len(occupations)) % 2 == 0
+    occupations, kets, scatter, scale = _expansion_plan(
+        state.occupation_array, needed, read)
+    arrays += [occupations, scatter, scale]
+    arrays += [array for rows, _, _ in kets for row in rows
+               for array in row[2:]]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 0
 
 
-def test_the_plan_cache_keeps_at_most_32_plans(seed=45):
+def test_the_plan_cache_keeps_at_most_64_plans(seed=45):
     rng = np.random.default_rng(seed)
     u = random_unitary(rng, 6)
-    inputs = [occ for occ in itertools.product(range(4), repeat=6)
-              if sum(occ) == 3][:40]
-    assert len(inputs) == 40
+    inputs = [occ for occ in itertools.product(range(5), repeat=6)
+              if sum(occ) == 4][:80]
+    assert len(inputs) == 80
     _expansion_plan.cache_clear()
     for occ in inputs:
         evolve(basis_state(occ), u)
     info = _expansion_plan.cache_info()
-    assert info.misses == 40 and info.currsize <= 32
+    assert info.misses == 80 and info.currsize == 64
 
 
 def uniform_superposition(photons, modes, skip=0):
@@ -541,6 +548,27 @@ def test_permanent_row_scaling():
     scaled = a.copy()
     scaled[1] *= 2.0 - 1j
     assert abs(permanent(scaled) - (2.0 - 1j) * permanent(a)) < 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 7), st.data())
+def test_the_sum_over_multiplicities_is_the_repeated_matrix_permanent(
+        modes, photons, data):
+    # any complex matrix, not only unitaries; the sum runs over whichever
+    # side has fewer terms, so both sides get drawn as the smaller one
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    counts = st.lists(st.integers(0, modes - 1), min_size=photons,
+                      max_size=photons)
+    drawn_in, drawn_out = Counter(data.draw(counts)), Counter(data.draw(counts))
+    n_in = tuple(drawn_in[m] for m in range(modes))
+    n_out = tuple(drawn_out[m] for m in range(modes))
+    repeated = a[np.ix_([m for m in range(modes) for _ in range(n_in[m])],
+                        [m for m in range(modes) for _ in range(n_out[m])])]
+    norm = math.sqrt(math.prod(map(math.factorial, n_in + n_out)))
+    want = permanent(repeated)
+    got = transition_amplitude(a, n_in, n_out) * norm
+    assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
 
 def test_transition_amplitude_validates_inputs():

@@ -3,25 +3,30 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitError,
+from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
+                   CircuitError,
                    DegenerateStateError, DetectionPattern, DimensionMismatchError, FockState,
                    FringeScan,
                    UnclassifiableScanError, basis_state, bs_unitary,
-                   classify_table1, compile, delayed_choice_variant,
+                   classify_table1, compile, delayed_choice_variant, embed,
                    engineered_input, evolve, inner_product, noon_target,
                    one_photon_each_input, pattern_probability, preset,
                    run_scan, run_triple, transition_amplitude)
 from mzsim import scenarios
-from mzsim.circuit import _compile_grid, preset_fig2
-from mzsim.optics import _evolve_grid
+from mzsim.circuit import PRESET_NAMES, _compile_grid, preset_fig2
+from mzsim.fock import _common_rows
+from mzsim.measurement import pattern_masks
+from mzsim.optics import _evolve_grid, _expansion_plan, _output_kets
 from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
-from strategies import occupations, superpositions, swept_circuits
+from strategies import (occupations, random_unitary, superpositions,
+                        swept_circuits)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -306,6 +311,167 @@ def test_engine_samples_match_per_phase_evolution(data):
                        for occ, a in state.items())
         assert abs(amplitude - expected) < 1e-12
     assert abs(np.linalg.norm(amplitudes[step]) - 1.0) < 1e-12
+
+
+def full_evolve_harmonics(circuit, state, swept, fixed, toggles, readouts):
+    """A scan's harmonics from every output ket: the input evolved through
+    the K grid phases with no read set, each ket's K-point DFT, and each
+    readout's gram summed along its diagonals."""
+    crossings = sum(1 for e in circuit.enabled(toggles)
+                    if e.kind == "phase" and e.param == swept)
+    k = state.total_photons * crossings + 1
+    steps = np.arange(k)
+    phases = dict(fixed)
+    phases[swept] = 2 * math.pi * steps / k
+    kets, values = _evolve_grid(state, _compile_grid(circuit, phases, toggles))
+    psi = values.T @ (np.exp(-2j * math.pi * np.outer(steps, steps) / k) / k)
+    harmonics = []
+    for readout in readouts:
+        if isinstance(readout, FockState):
+            found, rows = _common_rows(readout.occupation_array, kets)
+            series = readout.amplitude_array[found].conj()[None, :] @ psi[rows]
+        else:
+            (mask,) = pattern_masks([readout], circuit.detectors, kets,
+                                    state.total_photons)
+            series = psi[mask]
+        gram = series.conj().T @ series
+        harmonics.append([np.trace(gram, offset=f) for f in steps])
+    return np.array(harmonics)
+
+
+def projector_on(data, outputs, circuit):
+    """A normalized projector on one or two output kets and one drawn ket."""
+    photons = sum(outputs[0])
+    kets = data.draw(st.lists(st.sampled_from(outputs), min_size=1, max_size=2,
+                              unique=True))
+    drawn = data.draw(occupations(circuit.mode_count, photons))
+    amps = {occ: complex(data.draw(st.floats(0.1, 1)), data.draw(st.floats(-1, 1)))
+            for occ in {*kets, drawn}}
+    return FockState(amps, circuit.mode_count).normalized()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_scan_reading_few_kets_gives_the_full_evolve_harmonics(data):
+    # two scans of a preset, each under its own toggles, with random
+    # patterns, a pattern no ket matches and projectors partly on output
+    # kets: the restricted expansion reads only what they select
+    circuit = preset(data.draw(st.sampled_from(PRESET_NAMES)))
+    photons = data.draw(st.integers(1, 3))
+    state = embed(data.draw(superpositions(2, photons)), circuit.mode_count,
+                  (0, 1))
+    swept = data.draw(st.sampled_from(sorted(circuit.parameters)))
+    fixed = {p: data.draw(st.floats(0, 2 * math.pi))
+             for p in circuit.parameters if p != swept}
+    toggles = sorted(circuit.toggles)
+    names = sorted(circuit.detectors)
+    u = compile(circuit, {p: 0.5 for p in circuit.parameters}, toggles)
+    outputs = evolve(state, u).occupations()
+    scans = []
+    for _ in range(2):
+        enabled = tuple(data.draw(st.lists(st.sampled_from(toggles), unique=True))
+                        if toggles else ())
+        readouts = [DetectionPattern({}), projector_on(data, outputs, circuit)]
+        for _ in range(data.draw(st.integers(1, 3))):
+            listed = data.draw(st.lists(st.sampled_from(names), max_size=photons))
+            readouts.append(DetectionPattern(
+                {name: listed.count(name) for name in listed},
+                exclusive=data.draw(st.booleans())))
+        scans.append((enabled, data.draw(st.permutations(readouts))))
+    got = _scan_values(circuit, state, swept, fixed, scans)
+    for (enabled, readouts), harmonics in zip(scans, got):
+        want = full_evolve_harmonics(circuit, state, swept, fixed, enabled,
+                                     readouts)
+        assert harmonics.shape == want.shape
+        assert np.max(np.abs(harmonics - want)) < 1e-14
+        unmatched = readouts.index(DetectionPattern({}))
+        assert not np.any(harmonics[unmatched])
+
+
+def test_evolving_a_read_set_gives_the_read_rows_of_the_full_evolve(seed=53):
+    # |1,1> into a balanced splitter leaves no |1,1>, so one read ket is
+    # pruned at every grid phase, as the full evolve prunes it
+    rng = np.random.default_rng(seed)
+    hom = FockState({(1, 1, 0): 1.0})
+    splitter = bs_unitary(BALANCED, 0, 1, 3)
+    states = [(hom, np.stack([splitter, splitter])),
+              (FockState({(2, 1, 0, 0): 0.6, (0, 1, 1, 1): 0.8j}),
+               np.stack([random_unitary(rng, 4) for _ in range(3)]))]
+    hom_kets = _output_kets(*states[0]).tolist()
+    assert [1, 1, 0] in hom_kets
+    assert [1, 1, 0] not in _evolve_grid(*states[0])[0].tolist()
+    for state, stack in states:
+        kets = _output_kets(state, stack)
+        full_kets, full = _evolve_grid(state, stack)
+        for read in (np.ones(len(kets), dtype=bool),
+                     np.zeros(len(kets), dtype=bool),
+                     rng.random(len(kets)) < 0.5):
+            got_kets, got = _evolve_grid(state, stack, read)
+            rows = _common_rows(kets[read], full_kets)[1]
+            assert np.array_equal(got_kets, full_kets[rows])
+            assert np.array_equal(got, full[:, rows])
+            assert not (got_kets.flags.writeable or full_kets.flags.writeable)
+
+
+def test_a_scan_whose_read_ket_is_pruned_reads_it_as_zero():
+    # a delay before a balanced splitter: |1,1> comes out with amplitude 0
+    # at every phase, so the coincidence pattern reads a pruned ket
+    circuit = Circuit(2, (CircuitElement("phase", "P", (0,), param="phi"),
+                          CircuitElement("bs", "B", (0, 1), BALANCED)),
+                      {"Da": 0, "Db": 1})
+    state = basis_state((1, 1))
+    coincidence = DetectionPattern({"Da": 1, "Db": 1})
+    bunched = DetectionPattern({"Da": 2})
+    (harmonics,) = _scan_values(circuit, state, "phi", {},
+                                [((), [coincidence, bunched])])
+    want = full_evolve_harmonics(circuit, state, "phi", {}, (),
+                                 [coincidence, bunched])
+    assert np.array_equal(harmonics[0], np.zeros(3))
+    assert np.max(np.abs(harmonics - want)) < 1e-15
+    assert abs(harmonics[1, 0] - 0.5) < 1e-15
+
+
+def test_an_empty_read_set_gives_zero_harmonics():
+    c = preset("fig2")
+    state = one_photon_each_input(c)
+    elsewhere = FockState({(1,) + (0,) * 10 + (1,): 1.0}, 12)
+    (harmonics,) = _scan_values(c, state, "phi_C", {"phi_B": 0.4, "phi_S": 1.1},
+                                [(("BS2",), [DetectionPattern({}), elsewhere])])
+    assert harmonics.shape == (2, 3) and not np.any(harmonics)
+    scan = run_scan(c, ("BS2",), state, DetectionPattern({}), "phi_C",
+                    {"phi_B": 0.4, "phi_S": 1.1})
+    assert scan.classify() == "flat" and scan.mean == 0.0
+
+
+def test_an_over_photon_pattern_warns_once_per_scan():
+    c = preset("fig2")
+    state = one_photon_each_input(c)
+    over = DetectionPattern({"D6": 3})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = _scan_values(
+            c, state, "phi_C", {"phi_B": 0.4, "phi_S": 1.1},
+            [(("BS2",), [over, DetectionPattern({"D6": 1, "D10": 1})]),
+             ((), [DetectionPattern({"D6": 1})])])
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert not np.any(results[0][0]) and np.any(results[0][1])
+
+
+def test_a_scan_keeps_its_restricted_plan_in_the_plan_cache():
+    # the full plan and its restriction to the read set: two misses, then
+    # the same scan again hits both, and the byte count holds both
+    c = preset("fig2")
+    state = one_photon_each_input(c)
+    scan = [(("BS2",), [DetectionPattern({"D6": 1, "D10": 1})])]
+    _expansion_plan.cache_clear()
+    first = _scan_values(c, state, "phi_C", {"phi_B": 0.4, "phi_S": 1.1}, scan)
+    info = _expansion_plan.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    again = _scan_values(c, state, "phi_C", {"phi_B": 0.4, "phi_S": 1.1}, scan)
+    info_again = _expansion_plan.cache_info()
+    assert info_again.misses == 2 and info_again.hits == info.hits + 2
+    assert info_again.nbytes == info.nbytes > 0
+    assert np.array_equal(first[0], again[0])
 
 
 # ---------------------------------------------------------------------------
