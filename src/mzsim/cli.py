@@ -136,6 +136,10 @@ def _parse_sweep(text: str) -> tuple[str, float, float, int]:
         raise _UsageError(f"bad sweep bounds in {text!r}") from None
     if not (math.isfinite(start) and math.isfinite(end)):
         raise _UsageError(f"sweep bounds in {text!r} are not finite")
+    # the samples are start + k (end - start) / n: a width that overflows
+    # makes them NaN and infinite
+    if not math.isfinite(end - start):
+        raise _UsageError(f"sweep range in {text!r} is too wide")
     if not 2 <= n <= MAX_SWEEP_SAMPLES:
         raise _UsageError(
             f"sweep needs 2 to {MAX_SWEEP_SAMPLES} samples, got {n}")

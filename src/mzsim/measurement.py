@@ -14,7 +14,11 @@ nothing of size kets x kets; a matrix given as a mapping has factors
 (matrix, identity).  A partial trace groups the basis kets by their
 occupation of the traced modes, scatters each group's factor rows into
 columns of its own beside the others, and forms the reduced matrix with
-one matmul; the result keeps those regrouped factors.  The dense matrix
+one matmul; the result keeps those regrouped factors.  The grouping and
+the scatter are phase-free: they are planned once per basis, kept modes
+and right-factor nonzero mask, and kept in the plan cache evolve uses
+(``optics._expansion_plan``), so a phase loop through one circuit pays
+one scatter and one matmul per trace after its first.  The dense matrix
 is built on first use; the trace and the number-operator readouts read
 it.  ``entries`` presents the nonzero entries as a read-only map (ket
 occupation, bra occupation) -> entry; iterating it reads a dict built off
@@ -28,6 +32,7 @@ still be addressed by circuit mode after tracing.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -38,6 +43,7 @@ from .errors import (NonFiniteAmplitudeError, PhotonCountError,
                      UnknownDetectorError)
 from .fock import (_COUNTS, MAX_MODE_PHOTONS, PRUNE_THRESHOLD, FockState,
                    Occupation, _check_occupation, _union, inner_product)
+from .optics import _expansion_plan
 
 
 @dataclass(frozen=True)
@@ -378,41 +384,33 @@ def partial_trace(rho: DensityMatrix,
     where L_g holds the group's rows of L at their kept occupations.  One
     scatter lays every group's columns side by side, each row becoming a
     kept ket and each column a (group, old column) pair at which R has a
-    nonzero entry, and one matmul forms the reduced matrix.  Sums at or
-    below ``PRUNE_THRESHOLD`` in magnitude are dropped from it, and kept
-    kets left with only zero entries leave the basis.  The result keeps the
+    nonzero entry, and one matmul forms the reduced matrix.  Where each
+    factor entry goes depends only on the basis, the kept modes and where
+    R is nonzero, so that scatter is planned once (:func:`_trace_plan`)
+    and kept in the plan cache evolve uses, ``optics._expansion_plan``,
+    keyed on those bytes: a phase loop over one circuit plans its first
+    trace and reuses the plan after.  Sums at or below ``PRUNE_THRESHOLD``
+    in magnitude are dropped from the reduced matrix, and kept kets left
+    with only zero entries leave the basis.  The result keeps the
     regrouped factors, unpruned, so a second trace takes the same path.
     """
     traced = set(traced_modes)
     unknown = traced - set(rho.modes)
     if unknown:
         raise ValueError(f"cannot trace modes {sorted(unknown)}: not present")
-    keep_pos = [i for i, m in enumerate(rho.modes) if m not in traced]
-    drop_pos = [i for i, m in enumerate(rho.modes) if m in traced]
+    keep_pos = tuple(i for i, m in enumerate(rho.modes) if m not in traced)
     if not keep_pos:
         raise ValueError("tracing every mode leaves a scalar, not a matrix")
     basis, left, right = rho.entries.basis, rho.entries.left, rho.entries.right
-    kept, kept_of = _union(basis[:, keep_pos])
-    if drop_pos:
-        groups, group = _union(basis[:, drop_pos])
-        size = len(groups)
-    else:
-        group, size = np.zeros(len(basis), dtype=np.intp), 1
-    width = left.shape[1]
-    # each factor entry's (group, old column) pair; only pairs at which the
-    # right factor has a nonzero entry add to the product, so only they
-    # become columns: an identity right factor then gives one column per
-    # ket, not one per ket and group
-    pair = group[:, None] * width + np.arange(width)
-    used = np.zeros(size * width, dtype=bool)
-    used[pair[right != 0]] = True
-    hit = used[pair]
-    rows = np.broadcast_to(kept_of[:, None], pair.shape)[hit]
-    columns = np.cumsum(used)[pair[hit]] - 1
+    nonzero = right.astype(bool)
+    kept, source, rows, columns, count = _expansion_plan.lookup(
+        ("partial_trace", basis.shape, nonzero.shape, keep_pos,
+         basis.tobytes(), nonzero.tobytes()),
+        lambda: _trace_plan(basis, keep_pos, nonzero))
 
     def regroup(factor: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(kept), int(used.sum())), dtype=complex)
-        out[rows, columns] = factor[hit]
+        out = np.zeros((len(kept), count), dtype=complex)
+        out[rows, columns] = factor.take(source)
         return out
 
     new_left = regroup(left)
@@ -427,6 +425,50 @@ def partial_trace(rho: DensityMatrix,
     return _trusted_density(kept, new_left, new_right,
                             tuple(m for m in rho.modes if m not in traced),
                             matrix)
+
+
+def _trace_plan(basis: np.ndarray, keep_pos: tuple[int, ...],
+                nonzero: np.ndarray):
+    """The phase-free half of :func:`partial_trace`.
+
+    ``basis`` is a matrix's (kets x modes) basis, ``keep_pos`` the columns
+    of it that stay, and ``nonzero`` the (kets x rank) mask of the right
+    factor's nonzero entries.  The basis kets are grouped by their kept and
+    by their traced occupations; a factor entry (i, c) goes to the column
+    of the (group of ket i, c) pair when the right factor is nonzero at
+    some entry of that pair, since no other pair adds to the product: an
+    identity right factor then gives one column per ket, not one per ket
+    and group.  Returns the plan and the bytes it holds.  The plan is the
+    kept basis, unique and in lexicographic order; the flat (C-order)
+    index into a (kets x rank) factor of each entry that goes somewhere,
+    ascending; the row and column each such entry takes in the regrouped
+    factors; and the column count.  Every array is read-only, since the
+    plan cache hands it out again.
+    """
+    drop_pos = [i for i in range(basis.shape[1]) if i not in keep_pos]
+    kept, kept_of = _union(basis[:, list(keep_pos)])
+    if drop_pos:
+        groups, group = _union(basis[:, drop_pos])
+        size = len(groups)
+    else:
+        group, size = np.zeros(len(basis), dtype=np.intp), 1
+    width = nonzero.shape[1]
+    used = np.zeros((size, width), dtype=bool)
+    ket, col = np.divmod(np.flatnonzero(nonzero), width)
+    used[group[ket], col] = True
+    # the entries whose (group, column) pair is used, and each one's rank
+    # among the used pairs in C order
+    source = np.flatnonzero(used[group])
+    ket, col = np.divmod(source, width)
+    pairs = np.flatnonzero(used)
+    rows = kept_of[ket]
+    columns = np.searchsorted(pairs, group[ket] * width + col)
+    arrays = kept, source, rows, columns
+    for array in arrays:
+        array.flags.writeable = False
+    plan = *arrays, len(pairs)
+    return plan, sys.getsizeof(plan) + sum(
+        sys.getsizeof(a if a.base is None else a.base) for a in arrays)
 
 
 def mean_photon_number(rho: DensityMatrix, mode: int) -> float:

@@ -25,11 +25,12 @@ so sequential application of U1 then U2 composes to the single matrix
   (``_expansion_plan``: at most 64 plans holding at most
   ``PLAN_CACHE_BYTES``).  A scan needs one expansion anyway; the cache
   pays where one input goes through one circuit in call after call, as in
-  a phase loop over :func:`evolve`.  A scan reads few of the output kets
-  (``classify_table1(5)`` reads 495 of 2,002), so it passes their mask as
-  a read set: the plan is restricted to the terms that add into those kets
-  (also phase-free, and cached with the full plans) and only they are
-  computed;
+  a phase loop over :func:`evolve`; ``measurement.partial_trace`` keeps
+  its phase-free scatter plans in the same cache.  A scan reads few of the
+  output kets (``classify_table1(5)`` reads 495 of 2,002), so it passes
+  their mask as a read set: the plan is restricted to the terms that add
+  into those kets (also phase-free, and cached with the full plans) and
+  only they are computed;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix, summed over the repeat
   counts by Glynn's formula; :func:`permanent` is Ryser's algorithm for any
@@ -442,14 +443,18 @@ _PlanCacheInfo = namedtuple("_PlanCacheInfo", "hits misses currsize nbytes")
 
 
 class _PlanCache:
-    """The most recently used expansion plans, bounded in count and bytes.
+    """The most recently used phase-free plans, bounded in count and bytes.
 
-    A plan's merge index holds one entry per expanded term, so plans differ
-    in size by orders of magnitude and a count bound alone bounds no memory.
-    This keeps at most ``maxsize`` plans that, with their keys, hold at
-    most ``budget`` bytes, dropping the least recently used first; a plan
-    larger than the whole budget is returned and not kept.  Full plans and
-    the restrictions of them to a read set share the one bound.
+    A plan's merge or scatter index holds one entry per expanded term or
+    factor entry, so plans differ in size by orders of magnitude and a
+    count bound alone bounds no memory.  This keeps at most ``maxsize``
+    plans that, with their keys, hold at most ``budget`` bytes, dropping
+    the least recently used first; a plan larger than the whole budget is
+    returned and not kept.  :meth:`lookup` takes any key and the function
+    that builds its plan; calling the cache looks up an expansion plan.
+    Full expansion plans, their restrictions to a read set and the plans of
+    ``measurement.partial_trace`` (keys tagged ``"partial_trace"``) share
+    the one bound.
     """
 
     def __init__(self, maxsize: int, budget: int):
@@ -467,6 +472,15 @@ class _PlanCache:
         (:func:`_restrict_plan`), keyed also on the mask's bytes."""
         key = (occupations.shape, occupations.tobytes(), needed.tobytes(),
                None if read is None else read.tobytes())
+        if read is None:
+            return self.lookup(key, lambda: _build_plan(occupations, needed))
+        return self.lookup(key, lambda: _restrict_plan(
+            self(occupations, needed), read))
+
+    def lookup(self, key: tuple, build):
+        """The plan kept under ``key``, a tuple of hashable parts, or the
+        one ``build()`` returns with the bytes it holds, kept under it; the
+        key's parts count toward the budget too."""
         with self._lock:
             entry = self._plans.get(key)
             if entry is not None:
@@ -474,11 +488,8 @@ class _PlanCache:
                 self._hits += 1
                 return entry[0]
             self._misses += 1
-        if read is None:
-            plan, size = _build_plan(occupations, needed)
-        else:
-            plan, size = _restrict_plan(self(occupations, needed), read)
-        size += sum(map(sys.getsizeof, key[1:]))
+        plan, size = build()
+        size += sum(map(sys.getsizeof, key))
         with self._lock:
             if key not in self._plans:
                 self._plans[key] = (plan, size)
@@ -500,14 +511,18 @@ class _PlanCache:
             self._hits = self._misses = self._nbytes = 0
 
 
-#: Expansion plans kept for the next evolve of the same structure: at most
-#: 64 plans holding at most ``PLAN_CACHE_BYTES``, counting full plans and
-#: the restricted plans of scans (one per input structure and read set)
-#: alike.  A scan keeps two plans, so one ``verify.run_all()`` keeps 38
-#: (26 full, 12 restricted), which 32 would cycle through; every
-#: workload's plans fit in a tenth of the bytes, ``classify_table1(5)``'s
-#: holding 113 KiB (full) and 39 KiB (restricted).  One plan of a 330-ket,
-#: 4-photon superposition through a dense 8-mode unitary holds 3.1 MiB.
+#: Plans kept for the next evolve or partial trace of the same structure:
+#: at most 64 plans holding at most ``PLAN_CACHE_BYTES``, counting full
+#: plans, the restricted plans of scans (one per input structure and read
+#: set) and trace plans (one per basis, kept modes and right-factor mask)
+#: alike; both bounds hold for all three.  A scan keeps two plans, so one
+#: ``verify.run_all()`` keeps 40 (26 full, 12 restricted, 2 trace), which
+#: 32 would cycle through; every workload's plans fit in a tenth of the
+#: bytes, ``classify_table1(5)``'s holding 113 KiB (full) and 39 KiB
+#: (restricted).  One plan of a 330-ket, 4-photon superposition through a
+#: dense 8-mode unitary holds 3.1 MiB; the trace plan of a matrix built
+#: from the 330-ket ``braced_4`` output's entries holds 130 KiB, most of
+#: it the key's 109 KB mask of its identity right factor.
 PLAN_CACHE_BYTES = 4 * 2 ** 20
 _expansion_plan = _PlanCache(maxsize=64, budget=PLAN_CACHE_BYTES)
 

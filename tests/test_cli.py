@@ -276,6 +276,9 @@ def test_verify_runs_all_checks(capsys):
      "--phases", "phi_C=inf,phi_B=0"),                           # inf phase
     ("--preset", "fig1", "--pattern", "D10:1,D11:1",
      "--phases", "phi_C=0", "--sweep", "phi_B:0:nan:64"),        # NaN bound
+    ("--preset", "fig2", "--pattern", "D6:1,D10:1",
+     "--sweep", "phi_B:-1e308:1e308:64", "--phases", "phi_C=0.1,phi_S=0.2",
+     "--format", "json"),                                        # width overflows
     ("--preset", "fig1", "--pattern", "D10:1,D11:1", "--phases", "phi_C=0",
      "--sweep", f"phi_B:0:1:{MAX_SWEEP_SAMPLES + 1}"),           # huge sweep
     ("--preset", "fig1", "--input", "engineered-noon:30",

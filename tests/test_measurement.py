@@ -18,7 +18,8 @@ from mzsim import (BALANCED, DensityMatrix, DetectionPattern,
                    density_from_pure, embed, engineered_input, evolve,
                    mean_photon_number, noon_target, partial_trace,
                    pattern_probability, projected_probability)
-from mzsim.measurement import pattern_mask, pattern_masks
+from mzsim.measurement import _trace_plan, pattern_mask, pattern_masks
+from mzsim.optics import _expansion_plan
 from strategies import occupations, random_unitary, superpositions
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -544,6 +545,26 @@ def regrouped_entries(entries, modes, traced):
     return out
 
 
+def traced_cold_and_warm(rho, traced):
+    """partial_trace with the plan cache cleared, then again with its plan
+    kept: the two results must be equal bit for bit."""
+    _expansion_plan.cache_clear()
+    cold = partial_trace(rho, traced)
+    warm = partial_trace(rho, traced)
+    info = _expansion_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert cold.modes == warm.modes
+    for a, b in zip(density_arrays(cold), density_arrays(warm)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    return warm
+
+
+def density_arrays(rho):
+    entries = rho.entries
+    return entries.basis, entries.left, entries.right, entries.matrix
+
+
 def regrouped(state, traced):
     """Reduced entries summed pair by pair over the pure state's kets."""
     outer = {(a, b): x * y.conjugate()
@@ -556,7 +577,7 @@ def regrouped(state, traced):
 def test_partial_trace_is_the_regrouped_pure_state(case):
     state, first, second = case
     traced = first | second
-    reduced = partial_trace(density_from_pure(state), traced)
+    reduced = traced_cold_and_warm(density_from_pure(state), traced)
     assert reduced.modes == tuple(m for m in range(state.mode_count)
                                   if m not in traced)
     want = regrouped(state, traced)
@@ -569,8 +590,8 @@ def test_partial_trace_is_the_regrouped_pure_state(case):
 def test_tracing_in_two_steps_equals_tracing_at_once(case):
     state, first, second = case
     rho = density_from_pure(state)
-    assert partial_trace(partial_trace(rho, first), second).allclose(
-        partial_trace(rho, first | second), 1e-12)
+    nested = traced_cold_and_warm(traced_cold_and_warm(rho, first), second)
+    assert nested.allclose(partial_trace(rho, first | second), 1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -629,12 +650,12 @@ def mapping_cases(draw):
 def test_partial_trace_of_a_mapping_built_matrix(case):
     rho, first, second = case
     traced = first | second
-    reduced = partial_trace(rho, traced)
+    reduced = traced_cold_and_warm(rho, traced)
     want = regrouped_entries(dict(rho.entries), rho.modes, traced)
     for key in set(reduced.entries) | set(want):
         assert abs(reduced.entries.get(key, 0j) - want.get(key, 0j)) < 1e-12
-    assert partial_trace(partial_trace(rho, first), second).allclose(
-        reduced, 1e-12)
+    nested = traced_cold_and_warm(traced_cold_and_warm(rho, first), second)
+    assert nested.allclose(reduced, 1e-12)
 
 
 def full_sector_state(photons, modes, seed):
@@ -677,3 +698,101 @@ def test_a_mapping_built_trace_gives_one_column_per_ket_not_per_group():
     assert peak < 4 * 2 ** 20
     assert reduced.allclose(partial_trace(density_from_pure(state),
                                           range(2, 10)), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# trace plans, kept in the plan cache evolve uses
+
+
+def reduced_n4_loop():
+    """The braced_4 circuit, its engineered input and the modes traced to
+    leave D10 and D11, as the reduced_n4 phase loop uses them."""
+    circuit = braced(4)
+    state = embed(engineered_input(noon_target(4)), circuit.mode_count, (0, 1))
+    keep = {circuit.detectors["D10"], circuit.detectors["D11"]}
+    return circuit, state, [m for m in range(circuit.mode_count)
+                            if m not in keep]
+
+
+def test_a_phase_loop_plans_its_trace_once(seed=61):
+    circuit, state, traced = reduced_n4_loop()
+    rng = np.random.default_rng(seed)
+    _expansion_plan.cache_clear()
+    for k in range(5):
+        phases = {p: rng.uniform(0, 2 * math.pi) for p in circuit.parameters}
+        rho = density_from_pure(
+            evolve(state, compile(circuit, phases, tuple(circuit.toggles))))
+        before = _expansion_plan.cache_info()
+        reduced = partial_trace(rho, traced)
+        after = _expansion_plan.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (
+            (1, 0) if k == 0 else (0, 1))
+        if k == 0:
+            first = reduced
+        assert np.array_equal(reduced.basis_array, first.basis_array)
+    # one expansion plan and one trace plan
+    assert _expansion_plan.cache_info().currsize == 2
+
+
+def test_each_traced_set_basis_and_nested_trace_gets_its_own_plan(seed=62):
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 4)
+    rho = density_from_pure(evolve(embed(basis_state((2, 1)), 4, (0, 1)), u))
+    other = density_from_pure(evolve(embed(basis_state((1, 1)), 4, (0, 1)), u))
+    # the same basis with an identity right factor
+    mapped = DensityMatrix(dict(rho.entries), rho.modes)
+    assert np.array_equal(mapped.basis_array, rho.basis_array)
+    _expansion_plan.cache_clear()
+    traces = [lambda: partial_trace(rho, [3]),
+              lambda: partial_trace(rho, [2, 3]),
+              lambda: partial_trace(other, [3]),
+              lambda: partial_trace(mapped, [3]),
+              lambda: partial_trace(partial_trace(rho, [3]), [2])]
+    for trace in traces:
+        trace()
+    # the nested trace's first step hits the plan of the first trace
+    info = _expansion_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (5, 1, 5)
+    for trace in traces:
+        trace()
+    info = _expansion_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (5, 7, 5)
+
+
+def test_trace_plan_arrays_are_read_only(seed=63):
+    rng = np.random.default_rng(seed)
+    state = embed(basis_state((2, 1)), 4, (0, 1))
+    rho = density_from_pure(evolve(state, random_unitary(rng, 4)))
+    mapped = DensityMatrix(dict(rho.entries), rho.modes)
+    for density in (rho, mapped, partial_trace(rho, [3])):
+        entries = density.entries
+        (*arrays, count), _ = _trace_plan(
+            entries.basis, (0, 1), entries.right.astype(bool))
+        assert count > 0
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+
+def test_a_mapping_built_trace_plan_counts_its_key_bytes():
+    # the identity right factor of the 330-ket braced_4 output keys its
+    # plan on a 330 x 330 mask, 109 KB of the bytes the cache counts
+    circuit, state, traced = reduced_n4_loop()
+    phases = {p: 0.3 * (k + 1) for k, p in enumerate(circuit.parameters)}
+    out = evolve(state, compile(circuit, phases, tuple(circuit.toggles)))
+    rho = DensityMatrix(dict(density_from_pure(out).entries), range(24))
+    assert len(rho.basis_array) == 330
+    partial_trace(rho, traced)
+    _expansion_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        cold = partial_trace(rho, traced)
+        del cold
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    info = _expansion_plan.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.nbytes > 330 * 330
+    assert 0.9 * retained < info.nbytes < 1.1 * retained
