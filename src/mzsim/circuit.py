@@ -11,7 +11,9 @@ Compiling walks the elements once and updates the columns of the product in
 place: a splitter mixes two columns, a delay scales one, a swap exchanges
 two.  One pass can compile a circuit at K phase sets at once, as a
 (K x M x M) stack; a scan uses that for its grid of phases.  Each column
-is then kept as one contiguous block over the grid.
+is then kept as one contiguous block over the grid.  A toggle may also be
+on for some rows of the stack only, so grids of several toggle sets
+compile in the same pass.
 
 Preset layouts
 --------------
@@ -50,7 +52,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (CircuitError, CircuitParseError, MissingPhaseError)
+from .errors import (CircuitError, CircuitParseError, DimensionMismatchError,
+                     MissingPhaseError)
 from .optics import BALANCED, BeamSplitterCoeffs
 
 
@@ -172,53 +175,103 @@ def compile(circuit: Circuit, phases: Mapping[str, float],
 
 
 def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
-                  enabled_toggles: Iterable[str] = ()) -> np.ndarray:
+                  enabled_toggles: Iterable[str] = (),
+                  toggle_rows: Mapping[str, np.ndarray] | None = None
+                  ) -> np.ndarray:
     """Mode unitaries at K phase sets at once, as a (K x M x M) stack.
 
-    A phase value is a float or a length-K array; slice k of the result is
-    :func:`compile` at the k-th entry of every array.  Starting from K
-    identities, the elements are applied once each, in order, by column
-    updates: a splitter mixes its two columns, a delay scales its column by
-    e^{i phi} (by K factors when its parameter is an array), and a swap
-    exchanges two columns, which is done by relabeling where each column is
-    stored.  Each column is one contiguous (K x M) block, so every update
-    walks memory in order.  The elements are those :meth:`Circuit.enabled`
-    keeps.
+    A phase value is a float or a length-K array, every array of one
+    length; slice k of the result is :func:`compile` at the k-th entry of
+    every array.  Starting from K identities, the elements are applied once
+    each, in order, by column updates: a splitter mixes its two columns, a
+    delay scales its column by e^{i phi} (by K factors when its parameter
+    is an array), and a swap exchanges two columns, which is done by
+    relabeling where each column is stored.  Each column is one contiguous
+    (K x M) block, so every update walks memory in order.  The elements are
+    those :meth:`Circuit.enabled` keeps.
+
+    ``toggle_rows`` maps toggles to length-K bool arrays, one entry per
+    row: such a toggle acts only on the rows its array marks.  On every
+    other row ``np.where`` selects the element's columns unchanged, as if
+    it were left out, and a swap exchanges its columns in place rather than
+    by relabeling.  Stacked blocks of different toggle sets thus compile in
+    one pass, each row equal to its own set's compile bit for bit.
     """
-    elements = circuit.enabled(enabled_toggles)
-    missing = [p for p in circuit.parameters if p not in phases]
+    elements = circuit.enabled([*enabled_toggles, *(toggle_rows or ())])
+    parameters = circuit.parameters
+    missing = [p for p in parameters if p not in phases]
     if missing:
         raise MissingPhaseError(f"missing phase parameters {missing}")
-    factors = {}
-    for p in circuit.parameters:
+    factors, shapes = {}, {}
+    for p in parameters:
         values = np.asarray(phases[p], dtype=float)
         if not np.isfinite(values).all():
             raise ValueError(f"phase {p} is not finite")
+        if values.ndim:
+            shapes[p] = values.shape
         factors[p] = np.exp(1j * values)[..., None]
+    if (len(set(shapes.values())) > 1
+            or any(len(s) != 1 or not s[0] for s in shapes.values())):
+        raise DimensionMismatchError(
+            "phase arrays must be one-dimensional, non-empty and of one "
+            "length; got " + ", ".join(f"{p} of shape {s}"
+                                       for p, s in shapes.items()))
+    rows = {name: np.asarray(on, dtype=bool)[:, None]
+            for name, on in toggle_rows.items()} if toggle_rows else None
     m = circuit.mode_count
     # cols[stored[j]] is column j of the product so far, one row per phase
-    cols = np.zeros((m, max((f.size for f in factors.values()), default=1), m),
+    cols = np.zeros((m, next(iter(shapes.values()), (1,))[0], m),
                     dtype=complex)
     cols[range(m), :, range(m)] = 1.0
     stored = list(range(m))
     for e in elements:
+        on = rows.get(e.name) if rows else None
         if e.kind == "bs":
             t, r = e.coeffs.t, e.coeffs.r
             col_a, col_b = cols[stored[e.modes[0]]], cols[stored[e.modes[1]]]
             mixed = t * col_a + r * col_b
-            col_b *= t
-            col_b += r * col_a
-            col_a[...] = mixed
+            if on is None:
+                col_b *= t
+                col_b += r * col_a
+                col_a[...] = mixed
+            else:
+                # the unmasked branch's operations in its order, so a marked
+                # row matches its own set's compile bit for bit
+                turned = col_b * t
+                turned += r * col_a
+                col_b[...] = np.where(on, turned, col_b)
+                col_a[...] = np.where(on, mixed, col_a)
         elif e.kind == "phase":
-            cols[stored[e.modes[0]]] *= factors[e.param]
-        else:
+            col = cols[stored[e.modes[0]]]
+            if on is None:
+                col *= factors[e.param]
+            else:
+                col[...] = np.where(on, col * factors[e.param], col)
+        elif on is None:
             a, b = e.modes
             stored[a], stored[b] = stored[b], stored[a]
+        else:
+            col_a, col_b = cols[stored[e.modes[0]]], cols[stored[e.modes[1]]]
+            col_a[...], col_b[...] = (np.where(on, col_b, col_a),
+                                      np.where(on, col_a, col_b))
     return np.ascontiguousarray(cols[stored].transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
 # presets
+
+
+def _trusted_element(kind: str, name: str, modes: tuple[int, ...],
+                     coeffs: BeamSplitterCoeffs | None = None,
+                     param: str | None = None) -> CircuitElement:
+    """An element from fields already known to be valid, built without the
+    checks of ``CircuitElement.__post_init__``: :func:`braced` generates
+    its names and modes, and validates each tap it is given.  The
+    ``Circuit`` it builds still checks names, modes and toggles."""
+    element = object.__new__(CircuitElement)
+    element.__dict__.update(kind=kind, name=name, modes=modes, coeffs=coeffs,
+                            param=param)
+    return element
 
 
 def _primes(q: int) -> str:
@@ -230,7 +283,9 @@ def braced(n: int, taps: Sequence[BeamSplitterCoeffs] | None = None) -> Circuit:
 
     ``taps[0]`` is the outermost (unprimed) tap pair, ``taps[q]`` the stage
     with q primes; all default to balanced.  Stage order along the beam is
-    innermost (most primed) first.
+    innermost (most primed) first.  Each tap is validated; the elements,
+    whose names and modes are generated here, are built unchecked
+    (:func:`_trusted_element`), and the ``Circuit`` checks the whole.
     """
     if not 2 <= n <= 5:
         raise ValueError(f"braced stack supports 2 <= n <= 5, got {n}")
@@ -261,42 +316,44 @@ def braced(n: int, taps: Sequence[BeamSplitterCoeffs] | None = None) -> Circuit:
     toggles: set[str] = set()
     first = block(primed)
 
-    elements.append(CircuitElement("bs", "BS1", (0, 1), BALANCED))
-    elements.append(CircuitElement("swap", "BS1a", (0, first["up_in"])))
-    elements.append(CircuitElement("swap", "BS1b", (1, first["lo_in"])))
-    elements.append(CircuitElement("phase", "PC", (first["up_in"],), param="phi_C"))
+    elements.append(_trusted_element("bs", "BS1", (0, 1), BALANCED))
+    elements.append(_trusted_element("swap", "BS1a", (0, first["up_in"])))
+    elements.append(_trusted_element("swap", "BS1b", (1, first["lo_in"])))
+    elements.append(_trusted_element("phase", "PC", (first["up_in"],), param="phi_C"))
 
     for q in range(primed, -1, -1):
         b = block(q)
         p = _primes(q)
         tap = taps[q]
-        elements.append(CircuitElement("bs", f"BS4{p}", (b["up_in"], b["up_vac"]), tap))
-        elements.append(CircuitElement("swap", f"BS4{p}a", (b["up_in"], b["up_out"])))
+        elements.append(_trusted_element("bs", f"BS4{p}", (b["up_in"], b["up_vac"]), tap))
+        elements.append(_trusted_element("swap", f"BS4{p}a", (b["up_in"], b["up_out"])))
         if q > 0:
             # primed stages exit mirror-fashion: upper tap toward the D6 side
-            elements.append(CircuitElement("swap", f"BS4{p}b", (b["up_vac"], b["det_a"])))
+            elements.append(_trusted_element("swap", f"BS4{p}b",
+                                               (b["up_vac"], b["det_a"])))
         else:
-            elements.append(CircuitElement("swap", "BS4b", (b["up_vac"], b["det_b"])))
-        elements.append(CircuitElement("bs", f"BS5{p}", (b["lo_in"], b["lo_vac"]), tap))
-        elements.append(CircuitElement("swap", f"BS5{p}a", (b["lo_in"], b["lo_out"])))
+            elements.append(_trusted_element("swap", "BS4b", (b["up_vac"], b["det_b"])))
+        elements.append(_trusted_element("bs", f"BS5{p}", (b["lo_in"], b["lo_vac"]), tap))
+        elements.append(_trusted_element("swap", f"BS5{p}a", (b["lo_in"], b["lo_out"])))
         if q > 0:
-            elements.append(CircuitElement("swap", f"BS5{p}b", (b["lo_vac"], b["det_b"])))
-            elements.append(CircuitElement("phase", f"PS{p}", (b["det_b"],),
-                                           param=f"phi_S{p}"))
+            elements.append(_trusted_element("swap", f"BS5{p}b",
+                                               (b["lo_vac"], b["det_b"])))
+            elements.append(_trusted_element("phase", f"PS{p}", (b["det_b"],),
+                                             param=f"phi_S{p}"))
         else:
-            elements.append(CircuitElement("swap", "BS5b", (b["lo_vac"], b["det_a"])))
-            elements.append(CircuitElement("phase", "PS", (b["det_a"],),
-                                           param="phi_S"))
-        elements.append(CircuitElement("bs", f"BS2{p}", (b["det_a"], b["det_b"]),
-                                       BALANCED))
+            elements.append(_trusted_element("swap", "BS5b", (b["lo_vac"], b["det_a"])))
+            elements.append(_trusted_element("phase", "PS", (b["det_a"],),
+                                             param="phi_S"))
+        elements.append(_trusted_element("bs", f"BS2{p}", (b["det_a"], b["det_b"]),
+                                         BALANCED))
         toggles.add(f"BS2{p}")
         detectors[f"D6{p}"] = b["det_a"]
         detectors[f"D7{p}"] = b["det_b"]
 
-    elements.append(CircuitElement("phase", "PB", (9,), param="phi_B"))
-    elements.append(CircuitElement("bs", "BS3", (8, 9), BALANCED))
-    elements.append(CircuitElement("swap", "BS3a", (8, 10)))
-    elements.append(CircuitElement("swap", "BS3b", (9, 11)))
+    elements.append(_trusted_element("phase", "PB", (9,), param="phi_B"))
+    elements.append(_trusted_element("bs", "BS3", (8, 9), BALANCED))
+    elements.append(_trusted_element("swap", "BS3a", (8, 10)))
+    elements.append(_trusted_element("swap", "BS3b", (9, 11)))
     detectors["D10"] = 10
     detectors["D11"] = 11
     return Circuit(mode_count, tuple(elements), detectors, frozenset(toggles))

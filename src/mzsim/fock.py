@@ -316,17 +316,21 @@ def embed(state: FockState, mode_count: int, modes: Iterable[int]) -> FockState:
     """Place a small state onto the given modes of a larger register.
 
     ``modes`` lists, for each mode of ``state``, its index in the larger
-    register; every other mode is left in vacuum.
+    register; every other mode is left in vacuum.  The rows are written
+    into a uint8 array and built by :func:`_trusted_state`; they keep the
+    source order when ``modes`` increases, and are sorted by
+    :func:`_union` otherwise.
     """
     modes = tuple(modes)
     if len(modes) != state.mode_count:
         raise DimensionMismatchError("embed: one target index per source mode required")
     if len(set(modes)) != len(modes) or any(not 0 <= m < mode_count for m in modes):
         raise ValueError(f"embed: invalid target modes {modes}")
-    amp = {}
-    for occ, a in state.items():
-        big = [0] * mode_count
-        for m, n in zip(modes, occ):
-            big[m] = n
-        amp[tuple(big)] = a
-    return FockState(amp, mode_count, prune=0.0)
+    occupations = np.zeros((len(state), mode_count), dtype=np.uint8)
+    occupations[:, modes] = state.occupation_array
+    amplitudes = state.amplitude_array
+    if any(a > b for a, b in zip(modes, modes[1:])):
+        occupations, inverse = _union(occupations)
+        amplitudes = np.empty_like(amplitudes)
+        amplitudes[inverse] = state.amplitude_array
+    return _trusted_state(occupations, amplitudes, mode_count, prune=0.0)

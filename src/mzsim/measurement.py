@@ -347,7 +347,7 @@ def _support(basis: np.ndarray, matrix: np.ndarray
 
     Also returns the mask of the kets kept, or None when all are.
     """
-    nonzero = matrix != 0
+    nonzero = matrix.astype(bool)
     live = nonzero.any(axis=0) | nonzero.any(axis=1)
     if live.all():
         return basis, matrix, None

@@ -18,8 +18,9 @@ so sequential application of U1 then U2 composes to the single matrix
   first keys every ket's terms by their output occupation, packed as an
   integer over the live output columns, and merges them with one integer
   sort; the second adds each ket's coefficient block into the merged kets,
-  real and imaginary parts in one ``bincount`` per grid phase, and releases
-  it, so memory holds one ket's block at a time.  The first
+  real and imaginary parts of every grid phase in one ``bincount`` whose
+  index is offset by row, and releases it, so memory holds one ket's block
+  at a time.  The first
   pass depends on no phase, only on the input's occupations and on which
   matrix entries are nonzero, so its plan is cached on those bytes
   (``_expansion_plan``: at most 64 plans holding at most
@@ -30,7 +31,9 @@ so sequential application of U1 then U2 composes to the single matrix
   output kets (``classify_table1(5)`` reads 495 of 2,002), so it passes
   their mask as a read set: the plan is restricted to the terms that add
   into those kets (also phase-free, and cached with the full plans) and
-  only they are computed;
+  only they are computed.  The scan checks its stack once
+  (``_structure``) and hands the mask of needed entries to both the read
+  set's lookup (``_output_kets``) and the evolve;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix, summed over the repeat
   counts by Glynn's formula; :func:`permanent` is Ryser's algorithm for any
@@ -544,16 +547,21 @@ def _structure(state: FockState,
     return u, (np.abs(u) > ROW_CUTOFF).any(axis=0)
 
 
-def _output_kets(state: FockState, unitaries: np.ndarray) -> np.ndarray:
+def _output_kets(state: FockState, unitaries: np.ndarray, *,
+                 needed: np.ndarray | None = None) -> np.ndarray:
     """Every ket the expansion of a state through a stack can reach, read-
     only and in lexicographic order, before any pruning: the kets a read
-    set of :func:`_evolve_grid` is a mask over."""
-    _, needed = _structure(state, unitaries)
+    set of :func:`_evolve_grid` is a mask over.  ``needed``, the mask
+    :func:`_structure` gave for this state and stack, skips computing it
+    again."""
+    if needed is None:
+        _, needed = _structure(state, unitaries)
     return _expansion_plan(state.occupation_array, needed)[0]
 
 
 def _evolve_grid(state: FockState, unitaries: np.ndarray,
-                 read: np.ndarray | None = None
+                 read: np.ndarray | None = None, *,
+                 needed: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
 
@@ -565,8 +573,10 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
     ``PLAN_CACHE_BYTES``) and a later call on the same structure skips it.
     The second runs on every call: it builds each ket's (K x terms)
     coefficient block in turn, in C order, adds it into the output and
-    releases it, so at most one ket's block is alive at a time; each grid
-    row goes in with one ``bincount`` of its float64 view.  Returns the
+    releases it, so at most one ket's block is alive at a time.  The block
+    goes in with one ``bincount`` of its float64 view over all K rows, row
+    k's index offset by 2n (n output kets) into row k of the output; each
+    bin still sums its own row's terms in index order.  Returns the
     output occupations, unique and in lexicographic order (read-only), and
     a (K x kets) amplitude block whose row k is the state evolved by
     ``unitaries[k]``.  A ket is dropped only when it is at or below
@@ -579,8 +589,15 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
     compositions those terms use are built, and each term's coefficient is
     gathered from them rather than formed in an outer product.  The result
     is exactly the read kets' rows of the full result, pruned alike.
+
+    ``needed`` is the mask :func:`_structure` returned for ``unitaries``,
+    which must then be the stack it returned: a scan checks its stack once
+    for :func:`_output_kets` and this call.
     """
-    u, needed = _structure(state, unitaries)
+    if needed is None:
+        u, needed = _structure(state, unitaries)
+    else:
+        u = unitaries
     if not np.isfinite(u).all():
         raise NonUnitaryError("matrix has a NaN or infinite entry")
     gram = u @ u.conj().transpose(0, 2, 1)
@@ -596,6 +613,8 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
     # and released before the next ket's is built
     n = len(occupations)
     amplitudes = np.zeros((k, n), dtype=complex)
+    flat = amplitudes.view(float).reshape(-1)
+    offsets = 2 * n * np.arange(k)[:, None] if k > 1 else None
     for amp, (rows, start, terms) in zip(state.amplitude_array.tolist(), kets):
         if not terms:
             continue
@@ -608,8 +627,9 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
             else:
                 block = block * coeffs.take(local, axis=1)
         index = scatter[2 * start:2 * (start + terms)].astype(np.intp)
-        for row, out in zip(block, amplitudes.view(float)):
-            out += np.bincount(index, row.view(float), 2 * n)
+        if offsets is not None:
+            index = (index + offsets).reshape(-1)
+        flat += np.bincount(index, block.view(float).reshape(-1), 2 * n * k)
     amplitudes *= scale
 
     finite = np.isfinite(amplitudes)

@@ -8,13 +8,14 @@ compiles the circuit at K = N*c + 1 equally spaced phases in one pass,
 evolves the input through all K unitaries in one batched expansion and
 takes a K-point DFT, which gives psi(phi) = sum_j e^{i j phi} psi_j exactly.
 Scans of one circuit and input that differ only in their toggles stack
-their grids into that one expansion, each with its own K and DFT, so
-:func:`classify_table1` evolves its input once for all of its
-configurations.  A readout (a detection pattern or a projector overlap)
-reads only some output kets, so the scan selects them before it evolves,
-over every ket the expansion can reach, and the expansion computes only
-those: :func:`classify_table1` (5 photons) reads 495 of 2,002 kets, fed by
-1,820 of 8,568 terms.  The probability of a readout is then the finite
+their grids into that one compile and that one expansion, each with its
+own K and DFT: a toggle on in some grids and off in others acts only on
+its grids' rows.  So :func:`classify_table1` compiles and evolves its
+input once for all of its configurations.  A readout (a detection
+pattern or a projector overlap) reads only some output kets, so the scan
+selects them before it evolves, over every ket the expansion can reach,
+and the expansion computes only those: :func:`classify_table1` (5
+photons) reads 495 of 2,002 kets, fed by 1,820 of 8,568 terms.  The probability of a readout is then the finite
 Fourier series
 
     P(phi) = h_0 + 2 Re sum_{f > 0} h_f e^{i f phi},
@@ -29,7 +30,10 @@ nonzero harmonic is flat and reports spatial frequency 0; a scan with more
 than one fits no single cosine and raises :class:`UnclassifiableScanError`.
 The fitted visibility b/a then classifies the configuration as showing
 fringes or not, which is the qualitative content of the multi-stage
-scenario table.
+scenario table.  Its input (:func:`noon_target`, :func:`engineered_input`
+and ``fock.embed``) and its circuit (``circuit.braced``) are built from
+arrays and fields that are valid by construction, without the per-ket and
+per-element checks of the public constructors.
 """
 
 from __future__ import annotations
@@ -44,10 +48,11 @@ import numpy as np
 from .circuit import Circuit, _compile_grid, braced
 from .errors import (CircuitError, DegenerateStateError,
                      DimensionMismatchError, UnclassifiableScanError)
-from .fock import FockState, _common_rows, basis_state, embed
+from .fock import (FockState, _check_occupation, _common_rows, _trusted_state,
+                   basis_state, embed)
 from .measurement import DetectionPattern, pattern_masks, pattern_probability
 from .optics import (BALANCED, _evolve_each, _evolve_grid, _output_kets,
-                     bs_unitary, evolve)
+                     _structure, bs_unitary, evolve)
 
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
@@ -136,21 +141,24 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
 
     ``scans`` holds ``(toggles, readouts)`` pairs of one circuit and input;
     a readout is a detection pattern or a projector state.  Each distinct
-    toggle set is compiled at its own K grid phases (a disabled delay
-    changes K) and the stacks are concatenated.  Before anything is
+    toggle set gets its own block of K grid phases (a disabled delay
+    changes K), and every block is compiled in one pass: a toggle that is
+    on in some blocks and off in others acts only on its blocks' rows
+    (:func:`~mzsim.circuit._compile_grid`'s ``toggle_rows``).  The stack is
+    checked once (:func:`~mzsim.optics._structure`).  Before anything is
     evolved, each scan's pattern masks are built together over every ket
     the expansion can reach (:func:`~mzsim.optics._output_kets`, the cached
     plan's kets), and projector kets are looked up among them; their union
-    is the read set, and the input is evolved through all the stacks in
-    one expansion that computes only the read kets.  Each block then gets
-    its own K-point DFT, taken once however many scans share it, and the
-    K x K grams of all of a scan's readouts are summed over their diagonals
-    with one product against an indicator.
+    is the read set, and the input is evolved through the stack in one
+    expansion that computes only the read kets.  Each block then gets its
+    own K-point DFT, taken once however many scans share it, and the K x K
+    grams of all of a scan's readouts are summed over their diagonals with
+    one product against an indicator.
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
                            f"parameters are {list(circuit.parameters)}")
-    blocks, stacks, offset = {}, [], 0
+    blocks, grids, offset = {}, [], 0
     for toggles, _ in scans:
         enabled = frozenset(toggles)
         if enabled in blocks:
@@ -158,16 +166,21 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
         crossings = sum(1 for e in circuit.enabled(toggles)
                         if e.kind == "phase" and e.param == swept)
         k = input_state.total_photons * crossings + 1
-        phases = dict(fixed)
-        phases[swept] = 2 * math.pi * np.arange(k) / k
-        stacks.append(_compile_grid(circuit, phases, toggles))
+        grids.append(2 * math.pi * np.arange(k) / k)
         blocks[enabled] = slice(offset, offset + k)
         offset += k
-    unitaries = np.concatenate(stacks)
+    always = frozenset.intersection(*blocks)
+    sizes = [len(grid) for grid in grids]
+    toggle_rows = {t: np.repeat([t in enabled for enabled in blocks], sizes)
+                   for t in frozenset.union(*blocks) - always}
+    phases = dict(fixed)
+    phases[swept] = np.concatenate(grids)
+    unitaries, needed = _structure(
+        input_state, _compile_grid(circuit, phases, always, toggle_rows))
 
     # what each readout reads, as rows of every reachable ket: a pattern's
     # mask, or a projector's conjugate amplitudes and their kets' rows
-    kets = _output_kets(input_state, unitaries)
+    kets = _output_kets(input_state, unitaries, needed=needed)
     read = np.zeros(len(kets), dtype=bool)
     selections = []
     for _, readouts in scans:
@@ -188,7 +201,8 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
                 selected.append((None, mask))
                 read |= mask
         selections.append(selected)
-    occupations, values = _evolve_grid(input_state, unitaries, read)
+    occupations, values = _evolve_grid(input_state, unitaries, read,
+                                       needed=needed)
     # each read ket's row in the output, or -1 where pruning dropped it
     out_row = np.cumsum(read) - 1
     if out_row[-1] >= len(occupations):
@@ -312,11 +326,17 @@ def engineered_input(target_after_bs1: FockState) -> FockState:
 
 
 def noon_target(n: int) -> FockState:
-    """(|n,0> + |0,n>)/sqrt(2): all photons together on one arm or the other."""
+    """(|n,0> + |0,n>)/sqrt(2): all photons together on one arm or the other.
+
+    Its two kets are written as a sorted uint8 array and built by
+    :func:`~mzsim.fock._trusted_state`; an n that is not a whole number in
+    1..255 raises as :class:`~mzsim.fock.FockState` would.
+    """
     if n < 1:
         raise ValueError("need at least one photon")
-    amp = 1 / math.sqrt(2)
-    return basis_state((n, 0)) * amp + basis_state((0, n)) * amp
+    n = _check_occupation((n, 0), 2)[0]
+    return _trusted_state(np.array([[0, n], [n, 0]], dtype=np.uint8),
+                          np.full(2, 1 / math.sqrt(2), dtype=complex), 2)
 
 
 def one_photon_each_input(circuit: Circuit) -> FockState:

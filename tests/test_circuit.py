@@ -243,6 +243,44 @@ def test_compile_is_the_ordered_product_of_element_matrices(data):
         assert np.max(np.abs(stack[step] - u)) < 1e-15
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_row_toggled_compile_equals_each_toggle_set_compiled_alone(data):
+    # any element may be a toggle, splitter, delay or swap; each block is
+    # one toggle set at its own number K of phases, and the one-pass
+    # compile's rows of a block are that set's own compile bit for bit
+    circuit, _ = data.draw(swept_circuits())
+    names = [e.name for e in circuit.elements]
+    toggles = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                                 unique=True))
+    circuit = Circuit(circuit.mode_count, circuit.elements, circuit.detectors,
+                      frozenset(toggles))
+    sets = data.draw(st.lists(st.frozensets(st.sampled_from(toggles)),
+                              min_size=2, max_size=4))
+    ks = data.draw(st.lists(st.integers(1, 5), min_size=len(sets),
+                            max_size=len(sets), unique=True))
+    angle = st.floats(-10, 10)
+    grids = [np.array(data.draw(st.lists(angle, min_size=k, max_size=k)))
+             for k in ks]
+    phases = {"phi": np.concatenate(grids)}
+    if "psi" in circuit.parameters:
+        phases["psi"] = (data.draw(angle) if data.draw(st.booleans()) else
+                         np.array(data.draw(st.lists(angle, min_size=sum(ks),
+                                                     max_size=sum(ks)))))
+    always = frozenset.intersection(*sets)
+    toggle_rows = {t: np.repeat([t in s for s in sets], ks)
+                   for t in frozenset.union(*sets) - always}
+    stacked = _compile_grid(circuit, phases, always, toggle_rows)
+    assert stacked.shape == (sum(ks), circuit.mode_count, circuit.mode_count)
+    start = 0
+    for enabled, k in zip(sets, ks):
+        rows = slice(start, start + k)
+        alone = _compile_grid(circuit, {p: v if np.ndim(v) == 0 else v[rows]
+                                        for p, v in phases.items()}, enabled)
+        assert np.array_equal(stacked[rows], alone)
+        start += k
+
+
 def test_compiled_network_conserves_photons(seed=23):
     rng = np.random.default_rng(seed)
     c = preset("fig3")

@@ -227,6 +227,16 @@ def test_embed_places_modes_and_leaves_vacuum():
     assert big[(0, 0, 0, 2, 0)] == INV_SQRT2
     assert big[(0, 2, 0, 0, 0)] == INV_SQRT2
     assert abs(big.norm() - 1.0) < 1e-15
+    # decreasing targets reorder the kets: equal to the mapping-built state
+    small = FockState({(2, 0): 0.6, (1, 1): 0.8j, (0, 2): 0.0}, prune=-1.0)
+    for modes, kets in (((3, 1), ((0, 0, 0, 2, 0), (0, 1, 0, 1, 0),
+                                  (0, 2, 0, 0, 0))),
+                        ((1, 3), ((0, 2, 0, 0, 0), (0, 1, 0, 1, 0),
+                                  (0, 0, 0, 2, 0)))):
+        big = embed(small, 5, modes)
+        assert big == FockState(dict(zip(kets, (0.6, 0.8j, 0.0))), 5,
+                                prune=0.0)
+        assert big.occupations() == sorted(big.occupations())
 
 
 def test_embed_validates_targets():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
                    CircuitError,
                    DegenerateStateError, DetectionPattern, DimensionMismatchError, FockState,
-                   FringeScan,
+                   FringeScan, PhotonCountError,
                    UnclassifiableScanError, basis_state, bs_unitary,
                    classify_table1, compile, delayed_choice_variant, embed,
                    engineered_input, evolve, inner_product, noon_target,
@@ -222,13 +222,15 @@ def test_a_scan_evolves_once_per_harmonic(monkeypatch):
 
 
 def test_classify_table1_evolves_its_input_once(monkeypatch):
-    # three configurations over two distinct toggle sets: one compile per
-    # set, and one batched evolve over both stacks
+    # three configurations over two distinct toggle sets: one compile for
+    # both sets, BS2 on only in the first block's rows, and one batched
+    # evolve over that stack
     compiled, stacks = [], []
 
-    def counting_compile_grid(circuit, phases, toggles=()):
-        compiled.append((frozenset(toggles), len(phases["phi_B"])))
-        return _compile_grid(circuit, phases, toggles)
+    def counting_compile_grid(circuit, phases, toggles=(), toggle_rows=None):
+        compiled.append((frozenset(toggles), len(phases["phi_B"]),
+                         {t: rows.tolist() for t, rows in toggle_rows.items()}))
+        return _compile_grid(circuit, phases, toggles, toggle_rows)
 
     def counting_evolve_grid(state, unitaries, *args, **kwargs):
         stacks.append(np.shape(unitaries))
@@ -238,9 +240,11 @@ def test_classify_table1_evolves_its_input_once(monkeypatch):
     monkeypatch.setattr(scenarios, "_evolve_grid", counting_evolve_grid)
     reports = classify_table1(3)
     toggles = {frozenset(r.toggles) for r in reports}
-    assert len(toggles) == 2
-    assert len(compiled) == 2 and {t for t, _ in compiled} == toggles
-    assert stacks == [(sum(k for _, k in compiled), 18, 18)]
+    assert toggles == {frozenset({"BS2", "BS2p"}), frozenset({"BS2p"})}
+    # K = 3 photons x 1 crossing + 1 per block
+    assert compiled == [(frozenset({"BS2p"}), 8,
+                         {"BS2": [True] * 4 + [False] * 4})]
+    assert stacks == [(8, 18, 18)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -501,6 +505,14 @@ def test_noon_target():
     assert len(s) == 2
     with pytest.raises(ValueError):
         noon_target(0)
+    # built from arrays, equal to the state built from a mapping
+    for n in range(1, 6):
+        assert noon_target(n) == FockState({(n, 0): INV_SQRT2,
+                                            (0, n): INV_SQRT2})
+    # a count past one byte or not whole raises, and does not wrap
+    for n in (256, 2.5):
+        with pytest.raises(PhotonCountError):
+            noon_target(n)
 
 
 def test_one_photon_each_input():
@@ -525,6 +537,21 @@ def test_triple_coincidence_over_arrays_matches_one_call_per_phase_set():
                                       for p, v in phases.items()})
         assert isinstance(one, float)
         assert abs(value - one) < 1e-14
+
+
+def test_triple_coincidence_rejects_phase_arrays_that_do_not_line_up():
+    c = preset("fig3")
+    toggles = ("BS2", "BS2p")
+    fixed = {"phi_S": 0.0, "phi_Sp": 0.0}
+    for phases, named in (
+            ({"phi_C": np.zeros(3), "phi_B": np.zeros(4)},
+             "phi_C of shape (3,), phi_B of shape (4,)"),
+            ({"phi_C": np.zeros(0), "phi_B": 0.0}, "phi_C of shape (0,)"),
+            ({"phi_C": np.zeros((2, 2)), "phi_B": np.zeros(2)},
+             "phi_C of shape (2, 2), phi_B of shape (2,)")):
+        with pytest.raises(DimensionMismatchError) as caught:
+            run_triple(c, toggles, {**phases, **fixed})
+        assert named in str(caught.value)
 
 
 def test_triple_coincidence_at_the_crest():
