@@ -4,25 +4,21 @@ A scan sweeps one delay parameter phi over [0, 4*pi).  Every entry of the
 compiled unitary is a polynomial in e^{i phi} of degree at most c, the number
 of enabled phase elements carrying the parameter, so every output amplitude
 of an N-photon input has degree at most N*c.  The scan engine therefore
-compiles the circuit at K = N*c + 1 equally spaced phases in one pass,
-evolves the input through all K unitaries in one batched expansion and
-takes a K-point DFT, which gives psi(phi) = sum_j e^{i j phi} psi_j exactly.
-Scans of one circuit and input that differ only in their toggles stack
-their grids into that one compile and that one expansion, each with its
-own K and DFT: a toggle on in some grids and off in others acts only on
-its grids' rows.  So :func:`classify_table1` compiles and evolves its
-input once for all of its configurations.  A readout (a detection
-pattern or a projector overlap) reads only some output kets, so the scan
-selects them before it evolves, over every ket the expansion can reach,
-and the expansion computes only those: :func:`classify_table1` (5
-photons) reads 495 of 2,002 kets, fed by 1,820 of 8,568 terms.  The probability of a readout is then the finite
-Fourier series
+compiles the circuit at K = N*c + 1 equally spaced phases in one pass and
+evolves the input through all K unitaries in one batched expansion; those
+K values fix psi(phi) = sum_{j < K} e^{i j phi} psi_j exactly.  Scans of
+one circuit and input that differ only in their toggles stack their grids
+into that one compile and that one expansion, each with its own K, so
+:func:`classify_table1` compiles and evolves its input once for all of
+its configurations, and the expansion computes only the kets that the
+readouts (detection patterns or projector overlaps) read.  A readout's
+probability is the finite Fourier series
 
-    P(phi) = h_0 + 2 Re sum_{f > 0} h_f e^{i f phi},
-    h_f = sum_{l - j = f} <psi_j| Pi |psi_l>,
+    P(phi) = h_0 + 2 Re sum_{0 < f < K} h_f e^{i f phi},
 
-and samples at any phases are evaluated from its harmonics h_f; all the
-readouts of a scan are read and sampled at once.  The fit
+whose frequencies -(K-1) .. K-1 stay distinct modulo 2K, so the 2K-point
+DFT of its values at the phases pi m / K gives h_0 .. h_{K-1} exactly;
+samples at other phases are evaluated from the harmonics.  The fit
 a + b cos(f phi + c) is read off the harmonics exactly: a = h_0, f is the
 one nonzero harmonic (nonzero relative to the scan's mean, so a weak
 fringe is still a fringe), b = 2 |h_f| and c = arg h_f.  A scan with no
@@ -30,14 +26,13 @@ nonzero harmonic is flat and reports spatial frequency 0; a scan with more
 than one fits no single cosine and raises :class:`UnclassifiableScanError`.
 The fitted visibility b/a then classifies the configuration as showing
 fringes or not, which is the qualitative content of the multi-stage
-scenario table.  Its input (:func:`noon_target`, :func:`engineered_input`
-and ``fock.embed``) and its circuit (``circuit.braced``) are built from
-arrays and fields that are valid by construction, without the per-ket and
-per-element checks of the public constructors.
+scenario table.  Its input and its circuit are built from arrays that are
+valid by construction, skipping the public constructors' checks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -50,9 +45,9 @@ from .errors import (CircuitError, DegenerateStateError,
                      DimensionMismatchError, UnclassifiableScanError)
 from .fock import (FockState, _check_occupation, _common_rows, _trusted_state,
                    basis_state, embed)
-from .measurement import DetectionPattern, pattern_masks, pattern_probability
-from .optics import (BALANCED, _evolve_each, _evolve_grid, _output_kets,
-                     _structure, bs_unitary, evolve)
+from .measurement import DetectionPattern, pattern_mask, pattern_masks
+from .optics import (BALANCED, _evolve_grid, _output_kets, _structure,
+                     bs_unitary, evolve)
 
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
@@ -142,18 +137,17 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     ``scans`` holds ``(toggles, readouts)`` pairs of one circuit and input;
     a readout is a detection pattern or a projector state.  Each distinct
     toggle set gets its own block of K grid phases (a disabled delay
-    changes K), and every block is compiled in one pass: a toggle that is
-    on in some blocks and off in others acts only on its blocks' rows
-    (:func:`~mzsim.circuit._compile_grid`'s ``toggle_rows``).  The stack is
-    checked once (:func:`~mzsim.optics._structure`).  Before anything is
-    evolved, each scan's pattern masks are built together over every ket
-    the expansion can reach (:func:`~mzsim.optics._output_kets`, the cached
-    plan's kets), and projector kets are looked up among them; their union
-    is the read set, and the input is evolved through the stack in one
-    expansion that computes only the read kets.  Each block then gets its
-    own K-point DFT, taken once however many scans share it, and the K x K
-    grams of all of a scan's readouts are summed over their diagonals with
-    one product against an indicator.
+    changes K), and all blocks are compiled in one pass, a toggle acting
+    only on the rows of the blocks that enable it.  The masks of all the
+    patterns (one :func:`~mzsim.measurement.pattern_masks` call) and the
+    kets of all the projectors, found among every ket the expansion can
+    reach, make the read set, and one expansion computes only those kets.
+    Each block's amplitudes are interpolated once to the 2K phases
+    pi m / K.  A readout's P(phi) has frequencies -(K-1) .. K-1, distinct
+    modulo 2K, so the 2K-point DFT of its samples there is exactly
+    h_0 .. h_{K-1}: a scan's pattern samples are one product of their
+    weights with |psi|^2, a projector's are |psi . conj(a)|^2, and all its
+    harmonics are one product with the DFT matrix.
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
@@ -178,60 +172,60 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     unitaries, needed = _structure(
         input_state, _compile_grid(circuit, phases, always, toggle_rows))
 
-    # what each readout reads, as rows of every reachable ket: a pattern's
-    # mask, or a projector's conjugate amplitudes and their kets' rows
+    # what the readouts read, over every reachable ket: the patterns' masks
+    # and each projector's conjugate amplitudes
     kets = _output_kets(input_state, unitaries, needed=needed)
-    read = np.zeros(len(kets), dtype=bool)
-    selections = []
-    for _, readouts in scans:
-        masks = iter(pattern_masks(
-            [r for r in readouts if not isinstance(r, FockState)],
-            circuit.detectors, kets, input_state.total_photons))
-        selected = []
-        for readout in readouts:
-            if isinstance(readout, FockState):
-                if readout.mode_count != circuit.mode_count:
-                    raise DimensionMismatchError(
-                        "projector and circuit have different mode counts")
-                found, rows = _common_rows(readout.occupation_array, kets)
-                selected.append((readout.amplitude_array[found].conj(), rows))
-                read[rows] = True
-            else:
-                mask = next(masks)
-                selected.append((None, mask))
-                read |= mask
-        selections.append(selected)
+    readouts = [r for _, scan in scans for r in scan]
+    masks = pattern_masks([r for r in readouts if not isinstance(r, FockState)],
+                          circuit.detectors, kets, input_state.total_photons)
+    read = masks.any(axis=0)
+    overlaps = []
+    for readout in readouts:
+        if isinstance(readout, FockState):
+            if readout.mode_count != circuit.mode_count:
+                raise DimensionMismatchError(
+                    "projector and circuit have different mode counts")
+            found, rows = _common_rows(readout.occupation_array, kets)
+            overlaps.append(np.zeros(len(kets), dtype=complex))
+            overlaps[-1][rows] = readout.amplitude_array[found].conj()
+            read[rows] = True
     occupations, values = _evolve_grid(input_state, unitaries, read,
                                        needed=needed)
-    # each read ket's row in the output, or -1 where pruning dropped it
-    out_row = np.cumsum(read) - 1
-    if out_row[-1] >= len(occupations):
-        rows = np.flatnonzero(read)
+    # the read kets that pruning kept, one per output column
+    rows = np.flatnonzero(read)
+    if len(rows) > len(occupations):
         rows = rows[_common_rows(kets[rows], occupations)[0]]
-        out_row = np.full(len(kets), -1)
-        out_row[rows] = np.arange(len(rows))
+    weights = masks[:, rows].astype(float)
+    overlaps = iter([overlap[rows] for overlap in overlaps])
 
     for enabled, span in blocks.items():
-        block = values[span]
-        k = len(block)
-        steps = np.arange(k)
-        coeffs = block.T @ (np.exp(-2j * math.pi * np.outer(steps, steps) / k) / k)
-        # entry j*K + l of a flattened gram adds to harmonic l - j, if any
-        diagonals = (steps - steps[:, None]).reshape(-1, 1) == steps
-        blocks[enabled] = coeffs, diagonals.astype(float)
-    results = []
-    for (toggles, readouts), selected in zip(scans, selections):
-        coeffs, diagonals = blocks[frozenset(toggles)]
-        grams = []
-        for amplitudes, picked in selected:
-            picked = out_row[picked]
-            present = picked >= 0
-            series = coeffs[picked[present]]
-            if amplitudes is not None:
-                series = amplitudes[present][None, :] @ series
-            grams.append((series.conj().T @ series).ravel())
-        results.append(np.reshape(grams, (len(readouts), -1)) @ diagonals)
+        interpolate, dft = _sampling(span.stop - span.start)
+        psi = interpolate @ values[span]
+        blocks[enabled] = psi, psi.real ** 2 + psi.imag ** 2, dft
+    results, first = [], 0
+    for toggles, scan in scans:
+        psi, density, dft = blocks[frozenset(toggles)]
+        count = sum(not isinstance(r, FockState) for r in scan)
+        patterns = iter(weights[first:first + count] @ density.T)
+        first += count
+        samples = [np.abs(psi @ next(overlaps)) ** 2
+                   if isinstance(r, FockState) else next(patterns) for r in scan]
+        results.append(np.array(samples) @ dft)
     return results
+
+
+@functools.lru_cache(maxsize=64)
+def _sampling(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2K x K) matrices that take amplitudes at the K grid phases
+    2 pi j / K to their values at the 2K phases pi m / K, and samples at
+    those 2K phases to the harmonics h_0 .. h_{K-1}."""
+    steps = np.arange(2 * k)
+    # e^{i pi j m / K}, with j m reduced modulo 2K before the exponential
+    upsample = np.exp(1j * math.pi * (np.outer(steps, steps[:k]) % (2 * k)) / k)
+    interpolate = upsample @ upsample[::2].conj().T / k
+    dft = upsample.conj() / (2 * k)
+    interpolate.flags.writeable = dft.flags.writeable = False
+    return interpolate, dft
 
 
 def _probabilities(harmonics: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -252,34 +246,34 @@ def _fit_samples(parameter: str, phis: np.ndarray,
     times the scan's mean, or ``RESIDUAL_FLOOR`` when that is larger, and
     the rms left after the strongest one must stay within the same bound;
     the bound scales with the scan, so a weak fringe is still a fringe.
+    Every row is read at once, as arrays.
     """
     means = harmonics[:, 0].real
-    rms = math.sqrt(2) * np.abs(harmonics[:, 1:])
     limits = np.maximum(RESIDUAL_LIMIT * means, RESIDUAL_FLOOR)
-    values = _probabilities(harmonics, phis)
+    rms = math.sqrt(2) * np.abs(harmonics)
+    rms[:, 0] = 0.0
+    rows = np.arange(len(harmonics))
+    freqs = rms.argmax(axis=1)
+    fringe = rms[rows, freqs] > limits
+    freqs[~fringe] = 0
+    chosen = np.where(fringe, harmonics[rows, freqs], 0)
+    amplitudes = 2 * np.abs(chosen)
+    rms[rows, freqs] = 0.0
+    residuals = np.sqrt(np.sum(rms ** 2, axis=1))
+    bad = np.flatnonzero(residuals > limits)
+    if bad.size:
+        raise UnclassifiableScanError(
+            f"scan of {parameter} has more than one nonzero harmonic; "
+            f"rms left after the strongest is {residuals[bad[0]]:.3e}")
+    visibilities = np.divide(amplitudes, means, out=np.zeros_like(means),
+                             where=means != 0)
     phases = phis.tolist()
-    scans = []
-    for row, mean, limit, series, vals in zip(harmonics, means.tolist(),
-                                              limits.tolist(), rms, values):
-        f = int(np.argmax(series)) + 1 if series.size else 0
-        if f and series[f - 1] > limit:
-            amplitude = 2 * abs(row[f])
-            phase_offset = float(np.angle(row[f]))
-            rest = np.delete(series, f - 1)
-        else:
-            f, amplitude, phase_offset, rest = 0, 0.0, 0.0, series
-        residual = float(np.sqrt(np.sum(rest ** 2)))
-        if residual > limit:
-            raise UnclassifiableScanError(
-                f"scan of {parameter} has more than one nonzero harmonic; "
-                f"rms left after the strongest is {residual:.3e}")
-        scans.append(FringeScan(
-            parameter=parameter, samples=tuple(zip(phases, vals.tolist())),
-            mean=mean, amplitude=float(amplitude), spatial_frequency=float(f),
-            phase_offset=phase_offset,
-            visibility=float(amplitude / mean) if mean else 0.0,
-            residual=residual))
-    return scans
+    return [FringeScan(parameter, tuple(zip(phases, vals)), *fit)
+            for vals, *fit in zip(
+                _probabilities(harmonics, phis).tolist(), means.tolist(),
+                amplitudes.tolist(), freqs.astype(float).tolist(),
+                np.angle(chosen).tolist(), visibilities.tolist(),
+                residuals.tolist())]
 
 
 def _scan_phases(n_samples: int) -> np.ndarray:
@@ -355,13 +349,14 @@ def run_triple(circuit: Circuit, toggles, phases):
     maps onto (|3,0> + |0,3>)/sqrt(2) on the arms.  As in
     :func:`~mzsim.circuit._compile_grid`, a phase value is a float or a
     length-K array; the result is one probability for float phases and an
-    array of K probabilities otherwise, from one batched evolve.
+    array of K probabilities otherwise, read with one mask off one evolve.
     """
     state = embed(engineered_input(noon_target(3)), circuit.mode_count, (0, 1))
-    pattern = DetectionPattern({"D6p": 1, "D6": 1, "D10": 1})
-    probs = np.array([pattern_probability(out, pattern, circuit.detectors)
-                      for out in _evolve_each(
-                          state, _compile_grid(circuit, phases, toggles))])
+    occupations, amplitudes = _evolve_grid(
+        state, _compile_grid(circuit, phases, toggles))
+    mask = pattern_mask(DetectionPattern({"D6p": 1, "D6": 1, "D10": 1}),
+                        circuit.detectors, occupations, 3)
+    probs = np.sum(np.abs(amplitudes[:, mask]) ** 2, axis=1)
     if all(np.ndim(v) == 0 for v in phases.values()):
         return float(probs[0])
     return probs
@@ -412,14 +407,15 @@ def classify_table1(n: int) -> list[ScenarioReport]:
         patterns.append(DetectionPattern(
             {d: 1 for d in dets} | {"D10": n - len(dets)}))
         scans.append((toggles, patterns))
-    # the two inner_off scans share one compiled and evolved block
-    results = _scan_values(circuit, state, "phi_B", fixed, scans)
+    # the two inner_off scans share one compiled and evolved block, and
+    # every block has the same K (the toggles are splitters): one fit
+    fits = iter(_fit_samples("phi_B", phis, np.concatenate(
+        _scan_values(circuit, state, "phi_B", fixed, scans))))
     reports = []
-    for (config_id, toggles, dets, which_path), (_, patterns), harmonics in zip(
-            configs, scans, results):
+    for (config_id, toggles, dets, which_path), (_, patterns) in zip(
+            configs, scans):
         orders = [*range(1, len(dets) + 1), n]
-        for pattern, scan, order in zip(
-                patterns, _fit_samples("phi_B", phis, harmonics), orders):
+        for pattern, scan, order in zip(patterns, fits, orders):
             reports.append(ScenarioReport(
                 scenario=f"photons-{n}/{config_id}/order-{order}",
                 toggles=tuple(toggles), pattern=pattern, scan=scan,

@@ -190,6 +190,25 @@ def test_evolve_rejects_bad_matrices():
             evolve(state, u)
 
 
+@pytest.mark.parametrize("modulus, raises", [(0.99e-8, False), (1.01e-8, True)])
+def test_the_unitarity_bound_is_on_the_modulus_of_each_deviation(modulus, raises):
+    # split evenly between re and im, each part of the larger deviation is
+    # still below 1e-8: only its modulus crosses the bound.  The second
+    # stack checks the real diagonal of the gram, where u u^dagger - I = d.
+    state = basis_state((1, 0))
+    off = np.eye(2, dtype=complex)
+    off[0, 1] = modulus * (1 + 1j) / math.sqrt(2)
+    diagonal = np.diag([math.sqrt(1 + modulus), 1.0])
+    good = bs_unitary(BALANCED, 0, 1, 2)
+    for run in (lambda: evolve(state, off),
+                lambda: _evolve_grid(state, np.stack([good, diagonal]))):
+        if raises:
+            with pytest.raises(NonUnitaryError, match="within 1e-8"):
+                run()
+        else:
+            run()
+
+
 def test_evolve_rejects_photon_counts_beyond_its_factorial_table():
     assert evolve(basis_state((20, 0)), np.eye(2))[(20, 0)] == 1.0
     with pytest.raises(PhotonCountError):

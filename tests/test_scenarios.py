@@ -132,6 +132,18 @@ def test_a_stack_of_scans_fits_as_each_scan_alone(scans):
         assert np.allclose(fit.samples, alone.samples, rtol=0, atol=1e-15)
 
 
+def test_an_unclassifiable_row_of_a_stack_names_its_own_residual():
+    # the middle row carries a second harmonic whose cosine has rms
+    # 0.03 / sqrt(2); the rows around it fit
+    stack = np.concatenate([cosine_harmonics(0.5, (0.25, 2, 0.3)),
+                            cosine_harmonics(0.4, (0.2, 1, 0.0), (0.03, 3, 1.0)),
+                            cosine_harmonics(0.125)])
+    with pytest.raises(UnclassifiableScanError,
+                       match=f"strongest is {0.03 / math.sqrt(2):.3e}$"):
+        _fit_samples("phi", PHIS, stack)
+    assert len(_fit_samples("phi", PHIS, stack[[0, 2]])) == 2
+
+
 def test_scan_serialization():
     phis = np.linspace(0, 4 * math.pi, 64, endpoint=False)
     (scan,) = _fit_samples("phi_B", phis, cosine_harmonics(0.25, (0.25, 1, 0.0)))
@@ -343,6 +355,80 @@ def full_evolve_harmonics(circuit, state, swept, fixed, toggles, readouts):
     return np.array(harmonics)
 
 
+def per_phase_harmonics(circuit, state, swept, fixed, toggles, readouts):
+    """Each readout's h_f = sum_{l - j = f} <psi_j| Pi |psi_l>, f = 0 .. K-1:
+    the input evolved by ``evolve`` at each of the K grid phases, psi_j the
+    K-point DFT of those states, and Pi the pattern's diagonal, read off
+    each ket's counts, or the projector."""
+    crossings = sum(1 for e in circuit.enabled(toggles)
+                    if e.kind == "phase" and e.param == swept)
+    k = state.total_photons * crossings + 1
+    steps = np.arange(k)
+    outs = [evolve(state, compile(circuit, {**fixed, swept: 2 * math.pi * j / k},
+                                  toggles)) for j in steps]
+    kets = sorted({ket for out in outs for ket in out.occupations()})
+    psi = (np.exp(-2j * math.pi * np.outer(steps, steps) / k) / k
+           @ np.array([[out[ket] for ket in kets] for out in outs]))
+    harmonics = []
+    for readout in readouts:
+        if isinstance(readout, FockState):
+            series = psi @ np.array([readout[ket] for ket in kets]).conj()
+            gram = np.outer(series.conj(), series)
+        else:
+            listed = readout.resolve(circuit.detectors)
+            quiet = set(circuit.detectors.values()) - set(listed)
+            picked = [all(ket[mode] == c for mode, c in listed.items())
+                      and not (readout.exclusive and any(ket[q] for q in quiet))
+                      for ket in kets]
+            gram = psi[:, picked].conj() @ psi[:, picked].T
+        harmonics.append([np.trace(gram, offset=f) for f in steps])
+    return np.array(harmonics)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scan_harmonics_are_the_gram_sums_of_per_phase_evolves(data):
+    # a random swept circuit, the same with its delays toggled off (K = 1),
+    # or |1,1> through delays and a balanced splitter, whose |1,1> output
+    # is read by the coincidence pattern and pruned at every phase
+    case = data.draw(st.sampled_from(("crossed", "uncrossed", "pruned")))
+    if case == "pruned":
+        m, photons = data.draw(st.integers(2, 3)), 2
+        delays = tuple(CircuitElement("phase", f"P{i}", (0,), param="phi")
+                       for i in range(data.draw(st.integers(1, 2))))
+        circuit = Circuit(m, delays + (CircuitElement("bs", "B", (0, 1),
+                                                      BALANCED),),
+                          {f"D{k}": k for k in range(m)})
+        state, enabled = basis_state((1, 1) + (0,) * (m - 2)), ()
+    else:
+        circuit, enabled = data.draw(swept_circuits())
+        m, photons = circuit.mode_count, data.draw(st.integers(1, 3))
+        state = data.draw(superpositions(m, photons))
+        if case == "uncrossed":
+            delays = frozenset(e.name for e in circuit.elements
+                               if e.param == "phi")
+            circuit = Circuit(m, circuit.elements, circuit.detectors, delays)
+            enabled = ()
+    readouts = [data.draw(superpositions(m, photons))]
+    for exclusive in (True, False):
+        listed = data.draw(occupations(m, data.draw(st.integers(0, photons))))
+        readouts.append(DetectionPattern(
+            {f"D{k}": c for k, c in enumerate(listed)
+             if c or data.draw(st.booleans())}, exclusive=exclusive))
+    if case == "pruned":
+        readouts.append(DetectionPattern({"D0": 1, "D1": 1}))
+    fixed = {"psi": data.draw(st.floats(0, 2 * math.pi))}
+
+    (got,) = _scan_values(circuit, state, "phi", fixed, [(enabled, readouts)])
+    want = per_phase_harmonics(circuit, state, "phi", fixed, enabled, readouts)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+    if case == "uncrossed":
+        assert got.shape[1] == 1
+    if case == "pruned":
+        assert not np.any(got[-1]) and not np.any(want[-1])
+
+
 def projector_on(data, outputs, circuit):
     """A normalized projector on one or two output kets and one drawn ket."""
     photons = sum(outputs[0])
@@ -532,11 +618,17 @@ def test_triple_coincidence_over_arrays_matches_one_call_per_phase_set():
     phases["phi_Sp"] = 0.4                      # a float mixes with arrays
     got = run_triple(c, toggles, phases)
     assert got.shape == (5,)
+    state = embed(engineered_input(noon_target(3)), c.mode_count, (0, 1))
+    triple = DetectionPattern({"D6p": 1, "D6": 1, "D10": 1})
     for k, value in enumerate(got):
-        one = run_triple(c, toggles, {p: v if np.ndim(v) == 0 else float(v[k])
-                                      for p, v in phases.items()})
+        at_k = {p: v if np.ndim(v) == 0 else float(v[k])
+                for p, v in phases.items()}
+        one = run_triple(c, toggles, at_k)
         assert isinstance(one, float)
         assert abs(value - one) < 1e-14
+        # the pattern read per phase from its own evolve, pruned alone
+        out = evolve(state, compile(c, at_k, toggles))
+        assert abs(one - pattern_probability(out, triple, c.detectors)) < 1e-15
 
 
 def test_triple_coincidence_rejects_phase_arrays_that_do_not_line_up():
