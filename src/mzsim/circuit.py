@@ -8,12 +8,9 @@ in ``toggles`` may be removed at compile time: a disabled toggle compiles to
 the identity, which models physically taking the splitter out of the beam.
 
 Compiling walks the elements once and updates the columns of the product in
-place: a splitter mixes two columns, a delay scales one, a swap exchanges
-two.  One pass can compile a circuit at K phase sets at once, as a
-(K x M x M) stack; a scan uses that for its grid of phases.  Each column
-is then kept as one contiguous block over the grid.  A toggle may also be
-on for some rows of the stack only, so grids of several toggle sets
-compile in the same pass.
+place; one pass can compile a circuit at K phase sets at once, as a
+(K x M x M) stack (``_compile_grid``), which is how a scan compiles its
+grid of phases.
 
 Preset layouts
 --------------
@@ -182,22 +179,24 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
 
     A phase value is a float or a length-K array, every array of one
     length; slice k of the result is :func:`compile` at the k-th entry of
-    every array.  Starting from K identities, the elements are applied once
-    each, in order, by column updates: a splitter mixes its two columns, a
-    delay scales its column by e^{i phi} (by K factors when its parameter
-    is an array), and a swap exchanges two columns, which is done by
-    relabeling where each column is stored.  Each column is one contiguous
-    (K x M) block, so every update walks memory in order.  The elements are
-    those :meth:`Circuit.enabled` keeps.
+    every array.  The elements (:meth:`Circuit.enabled`) update the columns
+    of K identities once each; each column is one contiguous (K x M) block,
+    and a swap only relabels where its columns are stored.
 
-    ``toggle_rows`` maps toggles to length-K bool arrays, one entry per
-    row: such a toggle acts only on the rows its array marks.  On every
-    other row ``np.where`` selects the element's columns unchanged, as if
-    it were left out, and a swap exchanges its columns in place rather than
-    by relabeling.  Stacked blocks of different toggle sets thus compile in
-    one pass, each row equal to its own set's compile bit for bit.
+    ``toggle_rows`` maps toggled splitters to length-K bool arrays: such a
+    splitter acts only on the rows its array marks, and ``np.where`` keeps
+    its columns unchanged on the others, so each row equals its own toggle
+    set's compile bit for bit.  A delay or a swap toggled per row raises
+    :class:`CircuitError`.
     """
     elements = circuit.enabled([*enabled_toggles, *(toggle_rows or ())])
+    rows = {}
+    for name, on in (toggle_rows or {}).items():
+        kind = circuit.element(name).kind
+        if kind != "bs":
+            raise CircuitError(f"only a splitter can be toggled per row; "
+                               f"{name} is a {kind}")
+        rows[name] = np.asarray(on, dtype=bool)[:, None]
     parameters = circuit.parameters
     missing = [p for p in parameters if p not in phases]
     if missing:
@@ -216,8 +215,6 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
             "phase arrays must be one-dimensional, non-empty and of one "
             "length; got " + ", ".join(f"{p} of shape {s}"
                                        for p, s in shapes.items()))
-    rows = {name: np.asarray(on, dtype=bool)[:, None]
-            for name, on in toggle_rows.items()} if toggle_rows else None
     m = circuit.mode_count
     # cols[stored[j]] is column j of the product so far, one row per phase
     cols = np.zeros((m, next(iter(shapes.values()), (1,))[0], m),
@@ -225,11 +222,11 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
     cols[range(m), :, range(m)] = 1.0
     stored = list(range(m))
     for e in elements:
-        on = rows.get(e.name) if rows else None
         if e.kind == "bs":
             t, r = e.coeffs.t, e.coeffs.r
             col_a, col_b = cols[stored[e.modes[0]]], cols[stored[e.modes[1]]]
             mixed = t * col_a + r * col_b
+            on = rows.get(e.name)
             if on is None:
                 col_b *= t
                 col_b += r * col_a
@@ -243,17 +240,10 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
                 col_a[...] = np.where(on, mixed, col_a)
         elif e.kind == "phase":
             col = cols[stored[e.modes[0]]]
-            if on is None:
-                col *= factors[e.param]
-            else:
-                col[...] = np.where(on, col * factors[e.param], col)
-        elif on is None:
+            col *= factors[e.param]
+        else:
             a, b = e.modes
             stored[a], stored[b] = stored[b], stored[a]
-        else:
-            col_a, col_b = cols[stored[e.modes[0]]], cols[stored[e.modes[1]]]
-            col_a[...], col_b[...] = (np.where(on, col_b, col_a),
-                                      np.where(on, col_a, col_b))
     return np.ascontiguousarray(cols[stored].transpose(1, 2, 0))
 
 

@@ -11,13 +11,11 @@ occupation tuples in that same order.
 
 A photon count fits in one byte, so each row read as one fixed-width byte
 string is a key whose byte order is the lexicographic order of the
-occupations, whatever the mode count.  :func:`_merge` sorts and sums rows on
-those keys, :func:`_union` and :func:`_common_rows` match rows across
-arrays, :func:`_find_row` looks one occupation up, and
-:func:`_trusted_state` builds a state from rows that are already sorted,
-unique and in one photon sector, checking only that the amplitudes are
-finite.  The public constructor ``FockState(mapping)`` validates every ket.
-``measurement.DensityMatrix`` stores its basis the same way.
+occupations, whatever the mode count; the private helpers below merge,
+match and look up rows on those keys.  :func:`_trusted_state` builds a
+state from rows already known to be valid, while ``FockState(mapping)``
+validates every ket.  ``measurement.DensityMatrix`` stores its basis the
+same way and merges it with :func:`_union`.
 
 All occupation vectors in one state must have the same length (the mode
 count) and the same total photon number, since passive linear optics never

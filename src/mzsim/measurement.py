@@ -6,33 +6,19 @@ unlisted detector to register nothing, which for a pattern using all N
 photons pins a single basis ket.  :func:`pattern_masks` reads the detector
 columns of a set of kets once for any number of patterns.
 
-A density matrix is kept over a basis of kets, stored like a state's kets
-as a (kets x modes) ``uint8`` array with unique rows in lexicographic
-order, as a pair of ``complex128`` factors with rho = left @ right^dagger.
-A pure state's factors are both its amplitude column, so |psi><psi| costs
-nothing of size kets x kets; a matrix given as a mapping has factors
-(matrix, identity).  A partial trace groups the basis kets by their
-occupation of the traced modes, scatters each group's factor rows into
-columns of its own beside the others, and forms the reduced matrix with
-one matmul; the result keeps those regrouped factors.  The grouping and
-the scatter are phase-free: they are planned once per basis, kept modes
-and right-factor nonzero mask, and kept in the plan cache evolve uses
-(``optics._expansion_plan``), so a phase loop through one circuit pays
-one scatter and one matmul per trace after its first.  The dense matrix
-is built on first use; the trace and the number-operator readouts read
-it.  ``entries`` presents the nonzero entries as a read-only map (ket
-occupation, bra occupation) -> entry; iterating it reads a dict built off
-the dense matrix on first use.  ``entry`` and a lookup in ``entries`` read
-one value without either: they find the two basis rows in a ket -> row
-dict and read the dense matrix if it exists, the two factor rows
-otherwise.  Matrices retain the identity of the
-original mode indices through partial traces, so number operators can
-still be addressed by circuit mode after tracing.
+A density matrix is kept over a basis of kets, stored like a state's kets,
+as a pair of ``complex128`` factors with rho = left @ right^dagger.  A pure
+state's factors are both its amplitude column, so |psi><psi| costs nothing
+of size kets x kets; a matrix given as a mapping has factors (matrix,
+identity).  The dense matrix is built on first use.  A partial trace keeps
+factors too (:func:`partial_trace`), and plans its phase-free scatter once
+per structure in the plan cache evolve uses (``optics._PlanCache``).
+Matrices retain the original mode indices through partial traces, so
+number operators can still be addressed by circuit mode after tracing.
 """
 
 from __future__ import annotations
 
-import sys
 import warnings
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -98,12 +84,9 @@ def pattern_masks(patterns, detectors: Mapping[str, int],
     A ket is selected when every listed detector shows its count and, for an
     exclusive pattern, every unlisted detector shows zero: since counts are
     never negative, that is when the detectors' total equals the listed
-    total.  Each (detector, count) column test is made once per call and
-    shared by the patterns that list it, and every pattern is one AND of
-    its tests: whole-number compares on the uint8 columns, with no float
-    copy of them and no temporary of the result's size.  A pattern that
-    asks for more than the ``photons`` the kets carry selects nothing, with
-    a warning, since its probability is identically zero.
+    total.  Each (detector, count) column test is made once per call.  A
+    pattern that asks for more than the ``photons`` the kets carry selects
+    nothing, with a warning, since its probability is identically zero.
     """
     modes = list(dict.fromkeys(detectors.values()))
     masks = np.empty((len(patterns), len(occupations)), dtype=bool)
@@ -131,17 +114,11 @@ def pattern_masks(patterns, detectors: Mapping[str, int],
     return masks
 
 
-def pattern_mask(pattern: DetectionPattern, detectors: Mapping[str, int],
-                 occupations: np.ndarray, photons: int) -> np.ndarray:
-    """The one-pattern case of :func:`pattern_masks`."""
-    return pattern_masks([pattern], detectors, occupations, photons)[0]
-
-
 def pattern_probability(state: FockState, pattern: DetectionPattern,
                         detectors: Mapping[str, int]) -> float:
     """Probability that the listed detectors show exactly these counts."""
-    mask = pattern_mask(pattern, detectors, state.occupation_array,
-                        state.total_photons)
+    mask = pattern_masks([pattern], detectors, state.occupation_array,
+                         state.total_photons)[0]
     return float(np.sum(np.abs(state.amplitude_array[mask]) ** 2))
 
 
@@ -157,17 +134,16 @@ def projected_probability(state: FockState, projector: FockState) -> float:
 class DensityEntries(Mapping):
     """Read-only ``(ket, bra) -> entry`` view of a density matrix's arrays.
 
-    It holds the basis and the factor pair ``left``, ``right`` with
-    rho = left @ right^dagger.  ``matrix`` is that product, built on first
-    use unless it was given, and kept read-only.  After a partial trace it
-    is given with its entries at or below ``PRUNE_THRESHOLD`` zeroed, while
-    the factors stay unpruned: a nested trace reads them, and every other
-    view reads ``matrix``.  Iteration, ``items``, ``values`` and ``repr``
-    read one dict of the nonzero entries of ``matrix``, keyed by occupation
-    tuples in lexicographic ``(ket, bra)`` order and built on first read.
-    Lookups (``[key]``, ``get``, ``in``) read one value as :meth:`entry`
-    does, a zero entry reading as missing, and ``len`` counts the nonzero
-    entries; neither builds the dict.  A key is read as
+    It holds the basis and the factors ``left``, ``right``; ``matrix`` is
+    their product, built on first use unless it was given.  After a partial
+    trace it is given with its entries at or below ``PRUNE_THRESHOLD``
+    zeroed, while the factors stay unpruned: a nested trace reads them, and
+    every other view reads ``matrix``.  Iteration, ``items``, ``values`` and
+    ``repr`` read one dict of the nonzero entries of ``matrix``, keyed by
+    occupation tuples in lexicographic ``(ket, bra)`` order and built on
+    first read.  Lookups (``[key]``, ``get``, ``in``) read one value as
+    :meth:`entry` does, a zero entry reading as missing, and ``len`` counts
+    the nonzero entries; neither builds the dict.  A key is read as
     ``(tuple(ket), tuple(bra))``, so list occupations find their entry too.
     """
 
@@ -251,16 +227,13 @@ class DensityEntries(Mapping):
 class DensityMatrix:
     """Hermitian operator on a subset of the original modes.
 
-    It is stored over a basis of kets, a (kets x modes) ``uint8`` array
-    whose rows are unique, in lexicographic order, and each carry some
-    nonzero entry in their row or column, as a pair of ``complex128``
-    factors (left, right) with rho = left @ right^dagger.  ``entries`` is a
-    read-only mapping view of the nonzero entries keyed ``(ket, bra)``.  A
-    plain mapping given as ``entries`` is validated and converted into the
-    arrays once, with factors (matrix, identity); the fields cannot be
-    reassigned after.  ``modes`` lists the original mode indices the
-    occupations refer to, in order; a freshly built matrix has modes
-    (0, .., M-1).
+    Each of its basis kets carries some nonzero entry in its row or column.
+    ``entries`` is a read-only mapping view of the nonzero entries keyed
+    ``(ket, bra)``.  A plain mapping given as ``entries`` is validated and
+    converted into the arrays once, with factors (matrix, identity); the
+    fields cannot be reassigned after.  ``modes`` lists the original mode
+    indices the occupations refer to, in order; a freshly built matrix has
+    modes (0, .., M-1).
     """
 
     entries: Mapping[tuple[Occupation, Occupation], complex]
@@ -384,15 +357,11 @@ def partial_trace(rho: DensityMatrix,
     where L_g holds the group's rows of L at their kept occupations.  One
     scatter lays every group's columns side by side, each row becoming a
     kept ket and each column a (group, old column) pair at which R has a
-    nonzero entry, and one matmul forms the reduced matrix.  Where each
-    factor entry goes depends only on the basis, the kept modes and where
-    R is nonzero, so that scatter is planned once (:func:`_trace_plan`)
-    and kept in the plan cache evolve uses, ``optics._expansion_plan``,
-    keyed on those bytes: a phase loop over one circuit plans its first
-    trace and reuses the plan after.  Sums at or below ``PRUNE_THRESHOLD``
-    in magnitude are dropped from the reduced matrix, and kept kets left
-    with only zero entries leave the basis.  The result keeps the
-    regrouped factors, unpruned, so a second trace takes the same path.
+    nonzero entry, and one matmul forms the reduced matrix; the scatter is
+    phase-free and cached (:func:`_trace_plan`).  Sums at or below
+    ``PRUNE_THRESHOLD`` are dropped, and kept kets left with only zero
+    entries leave the basis.  The result keeps the regrouped factors,
+    unpruned, so a second trace takes the same path.
     """
     traced = set(traced_modes)
     unknown = traced - set(rho.modes)
@@ -438,12 +407,11 @@ def _trace_plan(basis: np.ndarray, keep_pos: tuple[int, ...],
     of the (group of ket i, c) pair when the right factor is nonzero at
     some entry of that pair, since no other pair adds to the product: an
     identity right factor then gives one column per ket, not one per ket
-    and group.  Returns the plan and the bytes it holds.  The plan is the
-    kept basis, unique and in lexicographic order; the flat (C-order)
-    index into a (kets x rank) factor of each entry that goes somewhere,
-    ascending; the row and column each such entry takes in the regrouped
-    factors; and the column count.  Every array is read-only, since the
-    plan cache hands it out again.
+    and group.  The plan is the kept basis, unique and in lexicographic
+    order; the flat (C-order) index into a (kets x rank) factor of each
+    entry that goes somewhere, ascending; the row and column each such entry
+    takes in the regrouped factors; and the column count.  Every array is
+    read-only, since the plan cache hands it out again.
     """
     drop_pos = [i for i in range(basis.shape[1]) if i not in keep_pos]
     kept, kept_of = _union(basis[:, list(keep_pos)])
@@ -466,9 +434,7 @@ def _trace_plan(basis: np.ndarray, keep_pos: tuple[int, ...],
     arrays = kept, source, rows, columns
     for array in arrays:
         array.flags.writeable = False
-    plan = *arrays, len(pairs)
-    return plan, sys.getsizeof(plan) + sum(
-        sys.getsizeof(a if a.base is None else a.base) for a in arrays)
+    return *arrays, len(pairs)
 
 
 def mean_photon_number(rho: DensityMatrix, mode: int) -> float:

@@ -10,30 +10,13 @@ so sequential application of U1 then U2 composes to the single matrix
 
 * :func:`evolve` expands the substituted operator polynomial with exact
   multinomial bookkeeping (this mirrors the textbook derivation of output
-  states and works on whole superpositions at once).  The same expansion
-  runs over a stack of K unitaries at once (``_evolve_grid``, and
-  ``_evolve_each`` for one state per matrix): each input ket is expanded
-  once with a K-column coefficient block, which is how a scan evolves
-  through all of its grid phases in one pass.  It runs in two passes: the
-  first keys every ket's terms by their output occupation, packed as an
-  integer over the live output columns, and merges them with one integer
-  sort; the second adds each ket's coefficient block into the merged kets,
-  real and imaginary parts of every grid phase in one ``bincount`` whose
-  index is offset by row, and releases it, so memory holds one ket's block
-  at a time.  The first
-  pass depends on no phase, only on the input's occupations and on which
-  matrix entries are nonzero, so its plan is cached on those bytes
-  (``_expansion_plan``: at most 64 plans holding at most
-  ``PLAN_CACHE_BYTES``).  A scan needs one expansion anyway; the cache
-  pays where one input goes through one circuit in call after call, as in
-  a phase loop over :func:`evolve`; ``measurement.partial_trace`` keeps
-  its phase-free scatter plans in the same cache.  A scan reads few of the
-  output kets (``classify_table1(5)`` reads 495 of 2,002), so it passes
-  their mask as a read set: the plan is restricted to the terms that add
-  into those kets (also phase-free, and cached with the full plans) and
-  only they are computed.  The scan checks its stack once
-  (``_structure``) and hands the mask of needed entries to both the read
-  set's lookup (``_output_kets``) and the evolve;
+  states and works on whole superpositions at once).  It is the one-matrix
+  case of ``_evolve_grid``, which expands each input ket once for a whole
+  stack of K unitaries, as a scan's grid of phases needs.  The phase-free
+  half of the expansion, which output ket each term adds into, is planned
+  once per structure and cached (:class:`_PlanCache`); a scan restricts
+  the plan to the kets its readouts read (``classify_table1(5)`` reads 495
+  of 2,002);
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix, summed over the repeat
   counts by Glynn's formula; :func:`permanent` is Ryser's algorithm for any
@@ -198,13 +181,10 @@ def _row_coefficients(rows: np.ndarray, cols: np.ndarray, count: int,
                       used: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of (sum_j row[j] a_j^dag)^count per row.
 
-    ``rows`` holds one row of the mode unitary per grid phase, (K x modes),
-    and only the columns ``cols`` are expanded; the coefficients come back
-    as a (K x terms) block aligned with ``_compositions(count, len(cols))``,
-    or with its compositions ``used`` when given: each is its weight times
-    the ``count`` row entries at its factor slots.  They are relative to
-    monomials prod (a_j^dag)^k_j, i.e. without the sqrt(k!) ket
-    normalization (applied once at the end).
+    ``rows`` is (K x modes), one unitary row per grid phase, and only the
+    columns ``cols`` are expanded.  Returns a (K x terms) block aligned with
+    ``_compositions(count, len(cols))``, or with its compositions ``used``,
+    without the sqrt(k!) ket normalization (applied once at the end).
     """
     _, weights, factors = _compositions(count, len(cols))
     if used is not None:
@@ -275,36 +255,17 @@ class _LiveKeys:
 
 
 def evolve(state: FockState, unitary: np.ndarray) -> FockState:
-    """Apply a mode unitary to a Fock state.
+    """Apply a mode unitary to a Fock state: the one-matrix case of
+    :func:`_evolve_grid`.
 
-    Each ket's creation-operator product is substituted row-wise and expanded
-    with multinomial coefficients; equal output kets are then merged on
-    integer keys over the output columns the rows reach.  Entries of a row
-    at or below ``ROW_CUTOFF`` are treated as exact zeros; they could only
-    shift output amplitudes by ~N * ROW_CUTOFF, far below the working
-    tolerances.  A matrix with a NaN or infinite entry, or one that is not
-    unitary within 1e-8, is rejected.  This is the one-matrix case of
-    :func:`_evolve_each`.
+    Entries of a row at or below ``ROW_CUTOFF`` are treated as exact zeros;
+    they could only shift output amplitudes by ~N * ROW_CUTOFF, far below
+    the working tolerances.  A matrix with a NaN or infinite entry, or one
+    that is not unitary within 1e-8, is rejected.
     """
-    u = np.asarray(unitary, dtype=complex)
-    m = state.mode_count
-    if u.shape != (m, m):
-        raise DimensionMismatchError(
-            f"unitary is {u.shape}, state has {m} modes")
-    (out,) = _evolve_each(state, u[None])
-    return out
-
-
-def _evolve_each(state: FockState, unitaries: np.ndarray) -> list[FockState]:
-    """The state evolved by each matrix of a (K x M x M) stack, as K states.
-
-    One :func:`_evolve_grid` expansion serves the whole stack; each slice
-    then drops its own kets at or below ``PRUNE_THRESHOLD``, so state k holds
-    the kets ``evolve(state, unitaries[k])`` keeps.
-    """
-    occupations, amplitudes = _evolve_grid(state, unitaries)
-    return [_trusted_state(occupations, row, state.mode_count)
-            for row in amplitudes]
+    occupations, (amplitudes,) = _evolve_grid(
+        state, np.asarray(unitary, dtype=complex)[None])
+    return _trusted_state(occupations, amplitudes, state.mode_count)
 
 
 def _build_plan(inputs: np.ndarray, needed: np.ndarray):
@@ -312,16 +273,12 @@ def _build_plan(inputs: np.ndarray, needed: np.ndarray):
 
     The input's (kets x modes) uint8 occupations and the (modes x modes)
     mask of unitary entries above ``ROW_CUTOFF`` fix every output ket and
-    which merged ket each term adds into; only the coefficients depend on
-    the matrices.  This keys every ket's terms on :class:`_LiveKeys` (the
-    output occupation as a base-(N+1) number over the live columns), as
-    outer sums of per-row key vectors, merges them with one integer sort
-    per key word and decodes only the merged kets.  No (terms x modes)
-    occupation array is built.
+    which merged ket each term adds into.  Each ket's terms are keyed on
+    :class:`_LiveKeys`, as outer sums of per-row key vectors, and merged;
+    no (terms x modes) occupation array is built.
 
-    Returns the plan and the bytes it holds (:func:`_plan_bytes`).  The
-    plan is the merged output occupations in lexicographic order; per input
-    ket, its ``(mode, count, cols, used, local)`` rows, ``used`` and
+    The plan is the merged output occupations in lexicographic order; per
+    input ket, its ``(mode, count, cols, used, local)`` rows, ``used`` and
     ``local`` being None (every composition of the row, in outer-product
     order; see :func:`_restrict_plan`), with its first term's offset and its
     term count; the scatter index, which sends the real and imaginary parts
@@ -367,8 +324,7 @@ def _build_plan(inputs: np.ndarray, needed: np.ndarray):
     scale = np.prod(_SQRT_FACT[occupations[:, live]], axis=1)
     for array in (occupations, scale):
         array.flags.writeable = False
-    plan = occupations, tuple(kets), _scatter(inverse, len(occupations)), scale
-    return plan, _plan_bytes(plan)
+    return occupations, tuple(kets), _scatter(inverse, len(occupations)), scale
 
 
 def _scatter(ket_of: np.ndarray, kets: int) -> np.ndarray:
@@ -385,16 +341,13 @@ def _restrict_plan(plan, read: np.ndarray):
     """The part of a plan that adds into the output kets ``read`` marks.
 
     ``read`` is a bool mask over the plan's output kets.  Each input ket
-    keeps, in order, the terms whose merged ket is read, and each of its
-    rows keeps the compositions those terms use: ``used``, their indices
-    into ``_compositions(count, len(cols))``, and ``local``, each kept
-    term's index into ``used``; a ket with no read term keeps no rows and
-    a term count of 0.  The scatter index sends each kept term to its ket's
+    keeps, in order, the terms whose merged ket is read; each of its rows
+    keeps ``used``, the indices into ``_compositions(count, len(cols))`` of
+    the compositions those terms use, and ``local``, each kept term's index
+    into ``used``.  The scatter index sends each kept term to its ket's
     position among the read kets.  Evolving by the result gives exactly the
     read kets' amplitudes of the full plan, with the same floating-point
-    operations in the same order.  It depends on no phase, so
-    :data:`_expansion_plan` caches it beside the full plan.  Returns the
-    plan and the bytes it holds.
+    operations in the same order.
     """
     occupations, kets, scatter, scale = plan
     ket_of = scatter[::2].astype(np.intp) // 2
@@ -422,24 +375,24 @@ def _restrict_plan(plan, read: np.ndarray):
     for array in (occupations, scale):
         array.flags.writeable = False
     compact = np.concatenate([np.zeros(0, dtype=np.intp), *blocks])
-    plan = occupations, tuple(picked), _scatter(compact, len(occupations)), scale
-    return plan, _plan_bytes(plan)
+    return occupations, tuple(picked), _scatter(compact, len(occupations)), scale
 
 
-def _plan_bytes(plan) -> int:
-    """Bytes a plan holds: each of its arrays once, with the array its
-    column slices share, and its per-ket and per-row tuples."""
-    occupations, kets, scatter, scale = plan
-    arrays = {id(a): a for a in (occupations, scatter, scale)}
-    size = sys.getsizeof(kets)
-    for ket in kets:
-        rows = ket[0]
-        size += sum(map(sys.getsizeof, (ket, *ket, *rows)))
-        for _, _, cols, used, local in rows:
-            for array in (cols, cols.base, used, local):
-                if array is not None:
-                    arrays[id(array)] = array
-    return size + sum(map(sys.getsizeof, arrays.values()))
+def _held_bytes(*parts) -> int:
+    """Bytes the parts hold: each object once, a tuple with its contents and
+    an array with its base."""
+    stack, seen, size = list(parts), set(), 0
+    while stack:
+        part = stack.pop()
+        if id(part) in seen:
+            continue
+        seen.add(id(part))
+        size += sys.getsizeof(part)
+        if isinstance(part, tuple):
+            stack.extend(part)
+        elif isinstance(part, np.ndarray) and part.base is not None:
+            stack.append(part.base)
+    return size
 
 
 _PlanCacheInfo = namedtuple("_PlanCacheInfo", "hits misses currsize nbytes")
@@ -448,16 +401,24 @@ _PlanCacheInfo = namedtuple("_PlanCacheInfo", "hits misses currsize nbytes")
 class _PlanCache:
     """The most recently used phase-free plans, bounded in count and bytes.
 
+    Full expansion plans, their restrictions to a read set and the scatter
+    plans of ``measurement.partial_trace`` (keys tagged ``"partial_trace"``)
+    share one cache and both bounds.  It pays where one structure comes
+    back call after call, as in a phase loop over :func:`evolve`.
+
     A plan's merge or scatter index holds one entry per expanded term or
     factor entry, so plans differ in size by orders of magnitude and a
     count bound alone bounds no memory.  This keeps at most ``maxsize``
     plans that, with their keys, hold at most ``budget`` bytes, dropping
     the least recently used first; a plan larger than the whole budget is
-    returned and not kept.  :meth:`lookup` takes any key and the function
-    that builds its plan; calling the cache looks up an expansion plan.
-    Full expansion plans, their restrictions to a read set and the plans of
-    ``measurement.partial_trace`` (keys tagged ``"partial_trace"``) share
-    the one bound.
+    returned and not kept.  The cache sizes what it keeps by walking it:
+    each array once, with its base, and each tuple with its contents.
+
+    The bounds of :data:`_expansion_plan`: one ``verify.run_all()`` keeps
+    40 plans (26 full, 12 restricted, 2 trace), which 32 would cycle
+    through.  ``classify_table1(5)``'s plans hold 113 KiB (full) and 39 KiB
+    (restricted), a tenth of ``PLAN_CACHE_BYTES``; one plan of a 330-ket,
+    4-photon superposition through a dense 8-mode unitary holds 3.1 MiB.
     """
 
     def __init__(self, maxsize: int, budget: int):
@@ -482,8 +443,8 @@ class _PlanCache:
 
     def lookup(self, key: tuple, build):
         """The plan kept under ``key``, a tuple of hashable parts, or the
-        one ``build()`` returns with the bytes it holds, kept under it; the
-        key's parts count toward the budget too."""
+        one ``build()`` returns, kept under it; the key counts toward the
+        budget too."""
         with self._lock:
             entry = self._plans.get(key)
             if entry is not None:
@@ -491,8 +452,8 @@ class _PlanCache:
                 self._hits += 1
                 return entry[0]
             self._misses += 1
-        plan, size = build()
-        size += sum(map(sys.getsizeof, key))
+        plan = build()
+        size = _held_bytes(key, plan)
         with self._lock:
             if key not in self._plans:
                 self._plans[key] = (plan, size)
@@ -514,18 +475,8 @@ class _PlanCache:
             self._hits = self._misses = self._nbytes = 0
 
 
-#: Plans kept for the next evolve or partial trace of the same structure:
-#: at most 64 plans holding at most ``PLAN_CACHE_BYTES``, counting full
-#: plans, the restricted plans of scans (one per input structure and read
-#: set) and trace plans (one per basis, kept modes and right-factor mask)
-#: alike; both bounds hold for all three.  A scan keeps two plans, so one
-#: ``verify.run_all()`` keeps 40 (26 full, 12 restricted, 2 trace), which
-#: 32 would cycle through; every workload's plans fit in a tenth of the
-#: bytes, ``classify_table1(5)``'s holding 113 KiB (full) and 39 KiB
-#: (restricted).  One plan of a 330-ket, 4-photon superposition through a
-#: dense 8-mode unitary holds 3.1 MiB; the trace plan of a matrix built
-#: from the 330-ket ``braced_4`` output's entries holds 130 KiB, most of
-#: it the key's 109 KB mask of its identity right factor.
+#: The byte budget of :data:`_expansion_plan`; :class:`_PlanCache` states
+#: its policy and why these bounds.
 PLAN_CACHE_BYTES = 4 * 2 ** 20
 _expansion_plan = _PlanCache(maxsize=64, budget=PLAN_CACHE_BYTES)
 
@@ -565,34 +516,22 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
 
-    Every input ket is expanded once, over the columns that some matrix of
-    the stack needs, in two passes.  The first, :func:`_build_plan`,
-    depends only on the input's occupations and on which entries of the
-    stack are above ``ROW_CUTOFF``, so :data:`_expansion_plan` caches it on
-    those bytes (the most recent plans, up to 64 of them and
-    ``PLAN_CACHE_BYTES``) and a later call on the same structure skips it.
-    The second runs on every call: it builds each ket's (K x terms)
-    coefficient block in turn, in C order, adds it into the output and
-    releases it, so at most one ket's block is alive at a time.  The block
-    goes in with one ``bincount`` of its float64 view over all K rows, row
-    k's index offset by 2n (n output kets) into row k of the output; each
-    bin still sums its own row's terms in index order.  Returns the
+    Every input ket is expanded once, in two passes.  The first,
+    :func:`_build_plan`, is phase-free and cached in
+    :data:`_expansion_plan`.  The second builds each ket's (K x terms)
+    coefficient block in turn and adds it into the output with one
+    ``bincount`` over all K rows, row k's index offset by 2n (n output
+    kets), so at most one ket's block is alive at a time.  Returns the
     output occupations, unique and in lexicographic order (read-only), and
     a (K x kets) amplitude block whose row k is the state evolved by
     ``unitaries[k]``.  A ket is dropped only when it is at or below
-    ``PRUNE_THRESHOLD`` at every k.  Every matrix of the stack gets the
-    checks :func:`evolve` makes, on every call.
+    ``PRUNE_THRESHOLD`` at every k.
 
     ``read``, a bool mask over :func:`_output_kets`, limits the work to the
-    kets it marks: the plan is restricted to the terms that add into them
-    (:func:`_restrict_plan`, cached like the full plan), only the
-    compositions those terms use are built, and each term's coefficient is
-    gathered from them rather than formed in an outer product.  The result
-    is exactly the read kets' rows of the full result, pruned alike.
-
-    ``needed`` is the mask :func:`_structure` returned for ``unitaries``,
-    which must then be the stack it returned: a scan checks its stack once
-    for :func:`_output_kets` and this call.
+    kets it marks (:func:`_restrict_plan`); the result is exactly the read
+    kets' rows of the full result, pruned alike.  ``needed`` is the mask
+    :func:`_structure` returned for ``unitaries``, which must then be the
+    stack it returned.
     """
     if needed is None:
         u, needed = _structure(state, unitaries)

@@ -6,28 +6,21 @@ of enabled phase elements carrying the parameter, so every output amplitude
 of an N-photon input has degree at most N*c.  The scan engine therefore
 compiles the circuit at K = N*c + 1 equally spaced phases in one pass and
 evolves the input through all K unitaries in one batched expansion; those
-K values fix psi(phi) = sum_{j < K} e^{i j phi} psi_j exactly.  Scans of
-one circuit and input that differ only in their toggles stack their grids
-into that one compile and that one expansion, each with its own K, so
-:func:`classify_table1` compiles and evolves its input once for all of
-its configurations, and the expansion computes only the kets that the
-readouts (detection patterns or projector overlaps) read.  A readout's
-probability is the finite Fourier series
+K values fix psi(phi) = sum_{j < K} e^{i j phi} psi_j exactly.  Scans
+that differ only in their toggled splitters share that compile and that
+expansion, so :func:`classify_table1` evolves its input once for all of
+its configurations.  A readout's probability is the finite Fourier series
 
     P(phi) = h_0 + 2 Re sum_{0 < f < K} h_f e^{i f phi},
 
 whose frequencies -(K-1) .. K-1 stay distinct modulo 2K, so the 2K-point
 DFT of its values at the phases pi m / K gives h_0 .. h_{K-1} exactly;
 samples at other phases are evaluated from the harmonics.  The fit
-a + b cos(f phi + c) is read off the harmonics exactly: a = h_0, f is the
-one nonzero harmonic (nonzero relative to the scan's mean, so a weak
-fringe is still a fringe), b = 2 |h_f| and c = arg h_f.  A scan with no
-nonzero harmonic is flat and reports spatial frequency 0; a scan with more
-than one fits no single cosine and raises :class:`UnclassifiableScanError`.
+a + b cos(f phi + c) is read off them exactly: a = h_0, f is the one
+nonzero harmonic (none: a flat scan, f = 0), b = 2 |h_f| and c = arg h_f.
 The fitted visibility b/a then classifies the configuration as showing
 fringes or not, which is the qualitative content of the multi-stage
-scenario table.  Its input and its circuit are built from arrays that are
-valid by construction, skipping the public constructors' checks.
+scenario table.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ from .errors import (CircuitError, DegenerateStateError,
                      DimensionMismatchError, UnclassifiableScanError)
 from .fock import (FockState, _check_occupation, _common_rows, _trusted_state,
                    basis_state, embed)
-from .measurement import DetectionPattern, pattern_mask, pattern_masks
+from .measurement import DetectionPattern, pattern_masks
 from .optics import (BALANCED, _evolve_grid, _output_kets, _structure,
                      bs_unitary, evolve)
 
@@ -135,40 +128,25 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     as one (readouts x K) array per scan.
 
     ``scans`` holds ``(toggles, readouts)`` pairs of one circuit and input;
-    a readout is a detection pattern or a projector state.  Each distinct
-    toggle set gets its own block of K grid phases (a disabled delay
-    changes K), and all blocks are compiled in one pass, a toggle acting
-    only on the rows of the blocks that enable it.  The masks of all the
-    patterns (one :func:`~mzsim.measurement.pattern_masks` call) and the
-    kets of all the projectors, found among every ket the expansion can
-    reach, make the read set, and one expansion computes only those kets.
-    Each block's amplitudes are interpolated once to the 2K phases
-    pi m / K.  A readout's P(phi) has frequencies -(K-1) .. K-1, distinct
-    modulo 2K, so the 2K-point DFT of its samples there is exactly
-    h_0 .. h_{K-1}: a scan's pattern samples are one product of their
-    weights with |psi|^2, a projector's are |psi . conj(a)|^2, and all its
-    harmonics are one product with the DFT matrix.
+    a readout is a detection pattern or a projector state.  The toggle sets
+    may differ only in splitters (else :class:`CircuitError`), so one K
+    serves them all: each distinct set gets a copy of the grid, its
+    splitters toggled per row.  One expansion computes only the kets the
+    readouts read; each set's amplitudes are taken to the 2K phases
+    pi m / K and its samples there to harmonics by one DFT (:func:`_sampling`).
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
                            f"parameters are {list(circuit.parameters)}")
-    blocks, grids, offset = {}, [], 0
-    for toggles, _ in scans:
-        enabled = frozenset(toggles)
-        if enabled in blocks:
-            continue
-        crossings = sum(1 for e in circuit.enabled(toggles)
-                        if e.kind == "phase" and e.param == swept)
-        k = input_state.total_photons * crossings + 1
-        grids.append(2 * math.pi * np.arange(k) / k)
-        blocks[enabled] = slice(offset, offset + k)
-        offset += k
-    always = frozenset.intersection(*blocks)
-    sizes = [len(grid) for grid in grids]
-    toggle_rows = {t: np.repeat([t in enabled for enabled in blocks], sizes)
-                   for t in frozenset.union(*blocks) - always}
+    sets = list(dict.fromkeys(frozenset(toggles) for toggles, _ in scans))
+    always = frozenset.intersection(*sets)
+    crossings = sum(1 for e in circuit.enabled(always)
+                    if e.kind == "phase" and e.param == swept)
+    k = input_state.total_photons * crossings + 1
+    toggle_rows = {t: np.repeat([t in enabled for enabled in sets], k)
+                   for t in frozenset.union(*sets) - always}
     phases = dict(fixed)
-    phases[swept] = np.concatenate(grids)
+    phases[swept] = np.tile(2 * math.pi * np.arange(k) / k, len(sets))
     unitaries, needed = _structure(
         input_state, _compile_grid(circuit, phases, always, toggle_rows))
 
@@ -198,13 +176,14 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     weights = masks[:, rows].astype(float)
     overlaps = iter([overlap[rows] for overlap in overlaps])
 
-    for enabled, span in blocks.items():
-        interpolate, dft = _sampling(span.stop - span.start)
-        psi = interpolate @ values[span]
-        blocks[enabled] = psi, psi.real ** 2 + psi.imag ** 2, dft
+    interpolate, dft = _sampling(k)
+    blocks = {}
+    for i, enabled in enumerate(sets):
+        psi = interpolate @ values[i * k:(i + 1) * k]
+        blocks[enabled] = psi, psi.real ** 2 + psi.imag ** 2
     results, first = [], 0
     for toggles, scan in scans:
-        psi, density, dft = blocks[frozenset(toggles)]
+        psi, density = blocks[frozenset(toggles)]
         count = sum(not isinstance(r, FockState) for r in scan)
         patterns = iter(weights[first:first + count] @ density.T)
         first += count
@@ -246,7 +225,6 @@ def _fit_samples(parameter: str, phis: np.ndarray,
     times the scan's mean, or ``RESIDUAL_FLOOR`` when that is larger, and
     the rms left after the strongest one must stay within the same bound;
     the bound scales with the scan, so a weak fringe is still a fringe.
-    Every row is read at once, as arrays.
     """
     means = harmonics[:, 0].real
     limits = np.maximum(RESIDUAL_LIMIT * means, RESIDUAL_FLOOR)
@@ -354,8 +332,8 @@ def run_triple(circuit: Circuit, toggles, phases):
     state = embed(engineered_input(noon_target(3)), circuit.mode_count, (0, 1))
     occupations, amplitudes = _evolve_grid(
         state, _compile_grid(circuit, phases, toggles))
-    mask = pattern_mask(DetectionPattern({"D6p": 1, "D6": 1, "D10": 1}),
-                        circuit.detectors, occupations, 3)
+    mask = pattern_masks([DetectionPattern({"D6p": 1, "D6": 1, "D10": 1})],
+                         circuit.detectors, occupations, 3)[0]
     probs = np.sum(np.abs(amplitudes[:, mask]) ** 2, axis=1)
     if all(np.ndim(v) == 0 for v in phases.values()):
         return float(probs[0])
@@ -408,7 +386,7 @@ def classify_table1(n: int) -> list[ScenarioReport]:
             {d: 1 for d in dets} | {"D10": n - len(dets)}))
         scans.append((toggles, patterns))
     # the two inner_off scans share one compiled and evolved block, and
-    # every block has the same K (the toggles are splitters): one fit
+    # every block has the same K: one fit
     fits = iter(_fit_samples("phi_B", phis, np.concatenate(
         _scan_values(circuit, state, "phi_B", fixed, scans))))
     reports = []

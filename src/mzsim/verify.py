@@ -27,12 +27,12 @@ from . import reference as ref
 from .circuit import (PRESET_NAMES, compile, load_preset_file, parse_circuit,
                       preset, preset_fig1, preset_fig2, preset_fig3,
                       serialize)
-from .fock import FockState, basis_state, embed
+from .fock import FockState, _trusted_state, basis_state, embed
 from .measurement import (DetectionPattern, coincidence_from_density,
                           density_from_pure, mean_photon_number, partial_trace,
                           pattern_probability, projected_probability,
                           DensityMatrix)
-from .optics import (BALANCED, BeamSplitterCoeffs, _evolve_each, bs_unitary,
+from .optics import (BALANCED, BeamSplitterCoeffs, _evolve_grid, bs_unitary,
                      evolve, is_unitary, transition_amplitude)
 from .scenarios import (MIN_SCAN_SAMPLES, _fit_samples, _scan_phases,
                         _scan_values, classify_table1, engineered_input,
@@ -106,8 +106,12 @@ def _draw_taps(rng) -> list[_Draw]:
                           {"phi_C": pc, "phi_B": pb, "phi_S": ps}, ("BS2",)))
     inp = embed(basis_state((1, 1)), 12, (0, 1))
     u1, u2 = np.stack(u1), np.stack(u2)
-    return [_Draw(*p, *rest) for p, *rest in zip(
-        params, u1, u2, _evolve_each(inp, u1), _evolve_each(inp, u2))]
+    outs = []
+    for stack in (u1, u2):
+        occupations, amplitudes = _evolve_grid(inp, stack)
+        outs.append([_trusted_state(occupations, row, 12)
+                     for row in amplitudes])
+    return [_Draw(*p, *rest) for p, *rest in zip(params, u1, u2, *outs)]
 
 
 _MEMO: dict[int, list[_Draw]] = {}

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
@@ -246,17 +246,22 @@ def test_compile_is_the_ordered_product_of_element_matrices(data):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_a_row_toggled_compile_equals_each_toggle_set_compiled_alone(data):
-    # any element may be a toggle, splitter, delay or swap; each block is
-    # one toggle set at its own number K of phases, and the one-pass
+    # any element may be a toggle, but only splitters differ between the
+    # sets: a toggled delay or swap is in every set or in none.  Each block
+    # is one toggle set at its own number K of phases, and the one-pass
     # compile's rows of a block are that set's own compile bit for bit
     circuit, _ = data.draw(swept_circuits())
-    names = [e.name for e in circuit.elements]
-    toggles = data.draw(st.lists(st.sampled_from(names), min_size=1,
+    splitters = [e.name for e in circuit.elements if e.kind == "bs"]
+    others = [e.name for e in circuit.elements if e.kind != "bs"]
+    assume(splitters)
+    per_row = data.draw(st.lists(st.sampled_from(splitters), min_size=1,
                                  unique=True))
+    fixed = data.draw(st.lists(st.sampled_from(others), unique=True))
+    on = frozenset(t for t in fixed if data.draw(st.booleans()))
     circuit = Circuit(circuit.mode_count, circuit.elements, circuit.detectors,
-                      frozenset(toggles))
-    sets = data.draw(st.lists(st.frozensets(st.sampled_from(toggles)),
-                              min_size=2, max_size=4))
+                      frozenset(per_row + fixed))
+    sets = [on | s for s in data.draw(st.lists(
+        st.frozensets(st.sampled_from(per_row)), min_size=2, max_size=4))]
     ks = data.draw(st.lists(st.integers(1, 5), min_size=len(sets),
                             max_size=len(sets), unique=True))
     angle = st.floats(-10, 10)

@@ -18,7 +18,7 @@ from mzsim import (BALANCED, DensityMatrix, DetectionPattern,
                    density_from_pure, embed, engineered_input, evolve,
                    mean_photon_number, noon_target, partial_trace,
                    pattern_probability, projected_probability)
-from mzsim.measurement import _trace_plan, pattern_mask, pattern_masks
+from mzsim.measurement import _trace_plan, pattern_masks
 from mzsim.optics import _expansion_plan
 from strategies import occupations, random_unitary, superpositions
 
@@ -113,13 +113,13 @@ def test_pattern_mask_is_the_selection_rule():
     kets = np.array([(1, 1, 0), (1, 0, 1), (0, 0, 2), (1, 1, 0)])
     loose = DetectionPattern({"Da": 1}, exclusive=False)
     strict = DetectionPattern({"Da": 1, "Db": 1})
-    assert pattern_mask(loose, DETECTORS, kets, 2).tolist() == \
+    assert pattern_masks([loose], DETECTORS, kets, 2)[0].tolist() == \
         [True, True, False, True]
-    assert pattern_mask(strict, DETECTORS, kets, 2).tolist() == \
+    assert pattern_masks([strict], DETECTORS, kets, 2)[0].tolist() == \
         [True, False, False, True]
     # a mode without a detector is unconstrained even for exclusive patterns
-    assert pattern_mask(strict, {"Da": 0, "Db": 1}, kets[:2], 2).tolist() == \
-        [True, False]
+    assert pattern_masks([strict], {"Da": 0, "Db": 1}, kets[:2],
+                         2)[0].tolist() == [True, False]
 
 
 def selects(occ, pattern, detectors):
@@ -164,8 +164,8 @@ def test_every_mask_row_is_the_rule_read_ket_by_ket(case):
             continue
         assert row.tolist() == [selects(occ, pattern, detectors)
                                 for occ in kets.tolist()]
-        assert np.array_equal(pattern_mask(pattern, detectors, kets, photons),
-                              row)
+        assert np.array_equal(
+            pattern_masks([pattern], detectors, kets, photons)[0], row)
     with pytest.raises(UnknownDetectorError):
         pattern_masks([DetectionPattern({"nowhere": 1}), *patterns],
                       detectors, kets, photons)
@@ -766,7 +766,7 @@ def test_trace_plan_arrays_are_read_only(seed=63):
     mapped = DensityMatrix(dict(rho.entries), rho.modes)
     for density in (rho, mapped, partial_trace(rho, [3])):
         entries = density.entries
-        (*arrays, count), _ = _trace_plan(
+        *arrays, count = _trace_plan(
             entries.basis, (0, 1), entries.right.astype(bool))
         assert count > 0
         for array in arrays:

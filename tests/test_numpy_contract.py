@@ -1,0 +1,187 @@
+"""The numpy behaviours that mzsim's bit-identity claims rest on.
+
+Several results are called bit-identical across routes: a restricted
+expansion plan against the full one, a cached plan against a cold one, a
+one-pass compile of several toggle sets against one compile per set, one
+raveled ``bincount`` over K grid rows against K calls, and a scan call's
+stacked grid against the grids it stacks.  numpy documents some of
+the behaviours below and merely exhibits others; each test states which
+guarantee it checks and names the code that relies on it, so a numpy that
+breaks one fails here rather than deep inside a scan.
+"""
+
+import numpy as np
+
+SEED = 20260823
+
+
+def random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_integer_matmul_is_exact():
+    # optics._build_plan keys a row's terms as compositions (uint8) @ place
+    # (int64 place values up to 2^63) and adds the keys of several rows
+    comps = np.array([[3, 0, 0], [1, 1, 1], [0, 0, 3]], dtype=np.uint8)
+    place = np.array([[4 ** 30, 0], [4 ** 29, 4], [0, 1]], dtype=np.int64)
+    keys = comps @ place
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [[sum(int(c) * int(p) for c, p in zip(row, col))
+                              for col in place.T.tolist()]
+                             for row in comps.tolist()]
+
+
+def test_unique_inverse_is_a_flat_intp_index():
+    # optics._LiveKeys.merge ranks key words, and optics._restrict_plan
+    # finds the compositions a row uses, with 1-D np.unique(return_inverse)
+    rng = np.random.default_rng(SEED)
+    words = rng.integers(-2 ** 62, 2 ** 62, 50)[rng.integers(0, 50, 200)]
+    values, inverse = np.unique(words, return_inverse=True)
+    assert inverse.shape == words.shape and inverse.dtype == np.intp
+    assert np.array_equal(values[inverse], words)
+    assert np.all(np.diff(values) > 0)
+
+
+def test_unique_void_keys_sort_rows_lexicographically():
+    # fock._union merges uint8 occupation rows on one void key per row
+    rng = np.random.default_rng(SEED)
+    rows = rng.integers(0, 4, (60, 5)).astype(np.uint8)
+    keys = rows.view(np.dtype((np.void, 5))).ravel()
+    unique, inverse = np.unique(keys, return_inverse=True)
+    merged = unique.view(np.uint8).reshape(len(unique), 5)
+    assert list(map(tuple, merged.tolist())) == sorted(
+        set(map(tuple, rows.tolist())))
+    assert np.array_equal(merged[inverse.ravel()], rows)
+
+
+def test_tobytes_keys_depend_only_on_values_and_shape():
+    # optics._PlanCache keys plans on the tobytes() of the occupations and
+    # of bool masks, and measurement.partial_trace on the basis and mask
+    # bytes: equal arrays must give equal keys, however they are laid out
+    rng = np.random.default_rng(SEED)
+    occupations = rng.integers(0, 3, (6, 4)).astype(np.uint8)
+    strided = np.asfortranarray(occupations)
+    assert strided.tobytes() == occupations.tobytes()
+    u = random_complex(rng, 4, 4)
+    u[1, 2] = 0
+    needed = np.abs(u) > 1e-13
+    assert needed.tobytes() == (u != 0).tobytes()
+    assert len(needed.tobytes()) == needed.size
+
+
+def test_min_scalar_type_is_the_narrowest_unsigned_type():
+    # optics._scatter narrows a plan's scatter index to
+    # np.min_scalar_type(2 * kets), which must hold every index below it
+    for top, dtype in ((1, np.uint8), (255, np.uint8), (256, np.uint16),
+                       (65535, np.uint16), (65536, np.uint32),
+                       (2 ** 32, np.uint64)):
+        assert np.min_scalar_type(top) == dtype
+        assert np.iinfo(dtype).max >= top
+
+
+def test_float64_view_interleaves_real_and_imaginary_parts():
+    # optics._evolve_grid adds each term's real and imaginary part into
+    # float64 entries 2q and 2q + 1 of a view of the complex output, and
+    # squares a float64 view of the gram in place for its unitarity check
+    rng = np.random.default_rng(SEED)
+    block = random_complex(rng, 3, 5)
+    flat = block.view(float)
+    assert flat.shape == (3, 10)
+    assert np.array_equal(flat[:, ::2], block.real)
+    assert np.array_equal(flat[:, 1::2], block.imag)
+    flat.reshape(-1)[3] = 7.0
+    assert block[0, 1].imag == 7.0
+
+
+def test_take_returns_c_ordered_blocks_for_intp_indices():
+    # optics._row_coefficients takes a unitary column's rows, a strided
+    # view, with intp factor slots and with the intp ``local`` index of a
+    # restricted plan from np.unravel_index and np.unique
+    rng = np.random.default_rng(SEED)
+    u = random_complex(rng, 4, 6, 6)
+    rows = u[:, 2]
+    assert not rows.flags.c_contiguous
+    cols = np.array([5, 0, 3], dtype=np.intp)
+    entries = rows.take(cols, axis=1)
+    assert entries.flags.c_contiguous
+    assert np.array_equal(entries, rows[:, cols])
+    parts = np.unravel_index(np.array([0, 4, 5, 11]), (3, 4))
+    assert all(part.dtype == np.intp for part in parts)
+    used, local = np.unique(parts[1], return_inverse=True)
+    gathered = entries.take(local, axis=1)
+    assert gathered.flags.c_contiguous
+    assert np.array_equal(gathered, entries[:, local])
+
+
+def test_bincount_sums_each_bin_in_index_order():
+    # numpy documents no summation order; its loop adds the weights in
+    # index order, and optics._evolve_grid's bit-identity between a
+    # restricted and a full plan (the same terms of a ket, in the same
+    # order) rests on that.  1 + 1e16 - 1e16 is 0 in that order, 1 in others
+    rng = np.random.default_rng(SEED)
+    weights = np.array([1.0, 1e16, -1e16])
+    assert np.bincount([0, 0, 0], weights)[0] == 0.0
+    bins = rng.integers(0, 7, 300)
+    values = rng.normal(size=300) * 10.0 ** rng.integers(-8, 9, 300)
+    want = [0.0] * 7
+    for b, v in zip(bins.tolist(), values.tolist()):
+        want[b] += v
+    assert np.bincount(bins, values, 7).tolist() == want
+
+
+def test_one_raveled_bincount_equals_a_bincount_per_row():
+    # optics._evolve_grid adds all K rows of a ket's block with one
+    # bincount whose index is offset by 2n per row
+    rng = np.random.default_rng(SEED)
+    k, n, terms = 4, 5, 30
+    index = rng.integers(0, 2 * n, terms)
+    block = rng.normal(size=(k, terms))
+    offsets = 2 * n * np.arange(k)[:, None]
+    raveled = np.bincount((index + offsets).reshape(-1), block.reshape(-1),
+                          2 * n * k)
+    per_row = np.concatenate([np.bincount(index, row, 2 * n)
+                              for row in block])
+    assert raveled.tobytes() == per_row.tobytes()
+
+
+def test_where_selects_entries_unchanged():
+    # circuit._compile_grid keeps a per-row toggled splitter's columns with
+    # np.where: a row off must hold exactly its old entries, a row on
+    # exactly the updated ones
+    rng = np.random.default_rng(SEED)
+    old, new = random_complex(rng, 6, 4), random_complex(rng, 6, 4)
+    on = np.array([True, False, False, True, True, False])[:, None]
+    picked = np.where(on, new, old)
+    for row, flag in enumerate(on[:, 0]):
+        want = new[row] if flag else old[row]
+        assert picked[row].tobytes() == want.tobytes()
+
+
+def test_complex_exp_gives_each_entry_its_own_value():
+    # circuit._compile_grid takes np.exp(1j * phases) over a stacked grid;
+    # each row equals its own toggle set's compile only if an entry's value
+    # does not depend on its position or on the array's length
+    rng = np.random.default_rng(SEED)
+    phases = rng.uniform(-10, 10, 37)
+    stacked = np.exp(1j * phases)[..., None]
+    for start, stop in ((0, 1), (3, 11), (20, 37)):
+        alone = np.exp(1j * phases[start:stop])[..., None]
+        assert stacked[start:stop].tobytes() == alone.tobytes()
+
+
+def test_tile_of_one_grid_equals_the_concatenated_grids():
+    # scenarios._scan_values gives every toggle set a copy of one grid
+    # with np.tile, where each set once had its own grid concatenated
+    for k in (1, 4, 16):
+        grid = 2 * np.pi * np.arange(k) / k
+        tiled = np.tile(grid, 3)
+        assert tiled.dtype == grid.dtype
+        assert tiled.tobytes() == np.concatenate([grid] * 3).tobytes()
+
+
+def test_complex_astype_bool_is_true_when_either_part_is_nonzero():
+    # measurement.partial_trace plans on right.astype(bool) and
+    # measurement._support keeps the kets whose rows or columns are nonzero
+    values = np.array([0j, -0.0 + 0j, 1j, 1 + 0j, 5e-324j, complex(0, -0.0)])
+    assert values.astype(bool).tolist() == [False, False, True, True, True,
+                                            False]

@@ -9,6 +9,7 @@ permutation sum for the permanent.
 import gc
 import itertools
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -24,9 +25,9 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
                    compile, evolve, is_unitary, pattern_probability,
                    permanent, phase_unitary, swap_unitary,
                    transition_amplitude, vacuum)
-from mzsim.fock import PRUNE_THRESHOLD
-from mzsim.optics import (ROW_CUTOFF, _compositions, _evolve_each,
-                          _evolve_grid, _expansion_plan, _LiveKeys)
+from mzsim.fock import PRUNE_THRESHOLD, _trusted_state
+from mzsim.optics import (ROW_CUTOFF, _compositions, _evolve_grid,
+                          _expansion_plan, _held_bytes, _LiveKeys)
 from strategies import random_unitary, superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -300,13 +301,21 @@ def test_the_grid_drops_a_ket_only_when_every_phase_prunes_it():
     assert amplitudes.shape == (2, 2)
 
 
+def grid_states(state, stack):
+    """The rows of one ``_evolve_grid`` call as K states, each slice pruned
+    on its own."""
+    occupations, amplitudes = _evolve_grid(state, stack)
+    return [_trusted_state(occupations, row, state.mode_count)
+            for row in amplitudes]
+
+
 def test_each_slice_is_pruned_on_its_own():
     # the faint reflected ket survives the stack (bright at the second
     # matrix) but not its own slice, exactly as evolve drops it
     state = basis_state((1, 0))
     faint = bs_unitary(BeamSplitterCoeffs.from_angle(1e-15), 0, 1, 2)
     bright = bs_unitary(BeamSplitterCoeffs.from_angle(0.5), 0, 1, 2)
-    dim, lit = _evolve_each(state, np.stack([faint, bright]))
+    dim, lit = grid_states(state, np.stack([faint, bright]))
     assert dim == evolve(state, faint) and len(dim) == 1
     assert lit == evolve(state, bright) and len(lit) == 2
 
@@ -336,7 +345,7 @@ def unitary_stacks(draw):
 @given(unitary_stacks())
 def test_each_slice_of_a_stack_equals_evolve(case):
     state, stack = case
-    outs = _evolve_each(state, stack)
+    outs = grid_states(state, stack)
     assert len(outs) == len(stack)
     for out, u in zip(outs, stack):
         want = evolve(state, u)
@@ -506,6 +515,17 @@ def test_the_plan_cache_counts_the_bytes_its_plans_hold(monkeypatch, seed=47):
     retained, info = retained_by_plans(states, u)
     assert (info.misses, info.currsize) == (3, 3)
     assert 0.9 * retained < info.nbytes < 1.1 * retained
+
+
+def test_the_plan_cache_counts_each_array_once_with_its_base():
+    # a slice holds the array it views, two parts sharing an array hold it
+    # once, and a tuple holds its contents
+    base = np.zeros(1000)
+    view = base[::2]
+    assert _held_bytes(view) == sys.getsizeof(view) + sys.getsizeof(base)
+    pair = (view, base)
+    assert _held_bytes(pair, view) == sum(map(sys.getsizeof,
+                                              (pair, view, base)))
 
 
 def test_the_plan_cache_keeps_within_its_byte_budget(monkeypatch, seed=47):

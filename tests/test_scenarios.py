@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
@@ -262,12 +262,14 @@ def test_classify_table1_evolves_its_input_once(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_stacked_scans_match_one_scan_per_toggle_set(data):
-    # enabling the toggled delay adds one crossing, so the two toggle sets
-    # have different K; the set () is passed twice and evolved once
-    circuit, _ = data.draw(swept_circuits())
-    first_phi = next(e.name for e in circuit.elements if e.param == "phi")
+    # a toggled splitter is on in the second set only, a toggled delay in
+    # every set or in none; the set () is passed twice and evolved once
+    circuit, enabled = data.draw(swept_circuits())
+    splitters = [e.name for e in circuit.elements if e.kind == "bs"]
+    assume(splitters)
+    toggled = data.draw(st.sampled_from(splitters))
     circuit = Circuit(circuit.mode_count, circuit.elements, circuit.detectors,
-                      frozenset([first_phi]))
+                      circuit.toggles | {toggled})
     m = circuit.mode_count
     photons = data.draw(st.integers(1, 3))
     state = data.draw(superpositions(m, photons))
@@ -275,8 +277,8 @@ def test_stacked_scans_match_one_scan_per_toggle_set(data):
     listed = data.draw(occupations(m, photons))
     pattern = DetectionPattern({f"D{k}": c for k, c in enumerate(listed) if c})
     fixed = {"psi": data.draw(st.floats(0, 2 * math.pi))}
-    scans = [((), [pattern]), ((first_phi,), [projector, pattern]),
-             ((), [projector])]
+    scans = [(enabled, [pattern]), ((*enabled, toggled), [projector, pattern]),
+             (enabled, [projector])]
     stacked = _scan_values(circuit, state, "phi", fixed, scans)
     assert [len(got) for got in stacked] == [1, 2, 1]
     for scan, got in zip(scans, stacked):
@@ -284,7 +286,29 @@ def test_stacked_scans_match_one_scan_per_toggle_set(data):
         for g, want in zip(got, alone):
             assert g.shape == want.shape
             assert np.max(np.abs(g - want)) < 1e-12
-    assert len(stacked[0][0]) != len(stacked[1][0])
+
+
+def test_a_delay_or_swap_toggled_per_row_raises():
+    # only splitters may differ between the toggle sets of one scan call;
+    # a delay or swap in every set compiles as usual
+    circuit = Circuit(2, (CircuitElement("bs", "B", (0, 1), BALANCED),
+                          CircuitElement("phase", "P", (0,), param="phi"),
+                          CircuitElement("swap", "S", (0, 1))),
+                      {"D0": 0, "D1": 1}, frozenset({"B", "P", "S"}))
+    state = basis_state((1, 1))
+    pattern = DetectionPattern({"D0": 2})
+    for name in ("P", "S"):
+        with pytest.raises(CircuitError, match="only a splitter"):
+            _compile_grid(circuit, {"phi": np.zeros(2)}, (),
+                          {name: np.array([True, False])})
+        with pytest.raises(CircuitError, match="only a splitter"):
+            _scan_values(circuit, state, "phi", {},
+                         [((), [pattern]), ((name,), [pattern])])
+    scans = [(("P", "S"), [pattern]), (("B", "P", "S"), [pattern])]
+    stacked = _scan_values(circuit, state, "phi", {}, scans)
+    for scan, got in zip(scans, stacked):
+        assert np.array_equal(got, _scan_values(circuit, state, "phi", {},
+                                                [scan])[0])
 
 
 @settings(max_examples=60, deadline=None)
