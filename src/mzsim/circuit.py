@@ -277,8 +277,9 @@ def braced(n: int, taps: Sequence[BeamSplitterCoeffs] | None = None) -> Circuit:
     whose names and modes are generated here, are built unchecked
     (:func:`_trusted_element`), and the ``Circuit`` checks the whole.
     """
-    if not 2 <= n <= 5:
-        raise ValueError(f"braced stack supports 2 <= n <= 5, got {n}")
+    if n not in range(2, 6):
+        raise ValueError(f"braced stack supports 2 <= n <= 5, got {n!r}")
+    n = int(n)
     stages = n - 1                      # tap stages, innermost first
     primed = stages - 1                 # number of primed stages
     if taps is None:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonFiniteAmplitudeError, PhotonCountError,
-                     UnknownDetectorError)
+from .errors import (DimensionMismatchError, NonFiniteAmplitudeError,
+                     PhotonCountError, UnknownDetectorError)
 from .fock import (_COUNTS, MAX_MODE_PHOTONS, PRUNE_THRESHOLD, FockState,
                    Occupation, _check_occupation, _union, inner_product)
 from .optics import _expansion_plan
@@ -117,6 +117,10 @@ def pattern_masks(patterns, detectors: Mapping[str, int],
 def pattern_probability(state: FockState, pattern: DetectionPattern,
                         detectors: Mapping[str, int]) -> float:
     """Probability that the listed detectors show exactly these counts."""
+    for name, mode in detectors.items():
+        if not 0 <= mode < state.mode_count:
+            raise DimensionMismatchError(f"detector {name!r} reads mode {mode}, "
+                                         f"state has {state.mode_count} modes")
     mask = pattern_masks([pattern], detectors, state.occupation_array,
                          state.total_photons)[0]
     return float(np.sum(np.abs(state.amplitude_array[mask]) ** 2))

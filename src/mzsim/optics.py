@@ -14,9 +14,11 @@ so sequential application of U1 then U2 composes to the single matrix
   case of ``_evolve_grid``, which expands each input ket once for a whole
   stack of K unitaries, as a scan's grid of phases needs.  The phase-free
   half of the expansion, which output ket each term adds into, is planned
-  once per structure and cached (:class:`_PlanCache`); a scan restricts
-  the plan to the kets its readouts read (``classify_table1(5)`` reads 495
-  of 2,002);
+  once per structure and cached (:class:`_PlanCache`).  A scan passes a
+  ``select`` callback that picks the kets its readouts read among every
+  reachable ket, and the plan is restricted to them (``classify_table1(5)``
+  reads 495 of 2,002); the output is always the reachable kets, or exactly
+  the selected ones, a ket pruned at every phase reading 0;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix, summed over the repeat
   counts by Glynn's formula; :func:`permanent` is Ryser's algorithm for any
@@ -87,7 +89,8 @@ class BeamSplitterCoeffs:
         t, r = complex(self.t), complex(self.r)
         energy = abs(t) ** 2 + abs(r) ** 2
         cross = r * t.conjugate() + t * r.conjugate()
-        if abs(energy - 1.0) > tol or abs(cross) > tol:
+        # written so that a NaN fails the bounds
+        if not (abs(energy - 1.0) <= tol and abs(cross) <= tol):
             raise InvalidCoefficientsError(
                 f"(t={t}, r={r}): |t|^2+|r|^2 = {energy:.12g}, "
                 f"rt*+tr* = {cross:.3g}")
@@ -256,7 +259,8 @@ class _LiveKeys:
 
 def evolve(state: FockState, unitary: np.ndarray) -> FockState:
     """Apply a mode unitary to a Fock state: the one-matrix case of
-    :func:`_evolve_grid`.
+    :func:`_evolve_grid`, its kets at or below ``PRUNE_THRESHOLD`` dropped
+    as :func:`~mzsim.fock._trusted_state` builds the state.
 
     Entries of a row at or below ``ROW_CUTOFF`` are treated as exact zeros;
     they could only shift output amplitudes by ~N * ROW_CUTOFF, far below
@@ -481,11 +485,27 @@ PLAN_CACHE_BYTES = 4 * 2 ** 20
 _expansion_plan = _PlanCache(maxsize=64, budget=PLAN_CACHE_BYTES)
 
 
-def _structure(state: FockState,
-               unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A (K x M x M) stack as a complex array, with its shape and the
-    state's photon number checked, and the (M x M) mask of the entries
-    above ``ROW_CUTOFF`` in some matrix of it: what fixes the plan."""
+def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
+
+    Every input ket is expanded once, in two passes.  The first,
+    :func:`_build_plan`, is phase-free and cached in
+    :data:`_expansion_plan`; it depends on the input's occupations and the
+    mask of the entries above ``ROW_CUTOFF`` in some matrix of the stack.
+    The second builds each ket's (K x terms) coefficient block in turn and
+    adds it into the output with one ``bincount`` over all K rows, row k's
+    index offset by 2n (n output kets), so at most one ket's block is alive
+    at a time.  Returns the output occupations, unique and in lexicographic
+    order (read-only), and a (K x kets) amplitude block whose row k is the
+    state evolved by ``unitaries[k]``.  The kets are every ket the plan can
+    reach; a ket at or below ``PRUNE_THRESHOLD`` at every k reads exactly 0.
+
+    ``select``, if given, is called once with those reachable kets, before
+    the stack's unitarity is checked, and returns a bool mask over them: the
+    work is then limited to the kets it marks (:func:`_restrict_plan`), and
+    the result is exactly their columns of the full result.
+    """
     u = np.asarray(unitaries, dtype=complex)
     m = state.mode_count
     if u.ndim != 3 or not len(u) or u.shape[1:] != (m, m):
@@ -495,54 +515,15 @@ def _structure(state: FockState,
         raise PhotonCountError(
             f"state carries {state.total_photons} photons; evolve supports "
             f"at most {MAX_PHOTONS}")
-    return u, (np.abs(u) > ROW_CUTOFF).any(axis=0)
-
-
-def _output_kets(state: FockState, unitaries: np.ndarray, *,
-                 needed: np.ndarray | None = None) -> np.ndarray:
-    """Every ket the expansion of a state through a stack can reach, read-
-    only and in lexicographic order, before any pruning: the kets a read
-    set of :func:`_evolve_grid` is a mask over.  ``needed``, the mask
-    :func:`_structure` gave for this state and stack, skips computing it
-    again."""
-    if needed is None:
-        _, needed = _structure(state, unitaries)
-    return _expansion_plan(state.occupation_array, needed)[0]
-
-
-def _evolve_grid(state: FockState, unitaries: np.ndarray,
-                 read: np.ndarray | None = None, *,
-                 needed: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
-
-    Every input ket is expanded once, in two passes.  The first,
-    :func:`_build_plan`, is phase-free and cached in
-    :data:`_expansion_plan`.  The second builds each ket's (K x terms)
-    coefficient block in turn and adds it into the output with one
-    ``bincount`` over all K rows, row k's index offset by 2n (n output
-    kets), so at most one ket's block is alive at a time.  Returns the
-    output occupations, unique and in lexicographic order (read-only), and
-    a (K x kets) amplitude block whose row k is the state evolved by
-    ``unitaries[k]``.  A ket is dropped only when it is at or below
-    ``PRUNE_THRESHOLD`` at every k.
-
-    ``read``, a bool mask over :func:`_output_kets`, limits the work to the
-    kets it marks (:func:`_restrict_plan`); the result is exactly the read
-    kets' rows of the full result, pruned alike.  ``needed`` is the mask
-    :func:`_structure` returned for ``unitaries``, which must then be the
-    stack it returned.
-    """
-    if needed is None:
-        u, needed = _structure(state, unitaries)
-    else:
-        u = unitaries
+    needed = (np.abs(u) > ROW_CUTOFF).any(axis=0)
+    read = None if select is None else select(
+        _expansion_plan(state.occupation_array, needed)[0])
     if not np.isfinite(u).all():
         raise NonUnitaryError("matrix has a NaN or infinite entry")
     # |gram - I| <= 1e-8 entry by entry, as re^2 + im^2 of a float64 view
     gram = u @ u.conj().transpose(0, 2, 1)
     deviation = gram.view(float).reshape(len(u), -1)
-    deviation[:, ::2 * state.mode_count + 2] -= 1.0     # the real diagonal
+    deviation[:, ::2 * m + 2] -= 1.0     # the real diagonal
     deviation *= deviation
     if (deviation[:, ::2] + deviation[:, 1::2]).max() > 1e-8 ** 2:
         raise NonUnitaryError("matrix is not unitary within 1e-8")
@@ -582,8 +563,7 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray,
             f"{tuple(occupations[bad].tolist())} is not finite")
     keep = (np.abs(amplitudes) > PRUNE_THRESHOLD).any(axis=0)
     if not keep.all():
-        occupations, amplitudes = occupations[keep], amplitudes[:, keep]
-        occupations.flags.writeable = False
+        amplitudes[:, ~keep] = 0
     return occupations, amplitudes
 
 
@@ -668,9 +648,11 @@ def transition_amplitude(unitary: np.ndarray, n_in: Occupation,
     |20, 0> to |10, 10> takes 20 terms, not 2^20 steps of :func:`permanent`.
     """
     u = np.asarray(unitary, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatchError(f"need a square matrix, got shape {u.shape}")
     n_in = tuple(int(x) for x in n_in)
     n_out = tuple(int(x) for x in n_out)
-    if len(n_in) != u.shape[0] or len(n_out) != u.shape[0]:
+    if len(n_in) != len(u) or len(n_out) != len(u):
         raise DimensionMismatchError("occupation length does not match the matrix")
     if sum(n_in) != sum(n_out):
         raise SectorError("input and output photon numbers differ")

@@ -39,8 +39,7 @@ from .errors import (CircuitError, DegenerateStateError,
 from .fock import (FockState, _check_occupation, _common_rows, _trusted_state,
                    basis_state, embed)
 from .measurement import DetectionPattern, pattern_masks
-from .optics import (BALANCED, _evolve_grid, _output_kets, _structure,
-                     bs_unitary, evolve)
+from .optics import BALANCED, _evolve_grid, bs_unitary, evolve
 
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
@@ -132,8 +131,10 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     may differ only in splitters (else :class:`CircuitError`), so one K
     serves them all: each distinct set gets a copy of the grid, its
     splitters toggled per row.  One expansion computes only the kets the
-    readouts read; each set's amplitudes are taken to the 2K phases
-    pi m / K and its samples there to harmonics by one DFT (:func:`_sampling`).
+    readouts read: its ``select`` marks them among every reachable ket, and
+    they come back in order, one column each.  Each set's amplitudes are
+    taken to the 2K phases pi m / K and its samples there to harmonics by
+    one DFT (:func:`_sampling`).
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
@@ -147,34 +148,34 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
                    for t in frozenset.union(*sets) - always}
     phases = dict(fixed)
     phases[swept] = np.tile(2 * math.pi * np.arange(k) / k, len(sets))
-    unitaries, needed = _structure(
-        input_state, _compile_grid(circuit, phases, always, toggle_rows))
-
-    # what the readouts read, over every reachable ket: the patterns' masks
-    # and each projector's conjugate amplitudes
-    kets = _output_kets(input_state, unitaries, needed=needed)
     readouts = [r for _, scan in scans for r in scan]
-    masks = pattern_masks([r for r in readouts if not isinstance(r, FockState)],
-                          circuit.detectors, kets, input_state.total_photons)
-    read = masks.any(axis=0)
-    overlaps = []
-    for readout in readouts:
-        if isinstance(readout, FockState):
-            if readout.mode_count != circuit.mode_count:
-                raise DimensionMismatchError(
-                    "projector and circuit have different mode counts")
-            found, rows = _common_rows(readout.occupation_array, kets)
-            overlaps.append(np.zeros(len(kets), dtype=complex))
-            overlaps[-1][rows] = readout.amplitude_array[found].conj()
-            read[rows] = True
-    occupations, values = _evolve_grid(input_state, unitaries, read,
-                                       needed=needed)
-    # the read kets that pruning kept, one per output column
-    rows = np.flatnonzero(read)
-    if len(rows) > len(occupations):
-        rows = rows[_common_rows(kets[rows], occupations)[0]]
-    weights = masks[:, rows].astype(float)
-    overlaps = iter([overlap[rows] for overlap in overlaps])
+    weights = overlaps = None
+
+    def select(kets):
+        # what the readouts read, over every reachable ket: the patterns'
+        # masks and each projector's conjugate amplitudes, then their
+        # columns on the kets any readout reads
+        nonlocal weights, overlaps
+        masks = pattern_masks(
+            [r for r in readouts if not isinstance(r, FockState)],
+            circuit.detectors, kets, input_state.total_photons)
+        read = masks.any(axis=0)
+        overlaps = []
+        for readout in readouts:
+            if isinstance(readout, FockState):
+                if readout.mode_count != circuit.mode_count:
+                    raise DimensionMismatchError(
+                        "projector and circuit have different mode counts")
+                found, rows = _common_rows(readout.occupation_array, kets)
+                overlaps.append(np.zeros(len(kets), dtype=complex))
+                overlaps[-1][rows] = readout.amplitude_array[found].conj()
+                read[rows] = True
+        weights = masks[:, read].astype(float)
+        overlaps = iter([overlap[read] for overlap in overlaps])
+        return read
+
+    _, values = _evolve_grid(
+        input_state, _compile_grid(circuit, phases, always, toggle_rows), select)
 
     interpolate, dft = _sampling(k)
     blocks = {}
@@ -364,8 +365,9 @@ def classify_table1(n: int) -> list[ScenarioReport]:
     effect survives only in full-order exclusive coincidences; all the
     scans come from one evolve of the input.
     """
-    if not 3 <= n <= 5:
-        raise ValueError("supported photon numbers are 3 to 5")
+    if n not in range(3, 6):
+        raise ValueError(f"supported photon numbers are 3 to 5, got {n!r}")
+    n = int(n)
     circuit = braced(n)
     state = embed(engineered_input(noon_target(n)), circuit.mode_count, (0, 1))
     primes = ["p" * k for k in range(n - 2, 0, -1)]

@@ -46,6 +46,18 @@ def test_element_kind_validation():
         CircuitElement("bs", "B", (0, 1), BeamSplitterCoeffs(0.9, 0.1j))
 
 
+@pytest.mark.parametrize("coeffs", [BeamSplitterCoeffs(math.nan, BALANCED.r),
+                                    BeamSplitterCoeffs(BALANCED.t, math.nan),
+                                    BeamSplitterCoeffs(math.nan, math.nan)])
+def test_nan_coefficients_are_rejected(coeffs):
+    with pytest.raises(InvalidCoefficientsError):
+        coeffs.validate()
+    with pytest.raises(InvalidCoefficientsError):
+        CircuitElement("bs", "B", (0, 1), coeffs)
+    with pytest.raises(InvalidCoefficientsError):
+        braced(3, [coeffs] * 2)
+
+
 @pytest.mark.parametrize("name", ["a#b", "a b", "a\tb", "a\u2028b", "", 7])
 def test_names_that_cannot_be_one_mzc_token_are_rejected(name):
     with pytest.raises(CircuitError):
@@ -129,6 +141,14 @@ def test_braced_scaling():
         braced(6)
     with pytest.raises(ValueError):
         braced(3, [BALANCED])                               # needs two tap pairs
+
+
+def test_braced_reads_its_photon_number_as_a_count():
+    # a whole float is a count, as in an occupation; 2.5 and "3" are not
+    assert braced(3.0) == braced(3)
+    for n in (2.5, "3"):
+        with pytest.raises(ValueError):
+            braced(n)
 
 
 def test_braced_3_equals_fig3():

@@ -73,6 +73,16 @@ def test_pattern_resolve_validates_names():
     assert DetectionPattern({"Db": 2}).resolve(DETECTORS) == {1: 2}
 
 
+def test_a_detector_beyond_the_state_is_a_dimension_mismatch():
+    # a detector on mode 2 cannot read a two-mode state: the error names it
+    detectors = {"Da": 0, "Db": 1, "Dc": 2}
+    for exclusive in (True, False):
+        with pytest.raises(DimensionMismatchError, match="'Dc' .* 2 modes"):
+            pattern_probability(basis_state((1, 0)),
+                                DetectionPattern({"Da": 1}, exclusive),
+                                detectors)
+
+
 def test_exclusive_pattern_requires_silent_other_detectors():
     state = three_mode_state()
     p_strict = DetectionPattern({"Da": 1})

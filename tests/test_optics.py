@@ -277,7 +277,7 @@ def test_swap_relabels_occupations():
     assert out[(1, 0, 2)] == 1.0
 
 
-def test_the_grid_drops_a_ket_only_when_every_phase_prunes_it():
+def test_the_grid_zeroes_a_ket_only_when_every_phase_prunes_it():
     # at the first grid phase the reflected ket sits below the prune
     # threshold, at the second it is bright: it stays, with both amplitudes
     state = basis_state((1, 0))
@@ -290,15 +290,18 @@ def test_the_grid_drops_a_ket_only_when_every_phase_prunes_it():
     out = evolve(state, bright)
     assert np.allclose(amplitudes[1], [out[(0, 1)], out[(1, 0)]],
                        rtol=0, atol=1e-15)
-    # below the threshold at every grid phase: dropped.  Both photons
-    # reflecting gives r^2 <= 4e-16, although each row entry r is expanded
+    # below the threshold at every grid phase: kept, and exactly 0; evolve
+    # drops it.  Both photons reflecting gives r^2 <= 4e-16, although each
+    # row entry r is expanded
     pair = basis_state((2, 0))
     dim = [bs_unitary(BeamSplitterCoeffs.from_angle(a), 0, 1, 2)
            for a in (1e-8, 2e-8)]
     assert 1e-8 > ROW_CUTOFF and (2e-8) ** 2 < PRUNE_THRESHOLD
     kets, amplitudes = _evolve_grid(pair, np.stack(dim))
-    assert kets.tolist() == [[1, 1], [2, 0]]
-    assert amplitudes.shape == (2, 2)
+    assert kets.tolist() == [[0, 2], [1, 1], [2, 0]]
+    assert amplitudes.shape == (2, 3)
+    assert np.array_equal(amplitudes[:, 0], np.zeros(2))
+    assert all((0, 2) not in evolve(pair, u) for u in dim)
 
 
 def grid_states(state, stack):
@@ -621,6 +624,10 @@ def test_transition_amplitude_validates_inputs():
         transition_amplitude(np.eye(2), (21, 0), (21, 0))
     with pytest.raises(PhotonCountError):
         transition_amplitude(np.eye(2), (11, 10), (0, 21))
+    # only a square 2-D matrix: no row of a wide one, no 1-D vector
+    for shape in ((2, 3), (3, 2), (2,)):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            transition_amplitude(np.ones(shape), (1, 0), (1, 0))
 
 
 def test_transition_amplitude_agrees_with_evolution(seed=17):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
                    CircuitError,
                    DegenerateStateError, DetectionPattern, DimensionMismatchError, FockState,
-                   FringeScan, PhotonCountError,
-                   UnclassifiableScanError, basis_state, bs_unitary,
+                   FringeScan, NonUnitaryError, PhotonCountError,
+                   UnclassifiableScanError, UnknownDetectorError, basis_state, bs_unitary,
                    classify_table1, compile, delayed_choice_variant, embed,
                    engineered_input, evolve, inner_product, noon_target,
                    one_photon_each_input, pattern_probability, preset,
@@ -23,7 +23,7 @@ from mzsim import scenarios
 from mzsim.circuit import PRESET_NAMES, _compile_grid, preset_fig2
 from mzsim.fock import _common_rows
 from mzsim.measurement import pattern_masks
-from mzsim.optics import _evolve_grid, _expansion_plan, _output_kets
+from mzsim.optics import _evolve_grid, _expansion_plan
 from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
 from strategies import (occupations, random_unitary, superpositions,
                         swept_circuits)
@@ -504,27 +504,52 @@ def test_a_scan_reading_few_kets_gives_the_full_evolve_harmonics(data):
 
 def test_evolving_a_read_set_gives_the_read_rows_of_the_full_evolve(seed=53):
     # |1,1> into a balanced splitter leaves no |1,1>, so one read ket is
-    # pruned at every grid phase, as the full evolve prunes it
+    # pruned at every grid phase, and reads 0 as in the full evolve
     rng = np.random.default_rng(seed)
     hom = FockState({(1, 1, 0): 1.0})
     splitter = bs_unitary(BALANCED, 0, 1, 3)
     states = [(hom, np.stack([splitter, splitter])),
               (FockState({(2, 1, 0, 0): 0.6, (0, 1, 1, 1): 0.8j}),
                np.stack([random_unitary(rng, 4) for _ in range(3)]))]
-    hom_kets = _output_kets(*states[0]).tolist()
-    assert [1, 1, 0] in hom_kets
-    assert [1, 1, 0] not in _evolve_grid(*states[0])[0].tolist()
+    hom_kets, hom_values = _evolve_grid(*states[0])
+    dark = hom_kets.tolist().index([1, 1, 0])
+    assert np.array_equal(hom_values[:, dark], np.zeros(2))
     for state, stack in states:
-        kets = _output_kets(state, stack)
         full_kets, full = _evolve_grid(state, stack)
-        for read in (np.ones(len(kets), dtype=bool),
-                     np.zeros(len(kets), dtype=bool),
-                     rng.random(len(kets)) < 0.5):
-            got_kets, got = _evolve_grid(state, stack, read)
-            rows = _common_rows(kets[read], full_kets)[1]
-            assert np.array_equal(got_kets, full_kets[rows])
-            assert np.array_equal(got, full[:, rows])
+        for read in (np.ones(len(full_kets), dtype=bool),
+                     np.zeros(len(full_kets), dtype=bool),
+                     rng.random(len(full_kets)) < 0.5):
+            got_kets, got = _evolve_grid(state, stack, lambda kets: read)
+            assert np.array_equal(got_kets, full_kets[read])
+            assert np.array_equal(got, full[:, read])
             assert not (got_kets.flags.writeable or full_kets.flags.writeable)
+
+
+def test_select_runs_once_and_sees_every_reachable_ket(seed=54):
+    # select sees the kets of the full evolve, read-only and in
+    # lexicographic order: every ket some phase reaches, and the |1,1> that
+    # interference empties at every phase
+    rng = np.random.default_rng(seed)
+    splitter = bs_unitary(BALANCED, 0, 1, 3)
+    cases = [(FockState({(1, 1, 0): 1.0}), np.stack([splitter, splitter])),
+             (FockState({(2, 1, 0, 0): 0.6, (0, 1, 1, 1): 0.8j}),
+              np.stack([random_unitary(rng, 4) for _ in range(3)]))]
+    for state, stack in cases:
+        seen = []
+
+        def select(kets):
+            seen.append(kets)
+            return np.ones(len(kets), dtype=bool)
+
+        _evolve_grid(state, stack, select)
+        (kets,) = seen
+        assert not kets.flags.writeable
+        assert kets.tolist() == sorted(kets.tolist())
+        assert np.array_equal(kets, _evolve_grid(state, stack)[0])
+        reached = {ket for u in stack for ket in evolve(state, u).occupations()}
+        assert reached <= set(map(tuple, kets.tolist()))
+        if len(state) == 1:
+            assert (1, 1, 0) in set(map(tuple, kets.tolist())) - reached
 
 
 def test_a_scan_whose_read_ket_is_pruned_reads_it_as_zero():
@@ -543,6 +568,20 @@ def test_a_scan_whose_read_ket_is_pruned_reads_it_as_zero():
     assert np.array_equal(harmonics[0], np.zeros(3))
     assert np.max(np.abs(harmonics - want)) < 1e-15
     assert abs(harmonics[1, 0] - 0.5) < 1e-15
+
+
+def test_a_non_unitary_scan_reports_its_unknown_detector_first():
+    # the readouts are checked before the stack's unitarity: the pattern's
+    # error wins over the splitter rounded to 7 digits (2.5e-7 from unitary)
+    rounded = BeamSplitterCoeffs(0.7071067, 0.7071067j)
+    circuit = Circuit(2, (CircuitElement("phase", "P", (0,), param="phi"),
+                          CircuitElement("bs", "B", (0, 1), rounded)),
+                      {"Da": 0, "Db": 1})
+    state = basis_state((1, 1))
+    with pytest.raises(NonUnitaryError):
+        run_scan(circuit, (), state, DetectionPattern({"Da": 1}), "phi", {})
+    with pytest.raises(UnknownDetectorError):
+        run_scan(circuit, (), state, DetectionPattern({"Dx": 1}), "phi", {})
 
 
 def test_an_empty_read_set_gives_zero_harmonics():
@@ -726,6 +765,12 @@ def test_classify_table1_validation():
         classify_table1(2)
     with pytest.raises(ValueError):
         classify_table1(6)
+    # a whole float is a count, as in an occupation; 2.5 and "3" are not
+    assert ([r.to_json() for r in classify_table1(4.0)]
+            == [r.to_json() for r in classify_table1(4)])
+    for n in (2.5, "3"):
+        with pytest.raises(ValueError):
+            classify_table1(n)
 
 
 def test_classify_table1_structure_for_three_photons():
