@@ -8,9 +8,8 @@ in ``toggles`` may be removed at compile time: a disabled toggle compiles to
 the identity, which models physically taking the splitter out of the beam.
 
 Compiling walks the elements once and updates the columns of the product in
-place; one pass can compile a circuit at K phase sets at once, as a
-(K x M x M) stack (``_compile_grid``), which is how a scan compiles its
-grid of phases.
+place; ``_compile_grid`` does so at a grid of phases at once, as a
+(K x M x M) stack, which is how a scan compiles its grid of phases.
 
 Preset layouts
 --------------
@@ -166,44 +165,38 @@ def compile(circuit: Circuit, phases: Mapping[str, float],
 
     It equals the ordered product of the elements' ``bs_unitary``,
     ``phase_unitary`` and ``swap_unitary`` matrices; it is built by column
-    updates, as the one-phase case of :func:`_compile_grid`.
+    updates, as the one-phase case of :func:`_compile_grid`.  A phase
+    value that is not a scalar raises :class:`DimensionMismatchError`.
     """
+    arrays = [p for p, v in phases.items() if np.ndim(v)]
+    if arrays:
+        raise DimensionMismatchError(f"compile takes one value per phase; "
+                                     f"{arrays} hold arrays")
     return _compile_grid(circuit, phases, enabled_toggles)[0]
 
 
 def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
-                  enabled_toggles: Iterable[str] = (),
-                  toggle_rows: Mapping[str, np.ndarray] | None = None
-                  ) -> np.ndarray:
+                  enabled_toggles: Iterable[str] = ()) -> np.ndarray:
     """Mode unitaries at K phase sets at once, as a (K x M x M) stack.
 
-    A phase value is a float or a length-K array, every array of one
-    length; slice k of the result is :func:`compile` at the k-th entry of
-    every array.  The elements (:meth:`Circuit.enabled`) update the columns
-    of K identities once each; each column is one contiguous (K x M) block,
-    and a swap only relabels where its columns are stored.
-
-    ``toggle_rows`` maps toggled splitters to length-K bool arrays: such a
-    splitter acts only on the rows its array marks, and ``np.where`` keeps
-    its columns unchanged on the others, so each row equals its own toggle
-    set's compile bit for bit.  A delay or a swap toggled per row raises
-    :class:`CircuitError`.
+    A phase value is a real number or a length-K array of them, every
+    array of one length; slice k of the result is :func:`compile` at the
+    k-th entry of every array.  The elements (:meth:`Circuit.enabled`)
+    update the columns of K identities once each; each column is one
+    contiguous (K x M) block, and a swap only relabels where its columns
+    are stored.
     """
-    elements = circuit.enabled([*enabled_toggles, *(toggle_rows or ())])
-    rows = {}
-    for name, on in (toggle_rows or {}).items():
-        kind = circuit.element(name).kind
-        if kind != "bs":
-            raise CircuitError(f"only a splitter can be toggled per row; "
-                               f"{name} is a {kind}")
-        rows[name] = np.asarray(on, dtype=bool)[:, None]
+    elements = circuit.enabled(enabled_toggles)
     parameters = circuit.parameters
     missing = [p for p in parameters if p not in phases]
     if missing:
         raise MissingPhaseError(f"missing phase parameters {missing}")
     factors, shapes = {}, {}
     for p in parameters:
-        values = np.asarray(phases[p], dtype=float)
+        values = np.asarray(phases[p])
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"phase {p} is not a real number")
+        values = values.astype(float, copy=False)
         if not np.isfinite(values).all():
             raise ValueError(f"phase {p} is not finite")
         if values.ndim:
@@ -226,18 +219,9 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
             t, r = e.coeffs.t, e.coeffs.r
             col_a, col_b = cols[stored[e.modes[0]]], cols[stored[e.modes[1]]]
             mixed = t * col_a + r * col_b
-            on = rows.get(e.name)
-            if on is None:
-                col_b *= t
-                col_b += r * col_a
-                col_a[...] = mixed
-            else:
-                # the unmasked branch's operations in its order, so a marked
-                # row matches its own set's compile bit for bit
-                turned = col_b * t
-                turned += r * col_a
-                col_b[...] = np.where(on, turned, col_b)
-                col_a[...] = np.where(on, mixed, col_a)
+            col_b *= t
+            col_b += r * col_a
+            col_a[...] = mixed
         elif e.kind == "phase":
             col = cols[stored[e.modes[0]]]
             col *= factors[e.param]

@@ -42,7 +42,8 @@ import numpy as np
 from .errors import (DimensionMismatchError, InvalidCoefficientsError,
                      NonFiniteAmplitudeError, NonUnitaryError,
                      PhotonCountError, SectorError)
-from .fock import PRUNE_THRESHOLD, FockState, Occupation, _trusted_state
+from .fock import (PRUNE_THRESHOLD, FockState, Occupation,
+                   _check_occupation, _trusted_state)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -574,9 +575,9 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
 def permanent(matrix: np.ndarray) -> complex:
     """Permanent by Ryser's inclusion-exclusion formula with Gray-code updates."""
     a = np.asarray(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("permanent needs a square matrix")
+    n = len(a)
     if n == 0:
         return 1.0 + 0j
     row_sums = np.zeros(n, dtype=complex)
@@ -650,10 +651,8 @@ def transition_amplitude(unitary: np.ndarray, n_in: Occupation,
     u = np.asarray(unitary, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatchError(f"need a square matrix, got shape {u.shape}")
-    n_in = tuple(int(x) for x in n_in)
-    n_out = tuple(int(x) for x in n_out)
-    if len(n_in) != len(u) or len(n_out) != len(u):
-        raise DimensionMismatchError("occupation length does not match the matrix")
+    n_in = _check_occupation(n_in, len(u))
+    n_out = _check_occupation(n_out, len(u))
     if sum(n_in) != sum(n_out):
         raise SectorError("input and output photon numbers differ")
     if sum(n_in) > MAX_PHOTONS:

@@ -6,10 +6,11 @@ of enabled phase elements carrying the parameter, so every output amplitude
 of an N-photon input has degree at most N*c.  The scan engine therefore
 compiles the circuit at K = N*c + 1 equally spaced phases in one pass and
 evolves the input through all K unitaries in one batched expansion; those
-K values fix psi(phi) = sum_{j < K} e^{i j phi} psi_j exactly.  Scans
-that differ only in their toggled splitters share that compile and that
-expansion, so :func:`classify_table1` evolves its input once for all of
-its configurations.  A readout's probability is the finite Fourier series
+K values fix psi(phi) = sum_{j < K} e^{i j phi} psi_j exactly.  The
+scans of one call share that expansion: each toggle set is compiled on its
+own and their grids are evolved as one stack, so :func:`classify_table1`
+evolves its input once for all of its configurations.  A readout's
+probability is the finite Fourier series
 
     P(phi) = h_0 + 2 Re sum_{0 < f < K} h_f e^{i f phi},
 
@@ -127,27 +128,25 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     as one (readouts x K) array per scan.
 
     ``scans`` holds ``(toggles, readouts)`` pairs of one circuit and input;
-    a readout is a detection pattern or a projector state.  The toggle sets
-    may differ only in splitters (else :class:`CircuitError`), so one K
-    serves them all: each distinct set gets a copy of the grid, its
-    splitters toggled per row.  One expansion computes only the kets the
-    readouts read: its ``select`` marks them among every reachable ket, and
-    they come back in order, one column each.  Each set's amplitudes are
-    taken to the 2K phases pi m / K and its samples there to harmonics by
-    one DFT (:func:`_sampling`).
+    a readout is a detection pattern or a projector state.  Each distinct
+    toggle set is compiled on its own at one grid of K phases, K - 1 being
+    N times the most delays any set has on ``swept``, and one expansion
+    evolves the stacked grids.  It computes only the kets the readouts
+    read: its ``select`` marks them among every reachable ket, and they
+    come back in order, one column each.  Each set's amplitudes are taken
+    to the 2K phases pi m / K and its samples there to harmonics by one
+    DFT (:func:`_sampling`).
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
                            f"parameters are {list(circuit.parameters)}")
     sets = list(dict.fromkeys(frozenset(toggles) for toggles, _ in scans))
-    always = frozenset.intersection(*sets)
-    crossings = sum(1 for e in circuit.enabled(always)
-                    if e.kind == "phase" and e.param == swept)
+    crossings = max(sum(1 for e in circuit.enabled(enabled)
+                        if e.kind == "phase" and e.param == swept)
+                    for enabled in sets)
     k = input_state.total_photons * crossings + 1
-    toggle_rows = {t: np.repeat([t in enabled for enabled in sets], k)
-                   for t in frozenset.union(*sets) - always}
     phases = dict(fixed)
-    phases[swept] = np.tile(2 * math.pi * np.arange(k) / k, len(sets))
+    phases[swept] = 2 * math.pi * np.arange(k) / k
     readouts = [r for _, scan in scans for r in scan]
     weights = overlaps = None
 
@@ -174,8 +173,8 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
         overlaps = iter([overlap[read] for overlap in overlaps])
         return read
 
-    _, values = _evolve_grid(
-        input_state, _compile_grid(circuit, phases, always, toggle_rows), select)
+    _, values = _evolve_grid(input_state, np.concatenate(
+        [_compile_grid(circuit, phases, enabled) for enabled in sets]), select)
 
     interpolate, dft = _sampling(k)
     blocks = {}
@@ -305,9 +304,9 @@ def noon_target(n: int) -> FockState:
     :func:`~mzsim.fock._trusted_state`; an n that is not a whole number in
     1..255 raises as :class:`~mzsim.fock.FockState` would.
     """
+    n = _check_occupation((n, 0), 2)[0]
     if n < 1:
         raise ValueError("need at least one photon")
-    n = _check_occupation((n, 0), 2)[0]
     return _trusted_state(np.array([[0, n], [n, 0]], dtype=np.uint8),
                           np.full(2, 1 / math.sqrt(2), dtype=complex), 2)
 

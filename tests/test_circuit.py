@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
-                   CircuitError, CircuitParseError, InvalidCoefficientsError,
+                   CircuitError, CircuitParseError, DimensionMismatchError,
+                   InvalidCoefficientsError,
                    MissingPhaseError, PRESET_NAMES, braced, compile, evolve,
                    is_unitary, load_preset_file, parse_circuit, preset,
                    preset_fig1, preset_fig2, preset_fig3, serialize,
@@ -229,6 +230,25 @@ def test_compile_rejects_unknown_toggles_and_missing_phases():
         compile(c, {"phi_C": 0.0})
 
 
+def test_compile_takes_one_real_number_per_phase():
+    # an array is not dropped after its first entry, and a string or a
+    # complex number is not read as a phase
+    c = preset("fig2")
+    for value in ([0.1, 0.2], np.array([0.1]), [[0.1]]):
+        with pytest.raises(DimensionMismatchError, match="one value per phase"):
+            compile(c, {"phi_C": value, "phi_B": 0, "phi_S": 0})
+    for value in ("1", 1j, np.array([1 + 0j, 2]), None):
+        with pytest.raises(ValueError, match="phase phi_C is not a real"):
+            _compile_grid(c, {"phi_C": value, "phi_B": 0, "phi_S": 0})
+    with pytest.raises(ValueError, match="phase phi_B is not a real"):
+        compile(c, {"phi_C": 0, "phi_B": "1", "phi_S": 0})
+    # bools, signed and unsigned integers and floats are real numbers
+    want = compile(c, {"phi_C": 1.0, "phi_B": 0.0, "phi_S": 0.0})
+    for value in (True, np.uint8(1), np.int64(1), np.float32(1)):
+        got = compile(c, {"phi_C": value, "phi_B": 0, "phi_S": False})
+        assert np.array_equal(got, want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_compile_is_the_ordered_product_of_element_matrices(data):
@@ -261,49 +281,6 @@ def test_compile_is_the_ordered_product_of_element_matrices(data):
         u = compile(circuit, phases, enabled)
         assert np.max(np.abs(u - product)) < 1e-14
         assert np.max(np.abs(stack[step] - u)) < 1e-15
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_a_row_toggled_compile_equals_each_toggle_set_compiled_alone(data):
-    # any element may be a toggle, but only splitters differ between the
-    # sets: a toggled delay or swap is in every set or in none.  Each block
-    # is one toggle set at its own number K of phases, and the one-pass
-    # compile's rows of a block are that set's own compile bit for bit
-    circuit, _ = data.draw(swept_circuits())
-    splitters = [e.name for e in circuit.elements if e.kind == "bs"]
-    others = [e.name for e in circuit.elements if e.kind != "bs"]
-    assume(splitters)
-    per_row = data.draw(st.lists(st.sampled_from(splitters), min_size=1,
-                                 unique=True))
-    fixed = data.draw(st.lists(st.sampled_from(others), unique=True))
-    on = frozenset(t for t in fixed if data.draw(st.booleans()))
-    circuit = Circuit(circuit.mode_count, circuit.elements, circuit.detectors,
-                      frozenset(per_row + fixed))
-    sets = [on | s for s in data.draw(st.lists(
-        st.frozensets(st.sampled_from(per_row)), min_size=2, max_size=4))]
-    ks = data.draw(st.lists(st.integers(1, 5), min_size=len(sets),
-                            max_size=len(sets), unique=True))
-    angle = st.floats(-10, 10)
-    grids = [np.array(data.draw(st.lists(angle, min_size=k, max_size=k)))
-             for k in ks]
-    phases = {"phi": np.concatenate(grids)}
-    if "psi" in circuit.parameters:
-        phases["psi"] = (data.draw(angle) if data.draw(st.booleans()) else
-                         np.array(data.draw(st.lists(angle, min_size=sum(ks),
-                                                     max_size=sum(ks)))))
-    always = frozenset.intersection(*sets)
-    toggle_rows = {t: np.repeat([t in s for s in sets], ks)
-                   for t in frozenset.union(*sets) - always}
-    stacked = _compile_grid(circuit, phases, always, toggle_rows)
-    assert stacked.shape == (sum(ks), circuit.mode_count, circuit.mode_count)
-    start = 0
-    for enabled, k in zip(sets, ks):
-        rows = slice(start, start + k)
-        alone = _compile_grid(circuit, {p: v if np.ndim(v) == 0 else v[rows]
-                                        for p, v in phases.items()}, enabled)
-        assert np.array_equal(stacked[rows], alone)
-        start += k
 
 
 def test_compiled_network_conserves_photons(seed=23):

@@ -2,9 +2,8 @@
 
 Several results are called bit-identical across routes: a restricted
 expansion plan against the full one, a cached plan against a cold one, a
-one-pass compile of several toggle sets against one compile per set, one
-raveled ``bincount`` over K grid rows against K calls, and a scan call's
-stacked grid against the grids it stacks.  numpy documents some of
+grid compile's rows against a compile at each phase, and one raveled
+``bincount`` over K grid rows against K calls.  numpy documents some of
 the behaviours below and merely exhibits others; each test states which
 guarantee it checks and names the code that relies on it, so a numpy that
 breaks one fails here rather than deep inside a scan.
@@ -144,39 +143,16 @@ def test_one_raveled_bincount_equals_a_bincount_per_row():
     assert raveled.tobytes() == per_row.tobytes()
 
 
-def test_where_selects_entries_unchanged():
-    # circuit._compile_grid keeps a per-row toggled splitter's columns with
-    # np.where: a row off must hold exactly its old entries, a row on
-    # exactly the updated ones
-    rng = np.random.default_rng(SEED)
-    old, new = random_complex(rng, 6, 4), random_complex(rng, 6, 4)
-    on = np.array([True, False, False, True, True, False])[:, None]
-    picked = np.where(on, new, old)
-    for row, flag in enumerate(on[:, 0]):
-        want = new[row] if flag else old[row]
-        assert picked[row].tobytes() == want.tobytes()
-
-
 def test_complex_exp_gives_each_entry_its_own_value():
-    # circuit._compile_grid takes np.exp(1j * phases) over a stacked grid;
-    # each row equals its own toggle set's compile only if an entry's value
-    # does not depend on its position or on the array's length
+    # circuit._compile_grid takes np.exp(1j * phases) over a grid; each row
+    # equals compile at that row's phase only if an entry's value does not
+    # depend on its position or on the array's length
     rng = np.random.default_rng(SEED)
     phases = rng.uniform(-10, 10, 37)
     stacked = np.exp(1j * phases)[..., None]
     for start, stop in ((0, 1), (3, 11), (20, 37)):
         alone = np.exp(1j * phases[start:stop])[..., None]
         assert stacked[start:stop].tobytes() == alone.tobytes()
-
-
-def test_tile_of_one_grid_equals_the_concatenated_grids():
-    # scenarios._scan_values gives every toggle set a copy of one grid
-    # with np.tile, where each set once had its own grid concatenated
-    for k in (1, 4, 16):
-        grid = 2 * np.pi * np.arange(k) / k
-        tiled = np.tile(grid, 3)
-        assert tiled.dtype == grid.dtype
-        assert tiled.tobytes() == np.concatenate([grid] * 3).tobytes()
 
 
 def test_complex_astype_bool_is_true_when_either_part_is_nonzero():

@@ -571,8 +571,10 @@ def test_permanent_small_cases():
     assert abs(permanent(np.array([[2.5]])) - 2.5) < 1e-15
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert abs(permanent(a) - 10.0) < 1e-12
-    with pytest.raises(ValueError):
-        permanent(np.ones((2, 3)))
+    # only a square 2-D matrix, with the same error for every other shape
+    for matrix in (np.ones((2, 3)), np.array(5.0), np.ones(1), np.ones((1, 1, 1))):
+        with pytest.raises(ValueError, match="permanent needs a square matrix"):
+            permanent(matrix)
 
 
 def test_permanent_matches_permutation_sum(seed=13):
@@ -628,6 +630,16 @@ def test_transition_amplitude_validates_inputs():
     for shape in ((2, 3), (3, 2), (2,)):
         with pytest.raises(DimensionMismatchError, match="square"):
             transition_amplitude(np.ones(shape), (1, 0), (1, 0))
+    # counts are read as FockState reads them: a count that is not a whole
+    # number in 0..255 raises, and is never truncated to one that is
+    u = bs_unitary(BALANCED, 0, 1, 2)
+    for bad in ((1.5, 0), (-1, 2), ("1", 0), (256, 0)):
+        with pytest.raises(PhotonCountError, match="not a whole number"):
+            transition_amplitude(u, bad, (1, 0))
+        with pytest.raises(PhotonCountError, match="not a whole number"):
+            transition_amplitude(u, (1, 0), bad)
+    assert transition_amplitude(u, (1.0, 0), (np.int64(1), 0)) == \
+        transition_amplitude(u, (1, 0), (1, 0))
 
 
 def test_transition_amplitude_agrees_with_evolution(seed=17):

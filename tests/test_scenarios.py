@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
@@ -234,15 +234,14 @@ def test_a_scan_evolves_once_per_harmonic(monkeypatch):
 
 
 def test_classify_table1_evolves_its_input_once(monkeypatch):
-    # three configurations over two distinct toggle sets: one compile for
-    # both sets, BS2 on only in the first block's rows, and one batched
-    # evolve over that stack
+    # three configurations over two distinct toggle sets: one plain compile
+    # per set, in the order the sets first appear, and one batched evolve
+    # over the two grids stacked
     compiled, stacks = [], []
 
-    def counting_compile_grid(circuit, phases, toggles=(), toggle_rows=None):
-        compiled.append((frozenset(toggles), len(phases["phi_B"]),
-                         {t: rows.tolist() for t, rows in toggle_rows.items()}))
-        return _compile_grid(circuit, phases, toggles, toggle_rows)
+    def counting_compile_grid(circuit, phases, toggles=()):
+        compiled.append((frozenset(toggles), len(phases["phi_B"])))
+        return _compile_grid(circuit, phases, toggles)
 
     def counting_evolve_grid(state, unitaries, *args, **kwargs):
         stacks.append(np.shape(unitaries))
@@ -253,21 +252,23 @@ def test_classify_table1_evolves_its_input_once(monkeypatch):
     reports = classify_table1(3)
     toggles = {frozenset(r.toggles) for r in reports}
     assert toggles == {frozenset({"BS2", "BS2p"}), frozenset({"BS2p"})}
-    # K = 3 photons x 1 crossing + 1 per block
-    assert compiled == [(frozenset({"BS2p"}), 8,
-                         {"BS2": [True] * 4 + [False] * 4})]
+    # K = 3 photons x 1 crossing + 1 per set
+    assert compiled == [(frozenset({"BS2", "BS2p"}), 4),
+                        (frozenset({"BS2p"}), 4)]
     assert stacks == [(8, 18, 18)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_stacked_scans_match_one_scan_per_toggle_set(data):
-    # a toggled splitter is on in the second set only, a toggled delay in
-    # every set or in none; the set () is passed twice and evolved once
+    # any element may be toggled, and is on in the second set only: a
+    # splitter, a swap or a delay, the swept one included, so the sets may
+    # cross "phi" a different number of times.  The set () is passed twice
+    # and evolved once.  A stacked scan's K can exceed a set's own, so the
+    # probabilities are compared at sample phases, not the raw harmonics
     circuit, enabled = data.draw(swept_circuits())
-    splitters = [e.name for e in circuit.elements if e.kind == "bs"]
-    assume(splitters)
-    toggled = data.draw(st.sampled_from(splitters))
+    toggled = data.draw(st.sampled_from(
+        [e.name for e in circuit.elements if e.name not in enabled]))
     circuit = Circuit(circuit.mode_count, circuit.elements, circuit.detectors,
                       circuit.toggles | {toggled})
     m = circuit.mode_count
@@ -277,38 +278,48 @@ def test_stacked_scans_match_one_scan_per_toggle_set(data):
     listed = data.draw(occupations(m, photons))
     pattern = DetectionPattern({f"D{k}": c for k, c in enumerate(listed) if c})
     fixed = {"psi": data.draw(st.floats(0, 2 * math.pi))}
+    phis = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=1,
+                                       max_size=4)))
     scans = [(enabled, [pattern]), ((*enabled, toggled), [projector, pattern]),
              (enabled, [projector])]
     stacked = _scan_values(circuit, state, "phi", fixed, scans)
     assert [len(got) for got in stacked] == [1, 2, 1]
+    assert len({got.shape[1] for got in stacked}) == 1
     for scan, got in zip(scans, stacked):
         (alone,) = _scan_values(circuit, state, "phi", fixed, [scan])
-        for g, want in zip(got, alone):
-            assert g.shape == want.shape
-            assert np.max(np.abs(g - want)) < 1e-12
+        assert got.shape[1] >= alone.shape[1]
+        assert np.max(np.abs(_probabilities(got, phis)
+                             - _probabilities(alone, phis))) < 1e-12
 
 
-def test_a_delay_or_swap_toggled_per_row_raises():
-    # only splitters may differ between the toggle sets of one scan call;
-    # a delay or swap in every set compiles as usual
+def test_sets_that_differ_in_a_delay_or_a_swap_scan_as_each_set_alone():
+    # toggle sets of one call may differ in any element: the delay P adds a
+    # crossing of phi, so K is set by the set that holds it, and the swap S
+    # exchanges the modes the pattern reads.  Each set's probabilities are
+    # its own scan's
     circuit = Circuit(2, (CircuitElement("bs", "B", (0, 1), BALANCED),
                           CircuitElement("phase", "P", (0,), param="phi"),
+                          CircuitElement("phase", "Q", (0,), param="phi"),
+                          CircuitElement("bs", "C", (0, 1), BALANCED),
                           CircuitElement("swap", "S", (0, 1))),
                       {"D0": 0, "D1": 1}, frozenset({"B", "P", "S"}))
     state = basis_state((1, 1))
     pattern = DetectionPattern({"D0": 2})
-    for name in ("P", "S"):
-        with pytest.raises(CircuitError, match="only a splitter"):
-            _compile_grid(circuit, {"phi": np.zeros(2)}, (),
-                          {name: np.array([True, False])})
-        with pytest.raises(CircuitError, match="only a splitter"):
-            _scan_values(circuit, state, "phi", {},
-                         [((), [pattern]), ((name,), [pattern])])
-    scans = [(("P", "S"), [pattern]), (("B", "P", "S"), [pattern])]
+    phis = np.linspace(0, 4 * math.pi, 9)
+    scans = [(("B",), [pattern]), (("B", "P"), [pattern]),
+             (("B", "S"), [pattern]), ((), [pattern])]
     stacked = _scan_values(circuit, state, "phi", {}, scans)
+    # K = 2 photons x 2 crossings (P and Q, in the set with P) + 1, shared
+    assert [got.shape for got in stacked] == [(1, 5)] * 4
+    fits = []
     for scan, got in zip(scans, stacked):
-        assert np.array_equal(got, _scan_values(circuit, state, "phi", {},
-                                                [scan])[0])
+        (alone,) = _scan_values(circuit, state, "phi", {}, [scan])
+        assert np.max(np.abs(_probabilities(got, phis)
+                             - _probabilities(alone, phis))) < 1e-14
+        (fit,) = _fit_samples("phi", phis, got)
+        fits.append(fit)
+    # one crossing by both photons fringes at 2 phi, two crossings at 4 phi
+    assert [f.spatial_frequency for f in fits[:3]] == [2.0, 4.0, 2.0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -659,7 +670,7 @@ def test_noon_target():
         assert noon_target(n) == FockState({(n, 0): INV_SQRT2,
                                             (0, n): INV_SQRT2})
     # a count past one byte or not whole raises, and does not wrap
-    for n in (256, 2.5):
+    for n in (256, 2.5, "2", -1, None):
         with pytest.raises(PhotonCountError):
             noon_target(n)
 
