@@ -41,6 +41,7 @@ fresh indices 12+ (2p..7p -> 12..17, 2pp..7pp -> 18..23, ...).
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -168,11 +169,21 @@ def compile(circuit: Circuit, phases: Mapping[str, float],
     updates, as the one-phase case of :func:`_compile_grid`.  A phase
     value that is not a scalar raises :class:`DimensionMismatchError`.
     """
-    arrays = [p for p, v in phases.items() if np.ndim(v)]
+    arrays = [p for p, v in phases.items() if _phase_values(p, v).ndim]
     if arrays:
         raise DimensionMismatchError(f"compile takes one value per phase; "
                                      f"{arrays} hold arrays")
     return _compile_grid(circuit, phases, enabled_toggles)[0]
+
+
+def _phase_values(name: str, value) -> np.ndarray:
+    """A phase value as an array; a ragged one raises
+    :class:`DimensionMismatchError` naming the phase."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        raise DimensionMismatchError(
+            f"phase {name} is a ragged array") from None
 
 
 def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
@@ -193,7 +204,13 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
         raise MissingPhaseError(f"missing phase parameters {missing}")
     factors, shapes = {}, {}
     for p in parameters:
-        values = np.asarray(phases[p])
+        values = _phase_values(p, phases[p])
+        if values.dtype.kind == "O" and all(
+                isinstance(v, numbers.Real) for v in values.flat):
+            try:
+                values = values.astype(float)
+            except OverflowError:
+                raise ValueError(f"phase {p} is not finite") from None
         if values.dtype.kind not in "biuf":
             raise ValueError(f"phase {p} is not a real number")
         values = values.astype(float, copy=False)

@@ -11,14 +11,17 @@ so sequential application of U1 then U2 composes to the single matrix
 * :func:`evolve` expands the substituted operator polynomial with exact
   multinomial bookkeeping (this mirrors the textbook derivation of output
   states and works on whole superpositions at once).  It is the one-matrix
-  case of ``_evolve_grid``, which expands each input ket once for a whole
-  stack of K unitaries, as a scan's grid of phases needs.  The phase-free
-  half of the expansion, which output ket each term adds into, is planned
-  once per structure and cached (:class:`_PlanCache`).  A scan passes a
-  ``select`` callback that picks the kets its readouts read among every
-  reachable ket, and the plan is restricted to them (``classify_table1(5)``
-  reads 495 of 2,002); the output is always the reachable kets, or exactly
-  the selected ones, a ket pruned at every phase reading 0;
+  case of ``_evolve_grid``, which evolves a whole stack of K unitaries, as
+  a scan's grid of phases needs.  The phase-free half of the expansion is
+  a flat table of its terms, each a product of N unitary entries times a
+  weight, with the input ket it comes from and the output ket it adds
+  into; it is planned once per structure and cached (:class:`_PlanCache`),
+  and the stack then evolves in a fixed number of numpy calls.  A scan
+  passes a ``select`` callback that picks the kets its readouts read among
+  every reachable ket, and the plan keeps only the terms that add into
+  them (``classify_table1(5)`` reads 495 of 2,002 kets, fed by 1,820 of
+  8,568 terms); the output is always the reachable kets, or exactly the
+  selected ones, a ket pruned at every phase reading 0;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix, summed over the repeat
   counts by Glynn's formula; :func:`permanent` is Ryser's algorithm for any
@@ -181,81 +184,55 @@ def _compositions(total: int, slots: int):
     return comps, weights, factors
 
 
-def _row_coefficients(rows: np.ndarray, cols: np.ndarray, count: int,
-                      used: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients of (sum_j row[j] a_j^dag)^count per row.
-
-    ``rows`` is (K x modes), one unitary row per grid phase, and only the
-    columns ``cols`` are expanded.  Returns a (K x terms) block aligned with
-    ``_compositions(count, len(cols))``, or with its compositions ``used``,
-    without the sqrt(k!) ket normalization (applied once at the end).
-    """
-    _, weights, factors = _compositions(count, len(cols))
-    if used is not None:
-        weights, factors = weights[used], factors[used]
-    # take, not fancy indexing, so every block comes out in C order
-    entries = rows.take(cols, axis=1)
-    coeffs = weights * entries.take(factors[:, 0], axis=1)
-    for slot in factors.T[1:]:
-        coeffs *= entries.take(slot, axis=1)
-    return coeffs
-
-
-class _LiveKeys:
-    """Integer keys for the output kets of an expansion.
+def _key_places(live: np.ndarray, mode_count: int, photons: int
+                ) -> np.ndarray:
+    """Place values that key the output kets of an expansion on integers.
 
     Only the live columns, those some occupied input row needs, can be
     occupied in an output ket; every other column is zero in every term.
     A ket is keyed by its live digits as a base-(N+1) number, the first live
     column most significant, so integer order is lexicographic row order.
     Where (N+1)^live does not fit one int64 word, the digits are split over
-    several words, ``place`` holding each column's place value in its word
-    (a (modes x words) matrix, zero off the live columns).  A term's key is
-    then its occupation times ``place``, so the keys of a product of row
-    expansions are outer sums of the rows' ``compositions @ place[cols]``.
+    several words.  Returns each column's place value in its word, a
+    (modes x words) int64 matrix, zero off the live columns: a term's key is
+    the sum of the places of its factors' columns, so the keys of a product
+    of row expansions are outer sums of the rows' ``compositions @
+    place[cols]``.
 
     ``fock._union`` merges on void byte keys instead: on the few hundred
     rows that density matrices, partial traces and ``verify`` merge, packing
     costs more than it saves; it pays on the thousands of terms an expansion
     merges.
     """
+    base = photons + 1
+    # digits per word: base ** width - 1, the largest word, fits an int64
+    width = 1
+    while width < len(live) and base ** (width + 1) <= 2 ** 63:
+        width += 1
+    word_of, digit = np.divmod(np.arange(len(live)), width)
+    place = np.zeros((mode_count, -(-len(live) // width) or 1), dtype=np.int64)
+    place[live, word_of] = np.power(base, width - 1 - digit, dtype=np.int64)
+    return place
 
-    def __init__(self, live: np.ndarray, mode_count: int, photons: int):
-        self.live = live
-        self.base = photons + 1
-        # digits per word: base ** width - 1, the largest word, fits an int64
-        width = 1
-        while width < len(live) and self.base ** (width + 1) <= 2 ** 63:
-            width += 1
-        self.word_of, digit = np.divmod(np.arange(len(live)), width)
-        self.places = np.power(self.base, width - 1 - digit, dtype=np.int64)
-        self.place = np.zeros((mode_count, -(-len(live) // width) or 1),
-                              dtype=np.int64)
-        self.place[live, self.word_of] = self.places
 
-    def merge(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct kets of (terms x words) keys in lexicographic order, as a
-        (kets x modes) uint8 array, and the ket index of each term.
+def _merge_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct kets of (terms x words) keys, in lexicographic order:
+    one term of each, and the ket index of each term.
 
-        Each word is ranked with one integer sort; every further word is
-        folded in as ``rank * n_word + dense_word`` and ranked again, which
-        keeps ranks below terms^2 and in word-by-word order.  Only the
-        merged kets are decoded back to digits.
-        """
-        for w, word in enumerate(keys.T):
-            values, dense = np.unique(word, return_inverse=True)
-            if w:
-                values, rank = np.unique(rank * len(values) + dense,
-                                         return_inverse=True)
-            else:
-                rank = dense
-        # one term per merged ket; its key words decode to the ket
-        first = np.empty(len(values), dtype=np.intp)
-        first[rank] = np.arange(len(rank))
-        occupations = np.zeros((len(first), len(self.place)), dtype=np.uint8)
-        occupations[:, self.live] = (keys[first[:, None], self.word_of]
-                                     // self.places % self.base)
-        return occupations, rank
+    Each word is ranked with one integer sort; every further word is folded
+    in as ``rank * n_word + dense_word`` and ranked again, which keeps ranks
+    below terms^2 and in word-by-word order.
+    """
+    for w, word in enumerate(keys.T):
+        values, dense = np.unique(word, return_inverse=True)
+        if w:
+            values, rank = np.unique(rank * len(values) + dense,
+                                     return_inverse=True)
+        else:
+            rank = dense
+    first = np.empty(len(values), dtype=np.intp)
+    first[rank] = np.arange(len(rank))
+    return first, rank
 
 
 def evolve(state: FockState, unitary: np.ndarray) -> FockState:
@@ -273,114 +250,109 @@ def evolve(state: FockState, unitary: np.ndarray) -> FockState:
     return _trusted_state(occupations, amplitudes, state.mode_count)
 
 
-def _build_plan(inputs: np.ndarray, needed: np.ndarray):
-    """The phase-free half of an expansion.
+#: An expansion plan: its merged output kets, its term table (factor
+#: positions, weights, input kets) and scatter index, and each output ket's
+#: sqrt(prod k_j!) scale.
+_Plan = namedtuple("_Plan", "occupations positions weights inputs scatter scale")
+
+
+def _build_plan(inputs: np.ndarray, needed: np.ndarray) -> _Plan:
+    """The phase-free half of an expansion: a flat table of its terms.
 
     The input's (kets x modes) uint8 occupations and the (modes x modes)
-    mask of unitary entries above ``ROW_CUTOFF`` fix every output ket and
-    which merged ket each term adds into.  Each ket's terms are keyed on
-    :class:`_LiveKeys`, as outer sums of per-row key vectors, and merged;
-    no (terms x modes) occupation array is built.
+    mask of unitary entries above ``ROW_CUTOFF`` fix every term.  Input ket
+    n expands into the outer product of its occupied rows' compositions
+    (:func:`_compositions`), earlier rows major; each term is the product
+    of N = sum_i n_i unitary entries, one per photon, times the phase-free
+    weight prod_i (multinomial_i / sqrt(n_i!)).  Terms are keyed on
+    :func:`_key_places` and merged (:func:`_merge_keys`); each merged ket's
+    occupation is counted off one of its terms' factor columns.
 
-    The plan is the merged output occupations in lexicographic order; per
-    input ket, its ``(mode, count, cols, used, local)`` rows, ``used`` and
-    ``local`` being None (every composition of the row, in outer-product
-    order; see :func:`_restrict_plan`), with its first term's offset and its
-    term count; the scatter index, which sends the real and imaginary parts
-    of term t (float64 entries 2t and 2t + 1 of a coefficient row) to
-    entries 2q and 2q + 1 of an output row, q being the merged ket of term
-    t, in the narrowest unsigned type that holds twice the ket count; and
-    each output ket's sqrt(prod k_j!) scale.  Every array is read-only,
-    since :data:`_expansion_plan` hands it out again.
+    The plan lists, in input-ket order, each term's N factor positions
+    ``mode * M + col`` in a raveled M x M unitary (an (N x terms) array),
+    its weight, its input ket and its merged output ket (:func:`_plan`).
     """
     mode_count = needed.shape[0]
     occs = inputs.tolist()
     photons = sum(occs[0]) if occs else 0
     # the live columns: those some occupied row needs (a boolean matmul)
-    occupied = inputs.any(axis=0)
-    live = np.flatnonzero(occupied @ needed)
-    packing = _LiveKeys(live, mode_count, photons)
-    words = packing.place.shape[1]
-    # each occupied row's needed columns, a slice of one read-only array
-    # that every ket filling the row shares
-    _, needed_cols = np.nonzero(needed)
-    needed_cols.flags.writeable = False
-    ends = [0, *np.cumsum(needed.sum(axis=1)).tolist()]
-    cols_of = {mode: needed_cols[ends[mode]:ends[mode + 1]]
-               for mode in np.flatnonzero(occupied).tolist()}
-
-    key_blocks = [np.zeros((0, words), dtype=np.int64)]
-    kets = []
-    start = 0
+    live = np.flatnonzero(inputs.any(axis=0) @ needed)
+    place = _key_places(live, mode_count, photons)
+    words = place.shape[1]
+    narrow = np.min_scalar_type(mode_count ** 2)
+    rows = {}
+    # an empty first block, so that a state with no kets concatenates
+    blocks = [(np.zeros((photons, 0), dtype=narrow), np.zeros(0),
+               np.zeros((0, words), dtype=np.int64))]
     for occ in occs:
-        block_keys = np.zeros((1, words), dtype=np.int64)
-        rows = []
+        positions, weights = np.zeros((0, 1), dtype=narrow), np.ones(1)
+        keys = np.zeros((1, words), dtype=np.int64)
         for mode, count in enumerate(occ):
-            if count:
-                cols = cols_of[mode]
-                added = _compositions(count, len(cols))[0] @ packing.place[cols]
-                block_keys = (block_keys[:, None, :]
-                              + added[None, :, :]).reshape(-1, words)
-                rows.append((mode, count, cols, None, None))
-        key_blocks.append(block_keys)
-        kets.append((tuple(rows), start, len(block_keys)))
-        start += len(block_keys)
-    occupations, inverse = packing.merge(np.concatenate(key_blocks))
-    scale = np.prod(_SQRT_FACT[occupations[:, live]], axis=1)
-    for array in (occupations, scale):
-        array.flags.writeable = False
-    return occupations, tuple(kets), _scatter(inverse, len(occupations)), scale
+            if not count:
+                continue
+            # a row's factor positions, weights and keys, one column per
+            # composition, shared by every ket that fills the row
+            if (mode, count) not in rows:
+                cols = np.flatnonzero(needed[mode])
+                comps, multinomials, factors = _compositions(count, len(cols))
+                rows[mode, count] = ((mode * mode_count + cols[factors]
+                                      ).T.astype(narrow),
+                                     multinomials / _SQRT_FACT[count],
+                                     comps @ place[cols])
+            row_positions, row_weights, row_keys = rows[mode, count]
+            grown = np.empty((len(positions) + count, len(weights),
+                              len(row_weights)), dtype=narrow)
+            grown[:len(positions)] = positions[:, :, None]
+            grown[len(positions):] = row_positions[:, None]
+            positions = grown.reshape(len(grown), -1)
+            weights = np.multiply.outer(weights, row_weights).ravel()
+            keys = (keys[:, None] + row_keys).reshape(-1, words)
+        blocks.append((positions, weights, keys))
+    positions, weights, keys = zip(*blocks)
+    positions = np.concatenate(positions, axis=1)
+    first, ket_of = _merge_keys(np.concatenate(keys))
+    # each merged ket's occupation, counted off one of its terms' columns
+    occupations = np.zeros((len(first), mode_count), dtype=np.uint8)
+    for cols in positions[:, first] % mode_count:
+        occupations[np.arange(len(first)), cols] += 1
+    return _plan(occupations, positions, np.concatenate(weights),
+                 np.repeat(np.arange(len(occs), dtype=np.min_scalar_type(
+                     len(occs))), [len(w) for w in weights[1:]]),
+                 ket_of, np.prod(_SQRT_FACT[occupations[:, live]], axis=1))
 
 
-def _scatter(ket_of: np.ndarray, kets: int) -> np.ndarray:
-    """The read-only scatter index of a plan whose term t adds into merged
-    ket ``ket_of[t]`` of ``kets``: entries 2q and 2q + 1 per term, in the
-    narrowest unsigned type that holds them."""
+def _plan(occupations, positions, weights, inputs, ket_of, scale) -> _Plan:
+    """A read-only :class:`_Plan` whose term t adds into merged ket
+    ``ket_of[t]``.
+
+    Its scatter index sends the real and imaginary parts of term t (float64
+    entries 2t and 2t + 1 of a coefficient row) to entries 2q and 2q + 1 of
+    an output row, q = ``ket_of[t]``, in the narrowest unsigned type that
+    holds twice the ket count.  Every array is read-only, since
+    :data:`_expansion_plan` hands it out again.
+    """
     scatter = (2 * ket_of[:, None] + np.arange(2)).ravel().astype(
-        np.min_scalar_type(2 * kets))
-    scatter.flags.writeable = False
-    return scatter
+        np.min_scalar_type(2 * len(occupations)))
+    plan = _Plan(occupations, positions, weights, inputs, scatter, scale)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
-def _restrict_plan(plan, read: np.ndarray):
+def _restrict_plan(plan: _Plan, read: np.ndarray) -> _Plan:
     """The part of a plan that adds into the output kets ``read`` marks.
 
-    ``read`` is a bool mask over the plan's output kets.  Each input ket
-    keeps, in order, the terms whose merged ket is read; each of its rows
-    keeps ``used``, the indices into ``_compositions(count, len(cols))`` of
-    the compositions those terms use, and ``local``, each kept term's index
-    into ``used``.  The scatter index sends each kept term to its ket's
-    position among the read kets.  Evolving by the result gives exactly the
-    read kets' amplitudes of the full plan, with the same floating-point
-    operations in the same order.
+    ``read`` is a bool mask over the plan's output kets.  One mask over the
+    terms, ``read`` at each term's merged ket, keeps the terms that add
+    into a read ket, in order; the kept kets are renumbered in order.
+    Evolving by the result gives exactly the read kets' amplitudes of the
+    full plan, with the same floating-point operations in the same order.
     """
-    occupations, kets, scatter, scale = plan
-    ket_of = scatter[::2].astype(np.intp) // 2
-    position = np.cumsum(read) - 1
-    picked, blocks, start = [], [], 0
-    for rows, first, terms in kets:
-        merged = ket_of[first:first + terms]
-        kept = np.flatnonzero(read[merged])
-        if not len(kept):
-            picked.append(((), start, 0))
-            continue
-        # a term's compositions, one per row, from its outer-product index
-        sizes = [len(_compositions(count, len(cols))[0])
-                 for _, count, cols, _, _ in rows]
-        parts = np.unravel_index(kept, sizes) if rows else ()
-        new_rows = []
-        for (mode, count, cols, _, _), part in zip(rows, parts):
-            used, local = np.unique(part, return_inverse=True)
-            used.flags.writeable = local.flags.writeable = False
-            new_rows.append((mode, count, cols, used, local))
-        blocks.append(position[merged[kept]])
-        picked.append((tuple(new_rows), start, len(kept)))
-        start += len(kept)
-    occupations, scale = occupations[read], scale[read]
-    for array in (occupations, scale):
-        array.flags.writeable = False
-    compact = np.concatenate([np.zeros(0, dtype=np.intp), *blocks])
-    return occupations, tuple(picked), _scatter(compact, len(occupations)), scale
+    ket_of = plan.scatter[::2] // 2
+    kept = read[ket_of]
+    return _plan(plan.occupations[read], plan.positions.compress(kept, axis=1),
+                 plan.weights[kept], plan.inputs[kept],
+                 (np.cumsum(read) - 1)[ket_of[kept]], plan.scale[read])
 
 
 def _held_bytes(*parts) -> int:
@@ -411,19 +383,22 @@ class _PlanCache:
     share one cache and both bounds.  It pays where one structure comes
     back call after call, as in a phase loop over :func:`evolve`.
 
-    A plan's merge or scatter index holds one entry per expanded term or
-    factor entry, so plans differ in size by orders of magnitude and a
-    count bound alone bounds no memory.  This keeps at most ``maxsize``
-    plans that, with their keys, hold at most ``budget`` bytes, dropping
-    the least recently used first; a plan larger than the whole budget is
-    returned and not kept.  The cache sizes what it keeps by walking it:
-    each array once, with its base, and each tuple with its contents.
+    An expansion plan holds N factor positions, a weight, an input ket and
+    two scatter entries per expanded term (N or 2N bytes, and 11 to 14
+    more), and a trace plan one entry per factor entry, so plans differ in
+    size by orders of magnitude and a count bound alone bounds no memory.
+    This keeps at most ``maxsize`` plans that, with their keys, hold at
+    most ``budget`` bytes, dropping the least recently used first; a plan
+    larger than the whole budget is returned and not kept.  The cache sizes
+    what it keeps by walking it: each array once, with its base, and each
+    tuple with its contents.
 
     The bounds of :data:`_expansion_plan`: one ``verify.run_all()`` keeps
-    40 plans (26 full, 12 restricted, 2 trace), which 32 would cycle
-    through.  ``classify_table1(5)``'s plans hold 113 KiB (full) and 39 KiB
-    (restricted), a tenth of ``PLAN_CACHE_BYTES``; one plan of a 330-ket,
-    4-photon superposition through a dense 8-mode unitary holds 3.1 MiB.
+    40 plans (26 full, 12 restricted, 2 trace) holding 98 KiB, which 32
+    would cycle through.  ``classify_table1(5)``'s plans hold 269 KiB
+    (full) and 63 KiB (restricted), 8% of ``PLAN_CACHE_BYTES``; one plan
+    of a 330-ket, 4-photon superposition through a dense 8-mode unitary
+    holds 13.2 MiB, so it is used once and not kept.
     """
 
     def __init__(self, maxsize: int, budget: int):
@@ -490,14 +465,17 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
 
-    Every input ket is expanded once, in two passes.  The first,
-    :func:`_build_plan`, is phase-free and cached in
-    :data:`_expansion_plan`; it depends on the input's occupations and the
-    mask of the entries above ``ROW_CUTOFF`` in some matrix of the stack.
-    The second builds each ket's (K x terms) coefficient block in turn and
-    adds it into the output with one ``bincount`` over all K rows, row k's
-    index offset by 2n (n output kets), so at most one ket's block is alive
-    at a time.  Returns the output occupations, unique and in lexicographic
+    The expansion runs in two passes.  The first, :func:`_build_plan`, is
+    phase-free and cached in :data:`_expansion_plan`; it depends on the
+    input's occupations and the mask of the entries above ``ROW_CUTOFF`` in
+    some matrix of the stack.  The second is a fixed sequence of numpy
+    calls, however many input kets there are: N takes of the terms' factors
+    from the raveled stack, multiplied in place into one (K x terms) block,
+    one multiply by the terms' weights times their input kets' amplitudes,
+    and one ``bincount`` of the whole block over all K rows, row k's index
+    offset by 2n (n output kets).  So the whole block is alive at once,
+    beside one gathered factor block and then the (K x 2 terms) index.
+    Returns the output occupations, unique and in lexicographic
     order (read-only), and a (K x kets) amplitude block whose row k is the
     state evolved by ``unitaries[k]``.  The kets are every ket the plan can
     reach; a ket at or below ``PRUNE_THRESHOLD`` at every k reads exactly 0.
@@ -530,31 +508,22 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
         raise NonUnitaryError("matrix is not unitary within 1e-8")
 
     k = len(u)
-    occupations, kets, scatter, scale = _expansion_plan(
-        state.occupation_array, needed, read)
-
-    # each ket's coefficient block, summed per grid phase on the merged keys
-    # and released before the next ket's is built
-    n = len(occupations)
-    amplitudes = np.zeros((k, n), dtype=complex)
-    flat = amplitudes.view(float).reshape(-1)
-    offsets = 2 * n * np.arange(k)[:, None] if k > 1 else None
-    for amp, (rows, start, terms) in zip(state.amplitude_array.tolist(), kets):
-        if not terms:
-            continue
-        block = np.full((k, 1), amp, dtype=complex)
-        for mode, count, cols, used, local in rows:
-            coeffs = _row_coefficients(u[:, mode], cols, count, used)
-            block = block / _SQRT_FACT[count]
-            if local is None:
-                block = (block[:, :, None] * coeffs[:, None, :]).reshape(k, -1)
-            else:
-                block = block * coeffs.take(local, axis=1)
-        index = scatter[2 * start:2 * (start + terms)].astype(np.intp)
-        if offsets is not None:
-            index = (index + offsets).reshape(-1)
-        flat += np.bincount(index, block.view(float).reshape(-1), 2 * n * k)
-    amplitudes *= scale
+    plan = _expansion_plan(state.occupation_array, needed, read)
+    occupations, n = plan.occupations, len(plan.occupations)
+    entries = u.reshape(k, m * m)
+    if len(plan.positions):
+        block = entries.take(plan.positions[0], axis=1)
+    else:       # no photons: a term is the empty product
+        block = np.ones((k, len(plan.weights)), dtype=complex)
+    for positions in plan.positions[1:]:
+        block *= entries.take(positions, axis=1)
+    block *= plan.weights * state.amplitude_array.take(plan.inputs)
+    index = plan.scatter.astype(np.intp)
+    if k > 1:
+        index = (index + 2 * n * np.arange(k)[:, None]).reshape(-1)
+    amplitudes = np.bincount(index, block.view(float).reshape(-1),
+                             2 * n * k).view(complex).reshape(k, n)
+    amplitudes *= plan.scale
 
     finite = np.isfinite(amplitudes)
     if not finite.all():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,6 +248,36 @@ def test_compile_takes_one_real_number_per_phase():
     for value in (True, np.uint8(1), np.int64(1), np.float32(1)):
         got = compile(c, {"phi_C": value, "phi_B": 0, "phi_S": False})
         assert np.array_equal(got, want)
+
+
+def test_a_python_int_beyond_int64_is_a_real_phase():
+    # numpy holds 2**70 in an object array; its entries are real numbers,
+    # read with float, and one that float cannot hold is not finite
+    c = preset("fig2")
+    big = {"phi_C": 2 ** 70, "phi_B": Fraction(1, 3), "phi_S": 0}
+    want = compile(c, {"phi_C": float(2 ** 70), "phi_B": 1 / 3, "phi_S": 0.0})
+    assert np.array_equal(compile(c, big), want)
+    assert np.array_equal(_compile_grid(c, big), want[None])
+    grid = _compile_grid(c, {"phi_C": [2 ** 70, 0.5], "phi_B": 0, "phi_S": 0})
+    for row, phi in zip(grid, (float(2 ** 70), 0.5)):
+        assert np.array_equal(row, compile(c, {"phi_C": phi, "phi_B": 0,
+                                               "phi_S": 0}))
+    for value in (2 ** 1100, [0.5, -2 ** 1100]):
+        with pytest.raises(ValueError, match="phase phi_C is not finite"):
+            _compile_grid(c, {"phi_C": value, "phi_B": 0, "phi_S": 0})
+    with pytest.raises(ValueError, match="phase phi_C is not finite"):
+        compile(c, {"phi_C": 2 ** 1100, "phi_B": 0, "phi_S": 0})
+    for value in ([2 ** 70, "1"], [2 ** 70, 1j], [2 ** 70, None]):
+        with pytest.raises(ValueError, match="phase phi_C is not a real"):
+            _compile_grid(c, {"phi_C": value, "phi_B": 0, "phi_S": 0})
+
+
+def test_a_ragged_phase_raises_a_dimension_mismatch():
+    c = preset("fig2")
+    for ragged in ([[0.1], [0.1, 0.2]], [0.1, [0.2, 0.3]]):
+        for build in (compile, _compile_grid):
+            with pytest.raises(DimensionMismatchError, match="phase phi_B"):
+                build(c, {"phi_C": 0.1, "phi_B": ragged, "phi_S": 0})
 
 
 @settings(max_examples=60, deadline=None)

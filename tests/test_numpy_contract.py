@@ -1,8 +1,9 @@
 """The numpy behaviours that mzsim's bit-identity claims rest on.
 
 Several results are called bit-identical across routes: a restricted
-expansion plan against the full one, a cached plan against a cold one, a
-grid compile's rows against a compile at each phase, and one raveled
+expansion plan against the full one (a subset of the same terms, at other
+positions of shorter arrays), a cached plan against a cold one, a grid
+compile's rows against a compile at each phase, and one raveled
 ``bincount`` over K grid rows against K calls.  numpy documents some of
 the behaviours below and merely exhibits others; each test states which
 guarantee it checks and names the code that relies on it, so a numpy that
@@ -31,8 +32,7 @@ def test_integer_matmul_is_exact():
 
 
 def test_unique_inverse_is_a_flat_intp_index():
-    # optics._LiveKeys.merge ranks key words, and optics._restrict_plan
-    # finds the compositions a row uses, with 1-D np.unique(return_inverse)
+    # optics._merge_keys ranks key words with 1-D np.unique(return_inverse)
     rng = np.random.default_rng(SEED)
     words = rng.integers(-2 ** 62, 2 ** 62, 50)[rng.integers(0, 50, 200)]
     values, inverse = np.unique(words, return_inverse=True)
@@ -69,8 +69,10 @@ def test_tobytes_keys_depend_only_on_values_and_shape():
 
 
 def test_min_scalar_type_is_the_narrowest_unsigned_type():
-    # optics._scatter narrows a plan's scatter index to
-    # np.min_scalar_type(2 * kets), which must hold every index below it
+    # optics._plan narrows a plan's scatter index to
+    # np.min_scalar_type(2 * kets), and optics._build_plan its factor
+    # positions and input kets likewise; each type must hold every index
+    # below its bound
     for top, dtype in ((1, np.uint8), (255, np.uint8), (256, np.uint16),
                        (65535, np.uint16), (65536, np.uint32),
                        (2 ** 32, np.uint64)):
@@ -92,31 +94,31 @@ def test_float64_view_interleaves_real_and_imaginary_parts():
     assert block[0, 1].imag == 7.0
 
 
-def test_take_returns_c_ordered_blocks_for_intp_indices():
-    # optics._row_coefficients takes a unitary column's rows, a strided
-    # view, with intp factor slots and with the intp ``local`` index of a
-    # restricted plan from np.unravel_index and np.unique
+def test_take_returns_c_ordered_blocks_for_narrow_unsigned_indices():
+    # optics._evolve_grid takes each factor row of a plan, a uint8 or uint16
+    # index, from the raveled (K x M*M) stack, multiplies the blocks in
+    # place and reads the result through a float64 view; optics.
+    # _restrict_plan keeps a plan's terms with compress along the term axis
     rng = np.random.default_rng(SEED)
-    u = random_complex(rng, 4, 6, 6)
-    rows = u[:, 2]
-    assert not rows.flags.c_contiguous
-    cols = np.array([5, 0, 3], dtype=np.intp)
-    entries = rows.take(cols, axis=1)
-    assert entries.flags.c_contiguous
-    assert np.array_equal(entries, rows[:, cols])
-    parts = np.unravel_index(np.array([0, 4, 5, 11]), (3, 4))
-    assert all(part.dtype == np.intp for part in parts)
-    used, local = np.unique(parts[1], return_inverse=True)
-    gathered = entries.take(local, axis=1)
-    assert gathered.flags.c_contiguous
-    assert np.array_equal(gathered, entries[:, local])
+    for dtype, m in ((np.uint8, 6), (np.uint16, 30)):
+        entries = random_complex(rng, 4, m, m).reshape(4, m * m)
+        positions = rng.integers(0, m * m, (3, 50)).astype(dtype)
+        assert positions.dtype == np.min_scalar_type(m * m - 1)
+        block = entries.take(positions[0], axis=1)
+        assert block.flags.c_contiguous
+        assert np.array_equal(block, entries[:, positions[0].astype(np.intp)])
+        kept = rng.random(50) < 0.5
+        compressed = positions.compress(kept, axis=1)
+        assert compressed.flags.c_contiguous and compressed.dtype == dtype
+        assert np.array_equal(compressed, positions[:, kept])
 
 
 def test_bincount_sums_each_bin_in_index_order():
     # numpy documents no summation order; its loop adds the weights in
     # index order, and optics._evolve_grid's bit-identity between a
-    # restricted and a full plan (the same terms of a ket, in the same
-    # order) rests on that.  1 + 1e16 - 1e16 is 0 in that order, 1 in others
+    # restricted and a full plan (the same terms of each read ket, in the
+    # same order) rests on that.  1 + 1e16 - 1e16 is 0 in that order, 1 in
+    # others
     rng = np.random.default_rng(SEED)
     weights = np.array([1.0, 1e16, -1e16])
     assert np.bincount([0, 0, 0], weights)[0] == 0.0
@@ -129,7 +131,7 @@ def test_bincount_sums_each_bin_in_index_order():
 
 
 def test_one_raveled_bincount_equals_a_bincount_per_row():
-    # optics._evolve_grid adds all K rows of a ket's block with one
+    # optics._evolve_grid adds all K rows of its (K x terms) block with one
     # bincount whose index is offset by 2n per row
     rng = np.random.default_rng(SEED)
     k, n, terms = 4, 5, 30
@@ -153,6 +155,27 @@ def test_complex_exp_gives_each_entry_its_own_value():
     for start, stop in ((0, 1), (3, 11), (20, 37)):
         alone = np.exp(1j * phases[start:stop])[..., None]
         assert stacked[start:stop].tobytes() == alone.tobytes()
+
+
+def test_complex_multiply_gives_each_entry_its_own_value():
+    # optics._evolve_grid multiplies a (K x terms) block in place by gathered
+    # factor blocks and by a terms vector of float weights times complex
+    # amplitudes; a restricted plan's terms then equal the full plan's only
+    # if an entry's product does not depend on its position, the array's
+    # length or the operation being in place (SIMD bodies against tails)
+    rng = np.random.default_rng(SEED)
+    k, terms = 3, 37
+    a, b = random_complex(rng, k, terms), random_complex(rng, k, terms)
+    weights, amps = rng.normal(size=terms), random_complex(rng, terms)
+    stacked = a.copy()
+    stacked *= b
+    stacked *= weights * amps
+    assert stacked.tobytes() == (a * b * (weights * amps)).tobytes()
+    for start, stop in ((0, 1), (3, 11), (20, 37), (5, 6)):
+        alone = np.ascontiguousarray(a[:, start:stop])
+        alone *= b[:, start:stop]
+        alone *= weights[start:stop] * amps[start:stop]
+        assert stacked[:, start:stop].tobytes() == alone.tobytes()
 
 
 def test_complex_astype_bool_is_true_when_either_part_is_nonzero():

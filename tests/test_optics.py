@@ -27,7 +27,7 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
                    transition_amplitude, vacuum)
 from mzsim.fock import PRUNE_THRESHOLD, _trusted_state
 from mzsim.optics import (ROW_CUTOFF, _compositions, _evolve_grid,
-                          _expansion_plan, _held_bytes, _LiveKeys)
+                          _expansion_plan, _held_bytes, _key_places)
 from strategies import random_unitary, superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -134,6 +134,9 @@ def test_vacuum_is_invariant(seed=6):
     rng = np.random.default_rng(seed)
     u = random_unitary(rng, 4)
     assert evolve(vacuum(4), u).allclose(vacuum(4))
+    # and a state with no kets has no terms
+    kets, amplitudes = _evolve_grid(FockState({}, 4), np.stack([u, u]))
+    assert kets.shape == (0, 4) and amplitudes.shape == (2, 0)
 
 
 def test_evolution_preserves_norm_and_photon_number(seed=8):
@@ -244,7 +247,7 @@ def test_two_photons_through_a_dense_64_mode_unitary_need_two_key_words():
     # kets take two int64 words, folded into one rank
     m = 64
     assert 3 ** m > 2 ** 63
-    assert _LiveKeys(np.arange(m), m, 2).place.shape[1] == 2
+    assert _key_places(np.arange(m), m, 2).shape[1] == 2
     u = random_unitary(np.random.default_rng(64), m)
     n_in = (1, 1) + (0,) * (m - 2)
     out = evolve(basis_state(n_in), u)
@@ -433,22 +436,75 @@ def test_plan_arrays_are_read_only(seed=44):
     u = random_unitary(rng, 3)
     out = evolve(state, u)
     needed = np.abs(u) > ROW_CUTOFF
-    occupations, kets, scatter, scale = _expansion_plan(
-        state.occupation_array, needed)
-    assert np.array_equal(occupations, out.occupation_array)
-    arrays = [occupations, scatter, scale]
-    arrays += [cols for rows, _, _ in kets for _, _, cols, _, _ in rows]
+    plan = _expansion_plan(state.occupation_array, needed)
+    assert np.array_equal(plan.occupations, out.occupation_array)
     # and those of its restriction to every other output ket
-    read = np.arange(len(occupations)) % 2 == 0
-    occupations, kets, scatter, scale = _expansion_plan(
-        state.occupation_array, needed, read)
-    arrays += [occupations, scatter, scale]
-    arrays += [array for rows, _, _ in kets for row in rows
-               for array in row[2:]]
-    for array in arrays:
+    read = np.arange(len(plan.occupations)) % 2 == 0
+    restricted = _expansion_plan(state.occupation_array, needed, read)
+    for array in (*plan, *restricted):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 0
+
+
+@st.composite
+def plan_cases(draw):
+    """A state, the entry mask of a unitary with some entries zeroed, and a
+    read mask drawn over the plan's output kets."""
+    m = draw(st.integers(1, 4))
+    state = draw(superpositions(m, draw(st.integers(0, 3))))
+    needed = np.array(draw(st.lists(st.booleans(), min_size=m * m,
+                                    max_size=m * m))).reshape(m, m)
+    needed[np.arange(m), np.arange(m)] = True
+    plan = _expansion_plan(state.occupation_array, needed)
+    read = np.array(draw(st.lists(st.booleans(), min_size=len(plan.occupations),
+                                  max_size=len(plan.occupations))), dtype=bool)
+    return state, needed, plan, read
+
+
+@settings(max_examples=80, deadline=None)
+@given(plan_cases())
+def test_each_term_of_a_plan_counts_back_to_its_kets(case):
+    # a term's factor positions mode * M + col: the modes count to its input
+    # ket, the columns to its output ket, and each row's columns to the
+    # composition its multinomial weight is of
+    state, needed, plan, read = case
+    m = state.mode_count
+    inputs = state.occupation_array
+    ket_of = plan.scatter[::2].astype(np.intp) // 2
+    assert plan.positions.shape == (state.total_photons, len(plan.weights))
+    assert plan.positions.dtype == np.min_scalar_type(m * m)
+    assert len(plan.inputs) == len(ket_of) == len(plan.weights)
+    rows, cols = np.divmod(plan.positions.astype(np.intp), m)
+    assert needed[rows, cols].all()
+    for t in range(len(plan.weights)):
+        n_in = inputs[plan.inputs[t]]
+        assert np.bincount(rows[:, t], minlength=m).tolist() == n_in.tolist()
+        assert np.bincount(cols[:, t], minlength=m).tolist() == (
+            plan.occupations[ket_of[t]].tolist())
+        weight = 1.0
+        for mode, count in enumerate(n_in.tolist()):
+            comp = np.bincount(cols[rows[:, t] == mode, t], minlength=m)
+            weight *= math.factorial(count) / math.prod(
+                math.factorial(k) for k in comp.tolist())
+            weight /= math.sqrt(math.factorial(count))
+        assert math.isclose(plan.weights[t], weight, rel_tol=1e-14)
+    # input kets in order, each with as many terms as its rows' compositions
+    assert np.bincount(plan.inputs, minlength=len(inputs)).tolist() == [
+        math.prod(math.comb(count + int(needed[mode].sum()) - 1, count)
+                  for mode, count in enumerate(n_in)) for n_in in inputs.tolist()]
+    assert np.all(np.diff(plan.inputs.astype(np.intp)) >= 0)
+    # a restricted plan's terms are the full plan's terms whose ket is read,
+    # in order, sent to their ket's place among the read kets
+    restricted = _expansion_plan(inputs, needed, read)
+    kept = read[ket_of]
+    assert np.array_equal(restricted.positions, plan.positions[:, kept])
+    assert np.array_equal(restricted.weights, plan.weights[kept])
+    assert np.array_equal(restricted.inputs, plan.inputs[kept])
+    assert np.array_equal(restricted.occupations, plan.occupations[read])
+    assert np.array_equal(restricted.scale, plan.scale[read])
+    assert np.array_equal(restricted.scatter[::2].astype(np.intp) // 2,
+                          (np.cumsum(read) - 1)[ket_of[kept]])
 
 
 def test_the_plan_cache_keeps_at_most_64_plans(seed=45):
@@ -483,11 +539,13 @@ def test_a_plan_keeps_its_merge_index_in_the_narrowest_type(occ, kets, dtype,
     state = basis_state(occ)
     u = random_unitary(np.random.default_rng(seed), len(occ))
     out = evolve(state, u)
-    occupations, _, scatter, _ = _expansion_plan(
-        state.occupation_array, np.abs(u) > ROW_CUTOFF)
-    assert len(occupations) == len(out) == kets
+    plan = _expansion_plan(state.occupation_array, np.abs(u) > ROW_CUTOFF)
+    assert len(plan.occupations) == len(out) == kets
+    scatter = plan.scatter
     assert scatter.dtype == dtype and int(scatter.max()) == 2 * kets - 1
     assert np.array_equal(scatter[1::2], scatter[::2] + 1)
+    # at most 11 modes, so every factor position fits a uint8; one input ket
+    assert plan.positions.dtype == plan.inputs.dtype == np.uint8
     assert_matches_the_permanent(out, state, u)
 
 
