@@ -24,8 +24,8 @@ so sequential application of U1 then U2 composes to the single matrix
   selected ones, a ket pruned at every phase reading 0;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix, summed over the repeat
-  counts by Glynn's formula; :func:`permanent` is Ryser's algorithm for any
-  square matrix.
+  counts by Glynn's formula; :func:`permanent` is the same sum with every
+  count 1, for any square matrix.
 
 The two share no code and are tested against each other.
 """
@@ -379,9 +379,13 @@ class _PlanCache:
     """The most recently used phase-free plans, bounded in count and bytes.
 
     Full expansion plans, their restrictions to a read set and the scatter
-    plans of ``measurement.partial_trace`` (keys tagged ``"partial_trace"``)
-    share one cache and both bounds.  It pays where one structure comes
-    back call after call, as in a phase loop over :func:`evolve`.
+    plans of ``measurement.partial_trace`` share one cache and both bounds.
+    :meth:`lookup` is the one way in, and each caller owns its keys:
+    :func:`_evolve_grid` keys a full plan on the input's shape and bytes and
+    the entry mask's bytes, and a restriction on those and the read mask's
+    bytes; a trace plan's key is tagged ``"partial_trace"``.  It pays where
+    one structure comes back call after call, as in a phase loop over
+    :func:`evolve`.
 
     An expansion plan holds N factor positions, a weight, an input ket and
     two scatter entries per expanded term (N or 2N bytes, and 11 to 14
@@ -389,12 +393,12 @@ class _PlanCache:
     size by orders of magnitude and a count bound alone bounds no memory.
     This keeps at most ``maxsize`` plans that, with their keys, hold at
     most ``budget`` bytes, dropping the least recently used first; a plan
-    larger than the whole budget is returned and not kept.  The cache sizes
-    what it keeps by walking it: each array once, with its base, and each
-    tuple with its contents.
+    larger than the whole budget is returned and not kept, and evicts
+    nothing.  The cache sizes what it keeps by walking it: each array once,
+    with its base, and each tuple with its contents.
 
     The bounds of :data:`_expansion_plan`: one ``verify.run_all()`` keeps
-    40 plans (26 full, 12 restricted, 2 trace) holding 98 KiB, which 32
+    40 plans (26 full, 12 restricted, 2 trace) holding 94 KiB, which 32
     would cycle through.  ``classify_table1(5)``'s plans hold 269 KiB
     (full) and 63 KiB (restricted), 8% of ``PLAN_CACHE_BYTES``; one plan
     of a 330-ket, 4-photon superposition through a dense 8-mode unitary
@@ -408,23 +412,10 @@ class _PlanCache:
         self._lock = threading.Lock()
         self.cache_clear()
 
-    def __call__(self, occupations: np.ndarray, needed: np.ndarray,
-                 read: np.ndarray | None = None):
-        """The plan for (kets x modes) uint8 occupations and a (modes x
-        modes) bool mask, keyed on their shape and bytes; with ``read``, a
-        bool mask over that plan's output kets, its restriction to them
-        (:func:`_restrict_plan`), keyed also on the mask's bytes."""
-        key = (occupations.shape, occupations.tobytes(), needed.tobytes(),
-               None if read is None else read.tobytes())
-        if read is None:
-            return self.lookup(key, lambda: _build_plan(occupations, needed))
-        return self.lookup(key, lambda: _restrict_plan(
-            self(occupations, needed), read))
-
     def lookup(self, key: tuple, build):
         """The plan kept under ``key``, a tuple of hashable parts, or the
-        one ``build()`` returns, kept under it; the key counts toward the
-        budget too."""
+        one ``build()`` returns, kept under it if it fits the budget; the
+        key counts toward the budget too."""
         with self._lock:
             entry = self._plans.get(key)
             if entry is not None:
@@ -434,6 +425,8 @@ class _PlanCache:
             self._misses += 1
         plan = build()
         size = _held_bytes(key, plan)
+        if size > self.budget:
+            return plan
         with self._lock:
             if key not in self._plans:
                 self._plans[key] = (plan, size)
@@ -468,22 +461,26 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
     The expansion runs in two passes.  The first, :func:`_build_plan`, is
     phase-free and cached in :data:`_expansion_plan`; it depends on the
     input's occupations and the mask of the entries above ``ROW_CUTOFF`` in
-    some matrix of the stack.  The second is a fixed sequence of numpy
-    calls, however many input kets there are: N takes of the terms' factors
-    from the raveled stack, multiplied in place into one (K x terms) block,
-    one multiply by the terms' weights times their input kets' amplitudes,
-    and one ``bincount`` of the whole block over all K rows, row k's index
-    offset by 2n (n output kets).  So the whole block is alive at once,
-    beside one gathered factor block and then the (K x 2 terms) index.
-    Returns the output occupations, unique and in lexicographic
-    order (read-only), and a (K x kets) amplitude block whose row k is the
-    state evolved by ``unitaries[k]``.  The kets are every ket the plan can
-    reach; a ket at or below ``PRUNE_THRESHOLD`` at every k reads exactly 0.
+    some matrix of the stack, whose bytes key it.  The second is a fixed
+    sequence of numpy calls, however many input kets there are: N takes of
+    the terms' factors from the raveled stack, multiplied in place into one
+    (K x terms) block, one multiply by the terms' weights times their input
+    kets' amplitudes, and one ``bincount`` of the whole block over all K
+    rows, row k's index offset by 2n (n output kets).  So the whole block is
+    alive at once, beside one gathered factor block and then the (K x 2
+    terms) index.  Returns the output occupations, unique and in
+    lexicographic order (read-only), and a (K x kets) amplitude block whose
+    row k is the state evolved by ``unitaries[k]``.  The kets are every ket
+    the plan can reach; a ket at or below ``PRUNE_THRESHOLD`` at every k
+    reads exactly 0.
 
     ``select``, if given, is called once with those reachable kets, before
     the stack's unitarity is checked, and returns a bool mask over them: the
-    work is then limited to the kets it marks (:func:`_restrict_plan`), and
-    the result is exactly their columns of the full result.
+    work is then limited to the kets it marks, by a restriction of the full
+    plan in hand (:func:`_restrict_plan`) cached under the full plan's key
+    and the mask's bytes, and the result is exactly their columns of the
+    full result.  So a call builds the full plan at most once, whether or
+    not either plan fits the cache.
     """
     u = np.asarray(unitaries, dtype=complex)
     m = state.mode_count
@@ -495,8 +492,10 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
             f"state carries {state.total_photons} photons; evolve supports "
             f"at most {MAX_PHOTONS}")
     needed = (np.abs(u) > ROW_CUTOFF).any(axis=0)
-    read = None if select is None else select(
-        _expansion_plan(state.occupation_array, needed)[0])
+    inputs = state.occupation_array
+    key = (inputs.shape, inputs.tobytes(), needed.tobytes())
+    full = _expansion_plan.lookup(key, lambda: _build_plan(inputs, needed))
+    read = None if select is None else select(full.occupations)
     if not np.isfinite(u).all():
         raise NonUnitaryError("matrix has a NaN or infinite entry")
     # |gram - I| <= 1e-8 entry by entry, as re^2 + im^2 of a float64 view
@@ -507,8 +506,9 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
     if (deviation[:, ::2] + deviation[:, 1::2]).max() > 1e-8 ** 2:
         raise NonUnitaryError("matrix is not unitary within 1e-8")
 
+    plan = full if read is None else _expansion_plan.lookup(
+        key + (read.tobytes(),), lambda: _restrict_plan(full, read))
     k = len(u)
-    plan = _expansion_plan(state.occupation_array, needed, read)
     occupations, n = plan.occupations, len(plan.occupations)
     entries = u.reshape(k, m * m)
     if len(plan.positions):
@@ -542,28 +542,16 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
 
 
 def permanent(matrix: np.ndarray) -> complex:
-    """Permanent by Ryser's inclusion-exclusion formula with Gray-code updates."""
+    """Permanent of a square matrix by Glynn's formula: the sum over
+    multiplicities (:func:`_repeated_permanent`) with every count 1, over
+    2^(n-1) sign vectors."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("permanent needs a square matrix")
     n = len(a)
     if n == 0:
         return 1.0 + 0j
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0j
-    sign = 1.0
-    gray = 0
-    for k in range(1, 2 ** n):
-        new_gray = k ^ (k >> 1)
-        flipped = (gray ^ new_gray).bit_length() - 1
-        if new_gray & (1 << flipped):
-            row_sums += a[:, flipped]
-        else:
-            row_sums -= a[:, flipped]
-        gray = new_gray
-        sign = -sign
-        total += sign * np.prod(row_sums)
-    return complex(total * (-1.0) ** n)
+    return _repeated_permanent(a, [1] * n, [1] * n)
 
 
 #: Terms of the permanent's sum evaluated in one vectorised block; 20
@@ -588,8 +576,9 @@ def _repeated_permanent(matrix: np.ndarray, row_counts: list[int],
     Ryser's formula over multiplicities has about twice as many terms, and
     they cancel far more: over the 21 amplitudes of |20, 0> through a
     balanced splitter, Ryser's sum is up to 4e-7 off summed over the input
-    side and 5e-9 over the output side, this one 1.4e-13.  A matrix and its transpose have one permanent, so the sum runs
-    over the side with fewer terms, in blocks of ``_PERMANENT_BLOCK`` terms.
+    side and 5e-9 over the output side, this one 1.4e-13.  A matrix and its
+    transpose have one permanent, so the sum runs over the side with fewer
+    terms, in blocks of ``_PERMANENT_BLOCK`` terms.
     """
     if math.prod(c + 1 for c in row_counts) < math.prod(c + 1 for c in col_counts):
         matrix, row_counts, col_counts = matrix.T, col_counts, row_counts
@@ -615,7 +604,8 @@ def transition_amplitude(unitary: np.ndarray, n_in: Occupation,
     Rows of the submatrix repeat input modes by their counts, columns repeat
     output modes; the permanent is divided by sqrt(prod n_in! prod n_out!).
     It is summed over the multiplicities (:func:`_repeated_permanent`), so
-    |20, 0> to |10, 10> takes 20 terms, not 2^20 steps of :func:`permanent`.
+    |20, 0> to |10, 10> takes 20 terms, not the 2^19 sign vectors of the
+    20 x 20 repeated matrix's :func:`permanent`.
     """
     u = np.asarray(unitary, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:

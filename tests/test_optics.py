@@ -26,8 +26,9 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
                    permanent, phase_unitary, swap_unitary,
                    transition_amplitude, vacuum)
 from mzsim.fock import PRUNE_THRESHOLD, _trusted_state
-from mzsim.optics import (ROW_CUTOFF, _compositions, _evolve_grid,
-                          _expansion_plan, _held_bytes, _key_places)
+from mzsim.optics import (ROW_CUTOFF, _build_plan, _compositions,
+                          _evolve_grid, _expansion_plan, _held_bytes,
+                          _key_places, _restrict_plan)
 from strategies import random_unitary, superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -436,11 +437,11 @@ def test_plan_arrays_are_read_only(seed=44):
     u = random_unitary(rng, 3)
     out = evolve(state, u)
     needed = np.abs(u) > ROW_CUTOFF
-    plan = _expansion_plan(state.occupation_array, needed)
+    plan = _build_plan(state.occupation_array, needed)
     assert np.array_equal(plan.occupations, out.occupation_array)
     # and those of its restriction to every other output ket
     read = np.arange(len(plan.occupations)) % 2 == 0
-    restricted = _expansion_plan(state.occupation_array, needed, read)
+    restricted = _restrict_plan(plan, read)
     for array in (*plan, *restricted):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -456,7 +457,7 @@ def plan_cases(draw):
     needed = np.array(draw(st.lists(st.booleans(), min_size=m * m,
                                     max_size=m * m))).reshape(m, m)
     needed[np.arange(m), np.arange(m)] = True
-    plan = _expansion_plan(state.occupation_array, needed)
+    plan = _build_plan(state.occupation_array, needed)
     read = np.array(draw(st.lists(st.booleans(), min_size=len(plan.occupations),
                                   max_size=len(plan.occupations))), dtype=bool)
     return state, needed, plan, read
@@ -496,7 +497,7 @@ def test_each_term_of_a_plan_counts_back_to_its_kets(case):
     assert np.all(np.diff(plan.inputs.astype(np.intp)) >= 0)
     # a restricted plan's terms are the full plan's terms whose ket is read,
     # in order, sent to their ket's place among the read kets
-    restricted = _expansion_plan(inputs, needed, read)
+    restricted = _restrict_plan(plan, read)
     kept = read[ket_of]
     assert np.array_equal(restricted.positions, plan.positions[:, kept])
     assert np.array_equal(restricted.weights, plan.weights[kept])
@@ -539,7 +540,7 @@ def test_a_plan_keeps_its_merge_index_in_the_narrowest_type(occ, kets, dtype,
     state = basis_state(occ)
     u = random_unitary(np.random.default_rng(seed), len(occ))
     out = evolve(state, u)
-    plan = _expansion_plan(state.occupation_array, np.abs(u) > ROW_CUTOFF)
+    plan = _build_plan(state.occupation_array, np.abs(u) > ROW_CUTOFF)
     assert len(plan.occupations) == len(out) == kets
     scatter = plan.scatter
     assert scatter.dtype == dtype and int(scatter.max()) == 2 * kets - 1
@@ -606,6 +607,17 @@ def test_the_plan_cache_keeps_within_its_byte_budget(monkeypatch, seed=47):
     out = evolve(states[0], u)
     assert np.array_equal(out.occupation_array, kept.occupation_array)
     assert np.array_equal(out.amplitude_array, kept.amplitude_array)
+    # and it evicts nothing: a plan kept before it survives and still hits
+    small = basis_state((1,) + (0,) * 6)
+    _expansion_plan.cache_clear()
+    evolve(small, u)
+    held = _expansion_plan.cache_info()
+    assert held.currsize == 1 and 0 < held.nbytes <= _expansion_plan.budget
+    evolve(states[0], u)
+    evolve(small, u)
+    info = _expansion_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    assert (info.currsize, info.nbytes) == (1, held.nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +625,11 @@ def test_the_plan_cache_keeps_within_its_byte_budget(monkeypatch, seed=47):
 
 
 def brute_force_permanent(a):
-    """Permutation-sum definition; only usable for small matrices."""
+    """Permutation-sum definition, one row per permutation; only usable for
+    small matrices (7! = 5,040 rows at n = 7)."""
     n = a.shape[0]
-    total = 0j
-    for perm in itertools.permutations(range(n)):
-        term = 1.0 + 0j
-        for i, j in enumerate(perm):
-            term *= a[i, j]
-        total += term
-    return total
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    return complex(a[np.arange(n), perms].prod(axis=1).sum())
 
 
 def test_permanent_small_cases():
@@ -657,7 +665,9 @@ def test_permanent_row_scaling():
 def test_the_sum_over_multiplicities_is_the_repeated_matrix_permanent(
         modes, photons, data):
     # any complex matrix, not only unitaries; the sum runs over whichever
-    # side has fewer terms, so both sides get drawn as the smaller one
+    # side has fewer terms, so both sides get drawn as the smaller one.
+    # The reference is the permutation sum, not permanent(), which runs
+    # the same Glynn sum with every count 1
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     a = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
     counts = st.lists(st.integers(0, modes - 1), min_size=photons,
@@ -668,7 +678,7 @@ def test_the_sum_over_multiplicities_is_the_repeated_matrix_permanent(
     repeated = a[np.ix_([m for m in range(modes) for _ in range(n_in[m])],
                         [m for m in range(modes) for _ in range(n_out[m])])]
     norm = math.sqrt(math.prod(map(math.factorial, n_in + n_out)))
-    want = permanent(repeated)
+    want = brute_force_permanent(repeated)
     got = transition_amplitude(a, n_in, n_out) * norm
     assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 

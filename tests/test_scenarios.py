@@ -19,11 +19,12 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
                    engineered_input, evolve, inner_product, noon_target,
                    one_photon_each_input, pattern_probability, preset,
                    run_scan, run_triple, transition_amplitude)
-from mzsim import scenarios
+from mzsim import optics, scenarios
 from mzsim.circuit import PRESET_NAMES, _compile_grid, preset_fig2
 from mzsim.fock import _common_rows
 from mzsim.measurement import pattern_masks
-from mzsim.optics import _evolve_grid, _expansion_plan
+from mzsim.optics import (_build_plan, _evolve_grid, _expansion_plan,
+                          _restrict_plan)
 from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
 from strategies import (occupations, random_unitary, superpositions,
                         swept_circuits)
@@ -636,6 +637,30 @@ def test_a_scan_keeps_its_restricted_plan_in_the_plan_cache():
     assert info_again.misses == 2 and info_again.hits == info.hits + 2
     assert info_again.nbytes == info.nbytes > 0
     assert np.array_equal(first[0], again[0])
+
+
+def test_a_call_builds_each_full_plan_once_when_no_plan_is_kept(monkeypatch):
+    # with a budget nothing fits, every lookup misses; the restriction is
+    # still made from the full plan the scan's select already had
+    built, restricted = [], []
+
+    def build(inputs, needed):
+        built.append((inputs.shape, inputs.tobytes(), needed.tobytes()))
+        return _build_plan(inputs, needed)
+
+    def restrict(plan, read):
+        restricted.append(len(plan.occupations))
+        return _restrict_plan(plan, read)
+
+    monkeypatch.setattr(_expansion_plan, "budget", 1)
+    monkeypatch.setattr(optics, "_build_plan", build)
+    monkeypatch.setattr(optics, "_restrict_plan", restrict)
+    _expansion_plan.cache_clear()
+    classify_table1(3)
+    # the engineered input's plan and the braced stack's, once each
+    assert len(set(built)) == len(built) == 2
+    assert len(restricted) == 1
+    assert _expansion_plan.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
