@@ -90,7 +90,7 @@ class CircuitElement:
     def __post_init__(self):
         _check_name("element", self.name)
         if self.kind == "bs":
-            if len(self.modes) != 2 or self.coeffs is None:
+            if len(self.modes) != 2 or not isinstance(self.coeffs, BeamSplitterCoeffs):
                 raise CircuitError(f"bs element {self.name} needs two modes and coefficients")
             self.coeffs.validate()
         elif self.kind == "phase":
@@ -257,7 +257,7 @@ def _trusted_element(kind: str, name: str, modes: tuple[int, ...],
                      param: str | None = None) -> CircuitElement:
     """An element from fields already known to be valid, built without the
     checks of ``CircuitElement.__post_init__``: :func:`braced` generates
-    its names and modes, and validates each tap it is given.  The
+    its names and modes, and checks each tap it is given.  The
     ``Circuit`` it builds still checks names, modes and toggles."""
     element = object.__new__(CircuitElement)
     element.__dict__.update(kind=kind, name=name, modes=modes, coeffs=coeffs,
@@ -265,90 +265,56 @@ def _trusted_element(kind: str, name: str, modes: tuple[int, ...],
     return element
 
 
-def _primes(q: int) -> str:
-    return "p" * q
-
-
 def braced(n: int, taps: Sequence[BeamSplitterCoeffs] | None = None) -> Circuit:
     """N-photon braced interferometer stack with N - 1 tap stages.
 
     ``taps[0]`` is the outermost (unprimed) tap pair, ``taps[q]`` the stage
     with q primes; all default to balanced.  Stage order along the beam is
-    innermost (most primed) first.  Each tap is validated; the elements,
-    whose names and modes are generated here, are built unchecked
+    innermost (most primed) first.  Stage q's arm inputs, tap vacuum ports
+    and detectors D6/D7 are six modes from 2 (q = 0) or 6 + 6q; its arms
+    leave on stage q - 1's inputs, stage 0's on modes 8 and 9.  Each tap is
+    checked where its BS4 element is built; the other elements, whose names
+    and modes are generated here, are built unchecked
     (:func:`_trusted_element`), and the ``Circuit`` checks the whole.
     """
     if n not in range(2, 6):
         raise ValueError(f"braced stack supports 2 <= n <= 5, got {n!r}")
     n = int(n)
-    stages = n - 1                      # tap stages, innermost first
-    primed = stages - 1                 # number of primed stages
     if taps is None:
-        taps = [BALANCED] * stages
-    if len(taps) != stages:
-        raise ValueError(f"need {stages} tap coefficient pairs, got {len(taps)}")
-    for c in taps:
-        c.validate()
-    mode_count = 12 + 6 * primed
-
-    def block(q: int) -> dict[str, int]:
-        # mode indices of the stage with q primes
-        if q == 0:
-            return {"up_in": 2, "lo_in": 3, "up_vac": 4, "lo_vac": 5,
-                    "det_a": 6, "det_b": 7, "up_out": 8, "lo_out": 9}
-        base = 12 + 6 * (q - 1)
-        nxt = block(q - 1)
-        return {"up_in": base + 0, "lo_in": base + 1, "up_vac": base + 2,
-                "lo_vac": base + 3, "det_a": base + 4, "det_b": base + 5,
-                "up_out": nxt["up_in"], "lo_out": nxt["lo_in"]}
-
-    elements: list[CircuitElement] = []
+        taps = [BALANCED] * (n - 1)
+    if len(taps) != n - 1:
+        raise ValueError(f"need {n - 1} tap coefficient pairs, got {len(taps)}")
+    start = [2] + [6 + 6 * q for q in range(1, n - 1)]
+    top = start[-1]
+    elements = [_trusted_element("bs", "BS1", (0, 1), BALANCED),
+                _trusted_element("swap", "BS1a", (0, top)),
+                _trusted_element("swap", "BS1b", (1, top + 1)),
+                _trusted_element("phase", "PC", (top,), param="phi_C")]
     # detector listing: innermost stage first, outputs last
     detectors: dict[str, int] = {}
-    toggles: set[str] = set()
-    first = block(primed)
-
-    elements.append(_trusted_element("bs", "BS1", (0, 1), BALANCED))
-    elements.append(_trusted_element("swap", "BS1a", (0, first["up_in"])))
-    elements.append(_trusted_element("swap", "BS1b", (1, first["lo_in"])))
-    elements.append(_trusted_element("phase", "PC", (first["up_in"],), param="phi_C"))
-
-    for q in range(primed, -1, -1):
-        b = block(q)
-        p = _primes(q)
-        tap = taps[q]
-        elements.append(_trusted_element("bs", f"BS4{p}", (b["up_in"], b["up_vac"]), tap))
-        elements.append(_trusted_element("swap", f"BS4{p}a", (b["up_in"], b["up_out"])))
-        if q > 0:
-            # primed stages exit mirror-fashion: upper tap toward the D6 side
-            elements.append(_trusted_element("swap", f"BS4{p}b",
-                                               (b["up_vac"], b["det_a"])))
-        else:
-            elements.append(_trusted_element("swap", "BS4b", (b["up_vac"], b["det_b"])))
-        elements.append(_trusted_element("bs", f"BS5{p}", (b["lo_in"], b["lo_vac"]), tap))
-        elements.append(_trusted_element("swap", f"BS5{p}a", (b["lo_in"], b["lo_out"])))
-        if q > 0:
-            elements.append(_trusted_element("swap", f"BS5{p}b",
-                                               (b["lo_vac"], b["det_b"])))
-            elements.append(_trusted_element("phase", f"PS{p}", (b["det_b"],),
-                                             param=f"phi_S{p}"))
-        else:
-            elements.append(_trusted_element("swap", "BS5b", (b["lo_vac"], b["det_a"])))
-            elements.append(_trusted_element("phase", "PS", (b["det_a"],),
-                                             param="phi_S"))
-        elements.append(_trusted_element("bs", f"BS2{p}", (b["det_a"], b["det_b"]),
-                                         BALANCED))
-        toggles.add(f"BS2{p}")
-        detectors[f"D6{p}"] = b["det_a"]
-        detectors[f"D7{p}"] = b["det_b"]
-
-    elements.append(_trusted_element("phase", "PB", (9,), param="phi_B"))
-    elements.append(_trusted_element("bs", "BS3", (8, 9), BALANCED))
-    elements.append(_trusted_element("swap", "BS3a", (8, 10)))
-    elements.append(_trusted_element("swap", "BS3b", (9, 11)))
-    detectors["D10"] = 10
-    detectors["D11"] = 11
-    return Circuit(mode_count, tuple(elements), detectors, frozenset(toggles))
+    for q in range(n - 2, -1, -1):
+        m, p, tap = start[q], "p" * q, taps[q]
+        out = start[q - 1] if q else 8
+        det_a, det_b = m + 4, m + 5
+        # primed stages exit mirror-fashion: upper tap toward the D6 side
+        side_a, side_b = (det_a, det_b) if q else (det_b, det_a)
+        elements += [
+            CircuitElement("bs", f"BS4{p}", (m, m + 2), tap),
+            _trusted_element("swap", f"BS4{p}a", (m, out)),
+            _trusted_element("swap", f"BS4{p}b", (m + 2, side_a)),
+            _trusted_element("bs", f"BS5{p}", (m + 1, m + 3), tap),
+            _trusted_element("swap", f"BS5{p}a", (m + 1, out + 1)),
+            _trusted_element("swap", f"BS5{p}b", (m + 3, side_b)),
+            _trusted_element("phase", f"PS{p}", (side_b,), param=f"phi_S{p}"),
+            _trusted_element("bs", f"BS2{p}", (det_a, det_b), BALANCED)]
+        detectors[f"D6{p}"], detectors[f"D7{p}"] = det_a, det_b
+    elements += [_trusted_element("phase", "PB", (9,), param="phi_B"),
+                 _trusted_element("bs", "BS3", (8, 9), BALANCED),
+                 _trusted_element("swap", "BS3a", (8, 10)),
+                 _trusted_element("swap", "BS3b", (9, 11))]
+    detectors.update(D10=10, D11=11)
+    toggles = frozenset(f"BS2{'p' * q}" for q in range(n - 1))
+    return Circuit(6 * n, tuple(elements), detectors, toggles)
 
 
 def preset_fig1(tap: BeamSplitterCoeffs = BALANCED) -> Circuit:

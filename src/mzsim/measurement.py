@@ -19,6 +19,8 @@ number operators can still be addressed by circuit mode after tracing.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -30,6 +32,16 @@ from .errors import (DimensionMismatchError, NonFiniteAmplitudeError,
 from .fock import (_COUNTS, MAX_MODE_PHOTONS, PRUNE_THRESHOLD, FockState,
                    Occupation, _check_occupation, _union, inner_product)
 from .optics import _expansion_plan
+
+
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` that names the first frame outside the package,
+    counted from the caller (``skip_file_prefixes`` needs Python 3.12)."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -97,7 +109,7 @@ def pattern_masks(patterns, detectors: Mapping[str, int],
             warnings.warn(
                 f"pattern wants {pattern.total} photons, state carries "
                 f"{photons}; probability is identically zero",
-                RuntimeWarning, stacklevel=4)
+                RuntimeWarning, stacklevel=_outside_stacklevel())
             mask[:] = False
             continue
         if pattern.exclusive:

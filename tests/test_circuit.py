@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,17 @@ def test_braced_scaling():
         braced(6)
     with pytest.raises(ValueError):
         braced(3, [BALANCED])                               # needs two tap pairs
+
+
+@pytest.mark.parametrize("build", [
+    lambda: braced(3, [1, 2]),
+    lambda: braced(3, [BALANCED, (BALANCED.t, BALANCED.r)]),
+    lambda: preset_fig1(tap=1),
+    lambda: CircuitElement("bs", "X", (0, 1), coeffs=5),
+], ids=["braced-int", "braced-tuple", "fig1-int", "element-int"])
+def test_a_tap_that_is_not_a_coefficient_pair_is_a_circuit_error(build):
+    with pytest.raises(CircuitError, match="needs two modes and coefficients"):
+        build()
 
 
 def test_braced_reads_its_photon_number_as_a_count():
@@ -396,6 +408,11 @@ def test_serialize_round_trips_random_circuits(circuit):
 def test_shipped_circuit_files_match_presets():
     for name in ("fig1", "fig2", "fig3"):
         assert load_preset_file(name) == preset(name)
+    # the deeper stacks are pinned by test data, detector order included
+    for name in ("braced_4", "braced_5"):
+        text = (pathlib.Path(__file__).parent / "data" / f"{name}.mzc").read_text()
+        assert parse_circuit(text) == preset(name)
+        assert serialize(preset(name)) == text
 
 
 def test_parse_ignores_comments_and_blank_lines():

@@ -622,6 +622,22 @@ def test_an_over_photon_pattern_warns_once_per_scan():
     assert not np.any(results[0][0]) and np.any(results[0][1])
 
 
+def test_an_over_photon_pattern_warns_at_the_callers_line():
+    # the warning names the first frame outside the package, so a direct
+    # read and a scan both point at this file
+    c = preset("fig1")
+    state = one_photon_each_input(c)
+    phases = {"phi_C": 0.3, "phi_B": 0.2}
+    over = DetectionPattern({"D10": 3})
+    with pytest.warns(RuntimeWarning, match="identically zero") as caught:
+        pattern_probability(evolve(state, compile(c, phases)), over,
+                            c.detectors)
+    assert [w.filename for w in caught] == [__file__]
+    with pytest.warns(RuntimeWarning, match="identically zero") as caught:
+        run_scan(c, (), state, over, "phi_C", {"phi_B": 0.2})
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_a_scan_keeps_its_restricted_plan_in_the_plan_cache():
     # the full plan and its restriction to the read set: two misses, then
     # the same scan again hits both, and the byte count holds both
