@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -303,23 +304,29 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     out = sys.stdout
     config = None
-    try:
-        if args.verify:
-            return _run_verify(args, out)
-        config = _resolve(args)
-        if config.sweep:
-            return _run_sweep(config, out)
-        return _run_point(config, out)
-    except CircuitParseError as exc:
-        print(f"mzsim: parse error: {exc}", file=sys.stderr)
-        return 3
-    except NonUnitaryError as exc:
-        hint = _worst_splitter(config) if config else ""
-        print(f"mzsim: {exc}{hint}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"mzsim: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            if args.verify:
+                return _run_verify(args, out)
+            config = _resolve(args)
+            if config.sweep:
+                return _run_sweep(config, out)
+            return _run_point(config, out)
+        except CircuitParseError as exc:
+            print(f"mzsim: parse error: {exc}", file=sys.stderr)
+            return 3
+        except NonUnitaryError as exc:
+            hint = _worst_splitter(config) if config else ""
+            print(f"mzsim: {exc}{hint}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"mzsim: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            # as the CLI's own notice, such as a pattern's "identically
+            # zero": Python's would name a source line that is not the user's
+            for warning in caught:
+                print(f"mzsim: warning: {warning.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -16,12 +16,13 @@ so sequential application of U1 then U2 composes to the single matrix
   a flat table of its terms, each a product of N unitary entries times a
   weight, with the input ket it comes from and the output ket it adds
   into; it is planned once per structure and cached (:class:`_PlanCache`),
-  and the stack then evolves in a fixed number of numpy calls.  A scan
-  passes a ``select`` callback that picks the kets its readouts read among
-  every reachable ket, and the plan keeps only the terms that add into
-  them (``classify_table1(5)`` reads 495 of 2,002 kets, fed by 1,820 of
-  8,568 terms); the output is always the reachable kets, or exactly the
-  selected ones, a ket pruned at every phase reading 0;
+  and each matrix of the stack then evolves in a fixed number of numpy
+  calls.  A scan passes a ``select`` callback that picks the kets its
+  readouts read among every reachable ket, and the plan keeps only the
+  terms that add into them (``classify_table1(5)`` reads 495 of 2,002
+  kets, fed by 1,820 of 8,568 terms); the output is always the reachable
+  kets, or exactly the selected ones, a ket pruned at every phase
+  reading 0;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix, summed over the repeat
   counts by Glynn's formula; :func:`permanent` is the same sum with every
@@ -461,18 +462,20 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
     The expansion runs in two passes.  The first, :func:`_build_plan`, is
     phase-free and cached in :data:`_expansion_plan`; it depends on the
     input's occupations and the mask of the entries above ``ROW_CUTOFF`` in
-    some matrix of the stack, whose bytes key it.  The second is a fixed
-    sequence of numpy calls, however many input kets there are: N takes of
-    the terms' factors from the raveled stack, multiplied in place into one
-    (K x terms) block, one multiply by the terms' weights times their input
-    kets' amplitudes, and one ``bincount`` of the whole block over all K
-    rows, row k's index offset by 2n (n output kets).  So the whole block is
-    alive at once, beside one gathered factor block and then the (K x 2
-    terms) index.  Returns the output occupations, unique and in
-    lexicographic order (read-only), and a (K x kets) amplitude block whose
-    row k is the state evolved by ``unitaries[k]``.  The kets are every ket
-    the plan can reach; a ket at or below ``PRUNE_THRESHOLD`` at every k
-    reads exactly 0.
+    some matrix of the stack, whose bytes key it.  The second walks the
+    stack one matrix at a time, in a fixed number of numpy calls per matrix
+    however many input kets there are: its unitarity gram, then N takes of
+    the terms' factors from the raveled matrix, multiplied in place into
+    one terms vector, one multiply by the terms' weights times their input
+    kets' amplitudes (computed once per call), and one ``bincount`` of
+    that vector into its row of the (K x n) output (n output kets).  So no
+    temporary of this pass outgrows one terms vector of complex values,
+    whatever K is, and each row equals a one-matrix call's bit for bit.
+    Returns the output occupations, unique and in lexicographic order
+    (read-only), and a (K x kets) amplitude block whose row k is the state
+    evolved by ``unitaries[k]``.  The kets are every ket the plan can
+    reach; a ket at or below ``PRUNE_THRESHOLD`` at every k reads exactly
+    0.
 
     ``select``, if given, is called once with those reachable kets, before
     the stack's unitarity is checked, and returns a bool mask over them: the
@@ -498,31 +501,27 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
     read = None if select is None else select(full.occupations)
     if not np.isfinite(u).all():
         raise NonUnitaryError("matrix has a NaN or infinite entry")
-    # |gram - I| <= 1e-8 entry by entry, as re^2 + im^2 of a float64 view
-    gram = u @ u.conj().transpose(0, 2, 1)
-    deviation = gram.view(float).reshape(len(u), -1)
-    deviation[:, ::2 * m + 2] -= 1.0     # the real diagonal
-    deviation *= deviation
-    if (deviation[:, ::2] + deviation[:, 1::2]).max() > 1e-8 ** 2:
-        raise NonUnitaryError("matrix is not unitary within 1e-8")
+    for matrix in u:
+        # |gram - I| <= 1e-8 entry by entry, as re^2 + im^2 of a float64 view
+        deviation = (matrix @ matrix.conj().T).view(float).reshape(-1)
+        deviation[::2 * m + 2] -= 1.0     # the real diagonal
+        deviation *= deviation
+        if (deviation[::2] + deviation[1::2]).max() > 1e-8 ** 2:
+            raise NonUnitaryError("matrix is not unitary within 1e-8")
 
     plan = full if read is None else _expansion_plan.lookup(
         key + (read.tobytes(),), lambda: _restrict_plan(full, read))
-    k = len(u)
     occupations, n = plan.occupations, len(plan.occupations)
-    entries = u.reshape(k, m * m)
-    if len(plan.positions):
-        block = entries.take(plan.positions[0], axis=1)
-    else:       # no photons: a term is the empty product
-        block = np.ones((k, len(plan.weights)), dtype=complex)
-    for positions in plan.positions[1:]:
-        block *= entries.take(positions, axis=1)
-    block *= plan.weights * state.amplitude_array.take(plan.inputs)
-    index = plan.scatter.astype(np.intp)
-    if k > 1:
-        index = (index + 2 * n * np.arange(k)[:, None]).reshape(-1)
-    amplitudes = np.bincount(index, block.view(float).reshape(-1),
-                             2 * n * k).view(complex).reshape(k, n)
+    weights = plan.weights * state.amplitude_array.take(plan.inputs)
+    amplitudes = np.empty((len(u), n), dtype=complex)
+    for row, entries in zip(amplitudes, u.reshape(len(u), m * m)):
+        # with no photons a term is the empty product
+        term = (entries.take(plan.positions[0]) if len(plan.positions)
+                else np.ones(len(weights), dtype=complex))
+        for positions in plan.positions[1:]:
+            term *= entries.take(positions)
+        term *= weights
+        row.view(float)[:] = np.bincount(plan.scatter, term.view(float), 2 * n)
     amplitudes *= plan.scale
 
     finite = np.isfinite(amplitudes)

@@ -8,6 +8,7 @@ import json
 import math
 import shutil
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,25 @@ def test_circuit_file_matches_preset(capsys, tmp_path):
     value_file = float(from_file.strip().splitlines()[1].rsplit(",", 1)[1])
     value_preset = float(from_preset.strip().splitlines()[1].rsplit(",", 1)[1])
     assert value_file == value_preset
+
+
+@pytest.mark.parametrize("run", [("--phases", "phi_C=0.1,phi_B=0.4,phi_S=1.1"),
+                                 ("--sweep", "phi_C:0:1:4",
+                                  "--phases", "phi_B=0.4,phi_S=1.1")])
+def test_an_over_photon_pattern_is_a_cli_warning_without_a_location(capsys,
+                                                                    run):
+    # the notice is the CLI's own line on stderr, at every call, and no
+    # Python warning (which would name a source line) leaves main
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "--preset", "fig2",
+                                     "--pattern", "D10:3", *run)
+        assert code == 0 and not escaped
+        assert err == ("mzsim: warning: pattern wants 3 photons, state "
+                       "carries 2; probability is identically zero\n")
+        assert {line.rsplit(",", 1)[1] for line in out.splitlines()[1:]} == {
+            "0.0"}
 
 
 # ---------------------------------------------------------------------------

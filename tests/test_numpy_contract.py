@@ -131,8 +131,10 @@ def test_bincount_sums_each_bin_in_index_order():
 
 
 def test_one_raveled_bincount_equals_a_bincount_per_row():
-    # optics._evolve_grid adds all K rows of its (K x terms) block with one
-    # bincount whose index is offset by 2n per row
+    # optics._evolve_grid adds each matrix's terms into its own output row
+    # with one bincount per row: a row's sums do not depend on the rows
+    # beside it, so one raveled bincount over all K rows, its index offset
+    # by 2n per row, gives the same rows
     rng = np.random.default_rng(SEED)
     k, n, terms = 4, 5, 30
     index = rng.integers(0, 2 * n, terms)
@@ -158,11 +160,12 @@ def test_complex_exp_gives_each_entry_its_own_value():
 
 
 def test_complex_multiply_gives_each_entry_its_own_value():
-    # optics._evolve_grid multiplies a (K x terms) block in place by gathered
-    # factor blocks and by a terms vector of float weights times complex
-    # amplitudes; a restricted plan's terms then equal the full plan's only
-    # if an entry's product does not depend on its position, the array's
-    # length or the operation being in place (SIMD bodies against tails)
+    # optics._evolve_grid multiplies each matrix's terms vector in place by
+    # its gathered factor vectors and then by a terms vector of float
+    # weights times complex amplitudes; a restricted plan's terms equal the
+    # full plan's only if an entry's product does not depend on its
+    # position, the array's length or the operation being in place (SIMD
+    # bodies against tails)
     rng = np.random.default_rng(SEED)
     k, terms = 3, 37
     a, b = random_complex(rng, k, terms), random_complex(rng, k, terms)

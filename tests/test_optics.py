@@ -22,9 +22,9 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
                    DimensionMismatchError, FockState,
                    InvalidCoefficientsError, NonUnitaryError,
                    PhotonCountError, SectorError, basis_state, bs_unitary,
-                   compile, evolve, is_unitary, pattern_probability,
-                   permanent, phase_unitary, swap_unitary,
-                   transition_amplitude, vacuum)
+                   classify_table1, compile, evolve, is_unitary,
+                   pattern_probability, permanent, phase_unitary,
+                   scenarios, swap_unitary, transition_amplitude, vacuum)
 from mzsim.fock import PRUNE_THRESHOLD, _trusted_state
 from mzsim.optics import (ROW_CUTOFF, _build_plan, _compositions,
                           _evolve_grid, _expansion_plan, _held_bytes,
@@ -371,6 +371,68 @@ def test_the_grid_checks_every_matrix_of_its_stack():
         _evolve_grid(state, good)
     with pytest.raises(PhotonCountError):
         _evolve_grid(basis_state((21, 0)), np.stack([good, good]))
+
+
+@st.composite
+def shared_entry_stacks(draw):
+    """A state, a stack whose matrices all have the same nonzero entries
+    (random unitaries, or one permutation at random phases), and a seed of
+    a read mask or None.
+
+    A shared entry mask gives each matrix alone the stack's plan.
+    """
+    m = draw(st.integers(1, 4))
+    state = draw(superpositions(m, draw(st.integers(0, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        stack = [random_unitary(rng, m) for _ in range(k)]
+    else:
+        permutation = np.eye(m)[rng.permutation(m)]
+        stack = [permutation * np.exp(1j * rng.uniform(0, 2 * math.pi, m))
+                 for _ in range(k)]
+    return state, np.stack(stack), draw(st.none() | st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_entry_stacks())
+def test_each_row_of_a_stack_is_a_one_matrix_call_bit_for_bit(case):
+    state, stack, seed = case
+    select = None if seed is None else (
+        lambda kets: np.random.default_rng(seed).random(len(kets)) < 0.5)
+    kets, amplitudes = _evolve_grid(state, stack, select)
+    for u, row in zip(stack, amplitudes):
+        alone_kets, (alone,) = _evolve_grid(state, u[None], select)
+        assert np.array_equal(alone_kets, kets)
+        # a ket the stack keeps for another matrix's sake is pruned alone
+        row = np.where(np.abs(row) > PRUNE_THRESHOLD, row, 0)
+        assert alone.tobytes() == row.tobytes()
+
+
+def test_a_warm_scan_evolve_holds_less_than_one_stacked_block(monkeypatch):
+    # classify_table1(5) evolves one 12-matrix stack onto 495 read kets fed
+    # by 1,820 terms; one (K x terms) complex block would be 349,440 bytes
+    scans = []
+
+    def recording(state, stack, select=None):
+        def recorded(kets):
+            scans.append((state, stack, select(kets)))
+            return scans[-1][2]
+        return _evolve_grid(state, stack, recorded)
+
+    monkeypatch.setattr(scenarios, "_evolve_grid", recording)
+    classify_table1(5)
+    (state, stack, read), = scans
+    assert (len(stack), read.sum()) == (12, 495)
+    _evolve_grid(state, stack, lambda kets: read)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _evolve_grid(state, stack, lambda kets: read)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 1820 * 16
 
 
 # ---------------------------------------------------------------------------
