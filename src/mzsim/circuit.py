@@ -68,9 +68,9 @@ def _check_name(what: str, name) -> None:
 def _check_modes(what: str, name: str, modes: Iterable[int],
                  mode_count: int) -> None:
     for m in modes:
-        if not 0 <= m < mode_count:
+        if not (isinstance(m, (int, np.integer)) and 0 <= m < mode_count):
             raise CircuitError(
-                f"{what} {name} uses mode {m}, mode count is {mode_count}")
+                f"{what} {name} uses mode {m!r}, mode count is {mode_count}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,10 @@ class Circuit:
     toggles: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        if not (isinstance(self.mode_count, (int, np.integer))
+                and self.mode_count > 0):
+            raise CircuitError(
+                f"mode count {self.mode_count!r} is not a positive integer")
         names = [e.name for e in self.elements]
         if len(set(names)) != len(names):
             raise CircuitError("duplicate element names")

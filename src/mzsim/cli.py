@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -50,6 +51,10 @@ class _UsageError(ValueError):
     pass
 
 
+# built on the first call only: a parser costs more to build than a small
+# sweep's physics, parsing leaves it unchanged, and building it loads
+# gettext's locale modules, which a program that never runs the CLI skips
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mzsim",
@@ -297,9 +302,8 @@ def _worst_splitter(config: RunConfig) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     out = sys.stdout

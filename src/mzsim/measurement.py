@@ -7,14 +7,14 @@ photons pins a single basis ket.  :func:`pattern_masks` reads the detector
 columns of a set of kets once for any number of patterns.
 
 A density matrix is kept over a basis of kets, stored like a state's kets,
-as a pair of ``complex128`` factors with rho = left @ right^dagger.  A pure
-state's factors are both its amplitude column, so |psi><psi| costs nothing
-of size kets x kets; a matrix given as a mapping has factors (matrix,
-identity).  The dense matrix is built on first use.  A partial trace keeps
-factors too (:func:`partial_trace`), and plans its phase-free scatter once
-per structure in the plan cache evolve uses (``optics._PlanCache``).
-Matrices retain the original mode indices through partial traces, so
-number operators can still be addressed by circuit mode after tracing.
+with one of two ``complex128`` arrays.  A pure state keeps its amplitude
+column psi, so |psi><psi| costs nothing of size kets x kets until a dense
+view is asked for; a matrix given as a mapping, and the result of a
+partial trace, keep the matrix itself.  :func:`partial_trace` plans its
+phase-free grouping of the basis once per basis in the plan cache evolve
+uses (``optics._PlanCache``).  Matrices retain the original mode indices
+through partial traces, so number operators can still be addressed by
+circuit mode after tracing.
 """
 
 from __future__ import annotations
@@ -150,36 +150,33 @@ def projected_probability(state: FockState, projector: FockState) -> float:
 class DensityEntries(Mapping):
     """Read-only ``(ket, bra) -> entry`` view of a density matrix's arrays.
 
-    It holds the basis and the factors ``left``, ``right``; ``matrix`` is
-    their product, built on first use unless it was given.  After a partial
-    trace it is given with its entries at or below ``PRUNE_THRESHOLD``
-    zeroed, while the factors stay unpruned: a nested trace reads them, and
-    every other view reads ``matrix``.  Iteration, ``items``, ``values`` and
-    ``repr`` read one dict of the nonzero entries of ``matrix``, keyed by
-    occupation tuples in lexicographic ``(ket, bra)`` order and built on
+    It holds the basis and either ``psi``, the (kets x 1) amplitude column
+    of a pure state, or the matrix itself; ``matrix`` is the matrix given,
+    or psi psi^dagger built on first use.  Iteration, ``items``, ``values``
+    and ``repr`` read one dict of the nonzero entries of ``matrix``, keyed
+    by occupation tuples in lexicographic ``(ket, bra)`` order and built on
     first read.  Lookups (``[key]``, ``get``, ``in``) read one value as
     :meth:`entry` does, a zero entry reading as missing, and ``len`` counts
     the nonzero entries; neither builds the dict.  A key is read as
     ``(tuple(ket), tuple(bra))``, so list occupations find their entry too.
     """
 
-    __slots__ = ("basis", "left", "right", "_matrix", "_dict", "_rows")
+    __slots__ = ("basis", "psi", "_matrix", "_dict", "_rows")
 
-    def __init__(self, basis: np.ndarray, left: np.ndarray, right: np.ndarray,
+    def __init__(self, basis: np.ndarray, psi: np.ndarray | None = None,
                  matrix: np.ndarray | None = None):
-        for array in (basis, left, right, matrix):
+        for array in (basis, psi, matrix):
             if array is not None:
                 array.flags.writeable = False
         self.basis = basis
-        self.left = left
-        self.right = right
+        self.psi = psi
         self._matrix = matrix
         self._dict = self._rows = None
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            matrix = self.left @ self.right.conj().T
+            matrix = self.psi @ self.psi.conj().T
             matrix.flags.writeable = False
             self._matrix = matrix
         return self._matrix
@@ -218,8 +215,8 @@ class DensityEntries(Mapping):
 
         The two rows are looked up in a ket -> row dict, built once and of
         the basis's size; the value is read from the dense matrix when it
-        exists, and from the two factor rows otherwise, so nothing of size
-        kets x kets is built.
+        exists, and from two amplitudes of ``psi`` otherwise, so nothing of
+        size kets x kets is built.
         """
         if self._rows is None:
             self._rows = {occ: i for i, occ in
@@ -230,7 +227,7 @@ class DensityEntries(Mapping):
             return 0j
         if self._matrix is not None:
             return complex(self._matrix[i, j])
-        return complex(self.left[i] @ self.right[j].conj())
+        return complex(self.psi[i] @ self.psi[j].conj())
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.matrix))
@@ -246,10 +243,10 @@ class DensityMatrix:
     Each of its basis kets carries some nonzero entry in its row or column.
     ``entries`` is a read-only mapping view of the nonzero entries keyed
     ``(ket, bra)``.  A plain mapping given as ``entries`` is validated and
-    converted into the arrays once, with factors (matrix, identity); the
-    fields cannot be reassigned after.  ``modes`` lists the original mode
-    indices the occupations refer to, in order; a freshly built matrix has
-    modes (0, .., M-1).
+    converted into its basis and matrix once; the fields cannot be
+    reassigned after.  ``modes`` lists the original mode indices the
+    occupations refer to, in order, each at most once and none negative; a
+    freshly built matrix has modes (0, .., M-1).
     """
 
     entries: Mapping[tuple[Occupation, Occupation], complex]
@@ -260,6 +257,9 @@ class DensityMatrix:
         width = len(self.modes)
         if not width:
             raise ValueError("a density matrix needs at least one mode")
+        if len(set(self.modes)) != width or min(self.modes) < 0:
+            raise ValueError(f"modes {self.modes} repeat a mode or hold a "
+                             f"negative one")
         items = list(self.entries.items())
         kets = [_check_occupation(ket, width) for (ket, _), _ in items]
         bras = [_check_occupation(bra, width) for (_, bra), _ in items]
@@ -273,9 +273,8 @@ class DensityMatrix:
         basis, index = _union(rows)
         matrix = np.zeros((len(basis), len(basis)), dtype=complex)
         matrix[index[:len(items)], index[len(items):]] = values
-        basis, matrix, _ = _support(basis, matrix)
-        object.__setattr__(self, "entries", DensityEntries(
-            basis, matrix, np.eye(len(basis), dtype=complex), matrix))
+        basis, matrix = _support(basis, matrix)
+        object.__setattr__(self, "entries", DensityEntries(basis, matrix=matrix))
 
     @property
     def basis_array(self) -> np.ndarray:
@@ -330,25 +329,23 @@ class DensityMatrix:
             raise ValueError(f"mode {mode} was traced out or never present") from None
 
 
-def _support(basis: np.ndarray, matrix: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Drop the basis kets whose row and column hold only zeros.
-
-    Also returns the mask of the kets kept, or None when all are.
-    """
+def _support(basis: np.ndarray,
+             matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the basis kets whose row and column hold only zeros."""
     nonzero = matrix.astype(bool)
     live = nonzero.any(axis=0) | nonzero.any(axis=1)
     if live.all():
-        return basis, matrix, None
-    return basis[live], matrix[np.ix_(live, live)], live
+        return basis, matrix
+    return basis[live], matrix[np.ix_(live, live)]
 
 
-def _trusted_density(basis: np.ndarray, left: np.ndarray, right: np.ndarray,
-                     modes: tuple[int, ...],
+def _trusted_density(basis: np.ndarray, modes: tuple[int, ...],
+                     psi: np.ndarray | None = None,
                      matrix: np.ndarray | None = None) -> DensityMatrix:
-    """A matrix over a unique, sorted basis with finite factors, unchecked."""
+    """A matrix over a unique, sorted basis, from a finite amplitude column
+    or a finite matrix, unchecked."""
     rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "entries", DensityEntries(basis, left, right, matrix))
+    object.__setattr__(rho, "entries", DensityEntries(basis, psi, matrix))
     object.__setattr__(rho, "modes", modes)
     return rho
 
@@ -356,28 +353,27 @@ def _trusted_density(basis: np.ndarray, left: np.ndarray, right: np.ndarray,
 def density_from_pure(state: FockState) -> DensityMatrix:
     """|psi><psi| of a normalized pure state, over the state's kets.
 
-    Both factors are the amplitude column itself, so nothing of size
-    kets x kets is built until a dense view is asked for.
+    It keeps the amplitude column itself, so nothing of size kets x kets is
+    built until a dense view is asked for.
     """
-    psi = state.amplitude_array[:, None]
-    return _trusted_density(state.occupation_array, psi, psi,
-                            tuple(range(state.mode_count)))
+    return _trusted_density(state.occupation_array,
+                            tuple(range(state.mode_count)),
+                            psi=state.amplitude_array[:, None])
 
 
 def partial_trace(rho: DensityMatrix,
                   traced_modes: Iterable[int]) -> DensityMatrix:
     """Trace out the given modes, keeping the remaining original labels.
 
-    With rho = L R^dagger, the trace is sum_g L_g R_g^dagger over the
-    groups g of basis kets that share one occupation of the traced modes,
-    where L_g holds the group's rows of L at their kept occupations.  One
-    scatter lays every group's columns side by side, each row becoming a
-    kept ket and each column a (group, old column) pair at which R has a
-    nonzero entry, and one matmul forms the reduced matrix; the scatter is
-    phase-free and cached (:func:`_trace_plan`).  Sums at or below
-    ``PRUNE_THRESHOLD`` are dropped, and kept kets left with only zero
-    entries leave the basis.  The result keeps the regrouped factors,
-    unpruned, so a second trace takes the same path.
+    The basis kets fall into groups g that share one occupation of the
+    traced modes, and the reduced entry of two kept occupations sums rho's
+    entries between kets of one group with those kept occupations.  A pure
+    state's amplitudes are laid out as a (kept kets x groups) matrix A, so
+    that the trace is A A^dagger, one matmul; a whole matrix has each
+    same-group entry added into its kept pair.  The grouping is phase-free
+    and planned once per basis and kept modes (:func:`_trace_plan`).  Sums
+    at or below ``PRUNE_THRESHOLD`` are dropped, and kept kets left with
+    only zero entries leave the basis; the result keeps its matrix.
     """
     traced = set(traced_modes)
     unknown = traced - set(rho.modes)
@@ -386,71 +382,44 @@ def partial_trace(rho: DensityMatrix,
     keep_pos = tuple(i for i, m in enumerate(rho.modes) if m not in traced)
     if not keep_pos:
         raise ValueError("tracing every mode leaves a scalar, not a matrix")
-    basis, left, right = rho.entries.basis, rho.entries.left, rho.entries.right
-    nonzero = right.astype(bool)
-    kept, source, rows, columns, count = _expansion_plan.lookup(
-        ("partial_trace", basis.shape, nonzero.shape, keep_pos,
-         basis.tobytes(), nonzero.tobytes()),
-        lambda: _trace_plan(basis, keep_pos, nonzero))
-
-    def regroup(factor: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(kept), count), dtype=complex)
-        out[rows, columns] = factor.take(source)
-        return out
-
-    new_left = regroup(left)
-    new_right = new_left if right is left else regroup(right)
-    matrix = new_left @ new_right.conj().T
+    basis = rho.entries.basis
+    kept, rows, group, groups = _expansion_plan.lookup(
+        ("partial_trace", basis.shape, keep_pos, basis.tobytes()),
+        lambda: _trace_plan(basis, keep_pos))
+    if rho.entries.psi is not None:
+        columns = np.zeros((len(kept), groups), dtype=complex)
+        columns[rows, group] = rho.entries.psi[:, 0]
+        matrix = columns @ columns.conj().T
+    else:
+        i, j = np.nonzero(group[:, None] == group)
+        matrix = np.zeros((len(kept), len(kept)), dtype=complex)
+        np.add.at(matrix, (rows[i], rows[j]), rho.entries.matrix[i, j])
     matrix[np.abs(matrix) <= PRUNE_THRESHOLD] = 0
-    kept, matrix, live = _support(kept, matrix)
-    if live is not None:
-        shared = new_right is new_left
-        new_left = new_left[live]
-        new_right = new_left if shared else new_right[live]
-    return _trusted_density(kept, new_left, new_right,
-                            tuple(m for m in rho.modes if m not in traced),
-                            matrix)
+    kept, matrix = _support(kept, matrix)
+    return _trusted_density(kept, tuple(m for m in rho.modes if m not in traced),
+                            matrix=matrix)
 
 
-def _trace_plan(basis: np.ndarray, keep_pos: tuple[int, ...],
-                nonzero: np.ndarray):
+def _trace_plan(basis: np.ndarray, keep_pos: tuple[int, ...]):
     """The phase-free half of :func:`partial_trace`.
 
-    ``basis`` is a matrix's (kets x modes) basis, ``keep_pos`` the columns
-    of it that stay, and ``nonzero`` the (kets x rank) mask of the right
-    factor's nonzero entries.  The basis kets are grouped by their kept and
-    by their traced occupations; a factor entry (i, c) goes to the column
-    of the (group of ket i, c) pair when the right factor is nonzero at
-    some entry of that pair, since no other pair adds to the product: an
-    identity right factor then gives one column per ket, not one per ket
-    and group.  The plan is the kept basis, unique and in lexicographic
-    order; the flat (C-order) index into a (kets x rank) factor of each
-    entry that goes somewhere, ascending; the row and column each such entry
-    takes in the regrouped factors; and the column count.  Every array is
-    read-only, since the plan cache hands it out again.
+    ``basis`` is a matrix's (kets x modes) basis and ``keep_pos`` the
+    columns of it that stay.  The plan is the kept basis, unique and in
+    lexicographic order; each basis ket's row in it; each ket's group, the
+    rank of its traced occupation among the distinct ones; and the group
+    count.  Every array is read-only, since the plan cache hands it out
+    again.
     """
     drop_pos = [i for i in range(basis.shape[1]) if i not in keep_pos]
-    kept, kept_of = _union(basis[:, list(keep_pos)])
+    kept, rows = _union(basis[:, list(keep_pos)])
     if drop_pos:
-        groups, group = _union(basis[:, drop_pos])
-        size = len(groups)
+        traced, group = _union(basis[:, drop_pos])
+        groups = len(traced)
     else:
-        group, size = np.zeros(len(basis), dtype=np.intp), 1
-    width = nonzero.shape[1]
-    used = np.zeros((size, width), dtype=bool)
-    ket, col = np.divmod(np.flatnonzero(nonzero), width)
-    used[group[ket], col] = True
-    # the entries whose (group, column) pair is used, and each one's rank
-    # among the used pairs in C order
-    source = np.flatnonzero(used[group])
-    ket, col = np.divmod(source, width)
-    pairs = np.flatnonzero(used)
-    rows = kept_of[ket]
-    columns = np.searchsorted(pairs, group[ket] * width + col)
-    arrays = kept, source, rows, columns
-    for array in arrays:
+        group, groups = np.zeros(len(basis), dtype=np.intp), 1
+    for array in (kept, rows, group):
         array.flags.writeable = False
-    return *arrays, len(pairs)
+    return kept, rows, group, groups
 
 
 def mean_photon_number(rho: DensityMatrix, mode: int) -> float:

@@ -121,11 +121,17 @@ BALANCED = BeamSplitterCoeffs.balanced()
 # unitary builders
 
 
+def _valid_modes(mode_count: int, *modes) -> bool:
+    """Whether the modes are distinct integers in 0..mode_count-1."""
+    return len(set(modes)) == len(modes) and all(
+        isinstance(m, (int, np.integer)) and 0 <= m < mode_count for m in modes)
+
+
 def bs_unitary(coeffs: BeamSplitterCoeffs, mode_a: int, mode_b: int,
                mode_count: int) -> np.ndarray:
     """Identity everywhere except the [[t, r], [r, t]] block on (mode_a, mode_b)."""
-    if mode_a == mode_b or not (0 <= mode_a < mode_count and 0 <= mode_b < mode_count):
-        raise ValueError(f"invalid beam splitter modes ({mode_a}, {mode_b})")
+    if not _valid_modes(mode_count, mode_a, mode_b):
+        raise ValueError(f"invalid beam splitter modes ({mode_a!r}, {mode_b!r})")
     coeffs.validate()
     u = np.eye(mode_count, dtype=complex)
     u[mode_a, mode_a] = u[mode_b, mode_b] = coeffs.t
@@ -135,8 +141,10 @@ def bs_unitary(coeffs: BeamSplitterCoeffs, mode_a: int, mode_b: int,
 
 def phase_unitary(mode: int, phi: float, mode_count: int) -> np.ndarray:
     """Diagonal delay, e^{i phi} on one mode."""
-    if not 0 <= mode < mode_count:
-        raise ValueError(f"phase mode {mode} out of range")
+    if not _valid_modes(mode_count, mode):
+        raise ValueError(f"invalid phase mode {mode!r}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phase {phi!r} is not finite")
     u = np.eye(mode_count, dtype=complex)
     u[mode, mode] = complex(math.cos(phi), math.sin(phi))
     return u
@@ -144,8 +152,8 @@ def phase_unitary(mode: int, phi: float, mode_count: int) -> np.ndarray:
 
 def swap_unitary(mode_a: int, mode_b: int, mode_count: int) -> np.ndarray:
     """Mode relabeling (a mirror with no phase)."""
-    if mode_a == mode_b or not (0 <= mode_a < mode_count and 0 <= mode_b < mode_count):
-        raise ValueError(f"invalid swap modes ({mode_a}, {mode_b})")
+    if not _valid_modes(mode_count, mode_a, mode_b):
+        raise ValueError(f"invalid swap modes ({mode_a!r}, {mode_b!r})")
     u = np.eye(mode_count, dtype=complex)
     u[[mode_a, mode_b]] = u[[mode_b, mode_a]]
     return u
@@ -390,7 +398,7 @@ class _PlanCache:
 
     An expansion plan holds N factor positions, a weight, an input ket and
     two scatter entries per expanded term (N or 2N bytes, and 11 to 14
-    more), and a trace plan one entry per factor entry, so plans differ in
+    more), and a trace plan three entries per basis ket, so plans differ in
     size by orders of magnitude and a count bound alone bounds no memory.
     This keeps at most ``maxsize`` plans that, with their keys, hold at
     most ``budget`` bytes, dropping the least recently used first; a plan

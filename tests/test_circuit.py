@@ -87,6 +87,20 @@ def test_circuit_validation():
         Circuit(2, (bs,), {}, frozenset({"nope"}))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Circuit(2, (CircuitElement("swap", "S", (0.0, 1)),)),
+    lambda: Circuit(2, (CircuitElement("phase", "P", (1.0,), param="p"),)),
+    lambda: Circuit(2.5, (), {}),
+    lambda: Circuit(0, (), {}),
+    lambda: Circuit("2", (), {}),
+    lambda: Circuit(2, (), {"D": 0.5}),
+    lambda: Circuit(2, (), {"D": 1.0}),
+])
+def test_modes_and_mode_counts_must_be_integers(build):
+    with pytest.raises(CircuitError, match="mode"):
+        build()
+
+
 def test_parameters_listed_in_order_without_duplicates():
     c = preset("fig2")
     assert c.parameters == ("phi_C", "phi_S", "phi_B")

@@ -520,6 +520,13 @@ def test_density_matrix_needs_a_mode():
         DensityMatrix({}, ())
 
 
+@pytest.mark.parametrize("modes", [(0, 0), (-1, 3), (2, 1, 2)])
+def test_density_matrix_modes_are_distinct_and_not_negative(modes):
+    ket = (1,) + (0,) * (len(modes) - 1)
+    with pytest.raises(ValueError, match="mode"):
+        DensityMatrix({(ket, ket): 1.0}, modes)
+
+
 # ---------------------------------------------------------------------------
 # the grouped partial trace against a brute-force regroup of the pure state
 
@@ -572,7 +579,8 @@ def traced_cold_and_warm(rho, traced):
 
 def density_arrays(rho):
     entries = rho.entries
-    return entries.basis, entries.left, entries.right, entries.matrix
+    return entries.basis, (entries.matrix if entries.psi is None
+                           else entries.psi)
 
 
 def regrouped(state, traced):
@@ -698,6 +706,24 @@ def test_a_pure_state_trace_builds_nothing_of_size_kets_squared():
     assert abs(reduced.trace() - 1.0) < 1e-12
 
 
+def test_a_mapping_built_matrix_holds_one_kets_squared_array():
+    # 78 kets: the matrix takes 78^2 * 16 B = 97 KB, and no array of that
+    # size (such as an identity) is kept beside it
+    state = full_sector_state(2, 12, seed=57)
+    entries = dict(density_from_pure(state).entries)
+    tracemalloc.start()
+    try:
+        rho = DensityMatrix(entries, range(12))
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    arrays = snapshot.filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    held = sum(stat.size for stat in arrays.statistics("filename"))
+    assert len(rho.basis_array) == 78
+    assert 78 ** 2 * 16 <= held < 1.1 * 78 ** 2 * 16
+
+
 def test_a_mapping_built_trace_gives_one_column_per_ket_not_per_group():
     # 220 kets in 165 traced-occupation groups: a column for every (group,
     # ket) pair of the identity right factor would take 10 x 165 x 220 x
@@ -749,7 +775,7 @@ def test_each_traced_set_basis_and_nested_trace_gets_its_own_plan(seed=62):
     u = random_unitary(rng, 4)
     rho = density_from_pure(evolve(embed(basis_state((2, 1)), 4, (0, 1)), u))
     other = density_from_pure(evolve(embed(basis_state((1, 1)), 4, (0, 1)), u))
-    # the same basis with an identity right factor
+    # the same basis as a whole matrix, which shares rho's plans
     mapped = DensityMatrix(dict(rho.entries), rho.modes)
     assert np.array_equal(mapped.basis_array, rho.basis_array)
     _expansion_plan.cache_clear()
@@ -760,13 +786,14 @@ def test_each_traced_set_basis_and_nested_trace_gets_its_own_plan(seed=62):
               lambda: partial_trace(partial_trace(rho, [3]), [2])]
     for trace in traces:
         trace()
-    # the nested trace's first step hits the plan of the first trace
+    # the mapped trace and the nested trace's first step hit the plan of
+    # the first trace
     info = _expansion_plan.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (5, 1, 5)
+    assert (info.misses, info.hits, info.currsize) == (4, 2, 4)
     for trace in traces:
         trace()
     info = _expansion_plan.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (5, 7, 5)
+    assert (info.misses, info.hits, info.currsize) == (4, 8, 4)
 
 
 def test_trace_plan_arrays_are_read_only(seed=63):
@@ -776,8 +803,7 @@ def test_trace_plan_arrays_are_read_only(seed=63):
     mapped = DensityMatrix(dict(rho.entries), rho.modes)
     for density in (rho, mapped, partial_trace(rho, [3])):
         entries = density.entries
-        *arrays, count = _trace_plan(
-            entries.basis, (0, 1), entries.right.astype(bool))
+        *arrays, count = _trace_plan(entries.basis, (0, 1))
         assert count > 0
         for array in arrays:
             assert not array.flags.writeable
@@ -786,8 +812,8 @@ def test_trace_plan_arrays_are_read_only(seed=63):
 
 
 def test_a_mapping_built_trace_plan_counts_its_key_bytes():
-    # the identity right factor of the 330-ket braced_4 output keys its
-    # plan on a 330 x 330 mask, 109 KB of the bytes the cache counts
+    # the plan of the 330-ket braced_4 output holds arrays of its kets, not
+    # of its 330 x 330 entries, and its key no mask
     circuit, state, traced = reduced_n4_loop()
     phases = {p: 0.3 * (k + 1) for k, p in enumerate(circuit.parameters)}
     out = evolve(state, compile(circuit, phases, tuple(circuit.toggles)))
@@ -804,5 +830,5 @@ def test_a_mapping_built_trace_plan_counts_its_key_bytes():
         tracemalloc.stop()
     info = _expansion_plan.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    assert info.nbytes > 330 * 330
+    assert info.nbytes < 330 * 330
     assert 0.9 * retained < info.nbytes < 1.1 * retained

@@ -3,8 +3,8 @@
 Several results are called bit-identical across routes: a restricted
 expansion plan against the full one (a subset of the same terms, at other
 positions of shorter arrays), a cached plan against a cold one, a grid
-compile's rows against a compile at each phase, and one raveled
-``bincount`` over K grid rows against K calls.  numpy documents some of
+compile's rows against a compile at each phase, and each row of a stack
+evolve against a one-matrix call.  numpy documents some of
 the behaviours below and merely exhibits others; each test states which
 guarantee it checks and names the code that relies on it, so a numpy that
 breaks one fails here rather than deep inside a scan.
@@ -55,8 +55,8 @@ def test_unique_void_keys_sort_rows_lexicographically():
 
 def test_tobytes_keys_depend_only_on_values_and_shape():
     # optics._PlanCache keys plans on the tobytes() of the occupations and
-    # of bool masks, and measurement.partial_trace on the basis and mask
-    # bytes: equal arrays must give equal keys, however they are laid out
+    # of bool masks, and measurement.partial_trace on the basis bytes:
+    # equal arrays must give equal keys, however they are laid out
     rng = np.random.default_rng(SEED)
     occupations = rng.integers(0, 3, (6, 4)).astype(np.uint8)
     strided = np.asfortranarray(occupations)
@@ -96,17 +96,22 @@ def test_float64_view_interleaves_real_and_imaginary_parts():
 
 def test_take_returns_c_ordered_blocks_for_narrow_unsigned_indices():
     # optics._evolve_grid takes each factor row of a plan, a uint8 or uint16
-    # index, from the raveled (K x M*M) stack, multiplies the blocks in
-    # place and reads the result through a float64 view; optics.
-    # _restrict_plan keeps a plan's terms with compress along the term axis
+    # index, from one raveled (M*M) matrix of the stack, multiplies the
+    # taken vectors in place and reads the result through a float64 view;
+    # optics._restrict_plan keeps a plan's terms with compress along the
+    # term axis
     rng = np.random.default_rng(SEED)
     for dtype, m in ((np.uint8, 6), (np.uint16, 30)):
-        entries = random_complex(rng, 4, m, m).reshape(4, m * m)
+        entries = random_complex(rng, 4, m, m).reshape(4, m * m)[2]
         positions = rng.integers(0, m * m, (3, 50)).astype(dtype)
         assert positions.dtype == np.min_scalar_type(m * m - 1)
-        block = entries.take(positions[0], axis=1)
-        assert block.flags.c_contiguous
-        assert np.array_equal(block, entries[:, positions[0].astype(np.intp)])
+        term = entries.take(positions[0])
+        assert term.flags.c_contiguous and term.shape == (50,)
+        assert np.array_equal(term, entries[positions[0].astype(np.intp)])
+        term *= entries.take(positions[1])
+        assert term.view(float).tolist() == (
+            entries[positions[0].astype(np.intp)]
+            * entries[positions[1].astype(np.intp)]).view(float).tolist()
         kept = rng.random(50) < 0.5
         compressed = positions.compress(kept, axis=1)
         assert compressed.flags.c_contiguous and compressed.dtype == dtype
@@ -128,23 +133,6 @@ def test_bincount_sums_each_bin_in_index_order():
     for b, v in zip(bins.tolist(), values.tolist()):
         want[b] += v
     assert np.bincount(bins, values, 7).tolist() == want
-
-
-def test_one_raveled_bincount_equals_a_bincount_per_row():
-    # optics._evolve_grid adds each matrix's terms into its own output row
-    # with one bincount per row: a row's sums do not depend on the rows
-    # beside it, so one raveled bincount over all K rows, its index offset
-    # by 2n per row, gives the same rows
-    rng = np.random.default_rng(SEED)
-    k, n, terms = 4, 5, 30
-    index = rng.integers(0, 2 * n, terms)
-    block = rng.normal(size=(k, terms))
-    offsets = 2 * n * np.arange(k)[:, None]
-    raveled = np.bincount((index + offsets).reshape(-1), block.reshape(-1),
-                          2 * n * k)
-    per_row = np.concatenate([np.bincount(index, row, 2 * n)
-                              for row in block])
-    assert raveled.tobytes() == per_row.tobytes()
 
 
 def test_complex_exp_gives_each_entry_its_own_value():
@@ -182,7 +170,6 @@ def test_complex_multiply_gives_each_entry_its_own_value():
 
 
 def test_complex_astype_bool_is_true_when_either_part_is_nonzero():
-    # measurement.partial_trace plans on right.astype(bool) and
     # measurement._support keeps the kets whose rows or columns are nonzero
     values = np.array([0j, -0.0 + 0j, 1j, 1 + 0j, 5e-324j, complex(0, -0.0)])
     assert values.astype(bool).tolist() == [False, False, True, True, True,

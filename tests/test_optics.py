@@ -90,6 +90,23 @@ def test_builders_validate_modes():
         swap_unitary(2, 2, 4)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: bs_unitary(BALANCED, 0.0, 1, 2),
+    lambda: bs_unitary(BALANCED, 0, 1.0, 2),
+    lambda: phase_unitary(0.0, 0.1, 2),
+    lambda: swap_unitary(0.0, 1, 2),
+])
+def test_builders_reject_modes_that_are_not_integers(build):
+    with pytest.raises(ValueError, match="mode"):
+        build()
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_phase_unitary_rejects_a_phase_that_is_not_finite(phi):
+    with pytest.raises(ValueError, match="not finite"):
+        phase_unitary(0, phi, 2)
+
+
 def test_phase_and_swap_unitaries():
     p = phase_unitary(1, math.pi / 3, 3)
     assert abs(p[1, 1] - complex(math.cos(math.pi / 3), math.sin(math.pi / 3))) < 1e-15
