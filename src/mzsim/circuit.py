@@ -41,7 +41,6 @@ fresh indices 12+ (2p..7p -> 12..17, 2pp..7pp -> 18..23, ...).
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -51,7 +50,8 @@ import numpy as np
 
 from .errors import (CircuitError, CircuitParseError, DimensionMismatchError,
                      MissingPhaseError)
-from .optics import BALANCED, BeamSplitterCoeffs
+from .fock import _is_mode
+from .optics import BALANCED, BeamSplitterCoeffs, _real_phases
 
 
 #: One .mzc token: non-empty text without whitespace (``str.isspace``) or #.
@@ -68,7 +68,7 @@ def _check_name(what: str, name) -> None:
 def _check_modes(what: str, name: str, modes: Iterable[int],
                  mode_count: int) -> None:
     for m in modes:
-        if not (isinstance(m, (int, np.integer)) and 0 <= m < mode_count):
+        if not _is_mode(m, mode_count):
             raise CircuitError(
                 f"{what} {name} uses mode {m!r}, mode count is {mode_count}")
 
@@ -208,18 +208,7 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
         raise MissingPhaseError(f"missing phase parameters {missing}")
     factors, shapes = {}, {}
     for p in parameters:
-        values = _phase_values(p, phases[p])
-        if values.dtype.kind == "O" and all(
-                isinstance(v, numbers.Real) for v in values.flat):
-            try:
-                values = values.astype(float)
-            except OverflowError:
-                raise ValueError(f"phase {p} is not finite") from None
-        if values.dtype.kind not in "biuf":
-            raise ValueError(f"phase {p} is not a real number")
-        values = values.astype(float, copy=False)
-        if not np.isfinite(values).all():
-            raise ValueError(f"phase {p} is not finite")
+        values = _real_phases(p, _phase_values(p, phases[p]))
         if values.ndim:
             shapes[p] = values.shape
         factors[p] = np.exp(1j * values)[..., None]
@@ -405,129 +394,99 @@ def serialize(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Each directive's token count, less an element's trailing "toggle", and
+#: its usage.
+_DIRECTIVES = {"modes": (2, "modes M"), "detect": (3, "detect NAME MODE"),
+               "bs": (6, "bs NAME A B T=c R=c [toggle]"),
+               "phase": (4, "phase NAME MODE PARAM [toggle]"),
+               "swap": (4, "swap NAME A B [toggle]")}
+
+
+def _index(token: str, what: str = "mode index") -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise CircuitError(f"bad {what} {token!r}") from None
+    if value < 0:
+        raise CircuitError(f"negative {what} {value}")
+    return value
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format.
 
-    Directives: ``modes M`` (optional, else inferred), ``bs NAME A B T=c R=c``,
-    ``phase NAME MODE PARAM``, ``swap NAME A B``, ``detect NAME MODE``.  An
-    element line may end in ``toggle`` to make the element removable.  ``#``
-    starts a comment.  Errors carry the 1-based line number.
+    Directives: ``modes M`` (optional, else inferred; it comes first),
+    ``bs NAME A B T=c R=c``, ``phase NAME MODE PARAM``, ``swap NAME A B``,
+    ``detect NAME MODE``.  An element line may end in ``toggle`` to make
+    the element removable.  ``#`` starts a comment.
+
+    Each line is checked as it is read, by the rules of
+    :class:`CircuitElement` and :class:`Circuit`.  A fault of any line,
+    whether syntax, element or detector (a repeated name, a mode past
+    ``modes``, a detector on another detector's mode), raises
+    :class:`CircuitParseError` carrying that line's 1-based number.
     """
     mode_count: int | None = None
-    elements: list[CircuitElement] = []
+    elements: dict[str, CircuitElement] = {}
     detectors: dict[str, int] = {}
     toggles: set[str] = set()
-    names: set[str] = set()
-
-    def err(line_no: int, msg: str):
-        raise CircuitParseError(line_no, msg)
-
-    def parse_mode(tok: str, line_no: int) -> int:
-        try:
-            value = int(tok)
-        except ValueError:
-            err(line_no, f"bad mode index {tok!r}")
-        if value < 0:
-            err(line_no, f"negative mode index {value}")
-        return value
-
-    def element_name(tokens: list[str], count: int, usage: str,
-                     line_no: int) -> str:
-        # an element line has ``count`` tokens, or one more: "toggle"
-        if len(tokens) not in (count, count + 1):
-            err(line_no, f"usage: {usage} [toggle]")
-        if len(tokens) > count:
-            if tokens[count] != "toggle":
-                err(line_no, f"unexpected token {tokens[count]!r}")
-            toggles.add(tokens[1])
-        if tokens[1] in names:
-            err(line_no, f"duplicate element name {tokens[1]!r}")
-        names.add(tokens[1])
-        return tokens[1]
-
-    def add_element(line_no: int, *args, **kwargs):
-        # an element's faults, and modes past a declared count, are its line's
-        try:
-            e = CircuitElement(*args, **kwargs)
-            if mode_count is not None:
-                _check_modes("element", e.name, e.modes, mode_count)
-        except CircuitError as exc:
-            err(line_no, str(exc))
-        elements.append(e)
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        directive = tokens[0]
-        if directive == "modes":
-            if mode_count is not None:
-                err(line_no, "duplicate modes directive")
-            if elements or detectors:
-                err(line_no, "modes directive must come before elements")
-            if len(tokens) != 2:
-                err(line_no, "usage: modes M")
-            try:
-                mode_count = int(tokens[1])
-            except ValueError:
-                err(line_no, f"bad mode count {tokens[1]!r}")
-            if mode_count <= 0:
-                err(line_no, "mode count must be positive")
-        elif directive == "bs":
-            name = element_name(tokens, 6, "bs NAME A B T=c R=c", line_no)
-            a = parse_mode(tokens[2], line_no)
-            b = parse_mode(tokens[3], line_no)
-            kv = {}
-            for tok in tokens[4:6]:
-                if "=" not in tok:
-                    err(line_no, f"expected T=.. or R=.., got {tok!r}")
-                key, _, value = tok.partition("=")
-                kv[key] = value
-            if set(kv) != {"T", "R"}:
-                err(line_no, "bs line needs exactly T= and R=")
-            try:
-                coeffs = BeamSplitterCoeffs(parse_complex(kv["T"]),
-                                            parse_complex(kv["R"])).validate()
-            except ValueError as exc:
-                err(line_no, str(exc))
-            add_element(line_no, "bs", name, (a, b), coeffs=coeffs)
-        elif directive == "phase":
-            name = element_name(tokens, 4, "phase NAME MODE PARAM", line_no)
-            mode = parse_mode(tokens[2], line_no)
-            add_element(line_no, "phase", name, (mode,), param=tokens[3])
-        elif directive == "swap":
-            name = element_name(tokens, 4, "swap NAME A B", line_no)
-            a = parse_mode(tokens[2], line_no)
-            b = parse_mode(tokens[3], line_no)
-            add_element(line_no, "swap", name, (a, b))
-        elif directive == "detect":
-            if len(tokens) != 3:
-                err(line_no, "usage: detect NAME MODE")
+        try:
+            directive = tokens[0]
+            if directive not in _DIRECTIVES:
+                raise CircuitError(f"unknown directive {directive!r}")
+            count, usage = _DIRECTIVES[directive]
+            if usage.endswith("[toggle]") and tokens[count:] == ["toggle"]:
+                del tokens[count]
+                toggles.add(tokens[1])
+            if len(tokens) != count:
+                raise CircuitError(f"usage: {usage}")
+            if directive == "modes":
+                if mode_count is not None or elements or detectors:
+                    raise CircuitError("modes must come first, and only once")
+                mode_count = _index(tokens[1], "mode count")
+                Circuit(mode_count, ())  # a count no circuit takes raises
+                continue
             name = tokens[1]
-            if name in detectors:
-                err(line_no, f"duplicate detector {name!r}")
-            mode = parse_mode(tokens[2], line_no)
-            try:
-                if mode_count is not None:
-                    _check_modes("detector", name, (mode,), mode_count)
-            except CircuitError as exc:
-                err(line_no, str(exc))
-            if mode in detectors.values():
-                err(line_no, "detector modes must be pairwise distinct")
-            detectors[name] = mode
-        else:
-            err(line_no, f"unknown directive {directive!r}")
+            if name in (detectors if directive == "detect" else elements):
+                raise CircuitError(f"duplicate name {name!r}")
+            modes = tuple(map(_index, tokens[2:4 if directive in ("bs", "swap")
+                                              else 3]))
+            if mode_count is not None:
+                _check_modes(directive, name, modes, mode_count)
+            if directive == "detect":
+                if modes[0] in detectors.values():
+                    raise CircuitError("detector modes must be pairwise distinct")
+                detectors[name] = modes[0]
+            elif directive == "bs":
+                kv = dict(t.partition("=")[::2] for t in tokens[4:])
+                if set(kv) != {"T", "R"}:
+                    raise CircuitError("bs line needs exactly T= and R=")
+                coeffs = BeamSplitterCoeffs(parse_complex(kv["T"]),
+                                            parse_complex(kv["R"]))
+                elements[name] = CircuitElement("bs", name, modes, coeffs)
+            else:
+                elements[name] = CircuitElement(
+                    directive, name, modes,
+                    param=tokens[3] if directive == "phase" else None)
+        except ValueError as exc:
+            raise CircuitParseError(line_no, str(exc)) from exc
 
-    used = [m for e in elements for m in e.modes] + list(detectors.values())
     if mode_count is None:
+        used = [m for e in elements.values() for m in e.modes]
+        used += detectors.values()
         if not used:
             raise CircuitParseError(1, "empty circuit")
         mode_count = max(used) + 1
     try:
-        return Circuit(mode_count, tuple(elements), detectors, frozenset(toggles))
+        return Circuit(mode_count, tuple(elements.values()), detectors,
+                       frozenset(toggles))
     except CircuitError as exc:
-        raise CircuitParseError(len(text.splitlines()) or 1, str(exc)) from exc
+        raise CircuitParseError(len(lines) or 1, str(exc)) from exc
 
 
 def load_preset_file(name: str) -> Circuit:

@@ -45,6 +45,19 @@ _COUNTS = range(MAX_MODE_PHOTONS + 1)
 _INF = math.inf
 
 
+def _is_mode(m, mode_count=_INF) -> bool:
+    """Whether ``m`` is a mode index below ``mode_count``: an ``int`` or
+    numpy integer, not a ``bool``, and not negative."""
+    return (isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+            and 0 <= m < mode_count)
+
+
+def _valid_modes(modes: tuple, mode_count=_INF) -> bool:
+    """Whether ``modes`` are distinct mode indices below ``mode_count``."""
+    return len(set(modes)) == len(modes) and all(
+        _is_mode(m, mode_count) for m in modes)
+
+
 def _check_occupation(occ: Occupation, mode_count: int) -> Occupation:
     occ = tuple(occ)
     if len(occ) != mode_count:
@@ -322,7 +335,7 @@ def embed(state: FockState, mode_count: int, modes: Iterable[int]) -> FockState:
     modes = tuple(modes)
     if len(modes) != state.mode_count:
         raise DimensionMismatchError("embed: one target index per source mode required")
-    if len(set(modes)) != len(modes) or any(not 0 <= m < mode_count for m in modes):
+    if not _valid_modes(modes, mode_count):
         raise ValueError(f"embed: invalid target modes {modes}")
     occupations = np.zeros((len(state), mode_count), dtype=np.uint8)
     occupations[:, modes] = state.occupation_array

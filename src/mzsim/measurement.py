@@ -30,7 +30,8 @@ import numpy as np
 from .errors import (DimensionMismatchError, NonFiniteAmplitudeError,
                      PhotonCountError, UnknownDetectorError)
 from .fock import (_COUNTS, MAX_MODE_PHOTONS, PRUNE_THRESHOLD, FockState,
-                   Occupation, _check_occupation, _union, inner_product)
+                   Occupation, _check_occupation, _union, _valid_modes,
+                   inner_product)
 from .optics import _expansion_plan
 
 
@@ -245,21 +246,22 @@ class DensityMatrix:
     ``(ket, bra)``.  A plain mapping given as ``entries`` is validated and
     converted into its basis and matrix once; the fields cannot be
     reassigned after.  ``modes`` lists the original mode indices the
-    occupations refer to, in order, each at most once and none negative; a
-    freshly built matrix has modes (0, .., M-1).
+    occupations refer to, in order, each a non-negative integer (not a
+    bool) at most once; a freshly built matrix has modes (0, .., M-1).
     """
 
     entries: Mapping[tuple[Occupation, Occupation], complex]
     modes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
-        width = len(self.modes)
+        modes = tuple(self.modes)
+        width = len(modes)
         if not width:
             raise ValueError("a density matrix needs at least one mode")
-        if len(set(self.modes)) != width or min(self.modes) < 0:
-            raise ValueError(f"modes {self.modes} repeat a mode or hold a "
-                             f"negative one")
+        if not _valid_modes(modes):
+            raise ValueError(f"modes {modes} repeat a mode or hold one that "
+                             f"is not a non-negative integer")
+        object.__setattr__(self, "modes", tuple(map(int, modes)))
         items = list(self.entries.items())
         kets = [_check_occupation(ket, width) for (ket, _), _ in items]
         bras = [_check_occupation(bra, width) for (_, bra), _ in items]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 import threading
 from collections import OrderedDict, namedtuple
@@ -47,7 +48,7 @@ from .errors import (DimensionMismatchError, InvalidCoefficientsError,
                      NonFiniteAmplitudeError, NonUnitaryError,
                      PhotonCountError, SectorError)
 from .fock import (PRUNE_THRESHOLD, FockState, Occupation,
-                   _check_occupation, _trusted_state)
+                   _check_occupation, _trusted_state, _valid_modes)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -92,7 +93,10 @@ class BeamSplitterCoeffs:
 
     def validate(self, tol: float = COEFF_TOL) -> "BeamSplitterCoeffs":
         t, r = complex(self.t), complex(self.r)
-        energy = abs(t) ** 2 + abs(r) ** 2
+        try:
+            energy = abs(t) ** 2 + abs(r) ** 2
+        except OverflowError:  # finite coefficients, too large to square
+            energy = math.inf
         cross = r * t.conjugate() + t * r.conjugate()
         # written so that a NaN fails the bounds
         if not (abs(energy - 1.0) <= tol and abs(cross) <= tol):
@@ -121,16 +125,10 @@ BALANCED = BeamSplitterCoeffs.balanced()
 # unitary builders
 
 
-def _valid_modes(mode_count: int, *modes) -> bool:
-    """Whether the modes are distinct integers in 0..mode_count-1."""
-    return len(set(modes)) == len(modes) and all(
-        isinstance(m, (int, np.integer)) and 0 <= m < mode_count for m in modes)
-
-
 def bs_unitary(coeffs: BeamSplitterCoeffs, mode_a: int, mode_b: int,
                mode_count: int) -> np.ndarray:
     """Identity everywhere except the [[t, r], [r, t]] block on (mode_a, mode_b)."""
-    if not _valid_modes(mode_count, mode_a, mode_b):
+    if not _valid_modes((mode_a, mode_b), mode_count):
         raise ValueError(f"invalid beam splitter modes ({mode_a!r}, {mode_b!r})")
     coeffs.validate()
     u = np.eye(mode_count, dtype=complex)
@@ -139,12 +137,32 @@ def bs_unitary(coeffs: BeamSplitterCoeffs, mode_a: int, mode_b: int,
     return u
 
 
+def _real_phases(name: str, values) -> np.ndarray:
+    """A phase value, a real number or an array of them, as a float array.
+
+    A value that is not a real number, or not finite, raises ``ValueError``
+    naming the phase ``name``.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind == "O" and all(
+            isinstance(v, numbers.Real) for v in values.flat):
+        try:
+            values = values.astype(float)
+        except OverflowError:
+            raise ValueError(f"phase {name} is not finite") from None
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"phase {name} is not a real number")
+    values = values.astype(float, copy=False)
+    if not np.isfinite(values).all():
+        raise ValueError(f"phase {name} is not finite")
+    return values
+
+
 def phase_unitary(mode: int, phi: float, mode_count: int) -> np.ndarray:
     """Diagonal delay, e^{i phi} on one mode."""
-    if not _valid_modes(mode_count, mode):
+    if not _valid_modes((mode,), mode_count):
         raise ValueError(f"invalid phase mode {mode!r}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phase {phi!r} is not finite")
+    phi = float(_real_phases(f"on mode {mode}", phi))
     u = np.eye(mode_count, dtype=complex)
     u[mode, mode] = complex(math.cos(phi), math.sin(phi))
     return u
@@ -152,7 +170,7 @@ def phase_unitary(mode: int, phi: float, mode_count: int) -> np.ndarray:
 
 def swap_unitary(mode_a: int, mode_b: int, mode_count: int) -> np.ndarray:
     """Mode relabeling (a mirror with no phase)."""
-    if not _valid_modes(mode_count, mode_a, mode_b):
+    if not _valid_modes((mode_a, mode_b), mode_count):
         raise ValueError(f"invalid swap modes ({mode_a!r}, {mode_b!r})")
     u = np.eye(mode_count, dtype=complex)
     u[[mode_a, mode_b]] = u[[mode_b, mode_a]]

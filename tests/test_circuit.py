@@ -482,12 +482,62 @@ def test_parse_toggle_flag():
     ("modes 4\nswap S 0 1\ndetect D 7\nswap Q 2 3", 3),
     ("modes 4\ndetect A 1\ndetect B 1\ndetect C 2", 3),     # shared mode
     ("swap S 1 1\nswap Q 2 3", 1),
+    ("detect D 1 toggle", 1),
+    ("detect D 0\ndetect D 1\nswap S 0 1", 2),            # repeated name
+    ("detect D 0\nmodes 2\nswap S 0 1", 2),               # modes after it
+    ("bs B 0 1 T=abc R=0", 1),
+    ("bs B 0 1 T=1e200 R=0", 1),                          # |T|^2 overflows
 ])
 def test_parse_errors_carry_line_numbers(bad_line, line_no):
     with pytest.raises(CircuitParseError) as exc:
         parse_circuit(bad_line)
     assert exc.value.line_no == line_no
     assert f"line {line_no}" in str(exc.value)
+
+
+#: Tokens a mutation may insert, beside the file's own: a coefficient too
+#: large to square must still be a parse error, not an OverflowError.
+JUNK_TOKENS = ("toggle", "modes", "detect", "-1", "99", "x", "T=abc", "R=",
+               "#", "T=1e200", "R=1.7e308+1.7e308i")
+
+
+@st.composite
+def mutated_mzc(draw):
+    """The .mzc text of a preset or a swept circuit, mutated one to three
+    times: a line duplicated or dropped, or a token inserted, replaced or
+    deleted."""
+    circuit = draw(st.one_of(st.sampled_from(PRESET_NAMES).map(preset),
+                             swept_circuits().map(lambda drawn: drawn[0])))
+    lines = [line.split() for line in serialize(circuit).splitlines()]
+    tokens = st.sampled_from(sorted({t for line in lines for t in line})
+                             + list(JUNK_TOKENS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        op = draw(st.sampled_from(("duplicate", "drop", "insert", "replace",
+                                   "delete")))
+        if op == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), list(line))
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "insert" or not line:
+            line.insert(draw(st.integers(0, len(line))), draw(tokens))
+        elif op == "replace":
+            line[draw(st.integers(0, len(line) - 1))] = draw(tokens)
+        else:
+            del line[draw(st.integers(0, len(line) - 1))]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_mzc())
+def test_a_mutated_file_parses_or_fails_at_one_of_its_lines(text):
+    try:
+        circuit = parse_circuit(text)
+    except CircuitParseError as exc:
+        assert 1 <= exc.line_no <= len(text.splitlines())
+    else:
+        assert parse_circuit(serialize(circuit)) == circuit
 
 
 def test_parse_reports_later_line_numbers():

@@ -249,6 +249,12 @@ def test_embed_validates_targets():
         embed(s, 5, (0, 5))
 
 
+@pytest.mark.parametrize("modes", [(True, 2), (0.0, 1)])
+def test_embed_targets_are_integers_not_bools(modes):
+    with pytest.raises(ValueError, match="invalid target modes"):
+        embed(basis_state((1, 1)), 4, modes)
+
+
 def test_json_round_trip(seed=11):
     rng = np.random.default_rng(seed)
     keys = [(3, 0), (2, 1), (1, 2), (0, 3)]

@@ -520,7 +520,8 @@ def test_density_matrix_needs_a_mode():
         DensityMatrix({}, ())
 
 
-@pytest.mark.parametrize("modes", [(0, 0), (-1, 3), (2, 1, 2)])
+@pytest.mark.parametrize("modes", [(0, 0), (-1, 3), (2, 1, 2), (0.5, 1.7),
+                                   (True, 2)])
 def test_density_matrix_modes_are_distinct_and_not_negative(modes):
     ket = (1,) + (0,) * (len(modes) - 1)
     with pytest.raises(ValueError, match="mode"):

@@ -95,15 +95,21 @@ def test_builders_validate_modes():
     lambda: bs_unitary(BALANCED, 0, 1.0, 2),
     lambda: phase_unitary(0.0, 0.1, 2),
     lambda: swap_unitary(0.0, 1, 2),
+    lambda: phase_unitary(True, 0.1, 2),
+    lambda: swap_unitary(0, True, 2),
 ])
 def test_builders_reject_modes_that_are_not_integers(build):
     with pytest.raises(ValueError, match="mode"):
         build()
 
 
-@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf,
+                                 pytest.param(10 ** 400, id="10**400"),
+                                 1j, "0.1"])
 def test_phase_unitary_rejects_a_phase_that_is_not_finite(phi):
-    with pytest.raises(ValueError, match="not finite"):
+    real = not isinstance(phi, (complex, str))
+    with pytest.raises(ValueError,
+                       match="not finite" if real else "not a real number"):
         phase_unitary(0, phi, 2)
 
 

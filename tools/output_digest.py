@@ -10,7 +10,12 @@ compares the lines.  The outputs are:
 - the pure reduced D10/D11 states of ``braced(3)`` and ``braced(4)`` at 30
   seeded phase sets each: basis and matrix bytes, ``entries.items()``, the
   D10 & D11 coincidence and the D10 mean photon number;
-- the fig1 eraser-projector ``run_scan``.
+- the fig1 eraser-projector ``run_scan``;
+- ``serialize(parse_circuit(text))`` of the shipped ``fig1``-``fig3`` files
+  and of ``tests/data/braced_4.mzc`` and ``braced_5.mzc``;
+- the parse outcomes of 2,000 seeded mutations of the presets' ``.mzc``
+  text (:func:`mutated_presets`): each the serialized circuit or the
+  error's line number, never its message.
 
 Standard library and ``mzsim`` only, beside the package in ``src``:
 
@@ -26,10 +31,15 @@ import pathlib
 import random
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import mzsim  # noqa: E402
 from mzsim import cli, optics, reference, verify  # noqa: E402
+
+#: Tokens a mutation may insert, beside the mutated file's own tokens.
+JUNK_TOKENS = ("toggle", "modes", "detect", "-1", "0", "99", "x", "T=abc",
+               "R=", "#")
 
 
 def digest(*parts) -> str:
@@ -70,6 +80,43 @@ def reduced_states(photons: int, sets: int = 30, seed: int = 29):
     return parts
 
 
+def mutated_presets(count: int = 2000, seed: int = 30):
+    """``count`` preset .mzc texts, each mutated one to three times: a
+    line duplicated or dropped, or a token inserted, replaced or deleted.
+    An inserted or new token is one of the text's own or of JUNK_TOKENS."""
+    rng = random.Random(seed)
+    bases = [mzsim.serialize(mzsim.preset(name)).splitlines()
+             for name in mzsim.PRESET_NAMES]
+    vocabularies = [sorted({t for line in base for t in line.split()})
+                    + list(JUNK_TOKENS) for base in bases]
+    for _ in range(count):
+        k = rng.randrange(len(bases))
+        lines = [line.split() for line in bases[k]]
+        for _ in range(rng.randint(1, 3)):
+            i, op = rng.randrange(len(lines)), rng.randrange(5)
+            line = lines[i]
+            if op == 0:
+                lines.insert(rng.randrange(len(lines) + 1), list(line))
+            elif op == 1 and len(lines) > 1:
+                del lines[i]
+            elif op == 2 or not line:
+                line.insert(rng.randrange(len(line) + 1),
+                            rng.choice(vocabularies[k]))
+            elif op == 3:
+                line[rng.randrange(len(line))] = rng.choice(vocabularies[k])
+            else:
+                del line[rng.randrange(len(line))]
+        yield "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def parse_outcome(text: str):
+    """The serialized circuit, or the line number of the parse error."""
+    try:
+        return mzsim.serialize(mzsim.parse_circuit(text))
+    except mzsim.CircuitParseError as exc:
+        return exc.line_no
+
+
 def outputs():
     optics._expansion_plan.cache_clear()
     for when in ("cold", "warm"):
@@ -92,6 +139,13 @@ def outputs():
                           reference.eraser_projector(), "phi_B",
                           {"phi_C": 0.4}, 256)
     yield "fig1 eraser-projector scan", json.dumps(scan.to_json())
+    files = [mzsim.load_preset_file(name) for name in ("fig1", "fig2", "fig3")]
+    files += [mzsim.parse_circuit((ROOT / "tests" / "data" / f"{name}.mzc")
+                                  .read_text())
+              for name in ("braced_4", "braced_5")]
+    yield "parsed .mzc files", [mzsim.serialize(c) for c in files]
+    yield "mutated preset parses", [parse_outcome(text)
+                                    for text in mutated_presets()]
 
 
 def main() -> None:
