@@ -361,7 +361,7 @@ def format_complex(z: complex) -> str:
 def parse_complex(text: str) -> complex:
     """Parse an a+bi literal ("1", "0.6i", "-0.3+0.2i", "i")."""
     text = text.strip()
-    if not text or any(c.isspace() for c in text):
+    if len(text.split()) != 1:
         raise ValueError(f"bad complex literal {text!r}")
     try:
         if text.endswith("i"):

@@ -12,10 +12,13 @@ occupation tuples in that same order.
 A photon count fits in one byte, so each row read as one fixed-width byte
 string is a key whose byte order is the lexicographic order of the
 occupations, whatever the mode count; the private helpers below merge,
-match and look up rows on those keys.  :func:`_trusted_state` builds a
-state from rows already known to be valid, while ``FockState(mapping)``
-validates every ket.  ``measurement.DensityMatrix`` stores its basis the
-same way and merges it with :func:`_union`.
+match and look up rows on those keys.  :func:`_check_occupation` is the
+one photon-count rule: it turns an occupation into that key, or raises.
+``FockState(mapping)``, lookups, ``measurement.DensityMatrix(mapping)``
+and detection patterns all read counts through it, while
+:func:`_trusted_state` builds a state from rows already known to be
+valid.  ``DensityMatrix`` stores its basis the same way and merges it
+with :func:`_union`.
 
 All occupation vectors in one state must have the same length (the mode
 count) and the same total photon number, since passive linear optics never
@@ -42,34 +45,52 @@ PRUNE_THRESHOLD = 1e-14
 MAX_MODE_PHOTONS = 255
 _COUNTS = range(MAX_MODE_PHOTONS + 1)
 
-_INF = math.inf
-
-
-def _is_mode(m, mode_count=_INF) -> bool:
+def _is_mode(m, mode_count=math.inf) -> bool:
     """Whether ``m`` is a mode index below ``mode_count``: an ``int`` or
     numpy integer, not a ``bool``, and not negative."""
     return (isinstance(m, (int, np.integer)) and not isinstance(m, bool)
             and 0 <= m < mode_count)
 
 
-def _valid_modes(modes: tuple, mode_count=_INF) -> bool:
+def _valid_modes(modes: tuple, mode_count=math.inf) -> bool:
     """Whether ``modes`` are distinct mode indices below ``mode_count``."""
     return len(set(modes)) == len(modes) and all(
         _is_mode(m, mode_count) for m in modes)
 
 
-def _check_occupation(occ: Occupation, mode_count: int) -> Occupation:
+def _check_occupation(occ: Iterable[int], mode_count: int) -> bytes:
+    """``occ`` as one byte per mode, or :class:`DimensionMismatchError` for
+    the wrong length and :class:`PhotonCountError` for a count that is not
+    a whole number in 0..255.
+
+    The one photon-count rule of the package.  Counts given as ``int``,
+    ``bool`` or numpy integers convert in one ``bytes`` call; any other
+    type falls back to ``n in range(256)``, which compares by equality, so
+    ``1.0`` and ``Fraction(1)`` are counts while 1.5, "1" and inf are not.
+    """
     occ = tuple(occ)
     if len(occ) != mode_count:
         raise DimensionMismatchError(
             f"occupation {occ} has {len(occ)} modes, expected {mode_count}")
-    # ``in`` a range compares by equality: 1.0 is a count, 1.5, "1" and inf
-    # are not
-    if not all(n in _COUNTS for n in occ):
-        raise PhotonCountError(
-            f"occupation {occ} has a photon count that is not a whole number "
-            f"in 0..{MAX_MODE_PHOTONS}")
-    return tuple(map(int, occ))
+    try:
+        return bytes(occ)
+    except (TypeError, ValueError):
+        if all(n in _COUNTS for n in occ):
+            return bytes(map(int, occ))
+    raise PhotonCountError(f"occupation {occ} has a photon count that is "
+                           f"not a whole number in 0..{MAX_MODE_PHOTONS}")
+
+
+def _amplitude(where, *parts) -> complex:
+    """``complex(*parts)``, or :class:`NonFiniteAmplitudeError` naming
+    ``where`` when a part is NaN, infinite or too large for a float."""
+    try:
+        a = complex(*parts)
+        if math.isfinite(a.real) and math.isfinite(a.imag):
+            return a
+    except OverflowError:
+        a = "too large for a float"
+    raise NonFiniteAmplitudeError(f"amplitude {a} at {where} is not finite")
 
 
 def _keys(occupations: np.ndarray) -> np.ndarray:
@@ -95,11 +116,12 @@ def _merge(occupations: np.ndarray,
 
 
 def _find_row(keys: np.ndarray, occ: Iterable[int]) -> int:
-    """Index of ``occ`` among the sorted :func:`_keys` of unique rows, or -1."""
-    occ = tuple(occ)
-    if len(occ) != keys.dtype.itemsize or not all(n in _COUNTS for n in occ):
+    """Index of ``occ`` among the sorted :func:`_keys` of unique rows, or -1,
+    also when ``occ`` is not an occupation of their width."""
+    try:
+        key = np.void(_check_occupation(occ, keys.dtype.itemsize))
+    except (DimensionMismatchError, PhotonCountError):
         return -1
-    key = np.void(bytes(map(int, occ)))
     i = int(keys.searchsorted(key))
     return i if i < len(keys) and keys[i] == key else -1
 
@@ -156,26 +178,24 @@ class FockState:
             mode_count = len(items[0][0])
         if mode_count < 1:
             raise ValueError("a state needs at least one mode")
-        amp: dict[Occupation, complex] = {}
+        amp: dict[bytes, complex] = {}
         total: int | None = None
         for occ, a in items:
-            occ = _check_occupation(occ, mode_count)
-            a = complex(a)
-            magnitude = abs(a)
-            if magnitude <= prune:
+            key = _check_occupation(occ, mode_count)
+            a = _amplitude(occ, a)
+            # abs() raises where hypot() gives inf, past the largest float
+            if math.hypot(a.real, a.imag) <= prune:
                 continue
-            if not magnitude < _INF:
-                raise NonFiniteAmplitudeError(
-                    f"amplitude {a} at {occ} is not finite")
-            n = sum(occ)
+            n = sum(key)
             if total is None:
                 total = n
             elif n != total:
                 raise SectorError(
                     f"mixed photon numbers {total} and {n} in one state")
-            amp[occ] = amp.get(occ, 0j) + a
+            amp[key] = amp.get(key, 0j) + a
         kets = sorted(amp)
-        self._store(np.array(kets, dtype=np.uint8).reshape(len(kets), mode_count),
+        self._store(np.frombuffer(b"".join(kets), dtype=np.uint8)
+                    .reshape(len(kets), mode_count),
                     np.array([amp[k] for k in kets], dtype=complex), mode_count)
 
     def _store(self, occupations: np.ndarray, amplitudes: np.ndarray,
@@ -301,7 +321,8 @@ class FockState:
     @classmethod
     def from_json(cls, text: str, mode_count: int | None = None) -> "FockState":
         rows = json.loads(text)
-        amp = {tuple(r["occupation"]): complex(r["re"], r["im"]) for r in rows}
+        amp = {tuple(r["occupation"]): _amplitude(r["occupation"], r["re"],
+                                                  r["im"]) for r in rows}
         return cls(amp, mode_count)
 
 

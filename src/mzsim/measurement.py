@@ -10,7 +10,9 @@ A density matrix is kept over a basis of kets, stored like a state's kets,
 with one of two ``complex128`` arrays.  A pure state keeps its amplitude
 column psi, so |psi><psi| costs nothing of size kets x kets until a dense
 view is asked for; a matrix given as a mapping, and the result of a
-partial trace, keep the matrix itself.  :func:`partial_trace` plans its
+partial trace, keep the matrix itself.  Its entries are read from those
+arrays alone: one walk of the matrix per iteration, and a ket -> row
+dict for lookups.  :func:`partial_trace` plans its
 phase-free grouping of the basis once per basis in the plan cache evolve
 uses (``optics._PlanCache``).  Matrices retain the original mode indices
 through partial traces, so number operators can still be addressed by
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, NonFiniteAmplitudeError,
-                     PhotonCountError, UnknownDetectorError)
-from .fock import (_COUNTS, MAX_MODE_PHOTONS, PRUNE_THRESHOLD, FockState,
-                   Occupation, _check_occupation, _union, _valid_modes,
+from .errors import (DimensionMismatchError, PhotonCountError,
+                     UnknownDetectorError)
+from .fock import (PRUNE_THRESHOLD, FockState, Occupation, _amplitude,
+                   _check_occupation, _is_mode, _union, _valid_modes,
                    inner_product)
 from .optics import _expansion_plan
 
@@ -61,14 +63,11 @@ class DetectionPattern:
 
     def __post_init__(self):
         counts = dict(self.counts)
-        for name, c in counts.items():
-            # the rule occupations follow: 1.0 is a count, 1.5 and "1" are not
-            if c not in _COUNTS:
-                raise PhotonCountError(
-                    f"count {c!r} for detector {name!r} is not a whole "
-                    f"number in 0..{MAX_MODE_PHOTONS}")
-        object.__setattr__(self, "counts",
-                           {name: int(c) for name, c in counts.items()})
+        try:
+            values = _check_occupation(counts.values(), len(counts))
+        except PhotonCountError as exc:
+            raise PhotonCountError(f"detector counts {counts}: {exc}") from None
+        object.__setattr__(self, "counts", dict(zip(counts, values)))
 
     @property
     def total(self) -> int:
@@ -154,15 +153,17 @@ class DensityEntries(Mapping):
     It holds the basis and either ``psi``, the (kets x 1) amplitude column
     of a pure state, or the matrix itself; ``matrix`` is the matrix given,
     or psi psi^dagger built on first use.  Iteration, ``items``, ``values``
-    and ``repr`` read one dict of the nonzero entries of ``matrix``, keyed
-    by occupation tuples in lexicographic ``(ket, bra)`` order and built on
-    first read.  Lookups (``[key]``, ``get``, ``in``) read one value as
-    :meth:`entry` does, a zero entry reading as missing, and ``len`` counts
-    the nonzero entries; neither builds the dict.  A key is read as
-    ``(tuple(ket), tuple(bra))``, so list occupations find their entry too.
+    and ``repr`` each walk the nonzero entries of the matrix once per call,
+    in lexicographic ``(ket, bra)`` order, keyed by occupation tuples; a
+    walk over psi keeps nothing of size kets x kets.  Lookups (``[key]``,
+    ``get``, ``in``) read one value as :meth:`entry` does, a zero entry
+    reading as missing.  ``len`` counts the nonzero entries, from psi
+    alone when no product of two amplitudes can underflow to zero.  A key
+    is read as ``(tuple(ket), tuple(bra))``, so list occupations find their
+    entry too.
     """
 
-    __slots__ = ("basis", "psi", "_matrix", "_dict", "_rows")
+    __slots__ = ("basis", "psi", "_matrix", "_rows")
 
     def __init__(self, basis: np.ndarray, psi: np.ndarray | None = None,
                  matrix: np.ndarray | None = None):
@@ -172,24 +173,19 @@ class DensityEntries(Mapping):
         self.basis = basis
         self.psi = psi
         self._matrix = matrix
-        self._dict = self._rows = None
+        self._rows = None
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            matrix = self.psi @ self.psi.conj().T
-            matrix.flags.writeable = False
-            self._matrix = matrix
+            self._matrix = self._dense()
+            self._matrix.flags.writeable = False
         return self._matrix
 
-    @property
-    def _entries(self) -> dict[tuple[Occupation, Occupation], complex]:
-        if self._dict is None:
-            rows, cols = np.nonzero(self.matrix)
-            kets = list(map(tuple, self.basis.tolist()))
-            self._dict = {(kets[i], kets[j]): v for i, j, v in zip(
-                rows.tolist(), cols.tolist(), self.matrix[rows, cols].tolist())}
-        return self._dict
+    def _dense(self) -> np.ndarray:
+        """The matrix, or psi psi^dagger built without keeping it."""
+        return (self.psi @ self.psi.conj().T if self._matrix is None
+                else self._matrix)
 
     def __getitem__(self, key) -> complex:
         # read through entry(): two row lookups, nothing of size kets x kets
@@ -203,13 +199,18 @@ class DensityEntries(Mapping):
         return value
 
     def __iter__(self) -> Iterator[tuple[Occupation, Occupation]]:
-        return iter(self._entries)
+        return (key for key, _ in self.items())
 
-    def items(self):
-        return self._entries.items()
+    def items(self) -> list[tuple[tuple[Occupation, Occupation], complex]]:
+        """The nonzero entries in (ket, bra) order, from one matrix walk."""
+        matrix = self._dense()
+        rows, cols = np.nonzero(matrix)
+        kets = list(map(tuple, self.basis.tolist()))
+        return [((kets[i], kets[j]), v) for i, j, v in zip(
+            rows.tolist(), cols.tolist(), matrix[rows, cols].tolist())]
 
-    def values(self):
-        return self._entries.values()
+    def values(self) -> list[complex]:
+        return [v for _, v in self.items()]
 
     def entry(self, ket: Iterable[int], bra: Iterable[int]) -> complex:
         """One entry, 0 when either occupation is not in the basis.
@@ -217,7 +218,10 @@ class DensityEntries(Mapping):
         The two rows are looked up in a ket -> row dict, built once and of
         the basis's size; the value is read from the dense matrix when it
         exists, and from two amplitudes of ``psi`` otherwise, so nothing of
-        size kets x kets is built.
+        size kets x kets is built.  The dict stays beside the sorted basis
+        because ``dict(entries)`` looks up every key: 108,900 of them on
+        the 330-ket output of ``braced(4)``, about 0.2 s through the dict
+        and 0.7 s through a binary search of the basis per lookup.
         """
         if self._rows is None:
             self._rows = {occ: i for i, occ in
@@ -231,10 +235,13 @@ class DensityEntries(Mapping):
         return complex(self.psi[i] @ self.psi[j].conj())
 
     def __len__(self) -> int:
+        # a product of two amplitudes above 1e-150 is a normal float
+        if self._matrix is None and np.abs(self.psi).min(initial=1) > 1e-150:
+            return len(self.psi) ** 2
         return int(np.count_nonzero(self.matrix))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._entries!r})"
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 @dataclass(frozen=True)
@@ -263,15 +270,10 @@ class DensityMatrix:
                              f"is not a non-negative integer")
         object.__setattr__(self, "modes", tuple(map(int, modes)))
         items = list(self.entries.items())
-        kets = [_check_occupation(ket, width) for (ket, _), _ in items]
-        bras = [_check_occupation(bra, width) for (_, bra), _ in items]
-        values = np.array([v for _, v in items], dtype=complex)
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise NonFiniteAmplitudeError(
-                f"entry {values[bad]} at {items[bad][0]} is not finite")
-        rows = np.array(kets + bras, dtype=np.uint8).reshape(2 * len(items), width)
+        rows = [_check_occupation(ket, width) for (ket, _), _ in items]
+        rows += [_check_occupation(bra, width) for (_, bra), _ in items]
+        values = np.array([_amplitude(key, v) for key, v in items], dtype=complex)
+        rows = np.frombuffer(b"".join(rows), np.uint8).reshape(-1, width)
         basis, index = _union(rows)
         matrix = np.zeros((len(basis), len(basis)), dtype=complex)
         matrix[index[:len(items)], index[len(items):]] = values
@@ -293,7 +295,7 @@ class DensityMatrix:
 
     def items(self):
         """Nonzero entries in lexicographic (ket, bra) order."""
-        return list(self.entries.items())
+        return self.entries.items()
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix_array))
@@ -325,10 +327,9 @@ class DensityMatrix:
         return list(map(tuple, self.basis_array.tolist())), self.matrix_array.copy()
 
     def _position(self, mode: int) -> int:
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise ValueError(f"mode {mode} was traced out or never present") from None
+        if not (_is_mode(mode) and mode in self.modes):
+            raise ValueError(f"mode {mode!r} was traced out or never present")
+        return self.modes.index(mode)
 
 
 def _support(basis: np.ndarray,
@@ -377,11 +378,8 @@ def partial_trace(rho: DensityMatrix,
     at or below ``PRUNE_THRESHOLD`` are dropped, and kept kets left with
     only zero entries leave the basis; the result keeps its matrix.
     """
-    traced = set(traced_modes)
-    unknown = traced - set(rho.modes)
-    if unknown:
-        raise ValueError(f"cannot trace modes {sorted(unknown)}: not present")
-    keep_pos = tuple(i for i, m in enumerate(rho.modes) if m not in traced)
+    traced = {rho._position(m) for m in traced_modes}
+    keep_pos = tuple(i for i in range(len(rho.modes)) if i not in traced)
     if not keep_pos:
         raise ValueError("tracing every mode leaves a scalar, not a matrix")
     basis = rho.entries.basis
@@ -398,7 +396,7 @@ def partial_trace(rho: DensityMatrix,
         np.add.at(matrix, (rows[i], rows[j]), rho.entries.matrix[i, j])
     matrix[np.abs(matrix) <= PRUNE_THRESHOLD] = 0
     kept, matrix = _support(kept, matrix)
-    return _trusted_density(kept, tuple(m for m in rho.modes if m not in traced),
+    return _trusted_density(kept, tuple(rho.modes[i] for i in keep_pos),
                             matrix=matrix)
 
 

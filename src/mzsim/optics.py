@@ -162,7 +162,9 @@ def phase_unitary(mode: int, phi: float, mode_count: int) -> np.ndarray:
     """Diagonal delay, e^{i phi} on one mode."""
     if not _valid_modes((mode,), mode_count):
         raise ValueError(f"invalid phase mode {mode!r}")
-    phi = float(_real_phases(f"on mode {mode}", phi))
+    phi = _real_phases(f"on mode {mode}", phi)
+    if phi.ndim:
+        raise DimensionMismatchError(f"phase on mode {mode} is not one value")
     u = np.eye(mode_count, dtype=complex)
     u[mode, mode] = complex(math.cos(phi), math.sin(phi))
     return u

@@ -364,6 +364,10 @@ def test_a_repeated_toggle_or_a_fixed_swept_phase_is_named(capsys):
     ('[{"occupation": [1e999, 0], "re": 1.0, "im": 0.0}]', "whole number"),
     (FockState({(1, 1): 1.0, (2, 0): 1.0}).to_json(), "norm 1.41421"),
     pytest.param("[" * 100_000, "bad state file", id="nested-past-the-stack"),
+    pytest.param('[{"occupation": [1, 1], "re": 1' + "0" * 400 + ', "im": 0}]',
+                 "not finite", id="integer-past-the-largest-float"),
+    pytest.param('[{"occupation": [1, 1], "re": 1.5e308, "im": 1.5e308}]',
+                 "norm inf", id="magnitude-past-the-largest-float"),
 ])
 def test_unusable_state_files_exit_2(capsys, tmp_path, content, message):
     path = tmp_path / "state.json"

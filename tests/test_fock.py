@@ -1,13 +1,17 @@
 """Tests for sparse Fock states: construction, algebra, embedding, JSON."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mzsim import (DegenerateStateError, DimensionMismatchError, FockState,
-                   NonFiniteAmplitudeError, PhotonCountError, SectorError,
-                   basis_state, embed, inner_product, vacuum)
+from mzsim import (DegenerateStateError, DensityMatrix, DimensionMismatchError,
+                   FockState, NonFiniteAmplitudeError, PhotonCountError,
+                   SectorError, basis_state, embed, inner_product, vacuum)
+from mzsim.fock import _check_occupation
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -65,6 +69,76 @@ def test_non_finite_amplitudes_rejected(bad):
         FockState({(1, 0): 1.0, (0, 1): bad}, 2, prune=0.0)
     with pytest.raises(NonFiniteAmplitudeError):
         basis_state((1, 0)) * bad
+
+
+def test_an_amplitude_too_large_for_a_float_is_not_finite_and_named():
+    huge = 10 ** 400
+    with pytest.raises(NonFiniteAmplitudeError, match=r"at \(1, 0\)"):
+        FockState({(1, 0): huge})
+    with pytest.raises(NonFiniteAmplitudeError, match=r"at \[1, 0\]"):
+        FockState.from_json(
+            f'[{{"occupation": [1, 0], "re": 0.5, "im": {huge}}}]')
+    # a finite amplitude whose magnitude is past the largest float is kept
+    big = complex(1.5e308, 1.5e308)
+    s = FockState({(1, 0): big, (0, 1): 1.0})
+    assert s[(1, 0)] == big and s.norm() == math.inf
+
+
+#: Photon counts of every kind a caller may pass: ints just inside and
+#: outside 0..255, bools, numpy integers and floats, other numbers and
+#: strings.
+COUNTS = st.one_of(
+    st.integers(-2, 257), st.booleans(), st.booleans().map(np.bool_),
+    st.integers(-2, 257).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.floats(-2, 257), st.floats(-2, 257).map(np.float64),
+    st.sampled_from([0.0, 1.0, 1.5, 255.0, 256.0, Fraction(1), Fraction(1, 2),
+                     "1", math.nan, math.inf, -math.inf, 10 ** 400]))
+
+
+def reference_occupation(occ, mode_count):
+    """The count rule written one count at a time: the occupation's bytes,
+    or the type of error it must raise."""
+    if len(occ) != mode_count:
+        return DimensionMismatchError
+    if not all(n in range(256) for n in occ):
+        return PhotonCountError
+    return bytes(int(n) for n in occ)
+
+
+def verdict(build):
+    try:
+        return build()
+    except (DimensionMismatchError, PhotonCountError) as exc:
+        return type(exc)
+
+
+def nearest_ket(occ):
+    """A valid ket near ``occ``, which a lookup of an invalid ``occ`` must
+    still miss."""
+    def nearest(n):
+        try:
+            return min(max(int(n), 0), 255)
+        except (ValueError, OverflowError):
+            return 0
+    return tuple(map(nearest, occ))
+
+
+@given(st.lists(COUNTS, max_size=4).map(tuple), st.integers(1, 3))
+def test_one_count_rule_for_checks_lookups_and_densities(occ, mode_count):
+    want = reference_occupation(occ, mode_count)
+    assert verdict(lambda: _check_occupation(occ, mode_count)) == want
+    state = verdict(lambda: FockState({occ: 1.0}, mode_count))
+    rho = verdict(lambda: DensityMatrix({(occ, occ): 1.0}, range(mode_count)))
+    if isinstance(want, bytes):
+        assert state.occupation_array.tobytes() == want
+        assert rho.basis_array.tobytes() == want
+        found = basis_state(tuple(want))
+        assert occ in found and found[occ] == 1.0
+    else:
+        assert state is want and rho is want
+        other = (basis_state(nearest_ket(occ)) if len(occ) == mode_count
+                 else vacuum(mode_count))
+        assert occ not in other and other[occ] == 0j
 
 
 def test_counts_beyond_one_byte_and_modeless_states_rejected():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -491,7 +492,8 @@ def test_a_zero_entry_reads_as_missing(seed=48):
 
 def test_counting_entries_builds_no_map_of_them():
     # all 220 kets of 3 photons over 10 modes: the dense matrix takes
-    # 220^2 * 16 B = 0.77 MB, a dict of its 48,400 entries several MB
+    # 220^2 * 16 B = 0.77 MB, a dict of its 48,400 entries several MB;
+    # a pure state's entries are counted from its 220 amplitudes
     rho = density_from_pure(full_sector_state(3, 10, seed=61))
     tracemalloc.start()
     try:
@@ -499,7 +501,32 @@ def test_counting_entries_builds_no_map_of_them():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    assert peak < 2 ** 16
+    # 1e-170 squared underflows to zero, so psi psi^dagger holds 3 nonzeros
+    tiny = density_from_pure(FockState({(1, 0): 1.0, (0, 1): 1e-170},
+                                       prune=0.0))
+    assert len(tiny.entries) == np.count_nonzero(tiny.matrix_array) == 3
+
+
+def test_walking_a_pure_densitys_entries_keeps_nothing_of_them():
+    # the 330-ket braced_4 output: its matrix takes 330^2 * 16 B = 1.66 MiB,
+    # and a dict of its 108,900 entries kept beside it about 14 MiB
+    circuit, state, _ = reduced_n4_loop()
+    phases = {p: 0.3 * (k + 1) for k, p in enumerate(circuit.parameters)}
+    rho = density_from_pure(
+        evolve(state, compile(circuit, phases, tuple(circuit.toggles))))
+    tracemalloc.start()
+    try:
+        items = list(rho.entries.items())
+        del items
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 330 ** 2 * 16
+    kets = list(map(tuple, rho.basis_array.tolist()))
+    assert rho.entries.items() == [
+        ((kets[i], kets[j]), rho.matrix_array[i, j])
+        for i in range(330) for j in range(330)]
 
 
 @pytest.mark.parametrize("entries,error", [
@@ -509,10 +536,24 @@ def test_counting_entries_builds_no_map_of_them():
     ({((0, 0), (-1, 0)): 1.0}, PhotonCountError),
     ({((1, 0), (1, 0)): math.nan}, NonFiniteAmplitudeError),
     ({((1, 0), (0, 1)): complex(0.5, math.inf)}, NonFiniteAmplitudeError),
+    ({((1, 0), (0, 1)): 10 ** 400}, NonFiniteAmplitudeError),
 ])
 def test_density_matrix_rejects_bad_entries(entries, error):
     with pytest.raises(error):
         DensityMatrix(entries, (0, 1))
+
+
+@pytest.mark.parametrize("mode", [True, 1.0, np.float64(1.0)])
+def test_a_mode_that_is_not_an_index_is_refused_by_name(mode):
+    # mode 1 exists, but True and 1.0 only compare equal to it
+    rho = density_from_pure(three_mode_state())
+    reads = [lambda: mean_photon_number(rho, mode),
+             lambda: partial_trace(rho, [mode]),
+             lambda: coincidence_from_density(
+                 rho, DetectionPattern({"Db": 1}), {"Db": mode})]
+    for read in reads:
+        with pytest.raises(ValueError, match=re.escape(f"mode {mode!r}")):
+            read()
 
 
 def test_density_matrix_needs_a_mode():

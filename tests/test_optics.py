@@ -113,6 +113,13 @@ def test_phase_unitary_rejects_a_phase_that_is_not_finite(phi):
         phase_unitary(0, phi, 2)
 
 
+@pytest.mark.parametrize("phi", [np.array([0.1, 0.2]), [0.1], np.zeros((1, 1))])
+def test_phase_unitary_takes_one_phase_value(phi):
+    # as compile does for an array phase
+    with pytest.raises(DimensionMismatchError, match="mode 0"):
+        phase_unitary(0, phi, 2)
+
+
 def test_phase_and_swap_unitaries():
     p = phase_unitary(1, math.pi / 3, 3)
     assert abs(p[1, 1] - complex(math.cos(math.pi / 3), math.sin(math.pi / 3))) < 1e-15

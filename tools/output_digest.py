@@ -10,6 +10,10 @@ compares the lines.  The outputs are:
 - the pure reduced D10/D11 states of ``braced(3)`` and ``braced(4)`` at 30
   seeded phase sets each: basis and matrix bytes, ``entries.items()``, the
   D10 & D11 coincidence and the D10 mean photon number;
+- mapping-built data from five seeded pure outputs of ``braced(4)``: the
+  density rebuilt from ``dict(rho.entries)`` (basis and matrix bytes,
+  ``entries.items()`` and ``len``), and the state rebuilt from
+  ``dict(out.items())``;
 - the fig1 eraser-projector ``run_scan``;
 - ``serialize(parse_circuit(text))`` of the shipped ``fig1``-``fig3`` files
   and of ``tests/data/braced_4.mzc`` and ``braced_5.mzc``;
@@ -56,27 +60,53 @@ def cli_output(argv) -> str:
     return f"{code}\n{buffer.getvalue()}"
 
 
-def reduced_states(photons: int, sets: int = 30, seed: int = 29):
-    """Basis and matrix bytes, entries and readouts of each reduced state."""
+def braced_outputs(photons: int, sets: int, seed: int):
+    """``braced(photons)`` and its pure outputs for the engineered input, one
+    per seeded phase set."""
     circuit = mzsim.braced(photons)
-    m = circuit.mode_count
     toggles = tuple(sorted(circuit.toggles))
     state = mzsim.embed(mzsim.engineered_input(mzsim.noon_target(photons)),
-                        m, (0, 1))
-    keep = (circuit.detectors["D10"], circuit.detectors["D11"])
-    traced = [k for k in range(m) if k not in keep]
-    pattern = mzsim.DetectionPattern({"D10": 1, "D11": 1})
+                        circuit.mode_count, (0, 1))
     rng = random.Random(seed)
-    parts = []
+    outs = []
     for _ in range(sets):
         phases = {p: rng.uniform(0, 2 * math.pi) for p in circuit.parameters}
-        out = mzsim.evolve(state, mzsim.compile(circuit, phases, toggles))
+        outs.append(mzsim.evolve(state, mzsim.compile(circuit, phases,
+                                                      toggles)))
+    return circuit, outs
+
+
+def reduced_states(photons: int, sets: int = 30, seed: int = 29):
+    """Basis and matrix bytes, entries and readouts of each reduced state."""
+    circuit, outs = braced_outputs(photons, sets, seed)
+    keep = (circuit.detectors["D10"], circuit.detectors["D11"])
+    traced = [k for k in range(circuit.mode_count) if k not in keep]
+    pattern = mzsim.DetectionPattern({"D10": 1, "D11": 1})
+    parts = []
+    for out in outs:
         rho = mzsim.partial_trace(mzsim.density_from_pure(out), traced)
         parts += [rho.basis_array.tobytes(), rho.matrix_array.tobytes(),
                   list(rho.entries.items()),
                   mzsim.coincidence_from_density(rho, pattern,
                                                  circuit.detectors),
                   mzsim.mean_photon_number(rho, keep[0])]
+    return parts
+
+
+def mapping_built(photons: int = 4, sets: int = 5, seed: int = 31):
+    """Each pure output's density rebuilt from its entry mapping (basis and
+    matrix bytes, entries and length), and the output rebuilt from its
+    amplitude mapping (occupation and amplitude bytes)."""
+    _, outs = braced_outputs(photons, sets, seed)
+    parts = []
+    for out in outs:
+        rho = mzsim.density_from_pure(out)
+        mapped = mzsim.DensityMatrix(dict(rho.entries), rho.modes)
+        state = mzsim.FockState(dict(out.items()))
+        parts += [mapped.basis_array.tobytes(), mapped.matrix_array.tobytes(),
+                  list(mapped.entries.items()), len(mapped.entries),
+                  state.occupation_array.tobytes(),
+                  state.amplitude_array.tobytes()]
     return parts
 
 
@@ -134,6 +164,7 @@ def outputs():
     yield "mzsim --verify", cli_output(["--verify"])
     for n in (3, 4):
         yield f"braced({n}) reduced states", reduced_states(n)
+    yield "braced(4) mapping-built data", mapping_built()
     fig1 = mzsim.preset("fig1")
     scan = mzsim.run_scan(fig1, (), mzsim.one_photon_each_input(fig1),
                           reference.eraser_projector(), "phi_B",
