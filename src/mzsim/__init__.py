@@ -11,10 +11,11 @@ from .circuit import (Circuit, CircuitElement, PRESET_NAMES, braced, compile,
                       load_preset_file, parse_circuit, preset, preset_fig1,
                       preset_fig2, preset_fig3, serialize)
 from .errors import (CircuitError, CircuitParseError, DegenerateStateError,
-                     DimensionMismatchError, InvalidCoefficientsError,
-                     MissingPhaseError, NonFiniteAmplitudeError,
-                     NonUnitaryError, PhotonCountError, SectorError,
-                     UnclassifiableScanError, UnknownDetectorError)
+                     DimensionMismatchError, ExpansionTooLargeError,
+                     InvalidCoefficientsError, MissingPhaseError,
+                     NonFiniteAmplitudeError, NonUnitaryError,
+                     PhotonCountError, SectorError, UnclassifiableScanError,
+                     UnknownDetectorError)
 from .fock import FockState, basis_state, embed, inner_product, vacuum
 from .measurement import (DensityMatrix, DetectionPattern,
                           coincidence_from_density, density_from_pure,
@@ -33,7 +34,8 @@ __all__ = [
     "BALANCED", "BeamSplitterCoeffs", "Circuit", "CircuitElement",
     "CircuitError", "CircuitParseError", "DegenerateStateError",
     "DensityMatrix", "DetectionPattern", "DimensionMismatchError",
-    "FockState", "FringeScan", "InvalidCoefficientsError",
+    "ExpansionTooLargeError", "FockState", "FringeScan",
+    "InvalidCoefficientsError",
     "MissingPhaseError", "NonFiniteAmplitudeError", "NonUnitaryError",
     "PRESET_NAMES", "PhotonCountError", "ScenarioReport",
     "SectorError", "UnclassifiableScanError", "UnknownDetectorError",

@@ -9,7 +9,9 @@ the identity, which models physically taking the splitter out of the beam.
 
 Compiling walks the elements once and updates the columns of the product in
 place; ``_compile_grid`` does so at a grid of phases at once, as a
-(K x M x M) stack, which is how a scan compiles its grid of phases.
+(K x M x M) stack, which is how a scan compiles its grid of phases, and
+for a chosen set of R rows only, as a (K x R x M) block: a scan compiles
+just the rows of the modes its input occupies.
 
 Preset layouts
 --------------
@@ -191,15 +193,19 @@ def _phase_values(name: str, value) -> np.ndarray:
 
 
 def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
-                  enabled_toggles: Iterable[str] = ()) -> np.ndarray:
-    """Mode unitaries at K phase sets at once, as a (K x M x M) stack.
+                  enabled_toggles: Iterable[str] = (),
+                  rows: Sequence[int] | None = None) -> np.ndarray:
+    """Mode unitaries at K phase sets at once, as a (K x R x M) stack of
+    the rows ``rows`` of each (all M rows by default).
 
     A phase value is a real number or a length-K array of them, every
-    array of one length; slice k of the result is :func:`compile` at the
-    k-th entry of every array.  The elements (:meth:`Circuit.enabled`)
-    update the columns of K identities once each; each column is one
-    contiguous (K x M) block, and a swap only relabels where its columns
-    are stored.
+    array of one length; slice k of the result is those rows of
+    :func:`compile` at the k-th entry of every array.  The elements
+    (:meth:`Circuit.enabled`) update the columns of K identities' rows once
+    each; each column is one contiguous (K x R) block, and a swap only
+    relabels where its columns are stored.  Each entry is computed as in
+    the whole matrix, so the rows equal the whole compile's bit for bit; a
+    scan compiles only the rows its input occupies.
     """
     elements = circuit.enabled(enabled_toggles)
     parameters = circuit.parameters
@@ -219,10 +225,18 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
             "length; got " + ", ".join(f"{p} of shape {s}"
                                        for p, s in shapes.items()))
     m = circuit.mode_count
+    k = next(iter(shapes.values()), (1,))[0]
+    rows = range(m) if rows is None else list(rows)
+    wanted = len(rows)
+    if k * wanted == 1 < m:
+        # numpy rounds an in-place product of a one-entry array otherwise
+        # than of a longer one: one row at one phase is compiled with a
+        # second row, so that its columns are never one entry
+        rows.append((rows[0] + 1) % m)
     # cols[stored[j]] is column j of the product so far, one row per phase
-    cols = np.zeros((m, next(iter(shapes.values()), (1,))[0], m),
-                    dtype=complex)
-    cols[range(m), :, range(m)] = 1.0
+    # and compiled row
+    cols = np.zeros((m, k, len(rows)), dtype=complex)
+    cols[rows, :, range(len(rows))] = 1.0
     stored = list(range(m))
     for e in elements:
         if e.kind == "bs":
@@ -238,7 +252,7 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
         else:
             a, b = e.modes
             stored[a], stored[b] = stored[b], stored[a]
-    return np.ascontiguousarray(cols[stored].transpose(1, 2, 0))
+    return np.ascontiguousarray(cols[stored].transpose(1, 2, 0)[:, :wanted])
 
 
 # ---------------------------------------------------------------------------

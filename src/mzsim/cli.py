@@ -22,12 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import PRESET_NAMES, Circuit, compile, parse_circuit, preset
+from .circuit import (PRESET_NAMES, Circuit, _compile_grid, parse_circuit,
+                      preset)
 from .errors import (CircuitParseError, NonUnitaryError,
                      UnclassifiableScanError)
-from .fock import FockState, basis_state, embed
+from .fock import FockState, _trusted_state, basis_state, embed
 from .measurement import DetectionPattern, pattern_probability
-from .optics import evolve
+from .optics import _evolve_grid
 from .scenarios import (MAX_SWEEP_SAMPLES, NORM_TOL, _fit_samples,
                         _probabilities, _samples_csv, _scan_values,
                         engineered_input, noon_target)
@@ -219,8 +220,12 @@ def _resolve(args) -> RunConfig:
 
 
 def _probability(config: RunConfig, phases: dict[str, float]) -> float:
-    unitary = compile(config.circuit, phases, config.toggles)
-    out = evolve(config.input_state, unitary)
+    """The pattern's probability at one phase set, compiled and checked on
+    the input's occupied rows, as a sweep is."""
+    state = config.input_state
+    occupations, (amplitudes,) = _evolve_grid(state, _compile_grid(
+        config.circuit, phases, config.toggles, state._occupied_modes()))
+    out = _trusted_state(occupations, amplitudes, state.mode_count)
     return pattern_probability(out, config.pattern, config.circuit.detectors)
 
 

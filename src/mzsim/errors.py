@@ -21,6 +21,10 @@ class PhotonCountError(ValueError):
     """More photons than a state or a routine's factorial table can hold."""
 
 
+class ExpansionTooLargeError(ValueError):
+    """An expansion has more terms than evolve may build in memory."""
+
+
 class InvalidCoefficientsError(ValueError):
     """Beam splitter coefficients violate the unitarity constraints."""
 

@@ -167,7 +167,7 @@ class FockState:
     True
     """
 
-    __slots__ = ("_occ", "_amp", "mode_count", "total_photons")
+    __slots__ = ("_occ", "_amp", "mode_count", "total_photons", "_modes")
 
     def __init__(self, amplitudes: Mapping[Occupation, complex],
                  mode_count: int | None = None, *, prune: float = PRUNE_THRESHOLD):
@@ -206,6 +206,17 @@ class FockState:
         self._amp = amplitudes
         self.mode_count = mode_count
         self.total_photons = int(occupations[0].sum()) if len(occupations) else 0
+        self._modes = None
+
+    def _occupied_modes(self) -> np.ndarray:
+        """The modes some ket holds photons in, in mode order (read-only):
+        the rows of a unitary that an expansion of the state reads.  Found
+        on the first call and kept, as a phase loop evolves one state again
+        and again."""
+        if self._modes is None:
+            self._modes = np.flatnonzero(self._occ.any(axis=0))
+            self._modes.flags.writeable = False
+        return self._modes
 
     # -- array access -------------------------------------------------------
 
@@ -272,8 +283,12 @@ class FockState:
                               self.mode_count, prune=0.0)
 
     def __mul__(self, scalar: complex) -> "FockState":
-        with np.errstate(invalid="ignore", over="ignore"):
-            amplitudes = self._amp * scalar
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                amplitudes = self._amp * scalar
+        except OverflowError:   # an int too large for a float
+            raise NonFiniteAmplitudeError(
+                "scalar too large for a float is not finite") from None
         return _trusted_state(self._occ, amplitudes, self.mode_count, prune=0.0)
 
     __rmul__ = __mul__

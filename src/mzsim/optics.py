@@ -12,8 +12,11 @@ so sequential application of U1 then U2 composes to the single matrix
   multinomial bookkeeping (this mirrors the textbook derivation of output
   states and works on whole superpositions at once).  It is the one-matrix
   case of ``_evolve_grid``, which evolves a whole stack of K unitaries, as
-  a scan's grid of phases needs.  The phase-free half of the expansion is
-  a flat table of its terms, each a product of N unitary entries times a
+  a scan's grid of phases needs.  Only the R rows of the modes the input
+  occupies enter an expansion, so the engine works on a (K x R x M) block
+  of them, and a scan compiles only those rows.  The phase-free half of
+  the expansion is a flat table of its terms, each a product of N entries
+  of those rows (positions ``row * M + col`` in the raveled block) times a
   weight, with the input ket it comes from and the output ket it adds
   into; it is planned once per structure and cached (:class:`_PlanCache`),
   and each matrix of the stack then evolves in a fixed number of numpy
@@ -44,9 +47,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, InvalidCoefficientsError,
-                     NonFiniteAmplitudeError, NonUnitaryError,
-                     PhotonCountError, SectorError)
+from .errors import (DimensionMismatchError, ExpansionTooLargeError,
+                     InvalidCoefficientsError, NonFiniteAmplitudeError,
+                     NonUnitaryError, PhotonCountError, SectorError)
 from .fock import (PRUNE_THRESHOLD, FockState, Occupation,
                    _check_occupation, _trusted_state, _valid_modes)
 
@@ -68,6 +71,14 @@ MAX_PHOTONS = 20
 
 #: Entries of a unitary row at or below this magnitude are not expanded.
 ROW_CUTOFF = 1e-13
+
+#: Most bytes an expansion may take at its peak.  The plan and the work
+#: arrays of an expansion take 400 to 460 bytes per term at their peak on a
+#: dense input, so an input whose term count, counted exactly before
+#: anything is built, exceeds ``EXPANSION_BYTES // 512`` is refused:
+#: 2,097,152 terms, which ``classify_table1(8)``'s 1,110,395 fit.
+EXPANSION_BYTES = 2 ** 30
+MAX_TERMS = EXPANSION_BYTES // 512
 
 _FACT = np.array([math.factorial(k) for k in range(MAX_PHOTONS + 1)],
                  dtype=float)
@@ -272,7 +283,10 @@ def evolve(state: FockState, unitary: np.ndarray) -> FockState:
     Entries of a row at or below ``ROW_CUTOFF`` are treated as exact zeros;
     they could only shift output amplitudes by ~N * ROW_CUTOFF, far below
     the working tolerances.  A matrix with a NaN or infinite entry, or one
-    that is not unitary within 1e-8, is rejected.
+    that is not unitary within 1e-8, is rejected: the whole matrix is
+    checked, and then only the rows of the modes the state occupies are
+    read.  An expansion of more than ``MAX_TERMS`` terms raises
+    :class:`~mzsim.errors.ExpansionTooLargeError` before it is built.
     """
     occupations, (amplitudes,) = _evolve_grid(
         state, np.asarray(unitary, dtype=complex)[None])
@@ -285,50 +299,70 @@ def evolve(state: FockState, unitary: np.ndarray) -> FockState:
 _Plan = namedtuple("_Plan", "occupations positions weights inputs scatter scale")
 
 
+def _term_count(counts: list[list[int]], needed: np.ndarray) -> int:
+    """Exact number of terms of an expansion: a row holding n photons with
+    c entries marked in ``needed`` expands into C(n + c - 1, n)
+    compositions, and a ket into the product of its rows' counts.
+    ``counts`` holds each input ket's photons on the R occupied rows."""
+    reach = needed.sum(axis=1).tolist()
+    return sum(math.prod(math.comb(n + c - 1, n)
+                         for n, c in zip(occ, reach) if n) for occ in counts)
+
+
 def _build_plan(inputs: np.ndarray, needed: np.ndarray) -> _Plan:
     """The phase-free half of an expansion: a flat table of its terms.
 
-    The input's (kets x modes) uint8 occupations and the (modes x modes)
-    mask of unitary entries above ``ROW_CUTOFF`` fix every term.  Input ket
-    n expands into the outer product of its occupied rows' compositions
-    (:func:`_compositions`), earlier rows major; each term is the product
-    of N = sum_i n_i unitary entries, one per photon, times the phase-free
-    weight prod_i (multinomial_i / sqrt(n_i!)).  Terms are keyed on
-    :func:`_key_places` and merged (:func:`_merge_keys`); each merged ket's
-    occupation is counted off one of its terms' factor columns.
+    The input's (kets x modes) uint8 occupations and the (R x modes) mask
+    of the entries above ``ROW_CUTOFF`` in its R occupied rows, those of
+    the modes some ket holds photons in, in mode order, fix every term.
+    Input ket n expands into the outer product of its occupied rows'
+    compositions (:func:`_compositions`), earlier rows major; each term is
+    the product of N = sum_i n_i entries of those rows, one per photon,
+    times the phase-free weight prod_i (multinomial_i / sqrt(n_i!)).  Terms
+    are keyed on :func:`_key_places` and merged (:func:`_merge_keys`); each
+    merged ket's occupation is counted off one of its terms' factor
+    columns.  The terms are counted first (:func:`_term_count`), and more
+    than ``MAX_TERMS`` raise :class:`ExpansionTooLargeError` before
+    anything is built.
 
     The plan lists, in input-ket order, each term's N factor positions
-    ``mode * M + col`` in a raveled M x M unitary (an (N x terms) array),
-    its weight, its input ket and its merged output ket (:func:`_plan`).
+    ``row * M + col`` in the raveled R x M block of rows (an (N x terms)
+    array, uint8 while R * M <= 255), its weight, its input ket and its
+    merged output ket (:func:`_plan`).
     """
-    mode_count = needed.shape[0]
-    occs = inputs.tolist()
-    photons = sum(occs[0]) if occs else 0
-    # the live columns: those some occupied row needs (a boolean matmul)
-    live = np.flatnonzero(inputs.any(axis=0) @ needed)
+    mode_count = inputs.shape[1]
+    counts = inputs[:, inputs.any(axis=0)].tolist()
+    terms = _term_count(counts, needed)
+    if terms > MAX_TERMS:
+        raise ExpansionTooLargeError(
+            f"the expansion has {terms:,} terms; evolve builds at most "
+            f"{MAX_TERMS:,} (about {EXPANSION_BYTES // 2 ** 20:,} MiB)")
+    photons = sum(counts[0]) if counts else 0
+    # the live columns: those some occupied row needs
+    live = np.flatnonzero(needed.any(axis=0))
     place = _key_places(live, mode_count, photons)
     words = place.shape[1]
-    narrow = np.min_scalar_type(mode_count ** 2)
-    rows = {}
+    narrow = np.min_scalar_type(needed.size)
+    expanded = {}
     # an empty first block, so that a state with no kets concatenates
     blocks = [(np.zeros((photons, 0), dtype=narrow), np.zeros(0),
                np.zeros((0, words), dtype=np.int64))]
-    for occ in occs:
+    for occ in counts:
         positions, weights = np.zeros((0, 1), dtype=narrow), np.ones(1)
         keys = np.zeros((1, words), dtype=np.int64)
-        for mode, count in enumerate(occ):
+        for row, count in enumerate(occ):
             if not count:
                 continue
             # a row's factor positions, weights and keys, one column per
             # composition, shared by every ket that fills the row
-            if (mode, count) not in rows:
-                cols = np.flatnonzero(needed[mode])
+            if (row, count) not in expanded:
+                cols = np.flatnonzero(needed[row])
                 comps, multinomials, factors = _compositions(count, len(cols))
-                rows[mode, count] = ((mode * mode_count + cols[factors]
-                                      ).T.astype(narrow),
-                                     multinomials / _SQRT_FACT[count],
-                                     comps @ place[cols])
-            row_positions, row_weights, row_keys = rows[mode, count]
+                expanded[row, count] = ((row * mode_count + cols[factors]
+                                         ).T.astype(narrow),
+                                        multinomials / _SQRT_FACT[count],
+                                        comps @ place[cols])
+            row_positions, row_weights, row_keys = expanded[row, count]
             grown = np.empty((len(positions) + count, len(weights),
                               len(row_weights)), dtype=narrow)
             grown[:len(positions)] = positions[:, :, None]
@@ -345,8 +379,8 @@ def _build_plan(inputs: np.ndarray, needed: np.ndarray) -> _Plan:
     for cols in positions[:, first] % mode_count:
         occupations[np.arange(len(first)), cols] += 1
     return _plan(occupations, positions, np.concatenate(weights),
-                 np.repeat(np.arange(len(occs), dtype=np.min_scalar_type(
-                     len(occs))), [len(w) for w in weights[1:]]),
+                 np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(
+                     len(counts))), [len(w) for w in weights[1:]]),
                  ket_of, np.prod(_SQRT_FACT[occupations[:, live]], axis=1))
 
 
@@ -411,10 +445,10 @@ class _PlanCache:
     plans of ``measurement.partial_trace`` share one cache and both bounds.
     :meth:`lookup` is the one way in, and each caller owns its keys:
     :func:`_evolve_grid` keys a full plan on the input's shape and bytes and
-    the entry mask's bytes, and a restriction on those and the read mask's
-    bytes; a trace plan's key is tagged ``"partial_trace"``.  It pays where
-    one structure comes back call after call, as in a phase loop over
-    :func:`evolve`.
+    the bytes of the R x M entry mask of its occupied rows, and a
+    restriction on those and the read mask's bytes; a trace plan's key is
+    tagged ``"partial_trace"``.  It pays where one structure comes back
+    call after call, as in a phase loop over :func:`evolve`.
 
     An expansion plan holds N factor positions, a weight, an input ket and
     two scatter entries per expanded term (N or 2N bytes, and 11 to 14
@@ -427,11 +461,12 @@ class _PlanCache:
     with its base, and each tuple with its contents.
 
     The bounds of :data:`_expansion_plan`: one ``verify.run_all()`` keeps
-    40 plans (26 full, 12 restricted, 2 trace) holding 94 KiB, which 32
-    would cycle through.  ``classify_table1(5)``'s plans hold 269 KiB
-    (full) and 63 KiB (restricted), 8% of ``PLAN_CACHE_BYTES``; one plan
-    of a 330-ket, 4-photon superposition through a dense 8-mode unitary
-    holds 13.2 MiB, so it is used once and not kept.
+    37 plans (24 full, 11 restricted, 2 trace) holding 74 KiB, which 32
+    would cycle through.  ``classify_table1(5)``'s plans hold 226 KiB
+    (full) and 54 KiB (restricted), 7% of ``PLAN_CACHE_BYTES``, their
+    factor positions in uint8 (R * M = 60); one plan of a 330-ket,
+    4-photon superposition through a dense 8-mode unitary holds 13.2 MiB,
+    so it is used once and not kept.
     """
 
     def __init__(self, maxsize: int, budget: int):
@@ -485,25 +520,34 @@ _expansion_plan = _PlanCache(maxsize=64, budget=PLAN_CACHE_BYTES)
 
 def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply each matrix of a (K x M x M) stack of mode unitaries to a state.
+    """Apply each matrix of a stack of K mode unitaries to a state.
+
+    Only the R rows of the modes the state occupies (some ket holds a
+    photon there), in mode order, enter an expansion, and the stack may be
+    given as just those rows: a (K x R x M) block, as
+    :func:`~mzsim.circuit._compile_grid` compiles it for a scan.  Its rows
+    must be orthonormal within 1e-8, entry by entry in modulus, checked by
+    one (K x R x R) gram; orthonormal input rows keep the output
+    normalised, so a defect on a row no photon enters passes.  A
+    (K x M x M) stack of whole unitaries, as :func:`evolve` passes it, is
+    checked whole, and its occupied rows are read.
 
     The expansion runs in two passes.  The first, :func:`_build_plan`, is
     phase-free and cached in :data:`_expansion_plan`; it depends on the
-    input's occupations and the mask of the entries above ``ROW_CUTOFF`` in
-    some matrix of the stack, whose bytes key it.  The second walks the
-    stack one matrix at a time, in a fixed number of numpy calls per matrix
-    however many input kets there are: its unitarity gram, then N takes of
-    the terms' factors from the raveled matrix, multiplied in place into
-    one terms vector, one multiply by the terms' weights times their input
+    input's occupations and the R x M mask of the row entries above
+    ``ROW_CUTOFF`` in some matrix of the stack, whose bytes key it.  The
+    second walks the stack one matrix at a time, in a fixed number of
+    numpy calls per matrix however many input kets there are: N takes of
+    the terms' factors from the raveled rows, multiplied in place into one
+    terms vector, one multiply by the terms' weights times their input
     kets' amplitudes (computed once per call), and one ``bincount`` of
     that vector into its row of the (K x n) output (n output kets).  So no
     temporary of this pass outgrows one terms vector of complex values,
     whatever K is, and each row equals a one-matrix call's bit for bit.
     Returns the output occupations, unique and in lexicographic order
     (read-only), and a (K x kets) amplitude block whose row k is the state
-    evolved by ``unitaries[k]``.  The kets are every ket the plan can
-    reach; a ket at or below ``PRUNE_THRESHOLD`` at every k reads exactly
-    0.
+    evolved by matrix k.  The kets are every ket the plan can reach; a ket
+    at or below ``PRUNE_THRESHOLD`` at every k reads exactly 0.
 
     ``select``, if given, is called once with those reachable kets, before
     the stack's unitarity is checked, and returns a bool mask over them: the
@@ -515,34 +559,40 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
     """
     u = np.asarray(unitaries, dtype=complex)
     m = state.mode_count
-    if u.ndim != 3 or not len(u) or u.shape[1:] != (m, m):
+    inputs = state.occupation_array
+    occupied = state._occupied_modes()
+    r = len(occupied)
+    if (u.ndim != 3 or not len(u) or u.shape[2] != m
+            or u.shape[1] not in (r, m)):
         raise DimensionMismatchError(
-            f"unitary stack is {u.shape}, state has {m} modes")
+            f"unitary stack is {u.shape}, state has {m} modes, {r} of them "
+            f"occupied")
     if state.total_photons > MAX_PHOTONS:
         raise PhotonCountError(
             f"state carries {state.total_photons} photons; evolve supports "
             f"at most {MAX_PHOTONS}")
-    needed = (np.abs(u) > ROW_CUTOFF).any(axis=0)
-    inputs = state.occupation_array
+    # a whole stack's occupied rows: a view when they are the first R
+    # modes, as every input fed through the first splitter's two modes is
+    rows = (u if u.shape[1] == r else
+            u[:, :r] if not r or occupied[-1] < r else u[:, occupied])
+    needed = (np.abs(rows) > ROW_CUTOFF).any(axis=0)
     key = (inputs.shape, inputs.tobytes(), needed.tobytes())
     full = _expansion_plan.lookup(key, lambda: _build_plan(inputs, needed))
     read = None if select is None else select(full.occupations)
     if not np.isfinite(u).all():
         raise NonUnitaryError("matrix has a NaN or infinite entry")
-    for matrix in u:
-        # |gram - I| <= 1e-8 entry by entry, as re^2 + im^2 of a float64 view
-        deviation = (matrix @ matrix.conj().T).view(float).reshape(-1)
-        deviation[::2 * m + 2] -= 1.0     # the real diagonal
-        deviation *= deviation
-        if (deviation[::2] + deviation[1::2]).max() > 1e-8 ** 2:
-            raise NonUnitaryError("matrix is not unitary within 1e-8")
+    # |gram - I| <= 1e-8 entry by entry, in modulus: one batched gram
+    gram = u @ u.conj().transpose(0, 2, 1)
+    gram.reshape(len(u), -1)[:, ::u.shape[1] + 1] -= 1.0     # the diagonal
+    if np.abs(gram).max(initial=0.0) > 1e-8:
+        raise NonUnitaryError("matrix is not unitary within 1e-8")
 
     plan = full if read is None else _expansion_plan.lookup(
         key + (read.tobytes(),), lambda: _restrict_plan(full, read))
     occupations, n = plan.occupations, len(plan.occupations)
     weights = plan.weights * state.amplitude_array.take(plan.inputs)
     amplitudes = np.empty((len(u), n), dtype=complex)
-    for row, entries in zip(amplitudes, u.reshape(len(u), m * m)):
+    for row, entries in zip(amplitudes, rows.reshape(len(u), -1)):
         # with no photons a term is the empty product
         term = (entries.take(plan.positions[0]) if len(plan.positions)
                 else np.ones(len(weights), dtype=complex))

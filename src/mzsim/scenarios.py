@@ -6,7 +6,12 @@ of enabled phase elements carrying the parameter, so every output amplitude
 of an N-photon input has degree at most N*c.  The scan engine therefore
 compiles the circuit at K = N*c + 1 equally spaced phases in one pass and
 evolves the input through all K unitaries in one batched expansion; those
-K values fix psi(phi) = sum_{j < K} e^{i j phi} psi_j exactly.  The
+K values fix psi(phi) = sum_{j < K} e^{i j phi} psi_j exactly.  Only the
+rows of the modes the input occupies enter an expansion, so a scan, like
+:func:`run_triple` and a CLI point run, compiles just those R rows, a
+(K x R x M) block, and the expansion checks that they are orthonormal
+within 1e-8: a splitter off unitary on modes no input photon reaches
+cannot change a probability, and passes.  The
 scans of one call share that expansion: each toggle set is compiled on its
 own and their grids are evolved as one stack, so :func:`classify_table1`
 evolves its input once for all of its configurations.  A readout's
@@ -173,8 +178,10 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
         overlaps = iter([overlap[read] for overlap in overlaps])
         return read
 
+    rows = input_state._occupied_modes()
     _, values = _evolve_grid(input_state, np.concatenate(
-        [_compile_grid(circuit, phases, enabled) for enabled in sets]), select)
+        [_compile_grid(circuit, phases, enabled, rows) for enabled in sets]),
+        select)
 
     interpolate, dft = _sampling(k)
     blocks = {}
@@ -330,8 +337,8 @@ def run_triple(circuit: Circuit, toggles, phases):
     array of K probabilities otherwise, read with one mask off one evolve.
     """
     state = embed(engineered_input(noon_target(3)), circuit.mode_count, (0, 1))
-    occupations, amplitudes = _evolve_grid(
-        state, _compile_grid(circuit, phases, toggles))
+    occupations, amplitudes = _evolve_grid(state, _compile_grid(
+        circuit, phases, toggles, state._occupied_modes()))
     mask = pattern_masks([DetectionPattern({"D6p": 1, "D6": 1, "D10": 1})],
                          circuit.detectors, occupations, 3)[0]
     probs = np.sum(np.abs(amplitudes[:, mask]) ** 2, axis=1)

@@ -24,9 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import reference as ref
-from .circuit import (PRESET_NAMES, compile, load_preset_file, parse_circuit,
-                      preset, preset_fig1, preset_fig2, preset_fig3,
-                      serialize)
+from .circuit import (PRESET_NAMES, _compile_grid, compile, load_preset_file,
+                      parse_circuit, preset, preset_fig1, preset_fig2,
+                      preset_fig3, serialize)
 from .fock import FockState, _trusted_state, basis_state, embed
 from .measurement import (DetectionPattern, coincidence_from_density,
                           density_from_pure, mean_photon_number, partial_trace,
@@ -81,7 +81,8 @@ def _require_flat(scan, max_visibility: float, what: str):
 
 class _Draw(NamedTuple):
     """One random tap and phase set through the monitored (1) and erased (2)
-    layouts: compiled unitaries and the output of one photon per input."""
+    layouts: the compiled rows of the two input modes and the output of one
+    photon per input."""
 
     tap: BeamSplitterCoeffs
     phi_c: float
@@ -94,16 +95,19 @@ class _Draw(NamedTuple):
 
 
 def _draw_taps(rng) -> list[_Draw]:
-    """Draw the taps and phases, build and compile both layouts per draw,
-    and evolve each layout family in one expansion over its stack."""
+    """Draw the taps and phases, build both layouts per draw and compile
+    the rows of their input modes, and evolve each layout family in one
+    expansion over its stack of rows."""
     params, u1, u2 = [], [], []
     for _ in range(_TAP_DRAWS):
         tap = _random_tap(rng)
         pc, pb, ps = rng.uniform(0, 2 * math.pi, 3)
         params.append((tap, pc, pb, ps))
-        u1.append(compile(preset_fig1(tap=tap), {"phi_C": pc, "phi_B": pb}))
-        u2.append(compile(preset_fig2(tap=tap),
-                          {"phi_C": pc, "phi_B": pb, "phi_S": ps}, ("BS2",)))
+        u1.append(_compile_grid(preset_fig1(tap=tap),
+                                {"phi_C": pc, "phi_B": pb}, (), (0, 1))[0])
+        u2.append(_compile_grid(preset_fig2(tap=tap),
+                                {"phi_C": pc, "phi_B": pb, "phi_S": ps},
+                                ("BS2",), (0, 1))[0])
     inp = embed(basis_state((1, 1)), 12, (0, 1))
     u1, u2 = np.stack(u1), np.stack(u2)
     outs = []

@@ -13,9 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mzsim import (DetectionPattern, FockState, compile, evolve,
-                   one_photon_each_input, pattern_probability, preset,
-                   serialize)
+from mzsim import (DetectionPattern, FockState, NonUnitaryError, compile,
+                   evolve, one_photon_each_input, parse_circuit,
+                   pattern_probability, preset, serialize)
 from mzsim.cli import MAX_SWEEP_SAMPLES, main
 from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
 
@@ -438,6 +438,62 @@ def test_a_non_unitary_circuit_names_its_worst_splitter(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("mzsim: ") and "not unitary" in err
     assert "splitter BS1 " in err and "-3.4e-09" in err
+    assert "Traceback" not in err
+
+
+def test_a_defect_no_input_photon_reaches_passes_a_point_run_and_a_sweep(
+        capsys, tmp_path):
+    # fig2 on 14 modes, with a splitter 1e-7 off unitary on modes 12 and
+    # 13, which no element links to the input rows: both CLI modes check
+    # the input's rows and accept it, while evolve checks the whole matrix
+    leaky = f"T={math.sqrt(0.5 + 1e-7)!r} R=0.7071067811865475i"
+    text = serialize(preset("fig2")).replace(
+        "modes 12\n", f"modes 14\nbs BX 12 13 {leaky}\n")
+    path = tmp_path / "fig2_leaky.mzc"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "--circuit", str(path), "--toggles",
+                             "BS2", "--pattern", "D6:1,D10:1", "--phases",
+                             "phi_C=0.1,phi_B=0.2,phi_S=0.3")
+    assert code == 0 and err == ""
+    code, want, _ = run_cli(capsys, "--preset", "fig2", "--toggles", "BS2",
+                            "--pattern", "D6:1,D10:1", "--phases",
+                            "phi_C=0.1,phi_B=0.2,phi_S=0.3")
+    assert code == 0 and out == want
+    code, out, err = run_cli(capsys, "--circuit", str(path), "--toggles",
+                             "BS2", "--pattern", "D6:1,D10:1", "--sweep",
+                             "phi_C:0:6.283185307179586:16", "--phases",
+                             "phi_B=0.2,phi_S=0.3")
+    assert code == 0 and err == "" and len(out.splitlines()) == 17
+    circuit = parse_circuit(text)
+    with pytest.raises(NonUnitaryError, match="within 1e-8"):
+        evolve(one_photon_each_input(circuit),
+               compile(circuit, {"phi_C": 0.1, "phi_B": 0.2, "phi_S": 0.3},
+                       ("BS2",)))
+
+
+def mesh_text(modes, layers):
+    """A mesh of balanced splitters, each layer on alternate pairs of
+    neighbouring modes, with a delay on mode 0 and a detector per mode."""
+    lines = [f"modes {modes}", "phase P 0 phi"]
+    for layer in range(layers):
+        for a in range(layer % 2, modes - 1, 2):
+            lines.append(f"bs B{layer}_{a} {a} {a + 1} {BALANCED_BS}")
+    lines += [f"detect D{k} {k}" for k in range(modes)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("run", [("--phases", "phi=0"),
+                                 ("--sweep", "phi:0:6.283185307179586:8")])
+def test_an_expansion_too_large_to_build_exits_2(capsys, tmp_path, run):
+    # 20 photons on two input rows that each reach all 12 columns: the
+    # expansion is counted and refused before it is built
+    path = tmp_path / "mesh.mzc"
+    path.write_text(mesh_text(12, 12))
+    code, out, err = run_cli(capsys, "--circuit", str(path), "--input",
+                             "engineered-noon:20", "--pattern", "D0:20", *run)
+    assert code == 2 and out == ""
+    assert err.startswith("mzsim: the expansion has ")
+    assert "terms; evolve builds at most 2,097,152" in err
     assert "Traceback" not in err
 
 

@@ -78,6 +78,10 @@ def test_an_amplitude_too_large_for_a_float_is_not_finite_and_named():
     with pytest.raises(NonFiniteAmplitudeError, match=r"at \[1, 0\]"):
         FockState.from_json(
             f'[{{"occupation": [1, 0], "re": 0.5, "im": {huge}}}]')
+    # so is a scalar: numpy cannot convert it, as it cannot an amplitude
+    for scaled in (lambda s: s * huge, lambda s: huge * s):
+        with pytest.raises(NonFiniteAmplitudeError, match="too large"):
+            scaled(basis_state((1, 0)))
     # a finite amplitude whose magnitude is past the largest float is kept
     big = complex(1.5e308, 1.5e308)
     s = FockState({(1, 0): big, (0, 1): 1.0})

@@ -3,8 +3,9 @@
 Several results are called bit-identical across routes: a restricted
 expansion plan against the full one (a subset of the same terms, at other
 positions of shorter arrays), a cached plan against a cold one, a grid
-compile's rows against a compile at each phase, and each row of a stack
-evolve against a one-matrix call.  numpy documents some of
+compile's rows against a compile at each phase, a compile of some rows
+against those rows of the whole compile, and each row of a stack evolve
+against a one-matrix call.  numpy documents some of
 the behaviours below and merely exhibits others; each test states which
 guarantee it checks and names the code that relies on it, so a numpy that
 breaks one fails here rather than deep inside a scan.
@@ -71,8 +72,8 @@ def test_tobytes_keys_depend_only_on_values_and_shape():
 def test_min_scalar_type_is_the_narrowest_unsigned_type():
     # optics._plan narrows a plan's scatter index to
     # np.min_scalar_type(2 * kets), and optics._build_plan its factor
-    # positions and input kets likewise; each type must hold every index
-    # below its bound
+    # positions (below R * M) and input kets likewise; each type must hold
+    # every index below its bound
     for top, dtype in ((1, np.uint8), (255, np.uint8), (256, np.uint16),
                        (65535, np.uint16), (65536, np.uint32),
                        (2 ** 32, np.uint64)):
@@ -82,8 +83,7 @@ def test_min_scalar_type_is_the_narrowest_unsigned_type():
 
 def test_float64_view_interleaves_real_and_imaginary_parts():
     # optics._evolve_grid adds each term's real and imaginary part into
-    # float64 entries 2q and 2q + 1 of a view of the complex output, and
-    # squares a float64 view of the gram in place for its unitarity check
+    # float64 entries 2q and 2q + 1 of a view of the complex output
     rng = np.random.default_rng(SEED)
     block = random_complex(rng, 3, 5)
     flat = block.view(float)
@@ -96,7 +96,7 @@ def test_float64_view_interleaves_real_and_imaginary_parts():
 
 def test_take_returns_c_ordered_blocks_for_narrow_unsigned_indices():
     # optics._evolve_grid takes each factor row of a plan, a uint8 or uint16
-    # index, from one raveled (M*M) matrix of the stack, multiplies the
+    # index, from one raveled (R*M) block of rows, multiplies the
     # taken vectors in place and reads the result through a float64 view;
     # optics._restrict_plan keeps a plan's terms with compress along the
     # term axis
@@ -167,6 +167,40 @@ def test_complex_multiply_gives_each_entry_its_own_value():
         alone *= b[:, start:stop]
         alone *= weights[start:stop] * amps[start:stop]
         assert stacked[:, start:stop].tobytes() == alone.tobytes()
+
+
+def test_column_updates_give_each_entry_its_own_value():
+    # circuit._compile_grid updates each column, a (K x R) block of K phases
+    # and R rows, by complex scalars (t a + r b, b t + r a) and by a (K x 1)
+    # column of phase factors; a compile of some rows equals those rows of
+    # the whole compile only if an entry's value depends neither on the
+    # block's width nor on its position in it.  That holds for blocks of
+    # two entries or more; numpy 2.4 rounds an in-place product of a
+    # one-entry array otherwise, so one row at one phase is compiled with
+    # a second row
+    rng = np.random.default_rng(SEED)
+    m = 37
+    t, r = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+
+    def update(col_a, col_b, factor):
+        mixed = t * col_a + r * col_b
+        col_b *= t
+        col_b += r * col_a
+        col_a[...] = mixed
+        col_a *= factor
+        return col_a, col_b
+
+    for k in (1, 5):
+        a, b = random_complex(rng, k, m), random_complex(rng, k, m)
+        factor = np.exp(1j * rng.uniform(-10, 10, k))[:, None]
+        whole = update(a.copy(), b.copy(), factor)
+        for rows in ([0, 1], [3, 11], list(range(20, 37)), [5, 6, 30],
+                     [0] if k > 1 else [35, 36]):
+            part = update(np.ascontiguousarray(a[:, rows]),
+                          np.ascontiguousarray(b[:, rows]), factor)
+            for full, block in zip(whole, part):
+                assert np.ascontiguousarray(full[:, rows]).tobytes() == (
+                    block.tobytes())
 
 
 def test_complex_astype_bool_is_true_when_either_part_is_nonzero():

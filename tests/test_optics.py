@@ -19,16 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
-                   DimensionMismatchError, FockState,
+                   DimensionMismatchError, ExpansionTooLargeError, FockState,
                    InvalidCoefficientsError, NonUnitaryError,
                    PhotonCountError, SectorError, basis_state, bs_unitary,
                    classify_table1, compile, evolve, is_unitary,
                    pattern_probability, permanent, phase_unitary,
                    scenarios, swap_unitary, transition_amplitude, vacuum)
 from mzsim.fock import PRUNE_THRESHOLD, _trusted_state
-from mzsim.optics import (ROW_CUTOFF, _build_plan, _compositions,
+from mzsim.optics import (MAX_TERMS, ROW_CUTOFF, _build_plan, _compositions,
                           _evolve_grid, _expansion_plan, _held_bytes,
-                          _key_places, _restrict_plan)
+                          _key_places, _restrict_plan, _term_count)
 from strategies import random_unitary, superpositions, swept_circuits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -403,6 +403,58 @@ def test_the_grid_checks_every_matrix_of_its_stack():
         _evolve_grid(basis_state((21, 0)), np.stack([good, good]))
 
 
+def test_a_row_block_is_checked_on_its_rows_and_a_whole_stack_whole():
+    # a splitter 1e-7 off unitary on modes 2 and 3, which the photon on
+    # mode 0 never enters: its rows are orthonormal, the whole matrix is not
+    state = basis_state((1, 0, 0, 0))
+    leaky = BeamSplitterCoeffs(math.sqrt(0.5 + 1e-7), BALANCED.r)
+    u = bs_unitary(BALANCED, 0, 1, 4) @ bs_unitary(leaky, 2, 3, 4)
+    kets, amplitudes = _evolve_grid(state, u[None, :1])
+    assert kets.tolist() == [[0, 1, 0, 0], [1, 0, 0, 0]]
+    assert amplitudes.tobytes() == np.array(
+        [[BALANCED.r, BALANCED.t]]).tobytes()
+    for run in (lambda: _evolve_grid(state, u[None]),
+                lambda: evolve(state, u)):
+        with pytest.raises(NonUnitaryError, match="within 1e-8"):
+            run()
+    # the same defect on the occupied row is refused on the rows alone
+    with pytest.raises(NonUnitaryError, match="within 1e-8"):
+        _evolve_grid(basis_state((0, 0, 1, 0)), u[None, 2:3])
+    # a block holds one row per occupied mode, or the whole matrix
+    with pytest.raises(DimensionMismatchError, match="1 of them occupied"):
+        _evolve_grid(state, u[None, :2])
+    # rows and whole matrix give the same bits
+    good = bs_unitary(BALANCED, 0, 1, 4)
+    for got, want in zip(_evolve_grid(state, good[None, :1]),
+                         _evolve_grid(state, good[None])):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_an_expansion_too_large_to_build_is_refused_before_building_it(
+        seed=48):
+    # 20 photons on one row that reaches all 12 columns: C(31, 11) terms,
+    # which would take tens of GiB.  The count is exact and made from the
+    # entry mask before anything is allocated.  classify_table1(8)'s full
+    # plan, 1,110,395 terms, stays within the bound
+    m, n = 12, 20
+    u = random_unitary(np.random.default_rng(seed), m)
+    state = basis_state((n,) + (0,) * (m - 1))
+    terms = math.comb(n + m - 1, n)
+    assert terms == 84_672_315 and 1_110_395 <= MAX_TERMS < terms
+    message = f"{terms:,} terms; evolve builds at most {MAX_TERMS:,}"
+    with pytest.raises(ExpansionTooLargeError, match=message):
+        evolve(state, u)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpansionTooLargeError):
+            evolve(state, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10
+
+
 @st.composite
 def shared_entry_stacks(draw):
     """A state, a stack whose matrices all have the same nonzero entries
@@ -542,13 +594,16 @@ def test_plan_arrays_are_read_only(seed=44):
 
 @st.composite
 def plan_cases(draw):
-    """A state, the entry mask of a unitary with some entries zeroed, and a
-    read mask drawn over the plan's output kets."""
+    """A state, the entry mask of its occupied rows of a unitary with some
+    entries zeroed (each row keeps its own mode's entry), and a read mask
+    drawn over the plan's output kets."""
     m = draw(st.integers(1, 4))
     state = draw(superpositions(m, draw(st.integers(0, 3))))
-    needed = np.array(draw(st.lists(st.booleans(), min_size=m * m,
-                                    max_size=m * m))).reshape(m, m)
-    needed[np.arange(m), np.arange(m)] = True
+    occupied = state._occupied_modes()
+    r = len(occupied)
+    needed = np.array(draw(st.lists(st.booleans(), min_size=r * m,
+                                    max_size=r * m)), dtype=bool).reshape(r, m)
+    needed[np.arange(r), occupied] = True
     plan = _build_plan(state.occupation_array, needed)
     read = np.array(draw(st.lists(st.booleans(), min_size=len(plan.occupations),
                                   max_size=len(plan.occupations))), dtype=bool)
@@ -558,34 +613,42 @@ def plan_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(plan_cases())
 def test_each_term_of_a_plan_counts_back_to_its_kets(case):
-    # a term's factor positions mode * M + col: the modes count to its input
-    # ket, the columns to its output ket, and each row's columns to the
-    # composition its multinomial weight is of
+    # a term's factor positions row * M + col in the R x M block of the
+    # occupied rows: the rows' modes count to its input ket, the columns to
+    # its output ket, and each row's columns to the composition its
+    # multinomial weight is of
     state, needed, plan, read = case
     m = state.mode_count
+    occupied = state._occupied_modes()
     inputs = state.occupation_array
     ket_of = plan.scatter[::2].astype(np.intp) // 2
+    assert needed.shape == (len(occupied), m)
     assert plan.positions.shape == (state.total_photons, len(plan.weights))
-    assert plan.positions.dtype == np.min_scalar_type(m * m)
+    assert plan.positions.dtype == np.min_scalar_type(len(occupied) * m)
     assert len(plan.inputs) == len(ket_of) == len(plan.weights)
     rows, cols = np.divmod(plan.positions.astype(np.intp), m)
     assert needed[rows, cols].all()
+    modes = occupied[rows]
     for t in range(len(plan.weights)):
         n_in = inputs[plan.inputs[t]]
-        assert np.bincount(rows[:, t], minlength=m).tolist() == n_in.tolist()
+        assert np.bincount(modes[:, t], minlength=m).tolist() == n_in.tolist()
         assert np.bincount(cols[:, t], minlength=m).tolist() == (
             plan.occupations[ket_of[t]].tolist())
         weight = 1.0
         for mode, count in enumerate(n_in.tolist()):
-            comp = np.bincount(cols[rows[:, t] == mode, t], minlength=m)
+            comp = np.bincount(cols[modes[:, t] == mode, t], minlength=m)
             weight *= math.factorial(count) / math.prod(
                 math.factorial(k) for k in comp.tolist())
             weight /= math.sqrt(math.factorial(count))
         assert math.isclose(plan.weights[t], weight, rel_tol=1e-14)
-    # input kets in order, each with as many terms as its rows' compositions
-    assert np.bincount(plan.inputs, minlength=len(inputs)).tolist() == [
-        math.prod(math.comb(count + int(needed[mode].sum()) - 1, count)
-                  for mode, count in enumerate(n_in)) for n_in in inputs.tolist()]
+    # input kets in order, each with as many terms as its rows'
+    # compositions, which the count made before the build also gives
+    per_ket = [math.prod(math.comb(count + int(needed[row].sum()) - 1, count)
+                         for row, count in enumerate(n_in))
+               for n_in in inputs[:, occupied].tolist()]
+    assert np.bincount(plan.inputs, minlength=len(inputs)).tolist() == per_ket
+    assert _term_count(inputs[:, occupied].tolist(), needed) == len(
+        plan.weights)
     assert np.all(np.diff(plan.inputs.astype(np.intp)) >= 0)
     # a restricted plan's terms are the full plan's terms whose ket is read,
     # in order, sent to their ket's place among the read kets
@@ -632,13 +695,17 @@ def test_a_plan_keeps_its_merge_index_in_the_narrowest_type(occ, kets, dtype,
     state = basis_state(occ)
     u = random_unitary(np.random.default_rng(seed), len(occ))
     out = evolve(state, u)
-    plan = _build_plan(state.occupation_array, np.abs(u) > ROW_CUTOFF)
+    occupied = state._occupied_modes()
+    plan = _build_plan(state.occupation_array,
+                       (np.abs(u) > ROW_CUTOFF)[occupied])
     assert len(plan.occupations) == len(out) == kets
     scatter = plan.scatter
     assert scatter.dtype == dtype and int(scatter.max()) == 2 * kets - 1
     assert np.array_equal(scatter[1::2], scatter[::2] + 1)
-    # at most 11 modes, so every factor position fits a uint8; one input ket
+    # factor positions index the R x M block of the occupied rows, at most
+    # 3 x 11, so every one fits a uint8; one input ket
     assert plan.positions.dtype == plan.inputs.dtype == np.uint8
+    assert int(plan.positions.max()) == len(occupied) * len(occ) - 1
     assert_matches_the_permanent(out, state, u)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -212,7 +213,8 @@ def test_scan_validation():
 
 def test_a_scan_evolves_once_per_harmonic(monkeypatch):
     # phi_C is crossed once and the input has two photons: one batched evolve
-    # over K = 2 * 1 + 1 grid phases, and no evolve per phase
+    # over K = 2 * 1 + 1 grid phases of the two occupied rows, and no evolve
+    # per phase
     stacks, calls = [], []
 
     def counting_evolve_grid(state, unitaries, *args, **kwargs):
@@ -229,20 +231,21 @@ def test_a_scan_evolves_once_per_harmonic(monkeypatch):
     scan = run_scan(c, ("BS2",), one_photon_each_input(c),
                     DetectionPattern({"D6": 1, "D10": 1}), "phi_C",
                     {"phi_B": 0.4, "phi_S": 1.1})
-    assert stacks == [(3, 12, 12)]
+    assert stacks == [(3, 2, 12)]
     assert not calls
     assert len(scan.samples) == 256
 
 
 def test_classify_table1_evolves_its_input_once(monkeypatch):
     # three configurations over two distinct toggle sets: one plain compile
-    # per set, in the order the sets first appear, and one batched evolve
-    # over the two grids stacked
+    # of the input's two occupied rows per set, in the order the sets first
+    # appear, and one batched evolve over the two grids stacked
     compiled, stacks = [], []
 
-    def counting_compile_grid(circuit, phases, toggles=()):
-        compiled.append((frozenset(toggles), len(phases["phi_B"])))
-        return _compile_grid(circuit, phases, toggles)
+    def counting_compile_grid(circuit, phases, toggles=(), rows=None):
+        compiled.append((frozenset(toggles), len(phases["phi_B"]),
+                         list(rows)))
+        return _compile_grid(circuit, phases, toggles, rows)
 
     def counting_evolve_grid(state, unitaries, *args, **kwargs):
         stacks.append(np.shape(unitaries))
@@ -254,9 +257,44 @@ def test_classify_table1_evolves_its_input_once(monkeypatch):
     toggles = {frozenset(r.toggles) for r in reports}
     assert toggles == {frozenset({"BS2", "BS2p"}), frozenset({"BS2p"})}
     # K = 3 photons x 1 crossing + 1 per set
-    assert compiled == [(frozenset({"BS2", "BS2p"}), 4),
-                        (frozenset({"BS2p"}), 4)]
-    assert stacks == [(8, 18, 18)]
+    assert compiled == [(frozenset({"BS2", "BS2p"}), 4, [0, 1]),
+                        (frozenset({"BS2p"}), 4, [0, 1])]
+    assert stacks == [(8, 2, 18)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_row_block_is_the_whole_compiles_rows_and_scans_alike(data):
+    # a grid compile of some rows equals those rows of the whole compile,
+    # and a scan on the input's rows gives the harmonics of the same scan
+    # on whole matrices, whose occupied rows the engine then reads itself
+    circuit, enabled = data.draw(swept_circuits())
+    m = circuit.mode_count
+    k = data.draw(st.integers(1, 4))
+    grid = {p: np.array(data.draw(st.lists(st.floats(-10, 10), min_size=k,
+                                           max_size=k)))
+            for p in circuit.parameters}
+    rows = sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m)))
+    whole = _compile_grid(circuit, grid, enabled)
+    block = _compile_grid(circuit, grid, enabled, rows)
+    assert block.shape == (k, len(rows), m)
+    assert np.array_equal(block, whole[:, rows])
+
+    state = data.draw(superpositions(m, data.draw(st.integers(1, 3))))
+    listed = data.draw(occupations(m, state.total_photons))
+    pattern = DetectionPattern({f"D{j}": c for j, c in enumerate(listed) if c})
+    scans = [(enabled, [pattern, data.draw(superpositions(
+        m, state.total_photons))])]
+    fixed = {"psi": data.draw(st.floats(0, 2 * math.pi))}
+    (got,) = _scan_values(circuit, state, "phi", fixed, scans)
+
+    def whole_compile(circuit, phases, toggles=(), rows=None):
+        return _compile_grid(circuit, phases, toggles)
+
+    with unittest.mock.patch.object(scenarios, "_compile_grid",
+                                    whole_compile):
+        (want,) = _scan_values(circuit, state, "phi", fixed, scans)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,6 +15,10 @@ compares the lines.  The outputs are:
   ``entries.items()`` and ``len``), and the state rebuilt from
   ``dict(out.items())``;
 - the fig1 eraser-projector ``run_scan``;
+- ``run_triple`` on ``braced(3)``, every toggle on, at 16 seeded phase
+  sets given as arrays (the probabilities' bytes);
+- one ``braced_3`` CLI point run (``--format json``) of the engineered
+  three-photon input;
 - ``serialize(parse_circuit(text))`` of the shipped ``fig1``-``fig3`` files
   and of ``tests/data/braced_4.mzc`` and ``braced_5.mzc``;
 - the parse outcomes of 2,000 seeded mutations of the presets' ``.mzc``
@@ -170,6 +174,17 @@ def outputs():
                           reference.eraser_projector(), "phi_B",
                           {"phi_C": 0.4}, 256)
     yield "fig1 eraser-projector scan", json.dumps(scan.to_json())
+    braced3 = mzsim.braced(3)
+    rng = random.Random(32)
+    phases = {p: [rng.uniform(0, 2 * math.pi) for _ in range(16)]
+              for p in braced3.parameters}
+    yield "braced(3) run_triple at 16 phase sets", mzsim.run_triple(
+        braced3, tuple(sorted(braced3.toggles)), phases).tobytes()
+    yield "braced_3 CLI point run", cli_output(
+        ["--preset", "braced_3", "--input", "engineered-noon:3",
+         "--toggles", "BS2,BS2p", "--pattern", "D6p:1,D6:1,D10:1",
+         "--phases", "phi_C=0.3,phi_B=1.7,phi_S=0.9,phi_Sp=2.2",
+         "--format", "json"])
     files = [mzsim.load_preset_file(name) for name in ("fig1", "fig2", "fig3")]
     files += [mzsim.parse_circuit((ROOT / "tests" / "data" / f"{name}.mzc")
                                   .read_text())
