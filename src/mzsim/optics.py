@@ -11,21 +11,22 @@ so sequential application of U1 then U2 composes to the single matrix
 * :func:`evolve` expands the substituted operator polynomial with exact
   multinomial bookkeeping (this mirrors the textbook derivation of output
   states and works on whole superpositions at once).  It is the one-matrix
-  case of ``_evolve_grid``, which evolves a whole stack of K unitaries, as
-  a scan's grid of phases needs.  Only the R rows of the modes the input
-  occupies enter an expansion, so the engine works on a (K x R x M) block
-  of them, and a scan compiles only those rows.  The phase-free half of
-  the expansion is a flat table of its terms, each a product of N entries
-  of those rows (positions ``row * M + col`` in the raveled block) times a
-  weight, with the input ket it comes from and the output ket it adds
-  into; it is planned once per structure and cached (:class:`_PlanCache`),
-  and each matrix of the stack then evolves in a fixed number of numpy
-  calls.  A scan passes a ``select`` callback that picks the kets its
-  readouts read among every reachable ket, and the plan keeps only the
-  terms that add into them (``classify_table1(5)`` reads 495 of 2,002
-  kets, fed by 1,820 of 8,568 terms); the output is always the reachable
-  kets, or exactly the selected ones, a ket pruned at every phase
-  reading 0;
+  case of ``_evolve_grid``, which evolves a stack of K unitaries, as a
+  scan's grid of phases needs.  Only the R rows of the modes the input
+  occupies enter an expansion, so the engine takes just a (K x R x M)
+  block of them: a scan compiles only those rows, and :func:`evolve`
+  checks its whole M x M matrix and hands on the occupied rows.  The
+  phase-free half of the expansion is a flat table of its terms, each a
+  product of N entries of those rows (positions ``row * M + col`` in the
+  raveled block) times a weight, with the input ket it comes from and the
+  output ket it adds into; it is planned once per structure and cached
+  (:class:`_PlanCache`), and each matrix of the stack then evolves in a
+  fixed number of numpy calls.  A scan passes a ``select`` callback that
+  picks the kets its readouts read among every reachable ket, and the plan
+  keeps only the terms that add into them (``classify_table1(5)`` reads
+  495 of 2,002 kets, fed by 1,820 of 8,568 terms); the output is always
+  the reachable kets, or exactly the selected ones, a ket pruned at every
+  phase reading 0;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix, summed over the repeat
   counts by Glynn's formula; :func:`permanent` is the same sum with every
@@ -282,14 +283,25 @@ def evolve(state: FockState, unitary: np.ndarray) -> FockState:
 
     Entries of a row at or below ``ROW_CUTOFF`` are treated as exact zeros;
     they could only shift output amplitudes by ~N * ROW_CUTOFF, far below
-    the working tolerances.  A matrix with a NaN or infinite entry, or one
-    that is not unitary within 1e-8, is rejected: the whole matrix is
-    checked, and then only the rows of the modes the state occupies are
-    read.  An expansion of more than ``MAX_TERMS`` terms raises
-    :class:`~mzsim.errors.ExpansionTooLargeError` before it is built.
+    the working tolerances.  A matrix that is not M x M, has a NaN or
+    infinite entry, or is not unitary within 1e-8 is rejected: the whole
+    matrix is checked, and then only the rows of the modes the state
+    occupies are read.  An expansion of more than ``MAX_TERMS`` terms
+    raises :class:`~mzsim.errors.ExpansionTooLargeError` before it is
+    built.
     """
-    occupations, (amplitudes,) = _evolve_grid(
-        state, np.asarray(unitary, dtype=complex)[None])
+    u = np.asarray(unitary, dtype=complex)
+    m = state.mode_count
+    if u.shape != (m, m):
+        raise DimensionMismatchError(
+            f"unitary is {u.shape}, state has {m} modes")
+    occupied = state._occupied_modes()
+    r = len(occupied)
+    # the occupied rows: a view when they are the first R modes, as every
+    # input fed through the first splitter's two modes is
+    rows = u[:r] if not r or occupied[-1] < r else u[occupied]
+    occupations, (amplitudes,) = _evolve_grid(state, rows[None],
+                                              whole=u[None])
     return _trusted_state(occupations, amplitudes, state.mode_count)
 
 
@@ -518,19 +530,19 @@ PLAN_CACHE_BYTES = 4 * 2 ** 20
 _expansion_plan = _PlanCache(maxsize=64, budget=PLAN_CACHE_BYTES)
 
 
-def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply each matrix of a stack of K mode unitaries to a state.
+def _evolve_grid(state: FockState, rows: np.ndarray, select=None,
+                 whole=None) -> tuple[np.ndarray, np.ndarray]:
+    """Apply each matrix of a stack of K mode unitaries to a state, given
+    as the rows an expansion reads: a (K x R x M) block.
 
-    Only the R rows of the modes the state occupies (some ket holds a
-    photon there), in mode order, enter an expansion, and the stack may be
-    given as just those rows: a (K x R x M) block, as
-    :func:`~mzsim.circuit._compile_grid` compiles it for a scan.  Its rows
-    must be orthonormal within 1e-8, entry by entry in modulus, checked by
-    one (K x R x R) gram; orthonormal input rows keep the output
-    normalised, so a defect on a row no photon enters passes.  A
-    (K x M x M) stack of whole unitaries, as :func:`evolve` passes it, is
-    checked whole, and its occupied rows are read.
+    The R rows are those of the modes the state occupies (some ket holds a
+    photon there), in mode order, as :func:`~mzsim.circuit._compile_grid`
+    compiles them for a scan.  They must be orthonormal within 1e-8, entry
+    by entry in modulus, checked by one (K x R x R) gram; orthonormal
+    input rows keep the output normalised, so a defect on a row no photon
+    enters passes.  ``whole``, if given, is the (K x M x M) stack the rows
+    were read from, and is checked in their place, at the same point:
+    :func:`evolve` checks the whole matrix it is given.
 
     The expansion runs in two passes.  The first, :func:`_build_plan`, is
     phase-free and cached in :data:`_expansion_plan`; it depends on the
@@ -557,28 +569,23 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
     full result.  So a call builds the full plan at most once, whether or
     not either plan fits the cache.
     """
-    u = np.asarray(unitaries, dtype=complex)
+    rows = np.asarray(rows, dtype=complex)
     m = state.mode_count
     inputs = state.occupation_array
-    occupied = state._occupied_modes()
-    r = len(occupied)
-    if (u.ndim != 3 or not len(u) or u.shape[2] != m
-            or u.shape[1] not in (r, m)):
+    r = len(state._occupied_modes())
+    if rows.ndim != 3 or not len(rows) or rows.shape[1:] != (r, m):
         raise DimensionMismatchError(
-            f"unitary stack is {u.shape}, state has {m} modes, {r} of them "
+            f"row block is {rows.shape}, state has {m} modes, {r} of them "
             f"occupied")
     if state.total_photons > MAX_PHOTONS:
         raise PhotonCountError(
             f"state carries {state.total_photons} photons; evolve supports "
             f"at most {MAX_PHOTONS}")
-    # a whole stack's occupied rows: a view when they are the first R
-    # modes, as every input fed through the first splitter's two modes is
-    rows = (u if u.shape[1] == r else
-            u[:, :r] if not r or occupied[-1] < r else u[:, occupied])
     needed = (np.abs(rows) > ROW_CUTOFF).any(axis=0)
     key = (inputs.shape, inputs.tobytes(), needed.tobytes())
     full = _expansion_plan.lookup(key, lambda: _build_plan(inputs, needed))
     read = None if select is None else select(full.occupations)
+    u = rows if whole is None else whole
     if not np.isfinite(u).all():
         raise NonUnitaryError("matrix has a NaN or infinite entry")
     # |gram - I| <= 1e-8 entry by entry, in modulus: one batched gram
@@ -591,8 +598,8 @@ def _evolve_grid(state: FockState, unitaries: np.ndarray, select=None
         key + (read.tobytes(),), lambda: _restrict_plan(full, read))
     occupations, n = plan.occupations, len(plan.occupations)
     weights = plan.weights * state.amplitude_array.take(plan.inputs)
-    amplitudes = np.empty((len(u), n), dtype=complex)
-    for row, entries in zip(amplitudes, rows.reshape(len(u), -1)):
+    amplitudes = np.empty((len(rows), n), dtype=complex)
+    for row, entries in zip(amplitudes, rows.reshape(len(rows), -1)):
         # with no photons a term is the empty product
         term = (entries.take(plan.positions[0]) if len(plan.positions)
                 else np.ones(len(weights), dtype=complex))

@@ -1,6 +1,7 @@
 """Hypothesis strategies shared by the test modules: occupations,
 normalized superpositions and random circuits with a swept delay, plus the
-random unitaries some of them are evolved through."""
+random unitaries some of them are evolved through, and the row block of a
+unitary stack that the expansion engine reads."""
 
 import math
 from collections import Counter
@@ -16,6 +17,12 @@ def random_unitary(rng, m):
     z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def occupied_rows(state, stack):
+    """The (K x R x M) block of a (K x M x M) stack that ``_evolve_grid``
+    takes: the rows of the modes ``state`` occupies, in mode order."""
+    return stack[:, state._occupied_modes()]
 
 
 @st.composite

@@ -29,7 +29,8 @@ from mzsim.fock import PRUNE_THRESHOLD, _trusted_state
 from mzsim.optics import (MAX_TERMS, ROW_CUTOFF, _build_plan, _compositions,
                           _evolve_grid, _expansion_plan, _held_bytes,
                           _key_places, _restrict_plan, _term_count)
-from strategies import random_unitary, superpositions, swept_circuits
+from strategies import (occupied_rows, random_unitary, superpositions,
+                        swept_circuits)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -166,7 +167,7 @@ def test_vacuum_is_invariant(seed=6):
     u = random_unitary(rng, 4)
     assert evolve(vacuum(4), u).allclose(vacuum(4))
     # and a state with no kets has no terms
-    kets, amplitudes = _evolve_grid(FockState({}, 4), np.stack([u, u]))
+    kets, amplitudes = _evolve_grid(FockState({}, 4), np.stack([u, u])[:, :0])
     assert kets.shape == (0, 4) and amplitudes.shape == (2, 0)
 
 
@@ -236,7 +237,7 @@ def test_the_unitarity_bound_is_on_the_modulus_of_each_deviation(modulus, raises
     diagonal = np.diag([math.sqrt(1 + modulus), 1.0])
     good = bs_unitary(BALANCED, 0, 1, 2)
     for run in (lambda: evolve(state, off),
-                lambda: _evolve_grid(state, np.stack([good, diagonal]))):
+                lambda: _evolve_grid(state, np.stack([good, diagonal])[:, :1])):
         if raises:
             with pytest.raises(NonUnitaryError, match="within 1e-8"):
                 run()
@@ -317,7 +318,7 @@ def test_the_grid_zeroes_a_ket_only_when_every_phase_prunes_it():
     state = basis_state((1, 0))
     faint = bs_unitary(BeamSplitterCoeffs.from_angle(1e-15), 0, 1, 2)
     bright = bs_unitary(BeamSplitterCoeffs.from_angle(0.5), 0, 1, 2)
-    kets, amplitudes = _evolve_grid(state, np.stack([faint, bright]))
+    kets, amplitudes = _evolve_grid(state, np.stack([faint, bright])[:, :1])
     assert kets.tolist() == [[0, 1], [1, 0]]
     assert 0 < abs(amplitudes[0, 0]) <= PRUNE_THRESHOLD
     assert len(evolve(state, faint)) == 1
@@ -331,7 +332,7 @@ def test_the_grid_zeroes_a_ket_only_when_every_phase_prunes_it():
     dim = [bs_unitary(BeamSplitterCoeffs.from_angle(a), 0, 1, 2)
            for a in (1e-8, 2e-8)]
     assert 1e-8 > ROW_CUTOFF and (2e-8) ** 2 < PRUNE_THRESHOLD
-    kets, amplitudes = _evolve_grid(pair, np.stack(dim))
+    kets, amplitudes = _evolve_grid(pair, np.stack(dim)[:, :1])
     assert kets.tolist() == [[0, 2], [1, 1], [2, 0]]
     assert amplitudes.shape == (2, 3)
     assert np.array_equal(amplitudes[:, 0], np.zeros(2))
@@ -339,9 +340,9 @@ def test_the_grid_zeroes_a_ket_only_when_every_phase_prunes_it():
 
 
 def grid_states(state, stack):
-    """The rows of one ``_evolve_grid`` call as K states, each slice pruned
-    on its own."""
-    occupations, amplitudes = _evolve_grid(state, stack)
+    """The rows of one ``_evolve_grid`` call on a stack's occupied rows as
+    K states, each slice pruned on its own."""
+    occupations, amplitudes = _evolve_grid(state, occupied_rows(state, stack))
     return [_trusted_state(occupations, row, state.mode_count)
             for row in amplitudes]
 
@@ -392,18 +393,20 @@ def test_each_slice_of_a_stack_equals_evolve(case):
 
 
 def test_the_grid_checks_every_matrix_of_its_stack():
+    # the stack is the row of mode 0, the one the photon occupies
     state = basis_state((1, 0))
     good = bs_unitary(BALANCED, 0, 1, 2)
-    for bad in (np.diag([1.0, 2.0]), np.diag([1.0, math.nan])):
+    for bad in (np.diag([2.0, 1.0]), np.diag([math.nan, 1.0])):
         with pytest.raises(NonUnitaryError):
-            _evolve_grid(state, np.stack([good, bad]))
-    with pytest.raises(DimensionMismatchError):
-        _evolve_grid(state, good)
+            _evolve_grid(state, np.stack([good, bad])[:, :1])
+    for unblocked in (good, good[:1], good[None]):
+        with pytest.raises(DimensionMismatchError):
+            _evolve_grid(state, unblocked)
     with pytest.raises(PhotonCountError):
-        _evolve_grid(basis_state((21, 0)), np.stack([good, good]))
+        _evolve_grid(basis_state((21, 0)), np.stack([good, good])[:, :1])
 
 
-def test_a_row_block_is_checked_on_its_rows_and_a_whole_stack_whole():
+def test_the_engine_checks_a_row_block_and_evolve_the_whole_matrix():
     # a splitter 1e-7 off unitary on modes 2 and 3, which the photon on
     # mode 0 never enters: its rows are orthonormal, the whole matrix is not
     state = basis_state((1, 0, 0, 0))
@@ -413,21 +416,33 @@ def test_a_row_block_is_checked_on_its_rows_and_a_whole_stack_whole():
     assert kets.tolist() == [[0, 1, 0, 0], [1, 0, 0, 0]]
     assert amplitudes.tobytes() == np.array(
         [[BALANCED.r, BALANCED.t]]).tobytes()
-    for run in (lambda: _evolve_grid(state, u[None]),
-                lambda: evolve(state, u)):
-        with pytest.raises(NonUnitaryError, match="within 1e-8"):
-            run()
+    with pytest.raises(NonUnitaryError, match="within 1e-8"):
+        evolve(state, u)
     # the same defect on the occupied row is refused on the rows alone
     with pytest.raises(NonUnitaryError, match="within 1e-8"):
         _evolve_grid(basis_state((0, 0, 1, 0)), u[None, 2:3])
-    # a block holds one row per occupied mode, or the whole matrix
-    with pytest.raises(DimensionMismatchError, match="1 of them occupied"):
-        _evolve_grid(state, u[None, :2])
-    # rows and whole matrix give the same bits
-    good = bs_unitary(BALANCED, 0, 1, 4)
-    for got, want in zip(_evolve_grid(state, good[None, :1]),
-                         _evolve_grid(state, good[None])):
-        assert got.tobytes() == want.tobytes()
+    # the engine takes one row per occupied mode, never a whole stack
+    for stack in (u[None, :2], u[None]):
+        with pytest.raises(DimensionMismatchError, match="1 of them occupied"):
+            _evolve_grid(state, stack)
+    # evolve takes only an M x M matrix: a row is not read as the
+    # occupied one
+    for wrong in ([[0, 1]], np.eye(4)[:1], np.eye(4)[:, :2], np.eye(5)):
+        with pytest.raises(DimensionMismatchError, match="4 modes"):
+            evolve(state, wrong)
+    with pytest.raises(DimensionMismatchError, match="2 modes"):
+        evolve(basis_state((1, 0)), [[0, 1]])
+    # evolve reads the occupied rows of the whole matrix, bit for bit, as a
+    # view of the leading rows or a copy of the others
+    good = bs_unitary(BALANCED, 0, 1, 4) @ bs_unitary(BALANCED, 2, 3, 4)
+    for occupied in ((1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 1), (1, 0, 2, 0)):
+        state = basis_state(occupied)
+        modes = [j for j, n in enumerate(occupied) if n]
+        kets, (amplitudes,) = _evolve_grid(state, good[None, modes])
+        want = _trusted_state(kets, amplitudes, 4)
+        out = evolve(state, good)
+        assert out.occupation_array.tobytes() == want.occupation_array.tobytes()
+        assert out.amplitude_array.tobytes() == want.amplitude_array.tobytes()
 
 
 def test_an_expansion_too_large_to_build_is_refused_before_building_it(
@@ -482,9 +497,10 @@ def test_each_row_of_a_stack_is_a_one_matrix_call_bit_for_bit(case):
     state, stack, seed = case
     select = None if seed is None else (
         lambda kets: np.random.default_rng(seed).random(len(kets)) < 0.5)
-    kets, amplitudes = _evolve_grid(state, stack, select)
+    kets, amplitudes = _evolve_grid(state, occupied_rows(state, stack), select)
     for u, row in zip(stack, amplitudes):
-        alone_kets, (alone,) = _evolve_grid(state, u[None], select)
+        alone_kets, (alone,) = _evolve_grid(state, occupied_rows(state, u[None]),
+                                            select)
         assert np.array_equal(alone_kets, kets)
         # a ket the stack keeps for another matrix's sake is pruned alone
         row = np.where(np.abs(row) > PRUNE_THRESHOLD, row, 0)
