@@ -7,11 +7,12 @@ relabelings).  Detectors name the modes that are read out.  Elements listed
 in ``toggles`` may be removed at compile time: a disabled toggle compiles to
 the identity, which models physically taking the splitter out of the beam.
 
-Compiling walks the elements once and updates the columns of the product in
-place; ``_compile_grid`` does so at a grid of phases at once, as a
-(K x M x M) stack, which is how a scan compiles its grid of phases, and
-for a chosen set of R rows only, as a (K x R x M) block: a scan compiles
-just the rows of the modes its input occupies.
+Compiling walks the elements once and updates the columns of the product,
+each product taken out of place; ``_compile_grid`` does so at a grid of
+phases at once, as a (K x M x M) stack, which is how a scan compiles its
+grid of phases, and for a chosen set of R rows only, as a (K x R x M)
+block: a scan compiles just the rows of the modes its input occupies, and
+gets them bit for bit as the whole compile has them.
 
 Preset layouts
 --------------
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import (CircuitError, CircuitParseError, DimensionMismatchError,
                      MissingPhaseError)
 from .fock import _is_mode
-from .optics import BALANCED, BeamSplitterCoeffs, _real_phases
+from .optics import BALANCED, MAX_MODES, BeamSplitterCoeffs, _real_phases
 
 
 #: One .mzc token: non-empty text without whitespace (``str.isspace``) or #.
@@ -121,9 +122,9 @@ class Circuit:
 
     def __post_init__(self):
         if not (isinstance(self.mode_count, (int, np.integer))
-                and self.mode_count > 0):
-            raise CircuitError(
-                f"mode count {self.mode_count!r} is not a positive integer")
+                and 0 < self.mode_count <= MAX_MODES):
+            raise CircuitError(f"mode count {self.mode_count!r} is not a "
+                               f"whole number in 1..{MAX_MODES:,}")
         names = [e.name for e in self.elements]
         if len(set(names)) != len(names):
             raise CircuitError("duplicate element names")
@@ -203,9 +204,12 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
     :func:`compile` at the k-th entry of every array.  The elements
     (:meth:`Circuit.enabled`) update the columns of K identities' rows once
     each; each column is one contiguous (K x R) block, and a swap only
-    relabels where its columns are stored.  Each entry is computed as in
-    the whole matrix, so the rows equal the whole compile's bit for bit; a
-    scan compiles only the rows its input occupies.
+    relabels where its columns are stored.  Each product is taken out of
+    place, of a column and a splitter's scalar t or r, or a (K x 1) column
+    of phase factors, which numpy rounds alike at every block size, one
+    entry included; so each entry is computed as in the whole matrix, and
+    the rows equal the whole compile's bit for bit, even one row at one
+    phase.  A scan compiles only the rows its input occupies.
     """
     elements = circuit.enabled(enabled_toggles)
     parameters = circuit.parameters
@@ -217,7 +221,7 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
         values = _real_phases(p, _phase_values(p, phases[p]))
         if values.ndim:
             shapes[p] = values.shape
-        factors[p] = np.exp(1j * values)[..., None]
+        factors[p] = np.exp(1j * values).reshape(-1, 1)
     if (len(set(shapes.values())) > 1
             or any(len(s) != 1 or not s[0] for s in shapes.values())):
         raise DimensionMismatchError(
@@ -226,33 +230,30 @@ def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
                                        for p, s in shapes.items()))
     m = circuit.mode_count
     k = next(iter(shapes.values()), (1,))[0]
-    rows = range(m) if rows is None else list(rows)
-    wanted = len(rows)
-    if k * wanted == 1 < m:
-        # numpy rounds an in-place product of a one-entry array otherwise
-        # than of a longer one: one row at one phase is compiled with a
-        # second row, so that its columns are never one entry
-        rows.append((rows[0] + 1) % m)
+    rows = np.arange(m) if rows is None else rows
     # cols[stored[j]] is column j of the product so far, one row per phase
-    # and compiled row
-    cols = np.zeros((m, k, len(rows)), dtype=complex)
-    cols[rows, :, range(len(rows))] = 1.0
-    stored = list(range(m))
+    # and compiled row.  numpy rounds a one-entry complex product otherwise
+    # than a longer one's entries when it is taken in place or broadcast
+    # against more dimensions, so a phase factor is a (K x 1) column and no
+    # product goes into one of its operands: a splitter's or a phase's new
+    # column goes into the free column, which then takes the old one's
+    # place
+    cols = np.zeros((m + 1, k, len(rows)), dtype=complex)
+    cols[rows, :, np.arange(len(rows))] = 1.0
+    views, stored, free = list(cols), list(range(m)), m
     for e in elements:
-        if e.kind == "bs":
-            t, r = e.coeffs.t, e.coeffs.r
-            col_a, col_b = cols[stored[e.modes[0]]], cols[stored[e.modes[1]]]
-            mixed = t * col_a + r * col_b
-            col_b *= t
-            col_b += r * col_a
-            col_a[...] = mixed
-        elif e.kind == "phase":
-            col = cols[stored[e.modes[0]]]
-            col *= factors[e.param]
-        else:
-            a, b = e.modes
+        a, b = e.modes[0], e.modes[-1]
+        if e.kind == "swap":
             stored[a], stored[b] = stored[b], stored[a]
-    return np.ascontiguousarray(cols[stored].transpose(1, 2, 0)[:, :wanted])
+            continue
+        col_a, col_b, new = views[stored[a]], views[stored[b]], views[free]
+        if e.kind == "bs":
+            np.add(e.coeffs.t * col_a, e.coeffs.r * col_b, new)
+            np.add(col_b * e.coeffs.t, e.coeffs.r * col_a, col_b)
+        else:
+            np.multiply(col_a, factors[e.param], new)
+        stored[a], free = free, stored[a]
+    return np.ascontiguousarray(cols[stored].transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------

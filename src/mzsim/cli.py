@@ -314,6 +314,8 @@ def main(argv=None) -> int:
     out = sys.stdout
     config = None
     with warnings.catch_warnings(record=True) as caught:
+        # recorded under any filter the caller set, such as -W error
+        warnings.simplefilter("default")
         try:
             if args.verify:
                 return _run_verify(args, out)

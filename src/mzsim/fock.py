@@ -133,6 +133,18 @@ def _common_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ia, ib
 
 
+def _check_finite(occupations: np.ndarray, amplitudes: np.ndarray) -> None:
+    """Raise :class:`NonFiniteAmplitudeError` at the first NaN or infinite
+    entry of a 1-D or (K x n) amplitude array, in row-major order, naming
+    its value and the ket of its column among ``occupations``."""
+    finite = np.isfinite(amplitudes)
+    if not finite.all():
+        bad = tuple(np.argwhere(~finite)[0])
+        raise NonFiniteAmplitudeError(
+            f"amplitude {amplitudes[bad]} at "
+            f"{tuple(occupations[bad[-1]].tolist())} is not finite")
+
+
 def _trusted_state(occupations: np.ndarray, amplitudes: np.ndarray,
                    mode_count: int, *,
                    prune: float = PRUNE_THRESHOLD) -> "FockState":
@@ -143,12 +155,7 @@ def _trusted_state(occupations: np.ndarray, amplitudes: np.ndarray,
     magnitude are dropped.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    finite = np.isfinite(amplitudes)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise NonFiniteAmplitudeError(
-            f"amplitude {amplitudes[bad]} at "
-            f"{tuple(occupations[bad].tolist())} is not finite")
+    _check_finite(occupations, amplitudes)
     keep = np.abs(amplitudes) > prune
     if not keep.all():
         occupations, amplitudes = occupations[keep], amplitudes[keep]

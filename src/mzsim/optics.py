@@ -21,12 +21,13 @@ so sequential application of U1 then U2 composes to the single matrix
   raveled block) times a weight, with the input ket it comes from and the
   output ket it adds into; it is planned once per structure and cached
   (:class:`_PlanCache`), and each matrix of the stack then evolves in a
-  fixed number of numpy calls.  A scan passes a ``select`` callback that
-  picks the kets its readouts read among every reachable ket, and the plan
-  keeps only the terms that add into them (``classify_table1(5)`` reads
-  495 of 2,002 kets, fed by 1,820 of 8,568 terms); the output is always
-  the reachable kets, or exactly the selected ones, a ket pruned at every
-  phase reading 0;
+  fixed number of numpy calls, each product out of place.  A scan passes
+  a ``select`` callback that picks the kets its readouts read among every
+  reachable ket, and the plan keeps only the terms that add into them
+  (``classify_table1(5)`` reads 495 of 2,002 kets, fed by 1,820 of 8,568
+  terms), bit for bit as the full plan computes them, however few; the
+  output is always the reachable kets, or exactly the selected ones, a
+  ket pruned at every phase reading 0;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix, summed over the repeat
   counts by Glynn's formula; :func:`permanent` is the same sum with every
@@ -49,9 +50,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (DimensionMismatchError, ExpansionTooLargeError,
-                     InvalidCoefficientsError, NonFiniteAmplitudeError,
-                     NonUnitaryError, PhotonCountError, SectorError)
-from .fock import (PRUNE_THRESHOLD, FockState, Occupation,
+                     InvalidCoefficientsError, NonUnitaryError,
+                     PhotonCountError, SectorError)
+from .fock import (PRUNE_THRESHOLD, FockState, Occupation, _check_finite,
                    _check_occupation, _trusted_state, _valid_modes)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -73,13 +74,23 @@ MAX_PHOTONS = 20
 #: Entries of a unitary row at or below this magnitude are not expanded.
 ROW_CUTOFF = 1e-13
 
-#: Most bytes an expansion may take at its peak.  The plan and the work
-#: arrays of an expansion take 400 to 460 bytes per term at their peak on a
-#: dense input, so an input whose term count, counted exactly before
-#: anything is built, exceeds ``EXPANSION_BYTES // 512`` is refused:
-#: 2,097,152 terms, which ``classify_table1(8)``'s 1,110,395 fit.
+#: Most bytes an expansion, a whole compile or a scan's sampling may take
+#: at its peak; the bounds below are derived from it, and each input is
+#: refused before anything of its size is allocated.  The plan and the
+#: work arrays of an expansion take 400 to 460 bytes per term at their
+#: peak on a dense input, so an input whose term count, counted exactly
+#: before anything is built, exceeds ``MAX_TERMS`` is refused: 2,097,152
+#: terms, which ``classify_table1(8)``'s 1,110,395 fit.
 EXPANSION_BYTES = 2 ** 30
 MAX_TERMS = EXPANSION_BYTES // 512
+#: Most modes a circuit may have (``circuit.Circuit``): compiling one whole
+#: peaks at three M x M complex arrays, 48 M^2 bytes, so 4,729 modes.
+MAX_MODES = math.isqrt(EXPANSION_BYTES // 48)
+#: Most harmonics K one scan may have (``scenarios._scan_values``): its two
+#: (2K x K) sampling matrices peak at 96 K^2 bytes while they are built,
+#: so 3,344 harmonics.  K - 1 is the photon count times the swept delay's
+#: crossings: 20 photons may cross 167 times.
+MAX_HARMONICS = math.isqrt(EXPANSION_BYTES // 96)
 
 _FACT = np.array([math.factorial(k) for k in range(MAX_PHOTONS + 1)],
                  dtype=float)
@@ -421,7 +432,9 @@ def _restrict_plan(plan: _Plan, read: np.ndarray) -> _Plan:
     terms, ``read`` at each term's merged ket, keeps the terms that add
     into a read ket, in order; the kept kets are renumbered in order.
     Evolving by the result gives exactly the read kets' amplitudes of the
-    full plan, with the same floating-point operations in the same order.
+    full plan, with the same floating-point operations in the same order,
+    however few terms it keeps: :func:`_evolve_grid` takes each product
+    out of place, which numpy rounds alike at every length, one included.
     """
     ket_of = plan.scatter[::2] // 2
     kept = read[ket_of]
@@ -550,12 +563,17 @@ def _evolve_grid(state: FockState, rows: np.ndarray, select=None,
     ``ROW_CUTOFF`` in some matrix of the stack, whose bytes key it.  The
     second walks the stack one matrix at a time, in a fixed number of
     numpy calls per matrix however many input kets there are: N takes of
-    the terms' factors from the raveled rows, multiplied in place into one
-    terms vector, one multiply by the terms' weights times their input
-    kets' amplitudes (computed once per call), and one ``bincount`` of
-    that vector into its row of the (K x n) output (n output kets).  So no
-    temporary of this pass outgrows one terms vector of complex values,
-    whatever K is, and each row equals a one-matrix call's bit for bit.
+    the terms' factors from the raveled rows, multiplied into a terms
+    vector, one multiply by the terms' weights times their input kets'
+    amplitudes (computed once per call), one ``bincount`` of that vector
+    into the n output kets' sums, and one multiply of those by each ket's
+    scale into its row of the (K x n) output.  Each product is taken out
+    of place, from operands of one shape, never into one of them: numpy
+    rounds an in-place product of one entry otherwise than of more, and a
+    restricted plan may keep one term or one ket.  So no temporary of
+    this pass outgrows a terms vector of complex values, whatever K is;
+    each row equals a one-matrix call's bit for bit, and each read ket
+    the full plan's.
     Returns the output occupations, unique and in lexicographic order
     (read-only), and a (K x kets) amplitude block whose row k is the state
     evolved by matrix k.  The kets are every ket the plan can reach; a ket
@@ -604,17 +622,11 @@ def _evolve_grid(state: FockState, rows: np.ndarray, select=None,
         term = (entries.take(plan.positions[0]) if len(plan.positions)
                 else np.ones(len(weights), dtype=complex))
         for positions in plan.positions[1:]:
-            term *= entries.take(positions)
-        term *= weights
-        row.view(float)[:] = np.bincount(plan.scatter, term.view(float), 2 * n)
-    amplitudes *= plan.scale
+            term = term * entries.take(positions)
+        sums = np.bincount(plan.scatter, (term * weights).view(float), 2 * n)
+        np.multiply(sums.view(complex), plan.scale, row)
 
-    finite = np.isfinite(amplitudes)
-    if not finite.all():
-        step, bad = np.argwhere(~finite)[0]
-        raise NonFiniteAmplitudeError(
-            f"amplitude {amplitudes[step, bad]} at "
-            f"{tuple(occupations[bad].tolist())} is not finite")
+    _check_finite(occupations, amplitudes)
     keep = (np.abs(amplitudes) > PRUNE_THRESHOLD).any(axis=0)
     if not keep.all():
         amplitudes[:, ~keep] = 0

@@ -45,7 +45,7 @@ from .errors import (CircuitError, DegenerateStateError,
 from .fock import (FockState, _check_occupation, _common_rows, _trusted_state,
                    basis_state, embed)
 from .measurement import DetectionPattern, pattern_masks
-from .optics import BALANCED, _evolve_grid, bs_unitary, evolve
+from .optics import BALANCED, MAX_HARMONICS, _evolve_grid, bs_unitary, evolve
 
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
@@ -150,6 +150,9 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
                         if e.kind == "phase" and e.param == swept)
                     for enabled in sets)
     k = input_state.total_photons * crossings + 1
+    if k > MAX_HARMONICS:
+        raise ValueError(f"a scan of {swept} needs K = {k:,} harmonics; "
+                         f"at most {MAX_HARMONICS:,} fit in memory")
     phases = dict(fixed)
     phases[swept] = 2 * math.pi * np.arange(k) / k
     readouts = [r for _, scan in scans for r in scan]

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
                    basis_state, bs_unitary, embed, phase_unitary,
                    swap_unitary)
 from mzsim.circuit import _compile_grid, format_complex, parse_complex
+from mzsim.optics import EXPANSION_BYTES, MAX_MODES
 from strategies import swept_circuits
 
 
@@ -99,6 +101,24 @@ def test_circuit_validation():
 def test_modes_and_mode_counts_must_be_integers(build):
     with pytest.raises(CircuitError, match="mode"):
         build()
+
+
+def test_a_mode_count_too_large_to_compile_is_refused_when_built():
+    # a whole compile peaks at 48 M^2 bytes, which EXPANSION_BYTES bounds;
+    # braced(5)'s 30 modes and a 48-mode braced(8) are far inside it
+    assert MAX_MODES == 4_729 and 48 * MAX_MODES ** 2 <= EXPANSION_BYTES
+    assert Circuit(MAX_MODES, ()).mode_count == MAX_MODES
+    message = "mode count 4730 is not a whole number in 1..4,729"
+    with pytest.raises(CircuitError, match=message):
+        Circuit(MAX_MODES + 1, ())
+    tracemalloc.start()
+    try:
+        with pytest.raises(CircuitParseError, match="line 1: mode count"):
+            parse_circuit("modes 1000000000\nswap S 0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10
 
 
 def test_parameters_listed_in_order_without_duplicates():

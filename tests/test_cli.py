@@ -4,14 +4,21 @@ main() is called in process with argument lists; stdout and stderr are read
 back through capsys.  One subprocess test checks the installed entry point.
 """
 
+import contextlib
+import io
 import json
 import math
+import pathlib
 import shutil
 import subprocess
+import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mzsim import (DetectionPattern, FockState, NonUnitaryError, compile,
                    evolve, one_photon_each_input, parse_circuit,
@@ -495,6 +502,200 @@ def test_an_expansion_too_large_to_build_exits_2(capsys, tmp_path, run):
     assert err.startswith("mzsim: the expansion has ")
     assert "terms; evolve builds at most 2,097,152" in err
     assert "Traceback" not in err
+
+
+def crossings_text(crossings, modes=2):
+    """A splitter and ``crossings`` delays on phi, on ``modes`` modes."""
+    return "\n".join([f"modes {modes}", f"bs B 0 1 {BALANCED_BS}",
+                      *(f"phase P{i} 0 phi" for i in range(crossings)),
+                      "detect D0 0", "detect D1 1"]) + "\n"
+
+
+#: A circuit too large to compile, and one whose scan has too many
+#: harmonics to sample (K = 2 photons x 5,000 crossings + 1): unrefused,
+#: the point run would compile a (1 x 2 x 10^9) block, 29.8 GiB, the
+#: first sweep a (3 x 2 x 10^9) one, 89.4 GiB, and the second sweep's
+#: sampling would allocate 1.49 GiB for its first (2K x K) array alone.
+ABSURD_RUNS = [
+    (crossings_text(1, 10 ** 9), ["--phases", "phi=0"], 3,
+     "mzsim: parse error: line 1: mode count 1000000000 is not a whole "
+     "number in 1..4,729\n"),
+    (crossings_text(1, 10 ** 9), ["--sweep", "phi:0:1:64"], 3,
+     "mzsim: parse error: line 1: mode count 1000000000 is not a whole "
+     "number in 1..4,729\n"),
+    (crossings_text(5000), ["--sweep", "phi:0:1:64"], 2,
+     "mzsim: a scan of phi needs K = 10,001 harmonics; at most 3,344 fit "
+     "in memory\n"),
+]
+
+
+@pytest.mark.parametrize("text, run, code, message", ABSURD_RUNS,
+                         ids=["modes-point-run", "modes-sweep",
+                              "harmonics-sweep"])
+def test_a_circuit_too_large_to_run_is_refused_before_it_allocates(
+        capsys, tmp_path, text, run, code, message):
+    path = tmp_path / "absurd.mzc"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        got = run_cli(capsys, "--circuit", str(path), "--pattern", "D0:1",
+                      *run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (code, "", message)
+    assert peak < 8 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# robustness: any argv, state file and circuit text
+
+
+#: Stand-ins in a drawn argv for the paths of the drawn files.
+CIRCUIT, STATE = "<circuit.mzc>", "<state.json>"
+
+TOKENS = st.sampled_from([
+    "0", "1", "2", "3", "-1", "255", "256", "1000000000", "4729", "4730",
+    "1.5", "nan", "inf", "1e999", "i", "0.6i", "T=1", "R=0", "T=0.8",
+    "R=0.6i", "toggle", "#", "phi", "phi_B", "x", "B1", "D10", "bs",
+    "phase", "swap", "detect", "modes"])
+OPTION_VALUES = {
+    "--preset": st.sampled_from(["fig1", "fig2", "fig3", "braced_3",
+                                 "braced_4", "nope", ""]),
+    "--circuit": st.sampled_from([CIRCUIT, STATE, "", "."]),
+    "--input": st.sampled_from([
+        "one-one", STATE, "engineered-noon:1", "engineered-noon:3",
+        "engineered-noon:0", "engineered-noon:-2", "engineered-noon:21",
+        "engineered-noon:300", "engineered-noon:x", "two-two"]),
+    "--toggles": st.sampled_from(["BS2", "BS2,BS2p", "BS2,BS2", "B1",
+                                  "nope", ""]),
+    "--pattern": st.sampled_from([
+        "D10:1,D11:1", "D6:1,D10:1", "D0:1", "D0:2", "Da:1,Db:1",
+        "D10:256", "D10:-1", "D10:x", "D10:1,D10:1", "D10", ""]),
+    "--sweep": st.builds(
+        ":".join, st.lists(st.sampled_from(
+            ["phi", "phi_B", "phi_C", "0", "1", "-1e308", "1e308", "nan",
+             "inf", "2", "64", "1", "100001", "x", ""]), min_size=2,
+            max_size=5)),
+    "--phases": st.builds(",".join, st.lists(st.builds(
+        "{}={}".format, st.sampled_from(["phi", "phi_B", "phi_C", "phi_S",
+                                         "x"]),
+        st.sampled_from(["0", "0.4", "-1e308", "nan", "inf", "1e999",
+                         "x", ""])), max_size=3)),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+}
+FLAGS = ["--non-exclusive", "--verify", "--bogus"]
+
+
+#: Runs that succeed, each with the circuit text that its CIRCUIT names.
+VALID_RUNS = [
+    (serialize(preset("fig1")), [["--circuit", CIRCUIT],
+                                 ["--pattern", "D10:1,D11:1"],
+                                 ["--phases", "phi_C=0,phi_B=0.4"]]),
+    (serialize(preset("fig2")), [["--circuit", CIRCUIT], ["--toggles", "BS2"],
+                                 ["--pattern", "D6:1,D10:1"],
+                                 ["--sweep", "phi_C:0:12.566:64"],
+                                 ["--phases", "phi_B=0.4,phi_S=1.1"],
+                                 ["--format", "json"]]),
+    (DOUBLE_PASS, [["--circuit", CIRCUIT], ["--pattern", "Da:1"],
+                   ["--sweep", "phi:0:6.28:16"], ["--format", "json"]]),
+    (crossings_text(3), [["--circuit", CIRCUIT], ["--input", STATE],
+                         ["--pattern", "D0:1"], ["--sweep", "phi:0:1:8"]]),
+    ("", [["--preset", "braced_3"], ["--input", "engineered-noon:3"],
+          ["--pattern", "D6p:1,D6:1,D10:1"],
+          ["--phases", "phi_C=0,phi_B=0,phi_S=0,phi_Sp=0"]]),
+]
+
+
+@st.composite
+def mzc_texts(draw, text):
+    """``text`` with a few lines dropped, repeated or given a drawn token."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["drop", "repeat", "token"]))
+        if action == "drop" and at < len(lines):
+            del lines[at]
+        elif action == "repeat" and at < len(lines):
+            lines.insert(at, lines[at])
+        elif action == "token":
+            tokens = lines[at].split() if at < len(lines) else []
+            where = draw(st.integers(0, len(tokens)))
+            tokens[where:where + draw(st.integers(0, 1))] = [draw(TOKENS)]
+            lines[at:at + 1] = [" ".join(tokens)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def state_texts(draw):
+    """A state file: kets on 1, 2 or 12 modes with drawn counts and parts,
+    or text that is not a state."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(["", "[]", "{}", "[1]", "[{}]", "nan",
+                                     "[" * 5000, "\xff"]))
+    modes = draw(st.sampled_from([1, 2, 2, 12]))
+    counts = st.integers(0, 2) | st.sampled_from([-1, 21, 256, 1.5])
+    parts = (st.floats(-2, 2) | st.sampled_from(
+        [math.nan, math.inf, 1.5e308, 10 ** 400]))
+    kets = draw(st.lists(st.fixed_dictionaries({
+        "occupation": st.lists(counts, min_size=modes, max_size=modes),
+        "re": parts, "im": parts}), max_size=3))
+    return json.dumps(kets)
+
+
+@st.composite
+def cli_runs(draw):
+    """A circuit text, a state text and an argv, as option groups, that
+    may name them: one of :data:`VALID_RUNS` with a few groups dropped,
+    changed or added."""
+    text, groups = draw(st.sampled_from(VALID_RUNS))
+    groups = [list(group) for group in groups]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(groups)))
+        action = draw(st.sampled_from(["drop", "value", "option", "flag"]))
+        if action == "drop" and at < len(groups):
+            del groups[at]
+        elif action == "value" and at < len(groups) and len(groups[at]) == 2:
+            option = groups[at][0]
+            if option in OPTION_VALUES:
+                groups[at][1] = draw(OPTION_VALUES[option])
+        elif action == "option":
+            option = draw(st.sampled_from(sorted(OPTION_VALUES)))
+            groups.insert(at, [option, draw(OPTION_VALUES[option])])
+        elif action == "flag":
+            groups.insert(at, [draw(st.sampled_from(FLAGS))])
+    return draw(mzc_texts(text)), draw(state_texts()), groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_runs())
+@example((crossings_text(1, 10 ** 9), "", [["--circuit", CIRCUIT],
+                                            ["--pattern", "D0:1"],
+                                            ["--phases", "phi=0"]]))
+@example((crossings_text(1, 10 ** 9), "", [["--circuit", CIRCUIT],
+                                            ["--pattern", "D0:1"],
+                                            ["--sweep", "phi:0:1:64"]]))
+@example((crossings_text(5000), "", [["--circuit", CIRCUIT],
+                                     ["--pattern", "D0:1"],
+                                     ["--sweep", "phi:0:1:64"]]))
+@example(("", "", [["--preset", "braced_3"], ["--pattern", "D6p:1,D6:1,D10:1"],
+                   ["--phases", "phi_C=0,phi_B=0,phi_S=0,phi_Sp=0"]]))
+def test_any_run_exits_with_a_documented_code_and_no_traceback(run):
+    # the examples: a circuit too large to compile, a scan with too many
+    # harmonics, and a warning (two photons for a three-photon pattern)
+    # under the suite's "error" filter for RuntimeWarning
+    text, state, groups = run
+    with tempfile.TemporaryDirectory() as folder:
+        paths = {CIRCUIT: pathlib.Path(folder, "circuit.mzc"),
+                 STATE: pathlib.Path(folder, "state.json")}
+        paths[CIRCUIT].write_text(text)
+        paths[STATE].write_text(state)
+        argv = [str(paths.get(arg, arg)) for group in groups for arg in group]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_mutually_exclusive_sources(capsys, tmp_path):

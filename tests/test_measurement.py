@@ -792,6 +792,25 @@ def reduced_n4_loop():
                             if m not in keep]
 
 
+def test_a_mapping_built_trace_peaks_below_half_its_matrix():
+    # braced_4's 170-ket output at phases 0, rebuilt from its entries: the
+    # matrix takes 170^2 * 16 B = 462,400 B, and a cold and a warm trace
+    # to D10 and D11 peak at 0.37 and 0.35 times that, so nothing of the
+    # matrix's size is built beside it
+    circuit, state, traced = reduced_n4_loop()
+    out = evolve(state, compile(circuit, dict.fromkeys(circuit.parameters,
+                                                       0.0), circuit.toggles))
+    rho = DensityMatrix(dict(density_from_pure(out).entries),
+                        range(circuit.mode_count))
+    assert len(rho.basis_array) == 170
+    _expansion_plan.cache_clear()
+    for _ in range(2):
+        reduced, peak = traced_peak(rho, traced)
+        assert peak < rho.matrix_array.nbytes / 2
+    assert reduced.allclose(partial_trace(density_from_pure(out), traced),
+                            1e-12)
+
+
 def test_a_phase_loop_plans_its_trace_once(seed=61):
     circuit, state, traced = reduced_n4_loop()
     rng = np.random.default_rng(seed)

@@ -148,54 +148,53 @@ def test_complex_exp_gives_each_entry_its_own_value():
 
 
 def test_complex_multiply_gives_each_entry_its_own_value():
-    # optics._evolve_grid multiplies each matrix's terms vector in place by
-    # its gathered factor vectors and then by a terms vector of float
-    # weights times complex amplitudes; a restricted plan's terms equal the
-    # full plan's only if an entry's product does not depend on its
-    # position, the array's length or the operation being in place (SIMD
-    # bodies against tails)
+    # optics._evolve_grid multiplies each matrix's terms vector by its
+    # gathered factor vectors, then by the terms' weights times their input
+    # kets' amplitudes, and scales the summed kets into their output row,
+    # each product out of place and of operands of one shape; a restricted
+    # plan's amplitudes equal the full plan's only if each entry's product
+    # depends neither on its position nor on the array's length, one entry
+    # included.  numpy 2.4 rounds a one-entry product otherwise when it is
+    # taken in place or broadcasts against more dimensions, and the code
+    # takes neither form
     rng = np.random.default_rng(SEED)
-    k, terms = 3, 37
-    a, b = random_complex(rng, k, terms), random_complex(rng, k, terms)
+    terms = 37
+    a, b = random_complex(rng, terms), random_complex(rng, terms)
     weights, amps = rng.normal(size=terms), random_complex(rng, terms)
-    stacked = a.copy()
-    stacked *= b
-    stacked *= weights * amps
-    assert stacked.tobytes() == (a * b * (weights * amps)).tobytes()
-    for start, stop in ((0, 1), (3, 11), (20, 37), (5, 6)):
-        alone = np.ascontiguousarray(a[:, start:stop])
-        alone *= b[:, start:stop]
-        alone *= weights[start:stop] * amps[start:stop]
-        assert stacked[:, start:stop].tobytes() == alone.tobytes()
+    scale = rng.uniform(1, 5, terms)
+    whole = np.multiply(a * b * (weights * amps), scale,
+                        out=np.empty(terms, dtype=complex))
+    parts = [slice(i, i + 1) for i in range(terms)]
+    for part in parts + [slice(3, 11), slice(20, 37), slice(0, 2)]:
+        alone = np.ascontiguousarray(a[part]) * b[part]
+        alone = alone * (weights[part] * amps[part])
+        row = np.empty(len(alone), dtype=complex)
+        np.multiply(alone, scale[part], out=row)
+        assert whole[part].tobytes() == row.tobytes()
 
 
 def test_column_updates_give_each_entry_its_own_value():
     # circuit._compile_grid updates each column, a (K x R) block of K phases
     # and R rows, by complex scalars (t a + r b, b t + r a) and by a (K x 1)
-    # column of phase factors; a compile of some rows equals those rows of
-    # the whole compile only if an entry's value depends neither on the
-    # block's width nor on its position in it.  That holds for blocks of
-    # two entries or more; numpy 2.4 rounds an in-place product of a
-    # one-entry array otherwise, so one row at one phase is compiled with
-    # a second row
+    # column of phase factors, each product out of place; a compile of some
+    # rows equals those rows of the whole compile only if an entry's value
+    # depends neither on the block's width nor on its position in it, one
+    # entry (one row at one phase) included
     rng = np.random.default_rng(SEED)
     m = 37
     t, r = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
 
     def update(col_a, col_b, factor):
-        mixed = t * col_a + r * col_b
-        col_b *= t
-        col_b += r * col_a
-        col_a[...] = mixed
-        col_a *= factor
-        return col_a, col_b
+        mixed = np.add(t * col_a, r * col_b, np.empty_like(col_a))
+        np.add(col_b * t, r * col_a, col_b)
+        return np.multiply(mixed, factor, np.empty_like(mixed)), col_b
 
     for k in (1, 5):
         a, b = random_complex(rng, k, m), random_complex(rng, k, m)
-        factor = np.exp(1j * rng.uniform(-10, 10, k))[:, None]
+        factor = np.exp(1j * rng.uniform(-10, 10, k)).reshape(-1, 1)
         whole = update(a.copy(), b.copy(), factor)
         for rows in ([0, 1], [3, 11], list(range(20, 37)), [5, 6, 30],
-                     [0] if k > 1 else [35, 36]):
+                     *([j] for j in range(m))):
             part = update(np.ascontiguousarray(a[:, rows]),
                           np.ascontiguousarray(b[:, rows]), factor)
             for full, block in zip(whole, part):

@@ -507,6 +507,22 @@ def test_each_row_of_a_stack_is_a_one_matrix_call_bit_for_bit(case):
         assert alone.tobytes() == row.tobytes()
 
 
+@pytest.mark.parametrize("occ, draws", [((1, 0, 0), 300), ((2, 1, 0), 150)])
+def test_each_ket_read_alone_is_the_full_plans_amplitude_bit_for_bit(
+        occ, draws, seed=46):
+    # a restriction to one ket keeps few terms, down to one: its products
+    # must round as the full plan's do, one entry or many
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        state = FockState({occ: np.exp(1j * rng.uniform(0, 2 * math.pi))})
+        rows = occupied_rows(state, random_unitary(rng, 3)[None])
+        kets, (full,) = _evolve_grid(state, rows)
+        for ket in range(len(kets)):
+            read = np.arange(len(kets)) == ket
+            _, (alone,) = _evolve_grid(state, rows, lambda kets: read)
+            assert alone.tobytes() == full[ket:ket + 1].tobytes()
+
+
 def test_a_warm_scan_evolve_holds_less_than_one_stacked_block(monkeypatch):
     # classify_table1(5) evolves one 12-matrix stack onto 495 read kets fed
     # by 1,820 terms; one (K x terms) complex block would be 349,440 bytes

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import unittest.mock
 import warnings
 
@@ -205,6 +206,29 @@ def test_scan_validation():
         with pytest.raises(ValueError, match="whole number of 64 to 100000"):
             run_scan(c, (), state, pattern, "phi_B", {"phi_C": 0.0},
                      n_samples=n_samples)
+
+
+def test_a_scan_with_more_harmonics_than_fit_is_refused_before_compiling():
+    # two photons through 1,672 delays on phi need K = 3,345 harmonics, one
+    # past the bound: the (2K x K) sampling matrices would peak at 96 K^2
+    # bytes, over EXPANSION_BYTES
+    assert optics.MAX_HARMONICS == 3_344
+    assert 96 * optics.MAX_HARMONICS ** 2 <= optics.EXPANSION_BYTES
+    crossings = optics.MAX_HARMONICS // 2
+    c = Circuit(2, (CircuitElement("bs", "B", (0, 1), BALANCED),
+                    *(CircuitElement("phase", f"P{i}", (0,), param="phi")
+                      for i in range(crossings))), {"D0": 0, "D1": 1})
+    state = basis_state((1, 1))
+    pattern = DetectionPattern({"D0": 2})
+    message = "a scan of phi needs K = 3,345 harmonics; at most 3,344 fit"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            run_scan(c, (), state, pattern, "phi", {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10
 
 
 # ---------------------------------------------------------------------------
