@@ -8,11 +8,14 @@ in ``toggles`` may be removed at compile time: a disabled toggle compiles to
 the identity, which models physically taking the splitter out of the beam.
 
 Compiling walks the elements once and updates the columns of the product,
-each product taken out of place; ``_compile_grid`` does so at a grid of
-phases at once, as a (K x M x M) stack, which is how a scan compiles its
-grid of phases, and for a chosen set of R rows only, as a (K x R x M)
-block: a scan compiles just the rows of the modes its input occupies, and
-gets them bit for bit as the whole compile has them.
+each product taken out of place.  ``_compile_grid`` compiles a family of
+slices that share one layout in that one walk: a grid of K phases, given
+as arrays, times S toggle sets, with per-slice splitter coefficients if
+given, as an (S K x M x M) stack, or for a chosen set of R rows only, as
+an (S K x R x M) block.  A scan compiles all its toggle sets at its grid
+of phases, just the rows of the modes its input occupies, and ``verify``
+its 20 random taps per layout; each slice is bit for bit its own one-set
+compile, and the rows as the whole compile has them.
 
 Preset layouts
 --------------
@@ -54,7 +57,8 @@ import numpy as np
 from .errors import (CircuitError, CircuitParseError, DimensionMismatchError,
                      MissingPhaseError)
 from .fock import _is_mode
-from .optics import BALANCED, MAX_MODES, BeamSplitterCoeffs, _real_phases
+from .optics import (BALANCED, COMPILE_ENTRY_BYTES, EXPANSION_BYTES, MAX_MODES,
+                     BeamSplitterCoeffs, _real_phases)
 
 
 #: One .mzc token: non-empty text without whitespace (``str.isspace``) or #.
@@ -158,13 +162,19 @@ class Circuit:
 
         Naming an element that is not a toggle raises :class:`CircuitError`.
         """
+        chosen = self._toggle_set(toggles)
+        return tuple(e for e in self.elements
+                     if e.name not in self.toggles or e.name in chosen)
+
+    def _toggle_set(self, toggles: Iterable[str]) -> set[str]:
+        """The named toggles as a set; a name that is not a toggle raises
+        :class:`CircuitError`."""
         chosen = set(toggles)
         unknown = chosen - self.toggles
         if unknown:
             raise CircuitError(f"unknown toggles {sorted(unknown)}; toggles "
                                f"are {sorted(self.toggles)}")
-        return tuple(e for e in self.elements
-                     if e.name not in self.toggles or e.name in chosen)
+        return chosen
 
 
 def compile(circuit: Circuit, phases: Mapping[str, float],
@@ -195,63 +205,124 @@ def _phase_values(name: str, value) -> np.ndarray:
 
 def _compile_grid(circuit: Circuit, phases: Mapping[str, object],
                   enabled_toggles: Iterable[str] = (),
-                  rows: Sequence[int] | None = None) -> np.ndarray:
-    """Mode unitaries at K phase sets at once, as a (K x R x M) stack of
-    the rows ``rows`` of each (all M rows by default).
+                  rows: Sequence[int] | None = None, *,
+                  sets: Sequence[Iterable[str]] | None = None,
+                  coeffs: Mapping[str, Sequence[BeamSplitterCoeffs]]
+                  | None = None) -> np.ndarray:
+    """Mode unitaries of a family of slices that share one layout, in one
+    walk over the elements: an (S K x R x M) block of the rows ``rows`` of
+    each (all M rows by default).
 
-    A phase value is a real number or a length-K array of them, every
-    array of one length; slice k of the result is those rows of
-    :func:`compile` at the k-th entry of every array.  The elements
-    (:meth:`Circuit.enabled`) update the columns of K identities' rows once
-    each; each column is one contiguous (K x R) block, and a swap only
-    relabels where its columns are stored.  Each product is taken out of
-    place, of a column and a splitter's scalar t or r, or a (K x 1) column
-    of phase factors, which numpy rounds alike at every block size, one
-    entry included; so each entry is computed as in the whole matrix, and
-    the rows equal the whole compile's bit for bit, even one row at one
-    phase.  A scan compiles only the rows its input occupies.
+    A phase value is a real number or a length-K array of them, and
+    ``coeffs`` may give a splitter K coefficient pairs, each validated, one
+    per slice in place of its own; every array has one length K.  ``sets``
+    lists S toggle sets (by default the one set ``enabled_toggles``).
+    Slice s K + k is those rows of :func:`compile` under set s, at the k-th
+    entry of every array.
+
+    The elements update the columns of the slices' identity rows once
+    each; each column is one contiguous (S K x R) block, and a swap on in
+    every slice only relabels where its columns are stored.  An element off
+    in some slices leaves their columns as they were by a masked copy, so
+    their bytes, signed zeros included, are those of a compile without it.
+    Each product is taken out of place, of a column and a splitter's scalar
+    t or r, or a (S K x 1) column of per-slice coefficients or of phase
+    factors (all exponentiated in one ``np.exp``), which numpy rounds alike
+    at every block size, one entry included; so each slice equals its own
+    one-set compile bit for bit, even one row at one phase.  A block whose
+    compile would peak past ``EXPANSION_BYTES`` (``COMPILE_ENTRY_BYTES`` per
+    entry) raises ``ValueError`` before it is allocated.
     """
-    elements = circuit.enabled(enabled_toggles)
+    chosen = [circuit._toggle_set(toggles)
+              for toggles in ([enabled_toggles] if sets is None else sets)]
     parameters = circuit.parameters
     missing = [p for p in parameters if p not in phases]
     if missing:
         raise MissingPhaseError(f"missing phase parameters {missing}")
-    factors, shapes = {}, {}
+    values, shapes = [], {}
     for p in parameters:
-        values = _real_phases(p, _phase_values(p, phases[p]))
-        if values.ndim:
-            shapes[p] = values.shape
-        factors[p] = np.exp(1j * values).reshape(-1, 1)
+        value = _real_phases(p, _phase_values(p, phases[p]))
+        if value.ndim:
+            shapes[p] = value.shape
+        values.append(value)
+    coeffs = coeffs or {}
+    for name, pairs in coeffs.items():
+        if not any(e.name == name and e.kind == "bs"
+                   for e in circuit.elements):
+            raise CircuitError(f"coefficients given for {name!r}, which is "
+                               f"not a beam splitter of the circuit")
+        shapes[f"{name} coefficients"] = (len(pairs),)
     if (len(set(shapes.values())) > 1
             or any(len(s) != 1 or not s[0] for s in shapes.values())):
         raise DimensionMismatchError(
-            "phase arrays must be one-dimensional, non-empty and of one "
-            "length; got " + ", ".join(f"{p} of shape {s}"
-                                       for p, s in shapes.items()))
+            "phase and coefficient arrays must be one-dimensional, non-empty "
+            "and of one length; got " + ", ".join(
+                f"{p} of shape {s}" for p, s in shapes.items()))
     m = circuit.mode_count
     k = next(iter(shapes.values()), (1,))[0]
     rows = np.arange(m) if rows is None else rows
-    # cols[stored[j]] is column j of the product so far, one row per phase
+    n = len(chosen) * k
+    peak = COMPILE_ENTRY_BYTES * n * len(rows) * m
+    if peak > EXPANSION_BYTES:
+        raise ValueError(
+            f"compiling {n:,} slices of {len(rows):,} x {m:,} entries peaks "
+            f"at {peak:,} bytes; at most {EXPANSION_BYTES:,} fit in memory")
+    # the phase factors and per-slice coefficients as (S K x 1) columns,
+    # each toggle set repeating the K slices' values
+    grid = np.empty((len(values), len(chosen), k))
+    for row, value in zip(grid, values):
+        row[...] = value
+    factors = {p: column.reshape(-1, 1)
+               for p, column in zip(parameters, np.exp(1j * grid))}
+    splitters = {}
+    for name, pairs in coeffs.items():
+        splitters[name] = []
+        for part in zip(*((c.validate().t, c.r) for c in pairs)):
+            column = np.empty((len(chosen), k), dtype=complex)
+            column[...] = part
+            splitters[name].append(column.reshape(-1, 1))
+    # toggles off in every set, and the (S K x 1) masks of those on in some
+    off, partial = set(), {}
+    for name in circuit.toggles:
+        on = [name in toggles for toggles in chosen]
+        if not any(on):
+            off.add(name)
+        elif not all(on):
+            partial[name] = np.repeat(on, k).reshape(-1, 1)
+    # cols[stored[j]] is column j of the product so far, one row per slice
     # and compiled row.  numpy rounds a one-entry complex product otherwise
     # than a longer one's entries when it is taken in place or broadcast
-    # against more dimensions, so a phase factor is a (K x 1) column and no
+    # against more dimensions, so a factor is a (S K x 1) column and no
     # product goes into one of its operands: a splitter's or a phase's new
     # column goes into the free column, which then takes the old one's
     # place
-    cols = np.zeros((m + 1, k, len(rows)), dtype=complex)
+    cols = np.zeros((m + 1, n, len(rows)), dtype=complex)
     cols[rows, :, np.arange(len(rows))] = 1.0
     views, stored, free = list(cols), list(range(m)), m
-    for e in elements:
+    for e in circuit.elements:
+        if e.name in off:
+            continue
+        on = partial.get(e.name)
         a, b = e.modes[0], e.modes[-1]
-        if e.kind == "swap":
+        if e.kind == "swap" and on is None:
             stored[a], stored[b] = stored[b], stored[a]
             continue
         col_a, col_b, new = views[stored[a]], views[stored[b]], views[free]
-        if e.kind == "bs":
-            np.add(e.coeffs.t * col_a, e.coeffs.r * col_b, new)
-            np.add(col_b * e.coeffs.t, e.coeffs.r * col_a, col_b)
+        if e.kind == "swap":
+            np.copyto(new, np.where(on, col_b, col_a))
+            np.copyto(col_b, col_a, where=on)
+        elif e.kind == "bs":
+            t, r = splitters.get(e.name) or (e.coeffs.t, e.coeffs.r)
+            np.add(t * col_a, r * col_b, new)
+            if on is None:
+                np.add(col_b * t, r * col_a, col_b)
+            else:
+                np.copyto(col_b, col_b * t + r * col_a, where=on)
+                np.copyto(new, col_a, where=~on)
         else:
             np.multiply(col_a, factors[e.param], new)
+            if on is not None:
+                np.copyto(new, col_a, where=~on)
         stored[a], free = free, stored[a]
     return np.ascontiguousarray(cols[stored].transpose(1, 2, 0))
 

@@ -47,6 +47,14 @@ def _outside_stacklevel() -> int:
     return level
 
 
+def _warn_unreachable(total: int, photons: int) -> None:
+    """Warn, at the first line outside the package, that a pattern of
+    ``total`` photons reads a state of fewer ``photons``."""
+    warnings.warn(f"pattern wants {total} photons, state carries {photons}; "
+                  f"probability is identically zero", RuntimeWarning,
+                  stacklevel=_outside_stacklevel())
+
+
 @dataclass(frozen=True)
 class DetectionPattern:
     """Required photon counts per detector name.
@@ -106,10 +114,7 @@ def pattern_masks(patterns, detectors: Mapping[str, int],
     for mask, pattern in zip(masks, patterns):
         by_mode = pattern.resolve(detectors)
         if pattern.total > photons:
-            warnings.warn(
-                f"pattern wants {pattern.total} photons, state carries "
-                f"{photons}; probability is identically zero",
-                RuntimeWarning, stacklevel=_outside_stacklevel())
+            _warn_unreachable(pattern.total, photons)
             mask[:] = False
             continue
         if pattern.exclusive:

@@ -83,9 +83,14 @@ ROW_CUTOFF = 1e-13
 #: terms, which ``classify_table1(8)``'s 1,110,395 fit.
 EXPANSION_BYTES = 2 ** 30
 MAX_TERMS = EXPANSION_BYTES // 512
+#: Bytes a compile holds at its peak per entry of its (slices x R x M)
+#: block: three complex arrays of the block's size, the columns it updates,
+#: their reordered copy and the contiguous result.  ``circuit._compile_grid``
+#: refuses a block that would peak past ``EXPANSION_BYTES``.
+COMPILE_ENTRY_BYTES = 48
 #: Most modes a circuit may have (``circuit.Circuit``): compiling one whole
-#: peaks at three M x M complex arrays, 48 M^2 bytes, so 4,729 modes.
-MAX_MODES = math.isqrt(EXPANSION_BYTES // 48)
+#: at one phase, an M x M block, peaks at 48 M^2 bytes, so 4,729 modes.
+MAX_MODES = math.isqrt(EXPANSION_BYTES // COMPILE_ENTRY_BYTES)
 #: Most harmonics K one scan may have (``scenarios._scan_values``): its two
 #: (2K x K) sampling matrices peak at 96 K^2 bytes while they are built,
 #: so 3,344 harmonics.  K - 1 is the photon count times the swept delay's
@@ -466,14 +471,16 @@ _PlanCacheInfo = namedtuple("_PlanCacheInfo", "hits misses currsize nbytes")
 class _PlanCache:
     """The most recently used phase-free plans, bounded in count and bytes.
 
-    Full expansion plans, their restrictions to a read set and the scatter
-    plans of ``measurement.partial_trace`` share one cache and both bounds.
-    :meth:`lookup` is the one way in, and each caller owns its keys:
-    :func:`_evolve_grid` keys a full plan on the input's shape and bytes and
-    the bytes of the R x M entry mask of its occupied rows, and a
-    restriction on those and the read mask's bytes; a trace plan's key is
-    tagged ``"partial_trace"``.  It pays where one structure comes back
-    call after call, as in a phase loop over :func:`evolve`.
+    Full expansion plans, their restrictions to a read set, the read sets
+    of scans and the scatter plans of ``measurement.partial_trace`` share
+    one cache and both bounds.  :meth:`lookup` is the one way in, and each
+    caller owns its keys: :func:`_evolve_grid` keys a full plan on the
+    input's shape and bytes and the bytes of the R x M entry mask of its
+    occupied rows, and a restriction on those and the read mask's bytes; a
+    scan's read set (``scenarios._read_set``) is keyed on the full plan's
+    key and its readouts' key, tagged ``"readouts"``, and a trace plan's
+    key is tagged ``"partial_trace"``.  It pays where one structure comes
+    back call after call, as in a phase loop over :func:`evolve`.
 
     An expansion plan holds N factor positions, a weight, an input ket and
     two scatter entries per expanded term (N or 2N bytes, and 11 to 14
@@ -486,10 +493,11 @@ class _PlanCache:
     with its base, and each tuple with its contents.
 
     The bounds of :data:`_expansion_plan`: one ``verify.run_all()`` keeps
-    37 plans (24 full, 11 restricted, 2 trace) holding 74 KiB, which 32
-    would cycle through.  ``classify_table1(5)``'s plans hold 226 KiB
-    (full) and 54 KiB (restricted), 7% of ``PLAN_CACHE_BYTES``, their
-    factor positions in uint8 (R * M = 60); one plan of a 330-ket,
+    48 entries (24 full plans, 11 read sets, 11 restricted plans, 2 trace
+    plans) holding 105 KiB, which 32 would cycle through, so a second run
+    takes no miss.  ``classify_table1(5)``'s entries hold 226 KiB (full),
+    63 KiB (read set) and 54 KiB (restricted), 8% of ``PLAN_CACHE_BYTES``,
+    the factor positions in uint8 (R * M = 60); one plan of a 330-ket,
     4-photon superposition through a dense 8-mode unitary holds 13.2 MiB,
     so it is used once and not kept.
     """
@@ -579,13 +587,15 @@ def _evolve_grid(state: FockState, rows: np.ndarray, select=None,
     evolved by matrix k.  The kets are every ket the plan can reach; a ket
     at or below ``PRUNE_THRESHOLD`` at every k reads exactly 0.
 
-    ``select``, if given, is called once with those reachable kets, before
-    the stack's unitarity is checked, and returns a bool mask over them: the
-    work is then limited to the kets it marks, by a restriction of the full
-    plan in hand (:func:`_restrict_plan`) cached under the full plan's key
-    and the mask's bytes, and the result is exactly their columns of the
-    full result.  So a call builds the full plan at most once, whether or
-    not either plan fits the cache.
+    ``select``, if given, is called once with those reachable kets and the
+    full plan's cache key, before the stack's unitarity is checked, and
+    returns a bool mask over them: the work is then limited to the kets it
+    marks, by a restriction of the full plan in hand (:func:`_restrict_plan`)
+    cached under the full plan's key and the mask's bytes, and the result is
+    exactly their columns of the full result.  So a call builds the full
+    plan at most once, whether or not either plan fits the cache.  The key
+    lets ``select`` keep its own phase-free work in :data:`_expansion_plan`
+    under a key that extends it, as a scan keeps its read set.
     """
     rows = np.asarray(rows, dtype=complex)
     m = state.mode_count
@@ -602,7 +612,7 @@ def _evolve_grid(state: FockState, rows: np.ndarray, select=None,
     needed = (np.abs(rows) > ROW_CUTOFF).any(axis=0)
     key = (inputs.shape, inputs.tobytes(), needed.tobytes())
     full = _expansion_plan.lookup(key, lambda: _build_plan(inputs, needed))
-    read = None if select is None else select(full.occupations)
+    read = None if select is None else select(full.occupations, key)
     u = rows if whole is None else whole
     if not np.isfinite(u).all():
         raise NonUnitaryError("matrix has a NaN or infinite entry")

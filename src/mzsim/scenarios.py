@@ -12,10 +12,10 @@ rows of the modes the input occupies enter an expansion, so a scan, like
 (K x R x M) block, and the expansion checks that they are orthonormal
 within 1e-8: a splitter off unitary on modes no input photon reaches
 cannot change a probability, and passes.  The
-scans of one call share that expansion: each toggle set is compiled on its
-own and their grids are evolved as one stack, so :func:`classify_table1`
-evolves its input once for all of its configurations.  A readout's
-probability is the finite Fourier series
+scans of one call share that expansion: their toggle sets are compiled in
+one pass, one grid each, and evolved as one stack, so
+:func:`classify_table1` compiles and evolves its input once for all of its
+configurations.  A readout's probability is the finite Fourier series
 
     P(phi) = h_0 + 2 Re sum_{0 < f < K} h_f e^{i f phi},
 
@@ -44,8 +44,9 @@ from .errors import (CircuitError, DegenerateStateError,
                      DimensionMismatchError, UnclassifiableScanError)
 from .fock import (FockState, _check_occupation, _common_rows, _trusted_state,
                    basis_state, embed)
-from .measurement import DetectionPattern, pattern_masks
-from .optics import BALANCED, MAX_HARMONICS, _evolve_grid, bs_unitary, evolve
+from .measurement import DetectionPattern, _warn_unreachable, pattern_masks
+from .optics import (BALANCED, MAX_HARMONICS, _evolve_grid, _expansion_plan,
+                     bs_unitary, evolve)
 
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
@@ -133,57 +134,57 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     as one (readouts x K) array per scan.
 
     ``scans`` holds ``(toggles, readouts)`` pairs of one circuit and input;
-    a readout is a detection pattern or a projector state.  Each distinct
-    toggle set is compiled on its own at one grid of K phases, K - 1 being
-    N times the most delays any set has on ``swept``, and one expansion
-    evolves the stacked grids.  It computes only the kets the readouts
-    read: its ``select`` marks them among every reachable ket, and they
-    come back in order, one column each.  Each set's amplitudes are taken
-    to the 2K phases pi m / K and its samples there to harmonics by one
-    DFT (:func:`_sampling`).
+    a readout is a detection pattern or a projector state.  The distinct
+    toggle sets are compiled in one call, a family of S grids of K phases,
+    K - 1 being N times the most delays any set has on ``swept``, and one
+    expansion evolves the (S K x R x M) block.  It computes only the kets
+    the readouts read, and they come back in order, one column each.  Its
+    ``select`` reads them among every reachable ket (:func:`_read_set`),
+    cached in the plan cache under the full plan's key and the readouts'
+    own key, so a warm scan skips that phase-free work.  Each set's
+    amplitudes are taken to the 2K phases pi m / K and its samples there
+    to harmonics by one DFT (:func:`_sampling`).
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
                            f"parameters are {list(circuit.parameters)}")
     sets = list(dict.fromkeys(frozenset(toggles) for toggles, _ in scans))
-    crossings = max(sum(1 for e in circuit.enabled(enabled)
-                        if e.kind == "phase" and e.param == swept)
-                    for enabled in sets)
-    k = input_state.total_photons * crossings + 1
+    delays = [e.name for e in circuit.elements if e.param == swept]
+    crossings = max(sum(name not in circuit.toggles or name in enabled
+                        for name in delays) for enabled in sets)
+    photons = input_state.total_photons
+    k = photons * crossings + 1
     if k > MAX_HARMONICS:
         raise ValueError(f"a scan of {swept} needs K = {k:,} harmonics; "
                          f"at most {MAX_HARMONICS:,} fit in memory")
     phases = dict(fixed)
     phases[swept] = 2 * math.pi * np.arange(k) / k
     readouts = [r for _, scan in scans for r in scan]
+    readout_key = ("readouts", tuple(circuit.detectors.items()), *(
+        (r.occupation_array.shape, r.occupation_array.tobytes(),
+         r.amplitude_array.tobytes()) if isinstance(r, FockState)
+        else (tuple(r.counts.items()), r.exclusive) for r in readouts))
     weights = overlaps = None
 
-    def select(kets):
-        # what the readouts read, over every reachable ket: the patterns'
-        # masks and each projector's conjugate amplitudes, then their
-        # columns on the kets any readout reads
+    def select(kets, key):
         nonlocal weights, overlaps
-        masks = pattern_masks(
-            [r for r in readouts if not isinstance(r, FockState)],
-            circuit.detectors, kets, input_state.total_photons)
-        read = masks.any(axis=0)
-        overlaps = []
-        for readout in readouts:
-            if isinstance(readout, FockState):
-                if readout.mode_count != circuit.mode_count:
-                    raise DimensionMismatchError(
-                        "projector and circuit have different mode counts")
-                found, rows = _common_rows(readout.occupation_array, kets)
-                overlaps.append(np.zeros(len(kets), dtype=complex))
-                overlaps[-1][rows] = readout.amplitude_array[found].conj()
-                read[rows] = True
-        weights = masks[:, read].astype(float)
-        overlaps = iter([overlap[read] for overlap in overlaps])
+        built = []
+
+        def build():
+            built.append(True)
+            return _read_set(circuit, readouts, kets, photons)
+
+        read, weights, overlaps, unreachable = _expansion_plan.lookup(
+            key + readout_key, build)
+        if not built:
+            # a cached read set: warn as pattern_masks did when it was made
+            for total in unreachable:
+                _warn_unreachable(total, photons)
+        overlaps = iter(overlaps)
         return read
 
-    rows = input_state._occupied_modes()
-    _, values = _evolve_grid(input_state, np.concatenate(
-        [_compile_grid(circuit, phases, enabled, rows) for enabled in sets]),
+    _, values = _evolve_grid(input_state, _compile_grid(
+        circuit, phases, rows=input_state._occupied_modes(), sets=sets),
         select)
 
     interpolate, dft = _sampling(k)
@@ -201,6 +202,39 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
                    if isinstance(r, FockState) else next(patterns) for r in scan]
         results.append(np.array(samples) @ dft)
     return results
+
+
+def _read_set(circuit: Circuit, readouts, kets: np.ndarray, photons: int):
+    """What the readouts read over the reachable ``kets``, read-only: the
+    bool mask of the kets any readout reads, the patterns' (patterns x read
+    kets) 0/1 weights, each projector's conjugate amplitudes on the read
+    kets, and the totals of the patterns that want more than ``photons``
+    (each warned about here, by :func:`pattern_masks`).
+
+    A pattern's unknown detector or a projector on other modes than the
+    circuit's raises here, before the stack is checked for unitarity.
+    """
+    masks = pattern_masks(
+        [r for r in readouts if not isinstance(r, FockState)],
+        circuit.detectors, kets, photons)
+    read = masks.any(axis=0)
+    overlaps = []
+    for readout in readouts:
+        if isinstance(readout, FockState):
+            if readout.mode_count != circuit.mode_count:
+                raise DimensionMismatchError(
+                    "projector and circuit have different mode counts")
+            found, rows = _common_rows(readout.occupation_array, kets)
+            overlaps.append(np.zeros(len(kets), dtype=complex))
+            overlaps[-1][rows] = readout.amplitude_array[found].conj()
+            read[rows] = True
+    overlaps = tuple(overlap[read] for overlap in overlaps)
+    weights = masks[:, read].astype(float)
+    for array in (read, weights, *overlaps):
+        array.flags.writeable = False
+    return read, weights, overlaps, tuple(
+        r.total for r in readouts
+        if not isinstance(r, FockState) and r.total > photons)
 
 
 @functools.lru_cache(maxsize=64)

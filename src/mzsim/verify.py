@@ -8,9 +8,10 @@ comparisons.  ``mzsim --verify`` runs :data:`CHECKS` at the fixed seed
 others, so the random taps and phases are drawn three times over.
 
 The five checks on randomly tapped layouts read one shared draw: 20 random
-taps with random phases, each built and compiled once as the monitored and
-the erased layout, and each layout family evolved in one batched expansion.
-The draw is memoised by seed and rebuilt by every :func:`run_all`.
+taps with random phases.  The monitored and the erased layout are built
+once each and compiled at all 20 taps in one call each, the taps given per
+slice, and each layout family is evolved in one batched expansion.  The
+draw is memoised by seed and rebuilt by every :func:`run_all`.
 """
 
 from __future__ import annotations
@@ -95,21 +96,19 @@ class _Draw(NamedTuple):
 
 
 def _draw_taps(rng) -> list[_Draw]:
-    """Draw the taps and phases, build both layouts per draw and compile
-    the rows of their input modes, and evolve each layout family in one
+    """Draw the taps and phases, compile the rows of the input modes of
+    the monitored and the erased layout at every draw, one call per layout
+    with the taps given per slice, and evolve each layout family in one
     expansion over its stack of rows."""
-    params, u1, u2 = [], [], []
-    for _ in range(_TAP_DRAWS):
-        tap = _random_tap(rng)
-        pc, pb, ps = rng.uniform(0, 2 * math.pi, 3)
-        params.append((tap, pc, pb, ps))
-        u1.append(_compile_grid(preset_fig1(tap=tap),
-                                {"phi_C": pc, "phi_B": pb}, (), (0, 1))[0])
-        u2.append(_compile_grid(preset_fig2(tap=tap),
-                                {"phi_C": pc, "phi_B": pb, "phi_S": ps},
-                                ("BS2",), (0, 1))[0])
+    params = [(_random_tap(rng), *rng.uniform(0, 2 * math.pi, 3))
+              for _ in range(_TAP_DRAWS)]
+    taps, pc, pb, ps = zip(*params)
+    coeffs = {"BS4": taps, "BS5": taps}
+    u1 = _compile_grid(preset_fig1(), {"phi_C": pc, "phi_B": pb}, (), (0, 1),
+                       coeffs=coeffs)
+    u2 = _compile_grid(preset_fig2(), {"phi_C": pc, "phi_B": pb, "phi_S": ps},
+                       ("BS2",), (0, 1), coeffs=coeffs)
     inp = embed(basis_state((1, 1)), 12, (0, 1))
-    u1, u2 = np.stack(u1), np.stack(u2)
     outs = []
     for stack in (u1, u2):
         occupations, amplitudes = _evolve_grid(inp, stack)

@@ -51,6 +51,27 @@ def test_each_run_builds_the_shared_draw_once(monkeypatch):
     assert len(builds) == 2
 
 
+def test_the_shared_draw_builds_and_compiles_each_layout_once(monkeypatch):
+    # 20 taps through two layouts: one build and one compile per layout,
+    # each of all 20 slices
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("preset_fig1", "preset_fig2", "_compile_grid"):
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    draws = verify._draw_taps(verify._rng())
+    assert sorted(calls) == ["_compile_grid", "_compile_grid", "preset_fig1",
+                             "preset_fig2"]
+    assert len(draws) == verify._TAP_DRAWS
+    assert {d.u1.shape for d in draws} | {d.u2.shape for d in draws} == {
+        (2, 12)}
+
+
 def test_criterion_09_permanent_amplitudes_match_the_evolution_engine():
     rng = np.random.default_rng(202607)
     for _ in range(100):

@@ -20,7 +20,7 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
                    basis_state, bs_unitary, embed, phase_unitary,
                    swap_unitary)
 from mzsim.circuit import _compile_grid, format_complex, parse_complex
-from mzsim.optics import EXPANSION_BYTES, MAX_MODES
+from mzsim.optics import COMPILE_ENTRY_BYTES, EXPANSION_BYTES, MAX_MODES
 from strategies import swept_circuits
 
 
@@ -119,6 +119,54 @@ def test_a_mode_count_too_large_to_compile_is_refused_when_built():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 10
+
+
+def test_a_family_too_large_to_compile_is_refused_before_it_allocates():
+    # 11 toggle sets x 251 phases x 2 rows x 4,051 modes is one entry past
+    # what EXPANSION_BYTES holds at COMPILE_ENTRY_BYTES per entry, though
+    # each of K, R and M is within its own bound
+    entries = 11 * 251 * 2 * 4051
+    assert entries == EXPANSION_BYTES // COMPILE_ENTRY_BYTES + 1
+    circuit = Circuit(4051, (CircuitElement("bs", "B", (0, 1), BALANCED),
+                             CircuitElement("phase", "P", (0,), param="phi")),
+                      toggles=frozenset({"B"}))
+    phases = {"phi": np.linspace(0.0, 1.0, 251)}
+    sets = [("B",), ()] * 5 + [()]
+    message = ("compiling 2,761 slices of 2 x 4,051 entries peaks at "
+               "1,073,741,856 bytes; at most 1,073,741,824 fit in memory")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            _compile_grid(circuit, phases, rows=(0, 1), sets=sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10
+
+
+def test_per_slice_coefficients_are_checked():
+    c = preset("fig2")
+    phases = {"phi_C": [0.1, 0.2], "phi_B": 0.3, "phi_S": 0.4}
+    taps = [BeamSplitterCoeffs.from_angle(0.3), BALANCED]
+    with pytest.raises(InvalidCoefficientsError):
+        _compile_grid(c, phases, coeffs={
+            "BS4": [taps[0], BeamSplitterCoeffs(0.6, 0.6j)]})
+    for name in ("PS", "BS4a", "nope"):
+        with pytest.raises(CircuitError, match="not a beam splitter"):
+            _compile_grid(c, phases, coeffs={name: taps})
+    for given in ([], taps[:1], taps * 2):
+        with pytest.raises(DimensionMismatchError,
+                           match="BS4 coefficients of shape"):
+            _compile_grid(c, phases, coeffs={"BS4": given})
+    # coefficients alone set K
+    grid = _compile_grid(c, {"phi_C": 0.1, "phi_B": 0.3, "phi_S": 0.4},
+                         coeffs={"BS5": taps})
+    for row, tap in zip(grid, taps):
+        layout = Circuit(c.mode_count, tuple(
+            dataclasses.replace(e, coeffs=tap) if e.name == "BS5" else e
+            for e in c.elements), c.detectors, c.toggles)
+        assert row.tobytes() == compile(
+            layout, {"phi_C": 0.1, "phi_B": 0.3, "phi_S": 0.4}).tobytes()
 
 
 def test_parameters_listed_in_order_without_duplicates():

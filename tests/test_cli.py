@@ -511,11 +511,13 @@ def crossings_text(crossings, modes=2):
                       "detect D0 0", "detect D1 1"]) + "\n"
 
 
-#: A circuit too large to compile, and one whose scan has too many
-#: harmonics to sample (K = 2 photons x 5,000 crossings + 1): unrefused,
-#: the point run would compile a (1 x 2 x 10^9) block, 29.8 GiB, the
-#: first sweep a (3 x 2 x 10^9) one, 89.4 GiB, and the second sweep's
-#: sampling would allocate 1.49 GiB for its first (2K x K) array alone.
+#: A circuit too large to compile, one whose scan has too many harmonics
+#: to sample (K = 2 photons x 5,000 crossings + 1), and one whose scan's
+#: (2,761 x 2 x 4,051) block is one entry past what a compile may hold:
+#: unrefused, the point run would compile a (1 x 2 x 10^9) block, 29.8
+#: GiB, the first sweep a (3 x 2 x 10^9) one, 89.4 GiB, the second sweep's
+#: sampling would allocate 1.49 GiB for its first (2K x K) array alone,
+#: and the third sweep's compile would peak just past 1 GiB.
 ABSURD_RUNS = [
     (crossings_text(1, 10 ** 9), ["--phases", "phi=0"], 3,
      "mzsim: parse error: line 1: mode count 1000000000 is not a whole "
@@ -526,12 +528,15 @@ ABSURD_RUNS = [
     (crossings_text(5000), ["--sweep", "phi:0:1:64"], 2,
      "mzsim: a scan of phi needs K = 10,001 harmonics; at most 3,344 fit "
      "in memory\n"),
+    (crossings_text(1380, 4051), ["--sweep", "phi:0:1:64"], 2,
+     "mzsim: compiling 2,761 slices of 2 x 4,051 entries peaks at "
+     "1,073,741,856 bytes; at most 1,073,741,824 fit in memory\n"),
 ]
 
 
 @pytest.mark.parametrize("text, run, code, message", ABSURD_RUNS,
                          ids=["modes-point-run", "modes-sweep",
-                              "harmonics-sweep"])
+                              "harmonics-sweep", "compile-sweep"])
 def test_a_circuit_too_large_to_run_is_refused_before_it_allocates(
         capsys, tmp_path, text, run, code, message):
     path = tmp_path / "absurd.mzc"

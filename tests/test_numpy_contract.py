@@ -11,7 +11,15 @@ guarantee it checks and names the code that relies on it, so a numpy that
 breaks one fails here rather than deep inside a scan.
 """
 
+import dataclasses
+import math
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mzsim import BeamSplitterCoeffs, Circuit, CircuitElement
+from mzsim.circuit import _compile_grid
 
 SEED = 20260823
 
@@ -200,6 +208,124 @@ def test_column_updates_give_each_entry_its_own_value():
             for full, block in zip(whole, part):
                 assert np.ascontiguousarray(full[:, rows]).tobytes() == (
                     block.tobytes())
+
+
+def test_a_column_of_factors_gives_each_slice_the_scalars_bytes():
+    # circuit._compile_grid compiles a family of slices: a splitter given
+    # per-slice coefficients multiplies each (slices x R) column block by
+    # a (slices x 1) column of them, on either side, where the compile of
+    # one slice multiplies its (1 x R) block by the scalar t or r (a
+    # Python complex, or a float such as the balanced t); and a phase
+    # given as one value is a column repeating its factor, where one slice
+    # broadcasts a (1 x 1) one.  Each slice of the product must be the
+    # one-slice product's bytes, one slice and one row included
+    rng = np.random.default_rng(SEED)
+    for slices, rows in ((1, 1), (1, 3), (5, 1), (5, 2), (7, 12)):
+        block = random_complex(rng, slices, rows)
+        coeffs = random_complex(rng, slices)
+        coeffs[::2] = rng.normal(size=len(coeffs[::2]))
+        column = coeffs.reshape(-1, 1)
+        factor = np.exp(1j * rng.uniform(-10, 10, (1, 1)))
+        repeated = np.repeat(factor, slices, axis=0)
+        for s in range(slices):
+            scalar = coeffs[s].item()
+            if not scalar.imag:
+                scalar = scalar.real
+            alone = np.ascontiguousarray(block[s:s + 1])
+            assert (column * block)[s].tobytes() == (scalar * alone).tobytes()
+            assert (block * column)[s].tobytes() == (alone * scalar).tobytes()
+            assert np.multiply(block, repeated)[s].tobytes() == (
+                np.multiply(alone, factor).tobytes())
+
+
+def test_a_masked_copy_keeps_an_off_slices_bytes():
+    # circuit._compile_grid leaves the slices in which a toggled element is
+    # off as they were, by np.copyto(..., where=) (and, for a swap,
+    # np.where) with a (slices x 1) mask: their bytes, signed zeros
+    # included, while the on slices take the new values
+    zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+             complex(-0.0, -0.0)]
+    rng = np.random.default_rng(SEED)
+    old = np.array([zeros, zeros[::-1], [1 + 2j, -0.0 - 3j, 5e-324j, -1.0]])
+    new = random_complex(rng, *old.shape)
+    for on in ([True, False, False], [False, True, True], [False] * 3):
+        on = np.array(on).reshape(-1, 1)
+        kept = new.copy()
+        np.copyto(kept, old, where=~on)
+        chosen = np.where(on, new, old)
+        for s in range(len(old)):
+            want = (new if on[s, 0] else old)[s].tobytes()
+            assert kept[s].tobytes() == chosen[s].tobytes() == want
+
+
+@st.composite
+def families(draw):
+    """A random layout, its toggle sets and a family of K slices: phases
+    ("phi" and "psi") as K values or one, and K coefficient pairs for some
+    splitters, two of them sharing one sequence when drawn so."""
+    m = draw(st.integers(2, 4))
+    kinds = draw(st.lists(st.sampled_from(("bs", "bs", "phi", "psi", "swap")),
+                          min_size=1, max_size=7))
+    k = draw(st.integers(1, 3))
+    angle = st.floats(0.1, 1.5)
+
+    def splitter():
+        return BeamSplitterCoeffs.from_angle(
+            draw(angle), draw(st.floats(0, 2 * math.pi)),
+            draw(st.sampled_from((1, -1))))
+
+    elements, coeffs, shared = [], {}, None
+    for i, kind in enumerate(kinds):
+        a, b = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2,
+                             unique=True))
+        if kind == "bs":
+            name = f"B{i}"
+            elements.append(CircuitElement("bs", name, (a, b), splitter()))
+            if draw(st.booleans()):
+                if shared is None or draw(st.booleans()):
+                    shared = [splitter() for _ in range(k)]
+                coeffs[name] = shared
+        elif kind == "swap":
+            elements.append(CircuitElement("swap", f"S{i}", (a, b)))
+        else:
+            elements.append(CircuitElement("phase", f"P{i}", (a,),
+                                           param=kind))
+    names = [e.name for e in elements]
+    toggles = frozenset(draw(st.sets(st.sampled_from(names))))
+    sets = draw(st.lists(st.sets(st.sampled_from(sorted(toggles)))
+                         if toggles else st.just(set()),
+                         min_size=1, max_size=3))
+    circuit = Circuit(m, tuple(elements), {}, toggles)
+    phases = {p: (np.array(draw(st.lists(st.floats(-10, 10), min_size=k,
+                                         max_size=k)))
+                  if draw(st.booleans()) else draw(st.floats(-10, 10)))
+              for p in circuit.parameters}
+    rows = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    if not coeffs and not any(np.ndim(v) for v in phases.values()):
+        k = 1       # no array: one slice per set
+    return circuit, phases, sets, coeffs, rows, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(families())
+def test_each_slice_of_a_family_is_its_own_compile_bit_for_bit(family):
+    # the two forms above, end to end: slice s K + j of one family compile
+    # equals the one-set compile of set s with the j-th phases and
+    # coefficients, built into the layout, bit for bit; toggled splitters,
+    # swaps and delays, and K = 1, included
+    circuit, phases, sets, coeffs, rows, k = family
+    block = _compile_grid(circuit, phases, rows=rows, sets=sets,
+                          coeffs=coeffs)
+    assert block.shape == (len(sets) * k, len(rows), circuit.mode_count)
+    for j in range(k):
+        layout = Circuit(circuit.mode_count, tuple(
+            dataclasses.replace(e, coeffs=coeffs[e.name][j])
+            if e.name in coeffs else e for e in circuit.elements),
+            {}, circuit.toggles)
+        at = {p: float(np.broadcast_to(v, k)[j]) for p, v in phases.items()}
+        for s, enabled in enumerate(sets):
+            (alone,) = _compile_grid(layout, at, enabled, rows)
+            assert block[s * k + j].tobytes() == alone.tobytes()
 
 
 def test_complex_astype_bool_is_true_when_either_part_is_nonzero():

@@ -496,7 +496,7 @@ def shared_entry_stacks(draw):
 def test_each_row_of_a_stack_is_a_one_matrix_call_bit_for_bit(case):
     state, stack, seed = case
     select = None if seed is None else (
-        lambda kets: np.random.default_rng(seed).random(len(kets)) < 0.5)
+        lambda kets, key: np.random.default_rng(seed).random(len(kets)) < 0.5)
     kets, amplitudes = _evolve_grid(state, occupied_rows(state, stack), select)
     for u, row in zip(stack, amplitudes):
         alone_kets, (alone,) = _evolve_grid(state, occupied_rows(state, u[None]),
@@ -519,7 +519,7 @@ def test_each_ket_read_alone_is_the_full_plans_amplitude_bit_for_bit(
         kets, (full,) = _evolve_grid(state, rows)
         for ket in range(len(kets)):
             read = np.arange(len(kets)) == ket
-            _, (alone,) = _evolve_grid(state, rows, lambda kets: read)
+            _, (alone,) = _evolve_grid(state, rows, lambda kets, key: read)
             assert alone.tobytes() == full[ket:ket + 1].tobytes()
 
 
@@ -529,8 +529,8 @@ def test_a_warm_scan_evolve_holds_less_than_one_stacked_block(monkeypatch):
     scans = []
 
     def recording(state, stack, select=None):
-        def recorded(kets):
-            scans.append((state, stack, select(kets)))
+        def recorded(kets, key):
+            scans.append((state, stack, select(kets, key)))
             return scans[-1][2]
         return _evolve_grid(state, stack, recorded)
 
@@ -538,11 +538,11 @@ def test_a_warm_scan_evolve_holds_less_than_one_stacked_block(monkeypatch):
     classify_table1(5)
     (state, stack, read), = scans
     assert (len(stack), read.sum()) == (12, 495)
-    _evolve_grid(state, stack, lambda kets: read)
+    _evolve_grid(state, stack, lambda kets, key: read)
     gc.collect()
     tracemalloc.start()
     try:
-        _evolve_grid(state, stack, lambda kets: read)
+        _evolve_grid(state, stack, lambda kets, key: read)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -21,12 +21,12 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
                    engineered_input, evolve, inner_product, noon_target,
                    one_photon_each_input, pattern_probability, preset,
                    run_scan, run_triple, transition_amplitude)
-from mzsim import optics, scenarios
+from mzsim import optics, reference, scenarios
 from mzsim.circuit import PRESET_NAMES, _compile_grid, preset_fig2
 from mzsim.fock import _common_rows
 from mzsim.measurement import pattern_masks
-from mzsim.optics import (_build_plan, _evolve_grid, _expansion_plan,
-                          _restrict_plan)
+from mzsim.optics import (ROW_CUTOFF, _build_plan, _evolve_grid,
+                          _expansion_plan, _restrict_plan)
 from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
 from strategies import (occupations, occupied_rows, random_unitary,
                         superpositions, swept_circuits)
@@ -261,15 +261,16 @@ def test_a_scan_evolves_once_per_harmonic(monkeypatch):
 
 
 def test_classify_table1_evolves_its_input_once(monkeypatch):
-    # three configurations over two distinct toggle sets: one plain compile
-    # of the input's two occupied rows per set, in the order the sets first
-    # appear, and one batched evolve over the two grids stacked
+    # three configurations over two distinct toggle sets: one compile of
+    # the input's two occupied rows for both sets, in the order the sets
+    # first appear, and one batched evolve over the two grids stacked
     compiled, stacks = [], []
 
-    def counting_compile_grid(circuit, phases, toggles=(), rows=None):
-        compiled.append((frozenset(toggles), len(phases["phi_B"]),
-                         list(rows)))
-        return _compile_grid(circuit, phases, toggles, rows)
+    def counting_compile_grid(circuit, phases, toggles=(), rows=None,
+                              **family):
+        compiled.append(([frozenset(s) for s in family["sets"]],
+                         len(phases["phi_B"]), list(rows)))
+        return _compile_grid(circuit, phases, toggles, rows, **family)
 
     def counting_evolve_grid(state, unitaries, *args, **kwargs):
         stacks.append(np.shape(unitaries))
@@ -281,8 +282,8 @@ def test_classify_table1_evolves_its_input_once(monkeypatch):
     toggles = {frozenset(r.toggles) for r in reports}
     assert toggles == {frozenset({"BS2", "BS2p"}), frozenset({"BS2p"})}
     # K = 3 photons x 1 crossing + 1 per set
-    assert compiled == [(frozenset({"BS2", "BS2p"}), 4, [0, 1]),
-                        (frozenset({"BS2p"}), 4, [0, 1])]
+    assert compiled == [([frozenset({"BS2", "BS2p"}), frozenset({"BS2p"})],
+                         4, [0, 1])]
     assert stacks == [(8, 2, 18)]
 
 
@@ -312,8 +313,8 @@ def test_a_row_block_is_the_whole_compiles_rows_and_scans_alike(data):
     fixed = {"psi": data.draw(st.floats(0, 2 * math.pi))}
     (got,) = _scan_values(circuit, state, "phi", fixed, scans)
 
-    def whole_compile(circuit, phases, toggles=(), rows=None):
-        return _compile_grid(circuit, phases, toggles)[:, rows]
+    def whole_compile(circuit, phases, toggles=(), rows=None, **family):
+        return _compile_grid(circuit, phases, toggles, **family)[:, rows]
 
     with unittest.mock.patch.object(scenarios, "_compile_grid",
                                     whole_compile):
@@ -596,7 +597,7 @@ def test_evolving_a_read_set_gives_the_read_rows_of_the_full_evolve(seed=53):
         for read in (np.ones(len(full_kets), dtype=bool),
                      np.zeros(len(full_kets), dtype=bool),
                      rng.random(len(full_kets)) < 0.5):
-            got_kets, got = _evolve_grid(state, stack, lambda kets: read)
+            got_kets, got = _evolve_grid(state, stack, lambda kets, key: read)
             assert np.array_equal(got_kets, full_kets[read])
             assert np.array_equal(got, full[:, read])
             assert not (got_kets.flags.writeable or full_kets.flags.writeable)
@@ -615,12 +616,16 @@ def test_select_runs_once_and_sees_every_reachable_ket(seed=54):
         rows = occupied_rows(state, stack)
         seen = []
 
-        def select(kets):
-            seen.append(kets)
+        def select(kets, key):
+            seen.append((kets, key))
             return np.ones(len(kets), dtype=bool)
 
         _evolve_grid(state, rows, select)
-        (kets,) = seen
+        ((kets, key),) = seen
+        # the full plan's key, under which the plan cache keeps that plan
+        assert key == (state.occupation_array.shape,
+                       state.occupation_array.tobytes(),
+                       (np.abs(rows) > ROW_CUTOFF).any(axis=0).tobytes())
         assert not kets.flags.writeable
         assert kets.tolist() == sorted(kets.tolist())
         assert np.array_equal(kets, _evolve_grid(state, rows)[0])
@@ -662,6 +667,56 @@ def test_a_non_unitary_scan_reports_its_unknown_detector_first():
         run_scan(circuit, (), state, DetectionPattern({"Dx": 1}), "phi", {})
 
 
+def test_a_warm_non_unitary_scan_reports_its_readout_faults_first():
+    # the first scan keeps its full plan and read set, then fails the
+    # unitarity check; later scans on that kept plan still check their own
+    # readouts first, and a repeat of the first reads its read set cached
+    rounded = BeamSplitterCoeffs(0.7071067, 0.7071067j)
+    circuit = Circuit(2, (CircuitElement("phase", "P", (0,), param="phi"),
+                          CircuitElement("bs", "B", (0, 1), rounded)),
+                      {"Da": 0, "Db": 1})
+    state = basis_state((1, 1))
+    _expansion_plan.cache_clear()
+    with pytest.raises(NonUnitaryError):
+        run_scan(circuit, (), state, DetectionPattern({"Da": 1}), "phi", {})
+    warm = _expansion_plan.cache_info()
+    assert (warm.misses, warm.currsize) == (2, 2)
+    with pytest.raises(UnknownDetectorError):
+        run_scan(circuit, (), state, DetectionPattern({"Dx": 1}), "phi", {})
+    with pytest.raises(DimensionMismatchError, match="mode counts"):
+        run_scan(circuit, (), state, basis_state((1, 1, 0)), "phi", {})
+    with pytest.raises(NonUnitaryError):
+        run_scan(circuit, (), state, DetectionPattern({"Da": 1}), "phi", {})
+    info = _expansion_plan.cache_info()
+    # the full plan hit on every call; only the two bad read sets missed
+    assert (info.hits, info.misses, info.currsize) == (
+        warm.hits + 4, warm.misses + 2, 2)
+
+
+def test_projectors_on_the_same_kets_keep_their_own_overlaps():
+    # two projectors that differ only in their amplitudes key two read
+    # sets: the second scan does not read the first one's overlaps
+    c = preset("fig1")
+    state = one_photon_each_input(c)
+    eraser = reference.eraser_projector()
+    rotated = FockState({occ: amp * 1j ** k for k, (occ, amp) in
+                         enumerate(eraser.items())}, 12)
+    assert [occ for occ, _ in rotated.items()] == [
+        occ for occ, _ in eraser.items()]
+    _expansion_plan.cache_clear()
+    got = [_scan_values(c, state, "phi_B", {"phi_C": 0.4},
+                        [((), [projector])])[0]
+           for projector in (eraser, rotated, eraser)]
+    assert _expansion_plan.cache_info().misses == 4
+    want = [full_evolve_harmonics(c, state, "phi_B", {"phi_C": 0.4}, (),
+                                  [projector])
+            for projector in (eraser, rotated)]
+    assert np.max(np.abs(want[0] - want[1])) > 0.05
+    for harmonics, expected in zip(got, want + want[:1]):
+        assert np.max(np.abs(harmonics - expected)) < 1e-15
+    assert got[2].tobytes() == got[0].tobytes()
+
+
 def test_an_empty_read_set_gives_zero_harmonics():
     c = preset("fig2")
     state = one_photon_each_input(c)
@@ -678,14 +733,20 @@ def test_an_over_photon_pattern_warns_once_per_scan():
     c = preset("fig2")
     state = one_photon_each_input(c)
     over = DetectionPattern({"D6": 3})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results = _scan_values(
-            c, state, "phi_C", {"phi_B": 0.4, "phi_S": 1.1},
-            [(("BS2",), [over, DetectionPattern({"D6": 1, "D10": 1})]),
-             ((), [DetectionPattern({"D6": 1})])])
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert not np.any(results[0][0]) and np.any(results[0][1])
+    scans = [(("BS2",), [over, DetectionPattern({"D6": 1, "D10": 1})]),
+             ((), [DetectionPattern({"D6": 1})])]
+    _expansion_plan.cache_clear()
+    for call in ("cold", "warm"):
+        # the warm call reads its read set from the plan cache
+        misses = _expansion_plan.cache_info().misses
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = _scan_values(
+                c, state, "phi_C", {"phi_B": 0.4, "phi_S": 1.1}, scans)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert not np.any(results[0][0]) and np.any(results[0][1])
+        assert (_expansion_plan.cache_info().misses == misses) == (
+            call == "warm")
 
 
 def test_an_over_photon_pattern_warns_at_the_callers_line():
@@ -699,24 +760,27 @@ def test_an_over_photon_pattern_warns_at_the_callers_line():
         pattern_probability(evolve(state, compile(c, phases)), over,
                             c.detectors)
     assert [w.filename for w in caught] == [__file__]
-    with pytest.warns(RuntimeWarning, match="identically zero") as caught:
-        run_scan(c, (), state, over, "phi_C", {"phi_B": 0.2})
-    assert [w.filename for w in caught] == [__file__]
+    for call in ("cold", "warm"):
+        # the second scan reads its read set from the plan cache
+        with pytest.warns(RuntimeWarning, match="identically zero") as caught:
+            run_scan(c, (), state, over, "phi_C", {"phi_B": 0.2})
+        assert [w.filename for w in caught] == [__file__]
 
 
 def test_a_scan_keeps_its_restricted_plan_in_the_plan_cache():
-    # the full plan and its restriction to the read set: two misses, then
-    # the same scan again hits both, and the byte count holds both
+    # the full plan, the readouts' read set and the plan's restriction to
+    # it: three misses, then the same scan again hits all three, and the
+    # byte count holds all three
     c = preset("fig2")
     state = one_photon_each_input(c)
     scan = [(("BS2",), [DetectionPattern({"D6": 1, "D10": 1})])]
     _expansion_plan.cache_clear()
     first = _scan_values(c, state, "phi_C", {"phi_B": 0.4, "phi_S": 1.1}, scan)
     info = _expansion_plan.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
+    assert (info.misses, info.currsize) == (3, 3)
     again = _scan_values(c, state, "phi_C", {"phi_B": 0.4, "phi_S": 1.1}, scan)
     info_again = _expansion_plan.cache_info()
-    assert info_again.misses == 2 and info_again.hits == info.hits + 2
+    assert info_again.misses == 3 and info_again.hits == info.hits + 3
     assert info_again.nbytes == info.nbytes > 0
     assert np.array_equal(first[0], again[0])
 

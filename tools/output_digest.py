@@ -7,6 +7,9 @@ compares the lines.  The outputs are:
   (cold) and again on the plans that call kept (warm);
 - three 256-sample fig2 ``--format json`` CLI sweeps, one per swept phase;
 - ``verify.run_all()`` and the ``mzsim --verify`` text;
+- verify's shared draw of random taps at its seed: the 40 compiled row
+  blocks (monitored and erased layout per draw) and the 40 pair outputs'
+  occupation and amplitude bytes;
 - the pure reduced D10/D11 states of ``braced(3)`` and ``braced(4)`` at 30
   seeded phase sets each: basis and matrix bytes, ``entries.items()``, the
   D10 & D11 coincidence and the D10 mean photon number;
@@ -166,6 +169,11 @@ def outputs():
              "--format", "json"])
     yield "verify.run_all()", verify.run_all()
     yield "mzsim --verify", cli_output(["--verify"])
+    yield "verify shared draw", [
+        array.tobytes() for d in verify._draw_taps(verify._rng())
+        for array in (d.u1, d.u2, d.out1.occupation_array,
+                      d.out1.amplitude_array, d.out2.occupation_array,
+                      d.out2.amplitude_array)]
     for n in (3, 4):
         yield f"braced({n}) reduced states", reduced_states(n)
     yield "braced(4) mapping-built data", mapping_built()
