@@ -335,8 +335,8 @@ def _trusted_element(kind: str, name: str, modes: tuple[int, ...],
                      coeffs: BeamSplitterCoeffs | None = None,
                      param: str | None = None) -> CircuitElement:
     """An element from fields already known to be valid, built without the
-    checks of ``CircuitElement.__post_init__``: :func:`braced` generates
-    its names and modes, and checks each tap it is given.  The
+    checks of ``CircuitElement.__post_init__``: :func:`_braced_circuit`
+    generates its names and modes, and checks each tap it is given.  The
     ``Circuit`` it builds still checks names, modes and toggles."""
     element = object.__new__(CircuitElement)
     element.__dict__.update(kind=kind, name=name, modes=modes, coeffs=coeffs,
@@ -351,10 +351,20 @@ def braced(n: int, taps: Sequence[BeamSplitterCoeffs] | None = None) -> Circuit:
     with q primes; all default to balanced.  Stage order along the beam is
     innermost (most primed) first.  Stage q's arm inputs, tap vacuum ports
     and detectors D6/D7 are six modes from 2 (q = 0) or 6 + 6q; its arms
-    leave on stage q - 1's inputs, stage 0's on modes 8 and 9.  Each tap is
-    checked where its BS4 element is built; the other elements, whose names
-    and modes are generated here, are built unchecked
-    (:func:`_trusted_element`), and the ``Circuit`` checks the whole.
+    leave on stage q - 1's inputs, stage 0's on modes 8 and 9.
+    """
+    return _braced_circuit(n, taps)
+
+
+def _braced_circuit(n: int, taps: Sequence[BeamSplitterCoeffs] | None = None,
+                    first: int = 0) -> Circuit:
+    """:func:`braced` from its ``first``-th element on: with ``first`` = 1,
+    the stack after the input splitter BS1, whose modes 0 and 1 are then
+    the two arms BS1 would feed.
+
+    Each tap is checked where its BS4 element is built; the other elements,
+    whose names and modes are generated here, are built unchecked
+    (:func:`_trusted_element`), and the one ``Circuit`` checks the whole.
     """
     if n not in range(2, 6):
         raise ValueError(f"braced stack supports 2 <= n <= 5, got {n!r}")
@@ -393,7 +403,7 @@ def braced(n: int, taps: Sequence[BeamSplitterCoeffs] | None = None) -> Circuit:
                  _trusted_element("swap", "BS3b", (9, 11))]
     detectors.update(D10=10, D11=11)
     toggles = frozenset(f"BS2{'p' * q}" for q in range(n - 1))
-    return Circuit(6 * n, tuple(elements), detectors, toggles)
+    return Circuit(6 * n, tuple(elements[first:]), detectors, toggles)
 
 
 def preset_fig1(tap: BeamSplitterCoeffs = BALANCED) -> Circuit:

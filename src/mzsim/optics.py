@@ -24,7 +24,7 @@ so sequential application of U1 then U2 composes to the single matrix
   fixed number of numpy calls, each product out of place.  A scan passes
   a ``select`` callback that picks the kets its readouts read among every
   reachable ket, and the plan keeps only the terms that add into them
-  (``classify_table1(5)`` reads 495 of 2,002 kets, fed by 1,820 of 8,568
+  (``classify_table1(5)`` reads 495 of 2,002 kets, fed by 990 of 4,004
   terms), bit for bit as the full plan computes them, however few; the
   output is always the reachable kets, or exactly the selected ones, a
   ket pruned at every phase reading 0;
@@ -38,14 +38,12 @@ The two share no code and are tested against each other.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import sys
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,7 +78,7 @@ ROW_CUTOFF = 1e-13
 #: work arrays of an expansion take 400 to 460 bytes per term at their
 #: peak on a dense input, so an input whose term count, counted exactly
 #: before anything is built, exceeds ``MAX_TERMS`` is refused: 2,097,152
-#: terms, which ``classify_table1(8)``'s 1,110,395 fit.
+#: terms, which ``classify_table1(8)``'s 980,628 fit.
 EXPANSION_BYTES = 2 ** 30
 MAX_TERMS = EXPANSION_BYTES // 512
 #: Bytes a compile holds at its peak per entry of its (slices x R x M)
@@ -218,7 +216,6 @@ def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
 # polynomial-expansion evolution
 
 
-@lru_cache(maxsize=None)
 def _compositions(total: int, slots: int):
     """Weak compositions of `total` into `slots` parts, with their lookups.
 
@@ -226,15 +223,27 @@ def _compositions(total: int, slots: int):
     with it, the multinomial coefficients total! / prod k_j! and the
     (terms x total) factor slots of each composition: the slot indices in
     ascending order, slot j written k_j times, so that the monomial
-    prod x_j^k_j is the product of the entries x at those slots.
+    prod x_j^k_j is the product of the entries x at those slots.  The
+    order is that of ``itertools.combinations_with_replacement(range(slots),
+    total)`` over the factor slots: the compositions in descending
+    lexicographic order.
     """
-    combos = list(itertools.combinations_with_replacement(range(slots), total))
-    factors = np.array(combos, dtype=np.intp).reshape(len(combos), total)
+    # one row per first photon's slot, then photon by photon: each row
+    # splits into one row per next slot from its last one up, in ascending
+    # order, so the rows stay in lexicographic order
+    factors = (np.arange(slots, dtype=np.intp)[:, None] if total
+               else np.zeros((1, 0), dtype=np.intp))
+    for _ in range(total - 1):
+        splits = slots - factors[:, -1]
+        rows = np.repeat(np.arange(len(factors)), splits)
+        # each row's run of new slots ends at its split's end, on slots - 1
+        factors = np.column_stack((factors[rows], np.arange(len(rows))
+                                   - (np.cumsum(splits) - slots)[rows]))
     # count each slot per composition: one bincount over offset slot indices
-    offsets = slots * np.arange(len(combos))[:, None]
-    counts = np.bincount((factors + offsets).ravel(),
-                         minlength=len(combos) * slots)
-    comps = counts.astype(np.uint8).reshape(len(combos), slots)
+    offsets = slots * np.arange(len(factors))[:, None]
+    comps = np.bincount((factors + offsets).ravel(),
+                        minlength=len(factors) * slots).astype(
+        np.uint8).reshape(len(factors), slots)
     weights = _FACT[total] / np.prod(_FACT[comps], axis=1)
     for array in (comps, weights, factors):
         array.flags.writeable = False
@@ -494,12 +503,13 @@ class _PlanCache:
 
     The bounds of :data:`_expansion_plan`: one ``verify.run_all()`` keeps
     48 entries (24 full plans, 11 read sets, 11 restricted plans, 2 trace
-    plans) holding 105 KiB, which 32 would cycle through, so a second run
-    takes no miss.  ``classify_table1(5)``'s entries hold 226 KiB (full),
-    63 KiB (read set) and 54 KiB (restricted), 8% of ``PLAN_CACHE_BYTES``,
+    plans) holding 103 KiB, which 32 would cycle through, so a second run
+    takes no miss.  ``classify_table1(5)``'s entries hold 146 KiB (full),
+    63 KiB (read set) and 39 KiB (restricted), 6% of ``PLAN_CACHE_BYTES``,
     the factor positions in uint8 (R * M = 60); one plan of a 330-ket,
     4-photon superposition through a dense 8-mode unitary holds 13.2 MiB,
-    so it is used once and not kept.
+    so it is used once and not kept.  ``scenarios._sampling_matrices`` is
+    a second cache under the same bounds, of a scan's sampling matrices.
     """
 
     def __init__(self, maxsize: int, budget: int):
@@ -635,6 +645,9 @@ def _evolve_grid(state: FockState, rows: np.ndarray, select=None,
             term = term * entries.take(positions)
         sums = np.bincount(plan.scatter, (term * weights).view(float), 2 * n)
         np.multiply(sums.view(complex), plan.scale, row)
+    # the last row's terms vector and sums are not needed past here: drop
+    # them before the prune mask's (K x kets) temporaries are made
+    del term, sums
 
     _check_finite(occupations, amplitudes)
     keep = (np.abs(amplitudes) > PRUNE_THRESHOLD).any(axis=0)

@@ -306,6 +306,46 @@ def test_composition_factor_slots_count_back_to_their_composition(total, slots):
             math.factorial(k) for k in comp)
 
 
+def test_compositions_follow_combinations_with_replacement():
+    # the factor slots in itertools' order, each composition its slots'
+    # counts, each weight its multinomial; no slots hold no photons
+    for total in range(9):
+        for slots in range(9):
+            comps, weights, factors = _compositions(total, slots)
+            combos = list(itertools.combinations_with_replacement(
+                range(slots), total))
+            counts = [[combo.count(j) for j in range(slots)]
+                      for combo in combos]
+            assert factors.dtype == np.intp
+            assert factors.shape == (len(combos), total)
+            assert factors.tolist() == [list(combo) for combo in combos]
+            assert comps.dtype == np.uint8
+            assert comps.shape == (len(combos), slots)
+            assert comps.tolist() == counts
+            assert weights.tolist() == [
+                math.factorial(total) / math.prod(map(math.factorial, ks))
+                for ks in counts]
+
+
+def test_an_expansion_keeps_no_composition_table_once_its_plan_is_dropped(
+        seed=60):
+    # |12, 0, ..., 0> through a dense 8-mode unitary expands into 50,388
+    # compositions, whose factor table alone holds 4.8 MB; once the plan
+    # cache is cleared nothing of the expansion is left
+    u = random_unitary(np.random.default_rng(seed), 8)
+    state = basis_state((12,) + (0,) * 7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert len(evolve(state, u)) == 50_388
+        _expansion_plan.cache_clear()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20
+
+
 def test_swap_relabels_occupations():
     state = FockState({(2, 0, 1): 1.0})
     out = evolve(state, swap_unitary(0, 2, 3))
@@ -450,7 +490,8 @@ def test_an_expansion_too_large_to_build_is_refused_before_building_it(
     # 20 photons on one row that reaches all 12 columns: C(31, 11) terms,
     # which would take tens of GiB.  The count is exact and made from the
     # entry mask before anything is allocated.  classify_table1(8)'s full
-    # plan, 1,110,395 terms, stays within the bound
+    # plan, 980,628 terms, stays within the bound, and so would the
+    # 1,110,395 of the engineered input through the whole stack
     m, n = 12, 20
     u = random_unitary(np.random.default_rng(seed), m)
     state = basis_state((n,) + (0,) * (m - 1))
@@ -525,7 +566,8 @@ def test_each_ket_read_alone_is_the_full_plans_amplitude_bit_for_bit(
 
 def test_a_warm_scan_evolve_holds_less_than_one_stacked_block(monkeypatch):
     # classify_table1(5) evolves one 12-matrix stack onto 495 read kets fed
-    # by 1,820 terms; one (K x terms) complex block would be 349,440 bytes
+    # by the restricted plan's terms; one (K x terms) complex block would
+    # take 16 bytes per entry
     scans = []
 
     def recording(state, stack, select=None):
@@ -539,6 +581,9 @@ def test_a_warm_scan_evolve_holds_less_than_one_stacked_block(monkeypatch):
     (state, stack, read), = scans
     assert (len(stack), read.sum()) == (12, 495)
     _evolve_grid(state, stack, lambda kets, key: read)
+    needed = (np.abs(stack) > ROW_CUTOFF).any(axis=0)
+    terms = len(_restrict_plan(
+        _build_plan(state.occupation_array, needed), read).weights)
     gc.collect()
     tracemalloc.start()
     try:
@@ -546,7 +591,7 @@ def test_a_warm_scan_evolve_holds_less_than_one_stacked_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 1820 * 16
+    assert peak < 12 * terms * 16
 
 
 # ---------------------------------------------------------------------------

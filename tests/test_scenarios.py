@@ -1,6 +1,7 @@
 """Tests for fringe scans, engineered inputs, and scenario classification."""
 
 import dataclasses
+import gc
 import json
 import math
 import tracemalloc
@@ -16,7 +17,8 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
                    CircuitError,
                    DegenerateStateError, DetectionPattern, DimensionMismatchError, FockState,
                    FringeScan, NonUnitaryError, PhotonCountError,
-                   UnclassifiableScanError, UnknownDetectorError, basis_state, bs_unitary,
+                   UnclassifiableScanError, UnknownDetectorError, basis_state, braced,
+                   bs_unitary,
                    classify_table1, compile, delayed_choice_variant, embed,
                    engineered_input, evolve, inner_product, noon_target,
                    one_photon_each_input, pattern_probability, preset,
@@ -803,10 +805,94 @@ def test_a_call_builds_each_full_plan_once_when_no_plan_is_kept(monkeypatch):
     monkeypatch.setattr(optics, "_restrict_plan", restrict)
     _expansion_plan.cache_clear()
     classify_table1(3)
-    # the engineered input's plan and the braced stack's, once each
-    assert len(set(built)) == len(built) == 2
+    # the stack's plan, once: the NOON target needs no plan of its own
+    assert len(set(built)) == len(built) == 1
     assert len(restricted) == 1
     assert _expansion_plan.cache_info().currsize == 0
+
+
+def test_classify_table1_evolves_the_noon_target_after_bs1(monkeypatch):
+    # BS1 maps the engineered input onto the NOON target on its two arms,
+    # so one scan evolves the target's 2 kets through the stack after BS1,
+    # and no evolve builds the engineered input.  At five photons 4,004
+    # terms reach 2,002 kets, and 990 of them feed the 495 read kets; the
+    # engineered input's 6 kets through the whole stack took 8,568 and 1,820
+    states, plans = [], []
+
+    def recording_evolve_grid(state, stack, select=None):
+        states.append(state)
+        return _evolve_grid(state, stack, select)
+
+    def recording_restrict(plan, read):
+        plans.append((plan, _restrict_plan(plan, read)))
+        return plans[-1][1]
+
+    def no_evolve(*args):
+        raise AssertionError("classify_table1 called evolve")
+
+    monkeypatch.setattr(scenarios, "_evolve_grid", recording_evolve_grid)
+    monkeypatch.setattr(scenarios, "evolve", no_evolve)
+    monkeypatch.setattr(optics, "_restrict_plan", recording_restrict)
+    _expansion_plan.cache_clear()
+    classify_table1(5)
+    (state,) = states
+    want = embed(noon_target(5), 30, (0, 1))
+    assert len(state) == 2
+    assert state.occupation_array.tobytes() == want.occupation_array.tobytes()
+    assert state.amplitude_array.tobytes() == want.amplitude_array.tobytes()
+    ((full, restricted),) = plans
+    assert (len(full.weights), len(full.occupations)) == (4004, 2002)
+    assert (len(restricted.weights), len(restricted.occupations)) == (990, 495)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_classify_table1_scans_as_the_engineered_input_through_braced(n):
+    # the route through the whole stack, kept as an oracle: the same
+    # classifications and frequencies, every other field and sample within
+    # rounding
+    circuit = braced(n)
+    state = embed(engineered_input(noon_target(n)), circuit.mode_count,
+                  (0, 1))
+    fixed = {p: 0.0 for p in circuit.parameters}
+    for report in classify_table1(n):
+        got = report.scan
+        want = run_scan(circuit, report.toggles, state, report.pattern,
+                        "phi_B", fixed, 64)
+        assert report.classification == got.classify() == want.classify()
+        assert got.parameter == want.parameter
+        assert got.spatial_frequency == want.spatial_frequency
+        for field in ("mean", "amplitude", "phase_offset", "visibility",
+                      "residual"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-14
+        assert [p for p, _ in got.samples] == [p for p, _ in want.samples]
+        assert max(abs(a - b) for (_, a), (_, b)
+                   in zip(got.samples, want.samples)) <= 1e-14
+
+
+def test_a_scan_keeps_no_sampling_matrices_past_the_plan_budget():
+    # one photon crossing K - 1 delays on one mode scans with K harmonics,
+    # and a pair of (2K x K) sampling matrices holds 64 K^2 bytes: 5.5 and
+    # 15.3 MiB at K = 300 and 500, past PLAN_CACHE_BYTES, so each pair is
+    # used once and not kept.  A small pair is kept
+    def scan(k):
+        circuit = Circuit(1, tuple(
+            CircuitElement("phase", f"P{i}", (0,), param="phi")
+            for i in range(k - 1)), {"D0": 0})
+        return run_scan(circuit, (), basis_state((1,)),
+                        DetectionPattern({"D0": 1}), "phi", {}, 64)
+
+    assert scenarios._sampling(6) is scenarios._sampling(6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in (300, 500):
+            assert scan(k).visibility == 0.0
+        _expansion_plan.cache_clear()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20
 
 
 # ---------------------------------------------------------------------------
