@@ -22,12 +22,13 @@ so sequential application of U1 then U2 composes to the single matrix
   output ket it adds into; it is planned once per structure and cached
   (:class:`_PlanCache`), and each matrix of the stack then evolves in a
   fixed number of numpy calls, each product out of place.  A scan passes
-  a ``select`` callback that picks the kets its readouts read among every
-  reachable ket, and the plan keeps only the terms that add into them
-  (``classify_table1(5)`` reads 495 of 2,002 kets, fed by 990 of 4,004
-  terms), bit for bit as the full plan computes them, however few; the
-  output is always the reachable kets, or exactly the selected ones, a
-  ket pruned at every phase reading 0;
+  a ``select`` callback that hands back the plan to evolve: the full plan
+  restricted to the kets its readouts read (:func:`_restrict_plan`;
+  ``classify_table1(5)`` reads 495 of 2,002 kets, fed by 990 of 4,004
+  terms), which computes them bit for bit as the full plan does, however
+  few, and which the scan keeps in the cache itself.  The output is
+  always the kets of the plan evolved, every reachable ket or the
+  selected ones, a ket pruned at every phase reading 0;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix, summed over the repeat
   counts by Glynn's formula; :func:`permanent` is the same sum with every
@@ -325,9 +326,8 @@ def evolve(state: FockState, unitary: np.ndarray) -> FockState:
     # the occupied rows: a view when they are the first R modes, as every
     # input fed through the first splitter's two modes is
     rows = u[:r] if not r or occupied[-1] < r else u[occupied]
-    occupations, (amplitudes,) = _evolve_grid(state, rows[None],
-                                              whole=u[None])
-    return _trusted_state(occupations, amplitudes, state.mode_count)
+    occupations, amplitudes = _evolve_grid(state, rows[None], whole=u[None])
+    return _trusted_state(occupations, amplitudes[0], m)
 
 
 #: An expansion plan: its merged output kets, its term table (factor
@@ -480,16 +480,17 @@ _PlanCacheInfo = namedtuple("_PlanCacheInfo", "hits misses currsize nbytes")
 class _PlanCache:
     """The most recently used phase-free plans, bounded in count and bytes.
 
-    Full expansion plans, their restrictions to a read set, the read sets
-    of scans and the scatter plans of ``measurement.partial_trace`` share
-    one cache and both bounds.  :meth:`lookup` is the one way in, and each
-    caller owns its keys: :func:`_evolve_grid` keys a full plan on the
-    input's shape and bytes and the bytes of the R x M entry mask of its
-    occupied rows, and a restriction on those and the read mask's bytes; a
-    scan's read set (``scenarios._read_set``) is keyed on the full plan's
-    key and its readouts' key, tagged ``"readouts"``, and a trace plan's
-    key is tagged ``"partial_trace"``.  It pays where one structure comes
-    back call after call, as in a phase loop over :func:`evolve`.
+    Full expansion plans, one entry per scan and the scatter plans of
+    ``measurement.partial_trace`` share one cache and both bounds.
+    :meth:`lookup` is the one way in, and each caller owns its keys:
+    :func:`_evolve_grid` keys a full plan on the input's shape and bytes
+    and the bytes of the R x M entry mask of its occupied rows; a scan's
+    entry (``scenarios._read_set``: its full plan restricted to the kets
+    it reads, with its pattern weights, projector overlaps and unreachable
+    totals) is keyed on the full plan's key and its readouts' key, tagged
+    ``"readouts"``; and a trace plan's key is tagged ``"partial_trace"``.
+    It pays where one structure comes back call after call, as in a phase
+    loop over :func:`evolve`.
 
     An expansion plan holds N factor positions, a weight, an input ket and
     two scatter entries per expanded term (N or 2N bytes, and 11 to 14
@@ -502,11 +503,12 @@ class _PlanCache:
     with its base, and each tuple with its contents.
 
     The bounds of :data:`_expansion_plan`: one ``verify.run_all()`` keeps
-    48 entries (24 full plans, 11 read sets, 11 restricted plans, 2 trace
-    plans) holding 103 KiB, which 32 would cycle through, so a second run
-    takes no miss.  ``classify_table1(5)``'s entries hold 146 KiB (full),
-    63 KiB (read set) and 39 KiB (restricted), 6% of ``PLAN_CACHE_BYTES``,
-    the factor positions in uint8 (R * M = 60); one plan of a 330-ket,
+    37 entries (24 full plans, 11 scan entries, 2 trace plans) holding
+    97 KiB, which 32 would cycle through, so a second run takes no miss.
+    ``classify_table1(5)``'s entries hold 146 KiB (full) and 97 KiB (its
+    scan: 37 KiB of restricted plan, 54 KiB of pattern weights), 6% of
+    ``PLAN_CACHE_BYTES``, the factor positions in uint8 (R * M = 60); a
+    warm call looks up its scan entry alone.  One plan of a 330-ket,
     4-photon superposition through a dense 8-mode unitary holds 13.2 MiB,
     so it is used once and not kept.  ``scenarios._sampling_matrices`` is
     a second cache under the same bounds, of a scan's sampling matrices.
@@ -594,18 +596,21 @@ def _evolve_grid(state: FockState, rows: np.ndarray, select=None,
     the full plan's.
     Returns the output occupations, unique and in lexicographic order
     (read-only), and a (K x kets) amplitude block whose row k is the state
-    evolved by matrix k.  The kets are every ket the plan can reach; a ket
-    at or below ``PRUNE_THRESHOLD`` at every k reads exactly 0.
+    evolved by matrix k.  The kets are those of the plan evolved: every
+    ket the full plan can reach, or those of the plan ``select`` returns;
+    a ket at or below ``PRUNE_THRESHOLD`` at every k reads exactly 0.
 
-    ``select``, if given, is called once with those reachable kets and the
-    full plan's cache key, before the stack's unitarity is checked, and
-    returns a bool mask over them: the work is then limited to the kets it
-    marks, by a restriction of the full plan in hand (:func:`_restrict_plan`)
-    cached under the full plan's key and the mask's bytes, and the result is
-    exactly their columns of the full result.  So a call builds the full
-    plan at most once, whether or not either plan fits the cache.  The key
-    lets ``select`` keep its own phase-free work in :data:`_expansion_plan`
-    under a key that extends it, as a scan keeps its read set.
+    ``select``, if given, is called once as ``select(key, full)``, before
+    the stack's unitarity is checked, and returns the plan to evolve in
+    place of the full plan: ``key`` is the full plan's cache key, and
+    ``full()`` looks that plan up in :data:`_expansion_plan`, building it on
+    a miss.  A scan returns the full plan restricted to the kets it reads
+    (:func:`_restrict_plan`), whose output is exactly their columns of the
+    full result; it keeps that plan with the rest of its phase-free work
+    under a key that extends ``key``, so a warm scan calls neither
+    ``full()`` nor anything that builds.  A call builds the full plan at
+    most once, as long as ``select`` calls ``full()`` at most once, whether
+    or not any plan fits the cache.
     """
     rows = np.asarray(rows, dtype=complex)
     m = state.mode_count
@@ -621,8 +626,10 @@ def _evolve_grid(state: FockState, rows: np.ndarray, select=None,
             f"at most {MAX_PHOTONS}")
     needed = (np.abs(rows) > ROW_CUTOFF).any(axis=0)
     key = (inputs.shape, inputs.tobytes(), needed.tobytes())
-    full = _expansion_plan.lookup(key, lambda: _build_plan(inputs, needed))
-    read = None if select is None else select(full.occupations, key)
+
+    def full():
+        return _expansion_plan.lookup(key, lambda: _build_plan(inputs, needed))
+    plan = full() if select is None else select(key, full)
     u = rows if whole is None else whole
     if not np.isfinite(u).all():
         raise NonUnitaryError("matrix has a NaN or infinite entry")
@@ -632,8 +639,6 @@ def _evolve_grid(state: FockState, rows: np.ndarray, select=None,
     if np.abs(gram).max(initial=0.0) > 1e-8:
         raise NonUnitaryError("matrix is not unitary within 1e-8")
 
-    plan = full if read is None else _expansion_plan.lookup(
-        key + (read.tobytes(),), lambda: _restrict_plan(full, read))
     occupations, n = plan.occupations, len(plan.occupations)
     weights = plan.weights * state.amplitude_array.take(plan.inputs)
     amplitudes = np.empty((len(rows), n), dtype=complex)

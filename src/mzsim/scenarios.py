@@ -49,7 +49,8 @@ from .fock import (FockState, _check_occupation, _common_rows, _trusted_state,
                    basis_state, embed)
 from .measurement import DetectionPattern, _warn_unreachable, pattern_masks
 from .optics import (BALANCED, MAX_HARMONICS, PLAN_CACHE_BYTES, _evolve_grid,
-                     _expansion_plan, _PlanCache, bs_unitary, evolve)
+                     _expansion_plan, _Plan, _PlanCache, _restrict_plan,
+                     bs_unitary, evolve)
 
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
@@ -141,12 +142,14 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     toggle sets are compiled in one call, a family of S grids of K phases,
     K - 1 being N times the most delays any set has on ``swept``, and one
     expansion evolves the (S K x R x M) block.  It computes only the kets
-    the readouts read, and they come back in order, one column each.  Its
-    ``select`` reads them among every reachable ket (:func:`_read_set`),
-    cached in the plan cache under the full plan's key and the readouts'
-    own key, so a warm scan skips that phase-free work.  Each set's
-    amplitudes are taken to the 2K phases pi m / K and its samples there
-    to harmonics by one DFT (:func:`_sampling`).
+    the readouts read, and they come back in order, one column each: its
+    ``select`` hands it the full plan restricted to them.  That plan, with
+    the readouts' weights and overlaps (:func:`_read_set`), is one entry of
+    the plan cache, under the full plan's key and the readouts' own key; a
+    warm scan looks up that entry alone and neither looks up, builds nor
+    restricts a full plan.  Each set's amplitudes are taken to the 2K
+    phases pi m / K and its samples there to harmonics by one DFT
+    (:func:`_sampling`).
     """
     if swept not in circuit.parameters:
         raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
@@ -169,22 +172,22 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
         else (tuple(r.counts.items()), r.exclusive) for r in readouts))
     weights = overlaps = None
 
-    def select(kets, key):
+    def select(key, full):
         nonlocal weights, overlaps
         built = []
 
         def build():
             built.append(True)
-            return _read_set(circuit, readouts, kets, photons)
+            return _read_set(circuit, readouts, full(), photons)
 
-        read, weights, overlaps, unreachable = _expansion_plan.lookup(
+        plan, weights, overlaps, unreachable = _expansion_plan.lookup(
             key + readout_key, build)
         if not built:
-            # a cached read set: warn as pattern_masks did when it was made
+            # a cached scan: warn as pattern_masks did when it was made
             for total in unreachable:
                 _warn_unreachable(total, photons)
         overlaps = iter(overlaps)
-        return read
+        return plan
 
     _, values = _evolve_grid(input_state, _compile_grid(
         circuit, phases, rows=input_state._occupied_modes(), sets=sets),
@@ -207,9 +210,10 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     return results
 
 
-def _read_set(circuit: Circuit, readouts, kets: np.ndarray, photons: int):
-    """What the readouts read over the reachable ``kets``, read-only: the
-    bool mask of the kets any readout reads, the patterns' (patterns x read
+def _read_set(circuit: Circuit, readouts, plan: _Plan, photons: int):
+    """All a scan's phase-free read work on the full expansion ``plan``,
+    read-only: the plan restricted to the kets any readout reads
+    (:func:`~mzsim.optics._restrict_plan`), the patterns' (patterns x read
     kets) 0/1 weights, each projector's conjugate amplitudes on the read
     kets, and the totals of the patterns that want more than ``photons``
     (each warned about here, by :func:`pattern_masks`).
@@ -219,7 +223,7 @@ def _read_set(circuit: Circuit, readouts, kets: np.ndarray, photons: int):
     """
     masks = pattern_masks(
         [r for r in readouts if not isinstance(r, FockState)],
-        circuit.detectors, kets, photons)
+        circuit.detectors, plan.occupations, photons)
     read = masks.any(axis=0)
     overlaps = []
     for readout in readouts:
@@ -227,15 +231,16 @@ def _read_set(circuit: Circuit, readouts, kets: np.ndarray, photons: int):
             if readout.mode_count != circuit.mode_count:
                 raise DimensionMismatchError(
                     "projector and circuit have different mode counts")
-            found, rows = _common_rows(readout.occupation_array, kets)
-            overlaps.append(np.zeros(len(kets), dtype=complex))
+            found, rows = _common_rows(readout.occupation_array,
+                                       plan.occupations)
+            overlaps.append(np.zeros(len(read), dtype=complex))
             overlaps[-1][rows] = readout.amplitude_array[found].conj()
             read[rows] = True
     overlaps = tuple(overlap[read] for overlap in overlaps)
     weights = masks[:, read].astype(float)
-    for array in (read, weights, *overlaps):
+    for array in (weights, *overlaps):
         array.flags.writeable = False
-    return read, weights, overlaps, tuple(
+    return _restrict_plan(plan, read), weights, overlaps, tuple(
         r.total for r in readouts
         if not isinstance(r, FockState) and r.total > photons)
 

@@ -1,7 +1,8 @@
 """Hypothesis strategies shared by the test modules: occupations,
 normalized superpositions and random circuits with a swept delay, plus the
-random unitaries some of them are evolved through, and the row block of a
-unitary stack that the expansion engine reads."""
+random unitaries some of them are evolved through, the row block of a
+unitary stack that the expansion engine reads, and a ``select`` callback
+that reads some of its output kets."""
 
 import math
 from collections import Counter
@@ -10,6 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from mzsim import BeamSplitterCoeffs, Circuit, CircuitElement, FockState
+from mzsim.optics import _restrict_plan
 
 
 def random_unitary(rng, m):
@@ -23,6 +25,18 @@ def occupied_rows(state, stack):
     """The (K x R x M) block of a (K x M x M) stack that ``_evolve_grid``
     takes: the rows of the modes ``state`` occupies, in mode order."""
     return stack[:, state._occupied_modes()]
+
+
+def reading(read):
+    """A ``select`` callback for ``_evolve_grid`` that restricts the full
+    plan to the kets ``read`` marks, as a scan restricts it to the kets its
+    readouts read: a bool mask over the plan's kets, or a function of them
+    that returns one."""
+    def select(key, full):
+        plan = full()
+        return _restrict_plan(plan, read(plan.occupations) if callable(read)
+                              else read)
+    return select
 
 
 @st.composite

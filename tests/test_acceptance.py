@@ -22,7 +22,7 @@ from mzsim import (BeamSplitterCoeffs, DetectionPattern, basis_state,
                    engineered_input, evolve, noon_target,
                    one_photon_each_input, pattern_probability, phase_unitary,
                    preset, swap_unitary, transition_amplitude, PRESET_NAMES)
-from mzsim import verify
+from mzsim import optics, verify
 
 #: The seed ``mzsim --verify`` uses, then two more.
 SEEDS = (verify._SEED, 202601, 99991)
@@ -49,6 +49,29 @@ def test_each_run_builds_the_shared_draw_once(monkeypatch):
         failures, results = verify.run_all()
         assert failures == 0 and len(results) == len(verify.CHECKS)
     assert len(builds) == 2
+
+
+def test_a_cold_run_builds_24_full_plans_and_a_warm_run_misses_none(
+        monkeypatch):
+    # the plan cache keeps 24 full plans, one entry per distinct scan (11)
+    # and 2 trace plans; a second run finds every one of them
+    builds = []
+
+    def counting_build_plan(*args):
+        builds.append(1)
+        return build_plan(*args)
+
+    build_plan = optics._build_plan
+    monkeypatch.setattr(optics, "_build_plan", counting_build_plan)
+    optics._expansion_plan.cache_clear()
+    assert verify.run_all()[0] == 0
+    cold = optics._expansion_plan.cache_info()
+    assert len(builds) == 24 and cold.currsize == 37
+    assert verify.run_all()[0] == 0
+    warm = optics._expansion_plan.cache_info()
+    assert len(builds) == 24
+    assert (warm.misses, warm.currsize, warm.nbytes) == (
+        cold.misses, cold.currsize, cold.nbytes)
 
 
 def test_the_shared_draw_builds_and_compiles_each_layout_once(monkeypatch):

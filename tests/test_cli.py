@@ -1,16 +1,19 @@
 """Tests for the mzsim command line front end.
 
 main() is called in process with argument lists; stdout and stderr are read
-back through capsys.  One subprocess test checks the installed entry point.
+back through capsys.  Subprocess tests check ``python -m mzsim`` and the
+installed entry point.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import shutil
 import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -715,6 +718,28 @@ def test_help_exits_cleanly(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "--sweep" in out
+
+
+def test_python_m_mzsim_runs_the_cli():
+    # the package's __main__ with only the source tree on the path: a point
+    # run exits 0 with its probability, a usage error 2 with one message
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "mzsim", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+
+    proc = run("--preset", "fig1", "--pattern", "D10:1,D11:1",
+               "--phases", "phi_C=0.0,phi_B=0.0")
+    assert proc.returncode == 0, proc.stderr
+    value = float(proc.stdout.strip().splitlines()[1].rsplit(",", 1)[1])
+    assert abs(value - 0.25) < 1e-12
+    proc = run("--preset", "nope", "--pattern", "D10:1")
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith("mzsim: unknown preset 'nope'")
+    assert "Traceback" not in proc.stderr
 
 
 def test_installed_entry_point():

@@ -29,8 +29,8 @@ from mzsim.fock import PRUNE_THRESHOLD, _trusted_state
 from mzsim.optics import (MAX_TERMS, ROW_CUTOFF, _build_plan, _compositions,
                           _evolve_grid, _expansion_plan, _held_bytes,
                           _key_places, _restrict_plan, _term_count)
-from strategies import (occupied_rows, random_unitary, superpositions,
-                        swept_circuits)
+from strategies import (occupied_rows, random_unitary, reading,
+                        superpositions, swept_circuits)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -536,8 +536,8 @@ def shared_entry_stacks(draw):
 @given(shared_entry_stacks())
 def test_each_row_of_a_stack_is_a_one_matrix_call_bit_for_bit(case):
     state, stack, seed = case
-    select = None if seed is None else (
-        lambda kets, key: np.random.default_rng(seed).random(len(kets)) < 0.5)
+    select = None if seed is None else reading(
+        lambda kets: np.random.default_rng(seed).random(len(kets)) < 0.5)
     kets, amplitudes = _evolve_grid(state, occupied_rows(state, stack), select)
     for u, row in zip(stack, amplitudes):
         alone_kets, (alone,) = _evolve_grid(state, occupied_rows(state, u[None]),
@@ -560,7 +560,7 @@ def test_each_ket_read_alone_is_the_full_plans_amplitude_bit_for_bit(
         kets, (full,) = _evolve_grid(state, rows)
         for ket in range(len(kets)):
             read = np.arange(len(kets)) == ket
-            _, (alone,) = _evolve_grid(state, rows, lambda kets, key: read)
+            _, (alone,) = _evolve_grid(state, rows, reading(read))
             assert alone.tobytes() == full[ket:ket + 1].tobytes()
 
 
@@ -571,23 +571,21 @@ def test_a_warm_scan_evolve_holds_less_than_one_stacked_block(monkeypatch):
     scans = []
 
     def recording(state, stack, select=None):
-        def recorded(kets, key):
-            scans.append((state, stack, select(kets, key)))
+        def recorded(key, full):
+            scans.append((state, stack, select(key, full)))
             return scans[-1][2]
         return _evolve_grid(state, stack, recorded)
 
     monkeypatch.setattr(scenarios, "_evolve_grid", recording)
     classify_table1(5)
-    (state, stack, read), = scans
-    assert (len(stack), read.sum()) == (12, 495)
-    _evolve_grid(state, stack, lambda kets, key: read)
-    needed = (np.abs(stack) > ROW_CUTOFF).any(axis=0)
-    terms = len(_restrict_plan(
-        _build_plan(state.occupation_array, needed), read).weights)
+    (state, stack, plan), = scans
+    terms = len(plan.weights)
+    assert (len(stack), len(plan.occupations), terms) == (12, 495, 990)
+    _evolve_grid(state, stack, lambda key, full: plan)
     gc.collect()
     tracemalloc.start()
     try:
-        _evolve_grid(state, stack, lambda kets, key: read)
+        _evolve_grid(state, stack, lambda key, full: plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

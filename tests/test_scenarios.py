@@ -30,7 +30,7 @@ from mzsim.measurement import pattern_masks
 from mzsim.optics import (ROW_CUTOFF, _build_plan, _evolve_grid,
                           _expansion_plan, _restrict_plan)
 from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
-from strategies import (occupations, occupied_rows, random_unitary,
+from strategies import (occupations, occupied_rows, random_unitary, reading,
                         superpositions, swept_circuits)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -599,16 +599,16 @@ def test_evolving_a_read_set_gives_the_read_rows_of_the_full_evolve(seed=53):
         for read in (np.ones(len(full_kets), dtype=bool),
                      np.zeros(len(full_kets), dtype=bool),
                      rng.random(len(full_kets)) < 0.5):
-            got_kets, got = _evolve_grid(state, stack, lambda kets, key: read)
+            got_kets, got = _evolve_grid(state, stack, reading(read))
             assert np.array_equal(got_kets, full_kets[read])
             assert np.array_equal(got, full[:, read])
             assert not (got_kets.flags.writeable or full_kets.flags.writeable)
 
 
 def test_select_runs_once_and_sees_every_reachable_ket(seed=54):
-    # select sees the kets of the full evolve, read-only and in
-    # lexicographic order: every ket some phase reaches, and the |1,1> that
-    # interference empties at every phase
+    # select's full() gives the full plan, whose kets are those of the full
+    # evolve, read-only and in lexicographic order: every ket some phase
+    # reaches, and the |1,1> that interference empties at every phase
     rng = np.random.default_rng(seed)
     splitter = bs_unitary(BALANCED, 0, 1, 3)
     cases = [(FockState({(1, 1, 0): 1.0}), np.stack([splitter, splitter])),
@@ -618,19 +618,25 @@ def test_select_runs_once_and_sees_every_reachable_ket(seed=54):
         rows = occupied_rows(state, stack)
         seen = []
 
-        def select(kets, key):
-            seen.append((kets, key))
-            return np.ones(len(kets), dtype=bool)
+        def select(key, full):
+            seen.append((key, full()))
+            return seen[-1][1]
 
-        _evolve_grid(state, rows, select)
-        ((kets, key),) = seen
-        # the full plan's key, under which the plan cache keeps that plan
+        _expansion_plan.cache_clear()
+        got_kets, got = _evolve_grid(state, rows, select)
+        ((key, plan),) = seen
+        kets = plan.occupations
+        # the full plan's key, under which full() keeps that plan in the
+        # plan cache; the plan select returns is the one evolved
         assert key == (state.occupation_array.shape,
                        state.occupation_array.tobytes(),
                        (np.abs(rows) > ROW_CUTOFF).any(axis=0).tobytes())
+        assert _expansion_plan.lookup(key, None) is plan
+        want_kets, want = _evolve_grid(state, rows)
+        assert np.array_equal(kets, want_kets)
+        assert got_kets is kets and got.tobytes() == want.tobytes()
         assert not kets.flags.writeable
         assert kets.tolist() == sorted(kets.tolist())
-        assert np.array_equal(kets, _evolve_grid(state, rows)[0])
         reached = {ket for u in stack for ket in evolve(state, u).occupations()}
         assert reached <= set(map(tuple, kets.tolist()))
         if len(state) == 1:
@@ -670,9 +676,9 @@ def test_a_non_unitary_scan_reports_its_unknown_detector_first():
 
 
 def test_a_warm_non_unitary_scan_reports_its_readout_faults_first():
-    # the first scan keeps its full plan and read set, then fails the
+    # the first scan keeps its full plan and its scan entry, then fails the
     # unitarity check; later scans on that kept plan still check their own
-    # readouts first, and a repeat of the first reads its read set cached
+    # readouts first, and a repeat of the first reads its scan entry cached
     rounded = BeamSplitterCoeffs(0.7071067, 0.7071067j)
     circuit = Circuit(2, (CircuitElement("phase", "P", (0,), param="phi"),
                           CircuitElement("bs", "B", (0, 1), rounded)),
@@ -690,14 +696,16 @@ def test_a_warm_non_unitary_scan_reports_its_readout_faults_first():
     with pytest.raises(NonUnitaryError):
         run_scan(circuit, (), state, DetectionPattern({"Da": 1}), "phi", {})
     info = _expansion_plan.cache_info()
-    # the full plan hit on every call; only the two bad read sets missed
+    # the two bad scans missed their entries and hit the full plan; the
+    # repeat hit its own entry alone
     assert (info.hits, info.misses, info.currsize) == (
-        warm.hits + 4, warm.misses + 2, 2)
+        warm.hits + 3, warm.misses + 2, 2)
 
 
 def test_projectors_on_the_same_kets_keep_their_own_overlaps():
-    # two projectors that differ only in their amplitudes key two read
-    # sets: the second scan does not read the first one's overlaps
+    # two projectors that differ only in their amplitudes key two scan
+    # entries on one full plan: the second scan does not read the first
+    # one's overlaps
     c = preset("fig1")
     state = one_photon_each_input(c)
     eraser = reference.eraser_projector()
@@ -709,7 +717,7 @@ def test_projectors_on_the_same_kets_keep_their_own_overlaps():
     got = [_scan_values(c, state, "phi_B", {"phi_C": 0.4},
                         [((), [projector])])[0]
            for projector in (eraser, rotated, eraser)]
-    assert _expansion_plan.cache_info().misses == 4
+    assert _expansion_plan.cache_info().misses == 3
     want = [full_evolve_harmonics(c, state, "phi_B", {"phi_C": 0.4}, (),
                                   [projector])
             for projector in (eraser, rotated)]
@@ -770,26 +778,110 @@ def test_an_over_photon_pattern_warns_at_the_callers_line():
 
 
 def test_a_scan_keeps_its_restricted_plan_in_the_plan_cache():
-    # the full plan, the readouts' read set and the plan's restriction to
-    # it: three misses, then the same scan again hits all three, and the
-    # byte count holds all three
+    # the full plan and the scan's entry, its restricted plan with what its
+    # readouts read: two misses, then the same scan again hits its entry
+    # alone, and the byte count holds both
     c = preset("fig2")
     state = one_photon_each_input(c)
     scan = [(("BS2",), [DetectionPattern({"D6": 1, "D10": 1})])]
     _expansion_plan.cache_clear()
     first = _scan_values(c, state, "phi_C", {"phi_B": 0.4, "phi_S": 1.1}, scan)
     info = _expansion_plan.cache_info()
-    assert (info.misses, info.currsize) == (3, 3)
+    assert (info.misses, info.currsize) == (2, 2)
     again = _scan_values(c, state, "phi_C", {"phi_B": 0.4, "phi_S": 1.1}, scan)
     info_again = _expansion_plan.cache_info()
-    assert info_again.misses == 3 and info_again.hits == info.hits + 3
+    assert info_again.misses == 2 and info_again.hits == info.hits + 1
     assert info_again.nbytes == info.nbytes > 0
     assert np.array_equal(first[0], again[0])
 
 
+def table1_reports():
+    return [r.to_json() for r in classify_table1(5)]
+
+
+def fig2_harmonics():
+    c = preset("fig2")
+    return [h.tobytes() for h in _scan_values(
+        c, one_photon_each_input(c), "phi_C", {"phi_B": 0.4, "phi_S": 1.1},
+        [(("BS2",), [DetectionPattern({"D6": 1, "D10": 1})])])]
+
+
+@pytest.mark.parametrize("run", [table1_reports, fig2_harmonics])
+def test_a_warm_scan_makes_one_plan_lookup_and_builds_nothing(monkeypatch,
+                                                              run):
+    # a warm scan finds its restricted plan and what its readouts read in
+    # one entry: it neither looks its full plan up nor builds or restricts
+    # a plan
+    calls = []
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    _expansion_plan.cache_clear()
+    cold = run()
+    before = _expansion_plan.cache_info()
+    for owner, name in ((_expansion_plan, "lookup"), (optics, "_build_plan"),
+                        (scenarios, "_restrict_plan")):
+        counting(owner, name)
+    warm = run()
+    after = _expansion_plan.cache_info()
+    assert calls == ["lookup"]
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert warm == cold
+
+
+def test_a_scan_entry_holds_its_full_plan_restricted_to_its_read_set(
+        monkeypatch):
+    # the plan a scan's select returns, cold or warm, is its full plan
+    # restricted to the kets its patterns select or its projectors
+    # overlap, array for array, with the patterns' weights on those kets
+    c = preset("fig1")
+    state = one_photon_each_input(c)
+    eraser = reference.eraser_projector()
+    patterns = [DetectionPattern({"D10": 1, "D11": 1}),
+                DetectionPattern({"D6": 1}, exclusive=False)]
+    selected = []
+
+    def recording_evolve_grid(state, stack, select):
+        def recorded(key, full):
+            selected.append((key, select(key, full)))
+            return selected[-1][1]
+        return _evolve_grid(state, stack, recorded)
+
+    monkeypatch.setattr(scenarios, "_evolve_grid", recording_evolve_grid)
+    _expansion_plan.cache_clear()
+    for _ in ("cold", "warm"):
+        _scan_values(c, state, "phi_B", {"phi_C": 0.4},
+                     [((), [patterns[0], eraser, patterns[1]])])
+    (key, cold), (warm_key, warm) = selected
+    assert warm_key == key and warm is cold
+    full = _expansion_plan.lookup(key, None)
+    masks = pattern_masks(patterns, c.detectors, full.occupations, 2)
+    read = masks.any(axis=0)
+    found, rows = _common_rows(eraser.occupation_array, full.occupations)
+    assert len(found) == len(eraser)
+    read[rows] = True
+    want = _restrict_plan(full, read)
+    assert 0 < len(want.occupations) < len(full.occupations)
+    for got_array, want_array in zip(cold, want):
+        assert got_array.dtype == want_array.dtype
+        assert got_array.shape == want_array.shape
+        assert got_array.tobytes() == want_array.tobytes()
+        assert not got_array.flags.writeable
+    ((_, weights, _, _),) = [entry for entry, _ in
+                             _expansion_plan._plans.values()
+                             if entry[0] is cold]
+    assert weights.tobytes() == masks[:, read].astype(float).tobytes()
+
+
 def test_a_call_builds_each_full_plan_once_when_no_plan_is_kept(monkeypatch):
-    # with a budget nothing fits, every lookup misses; the restriction is
-    # still made from the full plan the scan's select already had
+    # with a budget nothing fits, every lookup misses; the scan's entry
+    # builds the full plan once and restricts that plan
     built, restricted = [], []
 
     def build(inputs, needed):
@@ -802,7 +894,7 @@ def test_a_call_builds_each_full_plan_once_when_no_plan_is_kept(monkeypatch):
 
     monkeypatch.setattr(_expansion_plan, "budget", 1)
     monkeypatch.setattr(optics, "_build_plan", build)
-    monkeypatch.setattr(optics, "_restrict_plan", restrict)
+    monkeypatch.setattr(scenarios, "_restrict_plan", restrict)
     _expansion_plan.cache_clear()
     classify_table1(3)
     # the stack's plan, once: the NOON target needs no plan of its own
@@ -832,7 +924,7 @@ def test_classify_table1_evolves_the_noon_target_after_bs1(monkeypatch):
 
     monkeypatch.setattr(scenarios, "_evolve_grid", recording_evolve_grid)
     monkeypatch.setattr(scenarios, "evolve", no_evolve)
-    monkeypatch.setattr(optics, "_restrict_plan", recording_restrict)
+    monkeypatch.setattr(scenarios, "_restrict_plan", recording_restrict)
     _expansion_plan.cache_clear()
     classify_table1(5)
     (state,) = states
