@@ -331,10 +331,18 @@ class DensityMatrix:
         """Dense matrix over the sorted support basis, for spectral tests."""
         return list(map(tuple, self.basis_array.tolist())), self.matrix_array.copy()
 
-    def _position(self, mode: int) -> int:
-        if not (_is_mode(mode) and mode in self.modes):
-            raise ValueError(f"mode {mode!r} was traced out or never present")
-        return self.modes.index(mode)
+    def _positions(self, modes: Iterable[int]) -> list[int]:
+        """Where each of ``modes`` sits in :attr:`modes`, found in one pass
+        over them; the first that is no mode index or is not present
+        raises ``ValueError``."""
+        where = {mode: i for i, mode in enumerate(self.modes)}
+        positions = []
+        for mode in modes:
+            if not (_is_mode(mode) and mode in where):
+                raise ValueError(
+                    f"mode {mode!r} was traced out or never present")
+            positions.append(where[mode])
+        return positions
 
 
 def _support(basis: np.ndarray,
@@ -383,7 +391,7 @@ def partial_trace(rho: DensityMatrix,
     at or below ``PRUNE_THRESHOLD`` are dropped, and kept kets left with
     only zero entries leave the basis; the result keeps its matrix.
     """
-    traced = {rho._position(m) for m in traced_modes}
+    traced = set(rho._positions(traced_modes))
     keep_pos = tuple(i for i in range(len(rho.modes)) if i not in traced)
     if not keep_pos:
         raise ValueError("tracing every mode leaves a scalar, not a matrix")
@@ -429,7 +437,7 @@ def _trace_plan(basis: np.ndarray, keep_pos: tuple[int, ...]):
 
 def mean_photon_number(rho: DensityMatrix, mode: int) -> float:
     """Tr{n_mode rho}; diagonal sum, since number operators are diagonal."""
-    counts = rho.basis_array[:, rho._position(mode)]
+    counts = rho.basis_array[:, rho._positions([mode])[0]]
     return float(counts @ np.diagonal(rho.matrix_array).real)
 
 
@@ -443,7 +451,7 @@ def coincidence_from_density(rho: DensityMatrix, pattern: DetectionPattern,
     Listed detectors must refer to modes still present in ``rho``.
     """
     by_mode = pattern.resolve(detectors)
-    columns = [rho._position(m) for m in by_mode]
+    columns = rho._positions(by_mode)
     counts = rho.basis_array[:, columns].astype(float)
     weight = np.prod(counts ** list(by_mode.values()), axis=1)
     return float(weight @ np.diagonal(rho.matrix_array).real)

@@ -23,11 +23,11 @@ so sequential application of U1 then U2 composes to the single matrix
   (:class:`_PlanCache`), and each matrix of the stack then evolves in a
   fixed number of numpy calls, each product out of place.  A scan passes
   a ``select`` callback that hands back the plan to evolve: the full plan
-  restricted to the kets its readouts read (:func:`_restrict_plan`;
-  ``classify_table1(5)`` reads 495 of 2,002 kets, fed by 990 of 4,004
-  terms), which computes them bit for bit as the full plan does, however
-  few, and which the scan keeps in the cache itself.  The output is
-  always the kets of the plan evolved, every reachable ket or the
+  restricted to the kets its readouts read (:func:`_restrict_plan`; the
+  five-photon scenario table's scans read 495 of 2,002 kets, fed by 990
+  of 4,004 terms), which computes them bit for bit as the full plan does,
+  however few, and which the scan keeps in the cache itself.  The output
+  is always the kets of the plan evolved, every reachable ket or the
   selected ones, a ket pruned at every phase reading 0;
 * :func:`transition_amplitude` computes a single <out|U|in> element from the
   permanent of a row/column-repeated submatrix, summed over the repeat
@@ -79,7 +79,7 @@ ROW_CUTOFF = 1e-13
 #: work arrays of an expansion take 400 to 460 bytes per term at their
 #: peak on a dense input, so an input whose term count, counted exactly
 #: before anything is built, exceeds ``MAX_TERMS`` is refused: 2,097,152
-#: terms, which ``classify_table1(8)``'s 980,628 fit.
+#: terms, which the eight-photon table's scans, expanded (980,628), fit.
 EXPANSION_BYTES = 2 ** 30
 MAX_TERMS = EXPANSION_BYTES // 512
 #: Bytes a compile holds at its peak per entry of its (slices x R x M)
@@ -503,12 +503,14 @@ class _PlanCache:
     with its base, and each tuple with its contents.
 
     The bounds of :data:`_expansion_plan`: one ``verify.run_all()`` keeps
-    37 entries (24 full plans, 11 scan entries, 2 trace plans) holding
-    97 KiB, which 32 would cycle through, so a second run takes no miss.
-    ``classify_table1(5)``'s entries hold 146 KiB (full) and 97 KiB (its
-    scan: 37 KiB of restricted plan, 54 KiB of pattern weights), 6% of
-    ``PLAN_CACHE_BYTES``, the factor positions in uint8 (R * M = 60); a
-    warm call looks up its scan entry alone.  One plan of a 330-ket,
+    35 entries (23 full plans, 10 scan entries, 2 trace plans) holding
+    87 KiB, which 32 would cycle through, so a second run takes no miss.
+    The five-photon scenario table's scans, expanded, keep entries of
+    146 KiB (full) and 97 KiB (the scan: 37 KiB of restricted plan, 54 KiB
+    of pattern weights), 6% of ``PLAN_CACHE_BYTES``, the factor positions
+    in uint8 (R * M = 60); a warm scan looks up its scan entry alone.
+    ``classify_table1`` itself reads its NOON input's generating function
+    (``scenarios._noon_values``) and keeps no plan.  One plan of a 330-ket,
     4-photon superposition through a dense 8-mode unitary holds 13.2 MiB,
     so it is used once and not kept.  ``scenarios._sampling_matrices`` is
     a second cache under the same bounds, of a scan's sampling matrices.
@@ -561,6 +563,18 @@ class _PlanCache:
 #: its policy and why these bounds.
 PLAN_CACHE_BYTES = 4 * 2 ** 20
 _expansion_plan = _PlanCache(maxsize=64, budget=PLAN_CACHE_BYTES)
+
+
+def _check_rows(u: np.ndarray) -> None:
+    """Raise ``NonUnitaryError`` unless each (R x M) block of a stack has
+    finite, orthonormal rows: |gram - I| <= 1e-8 entry by entry, in
+    modulus, by one batched (K x R x R) gram."""
+    if not np.isfinite(u).all():
+        raise NonUnitaryError("matrix has a NaN or infinite entry")
+    gram = u @ u.conj().transpose(0, 2, 1)
+    gram.reshape(len(u), -1)[:, ::u.shape[1] + 1] -= 1.0     # the diagonal
+    if np.abs(gram).max(initial=0.0) > 1e-8:
+        raise NonUnitaryError("matrix is not unitary within 1e-8")
 
 
 def _evolve_grid(state: FockState, rows: np.ndarray, select=None,
@@ -630,14 +644,7 @@ def _evolve_grid(state: FockState, rows: np.ndarray, select=None,
     def full():
         return _expansion_plan.lookup(key, lambda: _build_plan(inputs, needed))
     plan = full() if select is None else select(key, full)
-    u = rows if whole is None else whole
-    if not np.isfinite(u).all():
-        raise NonUnitaryError("matrix has a NaN or infinite entry")
-    # |gram - I| <= 1e-8 entry by entry, in modulus: one batched gram
-    gram = u @ u.conj().transpose(0, 2, 1)
-    gram.reshape(len(u), -1)[:, ::u.shape[1] + 1] -= 1.0     # the diagonal
-    if np.abs(gram).max(initial=0.0) > 1e-8:
-        raise NonUnitaryError("matrix is not unitary within 1e-8")
+    _check_rows(rows if whole is None else whole)
 
     occupations, n = plan.occupations, len(plan.occupations)
     weights = plan.weights * state.amplitude_array.take(plan.inputs)

@@ -13,21 +13,28 @@ rows of the modes the input occupies enter an expansion, so a scan, like
 within 1e-8: a splitter off unitary on modes no input photon reaches
 cannot change a probability, and passes.  The
 scans of one call share that expansion: their toggle sets are compiled in
-one pass, one grid each, and evolved as one stack, so
-:func:`classify_table1` compiles and evolves its input once for all of its
-configurations.  That input is the engineered state the first splitter
-maps onto the NOON target (:func:`engineered_input`); the classification
-feeds the target itself to the stack after that splitter, the same output
-from 2 input kets in place of up to n + 1.  A readout's probability is
-the finite Fourier series
+one pass, one grid each, and evolved as one stack.  A readout's
+probability is the finite Fourier series
 
     P(phi) = h_0 + 2 Re sum_{0 < f < K} h_f e^{i f phi},
 
 whose frequencies -(K-1) .. K-1 stay distinct modulo 2K, so the 2K-point
 DFT of its values at the phases pi m / K gives h_0 .. h_{K-1} exactly;
-samples at other phases are evaluated from the harmonics.  The fit
-a + b cos(f phi + c) is read off them exactly: a = h_0, f is the one
-nonzero harmonic (none: a flat scan, f = 0), b = 2 |h_f| and c = arg h_f.
+samples at other phases are evaluated from the harmonics.
+
+:func:`classify_table1` takes a second exact route to those harmonics.
+Its input is the engineered state the first splitter maps onto the NOON
+target (:func:`engineered_input`), so it feeds the target itself, 2 kets
+that each hold all n photons in one arm, to the stack after that
+splitter.  Every pattern probability of such an input is a coefficient of
+its modes' generating function, a sum of products of n sums over the two
+arms' rows (:func:`_noon_values`): the rows are compiled once for all of
+the table's configurations, at the 2K phases themselves, and no
+expansion is planned or evolved, so its cost does not grow with the kets
+the stack can reach.  The expansion stays the engine of every other scan
+and the tests' oracle for this route.  The fit a + b cos(f phi + c) is
+read off the harmonics exactly: a = h_0, f is the one nonzero harmonic
+(none: a flat scan, f = 0), b = 2 |h_f| and c = arg h_f, in (-pi, pi].
 The fitted visibility b/a then classifies the configuration as showing
 fringes or not, which is the qualitative content of the multi-stage
 scenario table.
@@ -48,9 +55,9 @@ from .errors import (CircuitError, DegenerateStateError,
 from .fock import (FockState, _check_occupation, _common_rows, _trusted_state,
                    basis_state, embed)
 from .measurement import DetectionPattern, _warn_unreachable, pattern_masks
-from .optics import (BALANCED, MAX_HARMONICS, PLAN_CACHE_BYTES, _evolve_grid,
-                     _expansion_plan, _Plan, _PlanCache, _restrict_plan,
-                     bs_unitary, evolve)
+from .optics import (BALANCED, MAX_HARMONICS, PLAN_CACHE_BYTES, _check_rows,
+                     _evolve_grid, _expansion_plan, _Plan, _PlanCache,
+                     _restrict_plan, bs_unitary, evolve)
 
 FRINGE_VISIBILITY = 0.9
 FLAT_VISIBILITY = 0.01
@@ -71,7 +78,9 @@ NORM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class FringeScan:
-    """One swept-parameter scan together with its cosine fit."""
+    """One swept-parameter scan together with its cosine fit
+    mean + amplitude cos(spatial_frequency phi + phase_offset), its
+    phase_offset in (-pi, pi]."""
 
     parameter: str
     samples: tuple[tuple[float, float], ...]
@@ -132,6 +141,24 @@ class ScenarioReport:
         return json.dumps(self.to_json(), indent=2)
 
 
+def _scan_grid(circuit: Circuit, swept: str, photons: int, scans):
+    """The distinct toggle sets of ``scans``, in the order they first
+    appear, and the K harmonics of their scans of ``swept``: K - 1 is
+    ``photons`` times the most delays any set has on it."""
+    if swept not in circuit.parameters:
+        raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
+                           f"parameters are {list(circuit.parameters)}")
+    sets = list(dict.fromkeys(frozenset(toggles) for toggles, _ in scans))
+    delays = [e.name for e in circuit.elements if e.param == swept]
+    crossings = max(sum(name not in circuit.toggles or name in enabled
+                        for name in delays) for enabled in sets)
+    k = photons * crossings + 1
+    if k > MAX_HARMONICS:
+        raise ValueError(f"a scan of {swept} needs K = {k:,} harmonics; "
+                         f"at most {MAX_HARMONICS:,} fit in memory")
+    return sets, k
+
+
 def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
                  scans) -> list[np.ndarray]:
     """Exact probability harmonics h_0 .. h_{K-1} of each scan's readouts,
@@ -151,18 +178,8 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
     phases pi m / K and its samples there to harmonics by one DFT
     (:func:`_sampling`).
     """
-    if swept not in circuit.parameters:
-        raise CircuitError(f"cannot sweep unknown parameter {swept!r}; "
-                           f"parameters are {list(circuit.parameters)}")
-    sets = list(dict.fromkeys(frozenset(toggles) for toggles, _ in scans))
-    delays = [e.name for e in circuit.elements if e.param == swept]
-    crossings = max(sum(name not in circuit.toggles or name in enabled
-                        for name in delays) for enabled in sets)
     photons = input_state.total_photons
-    k = photons * crossings + 1
-    if k > MAX_HARMONICS:
-        raise ValueError(f"a scan of {swept} needs K = {k:,} harmonics; "
-                         f"at most {MAX_HARMONICS:,} fit in memory")
+    sets, k = _scan_grid(circuit, swept, photons, scans)
     phases = dict(fixed)
     phases[swept] = 2 * math.pi * np.arange(k) / k
     readouts = [r for _, scan in scans for r in scan]
@@ -208,6 +225,84 @@ def _scan_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
                    if isinstance(r, FockState) else next(patterns) for r in scan]
         results.append(np.array(samples) @ dft)
     return results
+
+
+def _noon_values(circuit: Circuit, input_state: FockState, swept: str, fixed,
+                 scans) -> np.ndarray:
+    """The harmonics :func:`_scan_values` gives, for an input whose every
+    ket holds all N photons in one mode, psi = sum_a c_a |N>_a, and scans
+    that read detection patterns alone, as one (patterns x K) array of
+    every scan's patterns in order.  No expansion is planned or evolved.
+
+    With B_ab(z) = sum_k conj(U_ak) z_k U_bk over the rows U_a of the
+    input's modes, sum_{a,b} conj(c_a) c_b B_ab(z)^N generates every
+    pattern probability (Shchesnovich, PRL 116, 123601, 2016).  A pattern
+    of counts m_j on detectors d_j, M = sum m_j <= N, is a coefficient of
+    it at z = 1 on the free modes:
+
+        P = sum_{a,b} conj(c_a) c_b N! / ((N - M)! prod_j m_j!)
+            alpha_ab^(N - M) prod_j beta_abj^(m_j),
+
+    with beta_abj = conj(U_a,d_j) U_b,d_j and alpha_ab the sum of
+    conj(U_ak) U_bk over the free modes k: every mode that is not a
+    detector and, for a non-exclusive pattern, every unlisted detector, as
+    :func:`pattern_masks` reads them.  The identity needs orthonormal
+    rows.  So the rows, compiled at the 2K phases pi m / K in one family
+    call for all toggle sets, are checked as :func:`_evolve_grid` checks
+    them, once the patterns have resolved their detectors.  Each pattern's
+    N factors, its betas and N - M alphas, are gathered from one table of
+    the products and multiplied, every pattern in a fixed number of numpy
+    calls, and the 2K-point DFT of :func:`_sampling` takes the samples to
+    harmonics.
+    """
+    occupations = input_state.occupation_array
+    if (np.count_nonzero(occupations, axis=1) != 1).any():
+        raise ValueError("every ket of the input must hold all of its "
+                         "photons in one mode")
+    photons = input_state.total_photons
+    sets, k = _scan_grid(circuit, swept, photons, scans)
+    m = circuit.mode_count
+    detectors = list(circuit.detectors.values())
+    # pattern i's N factors are rows of the table below: beta at each
+    # listed mode, as often as its count, and alpha at row m + i; its
+    # fixed modes are zeros of its row of ``free``
+    which, fixed_modes, factors, scale = [], [], [], []
+    for i, (toggles, pattern) in enumerate(
+            (toggles, p) for toggles, scan in scans for p in scan):
+        by_mode = pattern.resolve(circuit.detectors)
+        which.append(sets.index(frozenset(toggles)))
+        fixed_modes += [i * m + d
+                        for d in (detectors if pattern.exclusive else by_mode)]
+        if pattern.total > photons:
+            _warn_unreachable(pattern.total, photons)
+            listed, weight = [], 0.0
+        else:
+            listed = [d for d, count in by_mode.items() for _ in range(count)]
+            weight = math.factorial(photons) / math.prod(map(
+                math.factorial, [photons - len(listed), *by_mode.values()]))
+        factors.append(listed + [m + i] * (photons - len(listed)))
+        scale.append(weight)
+    free = np.ones(len(which) * m)
+    free[fixed_modes] = 0.0
+
+    phases = dict(fixed)
+    phases[swept] = math.pi * np.arange(2 * k) / k
+    rows = _compile_grid(circuit, phases, rows=input_state._occupied_modes(),
+                         sets=sets)
+    _check_rows(rows)
+    # conj(U_ak) U_bk of every slice, mode k and pair of rows, as a
+    # (sets x 2K x modes x R R) table, and each pattern's alpha after the
+    # modes; a batched outer product, as a broadcast product would buffer
+    # both operands whole
+    cols = rows.transpose(0, 2, 1)
+    table = (cols.conj()[..., None] @ cols[..., None, :]).reshape(
+        len(sets), 2 * k, m, -1)
+    table = np.concatenate((table, free.reshape(-1, m) @ table), axis=2)
+    terms = table[np.array(which)[:, None], :, factors].prod(axis=1)
+    # the kets' amplitudes in the order of their modes, the rows' order
+    c = input_state.amplitude_array[occupations.argmax(axis=1).argsort()]
+    samples = (terms @ np.outer(c.conj(), c).ravel()).real
+    return (samples * np.array(scale)[:, None]) @ _sampling(k)[1]
 
 
 def _read_set(circuit: Circuit, readouts, plan: _Plan, photons: int):
@@ -307,12 +402,15 @@ def _fit_samples(parameter: str, phis: np.ndarray,
             f"rms left after the strongest is {residuals[bad[0]]:.3e}")
     visibilities = np.divide(amplitudes, means, out=np.zeros_like(means),
                              where=means != 0)
+    # np.angle of (-x, -0.0) is -pi: one fringe, one offset, in (-pi, pi]
+    offsets = np.angle(chosen)
+    offsets[offsets == -math.pi] = math.pi
     phases = phis.tolist()
     return [FringeScan(parameter, tuple(zip(phases, vals)), *fit)
             for vals, *fit in zip(
                 _probabilities(harmonics, phis).tolist(), means.tolist(),
                 amplitudes.tolist(), freqs.astype(float).tolist(),
-                np.angle(chosen).tolist(), visibilities.tolist(),
+                offsets.tolist(), visibilities.tolist(),
                 residuals.tolist())]
 
 
@@ -424,15 +522,17 @@ def classify_table1(n: int) -> list[ScenarioReport]:
     while the innermost stage stays distinguishing and unobserved.  Each is
     scanned at every coincidence order against the outer-arm delay, whose
     effect survives only in full-order exclusive coincidences; all the
-    scans come from one evolve of the input.
+    scans come from one compile of the input's two rows.
 
     The input is the engineered n-photon state on ``braced(n)``'s input
     modes, which the first splitter BS1 maps onto :func:`noon_target` on
-    its two arms.  So the scans evolve that target, placed on modes 0 and
-    1, through the stack after BS1: the same output state, from 2 input
-    kets and without the evolve that :func:`engineered_input` takes
-    (at n = 5, 990 terms feed the 495 read kets, against 1,820 through the
-    whole stack).  The stack is built once, with one ``Circuit`` check.
+    its two arms.  So the scans read that target, placed on modes 0 and
+    1, through the stack after BS1: the same output state, without the
+    evolve that :func:`engineered_input` takes.  Each ket of the target
+    holds all n photons in one arm, so every pattern is read off the
+    arms' generating function (:func:`_noon_values`), with no expansion
+    of the output state.  The stack is built once, with one ``Circuit``
+    check.
     """
     if n not in range(3, 6):
         raise ValueError(f"supported photon numbers are 3 to 5, got {n!r}")
@@ -456,10 +556,10 @@ def classify_table1(n: int) -> list[ScenarioReport]:
         patterns.append(DetectionPattern(
             {d: 1 for d in dets} | {"D10": n - len(dets)}))
         scans.append((toggles, patterns))
-    # the two inner_off scans share one compiled and evolved block, and
-    # every block has the same K: one fit
-    fits = iter(_fit_samples("phi_B", phis, np.concatenate(
-        _scan_values(circuit, state, "phi_B", fixed, scans))))
+    # the two inner_off scans share one compiled block, and every scan
+    # has the same K: one fit
+    fits = iter(_fit_samples("phi_B", phis, _noon_values(
+        circuit, state, "phi_B", fixed, scans)))
     reports = []
     for (config_id, toggles, dets, which_path), (_, patterns) in zip(
             configs, scans):

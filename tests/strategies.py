@@ -1,16 +1,19 @@
 """Hypothesis strategies shared by the test modules: occupations,
 normalized superpositions and random circuits with a swept delay, plus the
 random unitaries some of them are evolved through, the row block of a
-unitary stack that the expansion engine reads, and a ``select`` callback
-that reads some of its output kets."""
+unitary stack that the expansion engine reads, a ``select`` callback that
+reads some of its output kets, and the scans of the scenario table."""
 
+import functools
 import math
+import unittest.mock
 from collections import Counter
 
 import numpy as np
 from hypothesis import strategies as st
 
-from mzsim import BeamSplitterCoeffs, Circuit, CircuitElement, FockState
+from mzsim import (BeamSplitterCoeffs, Circuit, CircuitElement, FockState,
+                   classify_table1, scenarios)
 from mzsim.optics import _restrict_plan
 
 
@@ -37,6 +40,18 @@ def reading(read):
         return _restrict_plan(plan, read(plan.occupations) if callable(read)
                               else read)
     return select
+
+
+@functools.cache
+def table1_scan(n):
+    """The arguments ``classify_table1(n)`` reads its harmonics with, as
+    ``scenarios._scan_values`` takes them: the stack after BS1, the NOON
+    target on its modes 0 and 1, the swept ``"phi_B"``, the fixed phases
+    and the (toggles, patterns) scans."""
+    with unittest.mock.patch.object(scenarios, "_noon_values",
+                                    wraps=scenarios._noon_values) as spy:
+        classify_table1(n)
+    return spy.call_args.args
 
 
 @st.composite

@@ -51,10 +51,11 @@ def test_each_run_builds_the_shared_draw_once(monkeypatch):
     assert len(builds) == 2
 
 
-def test_a_cold_run_builds_24_full_plans_and_a_warm_run_misses_none(
+def test_a_cold_run_builds_each_full_plan_once_and_a_warm_run_misses_none(
         monkeypatch):
-    # the plan cache keeps 24 full plans, one entry per distinct scan (11)
-    # and 2 trace plans; a second run finds every one of them
+    # the plan cache keeps 23 full plans, one entry per distinct scan (10)
+    # and 2 trace plans; a second run finds every one of them.  The
+    # scenario table's scans read no plan (scenarios._noon_values)
     builds = []
 
     def counting_build_plan(*args):
@@ -66,10 +67,10 @@ def test_a_cold_run_builds_24_full_plans_and_a_warm_run_misses_none(
     optics._expansion_plan.cache_clear()
     assert verify.run_all()[0] == 0
     cold = optics._expansion_plan.cache_info()
-    assert len(builds) == 24 and cold.currsize == 37
+    assert len(builds) == 23 and cold.currsize == 35
     assert verify.run_all()[0] == 0
     warm = optics._expansion_plan.cache_info()
-    assert len(builds) == 24
+    assert len(builds) == 23
     assert (warm.misses, warm.currsize, warm.nbytes) == (
         cold.misses, cold.currsize, cold.nbytes)
 

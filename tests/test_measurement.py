@@ -293,6 +293,22 @@ def test_partial_trace_validation():
         partial_trace(partial_trace(rho, [0]), [0])
 
 
+def test_partial_trace_resolves_numpy_modes_and_names_the_first_bad_one():
+    rho = density_from_pure(basis_state((1, 1, 0)))
+    want = partial_trace(rho, [1, 2])
+    got = partial_trace(rho, [np.int64(1), np.uint8(2)])
+    assert got.modes == want.modes == (0,) and got.allclose(want)
+    assert mean_photon_number(got, np.int64(0)) == 1.0
+    # a bool equals a mode index but is none; the first bad mode is named
+    for modes, first in (([True], "True"), ([2, True, 7], "True"),
+                         ([7, True], "7"), ([1.0], "1.0"), ([[1]], "[1]")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mode {first} was traced out or never present")):
+            partial_trace(rho, modes)
+    with pytest.raises(ValueError, match="mode 1 was traced out"):
+        partial_trace(partial_trace(rho, [1]), [0, 1])
+
+
 def test_trace_is_preserved_by_partial_trace(seed=41):
     rng = np.random.default_rng(seed)
     keys = [occ for occ in itertools.product(range(3), repeat=3)

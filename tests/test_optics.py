@@ -22,15 +22,15 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, DetectionPattern,
                    DimensionMismatchError, ExpansionTooLargeError, FockState,
                    InvalidCoefficientsError, NonUnitaryError,
                    PhotonCountError, SectorError, basis_state, bs_unitary,
-                   classify_table1, compile, evolve, is_unitary,
-                   pattern_probability, permanent, phase_unitary,
-                   scenarios, swap_unitary, transition_amplitude, vacuum)
+                   compile, evolve, is_unitary, pattern_probability,
+                   permanent, phase_unitary, scenarios, swap_unitary,
+                   transition_amplitude, vacuum)
 from mzsim.fock import PRUNE_THRESHOLD, _trusted_state
 from mzsim.optics import (MAX_TERMS, ROW_CUTOFF, _build_plan, _compositions,
                           _evolve_grid, _expansion_plan, _held_bytes,
                           _key_places, _restrict_plan, _term_count)
 from strategies import (occupied_rows, random_unitary, reading,
-                        superpositions, swept_circuits)
+                        superpositions, swept_circuits, table1_scan)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -565,10 +565,11 @@ def test_each_ket_read_alone_is_the_full_plans_amplitude_bit_for_bit(
 
 
 def test_a_warm_scan_evolve_holds_less_than_one_stacked_block(monkeypatch):
-    # classify_table1(5) evolves one 12-matrix stack onto 495 read kets fed
-    # by the restricted plan's terms; one (K x terms) complex block would
-    # take 16 bytes per entry
+    # the scans of the five-photon table evolve one 12-matrix stack onto
+    # 495 read kets fed by the restricted plan's terms; one (K x terms)
+    # complex block would take 16 bytes per entry
     scans = []
+    table = table1_scan(5)
 
     def recording(state, stack, select=None):
         def recorded(key, full):
@@ -577,7 +578,7 @@ def test_a_warm_scan_evolve_holds_less_than_one_stacked_block(monkeypatch):
         return _evolve_grid(state, stack, recorded)
 
     monkeypatch.setattr(scenarios, "_evolve_grid", recording)
-    classify_table1(5)
+    scenarios._scan_values(*table)
     (state, stack, plan), = scans
     terms = len(plan.weights)
     assert (len(stack), len(plan.occupations), terms) == (12, 495, 990)

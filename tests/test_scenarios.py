@@ -24,14 +24,16 @@ from mzsim import (BALANCED, BeamSplitterCoeffs, Circuit, CircuitElement,
                    one_photon_each_input, pattern_probability, preset,
                    run_scan, run_triple, transition_amplitude)
 from mzsim import optics, reference, scenarios
-from mzsim.circuit import PRESET_NAMES, _compile_grid, preset_fig2
+from mzsim.circuit import (PRESET_NAMES, _braced_circuit, _compile_grid,
+                           preset_fig2)
 from mzsim.fock import _common_rows
 from mzsim.measurement import pattern_masks
 from mzsim.optics import (ROW_CUTOFF, _build_plan, _evolve_grid,
                           _expansion_plan, _restrict_plan)
-from mzsim.scenarios import _fit_samples, _probabilities, _scan_values
+from mzsim.scenarios import (_fit_samples, _noon_values, _probabilities,
+                             _scan_values)
 from strategies import (occupations, occupied_rows, random_unitary, reading,
-                        superpositions, swept_circuits)
+                        superpositions, swept_circuits, table1_scan)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -97,6 +99,16 @@ def test_flat_scan_reports_frequency_zero():
     assert scan.classify() == "flat"
     (dark,) = _fit_samples("phi", PHIS, cosine_harmonics(0.0))
     assert dark.visibility == 0.0 and dark.spatial_frequency == 0.0
+
+
+@pytest.mark.parametrize("imag", [-0.0, 0.0])
+def test_a_negative_real_harmonic_reports_the_offset_pi(imag):
+    # np.angle reads (-0.25, -0.0) as -pi; offsets lie in (-pi, pi], so a
+    # fringe's offset does not hang on the sign of a zero
+    (scan,) = _fit_samples("phi", PHIS,
+                           np.array([[0.5, 0, complex(-0.25, imag)]]))
+    assert scan.spatial_frequency == 2.0
+    assert scan.phase_offset == math.pi
 
 
 def test_classification_thresholds():
@@ -262,31 +274,38 @@ def test_a_scan_evolves_once_per_harmonic(monkeypatch):
     assert len(scan.samples) == 256
 
 
-def test_classify_table1_evolves_its_input_once(monkeypatch):
+def test_classify_table1_compiles_its_input_rows_once_and_evolves_nothing(
+        monkeypatch):
     # three configurations over two distinct toggle sets: one compile of
     # the input's two occupied rows for both sets, in the order the sets
-    # first appear, and one batched evolve over the two grids stacked
-    compiled, stacks = [], []
+    # first appear, at the 2K phases pi m / K that the DFT reads; no
+    # evolve, and no plan-cache lookup
+    compiled = []
 
     def counting_compile_grid(circuit, phases, toggles=(), rows=None,
                               **family):
         compiled.append(([frozenset(s) for s in family["sets"]],
-                         len(phases["phi_B"]), list(rows)))
+                         phases["phi_B"].tolist(), list(rows)))
         return _compile_grid(circuit, phases, toggles, rows, **family)
 
-    def counting_evolve_grid(state, unitaries, *args, **kwargs):
-        stacks.append(np.shape(unitaries))
-        return _evolve_grid(state, unitaries, *args, **kwargs)
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"classify_table1 called {name}")
+        return call
 
     monkeypatch.setattr(scenarios, "_compile_grid", counting_compile_grid)
-    monkeypatch.setattr(scenarios, "_evolve_grid", counting_evolve_grid)
-    reports = classify_table1(3)
+    for owner, name in ((scenarios, "_evolve_grid"), (scenarios, "evolve"),
+                        (optics, "_evolve_grid"), (optics, "evolve"),
+                        (_expansion_plan, "lookup")):
+        monkeypatch.setattr(owner, name, refused(name))
+    reports = classify_table1(5)
     toggles = {frozenset(r.toggles) for r in reports}
-    assert toggles == {frozenset({"BS2", "BS2p"}), frozenset({"BS2p"})}
-    # K = 3 photons x 1 crossing + 1 per set
-    assert compiled == [([frozenset({"BS2", "BS2p"}), frozenset({"BS2p"})],
-                         4, [0, 1])]
-    assert stacks == [(8, 2, 18)]
+    assert toggles == {frozenset({"BS2", "BS2p", "BS2pp", "BS2ppp"}),
+                       frozenset({"BS2p", "BS2pp", "BS2ppp"})}
+    # K = 5 photons x 1 crossing + 1 per set
+    assert compiled == [([frozenset({"BS2", "BS2p", "BS2pp", "BS2ppp"}),
+                          frozenset({"BS2p", "BS2pp", "BS2ppp"})],
+                         (math.pi * np.arange(12) / 6).tolist(), [0, 1])]
 
 
 @settings(max_examples=60, deadline=None)
@@ -673,6 +692,14 @@ def test_a_non_unitary_scan_reports_its_unknown_detector_first():
         run_scan(circuit, (), state, DetectionPattern({"Da": 1}), "phi", {})
     with pytest.raises(UnknownDetectorError):
         run_scan(circuit, (), state, DetectionPattern({"Dx": 1}), "phi", {})
+    # and so in the route that reads a NOON input's generating function
+    noon = basis_state((2, 0))
+    with pytest.raises(NonUnitaryError):
+        _noon_values(circuit, noon, "phi", {},
+                     [((), [DetectionPattern({"Da": 1})])])
+    with pytest.raises(UnknownDetectorError):
+        _noon_values(circuit, noon, "phi", {},
+                     [((), [DetectionPattern({"Dx": 1})])])
 
 
 def test_a_warm_non_unitary_scan_reports_its_readout_faults_first():
@@ -795,8 +822,8 @@ def test_a_scan_keeps_its_restricted_plan_in_the_plan_cache():
     assert np.array_equal(first[0], again[0])
 
 
-def table1_reports():
-    return [r.to_json() for r in classify_table1(5)]
+def table1_harmonics():
+    return [h.tobytes() for h in _scan_values(*table1_scan(5))]
 
 
 def fig2_harmonics():
@@ -806,7 +833,7 @@ def fig2_harmonics():
         [(("BS2",), [DetectionPattern({"D6": 1, "D10": 1})])])]
 
 
-@pytest.mark.parametrize("run", [table1_reports, fig2_harmonics])
+@pytest.mark.parametrize("run", [table1_harmonics, fig2_harmonics])
 def test_a_warm_scan_makes_one_plan_lookup_and_builds_nothing(monkeypatch,
                                                               run):
     # a warm scan finds its restricted plan and what its readouts read in
@@ -881,8 +908,10 @@ def test_a_scan_entry_holds_its_full_plan_restricted_to_its_read_set(
 
 def test_a_call_builds_each_full_plan_once_when_no_plan_is_kept(monkeypatch):
     # with a budget nothing fits, every lookup misses; the scan's entry
-    # builds the full plan once and restricts that plan
+    # builds the full plan once and restricts that plan (the table's scans
+    # at three photons)
     built, restricted = [], []
+    scan = table1_scan(3)
 
     def build(inputs, needed):
         built.append((inputs.shape, inputs.tobytes(), needed.tobytes()))
@@ -896,20 +925,21 @@ def test_a_call_builds_each_full_plan_once_when_no_plan_is_kept(monkeypatch):
     monkeypatch.setattr(optics, "_build_plan", build)
     monkeypatch.setattr(scenarios, "_restrict_plan", restrict)
     _expansion_plan.cache_clear()
-    classify_table1(3)
+    _scan_values(*scan)
     # the stack's plan, once: the NOON target needs no plan of its own
     assert len(set(built)) == len(built) == 1
     assert len(restricted) == 1
     assert _expansion_plan.cache_info().currsize == 0
 
 
-def test_classify_table1_evolves_the_noon_target_after_bs1(monkeypatch):
+def test_the_table_scans_evolve_the_noon_target_after_bs1(monkeypatch):
     # BS1 maps the engineered input onto the NOON target on its two arms,
-    # so one scan evolves the target's 2 kets through the stack after BS1,
-    # and no evolve builds the engineered input.  At five photons 4,004
-    # terms reach 2,002 kets, and 990 of them feed the 495 read kets; the
-    # engineered input's 6 kets through the whole stack took 8,568 and 1,820
+    # so the table's scans evolve the target's 2 kets through the stack
+    # after BS1 in one expansion.  At five photons 4,004 terms reach 2,002
+    # kets, and 990 of them feed the 495 read kets; the engineered input's
+    # 6 kets through the whole stack took 8,568 and 1,820
     states, plans = [], []
+    scan = table1_scan(5)
 
     def recording_evolve_grid(state, stack, select=None):
         states.append(state)
@@ -919,14 +949,10 @@ def test_classify_table1_evolves_the_noon_target_after_bs1(monkeypatch):
         plans.append((plan, _restrict_plan(plan, read)))
         return plans[-1][1]
 
-    def no_evolve(*args):
-        raise AssertionError("classify_table1 called evolve")
-
     monkeypatch.setattr(scenarios, "_evolve_grid", recording_evolve_grid)
-    monkeypatch.setattr(scenarios, "evolve", no_evolve)
     monkeypatch.setattr(scenarios, "_restrict_plan", recording_restrict)
     _expansion_plan.cache_clear()
-    classify_table1(5)
+    _scan_values(*scan)
     (state,) = states
     want = embed(noon_target(5), 30, (0, 1))
     assert len(state) == 2
@@ -935,6 +961,82 @@ def test_classify_table1_evolves_the_noon_target_after_bs1(monkeypatch):
     ((full, restricted),) = plans
     assert (len(full.weights), len(full.occupations)) == (4004, 2002)
     assert (len(restricted.weights), len(restricted.occupations)) == (990, 495)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_the_noon_route_gives_the_expansions_harmonics(data):
+    # the generating-function route against the expansion on the stack
+    # after BS1: random taps t = cos(theta), r = i sin(theta), fixed phases,
+    # toggle sets and swept delay; n photons on arm 0, arm 1 or both, with
+    # unequal complex amplitudes, so that the cross terms a != b count;
+    # the table's patterns and random exclusive and non-exclusive ones of
+    # at most n + 1 photons (one more reads zero in both routes)
+    n = data.draw(st.integers(3, 5))
+    thetas = data.draw(st.lists(st.floats(0.2, 1.35), min_size=n - 1,
+                                max_size=n - 1))
+    circuit = _braced_circuit(n, [BeamSplitterCoeffs(math.cos(t),
+                                                     1j * math.sin(t))
+                                  for t in thetas], first=1)
+    swept = data.draw(st.sampled_from(circuit.parameters))
+    fixed = {p: data.draw(st.floats(0, 2 * math.pi))
+             for p in circuit.parameters if p != swept}
+    kets = data.draw(st.sampled_from(([(n, 0)], [(0, n)], [(n, 0), (0, n)])))
+    target = FockState({ket: complex(data.draw(st.floats(0.1, 1)),
+                                     data.draw(st.floats(-1, 1)))
+                        for ket in kets}, 2).normalized()
+    state = embed(target, circuit.mode_count, (0, 1))
+    names = sorted(circuit.detectors)
+
+    def random_patterns():
+        patterns = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            counts = data.draw(occupations(len(names),
+                                           data.draw(st.integers(0, n + 1))))
+            patterns.append(DetectionPattern(
+                {d: c for d, c in zip(names, counts)
+                 if c or data.draw(st.booleans())},
+                exclusive=data.draw(st.booleans())))
+        return patterns
+
+    table = [p for _, scan in table1_scan(n)[4] for p in scan]
+    scans = [(data.draw(st.lists(st.sampled_from(sorted(circuit.toggles)),
+                                 unique=True)),
+              (table if not i else []) + random_patterns())
+             for i in range(data.draw(st.integers(1, 3)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.concatenate(_scan_values(circuit, state, swept, fixed,
+                                           scans))
+        got = _noon_values(circuit, state, swept, fixed, scans)
+    assert got.shape == want.shape == (len(want), n + 1)
+    assert np.max(np.abs(got - want)) < 1e-13
+    over = [p.total > n for _, scan in scans for p in scan]
+    assert not np.any(got[over]) and not np.any(want[over])
+
+
+def test_the_noon_route_holds_less_than_the_expansions_scan_block():
+    # a warm expansion of the five-photon table's scans bounds its evolve
+    # by 12 x 990 x 16 bytes, one (K x terms) complex block of its
+    # restricted plan; the whole route, compile included, stays below it
+    table = table1_scan(5)
+    _noon_values(*table)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _noon_values(*table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 990 * 16
+
+
+def test_the_noon_route_takes_only_inputs_with_every_photon_in_one_mode():
+    c = preset("fig2")
+    with pytest.raises(ValueError, match="in one mode"):
+        _noon_values(c, one_photon_each_input(c), "phi_C", {"phi_B": 0.4,
+                                                             "phi_S": 1.1},
+                     [(("BS2",), [DetectionPattern({"D6": 1, "D10": 1})])])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
